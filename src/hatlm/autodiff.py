@@ -8,11 +8,9 @@ gives float64 gradients (used by the gradient oracle).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .kernels import InternalInvariantError
+from . import kernels
 
 
 class Var:
@@ -252,13 +250,7 @@ def silu(a) -> Var:
 def masked_softmax(a, mask: np.ndarray) -> Var:
     """Softmax over the last axis where mask (a constant) is True."""
     a = wrap(a)
-    mask = np.broadcast_to(mask, a.v.shape)
-    if not mask.any(axis=-1).all():
-        raise InternalInvariantError("attention row with empty visible key set")
-    z = np.where(mask, a.v, np.array(-np.inf, dtype=a.v.dtype))
-    m = np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = kernels.masked_softmax(a.v, mask)
 
     def bw(g):
         _accum(a, p * (g - np.sum(g * p, axis=-1, keepdims=True)))
@@ -266,23 +258,14 @@ def masked_softmax(a, mask: np.ndarray) -> Var:
 
 
 def rope(a, positions, base: float) -> Var:
-    """Rotary transform on the last axis; positions align with axis -2."""
+    """Rotary transform on the last axis; positions align with axis -2.
+
+    The rotation is orthogonal, so its VJP is the inverse rotation."""
     a = wrap(a)
-    d = a.v.shape[-1]
-    half = d // 2
-    pos = np.asarray(positions, dtype=a.v.dtype)
-    inv = base ** (-np.arange(0, d, 2, dtype=a.v.dtype) / d)
-    ang = pos[:, None] * inv[None, :]
-    shape = (1,) * (a.v.ndim - 2) + ang.shape
-    cos = np.cos(ang).reshape(shape)
-    sin = np.sin(ang).reshape(shape)
-    x1, x2 = a.v[..., :half], a.v[..., half:]
-    out = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
     def bw(g):
-        g1, g2 = g[..., :half], g[..., half:]
-        _accum(a, np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=-1))
-    return Var(out, (a,), bw)
+        _accum(a, kernels.rope(g, -np.asarray(positions), base))
+    return Var(kernels.rope(a.v, positions, base), (a,), bw)
 
 
 def cross_entropy(logits, targets) -> Var:

@@ -13,6 +13,8 @@ Layout (all integers little-endian):
 
 Tensors are stored sorted by name. Values are 32-bit floats; float64
 parameter sets are rejected (saving them would silently lose precision).
+Loading checks the tensor names and shapes against the parameter layout
+the stored config implies.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import struct
 import numpy as np
 
 from . import config as config_mod
+from . import model
 from .config import HatConfig
 
 MAGIC = b"HATCKPT1"
@@ -74,6 +77,8 @@ def load(path) -> tuple[HatConfig, dict]:
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
         name = take(name_len).decode("utf-8")
+        if name in params:
+            raise CheckpointError(f"duplicate tensor {name}")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         n = int(np.prod(shape)) if ndim else 1
@@ -81,4 +86,15 @@ def load(path) -> tuple[HatConfig, dict]:
         params[name] = arr.astype(np.float32, copy=True)
     if off != len(blob):
         raise CheckpointError("trailing bytes after last tensor")
+    shapes = model.param_shapes(cfg)
+    missing = sorted(shapes.keys() - params.keys())
+    if missing:
+        raise CheckpointError(f"missing tensors: {', '.join(missing)}")
+    extra = sorted(params.keys() - shapes.keys())
+    if extra:
+        raise CheckpointError(f"unexpected tensors: {', '.join(extra)}")
+    for name, shape in shapes.items():
+        if params[name].shape != shape:
+            raise CheckpointError(
+                f"{name} has shape {params[name].shape}, the config needs {shape}")
     return cfg, params

@@ -29,6 +29,14 @@ class StackConfig:
         return int(round(self.mlp_expansion * self.hidden))
 
     def validate(self, name: str) -> None:
+        for f in ("n_heads", "n_kv_heads", "head_size", "hidden", "max_positions"):
+            v = getattr(self, f)
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise ValueError(f"{name}.{f} must be a positive integer, got {v!r}")
+        for f in ("mlp_expansion", "rope_base"):
+            v = getattr(self, f)
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0:
+                raise ValueError(f"{name}.{f} must be positive, got {v!r}")
         if self.n_heads * self.head_size != self.hidden:
             raise ValueError(f"{name}: n_heads*head_size must equal hidden")
         if self.n_heads % self.n_kv_heads:

@@ -4,7 +4,9 @@ A generation session keeps two caches: per-layer byte-level K/V rings
 capped at the sliding window (encoder and decoder), and an append-only
 word-level cache for the backbone. Bytes cycle through the lightweight
 encoder-decoder loop; the backbone runs only when the incremental splitter
-closes a word (plus once for the BOS position).
+closes a word (plus once for the BOS position). The single-position layer
+math mirrors the batch pass in :mod:`hatlm.model` and runs on the shared
+kernels: :func:`hatlm.kernels.rope` and :func:`hatlm.kernels.attend`.
 
 Sampling is constrained to bytes that keep the output a valid UTF-8 stream
 (the end sentinel 0xFF is allowed at codepoint boundaries); a batch
@@ -14,14 +16,13 @@ recomputation oracle for the same assignment lives in
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import HatConfig, StackConfig
-from .kernels import rms_norm, softcap as cap_fn, softmax, swiglu_ffn
+from .kernels import attend, rms_norm, rope, softmax, swiglu_ffn
 from .splitter import BYTE_BOS, BYTE_EOS, IncrementalSplitterState, WordClosed
 
 
@@ -138,45 +139,24 @@ class WordCache:
 # ---------------------------------------------------------------------------
 # single-position layer math (mirrors the batch pass)
 
-def _heads(x: np.ndarray, n: int, hs: int) -> np.ndarray:
-    return x.reshape(n, hs)
-
-
-def _rope_rows(x: np.ndarray, pos: int, base: float) -> np.ndarray:
-    # x: [n_heads, hs] at one absolute position
-    d = x.shape[-1]
-    half = d // 2
-    inv = base ** (-np.arange(0, d, 2, dtype=x.dtype) / d)
-    ang = pos * inv
-    cos, sin = np.cos(ang), np.sin(ang)
-    x1, x2 = x[..., :half], x[..., half:]
-    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
-
-
 def _attn_step(P, prefix: str, cfg: HatConfig, s: StackConfig, cache_layer,
                x: np.ndarray, pos: int) -> np.ndarray:
     nh, nkv, hs = s.n_heads, s.n_kv_heads, s.head_size
     h = rms_norm(x, cfg.norm_eps, P[f"{prefix}.attn_norm.gain"])
-    q = _heads(h @ P[f"{prefix}.attn.wq"], nh, hs)
-    k = _heads(h @ P[f"{prefix}.attn.wk"], nkv, hs)
-    v = _heads(h @ P[f"{prefix}.attn.wv"], nkv, hs)
+    q = (h @ P[f"{prefix}.attn.wq"]).reshape(nh, hs)
+    k = (h @ P[f"{prefix}.attn.wk"]).reshape(nkv, hs)
+    v = (h @ P[f"{prefix}.attn.wv"]).reshape(nkv, hs)
     if cfg.qk_norm:
         q = rms_norm(q, cfg.norm_eps)
         k = rms_norm(k, cfg.norm_eps)
-    q = _rope_rows(q, pos, s.rope_base)
-    k = _rope_rows(k, pos, s.rope_base)
+    # one position for every head row: the rotated K row owns its memory,
+    # so the cache keeps no view of a larger base alive
+    q = rope(q, np.full(nh, pos), s.rope_base)
+    k = rope(k, np.full(nkv, pos), s.rope_base)
     cache_layer.append((k, v))
     K = np.stack([e[0] for e in cache_layer])   # [n_vis, nkv, hs]
     V = np.stack([e[1] for e in cache_layer])
-    group = nh // nkv
-    Kh = np.repeat(K.transpose(1, 0, 2), group, axis=0)  # [nh, n_vis, hs]
-    Vh = np.repeat(V.transpose(1, 0, 2), group, axis=0)
-    logits = np.einsum("hd,hvd->hv", q, Kh) / math.sqrt(hs)
-    if cfg.softcap is not None:
-        logits = cap_fn(logits, cfg.softcap)
-    p = softmax(logits, axis=-1)
-    out = np.einsum("hv,hvd->hd", p, Vh).reshape(nh * hs)
-    return out @ P[f"{prefix}.attn.wo"]
+    return attend(q, K, V, cfg.softcap) @ P[f"{prefix}.attn.wo"]
 
 
 def _layer_step(P, prefix: str, cfg: HatConfig, s: StackConfig, cache_layer,
@@ -190,17 +170,10 @@ def _layer_step(P, prefix: str, cfg: HatConfig, s: StackConfig, cache_layer,
 def _pool_word(P, cfg: HatConfig, states: np.ndarray) -> np.ndarray:
     nh, hs = cfg.n_enc_cross_heads, cfg.encoder.head_size
     n = states.shape[0]
-    k = states @ P["connector.wk"]
-    v = states @ P["connector.wv"]
+    k = (states @ P["connector.wk"]).reshape(n, nh, hs)
+    v = (states @ P["connector.wv"]).reshape(n, nh, hs)
     q = (P["connector.query"] @ P["connector.wq"]).reshape(nh, hs)
-    kh = k.reshape(n, nh, hs)
-    vh = v.reshape(n, nh, hs)
-    logits = np.einsum("hd,nhd->hn", q, kh) / math.sqrt(hs)
-    if cfg.softcap is not None:
-        logits = cap_fn(logits, cfg.softcap)
-    p = softmax(logits, axis=-1)
-    out = np.einsum("hn,nhd->hd", p, vh).reshape(nh * hs)
-    return out @ P["connector.wo"]
+    return attend(q, k, v, cfg.softcap) @ P["connector.wo"]
 
 
 def _dec_injections(P, cfg: HatConfig, row: np.ndarray) -> list[np.ndarray]:

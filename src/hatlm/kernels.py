@@ -1,16 +1,19 @@
-"""Dense numeric kernels: matmul, normalization, rotary embedding, attention.
+"""Dense numeric kernels: matmul, normalization, rotary embedding, softmax,
+and the single-query grouped-KV attention read.
 
-All operations are pure functions over numpy arrays, deterministic for a
-given input dtype (float32 or float64 throughout; outputs follow inputs).
-Setting the environment variable HATLM_DEBUG_FINITE=1 (or the module flag)
-makes every kernel assert that its output is finite.
+These are the one implementation of each piece of math: the incremental
+engine calls them directly and the autodiff tape wraps `rope` and
+`masked_softmax` as its forward values. All operations are pure functions
+over numpy arrays, deterministic for a given input dtype (float32 or float64
+throughout; outputs follow inputs). Setting the environment variable
+HATLM_DEBUG_FINITE=1 (or the module flag) makes every kernel assert that its
+output is finite.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,11 +66,12 @@ def swiglu_ffn(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray,
     return _check(matmul(silu(matmul(x, w_gate)) * matmul(x, w_up), w_down))
 
 
-def rope_apply(x: np.ndarray, positions: np.ndarray, base: float) -> np.ndarray:
+def rope(x: np.ndarray, positions: np.ndarray, base: float) -> np.ndarray:
     """Rotary position transform on the last axis (pairs split half/half).
 
     `x` has shape (..., T, d) with d even; `positions` has length T and
-    aligns with axis -2. Frequencies are base**(-2i/d).
+    aligns with axis -2. Frequencies are base**(-2i/d). Negated positions
+    apply the inverse rotation.
     """
     d = x.shape[-1]
     if d % 2:
@@ -78,9 +82,7 @@ def rope_apply(x: np.ndarray, positions: np.ndarray, base: float) -> np.ndarray:
     half = d // 2
     inv = base ** (-np.arange(0, d, 2, dtype=x.dtype) / d)
     ang = positions[:, None] * inv[None, :]          # (T, d/2)
-    cos, sin = np.cos(ang), np.sin(ang)
-    shape = (1,) * (x.ndim - 2) + cos.shape
-    cos, sin = cos.reshape(shape), sin.reshape(shape)
+    cos, sin = np.cos(ang), np.sin(ang)               # broadcast over leading axes
     x1, x2 = x[..., :half], x[..., half:]
     return _check(np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1))
 
@@ -94,64 +96,6 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     m = np.max(x, axis=axis, keepdims=True)
     e = np.exp(x - m)
     return e / np.sum(e, axis=axis, keepdims=True)
-
-
-@dataclass(frozen=True)
-class Causal:
-    pass
-
-
-@dataclass(frozen=True)
-class Sliding:
-    window: int
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("sliding window must be >= 1")
-
-
-@dataclass(frozen=True)
-class CrossSegments:
-    """Per-query visible key ranges: row i attends to keys [start_i, end_i)."""
-    ranges: tuple[tuple[int, int], ...]
-
-
-MaskMode = Causal | Sliding | CrossSegments
-
-
-def causal_mask(n_q: int, n_k: int | None = None) -> np.ndarray:
-    n_k = n_q if n_k is None else n_k
-    return np.tril(np.ones((n_q, n_k), dtype=bool), k=n_k - n_q)
-
-
-def sliding_mask(n: int, window: int) -> np.ndarray:
-    """Visible iff j <= i and j > i - window (self plus window-1 predecessors)."""
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    return (j <= i) & (j > i - window)
-
-
-def segment_mask(ranges, n_k: int) -> np.ndarray:
-    mask = np.zeros((len(ranges), n_k), dtype=bool)
-    for q, (a, b) in enumerate(ranges):
-        if not 0 <= a < b <= n_k:
-            raise InternalInvariantError(f"empty or out-of-range segment [{a}, {b})")
-        mask[q, a:b] = True
-    return mask
-
-
-def build_mask(mode: MaskMode, n_q: int, n_k: int) -> np.ndarray:
-    if isinstance(mode, Causal):
-        return causal_mask(n_q, n_k)
-    if isinstance(mode, Sliding):
-        if n_q != n_k:
-            raise ShapeError("sliding mask requires square attention")
-        return sliding_mask(n_q, mode.window)
-    if isinstance(mode, CrossSegments):
-        if len(mode.ranges) != n_q:
-            raise ShapeError("one range per query required")
-        return segment_mask(mode.ranges, n_k)
-    raise TypeError(f"unknown mask mode {mode!r}")
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -170,34 +114,20 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask_mode: MaskMode,
-              n_heads: int, n_kv_heads: int,
-              cap: float | None = None) -> np.ndarray:
-    """Multi-head scaled dot-product attention with grouped KV heads.
+def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+           cap: float | None) -> np.ndarray:
+    """One query position's scaled dot-product read over n visible keys.
 
-    q is (n_q, n_heads*head), k and v are (n_k, n_kv_heads*head). Rotary and
-    QK normalization are the caller's business; this kernel scales by
-    1/sqrt(head), optionally softcaps the logits, masks, and averages values.
+    q is [n_heads, hs]; k and v are [n, n_kv_heads, hs] with n_kv_heads
+    dividing n_heads. Query heads are grouped per KV head by reshaping, so
+    the cache is never repeated. Logits are scaled by 1/sqrt(hs) and, when
+    `cap` is set, softcapped. Returns the concatenated heads, [n_heads*hs].
     """
-    if n_heads % n_kv_heads:
-        raise ShapeError("n_heads must be divisible by n_kv_heads")
-    if q.shape[1] % n_heads or k.shape[1] % n_kv_heads or v.shape[1] % n_kv_heads:
-        raise ShapeError("head dims do not divide projection widths")
-    head = q.shape[1] // n_heads
-    if k.shape[1] // n_kv_heads != head or v.shape[1] // n_kv_heads != head:
-        raise ShapeError("query and key/value head sizes differ")
-    n_q, n_k = q.shape[0], k.shape[0]
-    group = n_heads // n_kv_heads
-
-    qh = q.reshape(n_q, n_heads, head).transpose(1, 0, 2)
-    kh = k.reshape(n_k, n_kv_heads, head).transpose(1, 0, 2)
-    vh = v.reshape(n_k, n_kv_heads, head).transpose(1, 0, 2)
-    kh = np.repeat(kh, group, axis=0)
-    vh = np.repeat(vh, group, axis=0)
-
-    logits = np.matmul(qh, kh.transpose(0, 2, 1)) / math.sqrt(head)
+    n_heads, hs = q.shape
+    n_kv = k.shape[1]
+    qg = q.reshape(n_kv, n_heads // n_kv, hs)
+    logits = np.einsum("kgd,nkd->kgn", qg, k) / math.sqrt(hs)
     if cap is not None:
         logits = softcap(logits, cap)
-    p = masked_softmax(logits, build_mask(mask_mode, n_q, n_k)[None, :, :])
-    out = np.matmul(p, vh)
-    return _check(out.transpose(1, 0, 2).reshape(n_q, n_heads * head))
+    p = softmax(logits)
+    return _check(np.einsum("kgn,nkd->kgd", p, v).reshape(n_heads * hs))

@@ -202,7 +202,7 @@ def train_loop(cfg: HatConfig, corpus: bytes, schedule: LrSchedule,
     """Deterministic single-sequence-per-step training.
 
     The corpus is cut into seq_len-byte documents visited round-robin.
-    Aborts with a diagnostic if the loss diverges to NaN.
+    Aborts with a diagnostic if the loss turns NaN or infinite.
     """
     if not corpus:
         raise ValueError("empty corpus")
@@ -220,8 +220,8 @@ def train_loop(cfg: HatConfig, corpus: bytes, schedule: LrSchedule,
         data = chunks[step % len(chunks)]
         frozen = tuple(g for g in PARAM_GROUPS if policy.frozen_at(g, step))
         step_loss, grads = loss_and_grads(params, cfg, data, frozen)
-        if math.isnan(step_loss):
-            raise FloatingPointError(f"loss diverged to NaN at step {step}")
+        if not math.isfinite(step_loss):
+            raise FloatingPointError(f"loss diverged to {step_loss} at step {step}")
         clip_global_norm(grads, clip_norm,
                          tuple(k for k in grads if group_of(k) not in frozen))
         base_lr = lr_at(schedule, step)

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -127,8 +128,27 @@ def test_operational_error_exits_1(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag", ["--ckpt", "--config"])
+def test_malformed_model_input_exits_1(tmp_path, capsys, micro_cfg, micro_params, flag):
+    if flag == "--ckpt":
+        path = tmp_path / "no_head.ckpt"
+        params = {k: v for k, v in micro_params.items() if k != "decoder.lm_head"}
+        checkpoint.save(path, micro_cfg, params)
+    else:
+        path = tmp_path / "bad.cfg"
+        path.write_text(config.to_text(micro_cfg).replace(
+            "encoder.n_kv_heads=1", "encoder.n_kv_heads=0"))
+    code, out = run_cli("generate", flag, str(path), "--prompt", "hi", "--max-bytes", "2")
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_console_entrypoint_runs():
+    # the child process does not inherit pytest's `pythonpath` setting
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-m", "hatlm.cli", "split", "--text", "ab cd"],
-                         capture_output=True, text=True, cwd=REPO)
+                         capture_output=True, text=True, cwd=REPO,
+                         env={**os.environ, "PYTHONPATH": path})
     assert out.returncode == 0
     assert out.stdout == "ab\n cd\n"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hatlm import autodiff as ad
 from hatlm import kernels as K
 
 
@@ -45,18 +46,15 @@ def test_swiglu_scalar_case():
 
 
 def test_rope_position_zero_is_identity():
-    x = np.random.default_rng(1).standard_normal((1, 3, 1, 8))
-    out = K.rope_apply(x.reshape(3, 1, 8)[None][0], np.zeros(1, dtype=int), 1e4)
-    # positions length must match axis -2; rebuild properly
     x = np.random.default_rng(1).standard_normal((4, 1, 8))
-    out = K.rope_apply(x, np.zeros(1, dtype=int), 1e4)
+    out = K.rope(x, np.zeros(1, dtype=int), 1e4)
     assert np.allclose(out, x, atol=1e-12)
 
 
 def test_rope_preserves_norm():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((2, 6, 16))
-    out = K.rope_apply(x, np.arange(6), 1e5)
+    out = K.rope(x, np.arange(6), 1e5)
     assert np.allclose(np.linalg.norm(out, axis=-1), np.linalg.norm(x, axis=-1), atol=1e-6)
 
 
@@ -66,8 +64,8 @@ def test_rope_relative_shift_property():
     k = rng.standard_normal(8)
 
     def dot_at(m, n):
-        qm = K.rope_apply(q[None], np.array([m]), 1e4)[0]
-        kn = K.rope_apply(k[None], np.array([n]), 1e4)[0]
+        qm = K.rope(q[None], np.array([m]), 1e4)[0]
+        kn = K.rope(k[None], np.array([n]), 1e4)[0]
         return float(qm @ kn)
 
     assert abs(dot_at(5, 3) - dot_at(7, 5)) < 1e-5
@@ -75,7 +73,7 @@ def test_rope_relative_shift_property():
 
 def test_rope_odd_dim_rejected():
     with pytest.raises(K.ShapeError):
-        K.rope_apply(np.ones((2, 7)), np.arange(2), 1e4)
+        K.rope(np.ones((2, 7)), np.arange(2), 1e4)
 
 
 def test_softcap_hand_value():
@@ -95,37 +93,23 @@ def test_matmul_examples():
 
 def test_attention_single_key_returns_value_row():
     rng = np.random.default_rng(4)
-    q = rng.standard_normal((1, 8))
-    k = rng.standard_normal((1, 8))
-    v = rng.standard_normal((1, 8))
-    out = K.attention(q, k, v, K.Causal(), n_heads=2, n_kv_heads=2)
-    assert np.allclose(out, v, atol=1e-12)
+    q = rng.standard_normal((2, 4))
+    k = rng.standard_normal((1, 2, 4))
+    v = rng.standard_normal((1, 2, 4))
+    out = K.attend(q, k, v, None)
+    assert np.allclose(out, v.reshape(8), atol=1e-12)
 
 
 def test_attention_sliding_one_attends_self_only():
+    # a window of one leaves each position a single visible key, its own;
+    # with 2 query heads on 1 kv head the value repeats across the group
     rng = np.random.default_rng(5)
-    q = rng.standard_normal((5, 8))   # 2 query heads of size 4
-    k = rng.standard_normal((5, 4))   # 1 kv head of size 4
-    v = rng.standard_normal((5, 4))
-    out = K.attention(q, k, v, K.Sliding(1), n_heads=2, n_kv_heads=1)
-    # each position sees only itself; values repeat across the query groups
-    expect = np.concatenate([v, v], axis=1)
-    assert np.allclose(out, expect, atol=1e-12)
-
-
-def test_attention_mask_exactness_sliding():
-    rng = np.random.default_rng(6)
-    t, w = 9, 3
-    q = rng.standard_normal((t, 8))
-    k = rng.standard_normal((t, 8))
-    v = rng.standard_normal((t, 8))
-    base = K.attention(q, k, v, K.Sliding(w), n_heads=1, n_kv_heads=1)
-    k2, v2 = k.copy(), v.copy()
-    k2[2] += 100.0  # distance from query 8 is 6 > w
-    v2[2] -= 50.0
-    pert = K.attention(q, k2, v2, K.Sliding(w), n_heads=1, n_kv_heads=1)
-    assert np.array_equal(base[8], pert[8])
-    assert not np.array_equal(base[2], pert[2])
+    q = rng.standard_normal((5, 2, 4))
+    k = rng.standard_normal((5, 1, 4))
+    v = rng.standard_normal((5, 1, 4))
+    for i in range(5):
+        out = K.attend(q[i], k[i:i + 1], v[i:i + 1], None)
+        assert np.allclose(out, np.concatenate([v[i, 0], v[i, 0]]), atol=1e-12)
 
 
 def test_attention_softmax_rows_sum_to_one():
@@ -134,45 +118,21 @@ def test_attention_softmax_rows_sum_to_one():
     mask = np.tril(np.ones((6, 6), dtype=bool))
     p = K.masked_softmax(logits, mask[None])
     assert np.allclose(p.sum(-1), 1.0, atol=1e-6)
-    assert np.array_equal(p[:, ~mask[0] if False else 0, 1:], np.zeros((3, 5)))
+    assert np.array_equal(p[:, 0, 1:], np.zeros((3, 5)))
 
 
 def test_attention_empty_visible_set_raises():
     with pytest.raises(K.InternalInvariantError):
-        K.segment_mask(((2, 2),), 4)
-    with pytest.raises(K.InternalInvariantError):
         K.masked_softmax(np.zeros((1, 3)), np.zeros((1, 3), dtype=bool))
-
-
-def test_attention_grouped_kv_heads_validation():
-    with pytest.raises(K.ShapeError):
-        K.attention(np.ones((2, 8)), np.ones((2, 8)), np.ones((2, 8)),
-                    K.Causal(), n_heads=3, n_kv_heads=2)
-
-
-def test_cross_segments_mask_mode():
-    rng = np.random.default_rng(8)
-    q = rng.standard_normal((2, 8))
-    k = rng.standard_normal((5, 8))
-    v = rng.standard_normal((5, 8))
-    out = K.attention(q, k, v, K.CrossSegments(((0, 2), (2, 5))),
-                      n_heads=1, n_kv_heads=1)
-    assert out.shape == (2, 8)
-    # query 0 is bit-insensitive to keys outside its segment
-    k2 = k.copy()
-    k2[4] += 9.0
-    out2 = K.attention(q, k2, v, K.CrossSegments(((0, 2), (2, 5))),
-                       n_heads=1, n_kv_heads=1)
-    assert np.array_equal(out[0], out2[0])
 
 
 def test_determinism_bit_identical():
     rng = np.random.default_rng(9)
-    q = rng.standard_normal((6, 16)).astype(np.float32)
-    k = rng.standard_normal((6, 16)).astype(np.float32)
-    v = rng.standard_normal((6, 16)).astype(np.float32)
-    a = K.attention(q, k, v, K.Sliding(4), n_heads=2, n_kv_heads=2, cap=30.0)
-    b = K.attention(q, k, v, K.Sliding(4), n_heads=2, n_kv_heads=2, cap=30.0)
+    q = rng.standard_normal((4, 4)).astype(np.float32)
+    k = rng.standard_normal((6, 2, 4)).astype(np.float32)
+    v = rng.standard_normal((6, 2, 4)).astype(np.float32)
+    a = K.attend(q, k, v, 30.0)
+    b = K.attend(q, k, v, 30.0)
     assert np.array_equal(a, b)
 
 
@@ -180,14 +140,36 @@ def test_determinism_bit_identical():
 @settings(max_examples=25, deadline=None)
 def test_float32_float64_agreement(seed):
     rng = np.random.default_rng(seed)
-    q = rng.standard_normal((4, 8))
-    k = rng.standard_normal((4, 4))
-    v = rng.standard_normal((4, 4))
-    hi = K.attention(q, k, v, K.Causal(), n_heads=2, n_kv_heads=1)
-    lo = K.attention(q.astype(np.float32), k.astype(np.float32), v.astype(np.float32),
-                     K.Causal(), n_heads=2, n_kv_heads=1)
+    q = rng.standard_normal((2, 4))
+    k = rng.standard_normal((4, 1, 4))
+    v = rng.standard_normal((4, 1, 4))
+    hi = K.attend(q, k, v, None)
+    lo = K.attend(q.astype(np.float32), k.astype(np.float32), v.astype(np.float32), None)
     denom = np.maximum(np.abs(hi), 1e-3)
     assert np.max(np.abs(hi - lo.astype(np.float64)) / denom) < 1e-3
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 9),
+       n_kv=st.integers(1, 3), group=st.integers(2, 4),
+       hs=st.sampled_from([2, 4, 8]), cap=st.sampled_from([None, 2.0, 30.0]))
+@settings(max_examples=60, deadline=None)
+def test_attend_matches_autodiff_reference(seed, n, n_kv, group, hs, cap):
+    # the grouped read against the training graph's path: keys repeated per
+    # query head, then the autodiff masked softmax with every key visible
+    rng = np.random.default_rng(seed)
+    nh = n_kv * group
+    q = 3 * rng.standard_normal((nh, hs))
+    k = 3 * rng.standard_normal((n, n_kv, hs))
+    v = rng.standard_normal((n, n_kv, hs))
+    rep = np.repeat(np.arange(n_kv), group)
+    kh = k.transpose(1, 0, 2)[rep]                       # [nh, n, hs]
+    vh = v.transpose(1, 0, 2)[rep]
+    logits = ad.scale(ad.matmul(q[:, None, :], kh.transpose(0, 2, 1)), 1 / math.sqrt(hs))
+    if cap is not None:
+        logits = ad.softcap(logits, cap)
+    p = ad.masked_softmax(logits, np.ones((1, n), dtype=bool))
+    ref = ad.matmul(p, vh).v.reshape(nh * hs)
+    assert np.allclose(K.attend(q, k, v, cap), ref, rtol=0, atol=1e-6)
 
 
 def test_output_dtype_follows_input():

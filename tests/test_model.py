@@ -1,3 +1,6 @@
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -156,6 +159,21 @@ def test_cross_word_leakage(micro_cfg, micro_params):
     assert not np.array_equal(a[7:11], b[7:11])
 
 
+def test_attention_mask_exactness_sliding(micro_cfg):
+    # one encoder layer: the last state sees bytes (t-1-window, t-1] only, so
+    # a byte `window` back is bit-invisible and one nearer is not
+    cfg = replace(micro_cfg, encoder=replace(micro_cfg.encoder, n_layers=1))
+    params = model.init_params(cfg, seed=5)
+    w, t = cfg.encoder.window, 20
+    ids = np.frombuffer(b"sliding window probe", dtype=np.uint8).astype(np.int64)
+    base = model.encode_bytes(params, cfg, ids)
+    far, near = ids.copy(), ids.copy()
+    far[t - 1 - w] ^= 1
+    near[t - w] ^= 1
+    assert np.array_equal(base[-1], model.encode_bytes(params, cfg, far)[-1])
+    assert not np.array_equal(base[-1], model.encode_bytes(params, cfg, near)[-1])
+
+
 def test_single_byte_matches_self_only_attention_path(micro_cfg, micro_params):
     # one-byte input: every attention row is a softmax over one key
     from hatlm import kernels as K
@@ -165,15 +183,14 @@ def test_single_byte_matches_self_only_attention_path(micro_cfg, micro_params):
     for i in range(s.n_layers):
         pfx = f"encoder.layers.{i}"
         h = K.rms_norm(x, cfg.norm_eps, micro_params[f"{pfx}.attn_norm.gain"])
-        q = (h @ micro_params[f"{pfx}.attn.wq"]).reshape(1, -1)
-        k = (h @ micro_params[f"{pfx}.attn.wk"]).reshape(1, -1)
-        v = (h @ micro_params[f"{pfx}.attn.wv"]).reshape(1, -1)
+        q = (h @ micro_params[f"{pfx}.attn.wq"]).reshape(s.n_heads, s.head_size)
+        k = (h @ micro_params[f"{pfx}.attn.wk"]).reshape(1, s.n_kv_heads, s.head_size)
+        v = (h @ micro_params[f"{pfx}.attn.wv"]).reshape(1, s.n_kv_heads, s.head_size)
         if cfg.qk_norm:
-            hs = s.head_size
-            q = K.rms_norm(q.reshape(1, -1, hs), cfg.norm_eps).reshape(1, -1)
-            k = K.rms_norm(k.reshape(1, -1, hs), cfg.norm_eps).reshape(1, -1)
-        att = K.attention(q, k, v, K.Sliding(1), s.n_heads, s.n_kv_heads, cap=cfg.softcap)
-        x = x + (att[0] @ micro_params[f"{pfx}.attn.wo"])
+            q = K.rms_norm(q, cfg.norm_eps)
+            k = K.rms_norm(k, cfg.norm_eps)
+        att = K.attend(q, k, v, cfg.softcap)
+        x = x + (att @ micro_params[f"{pfx}.attn.wo"])
         hm = K.rms_norm(x, cfg.norm_eps, micro_params[f"{pfx}.mlp_norm.gain"])
         x = x + K.swiglu_ffn(hm, micro_params[f"{pfx}.mlp.w_gate"],
                              micro_params[f"{pfx}.mlp.w_up"],
@@ -215,6 +232,18 @@ def test_pool_empty_span_rejected(micro_cfg, micro_params):
         model.pool_words(micro_params, micro_cfg, states, [(1, 1)])
 
 
+def test_pool_span_ignores_states_outside_it(micro_cfg, micro_params):
+    states = np.random.default_rng(8).standard_normal((7, micro_cfg.encoder.hidden)) \
+        .astype(np.float32)
+    spans = [(0, 2), (2, 5), (5, 7)]
+    base = model.pool_words(micro_params, micro_cfg, states, spans)
+    pert = states.copy()
+    pert[[0, 6]] += 9.0
+    out = model.pool_words(micro_params, micro_cfg, pert, spans)
+    assert np.array_equal(base[1], out[1])
+    assert not np.array_equal(base[0], out[0])
+
+
 # ---------------------------------------------------------------------------
 # checkpoint round-trip
 
@@ -247,6 +276,52 @@ def test_checkpoint_rejects_corruption(tmp_path, micro_cfg, micro_params):
     (tmp_path / "magic.ckpt").write_bytes(b"NOTMAGIC" + blob[8:])
     with pytest.raises(checkpoint.CheckpointError):
         checkpoint.load(tmp_path / "magic.ckpt")
+
+
+def _tensor_record(name, arr):
+    nb = name.encode("utf-8")
+    return (struct.pack("<H", len(nb)) + nb + struct.pack("<B", arr.ndim)
+            + struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.astype("<f4").tobytes())
+
+
+@pytest.mark.parametrize("fault", ["missing", "extra", "shape", "duplicate"])
+def test_checkpoint_rejects_tensor_mismatch(tmp_path, micro_cfg, micro_params, fault):
+    params = dict(micro_params)
+    if fault == "missing":
+        del params["decoder.lm_head"]
+    elif fault == "extra":
+        params["decoder.extra"] = np.zeros(3, dtype=np.float32)
+    elif fault == "shape":
+        params["decoder.lm_head"] = np.ascontiguousarray(params["decoder.lm_head"].T)
+    path = tmp_path / f"{fault}.ckpt"
+    checkpoint.save(path, micro_cfg, params)
+    if fault == "duplicate":
+        blob = path.read_bytes()
+        at = 12 + struct.unpack("<I", blob[8:12])[0]   # offset of the tensor count
+        (count,) = struct.unpack("<I", blob[at:at + 4])
+        last = sorted(params)[-1]
+        path.write_bytes(blob[:at] + struct.pack("<I", count + 1) + blob[at + 4:]
+                         + _tensor_record(last, params[last]))
+    with pytest.raises(checkpoint.CheckpointError):
+        checkpoint.load(path)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("encoder.n_kv_heads", "0"),
+    ("encoder.n_kv_heads", "3"),          # does not divide n_heads=2
+    ("encoder.n_heads", "-2"),
+    ("encoder.head_size", "8.0"),
+    ("backbone.hidden", "true"),
+    ("backbone.max_positions", "0"),
+    ("decoder.mlp_expansion", "0.0"),
+    ("decoder.rope_base", "-10000.0"),
+    ("decoder.rope_base", "none"),
+])
+def test_from_text_rejects_bad_sizes(key, value):
+    lines = [f"{key}={value}" if ln.startswith(f"{key}=") else ln
+             for ln in config.to_text(config.micro()).splitlines()]
+    with pytest.raises(ValueError, match=key.split(".")[1]):
+        config.from_text("\n".join(lines))
 
 
 def test_config_text_roundtrip():

@@ -192,6 +192,13 @@ def test_nan_divergence_aborts(micro_cfg, micro_params):
                          params=bad)
 
 
+def test_inf_loss_aborts(micro_cfg, monkeypatch):
+    monkeypatch.setattr(train, "loss_and_grads", lambda *a: (float("inf"), {}))
+    sched = LrSchedule(warmup_steps=1, stable_lr=1e-3, stable_steps=10, decay_steps=1)
+    with pytest.raises(FloatingPointError, match="inf"):
+        train.train_loop(micro_cfg, CORPUS, sched, GroupPolicy(), steps=2, seed=0)
+
+
 def test_loss_curve_file_format(tmp_path):
     path = tmp_path / "curve.tsv"
     train.write_loss_curve([5.5, 4.25], path)
