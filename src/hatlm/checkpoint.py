@@ -14,11 +14,12 @@ Layout (all integers little-endian):
 Tensors are stored sorted by name. Values are 32-bit floats; float64
 parameter sets are rejected (saving them would silently lose precision).
 Loading checks the tensor names and shapes against the parameter layout
-the stored config implies.
+the stored config implies; every malformed file raises CheckpointError.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -71,30 +72,34 @@ def load(path) -> tuple[HatConfig, dict]:
     if take(len(MAGIC)) != MAGIC:
         raise CheckpointError("bad checkpoint magic")
     (cfg_len,) = struct.unpack("<I", take(4))
-    cfg = config_mod.from_text(take(cfg_len).decode("utf-8"))
+    cfg_text = take(cfg_len)
+    try:
+        cfg = config_mod.from_text(cfg_text.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise CheckpointError(f"bad config header: {exc}") from None
+    shapes = model.param_shapes(cfg)
     (count,) = struct.unpack("<I", take(4))
     params = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError("tensor name is not UTF-8") from None
         if name in params:
             raise CheckpointError(f"duplicate tensor {name}")
+        if name not in shapes:
+            raise CheckpointError(f"unexpected tensor {name}")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(take(4 * n), dtype="<f4").reshape(shape)
+        if shape != shapes[name]:
+            raise CheckpointError(
+                f"{name} has shape {shape}, the config needs {shapes[name]}")
+        arr = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
         params[name] = arr.astype(np.float32, copy=True)
     if off != len(blob):
         raise CheckpointError("trailing bytes after last tensor")
-    shapes = model.param_shapes(cfg)
     missing = sorted(shapes.keys() - params.keys())
     if missing:
         raise CheckpointError(f"missing tensors: {', '.join(missing)}")
-    extra = sorted(params.keys() - shapes.keys())
-    if extra:
-        raise CheckpointError(f"unexpected tensors: {', '.join(extra)}")
-    for name, shape in shapes.items():
-        if params[name].shape != shape:
-            raise CheckpointError(
-                f"{name} has shape {params[name].shape}, the config needs {shape}")
     return cfg, params

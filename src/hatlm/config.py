@@ -29,7 +29,7 @@ class StackConfig:
         return int(round(self.mlp_expansion * self.hidden))
 
     def validate(self, name: str) -> None:
-        for f in ("n_heads", "n_kv_heads", "head_size", "hidden", "max_positions"):
+        for f in ("n_layers", "n_heads", "n_kv_heads", "head_size", "hidden", "max_positions"):
             v = getattr(self, f)
             if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name}.{f} must be a positive integer, got {v!r}")
@@ -43,8 +43,9 @@ class StackConfig:
             raise ValueError(f"{name}: n_heads not divisible by n_kv_heads")
         if self.head_size % 2:
             raise ValueError(f"{name}: head_size must be even for rotary pairs")
-        if self.window is not None and self.window < 1:
-            raise ValueError(f"{name}: window must be >= 1")
+        w = self.window
+        if w is not None and (isinstance(w, bool) or not isinstance(w, int) or w < 1):
+            raise ValueError(f"{name}.window must be none or a positive integer, got {w!r}")
 
 
 @dataclass(frozen=True)

@@ -18,15 +18,18 @@ of default UAX#29 word segments this applies, in order:
 
 Both a batch splitter and a byte-at-a-time incremental splitter are
 provided; the incremental form closes a word exactly when a pushed byte
-proves a new chunk has begun under the batch rules.
+proves a new chunk has begun under the batch rules. It re-splits only a
+short suffix of the text on each completed codepoint, so its cost per byte
+does not grow with the length of the text.
 """
 
 from __future__ import annotations
 
 import unicodedata
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .wordbreak import word_boundaries
+from .wordbreak import EXTEND, FORMAT, ZWJ, wb_class, word_boundaries
 
 DEFAULT_MAX_WORD_BYTES = 128
 
@@ -58,7 +61,10 @@ class WordSpan:
 
 @dataclass(frozen=True)
 class SplitResult:
+    """Capped chunk spans, plus the byte offset at which each rule chunk
+    begins; a span whose start is not in `chunk_starts` is a cap cut."""
     spans: tuple[WordSpan, ...]
+    chunk_starts: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -177,8 +183,9 @@ def split(data: bytes, max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> SplitRes
     if max_word_bytes < 4:
         raise ValueError("max_word_bytes must allow one UTF-8 codepoint (>= 4)")
     text, offs = _decode_utf8(data)
-    spans = []
+    spans, starts = [], []
     for a, b in _split_codepoints(text):
+        starts.append(offs[a])
         lo = a
         while offs[b] - offs[lo] > max_word_bytes:
             # force-split at the last codepoint boundary within the cap
@@ -188,7 +195,7 @@ def split(data: bytes, max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> SplitRes
             spans.append(WordSpan(offs[lo], offs[hi]))
             lo = hi
         spans.append(WordSpan(offs[lo], offs[b]))
-    return SplitResult(tuple(spans))
+    return SplitResult(tuple(spans), tuple(starts))
 
 
 def word_index_of_bytes(data: bytes,
@@ -221,44 +228,57 @@ def _utf8_expect(lead: int) -> int:
     return -1
 
 
+def _restartable(buf: bytearray, off: int) -> bool:
+    """Whether a split of buf[off:], where off starts a rule chunk, cuts it
+    as the split of the whole text does.
+
+    Past a chunk start, UAX#29 reads what precedes it only through a leading
+    Extend/Format/ZWJ (WB4 looks back past them) or from FRACTION SLASH,
+    the one math symbol of a Mid class (WB11 reads the codepoint before it).
+    """
+    cp = ord(bytes(buf[off:off + 4]).decode("utf-8", "ignore")[0])
+    return cp != 0x2044 and wb_class(cp) not in (EXTEND, FORMAT, ZWJ)
+
+
 @dataclass
 class IncrementalSplitterState:
     """Single-owner incremental splitter fed one byte at a time.
 
-    Keeps the full accumulated byte sequence and re-derives the chunking on
-    each completed codepoint; a chunk is reported closed once it is no
-    longer the last (still-extendable) chunk of the prefix split. Accepted
-    bytes always form a valid UTF-8 prefix (a multi-byte codepoint may be in
-    flight).
+    `buf` holds only the text from offset `_base` on, where a rule chunk
+    (one before the length cap) starts. Each completed codepoint re-splits
+    `buf` alone. The rules look back a bounded distance (UAX#29 two
+    codepoints past ignorables, the merges one chunk) and regional-indicator
+    pairs start at every chunk start, so from `_base` on this cuts the text
+    as the whole-text split does. `_base` then moves up to the rule chunk
+    holding the second-to-last closed chunk, or the nearest one before it
+    that `_restartable` accepts, and the bytes before it are dropped.
+
+    A chunk is reported closed once it is no longer the last
+    (still-extendable) chunk of the split; `WordClosed` offsets count from
+    the start of the text. Accepted bytes always form a valid UTF-8 prefix
+    (a multi-byte codepoint may be in flight).
     """
 
     max_word_bytes: int = DEFAULT_MAX_WORD_BYTES
-    buf: bytearray = field(default_factory=bytearray)
+    buf: bytearray = field(default_factory=bytearray)  # the text from _base on
     closed_words: int = 0
     _partial: int = 0          # continuation bytes still owed
     _inconsistencies: int = 0  # prefix-consistency violations observed
+    _base: int = 0             # text offset of buf[0], where a rule chunk starts
+    _base_words: int = 0       # chunks of the text before _base
+    _open: int | None = None   # text offset of the open chunk, None if none
 
     @property
     def pending(self) -> bytes:
         """Bytes accumulated after the last closed word."""
-        spans = split(bytes(self.buf[:len(self.buf) - self._partial_len()]),
-                      self.max_word_bytes).spans
-        start = spans[self.closed_words].start if self.closed_words < len(spans) else len(self.buf)
-        return bytes(self.buf[start:])
-
-    def _partial_len(self) -> int:
-        # length of the trailing incomplete codepoint, if any
-        if self._partial == 0:
-            return 0
-        n = 1
-        while n <= len(self.buf) and _utf8_expect(self.buf[-n]) < 0:
-            n += 1
-        return n
+        if self._open is None:
+            return b""
+        return bytes(self.buf[self._open - self._base:])
 
     def push_byte(self, b: int) -> list[WordClosed]:
         if not 0 <= b <= 0xFF:
             raise ValueError(f"not a byte: {b}")
-        off = len(self.buf)
+        off = self._base + len(self.buf)
         if self._partial > 0:
             if not 0x80 <= b <= 0xBF:
                 raise SplitError("expected UTF-8 continuation byte", off)
@@ -282,16 +302,32 @@ class IncrementalSplitterState:
             if expect > 0:
                 self._partial = expect
                 return []
+        return self._resplit()
 
-        spans = split(bytes(self.buf), self.max_word_bytes).spans
-        n_closed = len(spans) - 1  # the final chunk may still extend
-        events = []
+    def _resplit(self) -> list[WordClosed]:
+        # spans[i] is chunk _base_words + i of the whole text
+        result = split(bytes(self.buf), self.max_word_bytes)
+        spans, base, first = result.spans, self._base, self._base_words
+        n_closed = first + len(spans) - 1  # the final chunk may still extend
         if n_closed < self.closed_words:
             # a previously reported boundary vanished; never retract
             self._inconsistencies += self.closed_words - n_closed
-        for j in range(self.closed_words, n_closed):
-            events.append(WordClosed(spans[j].start, spans[j].end))
+        events = [WordClosed(base + s.start, base + s.end)
+                  for s in spans[self.closed_words - first:n_closed - first]]
         self.closed_words = max(self.closed_words, n_closed)
+        j = self.closed_words - first
+        self._open = base + spans[j].start if j < len(spans) else None
+
+        # restart at the rule chunk holding the second-to-last closed chunk
+        if n_closed - first >= 2:
+            k = bisect_right(result.chunk_starts, spans[n_closed - first - 2].start) - 1
+            while k > 0 and not _restartable(self.buf, result.chunk_starts[k]):
+                k -= 1
+            cut = result.chunk_starts[k]
+            if cut > 0:
+                self._base_words += sum(1 for s in spans if s.start < cut)
+                self._base += cut
+                del self.buf[:cut]
         return events
 
     def push_bytes(self, data: bytes) -> list[WordClosed]:
@@ -304,10 +340,9 @@ class IncrementalSplitterState:
     def from_prefix(cls, data: bytes,
                     max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> "IncrementalSplitterState":
         """State equivalent to pushing `data` byte by byte (data must be complete UTF-8)."""
-        spans = split(data, max_word_bytes).spans
-        state = cls(max_word_bytes=max_word_bytes)
-        state.buf = bytearray(data)
-        state.closed_words = max(0, len(spans) - 1)
+        state = cls(max_word_bytes=max_word_bytes, buf=bytearray(data))
+        if data:
+            state._resplit()
         return state
 
 

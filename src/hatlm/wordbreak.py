@@ -68,19 +68,14 @@ def word_boundaries(text: str) -> list[int]:
             j += 1
         return j if j < n else -1
 
-    def ri_run_odd(i: int) -> bool:
-        # True if the RI run ending at index i (inclusive, skipping
-        # ignorables) has odd length, i.e. i starts a new flag pair (WB15/16)
-        count = 0
-        j = i
-        while j >= 0 and cls[j] == RI:
-            count += 1
-            j = prev_skip(j)
-        return count % 2 == 1
-
     bounds = [0]
+    ri_run = 0  # length of the RI run ending before i, skipping ignorables
     for i in range(1, n):
         left, right = cls[i - 1], cls[i]
+        if left == RI:
+            ri_run += 1
+        elif left not in _IGNORE:
+            ri_run = 0
 
         if left == CR and right == LF:                       # WB3
             continue
@@ -133,7 +128,7 @@ def word_boundaries(text: str) -> list[int]:
             continue
         if lc == EXTENDNUMLET and rc in (ALETTER, HEBREW, NUMERIC, KATAKANA):  # WB13b
             continue
-        if lc == RI and rc == RI and ri_run_odd(li):         # WB15/16
+        if lc == RI and rc == RI and ri_run % 2:             # WB15/16
             continue
 
         bounds.append(i)                                     # WB999

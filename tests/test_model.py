@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatlm import checkpoint, config, model, train
 from hatlm.splitter import split
@@ -278,6 +280,37 @@ def test_checkpoint_rejects_corruption(tmp_path, micro_cfg, micro_params):
         checkpoint.load(tmp_path / "magic.ckpt")
 
 
+@pytest.fixture(scope="session")
+def micro_ckpt(tmp_path_factory, micro_cfg, micro_params):
+    path = tmp_path_factory.mktemp("ckpt") / "micro.ckpt"
+    checkpoint.save(path, micro_cfg, micro_params)
+    return path
+
+
+# most positions fall in the config text and the first tensor records
+@given(truncate=st.booleans(),
+       where=st.one_of(st.integers(0, 1023), st.integers(0, 2**31)),
+       xor=st.integers(1, 255))
+@settings(max_examples=300, deadline=None)
+def test_checkpoint_corruption_raises_only_checkpoint_error(micro_ckpt, micro_cfg,
+                                                            truncate, where, xor):
+    blob = micro_ckpt.read_bytes()
+    at = where % len(blob)
+    bad = blob[:at] if truncate else blob[:at] + bytes([blob[at] ^ xor]) + blob[at + 1:]
+    path = micro_ckpt.with_name("corrupt.ckpt")
+    path.write_bytes(bad)
+    try:
+        cfg, params = checkpoint.load(path)
+    except checkpoint.CheckpointError:
+        return
+    assert not truncate
+    header_end = 12 + struct.unpack("<I", blob[8:12])[0]
+    if not 12 <= at < header_end:
+        # only a flip inside the config text may parse as another valid config
+        assert cfg == micro_cfg
+    assert {k: v.shape for k, v in params.items()} == model.param_shapes(cfg)
+
+
 def _tensor_record(name, arr):
     nb = name.encode("utf-8")
     return (struct.pack("<H", len(nb)) + nb + struct.pack("<B", arr.ndim)
@@ -316,6 +349,9 @@ def test_checkpoint_rejects_tensor_mismatch(tmp_path, micro_cfg, micro_params, f
     ("decoder.mlp_expansion", "0.0"),
     ("decoder.rope_base", "-10000.0"),
     ("decoder.rope_base", "none"),
+    ("encoder.n_layers", "-1"),
+    ("encoder.n_layers", "0"),
+    ("encoder.window", "true"),
 ])
 def test_from_text_rejects_bad_sizes(key, value):
     lines = [f"{key}={value}" if ln.startswith(f"{key}=") else ln

@@ -1,7 +1,7 @@
 import unicodedata
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hatlm.splitter import (
@@ -18,7 +18,9 @@ from hatlm.splitter import (
 )
 from hatlm.wordbreak import word_boundaries
 
-from conftest import TEST_DATA, random_utf8_strings
+from conftest import DATA, POOLS, TEST_DATA, random_utf8_strings
+
+RI = [chr(c) for c in range(0x1F1E6, 0x1F200)]  # regional indicators
 
 
 def chunks(s: str, **kw) -> list[str]:
@@ -166,6 +168,14 @@ def test_losslessness_mixed_corpus():
         assert b"".join(split(data).chunks(data)) == data
 
 
+def test_regional_indicator_run_splits_into_flag_pairs():
+    run = "".join(RI[i % len(RI)] for i in range(2001))
+    data = run.encode()
+    assert [(s.start, s.end) for s in split(data).spans] == \
+        [(i, min(i + 8, len(data))) for i in range(0, len(data), 8)]
+    assert word_boundaries(run) == list(range(0, 2001, 2)) + [2001]
+
+
 def test_split_deterministic():
     data = "Ein Satz, 中文 words and \U0001f680!".encode()
     assert split(data).spans == split(data).spans
@@ -210,11 +220,18 @@ def test_push_rejects_lead_0xfe():
 
 
 def test_from_prefix_matches_bytewise_push():
-    for s in ["Hello, world! FooBar", "a+b 3.14", "  spaced  out  ", "你好 ok"]:
+    long_text = ((DATA / "english_sample.txt").read_text(encoding="utf-8")
+                 + (DATA / "german_sample.txt").read_text(encoding="utf-8"))
+    assert len(long_text.encode()) > 4096
+    for s in ["Hello, world! FooBar", "a+b 3.14", "  spaced  out  ", "你好 ok", long_text]:
         data = s.encode()
         st_a = IncrementalSplitterState.from_prefix(data)
         st_b = IncrementalSplitterState()
         st_b.push_bytes(data)
+        assert st_a.closed_words == st_b.closed_words
+        assert st_a.pending == st_b.pending
+        more = " und dann, FooBar 3.14 你好!".encode()
+        assert st_a.push_bytes(more) == st_b.push_bytes(more)
         assert st_a.closed_words == st_b.closed_words
         assert st_a.pending == st_b.pending
 
@@ -223,6 +240,56 @@ def test_cap_closes_incrementally():
     st_ = IncrementalSplitterState(max_word_bytes=8)
     events = st_.push_bytes(b"a" * 20)
     assert [(e.start, e.end) for e in events] == [(0, 8), (8, 16)]
+
+
+def assert_matches_whole_buffer(data: bytes, max_word_bytes: int) -> None:
+    """Push `data` byte by byte and compare each push with the whole-buffer
+    rule: every completed codepoint re-splits the whole prefix."""
+    st_ = IncrementalSplitterState(max_word_bytes=max_word_bytes)
+    closed = bad = 0
+    for i, b in enumerate(data):
+        events = []
+        if i + 1 == len(data) or not 0x80 <= data[i + 1] <= 0xBF:
+            spans = split(data[:i + 1], max_word_bytes).spans
+            n = len(spans) - 1
+            bad += max(0, closed - n)
+            events = [(s.start, s.end) for s in spans[closed:n]]
+            closed = max(closed, n)
+        assert [(e.start, e.end) for e in st_.push_byte(b)] == events, f"byte {i}"
+        assert (st_.closed_words, st_._inconsistencies) == (closed, bad), f"byte {i}"
+
+
+# Extend, ZWJ, Format, CR LF, mid-word punctuation, and the Mid-class math symbol
+MARKS = ["\u0301", "\u200d", "\u00ad", "\u200b", "\r\n", "\r", "\u2044", "'", ":", "\"", "aB"]
+
+pieces = st.one_of(
+    st.sampled_from([c for pool in POOLS for c in pool]),
+    st.sampled_from(MARKS),
+    st.lists(st.sampled_from(RI), min_size=1, max_size=9).map("".join),
+    st.tuples(st.sampled_from("aZ7é你"), st.integers(2, 70)).map(lambda t: t[0] * t[1]),
+)
+
+
+@given(st.lists(pieces, max_size=24).map("".join), st.sampled_from([4, 5, 8, 16, 128]))
+@example("1\u2044\u03012 ab cd ef", 128)  # WB11 looks back past the fraction slash
+@example("   \u00b8\u0301\u0301aB  ", 4)  # a cap cut before a combining mark
+@settings(max_examples=200, deadline=None)
+def test_streaming_matches_whole_buffer_resplit(s, max_word_bytes):
+    assert_matches_whole_buffer(s.encode(), max_word_bytes)
+
+
+@pytest.mark.parametrize("max_word_bytes", [16, 128])
+def test_streaming_buffer_stays_bounded(max_word_bytes):
+    text = (DATA / "english_sample.txt").read_bytes()
+    data = (text * (16384 // len(text) + 1))[:16384]
+    st_ = IncrementalSplitterState(max_word_bytes=max_word_bytes)
+    events = []
+    for b in data:
+        events.extend(st_.push_byte(b))
+        assert len(st_.buf) <= 4 * max_word_bytes
+    assert [(e.start, e.end) for e in events] == \
+        [(s.start, s.end) for s in split(data, max_word_bytes).spans[:-1]]
+    assert st_._inconsistencies == 0
 
 
 # ---------------------------------------------------------------------------
