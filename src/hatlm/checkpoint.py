@@ -2,7 +2,7 @@
 
 Layout (all integers little-endian):
 
-    magic   8 bytes  b"HATCKPT1"
+    magic   8 bytes  b"HATCKPT2"
     u32     length of the canonical config text (UTF-8)
     bytes   config text
     u32     tensor count
@@ -10,17 +10,22 @@ Layout (all integers little-endian):
         u16   name length, then UTF-8 name
         u8    ndim, then ndim x u32 dims
         f32   raw little-endian values, row-major
+    u32     zlib.crc32 of every byte before it
 
 Tensors are stored sorted by name. Values are 32-bit floats; float64
 parameter sets are rejected (saving them would silently lose precision).
-Loading checks the tensor names and shapes against the parameter layout
-the stored config implies; every malformed file raises CheckpointError.
+Loading verifies the checksum before it parses anything, so a flipped byte
+anywhere (a digit of the config text included) or a truncated file is
+rejected; it then checks the tensor names and shapes against the parameter
+layout the stored config implies. Every malformed file raises
+CheckpointError.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import zlib
 
 import numpy as np
 
@@ -28,7 +33,7 @@ from . import config as config_mod
 from . import model
 from .config import HatConfig
 
-MAGIC = b"HATCKPT1"
+MAGIC = b"HATCKPT2"
 
 
 class CheckpointError(ValueError):
@@ -41,25 +46,29 @@ def save(path, cfg: HatConfig, params: dict) -> None:
             raise CheckpointError(
                 f"{name} has dtype {arr.dtype}; checkpoints store float32 only")
     cfg_text = config_mod.to_text(cfg).encode("utf-8")
+    parts = [MAGIC, struct.pack("<I", len(cfg_text)), cfg_text,
+             struct.pack("<I", len(params))]
+    for name in sorted(params):
+        arr = np.ascontiguousarray(params[name])
+        nb = name.encode("utf-8")
+        parts += [struct.pack("<H", len(nb)), nb, struct.pack("<B", arr.ndim),
+                  struct.pack(f"<{arr.ndim}I", *arr.shape),
+                  arr.astype("<f4", copy=False).tobytes()]
+    body = b"".join(parts)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(cfg_text)))
-        fh.write(cfg_text)
-        fh.write(struct.pack("<I", len(params)))
-        for name in sorted(params):
-            arr = np.ascontiguousarray(params[name])
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f4", copy=False).tobytes())
+        fh.write(body)
+        fh.write(struct.pack("<I", zlib.crc32(body)))
 
 
 def load(path) -> tuple[HatConfig, dict]:
     with open(path, "rb") as fh:
         blob = fh.read()
-    off = 0
+    if len(blob) < len(MAGIC) + 4 or blob[:len(MAGIC)] != MAGIC:
+        raise CheckpointError("bad checkpoint magic")
+    blob, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
+    if zlib.crc32(blob) != crc:
+        raise CheckpointError("checkpoint checksum mismatch (truncated or corrupted)")
+    off = len(MAGIC)
 
     def take(n: int) -> bytes:
         nonlocal off
@@ -69,8 +78,6 @@ def load(path) -> tuple[HatConfig, dict]:
         off += n
         return out
 
-    if take(len(MAGIC)) != MAGIC:
-        raise CheckpointError("bad checkpoint magic")
     (cfg_len,) = struct.unpack("<I", take(4))
     cfg_text = take(cfg_len)
     try:

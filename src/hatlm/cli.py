@@ -11,6 +11,7 @@ import argparse
 import logging
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -136,8 +137,11 @@ def cmd_bench_sched(args) -> int:
     sessions = [infer.GenSession(params, cfg, infer.SamplingConfig("greedy"),
                                  max_new_bytes=args.max_bytes) for _ in prompts]
     runner = infer.BatchRunner(sessions, policy)
+    t0 = time.perf_counter()
     runner.prefill_all(prompts)
+    t1 = time.perf_counter()
     runner.run_to_completion()
+    t2 = time.perf_counter()
     total_bytes = sum(len(s.generated) for s in sessions)
     calls = sum(s.backbone_calls for s in sessions)
     closes = sum(s.gen_closes for s in sessions)
@@ -150,6 +154,9 @@ def cmd_bench_sched(args) -> int:
     print(f"prefill_words={prefill_words}")
     if calls:
         print(f"bytes_per_backbone_call={total_bytes / calls:.4f}")
+    print(f"prefill_s={t1 - t0:.6f}")
+    print(f"gen_s={t2 - t1:.6f}")
+    print(f"gen_bytes_per_s={total_bytes / (t2 - t1):.1f}")
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(runner.trace_text())

@@ -1,12 +1,28 @@
 """Incremental generation with dual KV caches and batched scheduling.
 
-A generation session keeps two caches: per-layer byte-level K/V rings
-capped at the sliding window (encoder and decoder), and an append-only
-word-level cache for the backbone. Bytes cycle through the lightweight
-encoder-decoder loop; the backbone runs only when the incremental splitter
-closes a word (plus once for the BOS position). The single-position layer
-math mirrors the batch pass in :mod:`hatlm.model` and runs on the shared
-kernels: :func:`hatlm.kernels.rope` and :func:`hatlm.kernels.attend`.
+A generation session keeps two caches: per-layer byte-level K/V rings of
+the sliding window (encoder and decoder; fixed-shape arrays, slot
+`pos % window`, keys rotated before caching) and a growable word-level
+cache for the backbone. Bytes cycle through the lightweight encoder-decoder
+loop; the backbone runs only when the incremental splitter closes a word
+(plus once for the BOS position). The layer math mirrors the batch pass in
+:mod:`hatlm.model` and runs on the shared kernels.
+
+Every step is batched over sessions: `BatchRunner.run_tick` runs one byte
+step for all its byte-stepping sessions (sample and commit per session,
+then one encoder+decoder pass for the bytes that closed no word) and one
+word step for all sessions at a boundary (pooling, backbone, decoder
+injections and the deferred byte; several closes run in rounds).
+`step_byte` and `prefill` are the same code at batch size one, so there is
+one implementation of the incremental math.
+
+Batch invariance is part of the contract: a session's logits have the same
+bits in any batch as alone. Hence every projection is
+:func:`hatlm.kernels.matmul_rows` (one BLAS call per row: a `(B, K)` gemm
+can round a row differently from the gemv used at B=1), and the backbone
+and pooling attention reads stay per session over exactly that session's
+rows (padding a masked read changes its bits). Only the byte rings, the
+same shape for every session, are read batched, under a valid mask.
 
 Sampling is constrained to bytes that keep the output a valid UTF-8 stream
 (the end sentinel 0xFF is allowed at codepoint boundaries); a batch
@@ -22,12 +38,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import HatConfig, StackConfig
-from .kernels import attend, rms_norm, rope, softmax, swiglu_ffn
+from .kernels import (attend, matmul_rows, rms_norm, rope_angles, rotate, softmax,
+                      swiglu_ffn)
 from .splitter import BYTE_BOS, BYTE_EOS, IncrementalSplitterState, WordClosed
 
 
 class SessionError(RuntimeError):
-    pass
+    """A session cannot take the requested step.
+
+    A step that runs out of byte or backbone positions raises this before it
+    changes any session. `session` is the offending session's index in its
+    BatchRunner (its `s<i>` in the trace), or None for a lone session."""
+
+    def __init__(self, message: str, session: int | None = None):
+        super().__init__(message if session is None else f"s{session}: {message}")
+        self.session = session
 
 
 # ---------------------------------------------------------------------------
@@ -111,83 +136,147 @@ def sample_from_logits(logits: np.ndarray, allowed: np.ndarray,
 # ---------------------------------------------------------------------------
 # caches
 
-class ByteCache:
-    """Per-layer K/V ring buffers capped at the stack's sliding window."""
+def _ring(stack: StackConfig, dtype) -> np.ndarray:
+    """K/V ring of a sliding-window stack: [n_layers, 2, window, n_kv, hs].
 
-    def __init__(self, stack: StackConfig):
-        if stack.window is None:
-            raise ValueError("byte cache requires a sliding-window stack")
-        self.window = stack.window
-        self.layers = [deque(maxlen=stack.window) for _ in range(stack.n_layers)]
-
-    @property
-    def rows(self) -> int:
-        return len(self.layers[0]) if self.layers else 0
+    `ring[i, 0, p % window]` holds layer i's rotated key of byte position p
+    and `ring[i, 1, p % window]` its value. Slots not yet written are masked
+    out of the read; softmax does not depend on key order, so the slots are
+    never reordered."""
+    if stack.window is None:
+        raise ValueError("byte cache requires a sliding-window stack")
+    return np.zeros((stack.n_layers, 2, stack.window, stack.n_kv_heads,
+                     stack.head_size), dtype)
 
 
 class WordCache:
-    """Per-layer append-only K/V rows, one per consumed backbone position."""
+    """Backbone K/V rows, one per consumed word position.
 
-    def __init__(self, stack: StackConfig):
-        self.layers = [[] for _ in range(stack.n_layers)]
+    `kv[i, 0, :rows]` holds layer i's rotated keys and `kv[i, 1, :rows]` its
+    values; the row axis doubles whenever it fills."""
 
-    @property
-    def rows(self) -> int:
-        return len(self.layers[0]) if self.layers else 0
+    def __init__(self, stack: StackConfig, dtype):
+        self.kv = np.zeros((stack.n_layers, 2, 16, stack.n_kv_heads,
+                            stack.head_size), dtype)
+        self.rows = 0
+
+    def put(self, layer: int, k: np.ndarray, v: np.ndarray):
+        """Store `layer`'s key and value of position `rows`; return that
+        layer's keys and values up to and including it."""
+        n = self.rows
+        if n == self.kv.shape[2]:
+            self.kv = np.concatenate([self.kv, np.zeros_like(self.kv)], axis=2)
+        self.kv[layer, 0, n] = k
+        self.kv[layer, 1, n] = v
+        return self.kv[layer, 0, :n + 1], self.kv[layer, 1, :n + 1]
 
 
 # ---------------------------------------------------------------------------
-# single-position layer math (mirrors the batch pass)
+# one new position per session, batched over sessions (mirrors the batch pass)
 
-def _attn_step(P, prefix: str, cfg: HatConfig, s: StackConfig, cache_layer,
-               x: np.ndarray, pos: int) -> np.ndarray:
-    nh, nkv, hs = s.n_heads, s.n_kv_heads, s.head_size
+def _qkv(P, prefix: str, cfg: HatConfig, s: StackConfig, x: np.ndarray, rot):
+    """Rotated queries [B, n_heads, hs], rotated keys and values [B, n_kv, hs].
+
+    `rot` holds the cos and sin tables of the rows' positions, [B, 1, hs/2]."""
+    b = x.shape[0]
     h = rms_norm(x, cfg.norm_eps, P[f"{prefix}.attn_norm.gain"])
-    q = (h @ P[f"{prefix}.attn.wq"]).reshape(nh, hs)
-    k = (h @ P[f"{prefix}.attn.wk"]).reshape(nkv, hs)
-    v = (h @ P[f"{prefix}.attn.wv"]).reshape(nkv, hs)
+    q = matmul_rows(h, P[f"{prefix}.attn.wq"]).reshape(b, s.n_heads, s.head_size)
+    k = matmul_rows(h, P[f"{prefix}.attn.wk"]).reshape(b, s.n_kv_heads, s.head_size)
+    v = matmul_rows(h, P[f"{prefix}.attn.wv"]).reshape(b, s.n_kv_heads, s.head_size)
     if cfg.qk_norm:
         q = rms_norm(q, cfg.norm_eps)
         k = rms_norm(k, cfg.norm_eps)
-    # one position for every head row: the rotated K row owns its memory,
-    # so the cache keeps no view of a larger base alive
-    q = rope(q, np.full(nh, pos), s.rope_base)
-    k = rope(k, np.full(nkv, pos), s.rope_base)
-    cache_layer.append((k, v))
-    K = np.stack([e[0] for e in cache_layer])   # [n_vis, nkv, hs]
-    V = np.stack([e[1] for e in cache_layer])
-    return attend(q, K, V, cfg.softcap) @ P[f"{prefix}.attn.wo"]
+    return rotate(q, *rot), rotate(k, *rot), v
 
 
-def _layer_step(P, prefix: str, cfg: HatConfig, s: StackConfig, cache_layer,
-                x: np.ndarray, pos: int) -> np.ndarray:
-    x = x + _attn_step(P, prefix, cfg, s, cache_layer, x, pos)
+def _rot(s: StackConfig, pos: np.ndarray, dtype):
+    """Rotary cos and sin tables for one position per row, [B, 1, hs/2]."""
+    return tuple(t[:, None] for t in rope_angles(pos, s.head_size, s.rope_base, dtype))
+
+
+def _finish_layer(P, prefix: str, cfg: HatConfig, x: np.ndarray,
+                  o: np.ndarray) -> np.ndarray:
+    """Attention output projection and the MLP, both residual."""
+    x = x + matmul_rows(o, P[f"{prefix}.attn.wo"])
     h = rms_norm(x, cfg.norm_eps, P[f"{prefix}.mlp_norm.gain"])
     return x + swiglu_ffn(h, P[f"{prefix}.mlp.w_gate"], P[f"{prefix}.mlp.w_up"],
                           P[f"{prefix}.mlp.w_down"])
 
 
-def _pool_word(P, cfg: HatConfig, states: np.ndarray) -> np.ndarray:
+def _byte_stack(P, name: str, cfg: HatConfig, rings: list[np.ndarray],
+                x: np.ndarray, pos: np.ndarray,
+                inject: np.ndarray | None = None) -> np.ndarray:
+    """One byte per row through the encoder or the decoder.
+
+    Row b sits at byte position pos[b] of the session that owns rings[b].
+    The rings are stacked once; each layer writes its new K/V rows into the
+    stack and reads the window under a valid mask, and the new rows are
+    copied back into the sessions' rings at the end. `inject`
+    ([B, n_layers, hidden]) is added before each decoder layer."""
+    s = getattr(cfg, name)
+    kv = np.stack(rings)                            # [B, L, 2, W, n_kv, hs]
+    rows, slot = np.arange(len(rings)), pos % s.window
+    valid = np.arange(s.window) <= pos[:, None]     # written slots, new one included
+    rot = _rot(s, pos, x.dtype)
+    for i in range(s.n_layers):
+        prefix = f"{name}.layers.{i}"
+        if inject is not None:
+            x = x + inject[:, i]
+        q, k, v = _qkv(P, prefix, cfg, s, x, rot)
+        kv[rows, i, 0, slot] = k
+        kv[rows, i, 1, slot] = v
+        o = attend(q, kv[:, i, 0], kv[:, i, 1], cfg.softcap, valid)
+        x = _finish_layer(P, prefix, cfg, x, o)
+    for b, ring in enumerate(rings):
+        ring[:, :, slot[b]] = kv[b, :, :, slot[b]]
+    return x
+
+
+def _word_stack(sessions: list[GenSession], x: np.ndarray) -> np.ndarray:
+    """One new backbone position per session; each reads exactly its own
+    word rows, so the attention reads are per session and unpadded."""
+    P, cfg = sessions[0].params, sessions[0].cfg
+    caches = [s.word_cache for s in sessions]
+    rot = _rot(cfg.backbone, np.array([c.rows for c in caches]), x.dtype)
+    for i in range(cfg.backbone.n_layers):
+        prefix = f"backbone.layers.{i}"
+        q, k, v = _qkv(P, prefix, cfg, cfg.backbone, x, rot)
+        o = np.stack([attend(q[b], *c.put(i, k[b], v[b]), cfg.softcap)
+                      for b, c in enumerate(caches)])
+        x = _finish_layer(P, prefix, cfg, x, o)
+    for s in sessions:
+        s.word_cache.rows += 1
+        s.backbone_calls += 1
+    return x
+
+
+def _pool_words(P, cfg: HatConfig, spans: list[np.ndarray]) -> np.ndarray:
+    """One word embedding per span of encoder states (each [n, hidden]); each
+    word attends to exactly its own bytes."""
     nh, hs = cfg.n_enc_cross_heads, cfg.encoder.head_size
-    n = states.shape[0]
-    k = (states @ P["connector.wk"]).reshape(n, nh, hs)
-    v = (states @ P["connector.wv"]).reshape(n, nh, hs)
+    states = np.concatenate(spans)
+    k = matmul_rows(states, P["connector.wk"]).reshape(-1, nh, hs)
+    v = matmul_rows(states, P["connector.wv"]).reshape(-1, nh, hs)
     q = (P["connector.query"] @ P["connector.wq"]).reshape(nh, hs)
-    return attend(q, k, v, cfg.softcap) @ P["connector.wo"]
+    ends = np.cumsum([len(x) for x in spans])
+    o = np.stack([attend(q, k[a - len(x):a], v[a - len(x):a], cfg.softcap)
+                  for x, a in zip(spans, ends)])
+    return matmul_rows(o, P["connector.wo"])
 
 
-def _dec_injections(P, cfg: HatConfig, row: np.ndarray) -> list[np.ndarray]:
-    """Per-decoder-block residual contribution of the word-context read.
+def _dec_injections(P, cfg: HatConfig, rows: np.ndarray) -> np.ndarray:
+    """Per-decoder-block residual contribution of the word-context read,
+    [B, n_layers, hidden] for backbone rows [B, hidden].
 
     The cross block attends to a single backbone row, so its output is a
     fixed vector until the next word closes."""
     inj = []
     for i in range(cfg.decoder.n_layers):
         cp = f"decoder.layers.{i}.cross"
-        kvn = rms_norm(row, cfg.norm_eps, P[f"{cp}.kv_norm.gain"])
-        o = (kvn @ P[f"{cp}.wv"]) @ P[f"{cp}.wo"]
+        kvn = rms_norm(rows, cfg.norm_eps, P[f"{cp}.kv_norm.gain"])
+        o = matmul_rows(matmul_rows(kvn, P[f"{cp}.wv"]), P[f"{cp}.wo"])
         inj.append(rms_norm(o, cfg.norm_eps, P[f"{cp}.post_norm.gain"]))
-    return inj
+    return np.stack(inj, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +290,16 @@ class GenSession:
     max_new_bytes: int | None = None
 
     def __post_init__(self):
-        cfg = self.cfg
+        cfg, P = self.cfg, self.params
         if self.max_new_bytes is None:
             # default byte budget: 4 bytes-per-word headroom x 8
             self.max_new_bytes = 4 * cfg.backbone.max_positions * 8
         self.rng = np.random.default_rng(self.sampling.seed)
         self._forced = deque(self.sampling.forced)
-        self.enc_cache = ByteCache(cfg.encoder)
-        self.dec_cache = ByteCache(cfg.decoder)
-        self.word_cache = WordCache(cfg.backbone)
+        dtype = P["encoder.byte_embedding"].dtype
+        self.enc_ring = _ring(cfg.encoder, dtype)
+        self.dec_ring = _ring(cfg.decoder, dtype)
+        self.word_cache = WordCache(cfg.backbone, dtype)
         self.splitter = IncrementalSplitterState(max_word_bytes=cfg.max_word_bytes)
         self.gate = Utf8Gate()
         self.prompt = b""
@@ -226,59 +316,20 @@ class GenSession:
         self.prefill_words = 0
         self.gen_closes = 0
         self.status = "prefilling"
-        self.context_row = self._backbone_advance(self.params["backbone.bos"])
-        self.inject = _dec_injections(self.params, cfg, self.context_row)
+        bos = _word_stack([self], P["backbone.bos"][None])
+        self.inject = _dec_injections(P, cfg, bos)[0]   # [decoder layers, hidden]
         self.cur_logits: np.ndarray | None = None
 
-    # -- backbone/word level --------------------------------------------
-
-    def _backbone_advance(self, w_vec: np.ndarray) -> np.ndarray:
-        pos = self.word_cache.rows
-        if pos >= self.cfg.backbone.max_positions:
-            raise SessionError("word cache exhausted: backbone position limit")
-        x = w_vec
-        for i in range(self.cfg.backbone.n_layers):
-            x = _layer_step(self.params, f"backbone.layers.{i}", self.cfg,
-                            self.cfg.backbone, self.word_cache.layers[i], x, pos)
-        self.backbone_calls += 1
-        return x
-
-    def _consume_closes(self) -> None:
-        for ev in self.pending_closes:
-            lo, hi = ev.start - self.pending_base, ev.end - self.pending_base
-            if lo < 0 or hi > len(self.pending_states):
-                raise SessionError("word close outside the buffered byte states")
-            states = np.stack(self.pending_states[lo:hi])
-            del self.pending_states[:hi]
-            self.pending_base = ev.end
-            w = _pool_word(self.params, self.cfg, states)
-            self.context_row = self._backbone_advance(w)
-            self.consumed_spans.append((ev.start, ev.end))
-        self.inject = _dec_injections(self.params, self.cfg, self.context_row)
-        self.pending_closes = []
-
-    # -- byte level -------------------------------------------------------
-
-    def _encode_decode(self, b: int) -> None:
-        cfg = self.cfg
-        pos = self.next_pos
-        if pos >= cfg.encoder.max_positions:
-            raise SessionError("byte position limit exhausted")
-        x = self.params["encoder.byte_embedding"][b]
-        for i in range(cfg.encoder.n_layers):
-            x = _layer_step(self.params, f"encoder.layers.{i}", cfg, cfg.encoder,
-                            self.enc_cache.layers[i], x, pos)
-        if b not in (BYTE_BOS, BYTE_EOS):
-            self.pending_states.append(x)
-            self.inc_index.append(self.word_cache.rows - 1)
-        y = x
-        for i in range(cfg.decoder.n_layers):
-            y = y + self.inject[i]
-            y = _layer_step(self.params, f"decoder.layers.{i}", cfg, cfg.decoder,
-                            self.dec_cache.layers[i], y, pos)
-        h = rms_norm(y, cfg.norm_eps, self.params["decoder.final_norm.gain"])
-        self.cur_logits = h @ self.params["decoder.lm_head"]
-        self.next_pos += 1
+    def _take_span(self, ev: WordClosed) -> np.ndarray:
+        """Remove and return the buffered encoder states of a closed word."""
+        lo, hi = ev.start - self.pending_base, ev.end - self.pending_base
+        if lo < 0 or hi > len(self.pending_states):
+            raise SessionError("word close outside the buffered byte states")
+        states = np.stack(self.pending_states[lo:hi])
+        del self.pending_states[:hi]
+        self.pending_base = ev.end
+        self.consumed_spans.append((ev.start, ev.end))
+        return states
 
     def _commit_push(self, b: int) -> list[WordClosed]:
         self.gate.push(b)
@@ -292,10 +343,10 @@ class GenSession:
         if self.sampling.mode == "forced":
             if not self._forced:
                 return BYTE_EOS
-            b = self._forced.popleft()
+            b = self._forced[0]
             if not self.gate.allowed()[b]:
                 raise SessionError(f"forced byte {b:#x} is not a legal continuation")
-            return b
+            return self._forced.popleft()
         return sample_from_logits(self.cur_logits, self.gate.allowed(),
                                   self.sampling, self.rng)
 
@@ -309,30 +360,67 @@ class GenSession:
         return self.status == "finished"
 
 
-def prefill(session: GenSession, prompt_bytes: bytes) -> GenSession:
-    """Feed the prompt through the incremental pipeline.
+def _byte_limit(cfg: HatConfig) -> int:
+    """Byte positions a session can encode and decode."""
+    return min(cfg.encoder.max_positions, cfg.decoder.max_positions)
 
-    An empty prompt seeds the stream with the 0xFE sentinel so the first
-    byte can be predicted from begin-of-sequence context alone."""
-    if session.status != "prefilling":
-        raise SessionError("session already prefilled")
-    session.prompt = bytes(prompt_bytes)
-    if not prompt_bytes:
-        session.sentinel_used = True
-        session._encode_decode(BYTE_BOS)
-    else:
-        for b in prompt_bytes:
-            session.gate.push(b)
-            events = session.splitter.push_byte(b)
-            if events:
-                session.pending_closes = events
-                session.prefill_words += len(events)
-                session._consume_closes()
-            session._encode_decode(b)
-        if session.gate.mid_codepoint:
-            raise SessionError("prompt ends inside a multi-byte codepoint")
-    session.status = "mid_word"
-    return session
+
+def _check_room(s: GenSession, closes: int, index: int | None = None) -> None:
+    """Raise SessionError unless `s` has a byte position for one more byte and
+    backbone positions for `closes` more words."""
+    cfg = s.cfg
+    limit = _byte_limit(cfg)
+    if s.next_pos >= limit:
+        raise SessionError(f"byte positions exhausted ({limit})", index)
+    if s.word_cache.rows + closes > cfg.backbone.max_positions:
+        raise SessionError(
+            f"backbone positions exhausted ({cfg.backbone.max_positions})", index)
+
+
+# ---------------------------------------------------------------------------
+# batched steps: every public step below is one of these at batch size one
+
+def _encode_decode(sessions: list[GenSession], byte_vals: list[int]) -> None:
+    """Encode and decode byte_vals[b] for sessions[b], all in one step."""
+    P, cfg = sessions[0].params, sessions[0].cfg
+    pos = np.array([s.next_pos for s in sessions])
+    x = _byte_stack(P, "encoder", cfg, [s.enc_ring for s in sessions],
+                    P["encoder.byte_embedding"][byte_vals], pos)
+    y = _byte_stack(P, "decoder", cfg, [s.dec_ring for s in sessions], x, pos,
+                    np.stack([s.inject for s in sessions]))
+    logits = matmul_rows(rms_norm(y, cfg.norm_eps, P["decoder.final_norm.gain"]),
+                         P["decoder.lm_head"])
+    for s, b, state, row in zip(sessions, byte_vals, x, logits):
+        if b not in (BYTE_BOS, BYTE_EOS):
+            s.pending_states.append(state.copy())
+            s.inc_index.append(s.word_cache.rows - 1)
+        s.cur_logits = row.copy()
+        s.next_pos += 1
+
+
+def _consume_closes(sessions: list[GenSession]) -> None:
+    """Pool and step the backbone once per pending close, then refresh the
+    decoder injections. Round r takes the r-th close of every session that
+    has one, so a session's words still go through in order."""
+    P, cfg = sessions[0].params, sessions[0].cfg
+    last = [None] * len(sessions)
+    for r in range(max(len(s.pending_closes) for s in sessions)):
+        idx = [j for j, s in enumerate(sessions) if len(s.pending_closes) > r]
+        group = [sessions[j] for j in idx]
+        words = _pool_words(P, cfg, [s._take_span(s.pending_closes[r]) for s in group])
+        for j, row in zip(idx, _word_stack(group, words)):
+            last[j] = row
+    for s, inj in zip(sessions, _dec_injections(P, cfg, np.stack(last))):
+        s.inject = inj.copy()
+        s.pending_closes = []
+
+
+def _encode_committed(sessions: list[GenSession], byte_vals: list[int]) -> None:
+    """Encode committed bytes; a session that has used its budget finishes."""
+    if sessions:
+        _encode_decode(sessions, byte_vals)
+    for s in sessions:
+        s.status = "finished" if len(s.generated) >= s.max_new_bytes else "mid_word"
 
 
 @dataclass(frozen=True)
@@ -342,41 +430,90 @@ class StepOutcome:
     finished: bool = False
 
 
+def _byte_steps(sessions: list[GenSession]) -> list[StepOutcome]:
+    """Sample and commit one byte per session, then encode the bytes that
+    closed no word in one step; the others wait for a word step."""
+    picks = [s.sample() for s in sessions]
+    closes, todo = [], []
+    for s, b in zip(sessions, picks):
+        events = () if b == BYTE_EOS else tuple(s._commit_push(b))
+        closes.append(events)
+        if b == BYTE_EOS:
+            s.status = "finished"
+        elif events:
+            s.gen_closes += len(events)
+            s.pending_closes = list(events)
+            s.pending_byte = b
+            s.status = "at_boundary"
+        else:
+            todo.append((s, b))
+    _encode_committed([s for s, _ in todo], [b for _, b in todo])
+    return [StepOutcome(byte=b, closes=ev, finished=s.finished)
+            for s, b, ev in zip(sessions, picks, closes)]
+
+
+def _word_steps(sessions: list[GenSession]) -> None:
+    """Consume every session's pending closes, then encode the deferred bytes."""
+    _consume_closes(sessions)
+    byte_vals = [s.pending_byte for s in sessions]
+    for s in sessions:
+        s.pending_byte = None
+    _encode_committed(sessions, byte_vals)
+
+
+def prefill(session: GenSession, prompt_bytes: bytes) -> GenSession:
+    """Feed the prompt through the incremental pipeline.
+
+    An empty prompt seeds the stream with the 0xFE sentinel so the first
+    byte can be predicted from begin-of-sequence context alone."""
+    if session.status != "prefilling":
+        raise SessionError("session already prefilled")
+    limit = _byte_limit(session.cfg)
+    if len(prompt_bytes) > limit:
+        raise SessionError(f"prompt of {len(prompt_bytes)} bytes exceeds the "
+                           f"byte positions ({limit})")
+    session.prompt = bytes(prompt_bytes)
+    if not prompt_bytes:
+        session.sentinel_used = True
+        _encode_decode([session], [BYTE_BOS])
+    else:
+        for b in prompt_bytes:
+            session.gate.push(b)
+            events = session.splitter.push_byte(b)
+            if events:
+                _check_room(session, len(events))
+                session.pending_closes = events
+                session.prefill_words += len(events)
+                _consume_closes([session])
+            _encode_decode([session], [b])
+        if session.gate.mid_codepoint:
+            raise SessionError("prompt ends inside a multi-byte codepoint")
+    session.status = "mid_word"
+    return session
+
+
 def byte_phase(session: GenSession) -> StepOutcome:
-    """Sample, commit, and push one byte; defer its encode if a word closed."""
+    """Sample, commit, and push one byte; defer its encode if a word closed.
+
+    Needs a free byte position and a free backbone position (for a word the
+    byte may close); without them it raises SessionError and changes nothing."""
     if session.finished:
         raise SessionError("session is finished")
     if session.status == "at_boundary":
         raise SessionError("session is blocked on a backbone step")
-    b = session.sample()
-    if b == BYTE_EOS:
-        session.status = "finished"
-        return StepOutcome(byte=b, finished=True)
-    events = session._commit_push(b)
-    if events:
-        session.gen_closes += len(events)
-        session.pending_closes = events
-        session.pending_byte = b
-        session.status = "at_boundary"
-    else:
-        session._encode_decode(b)
-        if len(session.generated) >= session.max_new_bytes:
-            session.status = "finished"
-    return StepOutcome(byte=b, closes=tuple(events),
-                       finished=session.finished)
+    _check_room(session, 1)
+    return _byte_steps([session])[0]
 
 
 def word_phase(session: GenSession) -> None:
-    """Advance the backbone for pending closes and encode the deferred byte."""
+    """Advance the backbone for pending closes and encode the deferred byte.
+
+    Without a byte position and a backbone position per pending close it
+    raises SessionError and changes nothing."""
     if session.status != "at_boundary":
         raise SessionError("no pending word boundary")
-    session._consume_closes()
-    b = session.pending_byte
-    session.pending_byte = None
-    session.status = "mid_word"
-    session._encode_decode(b)
-    if len(session.generated) >= session.max_new_bytes:
-        session.status = "finished"
+    _check_room(session, len(session.pending_closes))
+    _word_steps([session])
 
 
 def step_byte(session: GenSession) -> StepOutcome:
@@ -416,14 +553,14 @@ def cache_report(session: GenSession) -> CacheReport:
     """Exact K/V cache row counts and their projected memory footprint."""
     cfg = session.cfg
     itemsize = session.params["encoder.byte_embedding"].dtype.itemsize
-    byte_rows = session.enc_cache.rows
+    byte_rows = min(session.next_pos, cfg.encoder.window)
     word_rows = session.word_cache.rows
 
     def kv_bytes(stack: StackConfig, rows: int) -> int:
         return stack.n_layers * rows * 2 * stack.n_kv_heads * stack.head_size * itemsize
 
-    mem = (kv_bytes(cfg.encoder, session.enc_cache.rows)
-           + kv_bytes(cfg.decoder, session.dec_cache.rows)
+    mem = (kv_bytes(cfg.encoder, byte_rows)
+           + kv_bytes(cfg.decoder, min(session.next_pos, cfg.decoder.window))
            + kv_bytes(cfg.backbone, word_rows))
     return CacheReport(byte_rows, word_rows, mem)
 
@@ -479,11 +616,19 @@ def schedule(sessions: list[GenSession], policy: Policy, tick: int = 0) -> StepP
 class BatchRunner:
     """Drives a batch of sessions tick by tick and records a trace log.
 
+    A tick runs one batched word step for its `word_steps` sessions and one
+    batched byte step for its `byte_steps` sessions (see `run_tick`). All
+    sessions must share one model: the same `params` and `cfg` objects.
+
     Trace format: one line per tick, `tick<TAB>s<i>=<action>[:<hex>]` per
     session, where the action is P (prefill), B (byte step, with the
     emitted byte in hex), or W (word step)."""
 
     def __init__(self, sessions: list[GenSession], policy: Policy):
+        if any(s.params is not sessions[0].params or s.cfg is not sessions[0].cfg
+               for s in sessions):
+            raise ValueError("a batch runs one model: every session needs the "
+                             "same params and cfg objects")
         self.sessions = sessions
         self.policy = policy
         self.tick = 0
@@ -497,15 +642,24 @@ class BatchRunner:
         self.tick = 1
 
     def run_tick(self) -> StepPlan:
+        """Plan one tick and run it: the word step first, then the byte step.
+
+        Every planned session's positions are checked before any session
+        changes, so a SessionError (naming the session) leaves the whole
+        batch as it was."""
         plan = schedule(self.sessions, self.policy, self.tick)
-        actions = []
-        for i in plan.word_steps:
-            word_phase(self.sessions[i])
-            actions.append(f"s{i}=W")
-        for i in plan.byte_steps:
-            out = byte_phase(self.sessions[i])
-            suffix = f":{out.byte:02x}" if out.byte is not None else ""
-            actions.append(f"s{i}=B{suffix}")
+        words = [self.sessions[i] for i in plan.word_steps]
+        steps = [self.sessions[i] for i in plan.byte_steps]
+        for i, s in zip(plan.word_steps, words):
+            _check_room(s, len(s.pending_closes), i)
+        for i, s in zip(plan.byte_steps, steps):
+            _check_room(s, 1, i)
+        actions = [f"s{i}=W" for i in plan.word_steps]
+        if words:
+            _word_steps(words)
+        if steps:
+            actions += [f"s{i}=B:{out.byte:02x}"
+                        for i, out in zip(plan.byte_steps, _byte_steps(steps))]
         if actions:
             self.trace.append(f"{self.tick}\t" + " ".join(actions))
         self.tick += 1

@@ -8,6 +8,11 @@ over numpy arrays, deterministic for a given input dtype (float32 or float64
 throughout; outputs follow inputs). Setting the environment variable
 HATLM_DEBUG_FINITE=1 (or the module flag) makes every kernel assert that its
 output is finite.
+
+`matmul_rows`, `swiglu_ffn`, `rms_norm`, `rope` and `attend` are
+batch-invariant: a row's result has the same bits whatever other rows are
+computed beside it. Batched generation relies on this to match a solo run
+exactly (see :mod:`hatlm.infer`).
 """
 
 from __future__ import annotations
@@ -35,11 +40,17 @@ def _check(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-major matrix product with an explicit inner-dimension check."""
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
-        raise ShapeError(f"matmul inner dims {a.shape} x {b.shape}")
-    return _check(np.matmul(a, b))
+def matmul_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`x @ w` with one BLAS call per row of x: `(1, K) @ (K, N)` each.
+
+    A single `(B, K) @ (K, N)` product lets BLAS pick its kernel by B (gemv
+    for one row, gemm for several), and the two sum in different orders, so
+    a row can get other bits inside a batch than alone. Row by row, its bits
+    do not depend on B.
+    """
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"matmul inner dims {x.shape} x {w.shape}")
+    return _check((x[..., None, :] @ w)[..., 0, :])
 
 
 def rms_norm(x: np.ndarray, eps: float = 1e-5,
@@ -47,7 +58,7 @@ def rms_norm(x: np.ndarray, eps: float = 1e-5,
     """x / sqrt(mean(x^2) + eps) over the last axis, optionally gain-scaled."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    ms = np.mean(np.square(x), axis=-1, keepdims=True)
+    ms = np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
     y = x / np.sqrt(ms + eps)
     if gain is not None:
         if gain.shape != x.shape[-1:]:
@@ -62,29 +73,41 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 def swiglu_ffn(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray,
                w_down: np.ndarray) -> np.ndarray:
-    """w_down applied to silu(x w_gate) * (x w_up)."""
-    return _check(matmul(silu(matmul(x, w_gate)) * matmul(x, w_up), w_down))
+    """w_down applied to silu(x w_gate) * (x w_up), row by row."""
+    return matmul_rows(silu(matmul_rows(x, w_gate)) * matmul_rows(x, w_up), w_down)
+
+
+def rope_angles(positions: np.ndarray, d: int, base: float,
+                dtype) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the rotary angles at `positions`, each (T, d/2).
+
+    Frequencies are base**(-2i/d)."""
+    positions = np.asarray(positions, dtype=dtype)
+    inv = base ** (-np.arange(0, d, 2, dtype=dtype) / d)
+    ang = positions[:, None] * inv[None, :]
+    return np.cos(ang), np.sin(ang)
+
+
+def rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate the pairs (x[..., i], x[..., i + d/2]) by angle tables that
+    broadcast against x[..., :d/2]."""
+    half = x.shape[-1] // 2
+    x1, x2 = x[..., :half], x[..., half:]
+    return _check(np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1))
 
 
 def rope(x: np.ndarray, positions: np.ndarray, base: float) -> np.ndarray:
     """Rotary position transform on the last axis (pairs split half/half).
 
     `x` has shape (..., T, d) with d even; `positions` has length T and
-    aligns with axis -2. Frequencies are base**(-2i/d). Negated positions
-    apply the inverse rotation.
+    aligns with axis -2. Negated positions apply the inverse rotation.
     """
     d = x.shape[-1]
     if d % 2:
         raise ShapeError(f"rope head dim must be even, got {d}")
-    positions = np.asarray(positions, dtype=x.dtype)
-    if positions.shape != (x.shape[-2],):
+    if np.shape(positions) != (x.shape[-2],):
         raise ShapeError("positions length must match the sequence axis")
-    half = d // 2
-    inv = base ** (-np.arange(0, d, 2, dtype=x.dtype) / d)
-    ang = positions[:, None] * inv[None, :]          # (T, d/2)
-    cos, sin = np.cos(ang), np.sin(ang)               # broadcast over leading axes
-    x1, x2 = x[..., :half], x[..., half:]
-    return _check(np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1))
+    return rotate(x, *rope_angles(positions, d, base, x.dtype))
 
 
 def softcap(logits: np.ndarray, cap: float) -> np.ndarray:
@@ -114,20 +137,29 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-           cap: float | None) -> np.ndarray:
-    """One query position's scaled dot-product read over n visible keys.
+def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, cap: float | None,
+           valid: np.ndarray | None = None) -> np.ndarray:
+    """Scaled dot-product read of one query position per batch row.
 
-    q is [n_heads, hs]; k and v are [n, n_kv_heads, hs] with n_kv_heads
-    dividing n_heads. Query heads are grouped per KV head by reshaping, so
-    the cache is never repeated. Logits are scaled by 1/sqrt(hs) and, when
-    `cap` is set, softcapped. Returns the concatenated heads, [n_heads*hs].
+    q is [..., n_heads, hs]; k and v are [..., n, n_kv_heads, hs] with
+    n_kv_heads dividing n_heads; the leading axes (none, or a batch axis)
+    are the same for all three. Query heads are grouped per KV head by
+    reshaping, so the keys are never repeated. Logits are scaled by
+    1/sqrt(hs) and, when `cap` is set, softcapped. `valid` ([..., n]) masks
+    keys out with exactly zero weight. Returns [..., n_heads*hs].
+
+    Both products are one BLAS call per (row, KV head) of the same shape
+    whatever the batch size, and the softmax reduces along the key axis
+    only, so a row's result does not depend on the other rows.
     """
-    n_heads, hs = q.shape
-    n_kv = k.shape[1]
-    qg = q.reshape(n_kv, n_heads // n_kv, hs)
-    logits = np.einsum("kgd,nkd->kgn", qg, k) / math.sqrt(hs)
+    *lead, n_heads, hs = q.shape
+    n_kv = k.shape[-2]
+    qg = q.reshape(*lead, n_kv, n_heads // n_kv, hs)
+    logits = (qg @ k.swapaxes(-3, -2).swapaxes(-2, -1)) / math.sqrt(hs)  # [..., kv, g, n]
     if cap is not None:
         logits = softcap(logits, cap)
-    p = softmax(logits)
-    return _check(np.einsum("kgn,nkd->kgd", p, v).reshape(n_heads * hs))
+    if valid is None:
+        p = softmax(logits)
+    else:
+        p = masked_softmax(logits, valid[..., None, None, :])
+    return _check((p @ v.swapaxes(-3, -2)).reshape(*lead, n_heads * hs))

@@ -82,13 +82,37 @@ def test_softcap_hand_value():
 
 
 def test_matmul_examples():
-    assert np.array_equal(K.matmul(np.eye(3), np.arange(9.).reshape(3, 3)),
+    assert np.array_equal(K.matmul_rows(np.eye(3), np.arange(9.).reshape(3, 3)),
                           np.arange(9.).reshape(3, 3))
-    assert K.matmul(np.array([[2.0]]), np.array([[3.0]]))[0, 0] == 6.0
-    out = K.matmul(np.array([[1., 2.], [3., 4.]]), np.array([[5.], [6.]]))
+    assert K.matmul_rows(np.array([[2.0]]), np.array([[3.0]]))[0, 0] == 6.0
+    out = K.matmul_rows(np.array([[1., 2.], [3., 4.]]), np.array([[5.], [6.]]))
     assert np.array_equal(out, np.array([[17.], [39.]]))
     with pytest.raises(K.ShapeError):
-        K.matmul(np.ones((2, 3)), np.ones((2, 3)))
+        K.matmul_rows(np.ones((2, 3)), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("width", [16, 64])
+def test_rows_and_attend_are_batch_invariant(width):
+    # width 16: the encoder/decoder (2 query heads on 1 KV head); width 64:
+    # the backbone (8 on 4). A row's bits must not depend on the batch size,
+    # which a plain (B, K) @ (K, N) product does not give at K=64.
+    rng = np.random.default_rng(width)
+    x = rng.standard_normal((64, width)).astype(np.float32)
+    w = rng.standard_normal((width, width)).astype(np.float32)
+    alone = np.stack([x[b] @ w for b in range(64)])
+    hs, n = 8, 8
+    nh = width // hs
+    q = rng.standard_normal((64, nh, hs)).astype(np.float32)
+    k = rng.standard_normal((64, n, max(1, nh // 2), hs)).astype(np.float32)
+    v = rng.standard_normal(k.shape).astype(np.float32)
+    valid = rng.random((64, n)) < 0.6
+    valid[:, 0] = True
+    masked = np.stack([K.attend(q[b], k[b], v[b], 30.0, valid[b]) for b in range(64)])
+    full = np.stack([K.attend(q[b], k[b], v[b], 30.0) for b in range(64)])
+    for B in (1, 2, 3, 64):
+        assert np.array_equal(K.matmul_rows(x[:B], w), alone[:B])
+        assert np.array_equal(K.attend(q[:B], k[:B], v[:B], 30.0, valid[:B]), masked[:B])
+        assert np.array_equal(K.attend(q[:B], k[:B], v[:B], 30.0), full[:B])
 
 
 def test_attention_single_key_returns_value_row():

@@ -1,4 +1,5 @@
 import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -292,23 +293,16 @@ def micro_ckpt(tmp_path_factory, micro_cfg, micro_params):
        where=st.one_of(st.integers(0, 1023), st.integers(0, 2**31)),
        xor=st.integers(1, 255))
 @settings(max_examples=300, deadline=None)
-def test_checkpoint_corruption_raises_only_checkpoint_error(micro_ckpt, micro_cfg,
-                                                            truncate, where, xor):
+def test_checkpoint_corruption_raises_only_checkpoint_error(micro_ckpt, truncate, where, xor):
+    # the checksum trailer rejects every truncation and every flipped byte,
+    # a flipped digit of the config text included
     blob = micro_ckpt.read_bytes()
     at = where % len(blob)
     bad = blob[:at] if truncate else blob[:at] + bytes([blob[at] ^ xor]) + blob[at + 1:]
     path = micro_ckpt.with_name("corrupt.ckpt")
     path.write_bytes(bad)
-    try:
-        cfg, params = checkpoint.load(path)
-    except checkpoint.CheckpointError:
-        return
-    assert not truncate
-    header_end = 12 + struct.unpack("<I", blob[8:12])[0]
-    if not 12 <= at < header_end:
-        # only a flip inside the config text may parse as another valid config
-        assert cfg == micro_cfg
-    assert {k: v.shape for k, v in params.items()} == model.param_shapes(cfg)
+    with pytest.raises(checkpoint.CheckpointError):
+        checkpoint.load(path)
 
 
 def _tensor_record(name, arr):
@@ -329,12 +323,13 @@ def test_checkpoint_rejects_tensor_mismatch(tmp_path, micro_cfg, micro_params, f
     path = tmp_path / f"{fault}.ckpt"
     checkpoint.save(path, micro_cfg, params)
     if fault == "duplicate":
-        blob = path.read_bytes()
+        blob = path.read_bytes()[:-4]                   # without the checksum
         at = 12 + struct.unpack("<I", blob[8:12])[0]   # offset of the tensor count
         (count,) = struct.unpack("<I", blob[at:at + 4])
         last = sorted(params)[-1]
-        path.write_bytes(blob[:at] + struct.pack("<I", count + 1) + blob[at + 4:]
-                         + _tensor_record(last, params[last]))
+        body = (blob[:at] + struct.pack("<I", count + 1) + blob[at + 4:]
+                + _tensor_record(last, params[last]))
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
     with pytest.raises(checkpoint.CheckpointError):
         checkpoint.load(path)
 

@@ -1,7 +1,11 @@
+import copy
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hatlm import infer
 from hatlm.infer import (
@@ -15,6 +19,8 @@ from hatlm.infer import (
     schedule,
     step_byte,
 )
+
+from conftest import POOLS
 
 
 def solo_run(params, cfg, prompt, budget=20, sampling=None):
@@ -144,3 +150,126 @@ def test_word_phase_requires_boundary(micro_cfg, micro_params):
                            max_new_bytes=4), b"q")
     with pytest.raises(infer.SessionError):
         infer.word_phase(s)
+
+
+def test_batch_runner_requires_one_model(micro_cfg, micro_params):
+    a = GenSession(micro_params, micro_cfg)
+    with pytest.raises(ValueError):
+        BatchRunner([a, GenSession(dict(micro_params), micro_cfg)], BoundarySync())
+    with pytest.raises(ValueError):
+        BatchRunner([a, GenSession(micro_params, replace(micro_cfg))], BoundarySync())
+
+
+TEXT = st.lists(st.sampled_from([c for pool in POOLS for c in pool]),
+                max_size=10).map("".join)
+
+
+@given(mix=st.lists(st.tuples(TEXT, TEXT), min_size=1, max_size=6),
+       policy=st.sampled_from([BoundarySync(), FixedByteStride(1), FixedByteStride(3)]))
+@example(mix=[("wo", " x"), ("a", "bc"), ("", "é ü")], policy=BoundarySync())
+@example(mix=[("日本", "語 "), ("x.", ""), ("ab", " \U0001F600")], policy=FixedByteStride(3))
+@settings(max_examples=40, deadline=None)
+def test_tick_logits_equal_solo_run(micro_cfg, micro_params, mix, policy):
+    # (prompt, script) per session; an empty script samples greedily. After
+    # every tick that stepped a session, its logits (once computed: not
+    # while it waits at a boundary) equal a solo run's at the same length.
+    def make(script):
+        sampling = (SamplingConfig("forced", forced=script.encode()) if script
+                    else SamplingConfig("greedy"))
+        return GenSession(micro_params, micro_cfg, sampling, max_new_bytes=8)
+
+    solos, solo_bytes = [], []
+    for prompt, script in mix:
+        s = prefill(make(script), prompt.encode())
+        seen = {len(s.committed): s.cur_logits}
+        while not s.finished:
+            step_byte(s)
+            seen[len(s.committed)] = s.cur_logits
+        solos.append(seen)
+        solo_bytes.append(bytes(s.generated))
+    sessions = [make(script) for _, script in mix]
+    runner = BatchRunner(sessions, policy)
+    runner.prefill_all([prompt.encode() for prompt, _ in mix])
+    for s, seen in zip(sessions, solos):
+        assert np.array_equal(s.cur_logits, seen[len(s.committed)])
+    while any(not s.finished for s in sessions):
+        plan = runner.run_tick()
+        for i in plan.byte_steps + plan.word_steps:
+            s = sessions[i]
+            if s.status != "at_boundary":
+                assert np.array_equal(s.cur_logits, solos[i][len(s.committed)])
+    assert [bytes(s.generated) for s in sessions] == solo_bytes
+
+
+def test_deepcopy_mid_generation_finishes_identically(micro_cfg, micro_params):
+    prompts = [b"alpha beta ", b"x", "naïve 日本".encode(), b"3.14 "]
+    sessions = [GenSession(micro_params, micro_cfg, SamplingConfig("greedy"),
+                           max_new_bytes=16) for _ in prompts]
+    runner = BatchRunner(sessions, FixedByteStride(2))
+    runner.prefill_all(prompts)
+    for _ in range(5):
+        runner.run_tick()
+    twin = copy.deepcopy(runner, {id(micro_params): micro_params, id(micro_cfg): micro_cfg})
+    twin.run_to_completion()        # first, so shared state would show in the original
+    runner.run_to_completion()
+    assert twin.trace == runner.trace
+    for a, b in zip(runner.sessions, twin.sessions):
+        assert bytes(a.generated) == bytes(b.generated)
+        assert np.array_equal(a.cur_logits, b.cur_logits)
+
+
+# -- running out of positions --------------------------------------------------
+
+def _tight(cfg, limit):
+    if limit == "encoder":
+        return replace(cfg, encoder=replace(cfg.encoder, max_positions=12),
+                       decoder=replace(cfg.decoder, max_positions=12))
+    return replace(cfg, backbone=replace(cfg.backbone, max_positions=3))
+
+
+# per limit, (prompt, script) of three sessions; the middle one runs out
+# first: at byte position 12, or at its first byte after the backbone holds
+# BOS, "x" and " ab"
+EXHAUST = {
+    "encoder": [(b"ab", b"cdefghijkl"), (b"abcdefgh", b"ijklmnop"), (b"ab", b"cdefghijkl")],
+    "backbone": [(b"x", b"abcdefgh"), (b"x ", b"ab cd"), (b"x", b"abcdefgh")],
+}
+
+
+def _state(s):
+    return (bytes(s.generated), s.status, s.next_pos, copy.deepcopy(s.splitter),
+            infer.cache_report(s), s.enc_ring.tobytes(), s.dec_ring.tobytes(),
+            s.word_cache.rows, s.word_cache.kv.tobytes(), len(s.pending_states),
+            list(s.pending_closes), s.pending_byte, list(s._forced),
+            s.cur_logits.tobytes(), s.backbone_calls)
+
+
+@pytest.mark.parametrize("limit", ["encoder", "backbone"])
+@pytest.mark.parametrize("batched", [False, True], ids=["solo", "batch3"])
+def test_position_exhaustion_leaves_sessions_unchanged(micro_cfg, micro_params,
+                                                       limit, batched):
+    cfg = _tight(micro_cfg, limit)
+    pairs = EXHAUST[limit] if batched else EXHAUST[limit][1:2]
+    sessions = [GenSession(micro_params, cfg, SamplingConfig("forced", forced=script),
+                           max_new_bytes=16) for _, script in pairs]
+    runner = BatchRunner(sessions, FixedByteStride(1))
+    runner.prefill_all([p for p, _ in pairs])
+    for _ in range(20):
+        before = [_state(s) for s in sessions]
+        try:
+            if batched:
+                runner.run_tick()
+            else:
+                step_byte(sessions[0])
+        except infer.SessionError as exc:
+            err = exc
+            break
+    else:
+        pytest.fail("no SessionError")
+    assert "positions exhausted" in str(err)
+    assert err.session == (1 if batched else None)
+    assert (str(err).startswith("s1: ")) == batched
+    assert [_state(s) for s in sessions] == before
+    assert not any(s.finished for s in sessions)
+    expect = {"encoder": b"ijkl", "backbone": b"ab "}[limit]
+    assert bytes(sessions[1 if batched else 0].generated) == expect
