@@ -8,6 +8,8 @@ HATLM_LOG=debug|info|warning to control stderr verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
 import logging
 import os
 import sys
@@ -87,8 +89,14 @@ def cmd_train_toy(args) -> int:
         with open(args.policy, encoding="utf-8") as fh:
             policy = train.GroupPolicy.from_text(fh.read())
     log.info("training %s steps on %s bytes", args.steps, len(corpus))
-    result = train.train_loop(cfg, corpus, schedule, policy, steps=args.steps,
-                              seed=args.seed, seq_len=args.seq_len)
+    # written as the steps finish, so a run that diverges keeps its rows
+    with (open(args.metrics, "w", encoding="utf-8") if args.metrics
+          else contextlib.nullcontext()) as fh:
+        def on_step(row):
+            if fh is not None:
+                fh.write(json.dumps(row) + "\n")
+        result = train.train_loop(cfg, corpus, schedule, policy, steps=args.steps,
+                                  seed=args.seed, seq_len=args.seq_len, on_step=on_step)
     if args.loss_curve:
         train.write_loss_curve(result.loss_curve, args.loss_curve)
     if args.save:
@@ -219,6 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     tt.add_argument("--policy", help="group policy file")
     tt.add_argument("--save", help="write final checkpoint here")
     tt.add_argument("--loss-curve", help="write step<TAB>loss lines here")
+    tt.add_argument("--metrics", help="write one JSON line per step here: step, loss, "
+                    "lr, grad_norm, bytes_per_s")
     tt.set_defaults(func=cmd_train_toy)
 
     gen = sub.add_parser("generate", help="incremental generation from a checkpoint")

@@ -46,8 +46,9 @@ from .splitter import BYTE_BOS, BYTE_EOS, IncrementalSplitterState, WordClosed
 class SessionError(RuntimeError):
     """A session cannot take the requested step.
 
-    A step that runs out of byte or backbone positions raises this before it
-    changes any session. `session` is the offending session's index in its
+    A step that runs out of byte or backbone positions, or whose forced byte
+    is not a legal UTF-8 continuation, raises this before it changes any
+    session. `session` is the offending session's index in its
     BatchRunner (its `s<i>` in the trace), or None for a lone session."""
 
     def __init__(self, message: str, session: int | None = None):
@@ -83,6 +84,12 @@ class Utf8Gate:
         mask = np.zeros(256, dtype=bool)
         mask[self.lo:self.hi + 1] = True
         return mask
+
+    def admits(self, b: int) -> bool:
+        """`allowed()[b]`, without building the mask."""
+        if self.need:
+            return self.lo <= b <= self.hi
+        return b == BYTE_EOS or bool(_BOUNDARY_OK[b])
 
     def push(self, b: int) -> None:
         if self.need:
@@ -337,16 +344,22 @@ class GenSession:
         self.generated.append(b)
         return events
 
-    def sample(self) -> int:
+    def check_sample(self, index: int | None = None) -> None:
+        """Raise SessionError (naming session `index`) unless `sample` can
+        run: the session has logits, and a forced byte is legal under the
+        UTF-8 gate. Changes nothing."""
         if self.cur_logits is None:
-            raise SessionError("session has no logits; prefill first")
-        if self.sampling.mode == "forced":
-            if not self._forced:
-                return BYTE_EOS
+            raise SessionError("session has no logits; prefill first", index)
+        if self.sampling.mode == "forced" and self._forced:
             b = self._forced[0]
-            if not self.gate.allowed()[b]:
-                raise SessionError(f"forced byte {b:#x} is not a legal continuation")
-            return self._forced.popleft()
+            if not self.gate.admits(b):
+                raise SessionError(f"forced byte {b:#x} is not a legal continuation",
+                                   index)
+
+    def sample(self) -> int:
+        self.check_sample()
+        if self.sampling.mode == "forced":
+            return self._forced.popleft() if self._forced else BYTE_EOS
         return sample_from_logits(self.cur_logits, self.gate.allowed(),
                                   self.sampling, self.rng)
 
@@ -495,13 +508,15 @@ def prefill(session: GenSession, prompt_bytes: bytes) -> GenSession:
 def byte_phase(session: GenSession) -> StepOutcome:
     """Sample, commit, and push one byte; defer its encode if a word closed.
 
-    Needs a free byte position and a free backbone position (for a word the
-    byte may close); without them it raises SessionError and changes nothing."""
+    Needs a free byte position, a free backbone position (for a word the
+    byte may close) and a byte it can sample; without them it raises
+    SessionError and changes nothing."""
     if session.finished:
         raise SessionError("session is finished")
     if session.status == "at_boundary":
         raise SessionError("session is blocked on a backbone step")
     _check_room(session, 1)
+    session.check_sample()
     return _byte_steps([session])[0]
 
 
@@ -644,8 +659,10 @@ class BatchRunner:
     def run_tick(self) -> StepPlan:
         """Plan one tick and run it: the word step first, then the byte step.
 
-        Every planned session's positions are checked before any session
-        changes, so a SessionError (naming the session) leaves the whole
+        Every planned session's positions, and whether each byte-stepping
+        session can sample (see `GenSession.check_sample`), are checked
+        before any session changes: no script byte is taken and no RNG is
+        drawn from. So a SessionError (naming the session) leaves the whole
         batch as it was."""
         plan = schedule(self.sessions, self.policy, self.tick)
         words = [self.sessions[i] for i in plan.word_steps]
@@ -654,6 +671,7 @@ class BatchRunner:
             _check_room(s, len(s.pending_closes), i)
         for i, s in zip(plan.byte_steps, steps):
             _check_room(s, 1, i)
+            s.check_sample(i)
         actions = [f"s{i}=W" for i in plan.word_steps]
         if words:
             _word_steps(words)

@@ -2,9 +2,11 @@
 
 The network has three transformer stacks (byte encoder, word backbone, byte
 decoder) bridged by two connectors: learned-query cross-attention pooling
-(bytes -> word embedding) and per-block word-context cross-attention inside
-the decoder. Parameters live in a flat name -> ndarray dict whose shapes
-are derived from HatConfig alone.
+(bytes -> word embedding; each word reads only its own bytes, computed as a
+softmax and a weighted sum within each span, linear in the bytes) and
+per-block word-context cross-attention inside the decoder. Parameters live
+in a flat name -> ndarray dict whose shapes are derived from HatConfig
+alone.
 
 Parameter accounting notes (validated by tests against published totals):
   * the backbone counts layers only -- it has no final norm; backbone
@@ -260,28 +262,40 @@ def pool_words_var(P, cfg: HatConfig, byte_states: ad.Var,
     """One word embedding per span via learned-query cross-attention.
 
     No rotary transform, no residual, no norms: the connector is a bare
-    attention read of the span's byte states.
+    attention read of the span's byte states. The query is one learned
+    vector, so a byte's logit does not depend on the span that reads it:
+    each covered byte gets one logit per head, the softmax runs within each
+    span (`ad.segment_softmax`) and so does the weighted sum of the values
+    (`ad.segment_sum`). Time and memory are linear in the covered bytes.
+    Spans may skip bytes or overlap; a byte in two spans is read by both.
     """
     nh, hs, c = cfg.n_enc_cross_heads, cfg.encoder.head_size, cfg.cross_hidden
     n, t = len(spans), byte_states.shape[0]
     if n == 0:
         return ad.wrap(np.zeros((0, c), dtype=byte_states.dtype))
-    k = ad.transpose(ad.reshape(ad.matmul(byte_states, P["connector.wk"]), (t, nh, hs)), (1, 0, 2))
-    v = ad.transpose(ad.reshape(ad.matmul(byte_states, P["connector.wv"]), (t, nh, hs)), (1, 0, 2))
-    q = ad.transpose(ad.reshape(
-        ad.matmul(ad.reshape(P["connector.query"], (1, c)), P["connector.wq"]),
-        (1, nh, hs)), (1, 0, 2))                    # [nh, 1, hs]
-    logits = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(hs))
+    a, b = np.asarray(spans, dtype=np.int64).reshape(n, 2).T
+    bad = ~((0 <= a) & (a < b) & (b <= t))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValueError(f"bad span [{a[j]}, {b[j]})")
+    lens = b - a
+    starts = np.concatenate([[0], np.cumsum(lens[:-1])])
+    cover = int(lens.sum())
+    if cover == t and a[0] == 0 and np.array_equal(a[1:], b[:-1]):
+        x = byte_states                             # the spans tile the bytes
+    else:
+        x = ad.gather(byte_states, np.arange(cover) + np.repeat(a - starts, lens))
+    k = ad.reshape(ad.matmul(x, P["connector.wk"]), (cover, nh, hs))
+    v = ad.reshape(ad.matmul(x, P["connector.wv"]), (cover, nh, hs))
+    q = ad.reshape(ad.matmul(ad.reshape(P["connector.query"], (1, c)), P["connector.wq"]),
+                   (nh, 1, hs))
+    logits = ad.scale(ad.matmul(q, ad.transpose(k, (1, 2, 0))), 1.0 / math.sqrt(hs))
     if cfg.softcap is not None:
         logits = ad.softcap(logits, cfg.softcap)
-    logits = ad.expand(logits, (nh, n, t))          # same query row for every span
-    mask = np.zeros((n, t), dtype=bool)
-    for j, (a, b) in enumerate(spans):
-        if not 0 <= a < b <= t:
-            raise ValueError(f"bad span [{a}, {b})")
-        mask[j, a:b] = True
-    p = ad.masked_softmax(logits, mask[None])
-    o = ad.reshape(ad.transpose(ad.matmul(p, v), (1, 0, 2)), (n, nh * hs))
+    p = ad.segment_softmax(ad.reshape(logits, (nh, cover)), starts)
+    weighted = ad.mul(ad.reshape(p, (nh, cover, 1)), ad.transpose(v, (1, 0, 2)))
+    o = ad.segment_sum(weighted, starts, axis=1)   # [nh, n, hs]
+    o = ad.reshape(ad.transpose(o, (1, 0, 2)), (n, nh * hs))
     return ad.matmul(o, P["connector.wo"])
 
 

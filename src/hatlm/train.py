@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -193,16 +194,20 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr_of_name) -> None:
 class TrainResult:
     params: dict
     loss_curve: list[float]            # training loss per step
+    grad_norms: list[float] = field(default_factory=list)  # global norm per step, before clipping
 
 
 def train_loop(cfg: HatConfig, corpus: bytes, schedule: LrSchedule,
                policy: GroupPolicy, steps: int, seed: int,
                seq_len: int = 256, clip_norm: float = 1.0,
-               params: dict | None = None) -> TrainResult:
+               params: dict | None = None, on_step=None) -> TrainResult:
     """Deterministic single-sequence-per-step training.
 
     The corpus is cut into seq_len-byte documents visited round-robin.
-    Aborts with a diagnostic if the loss turns NaN or infinite.
+    Aborts with a diagnostic if the loss turns NaN or infinite. After each
+    step, `on_step` (if given) receives a dict with `step`, `loss`, `lr`
+    (the schedule's base rate), `grad_norm` (the global norm before
+    clipping) and `bytes_per_s` (the step's bytes over its wall time).
     """
     if not corpus:
         raise ValueError("empty corpus")
@@ -216,14 +221,16 @@ def train_loop(cfg: HatConfig, corpus: bytes, schedule: LrSchedule,
         params = dict(params)
     state = AdamState()
     curve: list[float] = []
+    norms: list[float] = []
     for step in range(steps):
+        t0 = perf_counter()
         data = chunks[step % len(chunks)]
         frozen = tuple(g for g in PARAM_GROUPS if policy.frozen_at(g, step))
         step_loss, grads = loss_and_grads(params, cfg, data, frozen)
         if not math.isfinite(step_loss):
             raise FloatingPointError(f"loss diverged to {step_loss} at step {step}")
-        clip_global_norm(grads, clip_norm,
-                         tuple(k for k in grads if group_of(k) not in frozen))
+        norm = clip_global_norm(grads, clip_norm,
+                                tuple(k for k in grads if group_of(k) not in frozen))
         base_lr = lr_at(schedule, step)
 
         def lr_of_name(name: str, _frozen=frozen, _lr=base_lr):
@@ -234,7 +241,11 @@ def train_loop(cfg: HatConfig, corpus: bytes, schedule: LrSchedule,
 
         adam_step(params, grads, state, lr_of_name)
         curve.append(step_loss)
-    return TrainResult(params=params, loss_curve=curve)
+        norms.append(norm)
+        if on_step is not None:
+            on_step({"step": step, "loss": step_loss, "lr": base_lr, "grad_norm": norm,
+                     "bytes_per_s": len(data) / (perf_counter() - t0)})
+    return TrainResult(params=params, loss_curve=curve, grad_norms=norms)
 
 
 def write_loss_curve(curve, path) -> None:

@@ -5,6 +5,8 @@ import pytest
 
 from hatlm import autodiff as ad
 
+from conftest import DATA
+
 rng = np.random.default_rng(42)
 
 
@@ -91,9 +93,7 @@ def test_rope():
     fd_check(lambda a: ad.sum_(ad.mul(ad.rope(a, np.arange(5), 100.0), m)), r(2, 5, 6))
 
 
-def test_expand_sum():
-    m = r(3, 4, 5)
-    fd_check(lambda a: ad.sum_(ad.mul(ad.expand(a, (3, 4, 5)), m)), r(1, 4, 5))
+def test_sum_keepdims():
     m2 = r(3, 1, 5)
     fd_check(lambda a: ad.sum_(ad.mul(ad.sum_(a, axis=1, keepdims=True), m2)), r(3, 4, 5))
 
@@ -125,3 +125,105 @@ def test_grad_accumulates_over_reuse():
     out = ad.sum_(ad.add(ad.mul(a, a), a))  # d/da (a^2 + a) = 2a + 1
     ad.backward(out)
     assert np.allclose(a.grad, [5.0])
+
+
+def test_no_grad_graph_keeps_no_tape():
+    a, b = ad.wrap(r(3, 3)), ad.wrap(r(3, 3))
+    out = ad.sum_(ad.tanh(ad.matmul(a, b)))
+    assert out._parents == () and out._bw is None and not out.rg
+    kept = ad.sum_(ad.matmul(a, ad.wrap(r(3, 3), rg=True)))
+    assert kept._parents != () and kept._bw is not None
+
+
+# ---------------------------------------------------------------------------
+# segment primitives (the pooling connector's softmax and weighted sum)
+
+SEGMENTS = [
+    np.array([0]),              # one segment over the whole axis
+    np.array([0, 1, 2, 3, 4, 5, 6]),  # every segment of length 1
+    np.array([0, 1, 4]),        # a leading single, then lengths 3 and 3
+    np.array([0, 5, 6]),        # a long leading segment, then 1 and 1
+]
+
+
+@pytest.mark.parametrize("starts", SEGMENTS, ids=lambda s: "-".join(map(str, s)))
+def test_segment_softmax(starts):
+    m = r(3, 7)
+    fd_check(lambda a: ad.sum_(ad.mul(ad.segment_softmax(a, starts), m)), 3 * r(3, 7))
+    p = ad.segment_softmax(ad.wrap(r(3, 7)), starts).v
+    assert np.allclose(np.add.reduceat(p, starts, axis=-1), 1.0)
+
+
+@pytest.mark.parametrize("starts", SEGMENTS, ids=lambda s: "-".join(map(str, s)))
+def test_segment_sum(starts):
+    m0, m1 = r(len(starts), 2, 3), r(2, len(starts), 3)
+    fd_check(lambda a: ad.sum_(ad.mul(ad.segment_sum(a, starts, axis=0), m0)), r(7, 2, 3))
+    fd_check(lambda a: ad.sum_(ad.mul(ad.segment_sum(a, starts, axis=1), m1)), r(2, 7, 3))
+
+
+@pytest.mark.parametrize("starts", [[], [1, 3], [0, 3, 3], [0, 4, 2], [0, 7]])
+def test_segment_starts_validated(starts):
+    with pytest.raises(ValueError):
+        ad.segment_sum(ad.wrap(r(7)), np.array(starts, dtype=np.int64), axis=0)
+    with pytest.raises(ValueError):
+        ad.segment_softmax(ad.wrap(r(7)), np.array(starts, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# gather backward: the same bits as a plain np.add.at scatter
+
+def _band(n, w):
+    from hatlm.model import _band_indices
+    return _band_indices(n, w)[0]
+
+
+TEXT = (DATA / "english_sample.txt").read_bytes()[:1024]
+GATHER_CASES = {
+    "repeated-axis0": ((6, 4), np.array([0, 2, 2, 1, 2, 0, 5]), 0),
+    "unsorted-axis1": ((2, 9, 3), np.array([7, 1, 8, 1, 0, 7, 7, 3]), 1),
+    "clipped-axis0": ((5, 3), np.clip(np.arange(-6, 9), 0, 4), 0),
+    "2d-index-axis1": ((3, 5, 2), np.array([[4, 0, 0], [1, 4, 4]]), 1),
+    "band-axis1": ((2, 300, 8), _band(300, 8).ravel(), 1),
+    "text-bytes-axis0": ((256, 16), np.frombuffer(TEXT, dtype=np.uint8).astype(np.int64), 0),
+    "1d-source": ((53,), np.concatenate([np.arange(1500) * 7 % 53, [3] * 40]), 0),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(GATHER_CASES))
+def test_gather_backward_equals_add_at(case, dtype):
+    shape, idx, axis = GATHER_CASES[case]
+    a = ad.wrap(r(*shape).astype(dtype), rg=True)
+    out_shape = shape[:axis] + idx.shape + shape[axis + 1:]
+    m = (r(*out_shape) * 10.0 ** rng.uniform(-4, 4, out_shape)).astype(dtype)
+    ad.backward(ad.sum_(ad.mul(ad.gather(a, idx, axis=axis), m)))
+    ref = np.zeros(shape, dtype=dtype)
+    np.add.at(np.moveaxis(ref, axis, 0), idx,
+              np.moveaxis(m, range(axis, axis + idx.ndim), range(idx.ndim)))
+    assert a.grad.dtype == dtype
+    assert np.array_equal(a.grad, ref)
+
+
+# ---------------------------------------------------------------------------
+# HATLM_DEBUG_FINITE over the tape
+
+def test_debug_finite_rejects_forward_overflow(monkeypatch):
+    from hatlm import kernels
+    monkeypatch.setattr(kernels, "DEBUG_FINITE", True)
+    with np.errstate(divide="ignore"), pytest.raises(FloatingPointError):
+        ad.rsqrt(ad.wrap(np.zeros(3), rg=True))
+
+
+def test_debug_finite_rejects_infinite_gradient(monkeypatch):
+    from hatlm import kernels
+    # rsqrt(1e-250) = 1e125 is finite, its derivative -0.5 * 1e375 is not
+    monkeypatch.setattr(kernels, "DEBUG_FINITE", False)
+    a = ad.wrap(np.array([1e-250, 1.0]), rg=True)
+    with np.errstate(over="ignore"):
+        ad.backward(ad.sum_(ad.rsqrt(a)))
+    assert np.isinf(a.grad[0])                      # the flag off: no check
+    monkeypatch.setattr(kernels, "DEBUG_FINITE", True)
+    a = ad.wrap(np.array([1e-250, 1.0]), rg=True)
+    out = ad.sum_(ad.rsqrt(a))
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+        ad.backward(out)

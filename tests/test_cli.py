@@ -1,3 +1,5 @@
+import json
+import math
 import os
 import subprocess
 import sys
@@ -92,12 +94,19 @@ def test_train_toy_quick(tmp_path):
     corpus.write_bytes(b"abcabcabc " * 12)
     curve = tmp_path / "curve.tsv"
     ckpt = tmp_path / "trained.ckpt"
+    metrics_path = tmp_path / "metrics.jsonl"
     code, out = run_cli("train-toy", "--config", "micro", "--corpus", str(corpus),
                         "--steps", "8", "--warmup", "2", "--decay", "2",
                         "--seq-len", "64", "--save", str(ckpt),
-                        "--loss-curve", str(curve))
+                        "--loss-curve", str(curve), "--metrics", str(metrics_path))
     assert code == 0 and "final_loss=" in out
     assert len(curve.read_text().splitlines()) == 8
+    rows = [json.loads(line) for line in metrics_path.read_text().splitlines()]
+    assert [row["step"] for row in rows] == list(range(8))
+    for row in rows:
+        assert set(row) == {"step", "loss", "lr", "grad_norm", "bytes_per_s"}
+        assert all(math.isfinite(v) for v in row.values())
+        assert row["grad_norm"] > 0 and row["bytes_per_s"] > 0
     cfg2, params2 = checkpoint.load(ckpt)
     assert set(params2) == set(model.param_shapes(cfg2))
 

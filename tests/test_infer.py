@@ -107,6 +107,16 @@ def test_utf8_gate_enforces_continuations():
         gate.push(0x41)
 
 
+@pytest.mark.parametrize("prefix", [b"", b"a", b"\xc3", b"\xe0", b"\xed", b"\xf0",
+                                    b"\xf4", b"\xe1\x80", b"\xf0\x90\x80"])
+def test_utf8_gate_admits_matches_allowed(prefix):
+    gate = Utf8Gate()
+    for b in prefix:
+        gate.push(b)
+    mask = gate.allowed()
+    assert [gate.admits(b) for b in range(256)] == mask.tolist()
+
+
 # ---------------------------------------------------------------------------
 # stepping
 

@@ -1,3 +1,4 @@
+import math
 import struct
 import zlib
 from dataclasses import replace
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hatlm import autodiff as ad
 from hatlm import checkpoint, config, model, train
 from hatlm.splitter import split
 
@@ -245,6 +247,65 @@ def test_pool_span_ignores_states_outside_it(micro_cfg, micro_params):
     out = model.pool_words(micro_params, micro_cfg, pert, spans)
     assert np.array_equal(base[1], out[1])
     assert not np.array_equal(base[0], out[0])
+
+
+def _dense_pool_reference(P, cfg, byte_states, spans):
+    """The connector as a dense masked read: the query's logits broadcast to
+    [heads, words, bytes], masked to each word's span. O(words x bytes)."""
+    nh, hs, c = cfg.n_enc_cross_heads, cfg.encoder.head_size, cfg.cross_hidden
+    n, t = len(spans), byte_states.shape[0]
+    k = ad.transpose(ad.reshape(ad.matmul(byte_states, P["connector.wk"]), (t, nh, hs)), (1, 0, 2))
+    v = ad.transpose(ad.reshape(ad.matmul(byte_states, P["connector.wv"]), (t, nh, hs)), (1, 0, 2))
+    q = ad.transpose(ad.reshape(
+        ad.matmul(ad.reshape(P["connector.query"], (1, c)), P["connector.wq"]),
+        (1, nh, hs)), (1, 0, 2))
+    logits = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(hs))
+    if cfg.softcap is not None:
+        logits = ad.softcap(logits, cfg.softcap)
+    logits = ad.mul(logits, np.ones((nh, n, t), dtype=byte_states.dtype))
+    mask = np.zeros((n, t), dtype=bool)
+    for j, (a, b) in enumerate(spans):
+        mask[j, a:b] = True
+    p = ad.masked_softmax(logits, mask[None])
+    o = ad.reshape(ad.transpose(ad.matmul(p, v), (1, 0, 2)), (n, nh * hs))
+    return ad.matmul(o, P["connector.wo"])
+
+
+@st.composite
+def _states_and_spans(draw):
+    t = draw(st.integers(1, 24))
+    if draw(st.booleans()):                 # a tiling of all bytes
+        cuts = sorted(draw(st.sets(st.integers(1, t - 1), max_size=t - 1))) if t > 1 else []
+        spans = list(zip([0] + cuts, cuts + [t]))
+    else:                                   # skipping, single-byte, overlapping
+        spans = []
+        for _ in range(draw(st.integers(1, 6))):
+            a = draw(st.integers(0, t - 1))
+            spans.append((a, draw(st.integers(a + 1, t))))
+    return t, spans, draw(st.integers(0, 2**32 - 1))
+
+
+POOL_NAMES = ("connector.query", "connector.wk", "connector.wv", "connector.wq", "connector.wo")
+
+
+@pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+@given(case=_states_and_spans())
+@settings(max_examples=60, deadline=None)
+def test_pool_matches_dense_masked_reference(micro_cfg, micro_params, dtype, atol, case):
+    t, spans, seed = case
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((t, micro_cfg.encoder.hidden)).astype(dtype)
+    weight = rng.standard_normal((len(spans), micro_cfg.backbone.hidden)).astype(dtype)
+    results = []
+    for pool in (model.pool_words_var, _dense_pool_reference):
+        P = {k: ad.wrap(micro_params[k].astype(dtype), rg=True) for k in POOL_NAMES}
+        x = ad.wrap(states.copy(), rg=True)
+        out = pool(P, micro_cfg, x, spans)
+        ad.backward(ad.sum_(ad.mul(out, weight)))
+        results.append([out.v, x.grad] + [P[k].grad for k in POOL_NAMES])
+    for got, ref in zip(*results):
+        assert got.dtype == dtype
+        assert np.allclose(got, ref, rtol=0, atol=atol)
 
 
 # ---------------------------------------------------------------------------

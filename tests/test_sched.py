@@ -273,3 +273,30 @@ def test_position_exhaustion_leaves_sessions_unchanged(micro_cfg, micro_params,
     assert not any(s.finished for s in sessions)
     expect = {"encoder": b"ijkl", "backbone": b"ab "}[limit]
     assert bytes(sessions[1 if batched else 0].generated) == expect
+
+
+def _sampling_state(s):
+    return s.rng.bit_generator.state, copy.copy(s.gate)
+
+
+@pytest.mark.parametrize("beside", ["forced", "temperature"])
+def test_illegal_forced_byte_leaves_tick_unchanged(micro_cfg, micro_params, beside):
+    # session 1's script starts with a lone continuation byte; session 0
+    # (forced "abc", or sampling at a temperature) must not advance either
+    first = (SamplingConfig("forced", forced=b"abc") if beside == "forced"
+             else SamplingConfig("temperature", temperature=0.8, seed=11))
+    sessions = [GenSession(micro_params, micro_cfg, sampling, max_new_bytes=8)
+                for sampling in (first, SamplingConfig("forced", forced=b"\x80"))]
+    runner = BatchRunner(sessions, FixedByteStride(1))
+    runner.prefill_all([b"hi ", b"yo "])
+    before = [_state(s) for s in sessions]
+    sampled = [_sampling_state(s) for s in sessions]
+    with pytest.raises(infer.SessionError, match=r"^s1: forced byte 0x80") as err:
+        runner.run_tick()
+    assert err.value.session == 1
+    assert [_state(s) for s in sessions] == before
+    assert [_sampling_state(s) for s in sessions] == sampled
+    with pytest.raises(infer.SessionError, match="forced byte 0x80") as err:
+        step_byte(sessions[1])
+    assert err.value.session is None
+    assert [_state(s) for s in sessions] == before

@@ -175,6 +175,21 @@ def test_train_deterministic_same_seed(micro_cfg):
     b = train.train_loop(micro_cfg, CORPUS, sched, GroupPolicy(), steps=12, seed=5)
     assert a.loss_curve == b.loss_curve
     assert all(np.array_equal(a.params[k], b.params[k]) for k in a.params)
+    assert a.grad_norms == b.grad_norms and len(a.grad_norms) == 12
+
+
+def test_grad_norms_are_the_unclipped_norms(micro_cfg):
+    sched = LrSchedule(warmup_steps=1, stable_lr=1e-3, stable_steps=10, decay_steps=1)
+    rows = []
+    res = train.train_loop(micro_cfg, CORPUS, sched, GroupPolicy(), steps=2, seed=5,
+                           clip_norm=1e-3, on_step=rows.append)
+    _, grads = train.loss_and_grads(model.init_params(micro_cfg, seed=5), micro_cfg,
+                                    CORPUS[:256])
+    first = np.sqrt(sum(np.sum(g.astype(np.float64) ** 2) for g in grads.values()))
+    assert res.grad_norms[0] == pytest.approx(first, rel=1e-12) and first > 1e-3
+    assert [r["grad_norm"] for r in rows] == res.grad_norms
+    assert [r["loss"] for r in rows] == res.loss_curve
+    assert [r["lr"] for r in rows] == [lr_at(sched, 0), lr_at(sched, 1)]
 
 
 def test_loss_trend_downward(micro_cfg):
