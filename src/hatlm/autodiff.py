@@ -5,6 +5,12 @@ hand-derived and checked against central finite differences in the test
 suite. Values keep the dtype of their inputs, so running a graph in float64
 gives float64 gradients (used by the gradient oracle).
 
+The layer math is one node per operation, valued by `kernels`: `rms_norm`,
+`softcap`, `swiglu` (over `kernels.silu`), `rope`, and `attention`, the
+causal, optionally banded self-attention over grouped KV heads. The
+remaining primitives (matmul, gather, reshape, the segment ops, ...) glue
+them together.
+
 A node that needs no gradient keeps neither its parents nor its backward
 closure, so a no-grad forward holds no tape: each intermediate array is
 freed as soon as the next operation has consumed it. With
@@ -114,16 +120,6 @@ def add(a, b) -> Var:
     return Var(out, (a, b), bw)
 
 
-def sub(a, b) -> Var:
-    a, b = wrap(a), wrap(b)
-    out = a.v - b.v
-
-    def bw(g):
-        _accum(a, _unbroadcast(g, a.v.shape))
-        _accum(b, _unbroadcast(-g, b.v.shape), owned=True)
-    return Var(out, (a, b), bw)
-
-
 def mul(a, b) -> Var:
     a, b = wrap(a), wrap(b)
     out = a.v * b.v
@@ -154,61 +150,16 @@ def matmul(a, b) -> Var:
     return Var(out, (a, b), bw)
 
 
-def _scatter_plan(flat: np.ndarray):
-    """Order the rows of a scatter-add into `flat` so that it runs as a few
-    vectorised adds yet sums in exactly the order of `np.add.at`.
-
-    Rows are stably sorted by target, and a row's rank is its place among
-    the rows of the same target. The rows of one rank have distinct targets,
-    so one fancy-indexed `+=` adds them all; taken rank by rank, every
-    target receives its rows in their original order. A rank of fewer than
-    32 rows costs more as its own `+=` than inside `np.add.at`, so from the
-    first such rank on (the tail of a few frequent targets) the rows go
-    through one `np.add.at`, still in rank order.
-
-    Returns (perm, targets, bounds): row `perm[i]` goes to `targets[i]`,
-    the r-th rank added on its own holds rows `bounds[r]:bounds[r + 1]`, and
-    the rows from `bounds[-1]` on go through `np.add.at`.
-    """
-    n = len(flat)
-    if n < 32:                          # no rank can be large enough
-        return np.arange(n), flat, [0]
-    order = np.argsort(flat, kind="stable")
-    st = flat[order]
-    new = np.empty(n, dtype=bool)
-    new[:1] = True
-    np.not_equal(st[1:], st[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    rank = np.arange(n) - np.repeat(starts, np.diff(np.append(starts, n)))
-    # a stable sort of small unsigned keys is a radix sort
-    by_rank = np.argsort(rank.astype(np.uint16) if n <= 0xFFFF else rank, kind="stable")
-    sizes = np.bincount(rank)
-    small = np.flatnonzero(sizes < 32)
-    full = small[0] if len(small) else len(sizes)
-    return order[by_rank], st[by_rank], np.cumsum(np.append(0, sizes[:full])).tolist()
-
-
 def gather(a, idx, axis: int = 0) -> Var:
     a = wrap(a)
     idx = np.asarray(idx)
-    out = np.take(a.v, idx, axis=axis)
-    if not a.rg:
-        return Var(out)
-    perm, targets, bounds = _scatter_plan(idx.ravel())
 
     def bw(g):
-        # rows of g in the layout [index, rest], then in plan order
-        g_m = np.moveaxis(g, range(axis, axis + idx.ndim), range(idx.ndim))
-        rest = g_m.shape[idx.ndim:]
-        rows = np.take(np.ascontiguousarray(g_m).reshape(idx.size, math.prod(rest)),
-                       perm, axis=0)
-        acc = np.zeros((a.v.shape[axis], rows.shape[1]), dtype=a.v.dtype)
-        for lo, hi in zip(bounds, bounds[1:]):
-            acc[targets[lo:hi]] += rows[lo:hi]
-        if bounds[-1] < idx.size:
-            np.add.at(acc, targets[bounds[-1]:], rows[bounds[-1]:])
-        _accum(a, np.moveaxis(acc.reshape(a.v.shape[axis], *rest), 0, axis), owned=True)
-    return Var(out, (a,), bw)
+        acc = np.zeros_like(a.v)
+        np.add.at(np.moveaxis(acc, axis, 0), idx,
+                  np.moveaxis(g, range(axis, axis + idx.ndim), range(idx.ndim)))
+        _accum(a, acc, owned=True)
+    return Var(np.take(a.v, idx, axis=axis), (a,), bw)
 
 
 def reshape(a, shape) -> Var:
@@ -267,38 +218,6 @@ def sum_(a, axis=None, keepdims: bool = False) -> Var:
             gg = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(gg, a.v.shape))
     return Var(out, (a,), bw)
-
-
-def rsqrt(a) -> Var:
-    a = wrap(a)
-    out = 1.0 / np.sqrt(a.v)
-
-    def bw(g):
-        _accum(a, g * (-0.5) * out ** 3, owned=True)
-    return Var(out, (a,), bw)
-
-
-def tanh(a) -> Var:
-    a = wrap(a)
-    out = np.tanh(a.v)
-
-    def bw(g):
-        _accum(a, g * (1.0 - out ** 2), owned=True)
-    return Var(out, (a,), bw)
-
-
-def sigmoid(a) -> Var:
-    a = wrap(a)
-    out = 1.0 / (1.0 + np.exp(-a.v))
-
-    def bw(g):
-        _accum(a, g * out * (1.0 - out), owned=True)
-    return Var(out, (a,), bw)
-
-
-def silu(a) -> Var:
-    a = wrap(a)
-    return mul(a, sigmoid(a))
 
 
 def masked_softmax(a, mask: np.ndarray) -> Var:
@@ -377,20 +296,126 @@ def cross_entropy(logits, targets) -> Var:
     return Var(np.asarray(loss), (lg,), bw)
 
 
-def rms_norm(a, eps: float, gain: Var | None = None) -> Var:
-    """Composite RMS normalization over the last axis."""
+def rms_norm(a, eps: float, gain=None) -> Var:
+    """RMS normalization over the last axis, optionally gain-scaled."""
     a = wrap(a)
-    d = a.v.shape[-1]
-    ms = scale(sum_(mul(a, a), axis=-1, keepdims=True), 1.0 / d)
-    y = mul(a, rsqrt(add(ms, np.array(eps, dtype=a.v.dtype))))
-    if gain is not None:
-        y = mul(y, gain)
-    return y
+    gain = None if gain is None else wrap(gain)
+    xhat = kernels.rms_norm(a.v, eps)
+
+    def bw(g):
+        d = a.v.shape[-1]
+        dxhat = g if gain is None else g * gain.v
+        rms = np.sqrt(np.add.reduce(np.square(a.v), axis=-1, keepdims=True) / d + eps)
+        dot = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
+        _accum(a, (dxhat - xhat * dot) / rms, owned=True)
+        if gain is not None:
+            _accum(gain, _unbroadcast(g * xhat, gain.v.shape), owned=True)
+    if gain is None:
+        return Var(xhat, (a,), bw)
+    return Var(xhat * gain.v, (a, gain), bw)
 
 
 def softcap(a, cap: float) -> Var:
-    return scale(tanh(scale(a, 1.0 / cap)), cap)
+    """cap * tanh(a / cap)."""
+    a = wrap(a)
+    out = kernels.softcap(a.v, cap)
+
+    def bw(g):
+        _accum(a, g * (1.0 - np.square(out / cap)), owned=True)
+    return Var(out, (a,), bw)
 
 
 def swiglu(x, w_gate, w_up, w_down) -> Var:
-    return matmul(mul(silu(matmul(x, w_gate)), matmul(x, w_up)), w_down)
+    """w_down applied to silu(x w_gate) * (x w_up), for rows x [n, hidden]."""
+    x, wg, wu, wd = (wrap(p) for p in (x, w_gate, w_up, w_down))
+    a, b = x.v @ wg.v, x.v @ wu.v
+    sa = kernels.silu(a)
+    h = sa * b
+
+    def bw(g):
+        dh = g @ wd.v.T
+        s = 1.0 / (1.0 + np.exp(-a))
+        da, db = dh * b * (s + sa * (1.0 - s)), dh * sa
+        _accum(x, da @ wg.v.T + db @ wu.v.T, owned=True)
+        _accum(wg, x.v.T @ da, owned=True)
+        _accum(wu, x.v.T @ db, owned=True)
+        _accum(wd, h.T @ g, owned=True)
+    return Var(h @ wd.v, (x, wg, wu, wd), bw)
+
+
+def _band(x: np.ndarray, w: int) -> np.ndarray:
+    """[kv, t, hs] -> the view [kv, t, hs, w] whose [:, i, :, j] is row
+    i - (w-1) + j of x, zero before row 0. No row is copied but the pad."""
+    pad = np.zeros((x.shape[0], w - 1, x.shape[2]), dtype=x.dtype)
+    return np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([pad, x], axis=1), w, axis=1)
+
+
+def _unband(g: np.ndarray) -> np.ndarray:
+    """The adjoint of `_band` for g laid out [kv, t, w, hs]: row i - (w-1) + j
+    collects g[:, i, j], and the pad rows are dropped."""
+    kv, t, w, hs = g.shape
+    acc = np.zeros((kv, t + w - 1, hs), dtype=g.dtype)
+    for j in range(w):
+        acc[:, j:j + t] += g[:, :, j]
+    return acc[:, w - 1:]
+
+
+def attention(q, k, v, window: int | None, cap: float | None) -> Var:
+    """Causal self-attention of t positions over grouped KV heads.
+
+    q is [n_heads, t, hs]; k and v are [n_kv_heads, t, hs] with n_kv_heads
+    dividing n_heads; returns [n_heads, t, hs]. Position i reads positions
+    (i - window, i], or all of [0, i] when `window` is None. Logits are
+    scaled by 1/sqrt(hs) and, when `cap` is set, softcapped.
+
+    Query heads are grouped per KV head by reshaping (as `kernels.attend`),
+    so keys are never repeated. A window shorter than t reads K and V through
+    a sliding-window view of their front-padded rows (`_band`), [kv, t, g,
+    window] logits in all; otherwise each KV head's g*t query rows meet all t
+    keys under a causal mask. The backward reuses the forward's
+    probabilities.
+    """
+    q, k, v = wrap(q), wrap(k), wrap(v)
+    nh, t, hs = q.v.shape
+    nkv = k.v.shape[0]
+    g = nh // nkv
+    w = t if window is None else min(window, t)
+    band = w < t
+    if band:
+        def rows(x):        # [n_heads, t, hs] -> [kv, t, g, hs]
+            return x.reshape(nkv, g, t, hs).transpose(0, 2, 1, 3)
+
+        def heads(x):
+            return x.transpose(0, 2, 1, 3).reshape(nh, t, hs)
+        kx, vx = _band(k.v, w), _band(v.v, w).swapaxes(-1, -2)
+        mask = (np.arange(t)[:, None] + np.arange(w) >= w - 1)[:, None, :]
+    else:
+        def rows(x):        # [n_heads, t, hs] -> [kv, g*t, hs]
+            return x.reshape(nkv, g * t, hs)
+
+        def heads(x):
+            return x.reshape(nh, t, hs)
+        kx, vx = k.v.swapaxes(-1, -2), v.v
+        mask = np.tile(np.tri(t, dtype=bool), (g, 1))
+    inv = 1.0 / math.sqrt(hs)
+    qx = rows(q.v)
+    z = (qx @ kx) * inv
+    if cap is not None:
+        z = kernels.softcap(z, cap)
+    p = kernels.masked_softmax(z, mask)
+
+    def bw(gr):
+        gx = rows(gr)
+        dp = gx @ vx.swapaxes(-1, -2)
+        dz = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
+        if cap is not None:
+            dz *= 1.0 - np.square(z / cap)
+        dz *= inv
+        dk, dv = dz.swapaxes(-1, -2) @ qx, p.swapaxes(-1, -2) @ gx
+        if band:
+            dk, dv = _unband(dk), _unband(dv)
+        _accum(q, heads(dz @ kx.swapaxes(-1, -2)), owned=True)
+        _accum(k, dk, owned=True)
+        _accum(v, dv, owned=True)
+    return Var(heads(p @ vx), (q, k, v), bw)

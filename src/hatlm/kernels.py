@@ -2,8 +2,8 @@
 and the single-query grouped-KV attention read.
 
 These are the one implementation of each piece of math: the incremental
-engine calls them directly and the autodiff tape wraps `rope` and
-`masked_softmax` as its forward values. All operations are pure functions
+engine calls them directly and the autodiff tape takes its forward values
+from `rms_norm`, `silu`, `softcap`, `rope` and `masked_softmax`. All operations are pure functions
 over numpy arrays, deterministic for a given input dtype (float32 or float64
 throughout; outputs follow inputs). Setting the environment variable
 HATLM_DEBUG_FINITE=1 (or the module flag) makes every kernel assert that its

@@ -183,13 +183,6 @@ def _as_vars(params, rg: bool) -> dict[str, ad.Var]:
     return {k: ad.wrap(v, rg=rg) for k, v in params.items()}
 
 
-def _band_indices(n: int, window: int):
-    w = min(window, n)
-    idx = np.arange(n)[:, None] - (w - 1) + np.arange(w)[None, :]
-    mask = idx >= 0
-    return np.clip(idx, 0, None), mask, w
-
-
 def _self_attn(P, prefix: str, x: ad.Var, s: StackConfig, cfg: HatConfig,
                positions: np.ndarray) -> ad.Var:
     t = x.shape[0]
@@ -203,31 +196,7 @@ def _self_attn(P, prefix: str, x: ad.Var, s: StackConfig, cfg: HatConfig,
         k = ad.rms_norm(k, cfg.norm_eps)
     q = ad.rope(q, positions, s.rope_base)
     k = ad.rope(k, positions, s.rope_base)
-    if nkv != nh:
-        rep = np.repeat(np.arange(nkv), nh // nkv)
-        k = ad.gather(k, rep, axis=0)
-        v = ad.gather(v, rep, axis=0)
-    inv_scale = 1.0 / math.sqrt(hs)
-
-    if s.window is None:
-        logits = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), inv_scale)
-        if cfg.softcap is not None:
-            logits = ad.softcap(logits, cfg.softcap)
-        mask = np.tril(np.ones((t, t), dtype=bool))
-        p = ad.masked_softmax(logits, mask[None])
-        o = ad.matmul(p, v)
-    else:
-        # banded layout: position i sees positions (i-window, i]
-        idx, mask, w = _band_indices(t, s.window)
-        kb = ad.reshape(ad.gather(k, idx.ravel(), axis=1), (nh, t, w, hs))
-        vb = ad.reshape(ad.gather(v, idx.ravel(), axis=1), (nh, t, w, hs))
-        qe = ad.reshape(q, (nh, t, 1, hs))
-        logits = ad.scale(ad.matmul(qe, ad.transpose(kb, (0, 1, 3, 2))), inv_scale)
-        if cfg.softcap is not None:
-            logits = ad.softcap(logits, cfg.softcap)
-        p = ad.masked_softmax(logits, mask[None, :, None, :])
-        o = ad.reshape(ad.matmul(p, vb), (nh, t, hs))
-
+    o = ad.attention(q, k, v, s.window, cfg.softcap)
     o = ad.reshape(ad.transpose(o, (1, 0, 2)), (t, nh * hs))
     return ad.matmul(o, P[f"{prefix}.attn.wo"])
 

@@ -108,11 +108,8 @@ def loss(params, cfg: HatConfig, data: bytes) -> float:
     if len(data) < 2:
         raise ValueError("need at least 2 bytes to form a prediction target")
     trace = forward(params, cfg, data)
-    logits = trace.logits[:-1]
     targets = np.frombuffer(data, dtype=np.uint8)[1:].astype(np.int64)
-    m = logits.max(axis=-1, keepdims=True)
-    lse = m.squeeze(-1) + np.log(np.exp(logits - m).sum(-1))
-    return float((lse - logits[np.arange(len(targets)), targets]).mean())
+    return float(ad.cross_entropy(trace.logits[:-1], targets).v)
 
 
 def loss_and_grads(params, cfg: HatConfig, data: bytes,

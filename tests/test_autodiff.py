@@ -1,7 +1,11 @@
 """Finite-difference validation of every autodiff primitive (float64)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatlm import autodiff as ad
 
@@ -37,10 +41,6 @@ def test_add_mul_broadcast():
     fd_check(lambda a, b: ad.sum_(ad.mul(ad.add(a, b), b)), r(3, 4), r(4))
 
 
-def test_sub():
-    fd_check(lambda a, b: ad.sum_(ad.mul(ad.sub(a, b), ad.sub(a, b))), r(2, 3), r(3))
-
-
 def test_matmul_2d_and_batched():
     fd_check(lambda a, b: ad.sum_(ad.matmul(a, b)), r(3, 4), r(4, 5))
     fd_check(lambda a, b: ad.sum_(ad.mul(ad.matmul(a, b), 2.0)), r(2, 3, 4), r(2, 4, 5))
@@ -60,12 +60,6 @@ def test_reshape_transpose_concat_narrow():
              r(2, 6))
     fd_check(lambda a, b: ad.sum_(ad.mul(ad.narrow(ad.concat([a, b], axis=1), 1, 1, 3), 2.0)),
              r(2, 2), r(2, 3))
-
-
-def test_rsqrt_tanh_sigmoid_silu():
-    fd_check(lambda a: ad.sum_(ad.rsqrt(ad.add(ad.mul(a, a), 0.5))), r(3, 3))
-    fd_check(lambda a: ad.sum_(ad.mul(ad.tanh(a), ad.sigmoid(a))), r(3, 3))
-    fd_check(lambda a: ad.sum_(ad.silu(a)), r(4, 2))
 
 
 def test_rms_norm_with_gain():
@@ -107,6 +101,70 @@ def test_swiglu_composite():
              r(3, 4), r(4, 6), r(4, 6), r(6, 4))
 
 
+# ---------------------------------------------------------------------------
+# grouped, banded attention
+
+def composite_attention(q, k, v, window, cap):
+    """Grouped causal attention from generic nodes, as the training graph
+    built it before `ad.attention`: K and V repeated per query head by
+    `gather`, a window shorter than t copied out as a band by `gather`, then
+    `masked_softmax`."""
+    nh, t, hs = q.shape
+    rep = np.repeat(np.arange(k.shape[0]), nh // k.shape[0])
+    k, v = ad.gather(k, rep, axis=0), ad.gather(v, rep, axis=0)
+    w = t if window is None else min(window, t)
+    idx = np.arange(t)[:, None] - (w - 1) + np.arange(w)[None, :]
+    kb = ad.reshape(ad.gather(k, np.clip(idx, 0, None).ravel(), axis=1), (nh, t, w, hs))
+    vb = ad.reshape(ad.gather(v, np.clip(idx, 0, None).ravel(), axis=1), (nh, t, w, hs))
+    qe = ad.reshape(q, (nh, t, 1, hs))
+    logits = ad.scale(ad.matmul(qe, ad.transpose(kb, (0, 1, 3, 2))), 1.0 / math.sqrt(hs))
+    if cap is not None:
+        logits = ad.softcap(logits, cap)
+    p = ad.masked_softmax(logits, (idx >= 0)[None, :, None, :])
+    return ad.reshape(ad.matmul(p, vb), (nh, t, hs))
+
+
+ATTENTION_CASES = {            # n_heads, n_kv_heads, t, window, cap
+    "dense": (4, 2, 6, None, None),
+    "dense-cap": (4, 2, 6, None, 2.0),
+    "band": (2, 2, 7, 3, None),
+    "band-grouped-cap": (6, 1, 7, 3, 2.0),
+    "window-at-t": (4, 2, 5, 5, 2.0),
+    "window-above-t": (2, 1, 5, 9, None),
+    "window-1": (4, 2, 5, 1, 2.0),
+}
+
+
+@pytest.mark.parametrize("case", list(ATTENTION_CASES))
+def test_attention(case):
+    nh, nkv, t, window, cap = ATTENTION_CASES[case]
+    m = r(nh, t, 4)
+    fd_check(lambda q, k, v: ad.sum_(ad.mul(ad.attention(q, k, v, window, cap), m)),
+             2 * r(nh, t, 4), 2 * r(nkv, t, 4), r(nkv, t, 4))
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1), n_kv=st.integers(1, 3), group=st.integers(1, 3),
+       t=st.integers(1, 12), hs=st.sampled_from([2, 4, 8]),
+       window=st.one_of(st.none(), st.integers(1, 14)),
+       cap=st.sampled_from([None, 2.0, 30.0]), dtype=st.sampled_from([np.float64, np.float32]))
+@settings(max_examples=150, deadline=None)
+def test_attention_matches_composite(seed, n_kv, group, t, hs, window, cap, dtype):
+    g = np.random.default_rng(seed)
+    arrays = [(s * g.standard_normal(shape)).astype(dtype) for s, shape in
+              ((3, (n_kv * group, t, hs)), (3, (n_kv, t, hs)), (1, (n_kv, t, hs)))]
+    m = g.standard_normal((n_kv * group, t, hs)).astype(dtype)
+    results = []
+    for fn in (ad.attention, composite_attention):
+        leaves = [ad.wrap(a, rg=True) for a in arrays]
+        out = fn(*leaves, window, cap)
+        ad.backward(ad.sum_(ad.mul(out, m)))
+        results.append([out.v] + [leaf.grad for leaf in leaves])
+    tol = dict(rtol=0, atol=1e-12) if dtype == np.float64 else dict(rtol=1e-4, atol=1e-5)
+    for got, want in zip(*results):
+        assert got.dtype == dtype
+        assert np.allclose(got, want, **tol)
+
+
 def test_backward_requires_scalar_root():
     with pytest.raises(ValueError):
         ad.backward(ad.wrap(np.ones(3), rg=True))
@@ -129,7 +187,7 @@ def test_grad_accumulates_over_reuse():
 
 def test_no_grad_graph_keeps_no_tape():
     a, b = ad.wrap(r(3, 3)), ad.wrap(r(3, 3))
-    out = ad.sum_(ad.tanh(ad.matmul(a, b)))
+    out = ad.sum_(ad.softcap(ad.matmul(a, b), 2.0))
     assert out._parents == () and out._bw is None and not out.rg
     kept = ad.sum_(ad.matmul(a, ad.wrap(r(3, 3), rg=True)))
     assert kept._parents != () and kept._bw is not None
@@ -172,18 +230,14 @@ def test_segment_starts_validated(starts):
 # ---------------------------------------------------------------------------
 # gather backward: the same bits as a plain np.add.at scatter
 
-def _band(n, w):
-    from hatlm.model import _band_indices
-    return _band_indices(n, w)[0]
-
-
 TEXT = (DATA / "english_sample.txt").read_bytes()[:1024]
 GATHER_CASES = {
     "repeated-axis0": ((6, 4), np.array([0, 2, 2, 1, 2, 0, 5]), 0),
     "unsorted-axis1": ((2, 9, 3), np.array([7, 1, 8, 1, 0, 7, 7, 3]), 1),
     "clipped-axis0": ((5, 3), np.clip(np.arange(-6, 9), 0, 4), 0),
     "2d-index-axis1": ((3, 5, 2), np.array([[4, 0, 0], [1, 4, 4]]), 1),
-    "band-axis1": ((2, 300, 8), _band(300, 8).ravel(), 1),
+    "band-axis1": ((2, 300, 8),
+                   np.clip(np.arange(300)[:, None] - 7 + np.arange(8), 0, None).ravel(), 1),
     "text-bytes-axis0": ((256, 16), np.frombuffer(TEXT, dtype=np.uint8).astype(np.int64), 0),
     "1d-source": ((53,), np.concatenate([np.arange(1500) * 7 % 53, [3] * 40]), 0),
 }
@@ -210,20 +264,25 @@ def test_gather_backward_equals_add_at(case, dtype):
 def test_debug_finite_rejects_forward_overflow(monkeypatch):
     from hatlm import kernels
     monkeypatch.setattr(kernels, "DEBUG_FINITE", True)
-    with np.errstate(divide="ignore"), pytest.raises(FloatingPointError):
-        ad.rsqrt(ad.wrap(np.zeros(3), rg=True))
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+        ad.scale(ad.wrap(np.full(3, 1e200), rg=True), 1e200)
 
 
 def test_debug_finite_rejects_infinite_gradient(monkeypatch):
     from hatlm import kernels
-    # rsqrt(1e-250) = 1e125 is finite, its derivative -0.5 * 1e375 is not
+    # a * b * 1e200 = 1e200 is finite and so is its derivative in a
+    # (b * 1e200 = 1), but the one in b (a * 1e200 = 1e400) is not
+    def graph():
+        a = ad.wrap(np.array([1e200]), rg=True)
+        b = ad.wrap(np.array([1e-200]), rg=True)
+        return a, b, ad.sum_(ad.scale(ad.mul(a, b), 1e200))
+
     monkeypatch.setattr(kernels, "DEBUG_FINITE", False)
-    a = ad.wrap(np.array([1e-250, 1.0]), rg=True)
+    a, b, out = graph()
     with np.errstate(over="ignore"):
-        ad.backward(ad.sum_(ad.rsqrt(a)))
-    assert np.isinf(a.grad[0])                      # the flag off: no check
+        ad.backward(out)
+    assert np.isfinite(a.grad[0]) and np.isinf(b.grad[0])   # the flag off: no check
     monkeypatch.setattr(kernels, "DEBUG_FINITE", True)
-    a = ad.wrap(np.array([1e-250, 1.0]), rg=True)
-    out = ad.sum_(ad.rsqrt(a))
+    a, b, out = graph()
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
         ad.backward(out)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hatlm import model, train
+from hatlm import autodiff as ad
+from hatlm import kernels, model, train
 from hatlm.train import GroupPolicy, LrSchedule, lr_at
 
 from conftest import DATA
@@ -49,7 +50,28 @@ def test_loss_matches_graph_loss(micro_cfg, micro_params):
     data = b"cross-check the two loss paths"
     direct = train.loss(micro_params, micro_cfg, data)
     graph, _ = train.loss_and_grads(micro_params, micro_cfg, data)
-    assert direct == pytest.approx(graph, rel=1e-6)
+    assert direct == graph
+
+
+def test_training_tape_stays_small(micro_cfg, micro_params, monkeypatch):
+    # walk the tape from the loss root as `backward` does: requires-grad
+    # nodes, leaves included
+    roots, real = [], ad.backward
+    monkeypatch.setattr(ad, "backward", lambda root: (roots.append(root), real(root)))
+    train.loss_and_grads(micro_params, micro_cfg, (DATA / "english_sample.txt").read_bytes()[:256])
+    seen, stack = set(), [roots[0]]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node.rg:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    assert len(seen) <= 250
+
+
+def test_debug_finite_training_step(micro_cfg, micro_params, monkeypatch):
+    monkeypatch.setattr(kernels, "DEBUG_FINITE", True)
+    loss, grads = train.loss_and_grads(micro_params, micro_cfg, b"checked at every node")
+    assert np.isfinite(loss) and all(np.all(np.isfinite(g)) for g in grads.values())
 
 
 # ---------------------------------------------------------------------------
