@@ -345,7 +345,8 @@ def swiglu(x, w_gate, w_up, w_down) -> Var:
 
 def _band(x: np.ndarray, w: int) -> np.ndarray:
     """[kv, t, hs] -> the view [kv, t, hs, w] whose [:, i, :, j] is row
-    i - (w-1) + j of x, zero before row 0. No row is copied but the pad."""
+    i - (w-1) + j of x, zero before row 0. The view repeats no row: only the
+    t + w - 1 padded rows are written."""
     pad = np.zeros((x.shape[0], w - 1, x.shape[2]), dtype=x.dtype)
     return np.lib.stride_tricks.sliding_window_view(
         np.concatenate([pad, x], axis=1), w, axis=1)
