@@ -13,7 +13,8 @@ them together.
 
 A node that needs no gradient keeps neither its parents nor its backward
 closure, so a no-grad forward holds no tape: each intermediate array is
-freed as soon as the next operation has consumed it. With
+freed as soon as the next operation has consumed it, and a dense attention
+read goes a block of query positions at a time. With
 `kernels.DEBUG_FINITE` on, every node value and every accumulated gradient
 must be finite or a FloatingPointError is raised.
 """
@@ -25,6 +26,8 @@ import math
 import numpy as np
 
 from . import kernels
+
+ATTENTION_BLOCK = 32   # query positions per block of a no-grad dense attention read
 
 
 class Var:
@@ -362,6 +365,28 @@ def _unband(g: np.ndarray) -> np.ndarray:
     return acc[:, w - 1:]
 
 
+def _causal_blocks(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                   cap: float | None) -> np.ndarray:
+    """The dense causal read of `attention`, without a tape: ATTENTION_BLOCK
+    query positions at a time, each block meeting only the keys up to its
+    last position, so the logits held at once are [kv, g, block, <= t]
+    rather than [kv, g*t, t]."""
+    nh, t, hs = q.shape
+    nkv = k.shape[0]
+    qg = q.reshape(nkv, nh // nkv, t, hs)
+    kt, vx = k[:, None].swapaxes(-1, -2), v[:, None]
+    out = np.empty_like(qg)
+    inv = 1.0 / math.sqrt(hs)
+    for a in range(0, t, ATTENTION_BLOCK):
+        b = min(a + ATTENTION_BLOCK, t)
+        z = (qg[:, :, a:b] @ kt[..., :b]) * inv
+        if cap is not None:
+            z = kernels.softcap(z, cap)
+        mask = np.arange(b) <= np.arange(a, b)[:, None]
+        out[:, :, a:b] = kernels.masked_softmax(z, mask) @ vx[:, :, :b]
+    return out.reshape(nh, t, hs)
+
+
 def attention(q, k, v, window: int | None, cap: float | None) -> Var:
     """Causal self-attention of t positions over grouped KV heads.
 
@@ -375,7 +400,8 @@ def attention(q, k, v, window: int | None, cap: float | None) -> Var:
     a sliding-window view of their front-padded rows (`_band`), [kv, t, g,
     window] logits in all; otherwise each KV head's g*t query rows meet all t
     keys under a causal mask. The backward reuses the forward's
-    probabilities.
+    probabilities. When no input needs a gradient, the dense read goes
+    through `_causal_blocks` instead and keeps no probabilities.
     """
     q, k, v = wrap(q), wrap(k), wrap(v)
     nh, t, hs = q.v.shape
@@ -383,6 +409,8 @@ def attention(q, k, v, window: int | None, cap: float | None) -> Var:
     g = nh // nkv
     w = t if window is None else min(window, t)
     band = w < t
+    if not band and not (q.rg or k.rg or v.rg):
+        return Var(_causal_blocks(q.v, k.v, v.v, cap))
     if band:
         def rows(x):        # [n_heads, t, hs] -> [kv, t, g, hs]
             return x.reshape(nkv, g, t, hs).transpose(0, 2, 1, 3)

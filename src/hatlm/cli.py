@@ -163,6 +163,7 @@ def cmd_bench_sched(args) -> int:
     if calls:
         print(f"bytes_per_backbone_call={total_bytes / calls:.4f}")
     print(f"prefill_s={t1 - t0:.6f}")
+    print(f"prefill_bytes_per_s={sum(map(len, prompts)) / (t1 - t0):.1f}")
     print(f"gen_s={t2 - t1:.6f}")
     print(f"gen_bytes_per_s={total_bytes / (t2 - t1):.1f}")
     if args.trace:

@@ -13,8 +13,14 @@ step for all its byte-stepping sessions (sample and commit per session,
 then one encoder+decoder pass for the bytes that closed no word) and one
 word step for all sessions at a boundary (pooling, backbone, decoder
 injections and the deferred byte; several closes run in rounds).
-`step_byte` and `prefill` are the same code at batch size one, so there is
-one implementation of the incremental math.
+`step_byte` is the same code at batch size one, so there is one
+implementation of the incremental math. `prefill` does not step: it runs
+one no-grad batch forward over the whole prompt (`model.prompt_pass`) with
+the word assignment the incremental splitter gives it, and fills the
+caches from that forward's keys, values and states. Its caches match a
+byte-by-byte prefill within the 1e-4 incremental = batch tolerance, not
+bit for bit; solo and batched runs both call it, so they still agree
+exactly.
 
 Batch invariance is part of the contract: a session's logits have the same
 bits in any batch as alone. Hence every projection is
@@ -37,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import model
 from .config import HatConfig, StackConfig
 from .kernels import (attend, matmul_rows, rms_norm, rope_angles, rotate, softmax,
                       swiglu_ffn)
@@ -167,12 +174,16 @@ class WordCache:
                             stack.head_size), dtype)
         self.rows = 0
 
+    def reserve(self, rows: int) -> None:
+        """Double the row axis until it holds `rows` rows."""
+        while self.kv.shape[2] < rows:
+            self.kv = np.concatenate([self.kv, np.zeros_like(self.kv)], axis=2)
+
     def put(self, layer: int, k: np.ndarray, v: np.ndarray):
         """Store `layer`'s key and value of position `rows`; return that
         layer's keys and values up to and including it."""
         n = self.rows
-        if n == self.kv.shape[2]:
-            self.kv = np.concatenate([self.kv, np.zeros_like(self.kv)], axis=2)
+        self.reserve(n + 1)
         self.kv[layer, 0, n] = k
         self.kv[layer, 1, n] = v
         return self.kv[layer, 0, :n + 1], self.kv[layer, 1, :n + 1]
@@ -475,32 +486,70 @@ def _word_steps(sessions: list[GenSession]) -> None:
 
 
 def prefill(session: GenSession, prompt_bytes: bytes) -> GenSession:
-    """Feed the prompt through the incremental pipeline.
+    """Fill the session's caches from one batch forward over the prompt.
+
+    First the prompt goes through a fresh UTF-8 gate and incremental
+    splitter, byte by byte: that gives the words it closes and, per byte,
+    the backbone row its decoder reads (`inc_index`), exactly as generation
+    would have assigned them. Then one no-grad forward with that assignment
+    (`model.prompt_pass`) yields everything the session caches. A prompt
+    that is not valid UTF-8, ends inside a codepoint or needs more positions
+    than the model has raises SessionError before the session changes.
 
     An empty prompt seeds the stream with the 0xFE sentinel so the first
     byte can be predicted from begin-of-sequence context alone."""
     if session.status != "prefilling":
         raise SessionError("session already prefilled")
-    limit = _byte_limit(session.cfg)
-    if len(prompt_bytes) > limit:
-        raise SessionError(f"prompt of {len(prompt_bytes)} bytes exceeds the "
-                           f"byte positions ({limit})")
-    session.prompt = bytes(prompt_bytes)
+    cfg = session.cfg
+    limit = _byte_limit(cfg)
+    n = len(prompt_bytes)
+    if n > limit:
+        raise SessionError(f"prompt of {n} bytes exceeds the byte positions ({limit})")
     if not prompt_bytes:
         session.sentinel_used = True
         _encode_decode([session], [BYTE_BOS])
-    else:
-        for b in prompt_bytes:
-            session.gate.push(b)
-            events = session.splitter.push_byte(b)
-            if events:
-                _check_room(session, len(events))
-                session.pending_closes = events
-                session.prefill_words += len(events)
-                _consume_closes([session])
-            _encode_decode([session], [b])
-        if session.gate.mid_codepoint:
-            raise SessionError("prompt ends inside a multi-byte codepoint")
+        session.status = "mid_word"
+        return session
+    gate = Utf8Gate()
+    splitter = IncrementalSplitterState(max_word_bytes=cfg.max_word_bytes)
+    closes: list[WordClosed] = []
+    index = []
+    for b in prompt_bytes:
+        gate.push(b)
+        closes += splitter.push_byte(b)
+        index.append(splitter.closed_words)
+    if gate.mid_codepoint:
+        raise SessionError("prompt ends inside a multi-byte codepoint")
+    if len(closes) + 1 > cfg.backbone.max_positions:
+        raise SessionError(f"backbone positions exhausted ({cfg.backbone.max_positions})")
+
+    spans = [(ev.start, ev.end) for ev in closes]
+    fw = model.prompt_pass(session.params, cfg,
+                           np.frombuffer(prompt_bytes, dtype=np.uint8).astype(np.int64),
+                           spans, np.array(index, dtype=np.int64))
+    for ring, kv, w in ((session.enc_ring, fw.encoder_kv, cfg.encoder.window),
+                        (session.dec_ring, fw.decoder_kv, cfg.decoder.window)):
+        pos = np.arange(max(0, n - w), n)
+        for i, (k, v) in enumerate(kv):
+            ring[i, 0, pos % w] = k[:, pos].swapaxes(0, 1)
+            ring[i, 1, pos % w] = v[:, pos].swapaxes(0, 1)
+    cache, rows = session.word_cache, len(closes) + 1
+    cache.reserve(rows)
+    for i, (k, v) in enumerate(fw.backbone_kv):
+        cache.kv[i, 0, :rows] = k.swapaxes(0, 1)
+        cache.kv[i, 1, :rows] = v.swapaxes(0, 1)
+    cache.rows = rows
+    session.inject = _dec_injections(session.params, cfg, fw.backbone_outputs[-1:])[0]
+    session.pending_base = spans[-1][1] if spans else 0
+    session.pending_states = list(fw.byte_states[session.pending_base:].copy())
+    session.consumed_spans = spans
+    session.inc_index = index
+    session.cur_logits = fw.logits.copy()
+    session.next_pos = n
+    session.prefill_words = len(closes)
+    session.backbone_calls += len(closes)
+    session.gate, session.splitter = gate, splitter
+    session.prompt = bytes(prompt_bytes)
     session.status = "mid_word"
     return session
 

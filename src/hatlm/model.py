@@ -1,4 +1,5 @@
-"""Model construction and the teacher-forced forward pass.
+"""Model construction, the teacher-forced forward pass, and the prompt pass
+that fills a generation session's caches.
 
 The network has three transformer stacks (byte encoder, word backbone, byte
 decoder) bridged by two connectors: learned-query cross-attention pooling
@@ -184,7 +185,9 @@ def _as_vars(params, rg: bool) -> dict[str, ad.Var]:
 
 
 def _self_attn(P, prefix: str, x: ad.Var, s: StackConfig, cfg: HatConfig,
-               positions: np.ndarray) -> ad.Var:
+               positions: np.ndarray, kv: list | None = None) -> ad.Var:
+    """Self-attention sublayer; `kv`, when given, collects the layer's
+    rotated keys and its values, each [n_kv_heads, t, hs]."""
     t = x.shape[0]
     nh, nkv, hs = s.n_heads, s.n_kv_heads, s.head_size
     h = ad.rms_norm(x, cfg.norm_eps, P[f"{prefix}.attn_norm.gain"])
@@ -196,6 +199,8 @@ def _self_attn(P, prefix: str, x: ad.Var, s: StackConfig, cfg: HatConfig,
         k = ad.rms_norm(k, cfg.norm_eps)
     q = ad.rope(q, positions, s.rope_base)
     k = ad.rope(k, positions, s.rope_base)
+    if kv is not None:
+        kv.append((k.v, v.v))
     o = ad.attention(q, k, v, s.window, cfg.softcap)
     o = ad.reshape(ad.transpose(o, (1, 0, 2)), (t, nh * hs))
     return ad.matmul(o, P[f"{prefix}.attn.wo"])
@@ -208,22 +213,23 @@ def _mlp(P, prefix: str, x: ad.Var, cfg: HatConfig) -> ad.Var:
 
 
 def _stack(P, name: str, x: ad.Var, s: StackConfig, cfg: HatConfig,
-           positions: np.ndarray) -> ad.Var:
+           positions: np.ndarray, kv: list | None = None) -> ad.Var:
     for i in range(s.n_layers):
         prefix = f"{name}.layers.{i}"
-        x = ad.add(x, _self_attn(P, prefix, x, s, cfg, positions))
+        x = ad.add(x, _self_attn(P, prefix, x, s, cfg, positions, kv))
         x = ad.add(x, _mlp(P, prefix, x, cfg))
     return x
 
 
-def encode_bytes_var(P, cfg: HatConfig, byte_ids: np.ndarray) -> ad.Var:
+def encode_bytes_var(P, cfg: HatConfig, byte_ids: np.ndarray,
+                     kv: list | None = None) -> ad.Var:
     t = len(byte_ids)
     if t == 0:
         raise ValueError("empty byte sequence")
     if t > cfg.encoder.max_positions:
         raise ValueError(f"input of {t} bytes exceeds encoder max positions")
     x = ad.gather(P["encoder.byte_embedding"], byte_ids)
-    return _stack(P, "encoder", x, cfg.encoder, cfg, np.arange(t))
+    return _stack(P, "encoder", x, cfg.encoder, cfg, np.arange(t), kv)
 
 
 def pool_words_var(P, cfg: HatConfig, byte_states: ad.Var,
@@ -268,25 +274,28 @@ def pool_words_var(P, cfg: HatConfig, byte_states: ad.Var,
     return ad.matmul(o, P["connector.wo"])
 
 
-def backbone_forward_var(P, cfg: HatConfig, word_embs: ad.Var) -> ad.Var:
+def backbone_forward_var(P, cfg: HatConfig, word_embs: ad.Var,
+                         kv: list | None = None) -> ad.Var:
     """Causal transformer over [BOS; words]; row k predicts word k."""
     n = word_embs.shape[0]
     if n + 1 > cfg.backbone.max_positions:
         raise ValueError(f"{n} words exceed backbone max positions")
     bos = ad.reshape(P["backbone.bos"], (1, cfg.backbone.hidden))
     x = ad.concat([bos, word_embs], axis=0) if n else bos
-    return _stack(P, "backbone", x, cfg.backbone, cfg, np.arange(n + 1))
+    return _stack(P, "backbone", x, cfg.backbone, cfg, np.arange(n + 1), kv)
 
 
 def decode_bytes_var(P, cfg: HatConfig, byte_states: ad.Var, bb_out: ad.Var,
-                     byte_row: np.ndarray) -> ad.Var:
+                     byte_row: np.ndarray, kv: list | None = None,
+                     last_only: bool = False) -> ad.Var:
     """Decoder blocks: word-context injection, then a local transformer layer.
 
     Each byte reads exactly one backbone row (its word's predictor), so the
     softmax over that single key is identically 1 and the block reduces to a
     value read. The cross wq/wk projections and the pre-norm still exist as
     parameters (the checkpoint and count layouts include them) but cannot
-    influence a one-key softmax.
+    influence a one-key softmax. With `last_only`, the final norm and the
+    head read the last byte's state alone and one logits row comes back.
     """
     t = byte_states.shape[0]
     if len(byte_row) != t:
@@ -303,8 +312,10 @@ def decode_bytes_var(P, cfg: HatConfig, byte_states: ad.Var, bb_out: ad.Var,
         inj = ad.matmul(sel, P[f"{cp}.wo"])
         x = ad.add(x, ad.rms_norm(inj, cfg.norm_eps, P[f"{cp}.post_norm.gain"]))
         prefix = f"decoder.layers.{i}"
-        x = ad.add(x, _self_attn(P, prefix, x, cfg.decoder, cfg, positions))
+        x = ad.add(x, _self_attn(P, prefix, x, cfg.decoder, cfg, positions, kv))
         x = ad.add(x, _mlp(P, prefix, x, cfg))
+    if last_only:
+        x = ad.narrow(x, 0, t - 1, 1)
     h = ad.rms_norm(x, cfg.norm_eps, P["decoder.final_norm.gain"])
     return ad.matmul(h, P["decoder.lm_head"])
 
@@ -357,6 +368,34 @@ def forward_assigned(params, cfg: HatConfig, byte_ids: np.ndarray,
         logits=logits.v,
         logits_var=logits if want_grad else None,
     )
+
+
+@dataclass
+class PromptPass:
+    """A no-grad forward over a prompt, with what an incremental session
+    caches: per layer of each stack, the rotated keys and the values,
+    each [n_kv_heads, rows, hs] (rows = bytes, or BOS plus the words)."""
+    byte_states: np.ndarray       # [n_bytes, h_enc]
+    backbone_outputs: np.ndarray  # [n_words + 1, h_bb], all rows
+    logits: np.ndarray            # [256], the last byte's
+    encoder_kv: list
+    backbone_kv: list
+    decoder_kv: list
+
+
+def prompt_pass(params, cfg: HatConfig, byte_ids: np.ndarray,
+                pool_spans: list[tuple[int, int]], byte_row: np.ndarray) -> PromptPass:
+    """`forward_assigned` without gradients, keeping each self-attention
+    layer's K and V; only the last byte reaches the head."""
+    P = _as_vars(params, rg=False)
+    kv = {"encoder": [], "backbone": [], "decoder": []}
+    byte_states = encode_bytes_var(P, cfg, byte_ids, kv["encoder"])
+    word_embs = pool_words_var(P, cfg, byte_states, pool_spans)
+    bb_all = backbone_forward_var(P, cfg, word_embs, kv["backbone"])
+    logits = decode_bytes_var(P, cfg, byte_states, bb_all, byte_row, kv["decoder"],
+                              last_only=True)
+    return PromptPass(byte_states.v, bb_all.v, logits.v[0], kv["encoder"],
+                      kv["backbone"], kv["decoder"])
 
 
 def forward(params, cfg: HatConfig, data: bytes, want_grad: bool = False) -> ForwardTrace:

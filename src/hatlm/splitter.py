@@ -336,15 +336,6 @@ class IncrementalSplitterState:
             events.extend(self.push_byte(b))
         return events
 
-    @classmethod
-    def from_prefix(cls, data: bytes,
-                    max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> "IncrementalSplitterState":
-        """State equivalent to pushing `data` byte by byte (data must be complete UTF-8)."""
-        state = cls(max_word_bytes=max_word_bytes, buf=bytearray(data))
-        if data:
-            state._resplit()
-        return state
-
 
 def incremental_word_index(data: bytes,
                            max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> list[int]:

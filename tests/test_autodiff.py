@@ -1,6 +1,7 @@
 """Finite-difference validation of every autodiff primitive (float64)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,37 @@ def test_attention_matches_composite(seed, n_kv, group, t, hs, window, cap, dtyp
     for got, want in zip(*results):
         assert got.dtype == dtype
         assert np.allclose(got, want, **tol)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("cap", [None, 2.0])
+@pytest.mark.parametrize("t", [1, 31, 32, 33, 64, 100])
+def test_attention_no_grad_matches_tape(t, cap, dtype):
+    # with no input needing a gradient, the dense read goes by query blocks
+    g = np.random.default_rng(t)
+    q, k, v = ((s * g.standard_normal(shape)).astype(dtype) for s, shape in
+               ((3, (6, t, 8)), (3, (2, t, 8)), (1, (2, t, 8))))
+    for window in (None, t + 3):
+        plain = ad.attention(q, k, v, window, cap)
+        taped = ad.attention(ad.wrap(q, rg=True), k, v, window, cap)
+        assert not plain.rg and taped.rg
+        assert plain.v.dtype == dtype
+        atol = 1e-12 if dtype == np.float64 else 1e-6
+        assert np.allclose(plain.v, taped.v, rtol=0, atol=atol)
+
+
+def test_attention_no_grad_dense_read_is_blocked():
+    g = np.random.default_rng(0)
+    q, k, v = g.standard_normal((4, 512, 8)), g.standard_normal((2, 512, 8)), \
+        g.standard_normal((2, 512, 8))
+    peaks = []
+    for rg in (False, True):
+        tracemalloc.start()
+        out = ad.attention(ad.wrap(q, rg=rg), k, v, None, 30.0)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        del out
+    assert peaks[0] < peaks[1] / 4
 
 
 def test_backward_requires_scalar_root():

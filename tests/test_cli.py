@@ -124,7 +124,7 @@ def test_bench_sched_outputs_accounting(tmp_path):
                                          + int(kv["prefill_words"])
                                          + int(kv["sessions"]))
     assert trace.read_text().startswith("0\ts0=P s1=P")
-    for key in ("prefill_s", "gen_s", "gen_bytes_per_s"):
+    for key in ("prefill_s", "prefill_bytes_per_s", "gen_s", "gen_bytes_per_s"):
         assert float(kv[key]) > 0, key
 
 

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hatlm import infer, model
 from hatlm.infer import (
@@ -13,9 +17,31 @@ from hatlm.infer import (
     step_byte,
 )
 
+from conftest import POOLS
+
 
 def make_session(params, cfg, mode="greedy", budget=32, **kw):
     return GenSession(params, cfg, SamplingConfig(mode, **kw), max_new_bytes=budget)
+
+
+def loop_prefill(session, prompt):
+    """Reference prefill of a non-empty prompt, one byte at a time through
+    the incremental path, as generation takes bytes: push the byte, step the
+    backbone for any words it closes, then encode and decode it."""
+    session.prompt = bytes(prompt)
+    for b in prompt:
+        session.gate.push(b)
+        events = session.splitter.push_byte(b)
+        if events:
+            infer._check_room(session, len(events))
+            session.pending_closes = events
+            session.prefill_words += len(events)
+            infer._consume_closes([session])
+        infer._encode_decode([session], [b])
+    if session.gate.mid_codepoint:
+        raise SessionError("prompt ends inside a multi-byte codepoint")
+    session.status = "mid_word"
+    return session
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +79,53 @@ def test_prefill_rejects_double_call(micro_cfg, micro_params):
     s = prefill(make_session(micro_params, micro_cfg), b"x")
     with pytest.raises(SessionError):
         prefill(s, b"y")
+
+
+PROMPT = st.lists(st.sampled_from([c for pool in POOLS for c in pool]),
+                  min_size=1, max_size=24).map("".join)
+
+
+def assert_close(a, b):
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b), initial=0.0) < 1e-4
+
+
+@given(prompt=PROMPT, script=PROMPT, cap=st.sampled_from([4, 16]))
+@example(prompt="abcdefg", script="h i", cap=16)            # one byte short of the window
+@example(prompt="abcdefgh", script="ij", cap=16)            # exactly the window
+@example(prompt="abcdefghijklmnopq r", script="s", cap=16)  # a word past the cap
+@example(prompt="abcde fg", script="h.", cap=4)
+@example(prompt="a+b", script="c", cap=16)                  # closes on the last byte
+@example(prompt="日本語", script="は", cap=16)              # a multi-byte close at the end
+@example(prompt="x \U0001F600", script="é", cap=4)
+@example(prompt="ééé❤️", script="ß", cap=4)
+@settings(max_examples=40, deadline=None)
+def test_prefill_matches_byte_loop(micro_cfg, micro_params, prompt, script, cap):
+    cfg = replace(micro_cfg, max_word_bytes=cap)
+
+    def make():
+        return GenSession(micro_params, cfg, SamplingConfig("forced", forced=script.encode()),
+                          max_new_bytes=len(script.encode()))
+    ref, got = loop_prefill(make(), prompt.encode()), prefill(make(), prompt.encode())
+    rows = ref.word_cache.rows
+    assert got.word_cache.rows == rows
+    for a, b in ((ref.cur_logits, got.cur_logits), (ref.enc_ring, got.enc_ring),
+                 (ref.dec_ring, got.dec_ring), (ref.inject, got.inject),
+                 (ref.word_cache.kv[:, :, :rows], got.word_cache.kv[:, :, :rows]),
+                 (np.stack(ref.pending_states), np.stack(got.pending_states))):
+        assert_close(a, b)
+    assert got.splitter == ref.splitter
+    assert got.gate == ref.gate
+    assert got.inc_index == ref.inc_index
+    assert got.consumed_spans == ref.consumed_spans
+    assert (got.pending_base, got.next_pos, got.prefill_words, got.backbone_calls) == \
+        (ref.pending_base, ref.next_pos, ref.prefill_words, ref.backbone_calls)
+    assert (got.committed, got.status) == (ref.committed, ref.status)
+    while not ref.finished:
+        step_byte(ref)
+        step_byte(got)
+        assert_close(ref.cur_logits, got.cur_logits)
+    assert got.finished and bytes(got.generated) == bytes(ref.generated)
 
 
 # ---------------------------------------------------------------------------

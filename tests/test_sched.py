@@ -241,7 +241,40 @@ def _state(s):
             infer.cache_report(s), s.enc_ring.tobytes(), s.dec_ring.tobytes(),
             s.word_cache.rows, s.word_cache.kv.tobytes(), len(s.pending_states),
             list(s.pending_closes), s.pending_byte, list(s._forced),
-            s.cur_logits.tobytes(), s.backbone_calls)
+            None if s.cur_logits is None else s.cur_logits.tobytes(), s.backbone_calls)
+
+
+# per case, a prompt prefill must reject and the backbone positions of the
+# model it runs on (None: the micro config's)
+FAILED_PREFILLS = {
+    "invalid-utf8": (b"abc \xff", None),
+    "ends-mid-codepoint": (b"ab c\xc3", None),
+    "more-closes-than-rows": (b"a b c d ", 3),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILED_PREFILLS))
+def test_failed_prefill_leaves_session_fresh(micro_cfg, micro_params, case):
+    prompt, rows = FAILED_PREFILLS[case]
+    cfg = (micro_cfg if rows is None
+           else replace(micro_cfg, backbone=replace(micro_cfg.backbone, max_positions=rows)))
+
+    def make():
+        return GenSession(micro_params, cfg, SamplingConfig("greedy"), max_new_bytes=8)
+
+    def extra(s):
+        return (s.prompt, s.sentinel_used, s.inc_index, s.consumed_spans, s.pending_base,
+                s.prefill_words, copy.copy(s.gate), s.inject.tobytes())
+    s, fresh = make(), make()
+    with pytest.raises(infer.SessionError):
+        prefill(s, prompt)
+    assert _state(s) == _state(fresh)
+    assert extra(s) == extra(fresh)
+    prefill(s, b"hi")
+    prefill(fresh, b"hi")
+    assert np.array_equal(s.cur_logits, fresh.cur_logits)
+    assert _state(s) == _state(fresh)
+    assert extra(s) == extra(fresh)
 
 
 @pytest.mark.parametrize("limit", ["encoder", "backbone"])

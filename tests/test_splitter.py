@@ -219,23 +219,6 @@ def test_push_rejects_lead_0xfe():
         IncrementalSplitterState().push_byte(BYTE_BOS)
 
 
-def test_from_prefix_matches_bytewise_push():
-    long_text = ((DATA / "english_sample.txt").read_text(encoding="utf-8")
-                 + (DATA / "german_sample.txt").read_text(encoding="utf-8"))
-    assert len(long_text.encode()) > 4096
-    for s in ["Hello, world! FooBar", "a+b 3.14", "  spaced  out  ", "你好 ok", long_text]:
-        data = s.encode()
-        st_a = IncrementalSplitterState.from_prefix(data)
-        st_b = IncrementalSplitterState()
-        st_b.push_bytes(data)
-        assert st_a.closed_words == st_b.closed_words
-        assert st_a.pending == st_b.pending
-        more = " und dann, FooBar 3.14 你好!".encode()
-        assert st_a.push_bytes(more) == st_b.push_bytes(more)
-        assert st_a.closed_words == st_b.closed_words
-        assert st_a.pending == st_b.pending
-
-
 def test_cap_closes_incrementally():
     st_ = IncrementalSplitterState(max_word_bytes=8)
     events = st_.push_bytes(b"a" * 20)
