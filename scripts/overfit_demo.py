@@ -35,11 +35,7 @@ def main() -> None:
                            steps=args.steps, seed=args.seed, seq_len=256)
     dt = time.time() - t0
 
-    chunks = [c for c in (corpus[i:i + 256] for i in range(0, len(corpus), 256))
-              if len(c) >= 2]
-    weights = [len(c) - 1 for c in chunks]
-    losses = [train.loss(res.params, cfg, c) for c in chunks]
-    per_byte = sum(l * w for l, w in zip(losses, weights)) / sum(weights)
+    per_byte = train.corpus_loss(res.params, cfg, corpus, seq_len=256)
     print(f"{args.steps} steps in {dt:.0f}s; final per-byte loss {per_byte:.4f}")
 
     args.out_dir.mkdir(parents=True, exist_ok=True)

@@ -203,8 +203,6 @@ def narrow(a, axis: int, start: int, length: int) -> Var:
     sl = tuple(sl)
 
     def bw(g):
-        if not a.rg:
-            return
         ga = np.zeros_like(a.v)
         ga[sl] = g
         _accum(a, ga, owned=True)

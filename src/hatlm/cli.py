@@ -101,12 +101,7 @@ def cmd_train_toy(args) -> int:
         train.write_loss_curve(result.loss_curve, args.loss_curve)
     if args.save:
         checkpoint.save(args.save, cfg, result.params)
-    chunks = [corpus[i:i + args.seq_len] for i in range(0, len(corpus), args.seq_len)]
-    chunks = [c for c in chunks if len(c) >= 2]
-    weights = [len(c) - 1 for c in chunks]
-    losses = [train.loss(result.params, cfg, c) for c in chunks]
-    final = sum(l * w for l, w in zip(losses, weights)) / sum(weights)
-    print(f"final_loss={final:.6f}")
+    print(f"final_loss={train.corpus_loss(result.params, cfg, corpus, args.seq_len):.6f}")
     print(f"steps={args.steps}")
     return 0
 

@@ -8,8 +8,9 @@ equal configs always produce byte-identical files (used both for bundled
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
-CONFIG_FORMAT_VERSION = 1
+CONFIG_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -53,31 +54,32 @@ class HatConfig:
     encoder: StackConfig
     backbone: StackConfig
     decoder: StackConfig
-    cross_hidden: int        # encoder-side connector width, equals backbone hidden
-    n_enc_cross_heads: int
-    n_dec_cross_heads: int
     max_word_bytes: int
     qk_norm: bool
     softcap: float | None    # attention logit cap, None disables
     norm_eps: float = 1e-5
-    byte_vocab: int = 256
+    byte_vocab: ClassVar[int] = 256
 
     def __post_init__(self):
         self.encoder.validate("encoder")
         self.backbone.validate("backbone")
         self.decoder.validate("decoder")
-        if self.cross_hidden != self.backbone.hidden:
-            raise ValueError("cross_hidden must equal backbone hidden")
-        if self.n_enc_cross_heads * self.encoder.head_size != self.cross_hidden:
-            raise ValueError("encoder cross heads must span cross_hidden")
-        if self.n_dec_cross_heads * self.decoder.head_size != self.decoder.hidden:
-            raise ValueError("decoder cross-attention inner dim must equal decoder hidden")
+        if self.backbone.hidden % self.encoder.head_size:
+            raise ValueError("backbone hidden must be divisible by encoder head_size")
         if self.encoder.hidden != self.decoder.hidden:
             raise ValueError("decoder consumes encoder states: hidden sizes must match")
-        if self.byte_vocab != 256:
-            raise ValueError("byte vocabulary is fixed at 256")
         if self.max_word_bytes < 4:
             raise ValueError("max_word_bytes must hold one UTF-8 codepoint")
+
+    @property
+    def cross_hidden(self) -> int:
+        """Width of the pooling connector: it emits backbone inputs."""
+        return self.backbone.hidden
+
+    @property
+    def n_enc_cross_heads(self) -> int:
+        """Pooling connector heads, each of the encoder's head size."""
+        return self.backbone.hidden // self.encoder.head_size
 
 
 def table1() -> HatConfig:
@@ -86,9 +88,6 @@ def table1() -> HatConfig:
         encoder=StackConfig(6, 8, 8, 128, 1024, 2.75, 1e5, 768, 262_144),
         backbone=StackConfig(32, 32, 8, 128, 4096, 3.5, 5e5, None, 32_900),
         decoder=StackConfig(4, 8, 8, 128, 1024, 2.75, 1e5, 768, 262_144),
-        cross_hidden=4096,
-        n_enc_cross_heads=32,
-        n_dec_cross_heads=8,
         max_word_bytes=128,
         qk_norm=False,
         softcap=None,
@@ -101,9 +100,6 @@ def table2() -> HatConfig:
         encoder=StackConfig(6, 16, 16, 128, 2048, 2.75, 1e5, 768, 98_304),
         backbone=StackConfig(80, 64, 8, 128, 8192, 3.5, 5e5, None, 12_288),
         decoder=StackConfig(4, 16, 16, 128, 2048, 2.75, 1e5, 768, 98_304),
-        cross_hidden=8192,
-        n_enc_cross_heads=64,
-        n_dec_cross_heads=16,
         max_word_bytes=128,
         qk_norm=False,
         softcap=None,
@@ -116,9 +112,6 @@ def micro() -> HatConfig:
         encoder=StackConfig(2, 2, 1, 8, 16, 2.0, 1e5, 8, 4096),
         backbone=StackConfig(2, 8, 4, 8, 64, 2.0, 5e5, None, 1024),
         decoder=StackConfig(2, 2, 1, 8, 16, 2.0, 1e5, 8, 4096),
-        cross_hidden=64,
-        n_enc_cross_heads=8,
-        n_dec_cross_heads=2,
         max_word_bytes=16,
         qk_norm=True,
         softcap=30.0,

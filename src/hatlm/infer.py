@@ -4,9 +4,9 @@ A generation session keeps two caches: per-layer byte-level K/V rings of
 the sliding window (encoder and decoder; fixed-shape arrays, slot
 `pos % window`, keys rotated before caching) and a growable word-level
 cache for the backbone. Bytes cycle through the lightweight encoder-decoder
-loop; the backbone runs only when the incremental splitter closes a word
-(plus once for the BOS position). The layer math mirrors the batch pass in
-:mod:`hatlm.model` and runs on the shared kernels.
+loop; the backbone runs only when the incremental splitter closes a word.
+The layer math mirrors the batch pass in :mod:`hatlm.model` and runs on the
+shared kernels.
 
 Every step is batched over sessions: `BatchRunner.run_tick` runs one byte
 step for all its byte-stepping sessions (sample and commit per session,
@@ -14,10 +14,11 @@ then one encoder+decoder pass for the bytes that closed no word) and one
 word step for all sessions at a boundary (pooling, backbone, decoder
 injections and the deferred byte; several closes run in rounds).
 `step_byte` is the same code at batch size one, so there is one
-implementation of the incremental math. `prefill` does not step: it runs
-one no-grad batch forward over the whole prompt (`model.prompt_pass`) with
-the word assignment the incremental splitter gives it, and fills the
-caches from that forward's keys, values and states. Its caches match a
+implementation of the incremental math. A new `GenSession` only
+allocates; `prefill` starts it without stepping: one no-grad batch forward
+over the prompt (`model.prompt_pass`; an empty prompt is the 0xFE
+sentinel), with the word assignment the incremental splitter gives it,
+fills the caches from that forward's keys, values and states. They match a
 byte-by-byte prefill within the 1e-4 incremental = batch tolerance, not
 bit for bit; solo and batched runs both call it, so they still agree
 exactly.
@@ -334,8 +335,7 @@ class GenSession:
         self.prefill_words = 0
         self.gen_closes = 0
         self.status = "prefilling"
-        bos = _word_stack([self], P["backbone.bos"][None])
-        self.inject = _dec_injections(P, cfg, bos)[0]   # [decoder layers, hidden]
+        self.inject: np.ndarray | None = None       # [decoder layers, hidden]
         self.cur_logits: np.ndarray | None = None
 
     def _take_span(self, ev: WordClosed) -> np.ndarray:
@@ -405,7 +405,8 @@ def _check_room(s: GenSession, closes: int, index: int | None = None) -> None:
 # batched steps: every public step below is one of these at batch size one
 
 def _encode_decode(sessions: list[GenSession], byte_vals: list[int]) -> None:
-    """Encode and decode byte_vals[b] for sessions[b], all in one step."""
+    """Encode and decode the committed text byte byte_vals[b] for
+    sessions[b], all in one step."""
     P, cfg = sessions[0].params, sessions[0].cfg
     pos = np.array([s.next_pos for s in sessions])
     x = _byte_stack(P, "encoder", cfg, [s.enc_ring for s in sessions],
@@ -414,10 +415,9 @@ def _encode_decode(sessions: list[GenSession], byte_vals: list[int]) -> None:
                     np.stack([s.inject for s in sessions]))
     logits = matmul_rows(rms_norm(y, cfg.norm_eps, P["decoder.final_norm.gain"]),
                          P["decoder.lm_head"])
-    for s, b, state, row in zip(sessions, byte_vals, x, logits):
-        if b not in (BYTE_BOS, BYTE_EOS):
-            s.pending_states.append(state.copy())
-            s.inc_index.append(s.word_cache.rows - 1)
+    for s, state, row in zip(sessions, x, logits):
+        s.pending_states.append(state.copy())
+        s.inc_index.append(s.word_cache.rows - 1)
         s.cur_logits = row.copy()
         s.next_pos += 1
 
@@ -492,12 +492,13 @@ def prefill(session: GenSession, prompt_bytes: bytes) -> GenSession:
     splitter, byte by byte: that gives the words it closes and, per byte,
     the backbone row its decoder reads (`inc_index`), exactly as generation
     would have assigned them. Then one no-grad forward with that assignment
-    (`model.prompt_pass`) yields everything the session caches. A prompt
-    that is not valid UTF-8, ends inside a codepoint or needs more positions
-    than the model has raises SessionError before the session changes.
+    (`model.prompt_pass`) yields everything the session caches, the BOS
+    backbone position included. A prompt that is not valid UTF-8, ends
+    inside a codepoint or needs more positions than the model has raises
+    SessionError before the session changes.
 
-    An empty prompt seeds the stream with the 0xFE sentinel so the first
-    byte can be predicted from begin-of-sequence context alone."""
+    An empty prompt runs as the 0xFE sentinel, so the first byte is predicted
+    from begin-of-sequence context alone; the sentinel is not text."""
     if session.status != "prefilling":
         raise SessionError("session already prefilled")
     cfg = session.cfg
@@ -505,11 +506,6 @@ def prefill(session: GenSession, prompt_bytes: bytes) -> GenSession:
     n = len(prompt_bytes)
     if n > limit:
         raise SessionError(f"prompt of {n} bytes exceeds the byte positions ({limit})")
-    if not prompt_bytes:
-        session.sentinel_used = True
-        _encode_decode([session], [BYTE_BOS])
-        session.status = "mid_word"
-        return session
     gate = Utf8Gate()
     splitter = IncrementalSplitterState(max_word_bytes=cfg.max_word_bytes)
     closes: list[WordClosed] = []
@@ -524,12 +520,14 @@ def prefill(session: GenSession, prompt_bytes: bytes) -> GenSession:
         raise SessionError(f"backbone positions exhausted ({cfg.backbone.max_positions})")
 
     spans = [(ev.start, ev.end) for ev in closes]
+    ids = prompt_bytes or bytes([BYTE_BOS])
+    m = len(ids)
     fw = model.prompt_pass(session.params, cfg,
-                           np.frombuffer(prompt_bytes, dtype=np.uint8).astype(np.int64),
-                           spans, np.array(index, dtype=np.int64))
+                           np.frombuffer(ids, dtype=np.uint8).astype(np.int64),
+                           spans, np.array(index or [0], dtype=np.int64))
     for ring, kv, w in ((session.enc_ring, fw.encoder_kv, cfg.encoder.window),
                         (session.dec_ring, fw.decoder_kv, cfg.decoder.window)):
-        pos = np.arange(max(0, n - w), n)
+        pos = np.arange(max(0, m - w), m)
         for i, (k, v) in enumerate(kv):
             ring[i, 0, pos % w] = k[:, pos].swapaxes(0, 1)
             ring[i, 1, pos % w] = v[:, pos].swapaxes(0, 1)
@@ -541,13 +539,14 @@ def prefill(session: GenSession, prompt_bytes: bytes) -> GenSession:
     cache.rows = rows
     session.inject = _dec_injections(session.params, cfg, fw.backbone_outputs[-1:])[0]
     session.pending_base = spans[-1][1] if spans else 0
-    session.pending_states = list(fw.byte_states[session.pending_base:].copy())
+    session.pending_states = list(fw.byte_states[session.pending_base:n].copy())
     session.consumed_spans = spans
     session.inc_index = index
     session.cur_logits = fw.logits.copy()
-    session.next_pos = n
+    session.next_pos = m
     session.prefill_words = len(closes)
-    session.backbone_calls += len(closes)
+    session.backbone_calls += len(closes) + 1
+    session.sentinel_used = not prompt_bytes
     session.gate, session.splitter = gate, splitter
     session.prompt = bytes(prompt_bytes)
     session.status = "mid_word"

@@ -1,5 +1,5 @@
-"""Model construction, the teacher-forced forward pass, and the prompt pass
-that fills a generation session's caches.
+"""Model construction, the teacher-forced forward pass of training and
+evaluation, and the prompt pass of generation (caches and oracle).
 
 The network has three transformer stacks (byte encoder, word backbone, byte
 decoder) bridged by two connectors: learned-query cross-attention pooling
@@ -175,13 +175,7 @@ class ForwardTrace:
     word_embeddings: np.ndarray   # [n_words, h_bb]
     backbone_outputs: np.ndarray  # [n_words, h_bb] (consumed rows)
     logits: np.ndarray            # [n_bytes, 256]
-    logits_var: ad.Var | None = None  # set when built with gradients enabled
-
-
-def _as_vars(params, rg: bool) -> dict[str, ad.Var]:
-    if params and isinstance(next(iter(params.values())), ad.Var):
-        return params
-    return {k: ad.wrap(v, rg=rg) for k, v in params.items()}
+    logits_var: ad.Var            # the same logits as a graph node
 
 
 def _self_attn(P, prefix: str, x: ad.Var, s: StackConfig, cfg: HatConfig,
@@ -320,56 +314,6 @@ def decode_bytes_var(P, cfg: HatConfig, byte_states: ad.Var, bb_out: ad.Var,
     return ad.matmul(h, P["decoder.lm_head"])
 
 
-# array-level views of the stage operations (inference / test surface)
-
-def encode_bytes(params, cfg: HatConfig, byte_ids) -> np.ndarray:
-    """Embedding lookup plus the sliding-window encoder stack; one state row
-    per input byte."""
-    P = _as_vars(params, rg=False)
-    return encode_bytes_var(P, cfg, np.asarray(byte_ids, dtype=np.int64)).v
-
-
-def pool_words(params, cfg: HatConfig, byte_states, spans) -> np.ndarray:
-    P = _as_vars(params, rg=False)
-    return pool_words_var(P, cfg, ad.wrap(byte_states), list(spans)).v
-
-
-def backbone_forward(params, cfg: HatConfig, word_embs) -> np.ndarray:
-    """Returns n_words + 1 output rows; row k is the predictor for word k."""
-    P = _as_vars(params, rg=False)
-    return backbone_forward_var(P, cfg, ad.wrap(word_embs)).v
-
-
-def decode_bytes(params, cfg: HatConfig, byte_states, backbone_outputs, word_index) -> np.ndarray:
-    P = _as_vars(params, rg=False)
-    return decode_bytes_var(P, cfg, ad.wrap(byte_states), ad.wrap(backbone_outputs),
-                            np.asarray(word_index, dtype=np.int64)).v
-
-
-def forward_assigned(params, cfg: HatConfig, byte_ids: np.ndarray,
-                     pool_spans: list[tuple[int, int]], byte_row: np.ndarray,
-                     want_grad: bool = False) -> ForwardTrace:
-    """Forward pass with an explicit word assignment.
-
-    `byte_ids` may include sentinel bytes; `pool_spans` are [start, end)
-    offsets into `byte_ids` for the words to pool; `byte_row[i]` selects the
-    backbone output row byte i cross-attends to (0 = BOS-position output).
-    """
-    P = _as_vars(params, rg=want_grad)
-    byte_states = encode_bytes_var(P, cfg, byte_ids)
-    word_embs = pool_words_var(P, cfg, byte_states, pool_spans)
-    bb_all = backbone_forward_var(P, cfg, word_embs)
-    logits = decode_bytes_var(P, cfg, byte_states, bb_all, byte_row)
-    n = word_embs.shape[0]
-    return ForwardTrace(
-        byte_states=byte_states.v,
-        word_embeddings=word_embs.v,
-        backbone_outputs=bb_all.v[:n],
-        logits=logits.v,
-        logits_var=logits if want_grad else None,
-    )
-
-
 @dataclass
 class PromptPass:
     """A no-grad forward over a prompt, with what an incremental session
@@ -385,29 +329,37 @@ class PromptPass:
 
 def prompt_pass(params, cfg: HatConfig, byte_ids: np.ndarray,
                 pool_spans: list[tuple[int, int]], byte_row: np.ndarray) -> PromptPass:
-    """`forward_assigned` without gradients, keeping each self-attention
-    layer's K and V; only the last byte reaches the head."""
-    P = _as_vars(params, rg=False)
+    """Forward pass over `byte_ids` (which may hold the 0xFE sentinel) that
+    pools the [start, end) `pool_spans` and lets byte i read backbone row
+    `byte_row[i]` (0 = BOS). Keeps each self-attention layer's K and V; only
+    the last byte reaches the head."""
     kv = {"encoder": [], "backbone": [], "decoder": []}
-    byte_states = encode_bytes_var(P, cfg, byte_ids, kv["encoder"])
-    word_embs = pool_words_var(P, cfg, byte_states, pool_spans)
-    bb_all = backbone_forward_var(P, cfg, word_embs, kv["backbone"])
-    logits = decode_bytes_var(P, cfg, byte_states, bb_all, byte_row, kv["decoder"],
+    byte_states = encode_bytes_var(params, cfg, byte_ids, kv["encoder"])
+    word_embs = pool_words_var(params, cfg, byte_states, pool_spans)
+    bb_all = backbone_forward_var(params, cfg, word_embs, kv["backbone"])
+    logits = decode_bytes_var(params, cfg, byte_states, bb_all, byte_row, kv["decoder"],
                               last_only=True)
     return PromptPass(byte_states.v, bb_all.v, logits.v[0], kv["encoder"],
                       kv["backbone"], kv["decoder"])
 
 
-def forward(params, cfg: HatConfig, data: bytes, want_grad: bool = False) -> ForwardTrace:
+def forward(params, cfg: HatConfig, data: bytes) -> ForwardTrace:
     """Teacher-forced forward over text bytes: split -> encode -> pool ->
-    backbone -> decode. logits[i] predicts byte i+1."""
+    backbone -> decode. logits[i] predicts byte i+1.
+
+    `params` maps names to arrays or to `ad.Var`s; the graph records a tape
+    exactly when one of them requires a gradient."""
     result = split(data, cfg.max_word_bytes)
     spans = [(s.start, s.end) for s in result.spans]
     byte_row = np.empty(len(data), dtype=np.int64)
     for j, (a, b) in enumerate(spans):
         byte_row[a:b] = j
     byte_ids = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
-    return forward_assigned(params, cfg, byte_ids, spans, byte_row, want_grad)
+    byte_states = encode_bytes_var(params, cfg, byte_ids)
+    word_embs = pool_words_var(params, cfg, byte_states, spans)
+    bb_all = backbone_forward_var(params, cfg, word_embs)
+    logits = decode_bytes_var(params, cfg, byte_states, bb_all, byte_row)
+    return ForwardTrace(byte_states.v, word_embs.v, bb_all.v[:len(spans)], logits.v, logits)
 
 
 def next_byte_logits(params, cfg: HatConfig, committed: bytes,
@@ -427,5 +379,4 @@ def next_byte_logits(params, cfg: HatConfig, committed: bytes,
         ids = np.concatenate([np.array([BYTE_BOS], dtype=np.int64), ids])
         closed_spans = [(a + 1, b + 1) for a, b in closed_spans]
         inc_index = np.concatenate([np.zeros(1, dtype=np.int64), inc_index])
-    trace = forward_assigned(params, cfg, ids, closed_spans, inc_index)
-    return trace.logits[-1]
+    return prompt_pass(params, cfg, ids, closed_spans, inc_index).logits

@@ -103,33 +103,42 @@ def hatification_policy(frozen_steps: int = 2000,
 # ---------------------------------------------------------------------------
 # loss and gradients
 
-def loss(params, cfg: HatConfig, data: bytes) -> float:
-    """Mean next-byte cross-entropy over the len(data)-1 predictable positions."""
+def _loss_var(params, cfg: HatConfig, data: bytes) -> ad.Var:
     if len(data) < 2:
         raise ValueError("need at least 2 bytes to form a prediction target")
     trace = forward(params, cfg, data)
     targets = np.frombuffer(data, dtype=np.uint8)[1:].astype(np.int64)
-    return float(ad.cross_entropy(trace.logits[:-1], targets).v)
+    return ad.cross_entropy(ad.narrow(trace.logits_var, 0, 0, len(data) - 1), targets)
+
+
+def loss(params, cfg: HatConfig, data: bytes) -> float:
+    """Mean next-byte cross-entropy over the len(data)-1 predictable positions."""
+    return float(_loss_var(params, cfg, data).v)
 
 
 def loss_and_grads(params, cfg: HatConfig, data: bytes,
                    frozen: tuple[str, ...] = ()) -> tuple[float, dict]:
-    if len(data) < 2:
-        raise ValueError("need at least 2 bytes to form a prediction target")
+    """The loss and its analytic gradients, with frozen groups exactly zero."""
     P = {k: ad.wrap(v, rg=group_of(k) not in frozen) for k, v in params.items()}
-    trace = forward(P, cfg, data, want_grad=True)
-    targets = np.frombuffer(data, dtype=np.uint8)[1:].astype(np.int64)
-    out = ad.cross_entropy(ad.narrow(trace.logits_var, 0, 0, len(data) - 1), targets)
+    out = _loss_var(P, cfg, data)
     ad.backward(out)
     grads = {k: (P[k].grad if P[k].grad is not None else np.zeros_like(v))
              for k, v in params.items()}
     return float(out.v), grads
 
 
-def backward(params, cfg: HatConfig, data: bytes,
-             frozen: tuple[str, ...] = ()) -> dict:
-    """Analytic gradients of the loss, with frozen groups exactly zero."""
-    return loss_and_grads(params, cfg, data, frozen)[1]
+def documents(corpus: bytes, seq_len: int) -> list[bytes]:
+    """The corpus cut into seq_len-byte documents of at least 2 bytes."""
+    docs = [corpus[i:i + seq_len] for i in range(0, len(corpus), seq_len)]
+    return [d for d in docs if len(d) >= 2]
+
+
+def corpus_loss(params, cfg: HatConfig, corpus: bytes, seq_len: int) -> float:
+    """Per-byte loss over the corpus's documents: each document's mean loss
+    weighted by the bytes it predicts."""
+    docs = documents(corpus, seq_len)
+    return (sum(loss(params, cfg, d) * (len(d) - 1) for d in docs)
+            / sum(len(d) - 1 for d in docs))
 
 
 def clip_global_norm(grads: dict, max_norm: float,
@@ -208,8 +217,7 @@ def train_loop(cfg: HatConfig, corpus: bytes, schedule: LrSchedule,
     """
     if not corpus:
         raise ValueError("empty corpus")
-    chunks = [corpus[i:i + seq_len] for i in range(0, len(corpus), seq_len)]
-    chunks = [c for c in chunks if len(c) >= 2]
+    chunks = documents(corpus, seq_len)
     if not chunks:
         raise ValueError("corpus too short for the sequence length")
     if params is None:

@@ -16,6 +16,7 @@ from hatlm.infer import (
     sample_from_logits,
     step_byte,
 )
+from hatlm.splitter import BYTE_BOS
 
 from conftest import POOLS
 
@@ -25,9 +26,18 @@ def make_session(params, cfg, mode="greedy", budget=32, **kw):
 
 
 def loop_prefill(session, prompt):
-    """Reference prefill of a non-empty prompt, one byte at a time through
-    the incremental path, as generation takes bytes: push the byte, step the
-    backbone for any words it closes, then encode and decode it."""
+    """Reference prefill, one byte at a time through the incremental path,
+    as generation takes bytes: step the backbone for BOS, then per byte push
+    it, step the backbone for any words it closes, and encode and decode it.
+    An empty prompt encodes and decodes the 0xFE sentinel, which is not
+    text: it leaves no pending state and no `inc_index` entry."""
+    P, cfg = session.params, session.cfg
+    bos = infer._word_stack([session], P["backbone.bos"][None])
+    session.inject = infer._dec_injections(P, cfg, bos)[0]
+    if not prompt:
+        infer._encode_decode([session], [BYTE_BOS])
+        session.pending_states, session.inc_index = [], []
+        session.sentinel_used = True
     session.prompt = bytes(prompt)
     for b in prompt:
         session.gate.push(b)
@@ -60,6 +70,12 @@ def test_prefill_twice_identical_state(micro_cfg, micro_params):
     assert np.array_equal(a.cur_logits, b.cur_logits)
     assert cache_report(a) == cache_report(b)
     assert a.backbone_calls == b.backbone_calls
+
+
+def test_new_session_only_allocates(micro_cfg, micro_params):
+    s = make_session(micro_params, micro_cfg)
+    assert (s.backbone_calls, s.word_cache.rows, s.next_pos) == (0, 0, 0)
+    assert s.inject is None and s.cur_logits is None
 
 
 def test_prefill_empty_prompt_uses_sentinel(micro_cfg, micro_params):
@@ -99,6 +115,7 @@ def assert_close(a, b):
 @example(prompt="日本語", script="は", cap=16)              # a multi-byte close at the end
 @example(prompt="x \U0001F600", script="é", cap=4)
 @example(prompt="ééé❤️", script="ß", cap=4)
+@example(prompt="", script="hi", cap=16)                    # the sentinel alone
 @settings(max_examples=40, deadline=None)
 def test_prefill_matches_byte_loop(micro_cfg, micro_params, prompt, script, cap):
     cfg = replace(micro_cfg, max_word_bytes=cap)
@@ -112,14 +129,15 @@ def test_prefill_matches_byte_loop(micro_cfg, micro_params, prompt, script, cap)
     for a, b in ((ref.cur_logits, got.cur_logits), (ref.enc_ring, got.enc_ring),
                  (ref.dec_ring, got.dec_ring), (ref.inject, got.inject),
                  (ref.word_cache.kv[:, :, :rows], got.word_cache.kv[:, :, :rows]),
-                 (np.stack(ref.pending_states), np.stack(got.pending_states))):
+                 (np.array(ref.pending_states), np.array(got.pending_states))):
         assert_close(a, b)
     assert got.splitter == ref.splitter
     assert got.gate == ref.gate
     assert got.inc_index == ref.inc_index
     assert got.consumed_spans == ref.consumed_spans
-    assert (got.pending_base, got.next_pos, got.prefill_words, got.backbone_calls) == \
-        (ref.pending_base, ref.next_pos, ref.prefill_words, ref.backbone_calls)
+    assert (got.pending_base, got.next_pos, got.prefill_words, got.backbone_calls,
+            got.sentinel_used) == (ref.pending_base, ref.next_pos, ref.prefill_words,
+                                   ref.backbone_calls, ref.sentinel_used)
     assert (got.committed, got.status) == (ref.committed, ref.status)
     while not ref.finished:
         step_byte(ref)

@@ -110,6 +110,11 @@ def test_loss_at_random_init_near_uniform(micro_cfg):
     assert abs(val - np.log(256)) < 0.5
 
 
+def test_forward_with_array_params_keeps_no_tape(micro_cfg, micro_params):
+    logits = model.forward(micro_params, micro_cfg, b"no tape here").logits_var
+    assert not logits.rg and logits._parents == ()
+
+
 def test_logits_softmax_rows_sum_to_one(micro_cfg, micro_params):
     tr = model.forward(micro_params, micro_cfg, b"softmax rows")
     p = np.exp(tr.logits - tr.logits.max(-1, keepdims=True))
@@ -120,7 +125,7 @@ def test_logits_softmax_rows_sum_to_one(micro_cfg, micro_params):
 def test_over_length_input_rejected(micro_cfg, micro_params):
     data = b"x" * (micro_cfg.encoder.max_positions + 1)
     with pytest.raises(ValueError):
-        model.encode_bytes(micro_params, micro_cfg, np.frombuffer(data, np.uint8))
+        model.encode_bytes_var(micro_params, micro_cfg, np.frombuffer(data, np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +149,8 @@ def test_word_level_future_perturbation(micro_cfg, micro_params):
     spans = [(s.start, s.end) for s in split(data).spans]
     we = tr.word_embeddings.copy()
     we[2] += 1.0
-    out_base = model.backbone_forward(micro_params, micro_cfg, tr.word_embeddings)
-    out_pert = model.backbone_forward(micro_params, micro_cfg, we)
+    out_base = model.backbone_forward_var(micro_params, micro_cfg, tr.word_embeddings).v
+    out_pert = model.backbone_forward_var(micro_params, micro_cfg, we).v
     assert np.array_equal(out_base[:3], out_pert[:3])   # rows 0..2 see words < 2 only
     assert not np.array_equal(out_base[3:], out_pert[3:])
 
@@ -155,11 +160,11 @@ def test_cross_word_leakage(micro_cfg, micro_params):
     data = b"aaa bbb ccc ddd"
     tr = model.forward(micro_params, micro_cfg, data)
     word_index = np.array([0] * 3 + [1] * 4 + [2] * 4 + [3] * 4)
-    bb = model.backbone_forward(micro_params, micro_cfg, tr.word_embeddings)
+    bb = model.backbone_forward_var(micro_params, micro_cfg, tr.word_embeddings).v
     bb_pert = bb.copy()
     bb_pert[2] += 3.0  # row consumed only by bytes with word_index == 2
-    a = model.decode_bytes(micro_params, micro_cfg, tr.byte_states, bb, word_index)
-    b = model.decode_bytes(micro_params, micro_cfg, tr.byte_states, bb_pert, word_index)
+    a = model.decode_bytes_var(micro_params, micro_cfg, tr.byte_states, bb, word_index).v
+    b = model.decode_bytes_var(micro_params, micro_cfg, tr.byte_states, bb_pert, word_index).v
     assert np.array_equal(a[:7], b[:7])
     assert not np.array_equal(a[7:11], b[7:11])
 
@@ -171,18 +176,18 @@ def test_attention_mask_exactness_sliding(micro_cfg):
     params = model.init_params(cfg, seed=5)
     w, t = cfg.encoder.window, 20
     ids = np.frombuffer(b"sliding window probe", dtype=np.uint8).astype(np.int64)
-    base = model.encode_bytes(params, cfg, ids)
+    base = model.encode_bytes_var(params, cfg, ids).v
     far, near = ids.copy(), ids.copy()
     far[t - 1 - w] ^= 1
     near[t - w] ^= 1
-    assert np.array_equal(base[-1], model.encode_bytes(params, cfg, far)[-1])
-    assert not np.array_equal(base[-1], model.encode_bytes(params, cfg, near)[-1])
+    assert np.array_equal(base[-1], model.encode_bytes_var(params, cfg, far).v[-1])
+    assert not np.array_equal(base[-1], model.encode_bytes_var(params, cfg, near).v[-1])
 
 
 def test_single_byte_matches_self_only_attention_path(micro_cfg, micro_params):
     # one-byte input: every attention row is a softmax over one key
     from hatlm import kernels as K
-    got = model.encode_bytes(micro_params, micro_cfg, [65])
+    got = model.encode_bytes_var(micro_params, micro_cfg, np.array([65])).v
     x = micro_params["encoder.byte_embedding"][65]
     s, cfg = micro_cfg.encoder, micro_cfg
     for i in range(s.n_layers):
@@ -210,7 +215,7 @@ def test_pool_single_byte_span_is_projection(micro_cfg, micro_params):
     # softmax over one key: output is exactly O(V(state))
     state = np.random.default_rng(3).standard_normal((1, micro_cfg.encoder.hidden)) \
         .astype(np.float32)
-    got = model.pool_words(micro_params, micro_cfg, state, [(0, 1)])
+    got = model.pool_words_var(micro_params, micro_cfg, state, [(0, 1)]).v
     expect = (state @ micro_params["connector.wv"]) @ micro_params["connector.wo"]
     assert np.allclose(got, expect, atol=1e-6)
 
@@ -219,32 +224,32 @@ def test_pool_identical_bytes_match_single(micro_cfg, micro_params):
     rng = np.random.default_rng(4)
     row = rng.standard_normal((1, micro_cfg.encoder.hidden)).astype(np.float32)
     two = np.concatenate([row, row], axis=0)
-    one_out = model.pool_words(micro_params, micro_cfg, row, [(0, 1)])
-    two_out = model.pool_words(micro_params, micro_cfg, two, [(0, 2)])
+    one_out = model.pool_words_var(micro_params, micro_cfg, row, [(0, 1)]).v
+    two_out = model.pool_words_var(micro_params, micro_cfg, two, [(0, 2)]).v
     assert np.allclose(one_out, two_out, atol=1e-6)
 
 
 def test_pool_output_shape(micro_cfg, micro_params):
     states = np.random.default_rng(5).standard_normal((9, micro_cfg.encoder.hidden)) \
         .astype(np.float32)
-    out = model.pool_words(micro_params, micro_cfg, states, [(0, 3), (3, 4), (4, 9)])
+    out = model.pool_words_var(micro_params, micro_cfg, states, [(0, 3), (3, 4), (4, 9)]).v
     assert out.shape == (3, micro_cfg.backbone.hidden)
 
 
 def test_pool_empty_span_rejected(micro_cfg, micro_params):
     states = np.zeros((3, micro_cfg.encoder.hidden), dtype=np.float32)
     with pytest.raises(ValueError):
-        model.pool_words(micro_params, micro_cfg, states, [(1, 1)])
+        model.pool_words_var(micro_params, micro_cfg, states, [(1, 1)])
 
 
 def test_pool_span_ignores_states_outside_it(micro_cfg, micro_params):
     states = np.random.default_rng(8).standard_normal((7, micro_cfg.encoder.hidden)) \
         .astype(np.float32)
     spans = [(0, 2), (2, 5), (5, 7)]
-    base = model.pool_words(micro_params, micro_cfg, states, spans)
+    base = model.pool_words_var(micro_params, micro_cfg, states, spans).v
     pert = states.copy()
     pert[[0, 6]] += 9.0
-    out = model.pool_words(micro_params, micro_cfg, pert, spans)
+    out = model.pool_words_var(micro_params, micro_cfg, pert, spans).v
     assert np.array_equal(base[1], out[1])
     assert not np.array_equal(base[0], out[0])
 
@@ -414,6 +419,25 @@ def test_from_text_rejects_bad_sizes(key, value):
              for ln in config.to_text(config.micro()).splitlines()]
     with pytest.raises(ValueError, match=key.split(".")[1]):
         config.from_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("edit,match", [
+    (("format_version=2", "format_version=1"), "format version 1"),
+    (("max_word_bytes=16", "cross_hidden=64\nmax_word_bytes=16"), "cross_hidden"),
+], ids=["v1", "cross_hidden"])
+def test_from_text_rejects_v1_and_derived_keys(edit, match):
+    text = config.to_text(config.micro())
+    assert edit[0] in text
+    with pytest.raises(ValueError, match=match):
+        config.from_text(text.replace(*edit))
+
+
+def test_connector_heads_must_tile_backbone_hidden():
+    # the pooling connector has backbone.hidden / encoder.head_size heads
+    cfg = config.micro()
+    bb = replace(cfg.backbone, n_heads=6, n_kv_heads=3, head_size=10, hidden=60)
+    with pytest.raises(ValueError, match="divisible"):
+        replace(cfg, backbone=bb)
 
 
 def test_config_text_roundtrip():

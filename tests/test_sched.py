@@ -264,7 +264,8 @@ def test_failed_prefill_leaves_session_fresh(micro_cfg, micro_params, case):
 
     def extra(s):
         return (s.prompt, s.sentinel_used, s.inc_index, s.consumed_spans, s.pending_base,
-                s.prefill_words, copy.copy(s.gate), s.inject.tobytes())
+                s.prefill_words, copy.copy(s.gate),
+                None if s.inject is None else s.inject.tobytes())
     s, fresh = make(), make()
     with pytest.raises(infer.SessionError):
         prefill(s, prompt)

@@ -42,6 +42,14 @@ def test_loss_requires_two_bytes(micro_cfg, micro_params):
         train.loss(micro_params, micro_cfg, b"a")
 
 
+def test_corpus_loss_weights_documents_by_predicted_bytes(micro_cfg, micro_params):
+    assert [len(d) for d in train.documents(b"x" * 27, 13)] == [13, 13]   # 1-byte tail dropped
+    corpus = b"Per-byte loss over three docs."               # 30 bytes: 13, 13 and 4
+    losses = [train.loss(micro_params, micro_cfg, corpus[i:i + 13]) for i in (0, 13, 26)]
+    expect = (12 * losses[0] + 12 * losses[1] + 3 * losses[2]) / 27
+    assert train.corpus_loss(micro_params, micro_cfg, corpus, 13) == pytest.approx(expect, rel=1e-12)
+
+
 def test_loss_nonnegative(micro_cfg, micro_params):
     assert train.loss(micro_params, micro_cfg, b"some text here") >= 0.0
 
