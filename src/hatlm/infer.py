@@ -31,14 +31,15 @@ and pooling attention reads stay per session over exactly that session's
 rows (padding a masked read changes its bits). Only the byte rings, the
 same shape for every session, are read batched, under a valid mask.
 
-Sampling is constrained to bytes that keep the output a valid UTF-8 stream
-(the end sentinel 0xFF is allowed at codepoint boundaries); a batch
-recomputation oracle for the same assignment lives in
-:mod:`hatlm.model.next_byte_logits`.
+A session's prompt and output are one byte stream through one splitter,
+whose UTF-8 gate masks sampling to the bytes it accepts (and the end
+sentinel 0xFF at codepoint boundaries); :func:`hatlm.model.next_byte_logits`
+is the batch recomputation oracle for the same word assignment.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -48,7 +49,7 @@ from . import model
 from .config import HatConfig, StackConfig
 from .kernels import (attend, matmul_rows, rms_norm, rope_angles, rotate, softmax,
                       swiglu_ffn)
-from .splitter import BYTE_BOS, BYTE_EOS, IncrementalSplitterState, WordClosed
+from .splitter import BYTE_EOS, IncrementalSplitterState, SplitError, WordClosed, stream
 
 
 class SessionError(RuntimeError):
@@ -62,65 +63,6 @@ class SessionError(RuntimeError):
     def __init__(self, message: str, session: int | None = None):
         super().__init__(message if session is None else f"s{session}: {message}")
         self.session = session
-
-
-# ---------------------------------------------------------------------------
-# UTF-8 output gate
-
-_BOUNDARY_OK = np.zeros(256, dtype=bool)
-_BOUNDARY_OK[0x00:0x80] = True
-_BOUNDARY_OK[0xC2:0xE0] = True
-_BOUNDARY_OK[0xE0:0xF0] = True
-_BOUNDARY_OK[0xF0:0xF5] = True
-
-_FIRST_CONT = {0xE0: (0xA0, 0xBF), 0xED: (0x80, 0x9F),
-               0xF0: (0x90, 0xBF), 0xF4: (0x80, 0x8F)}
-
-
-@dataclass
-class Utf8Gate:
-    """Tracks the in-flight codepoint so sampling can mask invalid bytes."""
-    need: int = 0
-    lo: int = 0x80
-    hi: int = 0xBF
-
-    def allowed(self, allow_eos: bool = True) -> np.ndarray:
-        if self.need == 0:
-            mask = _BOUNDARY_OK.copy()
-            mask[BYTE_EOS] = allow_eos
-            return mask
-        mask = np.zeros(256, dtype=bool)
-        mask[self.lo:self.hi + 1] = True
-        return mask
-
-    def admits(self, b: int) -> bool:
-        """`allowed()[b]`, without building the mask."""
-        if self.need:
-            return self.lo <= b <= self.hi
-        return b == BYTE_EOS or bool(_BOUNDARY_OK[b])
-
-    def push(self, b: int) -> None:
-        if self.need:
-            if not self.lo <= b <= self.hi:
-                raise SessionError(f"byte {b:#x} breaks the UTF-8 stream")
-            self.need -= 1
-            self.lo, self.hi = 0x80, 0xBF
-            return
-        if b < 0x80:
-            return
-        if 0xC2 <= b <= 0xDF:
-            self.need = 1
-        elif 0xE0 <= b <= 0xEF:
-            self.need = 2
-        elif 0xF0 <= b <= 0xF4:
-            self.need = 3
-        else:
-            raise SessionError(f"byte {b:#x} cannot start a UTF-8 sequence")
-        self.lo, self.hi = _FIRST_CONT.get(b, (0x80, 0xBF))
-
-    @property
-    def mid_codepoint(self) -> bool:
-        return self.need > 0
 
 
 @dataclass(frozen=True)
@@ -320,7 +262,6 @@ class GenSession:
         self.dec_ring = _ring(cfg.decoder, dtype)
         self.word_cache = WordCache(cfg.backbone, dtype)
         self.splitter = IncrementalSplitterState(max_word_bytes=cfg.max_word_bytes)
-        self.gate = Utf8Gate()
         self.prompt = b""
         self.generated = bytearray()
         self.sentinel_used = False
@@ -350,7 +291,6 @@ class GenSession:
         return states
 
     def _commit_push(self, b: int) -> list[WordClosed]:
-        self.gate.push(b)
         events = self.splitter.push_byte(b)
         self.generated.append(b)
         return events
@@ -363,16 +303,22 @@ class GenSession:
             raise SessionError("session has no logits; prefill first", index)
         if self.sampling.mode == "forced" and self._forced:
             b = self._forced[0]
-            if not self.gate.admits(b):
+            if not self.splitter.gate.admits(b):
                 raise SessionError(f"forced byte {b:#x} is not a legal continuation",
                                    index)
+
+    def peek(self, rng) -> int:
+        """The byte `sample` picks next if it draws from `rng`; pops nothing."""
+        if self.sampling.mode == "forced":
+            return self._forced[0] if self._forced else BYTE_EOS
+        return sample_from_logits(self.cur_logits, self.splitter.gate.allowed(),
+                                  self.sampling, rng)
 
     def sample(self) -> int:
         self.check_sample()
         if self.sampling.mode == "forced":
             return self._forced.popleft() if self._forced else BYTE_EOS
-        return sample_from_logits(self.cur_logits, self.gate.allowed(),
-                                  self.sampling, self.rng)
+        return self.peek(self.rng)
 
     @property
     def committed(self) -> bytes:
@@ -399,6 +345,19 @@ def _check_room(s: GenSession, closes: int, index: int | None = None) -> None:
     if s.word_cache.rows + closes > cfg.backbone.max_positions:
         raise SessionError(
             f"backbone positions exhausted ({cfg.backbone.max_positions})", index)
+
+
+def _check_byte_step(s: GenSession, index: int | None) -> None:
+    """Raise SessionError (naming session `index`) unless `s` can sample its
+    next byte and has positions for it and the words it closes (at least
+    one). A push closes at most `len(buf) + 1` words; only near the limit is
+    the pick pushed into a copy of the splitter to count them."""
+    _check_room(s, 1, index)
+    s.check_sample(index)
+    if s.word_cache.rows + len(s.splitter.buf) + 1 > s.cfg.backbone.max_positions:
+        b = s.peek(copy.deepcopy(s.rng))
+        if b != BYTE_EOS:
+            _check_room(s, len(copy.deepcopy(s.splitter).push_byte(b)), index)
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +447,14 @@ def _word_steps(sessions: list[GenSession]) -> None:
 def prefill(session: GenSession, prompt_bytes: bytes) -> GenSession:
     """Fill the session's caches from one batch forward over the prompt.
 
-    First the prompt goes through a fresh UTF-8 gate and incremental
-    splitter, byte by byte: that gives the words it closes and, per byte,
-    the backbone row its decoder reads (`inc_index`), exactly as generation
-    would have assigned them. Then one no-grad forward with that assignment
-    (`model.prompt_pass`) yields everything the session caches, the BOS
-    backbone position included. A prompt that is not valid UTF-8, ends
-    inside a codepoint or needs more positions than the model has raises
-    SessionError before the session changes.
+    First `splitter.stream` pushes the prompt through a fresh incremental
+    splitter, which holds the UTF-8 gate: that gives the words it closes
+    and, per byte, the backbone row its decoder reads (`inc_index`), exactly
+    as generation would have assigned them. Then one no-grad forward with
+    that assignment (`model.prompt_pass`) yields everything the session
+    caches, the BOS backbone position included. A prompt that is not valid
+    UTF-8, ends inside a codepoint or needs more positions than the model
+    has raises SessionError before the session changes.
 
     An empty prompt runs as the 0xFE sentinel, so the first byte is predicted
     from begin-of-sequence context alone; the sentinel is not text."""
@@ -506,25 +465,19 @@ def prefill(session: GenSession, prompt_bytes: bytes) -> GenSession:
     n = len(prompt_bytes)
     if n > limit:
         raise SessionError(f"prompt of {n} bytes exceeds the byte positions ({limit})")
-    gate = Utf8Gate()
-    splitter = IncrementalSplitterState(max_word_bytes=cfg.max_word_bytes)
-    closes: list[WordClosed] = []
-    index = []
-    for b in prompt_bytes:
-        gate.push(b)
-        closes += splitter.push_byte(b)
-        index.append(splitter.closed_words)
-    if gate.mid_codepoint:
+    try:
+        splitter, closes, index = stream(prompt_bytes, cfg.max_word_bytes)
+    except SplitError as exc:
+        raise SessionError(str(exc)) from None
+    if splitter.gate.need:
         raise SessionError("prompt ends inside a multi-byte codepoint")
     if len(closes) + 1 > cfg.backbone.max_positions:
         raise SessionError(f"backbone positions exhausted ({cfg.backbone.max_positions})")
 
     spans = [(ev.start, ev.end) for ev in closes]
-    ids = prompt_bytes or bytes([BYTE_BOS])
-    m = len(ids)
-    fw = model.prompt_pass(session.params, cfg,
-                           np.frombuffer(ids, dtype=np.uint8).astype(np.int64),
-                           spans, np.array(index or [0], dtype=np.int64))
+    sentinel = not prompt_bytes
+    m = n + sentinel
+    fw = model.prompt_pass(session.params, cfg, prompt_bytes, spans, index, sentinel)
     for ring, kv, w in ((session.enc_ring, fw.encoder_kv, cfg.encoder.window),
                         (session.dec_ring, fw.decoder_kv, cfg.decoder.window)):
         pos = np.arange(max(0, m - w), m)
@@ -546,8 +499,8 @@ def prefill(session: GenSession, prompt_bytes: bytes) -> GenSession:
     session.next_pos = m
     session.prefill_words = len(closes)
     session.backbone_calls += len(closes) + 1
-    session.sentinel_used = not prompt_bytes
-    session.gate, session.splitter = gate, splitter
+    session.sentinel_used = sentinel
+    session.splitter = splitter
     session.prompt = bytes(prompt_bytes)
     session.status = "mid_word"
     return session
@@ -556,15 +509,14 @@ def prefill(session: GenSession, prompt_bytes: bytes) -> GenSession:
 def byte_phase(session: GenSession) -> StepOutcome:
     """Sample, commit, and push one byte; defer its encode if a word closed.
 
-    Needs a free byte position, a free backbone position (for a word the
-    byte may close) and a byte it can sample; without them it raises
+    Needs a free byte position, a byte it can sample and a backbone position
+    for each word that byte closes (at least one); without them it raises
     SessionError and changes nothing."""
     if session.finished:
         raise SessionError("session is finished")
     if session.status == "at_boundary":
         raise SessionError("session is blocked on a backbone step")
-    _check_room(session, 1)
-    session.check_sample()
+    _check_byte_step(session, None)
     return _byte_steps([session])[0]
 
 
@@ -708,18 +660,17 @@ class BatchRunner:
         """Plan one tick and run it: the word step first, then the byte step.
 
         Every planned session's positions, and whether each byte-stepping
-        session can sample (see `GenSession.check_sample`), are checked
-        before any session changes: no script byte is taken and no RNG is
-        drawn from. So a SessionError (naming the session) leaves the whole
-        batch as it was."""
+        session can sample and has room for the words its byte closes (see
+        `_check_byte_step`), are checked before any session changes: no
+        script byte is taken and no RNG is drawn from. So a SessionError
+        (naming the session) leaves the whole batch as it was."""
         plan = schedule(self.sessions, self.policy, self.tick)
         words = [self.sessions[i] for i in plan.word_steps]
         steps = [self.sessions[i] for i in plan.byte_steps]
         for i, s in zip(plan.word_steps, words):
             _check_room(s, len(s.pending_closes), i)
         for i, s in zip(plan.byte_steps, steps):
-            _check_room(s, 1, i)
-            s.check_sample(i)
+            _check_byte_step(s, i)
         actions = [f"s{i}=W" for i in plan.word_steps]
         if words:
             _word_steps(words)

@@ -327,15 +327,22 @@ class PromptPass:
     decoder_kv: list
 
 
-def prompt_pass(params, cfg: HatConfig, byte_ids: np.ndarray,
-                pool_spans: list[tuple[int, int]], byte_row: np.ndarray) -> PromptPass:
-    """Forward pass over `byte_ids` (which may hold the 0xFE sentinel) that
-    pools the [start, end) `pool_spans` and lets byte i read backbone row
-    `byte_row[i]` (0 = BOS). Keeps each self-attention layer's K and V; only
-    the last byte reaches the head."""
+def prompt_pass(params, cfg: HatConfig, committed: bytes,
+                closed_spans: list[tuple[int, int]], inc_index,
+                sentinel_prefix: bool) -> PromptPass:
+    """Forward pass over the text bytes `committed` that pools the [start, end)
+    `closed_spans` and lets byte i read backbone row `inc_index[i]` (0 = BOS),
+    after the 0xFE sentinel (row 0) if `sentinel_prefix`. Keeps each
+    self-attention layer's K and V; only the last byte reaches the head."""
+    byte_ids = np.frombuffer(committed, dtype=np.uint8).astype(np.int64)
+    byte_row = np.asarray(inc_index, dtype=np.int64)
+    if sentinel_prefix:
+        byte_ids = np.concatenate([[BYTE_BOS], byte_ids])
+        closed_spans = [(a + 1, b + 1) for a, b in closed_spans]
+        byte_row = np.concatenate([[0], byte_row])
     kv = {"encoder": [], "backbone": [], "decoder": []}
     byte_states = encode_bytes_var(params, cfg, byte_ids, kv["encoder"])
-    word_embs = pool_words_var(params, cfg, byte_states, pool_spans)
+    word_embs = pool_words_var(params, cfg, byte_states, closed_spans)
     bb_all = backbone_forward_var(params, cfg, word_embs, kv["backbone"])
     logits = decode_bytes_var(params, cfg, byte_states, bb_all, byte_row, kv["decoder"],
                               last_only=True)
@@ -366,17 +373,7 @@ def next_byte_logits(params, cfg: HatConfig, committed: bytes,
                      closed_spans: list[tuple[int, int]],
                      inc_index: np.ndarray,
                      sentinel_prefix: bool) -> np.ndarray:
-    """Batch recomputation of the generation path's last-row logits.
-
-    Uses the incremental word assignment (closed words only are pooled;
-    bytes attend per `inc_index`), optionally with the 0xFE sentinel
-    prepended for empty prompts. Serves as the oracle the cached
-    incremental engine is checked against.
-    """
-    ids = np.frombuffer(committed, dtype=np.uint8).astype(np.int64)
-    inc_index = np.asarray(inc_index, dtype=np.int64)
-    if sentinel_prefix:
-        ids = np.concatenate([np.array([BYTE_BOS], dtype=np.int64), ids])
-        closed_spans = [(a + 1, b + 1) for a, b in closed_spans]
-        inc_index = np.concatenate([np.zeros(1, dtype=np.int64), inc_index])
-    return prompt_pass(params, cfg, ids, closed_spans, inc_index).logits
+    """Batch recomputation of the generation path's last-row logits: the
+    oracle the cached incremental engine is checked against."""
+    return prompt_pass(params, cfg, committed, closed_spans, inc_index,
+                       sentinel_prefix).logits

@@ -21,6 +21,10 @@ provided; the incremental form closes a word exactly when a pushed byte
 proves a new chunk has begun under the batch rules. It re-splits only a
 short suffix of the text on each completed codepoint, so its cost per byte
 does not grow with the length of the text.
+
+The incremental splitter is the one front end of a byte stream, prompt or
+generated: its `Utf8Gate`, which sampling masks with, refuses any byte that
+breaks UTF-8. `stream` pushes a byte string through a fresh splitter.
 """
 
 from __future__ import annotations
@@ -29,11 +33,13 @@ import unicodedata
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .wordbreak import EXTEND, FORMAT, ZWJ, wb_class, word_boundaries
 
 DEFAULT_MAX_WORD_BYTES = 128
 
-# model sentinels live outside valid UTF-8 and are stripped before splitting
+# model sentinels live outside valid UTF-8, so no split or push accepts them
 BYTE_BOS = 0xFE
 BYTE_EOS = 0xFF
 
@@ -215,17 +221,42 @@ class WordClosed:
     end: int
 
 
-# number of continuation bytes implied by a UTF-8 lead byte, or -1 if invalid
-def _utf8_expect(lead: int) -> int:
-    if lead < 0x80:
-        return 0
-    if 0xC2 <= lead <= 0xDF:
-        return 1
-    if 0xE0 <= lead <= 0xEF:
-        return 2
-    if 0xF0 <= lead <= 0xF4:
-        return 3
-    return -1
+# bytes legal at a codepoint boundary (the end sentinel too), and the first-continuation
+# ranges narrower than 0x80-0xBF (no overlongs, surrogates or codepoints > U+10FFFF)
+_BOUNDARY_OK = np.zeros(256, dtype=bool)
+_BOUNDARY_OK[0x00:0x80] = _BOUNDARY_OK[0xC2:0xF5] = _BOUNDARY_OK[BYTE_EOS] = True
+
+_FIRST_CONT = {0xE0: (0xA0, 0xBF), 0xED: (0x80, 0x9F),
+               0xF0: (0x90, 0xBF), 0xF4: (0x80, 0x8F)}
+
+
+@dataclass
+class Utf8Gate:
+    """The in-flight codepoint of a byte stream: `need` continuation bytes
+    are owed and the next must lie in [lo, hi]. Sampling masks with it."""
+    need: int = 0
+    lo: int = 0x80
+    hi: int = 0xBF
+
+    def allowed(self) -> np.ndarray:
+        if self.need == 0:
+            return _BOUNDARY_OK.copy()
+        mask = np.zeros(256, dtype=bool)
+        mask[self.lo:self.hi + 1] = True
+        return mask
+
+    def admits(self, b: int) -> bool:
+        """`allowed()[b]`, without building the mask."""
+        return self.lo <= b <= self.hi if self.need else bool(_BOUNDARY_OK[b])
+
+    def push(self, b: int) -> None:
+        """Advance past `b`, a text byte that `admits` accepts."""
+        if self.need:
+            self.need -= 1
+            self.lo, self.hi = 0x80, 0xBF
+        elif b >= 0x80:
+            self.need = 1 if b < 0xE0 else 2 if b < 0xF0 else 3
+            self.lo, self.hi = _FIRST_CONT.get(b, (0x80, 0xBF))
 
 
 def _restartable(buf: bytearray, off: int) -> bool:
@@ -256,13 +287,13 @@ class IncrementalSplitterState:
     A chunk is reported closed once it is no longer the last
     (still-extendable) chunk of the split; `WordClosed` offsets count from
     the start of the text. Accepted bytes always form a valid UTF-8 prefix
-    (a multi-byte codepoint may be in flight).
+    (`gate` holds the codepoint in flight).
     """
 
     max_word_bytes: int = DEFAULT_MAX_WORD_BYTES
     buf: bytearray = field(default_factory=bytearray)  # the text from _base on
     closed_words: int = 0
-    _partial: int = 0          # continuation bytes still owed
+    gate: Utf8Gate = field(default_factory=Utf8Gate)  # the codepoint in flight
     _inconsistencies: int = 0  # prefix-consistency violations observed
     _base: int = 0             # text offset of buf[0], where a rule chunk starts
     _base_words: int = 0       # chunks of the text before _base
@@ -278,30 +309,16 @@ class IncrementalSplitterState:
     def push_byte(self, b: int) -> list[WordClosed]:
         if not 0 <= b <= 0xFF:
             raise ValueError(f"not a byte: {b}")
-        off = self._base + len(self.buf)
-        if self._partial > 0:
-            if not 0x80 <= b <= 0xBF:
-                raise SplitError("expected UTF-8 continuation byte", off)
-            self.buf.append(b)
-            self._partial -= 1
-            if self._partial > 0:
-                return []
-            # full codepoint landed; validate strictly (overlongs, surrogates)
-            n = 1
-            while _utf8_expect(self.buf[-n]) < 0:
-                n += 1
-            try:
-                bytes(self.buf[-n:]).decode("utf-8")
-            except UnicodeDecodeError:
-                raise SplitError("invalid UTF-8", off - n + 1) from None
-        else:
-            expect = _utf8_expect(b)
-            if expect < 0:
-                raise SplitError("invalid UTF-8", off)
-            self.buf.append(b)
-            if expect > 0:
-                self._partial = expect
-                return []
+        if b == BYTE_EOS or not self.gate.admits(b):
+            # report the start of the ill-formed sequence, as `split` does
+            k = len(self.buf) - (self.gate.need > 0)
+            while self.gate.need and self.buf[k] < 0xC0:
+                k -= 1
+            raise SplitError("invalid UTF-8", self._base + k)
+        self.gate.push(b)
+        self.buf.append(b)
+        if self.gate.need:
+            return []
         return self._resplit()
 
     def _resplit(self) -> list[WordClosed]:
@@ -330,27 +347,27 @@ class IncrementalSplitterState:
                 del self.buf[:cut]
         return events
 
-    def push_bytes(self, data: bytes) -> list[WordClosed]:
-        events = []
-        for b in data:
-            events.extend(self.push_byte(b))
-        return events
+
+def stream(data: bytes, max_word_bytes: int
+           ) -> tuple[IncrementalSplitterState, list[WordClosed], list[int]]:
+    """Push `data` through a fresh incremental splitter, one byte at a time.
+
+    Returns the state, the words closed, and per byte the number of words
+    closed once its push has run, i.e. the index of the open chunk it lands
+    in. Raises SplitError where `data` stops being a valid UTF-8 prefix."""
+    state = IncrementalSplitterState(max_word_bytes=max_word_bytes)
+    closes, index = [], []
+    for b in data:
+        closes += state.push_byte(b)
+        index.append(state.closed_words)
+    return state, closes, index
 
 
 def incremental_word_index(data: bytes,
                            max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> list[int]:
-    """Per-byte chunk index as seen by the incremental splitter.
-
-    Byte i is assigned the number of words already closed once its push has
-    been processed, i.e. the index of the open chunk it lands in. Differs
-    from `word_index_of_bytes` exactly where prefix consistency fails.
-    """
-    state = IncrementalSplitterState(max_word_bytes=max_word_bytes)
-    index = []
-    for b in data:
-        state.push_byte(b)
-        index.append(state.closed_words)
-    return index
+    """Per-byte chunk index as seen by the incremental splitter (see `stream`);
+    differs from `word_index_of_bytes` exactly where prefix consistency fails."""
+    return stream(data, max_word_bytes)[2]
 
 
 def boundary_divergence(data: bytes,
@@ -364,8 +381,3 @@ def boundary_divergence(data: bytes,
     inc = incremental_word_index(data, max_word_bytes)
     bad = [i for i, (a, b) in enumerate(zip(full, inc)) if a != b]
     return len(bad), bad
-
-
-def strip_sentinels(data: bytes) -> bytes:
-    """Drop 0xFE/0xFF model sentinel bytes before splitting."""
-    return bytes(b for b in data if b not in (BYTE_BOS, BYTE_EOS))

@@ -97,7 +97,7 @@ def test_incremental_full_equivalence():
                                             list(s.consumed_spans), s.inc_index,
                                             s.sentinel_used)
             assert np.max(np.abs(s.cur_logits - oracle)) < 1e-4
-            expect = infer.sample_from_logits(oracle, s.gate.allowed(),
+            expect = infer.sample_from_logits(oracle, s.splitter.gate.allowed(),
                                               SamplingConfig("greedy"), None)
             out = infer.step_byte(s)
             assert out.byte == expect, "emitted byte diverged from recomputation"

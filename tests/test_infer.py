@@ -10,13 +10,12 @@ from hatlm.infer import (
     GenSession,
     SamplingConfig,
     SessionError,
-    Utf8Gate,
     cache_report,
     prefill,
     sample_from_logits,
     step_byte,
 )
-from hatlm.splitter import BYTE_BOS
+from hatlm.splitter import BYTE_BOS, IncrementalSplitterState, SplitError, Utf8Gate
 
 from conftest import POOLS
 
@@ -40,7 +39,6 @@ def loop_prefill(session, prompt):
         session.sentinel_used = True
     session.prompt = bytes(prompt)
     for b in prompt:
-        session.gate.push(b)
         events = session.splitter.push_byte(b)
         if events:
             infer._check_room(session, len(events))
@@ -48,7 +46,7 @@ def loop_prefill(session, prompt):
             session.prefill_words += len(events)
             infer._consume_closes([session])
         infer._encode_decode([session], [b])
-    if session.gate.mid_codepoint:
+    if session.splitter.gate.need:
         raise SessionError("prompt ends inside a multi-byte codepoint")
     session.status = "mid_word"
     return session
@@ -132,7 +130,7 @@ def test_prefill_matches_byte_loop(micro_cfg, micro_params, prompt, script, cap)
                  (np.array(ref.pending_states), np.array(got.pending_states))):
         assert_close(a, b)
     assert got.splitter == ref.splitter
-    assert got.gate == ref.gate
+    assert got.splitter.gate == ref.splitter.gate
     assert got.inc_index == ref.inc_index
     assert got.consumed_spans == ref.consumed_spans
     assert (got.pending_base, got.next_pos, got.prefill_words, got.backbone_calls,
@@ -190,12 +188,12 @@ def test_generated_stream_is_valid_utf8(micro_cfg, micro_params):
 
 
 def test_utf8_gate_enforces_continuations():
-    gate = Utf8Gate()
-    gate.push(0xE0)
-    mask = gate.allowed()
+    state = IncrementalSplitterState()
+    state.push_byte(0xE0)
+    mask = state.gate.allowed()
     assert mask[0xA0] and not mask[0x80] and not mask[0xFF]
-    with pytest.raises(SessionError):
-        gate.push(0x41)
+    with pytest.raises(SplitError):
+        state.push_byte(0x41)
 
 
 @pytest.mark.parametrize("prefix", [b"", b"a", b"\xc3", b"\xe0", b"\xed", b"\xf0",
@@ -271,7 +269,7 @@ def test_incremental_matches_batch_oracle(micro_cfg, micro_params):
                 micro_params, micro_cfg, s.committed, list(s.consumed_spans),
                 s.inc_index, s.sentinel_used)
             assert np.max(np.abs(s.cur_logits - oracle)) < 1e-4
-            expect = sample_from_logits(oracle, s.gate.allowed(),
+            expect = sample_from_logits(oracle, s.splitter.gate.allowed(),
                                         SamplingConfig("greedy"), None)
             out = step_byte(s)
             assert out.byte == expect

@@ -264,7 +264,7 @@ def test_failed_prefill_leaves_session_fresh(micro_cfg, micro_params, case):
 
     def extra(s):
         return (s.prompt, s.sentinel_used, s.inc_index, s.consumed_spans, s.pending_base,
-                s.prefill_words, copy.copy(s.gate),
+                s.prefill_words, copy.copy(s.splitter.gate),
                 None if s.inject is None else s.inject.tobytes())
     s, fresh = make(), make()
     with pytest.raises(infer.SessionError):
@@ -309,8 +309,67 @@ def test_position_exhaustion_leaves_sessions_unchanged(micro_cfg, micro_params,
     assert bytes(sessions[1 if batched else 0].generated) == expect
 
 
+# the script's last byte (0xAD, ending U+00AD) closes "+" and "___" at once
+# (cap 4); beside it, sessions mid-way through a 4-byte codepoint
+TWO_CLOSES = "+___\xad".encode()
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["solo", "batch3"])
+def test_byte_closing_two_words_past_the_last_row_is_not_committed(micro_cfg, micro_params,
+                                                                   batched):
+    cfg = replace(micro_cfg, max_word_bytes=4,
+                  backbone=replace(micro_cfg.backbone, max_positions=2))
+    scripts = ([TWO_CLOSES] if not batched
+               else ["\U0001F600\U0001F600".encode(), TWO_CLOSES, "\u00e9\U0001F600".encode()])
+    sessions = [GenSession(micro_params, cfg, SamplingConfig("forced", forced=script),
+                           max_new_bytes=16) for script in scripts]
+    runner = BatchRunner(sessions, FixedByteStride(1))
+    runner.prefill_all([b""] * len(sessions))
+    victim = sessions[1 if batched else 0]
+
+    def step():
+        return runner.run_tick() if batched else step_byte(victim)
+    for _ in range(len(TWO_CLOSES) - 1):
+        step()
+    assert bytes(victim.generated) == TWO_CLOSES[:-1]
+    before = [_state(s) for s in sessions]
+    sampled = [_sampling_state(s) for s in sessions]
+    with pytest.raises(infer.SessionError, match="backbone positions exhausted") as err:
+        step()
+    assert err.value.session == (1 if batched else None)
+    assert str(err.value).startswith("s1: ") == batched
+    assert [_state(s) for s in sessions] == before
+    assert [_sampling_state(s) for s in sessions] == sampled
+    assert victim.status == "mid_word"
+    with pytest.raises(infer.SessionError, match="backbone positions exhausted"):
+        step_byte(victim)       # the same refusal, not "blocked on a backbone step"
+    assert [_state(s) for s in sessions] == before
+
+
+def test_counting_closes_leaves_sampling_alone(micro_cfg, micro_params):
+    # near the backbone limit a byte step's check draws from a copy of the
+    # RNG, so the session samples what it would far from the limit, up to the
+    # step that runs out of rows
+    def run(rows):
+        cfg = replace(micro_cfg, max_word_bytes=4,
+                      backbone=replace(micro_cfg.backbone, max_positions=rows))
+        s = GenSession(micro_params, cfg, SamplingConfig("temperature", seed=5),
+                       max_new_bytes=48)
+        prefill(s, b"")
+        try:
+            while not s.finished:
+                step_byte(s)
+        except infer.SessionError as exc:
+            assert "backbone positions exhausted" in str(exc)
+            return bytes(s.generated), True
+        return bytes(s.generated), False
+    (far, far_ran_out), (near, near_ran_out) = run(1024), run(3)
+    assert near_ran_out and not far_ran_out
+    assert len(near) >= 4 and far.startswith(near)
+
+
 def _sampling_state(s):
-    return s.rng.bit_generator.state, copy.copy(s.gate)
+    return s.rng.bit_generator.state, copy.copy(s.splitter.gate)
 
 
 @pytest.mark.parametrize("beside", ["forced", "temperature"])

@@ -1,3 +1,4 @@
+import copy
 import unicodedata
 
 import pytest
@@ -7,13 +8,14 @@ from hypothesis import strategies as st
 from hatlm.splitter import (
     BYTE_BOS,
     BYTE_EOS,
+    DEFAULT_MAX_WORD_BYTES,
     IncrementalSplitterState,
     SplitError,
     WordSpan,
     boundary_divergence,
     incremental_word_index,
     split,
-    strip_sentinels,
+    stream,
     word_index_of_bytes,
 )
 from hatlm.wordbreak import word_boundaries
@@ -103,7 +105,6 @@ def test_invalid_utf8_rejected_with_offset():
 def test_sentinel_bytes_are_invalid_utf8(sentinel):
     with pytest.raises(SplitError):
         split(bytes([sentinel]))
-    assert strip_sentinels(bytes([65, sentinel, 66])) == b"AB"
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +221,83 @@ def test_push_rejects_lead_0xfe():
 
 
 def test_cap_closes_incrementally():
-    st_ = IncrementalSplitterState(max_word_bytes=8)
-    events = st_.push_bytes(b"a" * 20)
+    _, events, _ = stream(b"a" * 20, 8)
     assert [(e.start, e.end) for e in events] == [(0, 8), (8, 16)]
+
+
+def push_error_offset(data: bytes) -> tuple[int | None, IncrementalSplitterState]:
+    """Push `data` byte by byte: the offset of the first SplitError (None if
+    every push succeeds), and the state before the failing push."""
+    st_ = IncrementalSplitterState(max_word_bytes=8)
+    for b in data:
+        try:
+            st_.push_byte(b)
+        except SplitError as exc:
+            return exc.offset, st_
+    return None, st_
+
+
+@given(st.binary(max_size=24) | st.lists(st.sampled_from(
+    [b"a", b" ", b"\xc3", b"\xa9", b"\xe0", b"\xed", b"\xf0", b"\xf4", b"\x80", b"\x8f",
+     b"\x9f", b"\xa0", b"\xbf", b"\xc0", b"\xf5", bytes([BYTE_BOS]), bytes([BYTE_EOS])]),
+    max_size=12).map(b"".join))
+@example(b"\xc3\x41")
+@example(b"ab\xf0\x90\x80\xfe")
+@settings(max_examples=400, deadline=None)
+def test_push_rejects_where_split_does(data):
+    offset, st_ = push_error_offset(data)
+    try:
+        split(data)
+        expect = None
+    except SplitError as exc:
+        expect = exc.offset
+    if offset is None and st_.gate.need:
+        # a trailing incomplete codepoint is in flight, not an error yet
+        lead = len(data) - 1
+        while data[lead] < 0xC0:
+            lead -= 1
+        assert expect == lead
+    else:
+        assert offset == expect
+
+
+def completable(data: bytes) -> bool:
+    """Whether appending continuation bytes can make `data` valid UTF-8."""
+    return any(_decodes(data + bytes([c]) * k) for k in range(4) for c in (0x80, 0x90, 0xA0, 0xBF))
+
+
+def _decodes(data: bytes) -> bool:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+@given(st.text(max_size=6) | st.lists(st.sampled_from([c for pool in POOLS for c in pool]),
+                                      max_size=8).map("".join), st.integers(0, 3))
+@example("\ud7ff", 2)        # 0xED: no surrogates
+@example("\u0800", 2)        # 0xE0: no overlongs
+@example("\U00010000", 3)    # 0xF0: no overlongs
+@example("\U0010ffff", 3)    # 0xF4: nothing above U+10FFFF
+@settings(max_examples=100, deadline=None)
+def test_gate_admits_exactly_what_push_accepts(text, cut):
+    # after any valid prefix, mid-codepoint ones included, what sampling may
+    # pick is what the splitter accepts and what can still become UTF-8;
+    # the 0xFF end sentinel is never text
+    data = text.encode()
+    prefix = data[:max(0, len(data) - cut)]
+    st_, _, _ = stream(prefix, 8)
+    for b in range(0xFF):
+        try:
+            copy.deepcopy(st_).push_byte(b)
+            accepted = True
+        except SplitError:
+            accepted = False
+        assert st_.gate.admits(b) == accepted == completable(prefix + bytes([b])), \
+            f"byte {b:#x} after {prefix!r}"
+    with pytest.raises(SplitError):
+        copy.deepcopy(st_).push_byte(BYTE_EOS)
 
 
 def assert_matches_whole_buffer(data: bytes, max_word_bytes: int) -> None:
@@ -290,8 +365,7 @@ def test_prefix_consistency_ascii_is_exact():
     for end in range(len(ASCII_CORPUS) + 1):
         prefix = ASCII_CORPUS[:end]
         closed = max(0, len(split(prefix).spans) - 1)
-        st_ = IncrementalSplitterState()
-        st_.push_bytes(prefix)
+        st_, _, _ = stream(prefix, DEFAULT_MAX_WORD_BYTES)
         assert st_.closed_words == closed, f"prefix {prefix[-12:]!r}"
     count, offsets = boundary_divergence(ASCII_CORPUS)
     assert count == 0 and offsets == []
