@@ -46,7 +46,7 @@ def _load_model(args) -> tuple[config.HatConfig, dict]:
 
 def cmd_split(args) -> int:
     if args.text is not None:
-        data = args.text.encode("utf-8")
+        data = os.fsencode(args.text)   # argv bytes, undecodable ones included
     else:
         with open(args.file, "rb") as fh:
             data = fh.read()
@@ -114,7 +114,7 @@ def cmd_generate(args) -> int:
         sampling = infer.SamplingConfig("temperature", temperature=args.temperature,
                                         seed=args.seed)
     session = infer.GenSession(params, cfg, sampling, max_new_bytes=args.max_bytes)
-    infer.generate(session, args.prompt.encode("utf-8"))
+    infer.generate(session, os.fsencode(args.prompt))
     data = bytes(session.generated)
     if args.hex:
         print(data.hex())

@@ -350,11 +350,12 @@ def _check_room(s: GenSession, closes: int, index: int | None = None) -> None:
 def _check_byte_step(s: GenSession, index: int | None) -> None:
     """Raise SessionError (naming session `index`) unless `s` can sample its
     next byte and has positions for it and the words it closes (at least
-    one). A push closes at most `len(buf) + 1` words; only near the limit is
+    one). A push closes at most `len(buf)` words, since every span it closes
+    lies in the unclosed text before the pushed byte; only near the limit is
     the pick pushed into a copy of the splitter to count them."""
     _check_room(s, 1, index)
     s.check_sample(index)
-    if s.word_cache.rows + len(s.splitter.buf) + 1 > s.cfg.backbone.max_positions:
+    if s.word_cache.rows + len(s.splitter.buf) > s.cfg.backbone.max_positions:
         b = s.peek(copy.deepcopy(s.rng))
         if b != BYTE_EOS:
             _check_room(s, len(copy.deepcopy(s.splitter).push_byte(b)), index)
@@ -447,10 +448,10 @@ def _word_steps(sessions: list[GenSession]) -> None:
 def prefill(session: GenSession, prompt_bytes: bytes) -> GenSession:
     """Fill the session's caches from one batch forward over the prompt.
 
-    First `splitter.stream` pushes the prompt through a fresh incremental
+    First `splitter.stream` runs the prompt through a fresh incremental
     splitter, which holds the UTF-8 gate: that gives the words it closes
     and, per byte, the backbone row its decoder reads (`inc_index`), exactly
-    as generation would have assigned them. Then one no-grad forward with
+    as pushing the bytes one at a time would have assigned them. Then one no-grad forward with
     that assignment (`model.prompt_pass`) yields everything the session
     caches, the BOS backbone position included. A prompt that is not valid
     UTF-8, ends inside a codepoint or needs more positions than the model

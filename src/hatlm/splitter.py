@@ -16,26 +16,27 @@ of default UAX#29 word segments this applies, in order:
   5. length cap: chunks longer than max_word_bytes are force-split at the
      last codepoint boundary at or below the cap
 
-Both a batch splitter and a byte-at-a-time incremental splitter are
-provided; the incremental form closes a word exactly when a pushed byte
-proves a new chunk has begun under the batch rules. It re-splits only a
-short suffix of the text on each completed codepoint, so its cost per byte
-does not grow with the length of the text.
+One engine, `IncrementalSplitterState`, applies all of them to a stream of
+codepoints with O(1) work per codepoint (amortised), and closes a chunk only
+once no continuation of the text can change it. So its closes are always
+the leading spans of the split of the whole text, and a close is never
+taken back. Three drivers share it: `push_byte` feeds it one byte at a time,
+`stream` feeds it a whole prefix, and `split` a whole text, whose end
+settles the last chunk.
 
 The incremental splitter is the one front end of a byte stream, prompt or
 generated: its `Utf8Gate`, which sampling masks with, refuses any byte that
-breaks UTF-8. `stream` pushes a byte string through a fresh splitter.
+breaks UTF-8.
 """
 
 from __future__ import annotations
 
-import unicodedata
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .wordbreak import EXTEND, FORMAT, ZWJ, wb_class, word_boundaries
+from .wordbreak import (BREAK, HOLD, JOIN, LOWER, MATH, PROPS, PUNCT, SPACE, UPPER,
+                        WordBreaker)
 
 DEFAULT_MAX_WORD_BYTES = 128
 
@@ -67,10 +68,7 @@ class WordSpan:
 
 @dataclass(frozen=True)
 class SplitResult:
-    """Capped chunk spans, plus the byte offset at which each rule chunk
-    begins; a span whose start is not in `chunk_starts` is a cap cut."""
     spans: tuple[WordSpan, ...]
-    chunk_starts: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -80,138 +78,6 @@ class SplitResult:
 
     def chunks(self, data: bytes) -> list[bytes]:
         return [data[s.start:s.end] for s in self.spans]
-
-
-def _decode_utf8(data: bytes) -> tuple[str, list[int]]:
-    """Strict UTF-8 decode returning the text and per-codepoint byte offsets."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise SplitError("invalid UTF-8", exc.start) from None
-    offsets = []
-    pos = 0
-    for ch in text:
-        offsets.append(pos)
-        pos += len(ch.encode("utf-8"))
-    offsets.append(pos)
-    return text, offsets
-
-
-# Unicode White_Space=Yes (str.isspace also matches 0x1C-0x1F, which are not)
-_WHITE_SPACE = frozenset(
-    list(range(0x09, 0x0E)) + [0x20, 0x85, 0xA0, 0x1680]
-    + list(range(0x2000, 0x200B)) + [0x2028, 0x2029, 0x202F, 0x205F, 0x3000]
-)
-
-
-def _is_ws(ch: str) -> bool:
-    return ord(ch) in _WHITE_SPACE
-
-
-def _is_punct(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
-
-
-def _is_sm(ch: str) -> bool:
-    return unicodedata.category(ch) == "Sm"
-
-
-_WS, _PUNCT, _WORD = 0, 1, 2
-
-
-def _classify(text: str) -> int:
-    if all(_is_ws(c) for c in text):
-        return _WS
-    if all(_is_punct(c) for c in text):
-        return _PUNCT
-    return _WORD
-
-
-def _refine(text: str, start: int, end: int) -> list[int]:
-    """Extra chunk boundaries inside one UAX#29 segment (codepoint indices).
-
-    Applies camel-case splitting and math-symbol isolation.
-    """
-    cuts = []
-    prev_lower = False
-    for i in range(start, end):
-        cat = unicodedata.category(text[i])
-        if i > start and (cat == "Sm" or _is_sm(text[i - 1])):
-            cuts.append(i)
-        elif prev_lower and cat == "Lu":
-            cuts.append(i)
-        prev_lower = cat == "Ll"
-    return cuts
-
-
-def _split_codepoints(text: str) -> list[tuple[int, int]]:
-    """Chunk boundaries as codepoint index pairs, before the byte-length cap."""
-    if not text:
-        return []
-    bounds = word_boundaries(text)
-    pieces = []
-    for i in range(len(bounds) - 1):
-        a, b = bounds[i], bounds[i + 1]
-        cut_points = [a] + _refine(text, a, b) + [b]
-        for j in range(len(cut_points) - 1):
-            pieces.append((cut_points[j], cut_points[j + 1]))
-
-    # punctuation merges backward into the preceding word chunk
-    merged: list[list[int]] = []   # [start, end, class]
-    for a, b in pieces:
-        cls = _classify(text[a:b])
-        if cls == _PUNCT and merged and merged[-1][2] == _WORD:
-            merged[-1][1] = b
-        else:
-            merged.append([a, b, cls])
-
-    # whitespace runs merge forward; a final run stays alone
-    out: list[tuple[int, int]] = []
-    ws_start = None
-    for a, b, cls in merged:
-        if cls == _WS:
-            if ws_start is None:
-                ws_start = a
-            continue
-        out.append((a if ws_start is None else ws_start, b))
-        ws_start = None
-    if ws_start is not None:
-        out.append((ws_start, len(text)))
-    return out
-
-
-def split(data: bytes, max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> SplitResult:
-    """Split a UTF-8 byte sequence into word chunks.
-
-    Sentinel bytes 0xFE/0xFF are rejected as invalid UTF-8 (they cannot
-    appear in well-formed input). Raises SplitError on malformed input.
-    """
-    if max_word_bytes < 4:
-        raise ValueError("max_word_bytes must allow one UTF-8 codepoint (>= 4)")
-    text, offs = _decode_utf8(data)
-    spans, starts = [], []
-    for a, b in _split_codepoints(text):
-        starts.append(offs[a])
-        lo = a
-        while offs[b] - offs[lo] > max_word_bytes:
-            # force-split at the last codepoint boundary within the cap
-            hi = lo
-            while offs[hi + 1] - offs[lo] <= max_word_bytes:
-                hi += 1
-            spans.append(WordSpan(offs[lo], offs[hi]))
-            lo = hi
-        spans.append(WordSpan(offs[lo], offs[b]))
-    return SplitResult(tuple(spans), tuple(starts))
-
-
-def word_index_of_bytes(data: bytes,
-                        max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> list[int]:
-    """Per-byte chunk indices: index[i] = j iff byte i lies in span j."""
-    result = split(data, max_word_bytes)
-    index = []
-    for j, span in enumerate(result.spans):
-        index.extend([j] * (span.end - span.start))
-    return index
 
 
 @dataclass(frozen=True)
@@ -259,114 +125,258 @@ class Utf8Gate:
             self.lo, self.hi = _FIRST_CONT.get(b, (0x80, 0xBF))
 
 
-def _restartable(buf: bytearray, off: int) -> bool:
-    """Whether a split of buf[off:], where off starts a rule chunk, cuts it
-    as the split of the whole text does.
-
-    Past a chunk start, UAX#29 reads what precedes it only through a leading
-    Extend/Format/ZWJ (WB4 looks back past them) or from FRACTION SLASH,
-    the one math symbol of a Mid class (WB11 reads the codepoint before it).
-    """
-    cp = ord(bytes(buf[off:off + 4]).decode("utf-8", "ignore")[0])
-    return cp != 0x2044 and wb_class(cp) not in (EXTEND, FORMAT, ZWJ)
+# what the open chunk holds besides its leading whitespace pieces
+_SPACES = 0    # nothing: the open piece is whitespace so far, or there is none
+_FIRST = 1     # its first other piece, which is the open piece
+_MERGING = 2   # a word, then the open piece, all punctuation so far: it may merge
 
 
 @dataclass
 class IncrementalSplitterState:
-    """Single-owner incremental splitter fed one byte at a time.
+    """The splitting engine, fed one codepoint at a time.
 
-    `buf` holds only the text from offset `_base` on, where a rule chunk
-    (one before the length cap) starts. Each completed codepoint re-splits
-    `buf` alone. The rules look back a bounded distance (UAX#29 two
-    codepoints past ignorables, the merges one chunk) and regional-indicator
-    pairs start at every chunk start, so from `_base` on this cuts the text
-    as the whole-text split does. `_base` then moves up to the rule chunk
-    holding the second-to-last closed chunk, or the nearest one before it
-    that `_restartable` accepts, and the bytes before it are dropped.
+    The UAX#29 layer (`breaker`) decides each segment boundary when the
+    codepoint after it arrives, except a boundary it holds for WB6/7b/12:
+    the codepoints from there on wait in `held` until the next non-ignorable
+    codepoint resolves it. Every other codepoint is settled at once: it
+    opens a new piece (a segment boundary, or a camel-case or math cut
+    against the codepoint before) or extends the open piece. The merge rules
+    then need no text, only what the open chunk holds (`mode`) and the
+    whitespace/punctuation flags of the open piece, which only ever turn
+    off. A chunk closes once a piece starts that it cannot absorb, and a
+    cap-length span once the chunk surely reaches past it. So nothing is
+    closed that a continuation could change, and nothing that is final
+    waits, except the span that holds the last codepoint.
 
-    A chunk is reported closed once it is no longer the last
-    (still-extendable) chunk of the split; `WordClosed` offsets count from
-    the start of the text. Accepted bytes always form a valid UTF-8 prefix
-    (`gate` holds the codepoint in flight).
+    `buf` holds the text from `lo`, where the first unclosed span starts,
+    the codepoint in flight included. Every closed span lies in `buf` before
+    the pushed byte, so a push closes at most `len(buf)` words. `WordClosed`
+    offsets count from the start of the text. Accepted bytes always form a
+    valid UTF-8 prefix (`gate` holds the codepoint in flight).
     """
 
     max_word_bytes: int = DEFAULT_MAX_WORD_BYTES
-    buf: bytearray = field(default_factory=bytearray)  # the text from _base on
+    buf: bytearray = field(default_factory=bytearray)  # the text from lo on
     closed_words: int = 0
     gate: Utf8Gate = field(default_factory=Utf8Gate)  # the codepoint in flight
-    _inconsistencies: int = 0  # prefix-consistency violations observed
-    _base: int = 0             # text offset of buf[0], where a rule chunk starts
-    _base_words: int = 0       # chunks of the text before _base
-    _open: int | None = None   # text offset of the open chunk, None if none
+    lo: int = 0            # text offset where the first unclosed span starts
+    end: int = 0           # text offset after the last complete codepoint
+    breaker: WordBreaker = field(default_factory=WordBreaker)
+    held: list = field(default_factory=list)  # (props, bytes) from a held boundary on
+    settled: int = 0       # text offset after the last settled codepoint
+    prev: int = 0          # props of the last settled codepoint
+    piece: int = 0         # text offset where the open piece starts
+    flags: int = 0         # SPACE and PUNCT, if every codepoint of the open piece has it
+    mode: int = _SPACES    # what the open chunk holds
+
+    def __post_init__(self):
+        if self.max_word_bytes < 4:
+            raise ValueError("max_word_bytes must allow one UTF-8 codepoint (>= 4)")
 
     @property
     def pending(self) -> bytes:
         """Bytes accumulated after the last closed word."""
-        if self._open is None:
-            return b""
-        return bytes(self.buf[self._open - self._base:])
+        return bytes(self.buf)
 
     def push_byte(self, b: int) -> list[WordClosed]:
         if not 0 <= b <= 0xFF:
             raise ValueError(f"not a byte: {b}")
-        if b == BYTE_EOS or not self.gate.admits(b):
+        gate, buf = self.gate, self.buf
+        if b == BYTE_EOS or not gate.admits(b):
             # report the start of the ill-formed sequence, as `split` does
-            k = len(self.buf) - (self.gate.need > 0)
-            while self.gate.need and self.buf[k] < 0xC0:
+            k = len(buf) - (gate.need > 0)
+            while gate.need and buf[k] < 0xC0:
                 k -= 1
-            raise SplitError("invalid UTF-8", self._base + k)
-        self.gate.push(b)
-        self.buf.append(b)
-        if self.gate.need:
+            raise SplitError("invalid UTF-8", self.lo + k)
+        gate.push(b)
+        buf.append(b)
+        if gate.need:
             return []
-        return self._resplit()
-
-    def _resplit(self) -> list[WordClosed]:
-        # spans[i] is chunk _base_words + i of the whole text
-        result = split(bytes(self.buf), self.max_word_bytes)
-        spans, base, first = result.spans, self._base, self._base_words
-        n_closed = first + len(spans) - 1  # the final chunk may still extend
-        if n_closed < self.closed_words:
-            # a previously reported boundary vanished; never retract
-            self._inconsistencies += self.closed_words - n_closed
-        events = [WordClosed(base + s.start, base + s.end)
-                  for s in spans[self.closed_words - first:n_closed - first]]
-        self.closed_words = max(self.closed_words, n_closed)
-        j = self.closed_words - first
-        self._open = base + spans[j].start if j < len(spans) else None
-
-        # restart at the rule chunk holding the second-to-last closed chunk
-        if n_closed - first >= 2:
-            k = bisect_right(result.chunk_starts, spans[n_closed - first - 2].start) - 1
-            while k > 0 and not _restartable(self.buf, result.chunk_starts[k]):
+        if b < 0x80:
+            cp, n = b, 1
+        else:
+            k = len(buf) - 1
+            while buf[k] < 0xC0:
                 k -= 1
-            cut = result.chunk_starts[k]
-            if cut > 0:
-                self._base_words += sum(1 for s in spans if s.start < cut)
-                self._base += cut
-                del self.buf[:cut]
-        return events
+            cp, n = ord(buf[k:].decode()), len(buf) - k
+        out = []
+        self._feed(cp, n, out)
+        self.closed_words += len(out)
+        return [WordClosed(a, e) for a, e in out]
+
+    # -- the engine: `buf` already holds the codepoint fed ---------------------
+
+    def _feed(self, cp: int, n: int, out: list) -> None:
+        """Take the next codepoint (`n` bytes); append the spans it closes to `out`."""
+        p = PROPS[cp]
+        self.end += n
+        done, here = self.breaker.feed(p)
+        if self.held:
+            if done is None:   # an ignorable: the boundary stays held
+                self.held.append((p, n))
+                self._cut_caps(out)
+                return
+            self._release(done == BREAK, out)
+        if here == HOLD and not _cut(self.prev, p):
+            self.held = [(p, n)]
+        else:
+            self._settle(p, n, here != JOIN, out)
+        self._cut_caps(out)
+
+    def _finish(self, out: list) -> None:
+        """The text ends: close everything."""
+        if self.held:
+            self._release(self.breaker.finish() == BREAK, out)
+        self._close(self.end, out)
+
+    def _release(self, brk: bool, out: list) -> None:
+        """Settle the held codepoints; the first opens a piece if `brk`, the
+        rest followed it under WB4."""
+        held, self.held = self.held, []
+        for i, (p, n) in enumerate(held):
+            self._settle(p, n, brk and i == 0, out)
+
+    def _settle(self, p: int, n: int, brk: bool, out: list) -> None:
+        start = self.settled
+        self.settled = start + n
+        prev, self.prev = self.prev, p
+        if brk or _cut(prev, p):   # a new piece opens at `start`
+            mode = self.mode
+            if mode == _SPACES:
+                pass               # whitespace merges forward
+            elif p & PUNCT and (mode == _MERGING or not self.flags & PUNCT):
+                mode = _MERGING    # punctuation may merge into the word before
+            else:
+                self._close(start, out)
+                mode = _SPACES
+            self.mode = _FIRST if mode == _SPACES and not p & SPACE else mode
+            self.piece, self.flags = start, p & (SPACE | PUNCT)
+        else:
+            flags = self.flags = self.flags & p
+            if self.mode == _SPACES and not flags & SPACE:
+                self.mode = _FIRST
+            elif self.mode == _MERGING and not flags & PUNCT:
+                self._close(self.piece, out)   # the open piece is a word
+                self.mode = _FIRST
+
+    def _close(self, end: int, out: list) -> None:
+        """The open chunk ends at `end`."""
+        self._cut_caps(out, end)
+        if self.lo < end:
+            self._emit(end, out)
+
+    def _cut_caps(self, out: list, end: int | None = None) -> None:
+        """Close the cap-length spans that the text surely holds in one
+        chunk: up to `end` if the open chunk ends there, else `_reach()`."""
+        cap = self.max_word_bytes
+        while self.lo + cap < self.end:
+            q = cap   # the last codepoint boundary within the cap
+            while self.buf[q] & 0xC0 == 0x80:
+                q -= 1
+            if self.lo + q > (self._reach() if end is None else end):
+                return
+            self._emit(self.lo + q, out)
+
+    def _reach(self) -> int:
+        """How far the first unclosed span surely reaches. The open chunk
+        may still end where the open piece starts, if that piece may merge,
+        or at the held boundary; a chunk end at `lo` does not cut the span."""
+        if self.mode == _MERGING and self.piece > self.lo:
+            return self.piece
+        if self.held and self.settled > self.lo:
+            return self.settled
+        return self.end
+
+    def _emit(self, end: int, out: list) -> None:
+        out.append((self.lo, end))
+        del self.buf[:end - self.lo]
+        self.lo = end
+
+
+def _cut(prev: int, p: int) -> bool:
+    """Whether a math symbol or a lowercase->uppercase step separates two
+    codepoints of one segment (rules 1 and 2)."""
+    return bool((prev | p) & MATH or (prev & LOWER and p & UPPER))
+
+
+def _feed_text(state: IncrementalSplitterState, data: bytes, text: str,
+               out: list) -> list[int]:
+    """Feed `text`, the decoded prefix of `data`, through `state`, appending
+    the spans it closes to `out`. Returns, per close, the text offset after
+    the codepoint whose arrival decided it."""
+    at, pos = [], 0
+    for ch in text:
+        cp = ord(ch)
+        n = 1 if cp < 0x80 else 2 if cp < 0x800 else 3 if cp < 0x10000 else 4
+        state.buf += data[pos:pos + n]
+        pos += n
+        k = len(out)
+        state._feed(cp, n, out)
+        if len(out) > k:
+            at += [pos] * (len(out) - k)
+    return at
+
+
+def split(data: bytes, max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> SplitResult:
+    """Split a UTF-8 byte sequence into word chunks.
+
+    Sentinel bytes 0xFE/0xFF are rejected as invalid UTF-8 (they cannot
+    appear in well-formed input). Raises SplitError on malformed input.
+    """
+    state = IncrementalSplitterState(max_word_bytes=max_word_bytes)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SplitError("invalid UTF-8", exc.start) from None
+    spans = []
+    _feed_text(state, data, text, spans)
+    state._finish(spans)
+    return SplitResult(tuple(WordSpan(a, b) for a, b in spans))
+
+
+def word_index_of_bytes(data: bytes,
+                        max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> list[int]:
+    """Per-byte chunk indices: index[i] = j iff byte i lies in span j."""
+    result = split(data, max_word_bytes)
+    index = []
+    for j, span in enumerate(result.spans):
+        index.extend([j] * (span.end - span.start))
+    return index
 
 
 def stream(data: bytes, max_word_bytes: int
            ) -> tuple[IncrementalSplitterState, list[WordClosed], list[int]]:
-    """Push `data` through a fresh incremental splitter, one byte at a time.
+    """The incremental splitter after `data`, as if pushed one byte at a time.
 
     Returns the state, the words closed, and per byte the number of words
     closed once its push has run, i.e. the index of the open chunk it lands
     in. Raises SplitError where `data` stops being a valid UTF-8 prefix."""
     state = IncrementalSplitterState(max_word_bytes=max_word_bytes)
-    closes, index = [], []
-    for b in data:
-        closes += state.push_byte(b)
-        index.append(state.closed_words)
-    return state, closes, index
+    try:
+        text, tail = data.decode("utf-8"), b""
+    except UnicodeDecodeError as exc:
+        if exc.reason != "unexpected end of data":
+            raise SplitError("invalid UTF-8", exc.start) from None
+        text, tail = data[:exc.start].decode("utf-8"), data[exc.start:]
+    closes = []
+    at = _feed_text(state, data, text, closes)
+    for b in tail:   # a codepoint in flight
+        state.gate.push(b)
+    state.buf += tail
+    state.closed_words = len(closes)
+    # byte i lands in the chunk after every close decided by byte i or before
+    index = []
+    for k, end in enumerate(at):
+        index += [k] * (end - 1 - len(index))
+    index += [len(at)] * (len(data) - len(index))
+    return state, [WordClosed(a, b) for a, b in closes], index
 
 
 def incremental_word_index(data: bytes,
                            max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> list[int]:
     """Per-byte chunk index as seen by the incremental splitter (see `stream`);
-    differs from `word_index_of_bytes` exactly where prefix consistency fails."""
+    differs from `word_index_of_bytes` where a close is decided after the
+    first byte of the chunk that follows it."""
     return stream(data, max_word_bytes)[2]
 
 

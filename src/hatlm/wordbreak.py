@@ -1,10 +1,24 @@
-"""UAX#29 default word boundaries over codepoint sequences.
+"""UAX#29 default word boundaries, decided one codepoint at a time.
 
 Implements the untailored Word_Break rules (WB1-WB16, WB999) using range
 tables generated into :mod:`hatlm._wb_tables`. Only word boundaries are
 provided; grapheme and sentence segmentation are out of scope.
+
+`WordBreaker` carries forward what the rules read: the class of the previous
+codepoint (WB3-WB3d), the last two non-ignorable classes (WB4 skips
+Extend/Format/ZWJ) and the length of the regional-indicator run (WB15/16).
+It decides the boundary before a codepoint when that codepoint arrives, with
+one exception: WB6, WB7b and WB12 read the next non-ignorable codepoint, so
+the boundary before a MidLetter-, MidNum- or quote-class codepoint that
+follows a letter or digit is held until that codepoint arrives or the text
+ends. `word_boundaries` runs it over a whole string.
+
+`PROPS` maps a codepoint to the properties that the rules here and the
+splitter's merge rules read, as one int: the Word_Break class plus flag
+bits, so each codepoint is looked up in the tables and `unicodedata` once.
 """
 
+import unicodedata
 from bisect import bisect_right
 
 from ._wb_tables import EXT_PICT_RANGES, WB_CLASS_NAMES, WB_RANGES
@@ -21,7 +35,8 @@ _EP_STARTS = [r[0] for r in EXT_PICT_RANGES]
 
 _IGNORE = frozenset((EXTEND, FORMAT, ZWJ))
 _AHLETTER = frozenset((ALETTER, HEBREW))
-_MIDNUMLETQ = frozenset((MIDNUMLET, SINGLE_QUOTE))
+_MIDLETTERQ = frozenset((MIDLETTER, MIDNUMLET, SINGLE_QUOTE))
+_MIDNUMQ = frozenset((MIDNUM, MIDNUMLET, SINGLE_QUOTE))
 _NL = frozenset((NEWLINE, CR, LF))
 
 
@@ -43,96 +58,169 @@ def is_ext_pict(cp: int) -> bool:
     return False
 
 
+# ---------------------------------------------------------------------------
+# codepoint properties: the Word_Break class in the low five bits, then flags
+
+CLASS = 0x1F
+IGNORABLE = 1 << 5   # Extend, Format or ZWJ
+EXT_PICT = 1 << 6    # Extended_Pictographic
+LOWER = 1 << 7       # general category Ll
+UPPER = 1 << 8       # Lu
+MATH = 1 << 9        # Sm
+PUNCT = 1 << 10      # P*
+SPACE = 1 << 11      # White_Space (str.isspace also matches 0x1C-0x1F, which are not)
+
+_WHITE_SPACE = frozenset(
+    list(range(0x09, 0x0E)) + [0x20, 0x85, 0xA0, 0x1680]
+    + list(range(0x2000, 0x200B)) + [0x2028, 0x2029, 0x202F, 0x205F, 0x3000]
+)
+_CATEGORY = {"Ll": LOWER, "Lu": UPPER, "Sm": MATH}
+
+
+class _Props(dict):
+    """Codepoint -> properties, each computed on first use (a table of the
+    whole Basic Multilingual Plane would add ~40 ms to every import)."""
+
+    def __missing__(self, cp: int) -> int:
+        cls, cat = wb_class(cp), unicodedata.category(chr(cp))
+        p = self[cp] = (cls | IGNORABLE * (cls in _IGNORE) | EXT_PICT * is_ext_pict(cp)
+                        | _CATEGORY.get(cat, PUNCT if cat[0] == "P" else 0)
+                        | SPACE * (cp in _WHITE_SPACE))
+        return p
+
+
+PROPS = _Props()
+
+
+# ---------------------------------------------------------------------------
+# the rules
+
+# a decision on one boundary, and the conditions a pair of classes may set
+BREAK, JOIN, HOLD = 0, 1, 2
+PREV, NEXT, ODD = 3, 4, 5
+
+# WB5-WB16: no boundary between adjacent non-ignorable codepoints of classes
+# (left, right) when the condition holds: always (None), the class before
+# the left one is in the set (PREV), the next non-ignorable class after the
+# right one is in the set (NEXT), or the regional-indicator run before the
+# right one is odd (ODD)
+_NO_BREAK = (
+    (_AHLETTER, _AHLETTER, None),                                       # WB5
+    (_AHLETTER, _MIDLETTERQ, (NEXT, _AHLETTER)),                        # WB6
+    (_MIDLETTERQ, _AHLETTER, (PREV, _AHLETTER)),                        # WB7
+    ({HEBREW}, {SINGLE_QUOTE}, None),                                   # WB7a
+    ({HEBREW}, {DOUBLE_QUOTE}, (NEXT, frozenset((HEBREW,)))),           # WB7b
+    ({DOUBLE_QUOTE}, {HEBREW}, (PREV, frozenset((HEBREW,)))),           # WB7c
+    ({NUMERIC}, {NUMERIC}, None),                                       # WB8
+    (_AHLETTER, {NUMERIC}, None),                                       # WB9
+    ({NUMERIC}, _AHLETTER, None),                                       # WB10
+    (_MIDNUMQ, {NUMERIC}, (PREV, frozenset((NUMERIC,)))),               # WB11
+    ({NUMERIC}, _MIDNUMQ, (NEXT, frozenset((NUMERIC,)))),               # WB12
+    ({KATAKANA}, {KATAKANA}, None),                                     # WB13
+    ({ALETTER, HEBREW, NUMERIC, KATAKANA, EXTENDNUMLET}, {EXTENDNUMLET}, None),  # WB13a
+    ({EXTENDNUMLET}, {ALETTER, HEBREW, NUMERIC, KATAKANA}, None),       # WB13b
+    ({RI}, {RI}, (ODD, None)),                                          # WB15/16
+)
+
+
+def _pair(lc: int, rc: int) -> tuple:
+    """(kind, classes) for a boundary between non-ignorable classes lc and
+    rc: JOIN or BREAK outright, or the one condition that decides it."""
+    conds = [cond for left, right, cond in _NO_BREAK if lc in left and rc in right]
+    if None in conds:
+        return JOIN, None
+    assert len(conds) <= 1, (lc, rc)
+    return conds[0] if conds else (BREAK, None)
+
+
+_PAIRS = [[_pair(lc, rc) for rc in range(19)] for lc in range(19)]
+
+
+class WordBreaker:
+    """UAX#29 word boundaries over a stream of codepoints."""
+
+    __slots__ = ("raw", "lc", "pc", "ri", "held")
+
+    def __init__(self):
+        self.raw = None    # class of the previous codepoint, None before the first
+        self.lc = None     # class of the last non-ignorable codepoint
+        self.pc = OTHER    # class of the non-ignorable codepoint before that
+        self.ri = 0        # regional indicators in the run ending at lc
+        self.held = None   # classes whose arrival joins the held boundary
+
+    def __eq__(self, other):
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+    def feed(self, p: int) -> tuple[int | None, int]:
+        """Take the next codepoint, given by its `PROPS` entry.
+
+        Returns how the held boundary resolves (JOIN or BREAK) if this
+        codepoint resolves it, else None; and the decision on the boundary
+        before this codepoint: JOIN, BREAK or HOLD (BREAK for the first)."""
+        rc = p & CLASS
+        raw = self.raw
+        self.raw = rc
+        if p & IGNORABLE:                                    # WB3a, WB4
+            return None, BREAK if raw is None or raw in _NL else JOIN
+        done = None
+        if self.held is not None:
+            done = JOIN if rc in self.held else BREAK
+            self.held = None
+        lc = self.lc
+        if raw is None:
+            here = BREAK
+        elif raw == CR and rc == LF:                         # WB3
+            here = JOIN
+        elif raw in _NL or rc in _NL:                        # WB3a/3b
+            here = BREAK
+        elif raw == ZWJ and p & EXT_PICT:                    # WB3c
+            here = JOIN
+        elif raw == WSEGSPACE and rc == WSEGSPACE:           # WB3d
+            here = JOIN
+        elif lc is None:                                     # only ignorables before
+            here = BREAK
+        else:
+            kind, classes = _PAIRS[lc][rc]
+            if kind == PREV:
+                here = JOIN if self.pc in classes else BREAK
+            elif kind == NEXT:
+                here = HOLD
+                self.held = classes
+            elif kind == ODD:
+                here = JOIN if self.ri % 2 else BREAK
+            else:
+                here = kind
+        self.ri = self.ri + 1 if rc == RI else 0
+        self.pc = OTHER if lc is None else lc
+        self.lc = rc
+        return done, here
+
+    def finish(self) -> int | None:
+        """End of text: how the held boundary resolves, None if none is held.
+        The end reads as class Other, which joins nothing."""
+        held, self.held = self.held, None
+        return None if held is None else BREAK
+
+
 def word_boundaries(text: str) -> list[int]:
     """Sorted codepoint offsets of every word boundary in `text`.
 
     Includes 0 and len(text). Adjacent offsets delimit the UAX#29 word
     segments.
     """
-    n = len(text)
-    if n == 0:
-        return [0]
-    cls = [wb_class(ord(c)) for c in text]
-
-    def prev_skip(i: int) -> int:
-        # index of last non-ignorable codepoint before position i, or -1
-        j = i - 1
-        while j >= 0 and cls[j] in _IGNORE:
-            j -= 1
-        return j
-
-    def next_skip(i: int) -> int:
-        # index of first non-ignorable codepoint at or after i, or -1
-        j = i
-        while j < n and cls[j] in _IGNORE:
-            j += 1
-        return j if j < n else -1
-
-    bounds = [0]
-    ri_run = 0  # length of the RI run ending before i, skipping ignorables
-    for i in range(1, n):
-        left, right = cls[i - 1], cls[i]
-        if left == RI:
-            ri_run += 1
-        elif left not in _IGNORE:
-            ri_run = 0
-
-        if left == CR and right == LF:                       # WB3
-            continue
-        if left in _NL or right in _NL:                      # WB3a/3b
+    wb, bounds, held = WordBreaker(), [0], 0
+    for i, ch in enumerate(text):
+        done, here = wb.feed(PROPS[ord(ch)])
+        if done == BREAK:
+            bounds.append(held)
+        if here == HOLD:
+            held = i
+        elif here == BREAK and i:
             bounds.append(i)
-            continue
-        if left == ZWJ and is_ext_pict(ord(text[i])):        # WB3c
-            continue
-        if left == WSEGSPACE and right == WSEGSPACE:         # WB3d
-            continue
-        if right in _IGNORE:                                 # WB4
-            continue
-
-        li = prev_skip(i)
-        lc = cls[li] if li >= 0 else OTHER
-        if li < 0:
-            bounds.append(i)                                 # WB999 (degenerate)
-            continue
-        rc = right
-        ni = next_skip(i + 1)
-        nc = cls[ni] if ni >= 0 else OTHER
-        pi = prev_skip(li)
-        pc = cls[pi] if pi >= 0 else OTHER
-
-        if lc in _AHLETTER and rc in _AHLETTER:              # WB5
-            continue
-        if lc in _AHLETTER and (rc == MIDLETTER or rc in _MIDNUMLETQ) and nc in _AHLETTER:  # WB6
-            continue
-        if (lc == MIDLETTER or lc in _MIDNUMLETQ) and rc in _AHLETTER and pc in _AHLETTER:  # WB7
-            continue
-        if lc == HEBREW and rc == SINGLE_QUOTE:              # WB7a
-            continue
-        if lc == HEBREW and rc == DOUBLE_QUOTE and nc == HEBREW:   # WB7b
-            continue
-        if lc == DOUBLE_QUOTE and rc == HEBREW and pc == HEBREW:   # WB7c
-            continue
-        if lc == NUMERIC and rc == NUMERIC:                  # WB8
-            continue
-        if lc in _AHLETTER and rc == NUMERIC:                # WB9
-            continue
-        if lc == NUMERIC and rc in _AHLETTER:                # WB10
-            continue
-        if (lc == MIDNUM or lc in _MIDNUMLETQ) and rc == NUMERIC and pc == NUMERIC:  # WB11
-            continue
-        if lc == NUMERIC and (rc == MIDNUM or rc in _MIDNUMLETQ) and nc == NUMERIC:  # WB12
-            continue
-        if lc == KATAKANA and rc == KATAKANA:                # WB13
-            continue
-        if lc in (ALETTER, HEBREW, NUMERIC, KATAKANA, EXTENDNUMLET) and rc == EXTENDNUMLET:  # WB13a
-            continue
-        if lc == EXTENDNUMLET and rc in (ALETTER, HEBREW, NUMERIC, KATAKANA):  # WB13b
-            continue
-        if lc == RI and rc == RI and ri_run % 2:             # WB15/16
-            continue
-
-        bounds.append(i)                                     # WB999
-    bounds.append(n)
+    if wb.finish() == BREAK:
+        bounds.append(held)
+    if text:
+        bounds.append(len(text))
     return bounds
 
 

@@ -155,6 +155,17 @@ def test_malformed_model_input_exits_1(tmp_path, capsys, micro_cfg, micro_params
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [("split", "--text"),
+                                  ("generate", "--config", "micro", "--max-bytes", "2",
+                                   "--prompt")], ids=["split", "generate"])
+def test_undecodable_argument_reports_its_offset(capsys, args):
+    # an argv byte that is not UTF-8 arrives as a lone surrogate; it goes
+    # back to its byte, which the splitter refuses with its offset
+    code, out = run_cli(*args, "a\udcff")
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: invalid UTF-8 at byte offset 1\n"
+
+
 def test_console_entrypoint_runs():
     # the child process does not inherit pytest's `pythonpath` setting
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))

@@ -15,7 +15,7 @@ from hatlm.infer import (
     sample_from_logits,
     step_byte,
 )
-from hatlm.splitter import BYTE_BOS, IncrementalSplitterState, SplitError, Utf8Gate
+from hatlm.splitter import BYTE_BOS, IncrementalSplitterState, SplitError, Utf8Gate, split
 
 from conftest import POOLS
 
@@ -142,6 +142,22 @@ def test_prefill_matches_byte_loop(micro_cfg, micro_params, prompt, script, cap)
         step_byte(got)
         assert_close(ref.cur_logits, got.cur_logits)
     assert got.finished and bytes(got.generated) == bytes(ref.generated)
+
+
+def test_word_after_ignorable_after_punctuation_is_pooled(micro_cfg, micro_params):
+    # "a:" then U+0301 looks like two chunks until "b" makes one word of
+    # "a:\u0301b" (WB6/7 read past the mark): a close of "a" taken early and
+    # never taken back would leave bytes 1-4 out of every pooled span
+    data = "a:\u0301b c d".encode()
+    expect = [(s.start, s.end) for s in split(data).spans[:-1]]
+    assert expect == [(0, 5), (5, 7)]
+    assert prefill(make_session(micro_params, micro_cfg), data).consumed_spans == expect
+    s = GenSession(micro_params, micro_cfg, SamplingConfig("forced", forced=data),
+                   max_new_bytes=len(data))
+    prefill(s, b"")
+    while not s.finished:
+        step_byte(s)
+    assert bytes(s.generated) == data and s.consumed_spans == expect
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hatlm.splitter import (
     stream,
     word_index_of_bytes,
 )
-from hatlm.wordbreak import word_boundaries
+from hatlm.wordbreak import CLASS, EXTEND, FORMAT, IGNORABLE, PROPS, ZWJ, wb_class, word_boundaries
 
 from conftest import DATA, POOLS, TEST_DATA, random_utf8_strings
 
@@ -300,21 +300,46 @@ def test_gate_admits_exactly_what_push_accepts(text, cut):
         copy.deepcopy(st_).push_byte(BYTE_EOS)
 
 
-def assert_matches_whole_buffer(data: bytes, max_word_bytes: int) -> None:
+def assert_matches_whole_buffer(data: bytes, max_word_bytes: int, exact: bool = True) -> None:
     """Push `data` byte by byte and compare each push with the whole-buffer
-    rule: every completed codepoint re-splits the whole prefix."""
+    rule: every completed codepoint re-splits the whole prefix, and every
+    span of it but the last is closed.
+
+    The engine closes a span only once no continuation can change it, which
+    the rule does not check. Where the rule closes a span too early
+    (`exact=False`, see `rule_is_exact`), the engine may close later than
+    it, never earlier, and its closes are still the leading spans of the
+    re-split."""
     st_ = IncrementalSplitterState(max_word_bytes=max_word_bytes)
-    closed = bad = 0
+    closes, ruled = [], 0
     for i, b in enumerate(data):
-        events = []
-        if i + 1 == len(data) or not 0x80 <= data[i + 1] <= 0xBF:
-            spans = split(data[:i + 1], max_word_bytes).spans
-            n = len(spans) - 1
-            bad += max(0, closed - n)
-            events = [(s.start, s.end) for s in spans[closed:n]]
-            closed = max(closed, n)
-        assert [(e.start, e.end) for e in st_.push_byte(b)] == events, f"byte {i}"
-        assert (st_.closed_words, st_._inconsistencies) == (closed, bad), f"byte {i}"
+        events = [(e.start, e.end) for e in st_.push_byte(b)]
+        closes += events
+        assert st_.closed_words == len(closes), f"byte {i}"
+        assert st_.pending == data[closes[-1][1] if closes else 0:i + 1], f"byte {i}"
+        if i + 1 < len(data) and 0x80 <= data[i + 1] <= 0xBF:
+            assert events == [], f"byte {i}"
+            continue
+        spans = [(s.start, s.end) for s in split(data[:i + 1], max_word_bytes).spans]
+        if exact:
+            assert len(spans) - 1 >= ruled, f"byte {i}: the rule took a close back"
+            assert events == spans[ruled:len(spans) - 1], f"byte {i}"
+            ruled = len(spans) - 1
+        else:
+            assert closes == spans[:len(closes)] and len(closes) < len(spans), f"byte {i}"
+
+
+def rule_is_exact(s: str) -> bool:
+    """Whether the whole-buffer rule closes only final spans of `s`.
+
+    It does not where an Extend, Format or ZWJ codepoint could still join
+    the open piece: after punctuation that holds a WB6/WB12 boundary open
+    ("a:" then U+0301 is two chunks, until a letter makes one word of it),
+    and in a run of connector punctuation, one segment under WB13a, whose
+    cap cut the rule takes while the run could still become a word
+    ("你__" at cap 4)."""
+    return "__" not in s and not any(
+        wb_class(ord(c)) in (EXTEND, FORMAT, ZWJ) for c in s)
 
 
 # Extend, ZWJ, Format, CR LF, mid-word punctuation, and the Mid-class math symbol
@@ -327,27 +352,150 @@ pieces = st.one_of(
     st.tuples(st.sampled_from("aZ7é你"), st.integers(2, 70)).map(lambda t: t[0] * t[1]),
 )
 
+# an ignorable after punctuation that WB6/7/11/12 may bridge, and U+FE0F
+# after punctuation (it turns the punctuation into a word chunk)
+MARKED_PUNCT = st.tuples(st.sampled_from(":.,_'\u05f4"),
+                         st.sampled_from(["\ufe0f", "\u0301", "\u00ad"])).map("".join)
+SHORT_PIECES = st.one_of(
+    st.sampled_from([c for pool in POOLS for c in pool] + MARKS + list("_\u05f4")),
+    MARKED_PUNCT,
+    st.lists(st.sampled_from(RI), min_size=1, max_size=3).map("".join),
+)
+CAPS = st.sampled_from([4, 5, 8, 16, 128])
 
-@given(st.lists(pieces, max_size=24).map("".join), st.sampled_from([4, 5, 8, 16, 128]))
+
+@given(st.lists(pieces, max_size=24).map("".join), CAPS)
 @example("1\u2044\u03012 ab cd ef", 128)  # WB11 looks back past the fraction slash
 @example("   \u00b8\u0301\u0301aB  ", 4)  # a cap cut before a combining mark
+@example("a:\u0301b c d", 128)            # the rule closes "a", then "b" joins it
+@example("x \u4f60\u4f60__ y", 4)          # the rule cuts "__" at the cap
 @settings(max_examples=200, deadline=None)
 def test_streaming_matches_whole_buffer_resplit(s, max_word_bytes):
+    assert_matches_whole_buffer(s.encode(), max_word_bytes, rule_is_exact(s))
+
+
+@given(st.lists(st.one_of(pieces.filter(rule_is_exact), st.sampled_from(list(":.,_'\u05f4"))),
+                max_size=24).map("".join).filter(rule_is_exact), CAPS)
+@example("abc: d.e, 1,2 3.4 '\u05d0\u05f4\u05d1", 4)
+@settings(max_examples=100, deadline=None)
+def test_streaming_matches_whole_buffer_without_ignorables(s, max_word_bytes):
     assert_matches_whole_buffer(s.encode(), max_word_bytes)
+
+
+@given(st.lists(st.one_of(pieces, MARKED_PUNCT), max_size=24).map("".join), CAPS)
+@example("a:\u0301b c d", 128)
+@settings(max_examples=200, deadline=None)
+def test_closes_are_the_leading_spans_of_the_split(s, max_word_bytes):
+    # after every byte, whatever comes next: the closes so far are spans of
+    # the whole text, and `pending` is the rest of the text pushed
+    data = s.encode()
+    spans = [(s.start, s.end) for s in split(data, max_word_bytes).spans]
+    st_ = IncrementalSplitterState(max_word_bytes=max_word_bytes)
+    closes = []
+    for i, b in enumerate(data):
+        closes += [(e.start, e.end) for e in st_.push_byte(b)]
+        assert closes == spans[:st_.closed_words], f"byte {i}"
+        assert st_.pending == data[closes[-1][1] if closes else 0:i + 1], f"byte {i}"
+
+
+def _representatives() -> list[str]:
+    """One codepoint per distinct `PROPS` value: each in the Basic
+    Multilingual Plane, plus a regional indicator, the one class without a
+    codepoint there."""
+    reps = {}
+    for cp in [*range(0xD800), *range(0xE000, 0x10000), 0x1F1E6]:
+        reps.setdefault(PROPS[cp], chr(cp))
+    return list(reps.values())
+
+
+REPRESENTATIVES = _representatives()
+CONTINUATIONS = REPRESENTATIVES + [
+    a + b for a in REPRESENTATIVES if PROPS[ord(a)] & IGNORABLE for b in REPRESENTATIVES]
+
+
+def test_representatives_cover_every_word_break_class():
+    assert {PROPS[ord(c)] & CLASS for c in REPRESENTATIVES} == set(range(19))
+
+
+def final_closes(prefix: bytes, max_word_bytes: int) -> int:
+    """Brute force: how many leading spans of split(prefix), the last one
+    aside, the split of prefix + c keeps for every continuation c."""
+    spans = split(prefix, max_word_bytes).spans
+    k = max(0, len(spans) - 1)
+    for c in CONTINUATIONS:
+        if not k:
+            break
+        other = split(prefix + c.encode(), max_word_bytes).spans
+        k = next((j for j in range(k) if other[j] != spans[j]), k)
+    return k
+
+
+@given(st.lists(SHORT_PIECES, max_size=10).map("".join), st.sampled_from([4, 5, 8, 128]))
+@example("a:\u0301b c d", 128)
+@example("\u4f60__ \u2044\u0301", 4)
+@example("ab\u05f4\u0301\u0301cd", 4)
+@settings(max_examples=60, deadline=None)
+def test_streaming_closes_exactly_what_is_final(s, max_word_bytes):
+    data = s.encode()
+    st_ = IncrementalSplitterState(max_word_bytes=max_word_bytes)
+    for i, b in enumerate(data):
+        st_.push_byte(b)
+        if i + 1 == len(data) or not 0x80 <= data[i + 1] <= 0xBF:
+            assert st_.closed_words == final_closes(data[:i + 1], max_word_bytes), f"byte {i}"
+
+
+@given(st.lists(st.one_of(pieces, MARKED_PUNCT), max_size=16).map("".join)
+       .map(str.encode) | st.binary(max_size=24),
+       st.integers(0, 3), st.sampled_from([4, 16]))
+@example(b"a:\xcc\x81b c", 1, 16)
+@example(b"ab\xf0\x90\x80\xfe", 0, 16)
+@settings(max_examples=200, deadline=None)
+def test_stream_equals_pushing_byte_by_byte(data, cut, max_word_bytes):
+    prefix = data[:max(0, len(data) - cut)]   # may end inside a codepoint
+    st_ = IncrementalSplitterState(max_word_bytes=max_word_bytes)
+    closes, index = [], []
+    try:
+        for b in prefix:
+            closes += st_.push_byte(b)
+            index.append(st_.closed_words)
+    except SplitError as exc:
+        with pytest.raises(SplitError) as got:
+            stream(prefix, max_word_bytes)
+        assert got.value.offset == exc.offset
+        return
+    assert stream(prefix, max_word_bytes) == (st_, closes, index)
+
+
+@given(st.lists(st.one_of(pieces, MARKED_PUNCT), max_size=24).map("".join),
+       st.sampled_from([4, 5, 8]))
+@example("a:" + "\u0301" * 40 + "b", 4)   # a held boundary resolves: ten spans close
+@example("+___\u00ad", 4)
+@settings(max_examples=200, deadline=None)
+def test_push_closes_at_most_len_buf_words(s, max_word_bytes):
+    # the bound `infer._check_byte_step` counts on before it pushes into a copy
+    st_ = IncrementalSplitterState(max_word_bytes=max_word_bytes)
+    for b in s.encode():
+        bound = len(st_.buf)
+        assert len(st_.push_byte(b)) <= bound
+
+
+def pathological_streams() -> list[bytes]:
+    flags = "".join(RI[i % len(RI)] + RI[(i + 1) % len(RI)] for i in range(300))
+    return [s.encode() for s in ("\u2044" * 2000, "\u0301" * 2000, "a" + "\u0301" * 1000, flags)]
 
 
 @pytest.mark.parametrize("max_word_bytes", [16, 128])
 def test_streaming_buffer_stays_bounded(max_word_bytes):
     text = (DATA / "english_sample.txt").read_bytes()
-    data = (text * (16384 // len(text) + 1))[:16384]
-    st_ = IncrementalSplitterState(max_word_bytes=max_word_bytes)
-    events = []
-    for b in data:
-        events.extend(st_.push_byte(b))
-        assert len(st_.buf) <= 4 * max_word_bytes
-    assert [(e.start, e.end) for e in events] == \
-        [(s.start, s.end) for s in split(data, max_word_bytes).spans[:-1]]
-    assert st_._inconsistencies == 0
+    for data in [(text * (16384 // len(text) + 1))[:16384], *pathological_streams()]:
+        st_ = IncrementalSplitterState(max_word_bytes=max_word_bytes)
+        events = []
+        for b in data:
+            events.extend(st_.push_byte(b))
+            # all the engine keeps of the text is `buf`; `held` names codepoints in it
+            assert len(st_.buf) <= 4 * max_word_bytes
+        assert [(e.start, e.end) for e in events] == \
+            [(s.start, s.end) for s in split(data, max_word_bytes).spans[:-1]]
 
 
 # ---------------------------------------------------------------------------
