@@ -16,17 +16,14 @@ of default UAX#29 word segments this applies, in order:
   5. length cap: chunks longer than max_word_bytes are force-split at the
      last codepoint boundary at or below the cap
 
-One engine, `IncrementalSplitterState`, applies all of them to a stream of
-codepoints with O(1) work per codepoint (amortised), and closes a chunk only
-once no continuation of the text can change it. So its closes are always
-the leading spans of the split of the whole text, and a close is never
-taken back. Three drivers share it: `push_byte` feeds it one byte at a time,
-`stream` feeds it a whole prefix, and `split` a whole text, whose end
-settles the last chunk.
-
-The incremental splitter is the one front end of a byte stream, prompt or
-generated: its `Utf8Gate`, which sampling masks with, refuses any byte that
-breaks UTF-8.
+One engine, `IncrementalSplitterState`, applies them to a stream of
+codepoints with O(1) work each (amortised) and closes a chunk only once no
+continuation of the text can change it, so its closes are always leading
+spans of the split of the whole text. `push_byte` feeds it a byte at a time,
+`stream` a whole prefix and `split` a whole text, whose end settles the
+last chunk. It is the one front end of a byte stream, prompt or generated:
+its `Utf8Gate`, which sampling masks with, refuses any byte that breaks
+UTF-8.
 """
 
 from __future__ import annotations
@@ -135,24 +132,21 @@ _MERGING = 2   # a word, then the open piece, all punctuation so far: it may mer
 class IncrementalSplitterState:
     """The splitting engine, fed one codepoint at a time.
 
-    The UAX#29 layer (`breaker`) decides each segment boundary when the
-    codepoint after it arrives, except a boundary it holds for WB6/7b/12:
-    the codepoints from there on wait in `held` until the next non-ignorable
-    codepoint resolves it. Every other codepoint is settled at once: it
-    opens a new piece (a segment boundary, or a camel-case or math cut
-    against the codepoint before) or extends the open piece. The merge rules
-    then need no text, only what the open chunk holds (`mode`) and the
-    whitespace/punctuation flags of the open piece, which only ever turn
-    off. A chunk closes once a piece starts that it cannot absorb, and a
-    cap-length span once the chunk surely reaches past it. So nothing is
-    closed that a continuation could change, and nothing that is final
-    waits, except the span that holds the last codepoint.
+    The UAX#29 layer (`breaker`) decides a segment boundary when the
+    codepoint after it arrives; from a boundary it holds for WB6/7b/12 on,
+    codepoints wait in `held` until the next non-ignorable one. Every other
+    codepoint is settled at once: it opens a piece (a segment boundary, or a
+    camel-case or math cut) or extends the open one. The merge rules then
+    read only what the open chunk holds (`mode`) and the open piece's
+    whitespace/punctuation flags, which only ever turn off. A chunk closes
+    once a piece starts that it cannot absorb, and a cap-length span once
+    the chunk surely reaches past it: nothing a continuation could change,
+    and nothing final but the span that holds the last codepoint waits.
 
     `buf` holds the text from `lo`, where the first unclosed span starts,
     the codepoint in flight included. Every closed span lies in `buf` before
     the pushed byte, so a push closes at most `len(buf)` words. `WordClosed`
-    offsets count from the start of the text. Accepted bytes always form a
-    valid UTF-8 prefix (`gate` holds the codepoint in flight).
+    offsets count from the start of the text.
     """
 
     max_word_bytes: int = DEFAULT_MAX_WORD_BYTES
@@ -162,7 +156,7 @@ class IncrementalSplitterState:
     lo: int = 0            # text offset where the first unclosed span starts
     end: int = 0           # text offset after the last complete codepoint
     breaker: WordBreaker = field(default_factory=WordBreaker)
-    held: list = field(default_factory=list)  # (props, bytes) from a held boundary on
+    held: list = field(default_factory=list)  # (props, size) per held codepoint
     settled: int = 0       # text offset after the last settled codepoint
     prev: int = 0          # props of the last settled codepoint
     piece: int = 0         # text offset where the open piece starts
@@ -192,15 +186,11 @@ class IncrementalSplitterState:
         buf.append(b)
         if gate.need:
             return []
-        if b < 0x80:
-            cp, n = b, 1
-        else:
-            k = len(buf) - 1
-            while buf[k] < 0xC0:
-                k -= 1
-            cp, n = ord(buf[k:].decode()), len(buf) - k
+        k = len(buf) - 1
+        while buf[k] & 0xC0 == 0x80:
+            k -= 1
         out = []
-        self._feed(cp, n, out)
+        self._feed(ord(buf[k:].decode()), len(buf) - k, out)
         self.closed_words += len(out)
         return [WordClosed(a, e) for a, e in out]
 
@@ -211,23 +201,15 @@ class IncrementalSplitterState:
         p = PROPS[cp]
         self.end += n
         done, here = self.breaker.feed(p)
-        if self.held:
-            if done is None:   # an ignorable: the boundary stays held
-                self.held.append((p, n))
-                self._cut_caps(out)
-                return
+        if self.held and done is not None:
             self._release(done == BREAK, out)
-        if here == HOLD and not _cut(self.prev, p):
+        if self.held:   # an ignorable: the boundary stays held
+            self.held.append((p, n))
+        elif here == HOLD and not _cut(self.prev, p):
             self.held = [(p, n)]
         else:
             self._settle(p, n, here != JOIN, out)
         self._cut_caps(out)
-
-    def _finish(self, out: list) -> None:
-        """The text ends: close everything."""
-        if self.held:
-            self._release(self.breaker.finish() == BREAK, out)
-        self._close(self.end, out)
 
     def _release(self, brk: bool, out: list) -> None:
         """Settle the held codepoints; the first opens a piece if `brk`, the
@@ -242,13 +224,12 @@ class IncrementalSplitterState:
         prev, self.prev = self.prev, p
         if brk or _cut(prev, p):   # a new piece opens at `start`
             mode = self.mode
-            if mode == _SPACES:
-                pass               # whitespace merges forward
-            elif p & PUNCT and (mode == _MERGING or not self.flags & PUNCT):
-                mode = _MERGING    # punctuation may merge into the word before
-            else:
-                self._close(start, out)
-                mode = _SPACES
+            if mode != _SPACES:    # whitespace merges forward
+                if p & PUNCT and (mode == _MERGING or not self.flags & PUNCT):
+                    mode = _MERGING    # punctuation may merge into the word before
+                else:
+                    self._close(start, out)
+                    mode = _SPACES
             self.mode = _FIRST if mode == _SPACES and not p & SPACE else mode
             self.piece, self.flags = start, p & (SPACE | PUNCT)
         else:
@@ -330,7 +311,9 @@ def split(data: bytes, max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> SplitRes
         raise SplitError("invalid UTF-8", exc.start) from None
     spans = []
     _feed_text(state, data, text, spans)
-    state._finish(spans)
+    if state.held:   # the end of the text joins nothing
+        state._release(True, spans)
+    state._close(state.end, spans)
     return SplitResult(tuple(WordSpan(a, b) for a, b in spans))
 
 

@@ -1,25 +1,19 @@
 """UAX#29 default word boundaries, decided one codepoint at a time.
 
 Implements the untailored Word_Break rules (WB1-WB16, WB999) using range
-tables generated into :mod:`hatlm._wb_tables`. Only word boundaries are
-provided; grapheme and sentence segmentation are out of scope.
-
-`WordBreaker` carries forward what the rules read: the class of the previous
-codepoint (WB3-WB3d), the last two non-ignorable classes (WB4 skips
-Extend/Format/ZWJ) and the length of the regional-indicator run (WB15/16).
-It decides the boundary before a codepoint when that codepoint arrives, with
-one exception: WB6, WB7b and WB12 read the next non-ignorable codepoint, so
-the boundary before a MidLetter-, MidNum- or quote-class codepoint that
-follows a letter or digit is held until that codepoint arrives or the text
-ends. `word_boundaries` runs it over a whole string.
-
-`PROPS` maps a codepoint to the properties that the rules here and the
-splitter's merge rules read, as one int: the Word_Break class plus flag
-bits, so each codepoint is looked up in the tables and `unicodedata` once.
+tables generated into :mod:`hatlm._wb_tables`; grapheme and sentence
+segmentation are out of scope. `WordBreaker` carries forward what the rules
+read: the previous class (WB3-WB3d), the last two non-ignorable classes (WB4
+skips Extend/Format/ZWJ) and the regional-indicator run (WB15/16). It decides
+each boundary when the codepoint after it arrives, except that WB6, WB7b and
+WB12 read one more non-ignorable codepoint: the boundary before a Mid- or
+quote-class codepoint after a letter or digit is held until then. `PROPS`
+gives each codepoint's class and the flags the splitter reads, computed once.
 """
 
 import unicodedata
 from bisect import bisect_right
+from dataclasses import dataclass
 
 from ._wb_tables import EXT_PICT_RANGES, WB_CLASS_NAMES, WB_RANGES
 
@@ -38,24 +32,6 @@ _AHLETTER = frozenset((ALETTER, HEBREW))
 _MIDLETTERQ = frozenset((MIDLETTER, MIDNUMLET, SINGLE_QUOTE))
 _MIDNUMQ = frozenset((MIDNUM, MIDNUMLET, SINGLE_QUOTE))
 _NL = frozenset((NEWLINE, CR, LF))
-
-
-def wb_class(cp: int) -> int:
-    """Word_Break property class of a codepoint."""
-    i = bisect_right(_WB_STARTS, cp) - 1
-    if i >= 0:
-        start, end, cls = WB_RANGES[i]
-        if cp < end:
-            return cls
-    return OTHER
-
-
-def is_ext_pict(cp: int) -> bool:
-    i = bisect_right(_EP_STARTS, cp) - 1
-    if i >= 0:
-        start, end = EXT_PICT_RANGES[i]
-        return cp < end
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +58,12 @@ class _Props(dict):
     whole Basic Multilingual Plane would add ~40 ms to every import)."""
 
     def __missing__(self, cp: int) -> int:
-        cls, cat = wb_class(cp), unicodedata.category(chr(cp))
-        p = self[cp] = (cls | IGNORABLE * (cls in _IGNORE) | EXT_PICT * is_ext_pict(cp)
-                        | _CATEGORY.get(cat, PUNCT if cat[0] == "P" else 0)
-                        | SPACE * (cp in _WHITE_SPACE))
+        i, j = bisect_right(_WB_STARTS, cp) - 1, bisect_right(_EP_STARTS, cp) - 1
+        cls = WB_RANGES[i][2] if i >= 0 and cp < WB_RANGES[i][1] else OTHER
+        cat = unicodedata.category(chr(cp))
+        p = self[cp] = (cls | IGNORABLE * (cls in _IGNORE) | SPACE * (cp in _WHITE_SPACE)
+                        | EXT_PICT * (j >= 0 and cp < EXT_PICT_RANGES[j][1])
+                        | _CATEGORY.get(cat, PUNCT if cat[0] == "P" else 0))
         return p
 
 
@@ -109,13 +87,13 @@ _NO_BREAK = (
     (_AHLETTER, _MIDLETTERQ, (NEXT, _AHLETTER)),                        # WB6
     (_MIDLETTERQ, _AHLETTER, (PREV, _AHLETTER)),                        # WB7
     ({HEBREW}, {SINGLE_QUOTE}, None),                                   # WB7a
-    ({HEBREW}, {DOUBLE_QUOTE}, (NEXT, frozenset((HEBREW,)))),           # WB7b
-    ({DOUBLE_QUOTE}, {HEBREW}, (PREV, frozenset((HEBREW,)))),           # WB7c
+    ({HEBREW}, {DOUBLE_QUOTE}, (NEXT, {HEBREW})),           # WB7b
+    ({DOUBLE_QUOTE}, {HEBREW}, (PREV, {HEBREW})),           # WB7c
     ({NUMERIC}, {NUMERIC}, None),                                       # WB8
     (_AHLETTER, {NUMERIC}, None),                                       # WB9
     ({NUMERIC}, _AHLETTER, None),                                       # WB10
-    (_MIDNUMQ, {NUMERIC}, (PREV, frozenset((NUMERIC,)))),               # WB11
-    ({NUMERIC}, _MIDNUMQ, (NEXT, frozenset((NUMERIC,)))),               # WB12
+    (_MIDNUMQ, {NUMERIC}, (PREV, {NUMERIC})),               # WB11
+    ({NUMERIC}, _MIDNUMQ, (NEXT, {NUMERIC})),               # WB12
     ({KATAKANA}, {KATAKANA}, None),                                     # WB13
     ({ALETTER, HEBREW, NUMERIC, KATAKANA, EXTENDNUMLET}, {EXTENDNUMLET}, None),  # WB13a
     ({EXTENDNUMLET}, {ALETTER, HEBREW, NUMERIC, KATAKANA}, None),       # WB13b
@@ -136,36 +114,28 @@ def _pair(lc: int, rc: int) -> tuple:
 _PAIRS = [[_pair(lc, rc) for rc in range(19)] for lc in range(19)]
 
 
+@dataclass(slots=True)
 class WordBreaker:
     """UAX#29 word boundaries over a stream of codepoints."""
-
-    __slots__ = ("raw", "lc", "pc", "ri", "held")
-
-    def __init__(self):
-        self.raw = None    # class of the previous codepoint, None before the first
-        self.lc = None     # class of the last non-ignorable codepoint
-        self.pc = OTHER    # class of the non-ignorable codepoint before that
-        self.ri = 0        # regional indicators in the run ending at lc
-        self.held = None   # classes whose arrival joins the held boundary
-
-    def __eq__(self, other):
-        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+    raw: int | None = None   # class of the previous codepoint, None before the first
+    lc: int | None = None    # class of the last non-ignorable codepoint
+    pc: int = OTHER          # class of the non-ignorable codepoint before that
+    ri: int = 0              # regional indicators in the run ending at lc
+    held: set | None = None  # classes whose arrival joins the held boundary
 
     def feed(self, p: int) -> tuple[int | None, int]:
         """Take the next codepoint, given by its `PROPS` entry.
 
         Returns how the held boundary resolves (JOIN or BREAK) if this
         codepoint resolves it, else None; and the decision on the boundary
-        before this codepoint: JOIN, BREAK or HOLD (BREAK for the first)."""
+        before this codepoint: JOIN, BREAK or HOLD (BREAK for the first).
+        A boundary still held at the end of the text is a BREAK."""
         rc = p & CLASS
-        raw = self.raw
-        self.raw = rc
+        raw, self.raw = self.raw, rc
         if p & IGNORABLE:                                    # WB3a, WB4
             return None, BREAK if raw is None or raw in _NL else JOIN
-        done = None
-        if self.held is not None:
-            done = JOIN if rc in self.held else BREAK
-            self.held = None
+        done = None if self.held is None else JOIN if rc in self.held else BREAK
+        self.held = None
         lc = self.lc
         if raw is None:
             here = BREAK
@@ -184,8 +154,7 @@ class WordBreaker:
             if kind == PREV:
                 here = JOIN if self.pc in classes else BREAK
             elif kind == NEXT:
-                here = HOLD
-                self.held = classes
+                here, self.held = HOLD, classes
             elif kind == ODD:
                 here = JOIN if self.ri % 2 else BREAK
             else:
@@ -195,19 +164,10 @@ class WordBreaker:
         self.lc = rc
         return done, here
 
-    def finish(self) -> int | None:
-        """End of text: how the held boundary resolves, None if none is held.
-        The end reads as class Other, which joins nothing."""
-        held, self.held = self.held, None
-        return None if held is None else BREAK
-
 
 def word_boundaries(text: str) -> list[int]:
-    """Sorted codepoint offsets of every word boundary in `text`.
-
-    Includes 0 and len(text). Adjacent offsets delimit the UAX#29 word
-    segments.
-    """
+    """Sorted codepoint offsets of every word boundary in `text`, 0 and
+    len(text) included: adjacent offsets delimit the UAX#29 word segments."""
     wb, bounds, held = WordBreaker(), [0], 0
     for i, ch in enumerate(text):
         done, here = wb.feed(PROPS[ord(ch)])
@@ -217,7 +177,7 @@ def word_boundaries(text: str) -> list[int]:
             held = i
         elif here == BREAK and i:
             bounds.append(i)
-    if wb.finish() == BREAK:
+    if wb.held is not None:   # the end of the text joins nothing
         bounds.append(held)
     if text:
         bounds.append(len(text))

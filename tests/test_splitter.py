@@ -18,7 +18,7 @@ from hatlm.splitter import (
     stream,
     word_index_of_bytes,
 )
-from hatlm.wordbreak import CLASS, EXTEND, FORMAT, IGNORABLE, PROPS, ZWJ, wb_class, word_boundaries
+from hatlm.wordbreak import CLASS, IGNORABLE, PROPS, word_boundaries
 
 from conftest import DATA, POOLS, TEST_DATA, random_utf8_strings
 
@@ -338,8 +338,7 @@ def rule_is_exact(s: str) -> bool:
     and in a run of connector punctuation, one segment under WB13a, whose
     cap cut the rule takes while the run could still become a word
     ("你__" at cap 4)."""
-    return "__" not in s and not any(
-        wb_class(ord(c)) in (EXTEND, FORMAT, ZWJ) for c in s)
+    return "__" not in s and not any(PROPS[ord(c)] & IGNORABLE for c in s)
 
 
 # Extend, ZWJ, Format, CR LF, mid-word punctuation, and the Mid-class math symbol
