@@ -209,7 +209,7 @@ class IncrementalSplitterState:
             self.held = [(p, n)]
         else:
             self._settle(p, n, here != JOIN, out)
-        self._cut_caps(out)
+        self._cut_caps(out, None)
 
     def _release(self, brk: bool, out: list) -> None:
         """Settle the held codepoints; the first opens a piece if `brk`, the
@@ -246,9 +246,10 @@ class IncrementalSplitterState:
         if self.lo < end:
             self._emit(end, out)
 
-    def _cut_caps(self, out: list, end: int | None = None) -> None:
+    def _cut_caps(self, out: list, end: int | None) -> None:
         """Close the cap-length spans that the text surely holds in one
-        chunk: up to `end` if the open chunk ends there, else `_reach()`."""
+        chunk: up to `end` if the open chunk ends there, else (None) as far
+        as `_reach()`."""
         cap = self.max_word_bytes
         while self.lo + cap < self.end:
             q = cap   # the last codepoint boundary within the cap

@@ -300,7 +300,7 @@ def test_gate_admits_exactly_what_push_accepts(text, cut):
         copy.deepcopy(st_).push_byte(BYTE_EOS)
 
 
-def assert_matches_whole_buffer(data: bytes, max_word_bytes: int, exact: bool = True) -> None:
+def assert_matches_whole_buffer(data: bytes, max_word_bytes: int, exact: bool) -> None:
     """Push `data` byte by byte and compare each push with the whole-buffer
     rule: every completed codepoint re-splits the whole prefix, and every
     span of it but the last is closed.
@@ -378,7 +378,7 @@ def test_streaming_matches_whole_buffer_resplit(s, max_word_bytes):
 @example("abc: d.e, 1,2 3.4 '\u05d0\u05f4\u05d1", 4)
 @settings(max_examples=100, deadline=None)
 def test_streaming_matches_whole_buffer_without_ignorables(s, max_word_bytes):
-    assert_matches_whole_buffer(s.encode(), max_word_bytes)
+    assert_matches_whole_buffer(s.encode(), max_word_bytes, True)
 
 
 @given(st.lists(st.one_of(pieces, MARKED_PUNCT), max_size=24).map("".join), CAPS)
