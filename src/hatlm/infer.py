@@ -451,7 +451,7 @@ def prefill(session: GenSession, prompt_bytes: bytes) -> GenSession:
     First `splitter.stream` runs the prompt through a fresh incremental
     splitter, which holds the UTF-8 gate: that gives the words it closes
     and, per byte, the backbone row its decoder reads (`inc_index`), exactly
-    as pushing the bytes one at a time would have assigned them. Then one no-grad forward with
+    as pushing the bytes one at a time would. Then one no-grad forward with
     that assignment (`model.prompt_pass`) yields everything the session
     caches, the BOS backbone position included. A prompt that is not valid
     UTF-8, ends inside a codepoint or needs more positions than the model
