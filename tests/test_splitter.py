@@ -300,6 +300,55 @@ def test_gate_admits_exactly_what_push_accepts(text, cut):
         copy.deepcopy(st_).push_byte(BYTE_EOS)
 
 
+# Unicode White_Space=Yes (str.isspace also matches 0x1C-0x1F, which are not)
+WHITE_SPACE = frozenset(chr(c) for c in [*range(0x09, 0x0E), 0x20, 0x85, 0xA0, 0x1680,
+                                         *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F,
+                                         0x205F, 0x3000])
+
+
+def reference_spans(data: bytes, max_word_bytes: int) -> list[tuple[int, int]]:
+    """The splitting rules applied one after another over the whole text,
+    with `unicodedata` and the UAX#29 segments (which the goldens check):
+    the reference for the engine that `split` runs."""
+    text = data.decode()
+    offs = [0]
+    for ch in text:
+        offs.append(offs[-1] + len(ch.encode()))
+    cat = [unicodedata.category(ch) for ch in text]
+    # 1-2: segments, cut at a lowercase->uppercase step and around math symbols
+    cuts = sorted(set(word_boundaries(text)) | {
+        i for i in range(1, len(text))
+        if "Sm" in (cat[i - 1], cat[i]) or (cat[i - 1], cat[i]) == ("Ll", "Lu")})
+    # 3: a punctuation piece merges into the word chunk before it
+    merged = []   # [start, end, kind]
+    for a, b in zip(cuts, cuts[1:]):
+        kind = ("space" if all(c in WHITE_SPACE for c in text[a:b]) else
+                "punct" if all(c[0] == "P" for c in cat[a:b]) else "word")
+        if kind == "punct" and merged and merged[-1][2] == "word":
+            merged[-1][1] = b
+        else:
+            merged.append([a, b, kind])
+    # 4: a whitespace run merges into the chunk after it
+    chunks, run = [], None
+    for a, b, kind in merged:
+        if kind == "space":
+            run = a if run is None else run
+        else:
+            chunks.append((a if run is None else run, b))
+            run = None
+    if run is not None:
+        chunks.append((run, len(text)))
+    # 5: the cap cuts at the last codepoint boundary within it
+    spans = []
+    for a, b in chunks:
+        while offs[b] - offs[a] > max_word_bytes:
+            hi = max(i for i in range(a, b) if offs[i] - offs[a] <= max_word_bytes)
+            spans.append((offs[a], offs[hi]))
+            a = hi
+        spans.append((offs[a], offs[b]))
+    return spans
+
+
 def assert_matches_whole_buffer(data: bytes, max_word_bytes: int, exact: bool) -> None:
     """Push `data` byte by byte and compare each push with the whole-buffer
     rule: every completed codepoint re-splits the whole prefix, and every
@@ -397,6 +446,16 @@ def test_closes_are_the_leading_spans_of_the_split(s, max_word_bytes):
         assert st_.pending == data[closes[-1][1] if closes else 0:i + 1], f"byte {i}"
 
 
+@given(st.lists(st.one_of(pieces, MARKED_PUNCT), max_size=24).map("".join)
+       | st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=40), CAPS)
+@example("\u4f60__\u0301 a:\u0301b \u05d0\u05f4\u05d1 1\u2044\u03012", 4)
+@settings(max_examples=300, deadline=None)
+def test_split_matches_reference(s, max_word_bytes):
+    data = s.encode()
+    assert [(x.start, x.end) for x in split(data, max_word_bytes).spans] == \
+        reference_spans(data, max_word_bytes)
+
+
 def _representatives() -> list[str]:
     """One codepoint per distinct `PROPS` value: each in the Basic
     Multilingual Plane, plus a regional indicator, the one class without a
@@ -417,14 +476,15 @@ def test_representatives_cover_every_word_break_class():
 
 
 def final_closes(prefix: bytes, max_word_bytes: int) -> int:
-    """Brute force: how many leading spans of split(prefix), the last one
-    aside, the split of prefix + c keeps for every continuation c."""
-    spans = split(prefix, max_word_bytes).spans
+    """Brute force: how many leading spans of the reference split of
+    `prefix`, the last one aside, that of prefix + c keeps for every
+    continuation c."""
+    spans = reference_spans(prefix, max_word_bytes)
     k = max(0, len(spans) - 1)
     for c in CONTINUATIONS:
         if not k:
             break
-        other = split(prefix + c.encode(), max_word_bytes).spans
+        other = reference_spans(prefix + c.encode(), max_word_bytes)
         k = next((j for j in range(k) if other[j] != spans[j]), k)
     return k
 
@@ -433,6 +493,9 @@ def final_closes(prefix: bytes, max_word_bytes: int) -> int:
 @example("a:\u0301b c d", 128)
 @example("\u4f60__ \u2044\u0301", 4)
 @example("ab\u05f4\u0301\u0301cd", 4)
+@example("\u4f60\u203f\u203f\u203f\u203f", 4)   # a cap cut at the start of a connector run
+@example("abcd.\u0301\u0301\u0301e", 4)   # a cap cut at a held boundary
+@example("1\u2044x", 128)   # the math cut decides the boundary WB12 would hold
 @settings(max_examples=60, deadline=None)
 def test_streaming_closes_exactly_what_is_final(s, max_word_bytes):
     data = s.encode()
