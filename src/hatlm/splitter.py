@@ -153,15 +153,15 @@ class IncrementalSplitterState:
     buf: bytearray = field(default_factory=bytearray)  # the text from lo on
     closed_words: int = 0
     gate: Utf8Gate = field(default_factory=Utf8Gate)  # the codepoint in flight
-    lo: int = 0            # text offset where the first unclosed span starts
-    end: int = 0           # text offset after the last complete codepoint
-    breaker: WordBreaker = field(default_factory=WordBreaker)
-    held: list = field(default_factory=list)  # (props, size) per held codepoint
-    settled: int = 0       # text offset after the last settled codepoint
-    prev: int = 0          # props of the last settled codepoint
-    piece: int = 0         # text offset where the open piece starts
-    flags: int = 0         # SPACE and PUNCT, if every codepoint of the open piece has it
-    mode: int = _SPACES    # what the open chunk holds
+    lo: int = field(default=0, init=False)   # where the first unclosed span starts
+    end: int = field(default=0, init=False)  # text offset after the last complete codepoint
+    breaker: WordBreaker = field(default_factory=WordBreaker, init=False)
+    held: list = field(default_factory=list, init=False)  # (props, size) per held codepoint
+    settled: int = field(default=0, init=False)  # offset after the last settled codepoint
+    prev: int = field(default=0, init=False)     # props of the last settled codepoint
+    piece: int = field(default=0, init=False)    # offset where the open piece starts
+    flags: int = field(default=0, init=False)    # SPACE, PUNCT if all of the open piece has it
+    mode: int = field(default=_SPACES, init=False)  # what the open chunk holds
 
     def __post_init__(self):
         if self.max_word_bytes < 4:

@@ -13,7 +13,7 @@ gives each codepoint's class and the flags the splitter reads, computed once.
 
 import unicodedata
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ._wb_tables import EXT_PICT_RANGES, WB_CLASS_NAMES, WB_RANGES
 
@@ -117,11 +117,11 @@ _PAIRS = [[_pair(lc, rc) for rc in range(19)] for lc in range(19)]
 @dataclass(slots=True)
 class WordBreaker:
     """UAX#29 word boundaries over a stream of codepoints."""
-    raw: int | None = None   # class of the previous codepoint, None before the first
-    lc: int | None = None    # class of the last non-ignorable codepoint
-    pc: int = OTHER          # class of the non-ignorable codepoint before that
-    ri: int = 0              # regional indicators in the run ending at lc
-    held: set | None = None  # classes whose arrival joins the held boundary
+    raw: int | None = field(default=None, init=False)  # previous class, None at the start
+    lc: int | None = field(default=None, init=False)   # last non-ignorable class
+    pc: int = field(default=OTHER, init=False)  # the non-ignorable class before that
+    ri: int = field(default=0, init=False)      # regional indicators in the run ending at lc
+    held: set | None = field(default=None, init=False)  # classes that join the held boundary
 
     def feed(self, p: int) -> tuple[int | None, int]:
         """Take the next codepoint, given by its `PROPS` entry.
