@@ -530,7 +530,7 @@ def test_stream_equals_pushing_byte_by_byte(data, cut, max_word_bytes):
 
 @given(st.lists(st.one_of(pieces, MARKED_PUNCT), max_size=24).map("".join),
        st.sampled_from([4, 5, 8]))
-@example("a:" + "\u0301" * 40 + "b", 4)   # a held boundary resolves: ten spans close
+@example("a:" + "\u0301" * 40 + "b", 4)   # a held boundary resolves: 20 spans close
 @example("+___\u00ad", 4)
 @settings(max_examples=200, deadline=None)
 def test_push_closes_at_most_len_buf_words(s, max_word_bytes):
