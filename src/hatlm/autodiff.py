@@ -329,6 +329,10 @@ def softcap(a, cap: float) -> Var:
 def swiglu(x, w_gate, w_up, w_down) -> Var:
     """w_down applied to silu(x w_gate) * (x w_up), for rows x [n, hidden]."""
     x, wg, wu, wd = (wrap(p) for p in (x, w_gate, w_up, w_down))
+    if not (x.rg or wg.rg or wu.rg or wd.rg):     # no tape: hold one hidden array
+        h = kernels.silu(x.v @ wg.v)
+        h *= x.v @ wu.v
+        return Var(h @ wd.v)
     a, b = x.v @ wg.v, x.v @ wu.v
     sa = kernels.silu(a)
     h = sa * b
@@ -385,38 +389,45 @@ def _causal_blocks(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return out.reshape(nh, t, hs)
 
 
-def attention(q, k, v, window: int | None, cap: float | None) -> Var:
+def attention(q, k, v, positions, window: int | None, cap: float | None) -> Var:
     """Causal self-attention of t positions over grouped KV heads.
 
     q is [n_heads, t, hs]; k and v are [n_kv_heads, t, hs] with n_kv_heads
-    dividing n_heads; returns [n_heads, t, hs]. Position i reads positions
-    (i - window, i], or all of [0, i] when `window` is None. Logits are
-    scaled by 1/sqrt(hs) and, when `cap` is set, softcapped.
+    dividing n_heads; returns [n_heads, t, hs]. Row i is at `positions[i]`
+    of its sequence (one per prompt of a pack), which starts at row
+    i - positions[i]; it reads that sequence's rows in (i - window, i], or
+    up to i when `window` is None. Logits are scaled by 1/sqrt(hs) and, when
+    `cap` is set, softcapped.
 
     Query heads are grouped per KV head by reshaping (as `kernels.attend`),
-    so keys are never repeated. A window shorter than t reads K and V through
-    a sliding-window view of their front-padded rows (`_band`), [kv, t, g,
-    window] logits in all; otherwise each KV head's g*t query rows meet all t
-    keys under a causal mask. The backward reuses the forward's
-    probabilities. When no input needs a gradient, the dense read goes
-    through `_causal_blocks` instead and keeps no probabilities.
+    so keys are never repeated. A windowed read goes through a sliding-window
+    view of the front-padded K and V rows (`_band`), [kv, t, g, window]
+    logits, at every t: fewer key slots would sum in another order.
+    Otherwise each KV head's g*t query rows meet all t keys under a causal
+    mask. The backward reuses the forward's probabilities. When no input
+    needs a gradient, the dense read goes through `_causal_blocks` instead,
+    one sequence at a time, and keeps no probabilities.
     """
     q, k, v = wrap(q), wrap(k), wrap(v)
     nh, t, hs = q.v.shape
     nkv = k.v.shape[0]
     g = nh // nkv
-    w = t if window is None else min(window, t)
-    band = w < t
-    if not band and not (q.rg or k.rg or v.rg):
-        return Var(_causal_blocks(q.v, k.v, v.v, cap))
-    if band:
+    positions = np.asarray(positions)
+    if window is None and not (q.rg or k.rg or v.rg):
+        out = np.empty((nh, t, hs), dtype=q.v.dtype)
+        bounds = np.append(np.flatnonzero(positions == 0), t)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            out[:, a:b] = _causal_blocks(q.v[:, a:b], k.v[:, a:b], v.v[:, a:b], cap)
+        return Var(out)
+    if window is not None:
         def rows(x):        # [n_heads, t, hs] -> [kv, t, g, hs]
             return x.reshape(nkv, g, t, hs).transpose(0, 2, 1, 3)
 
         def heads(x):
             return x.transpose(0, 2, 1, 3).reshape(nh, t, hs)
-        kx, vx = _band(k.v, w), _band(v.v, w).swapaxes(-1, -2)
-        mask = (np.arange(t)[:, None] + np.arange(w) >= w - 1)[:, None, :]
+        kx, vx = _band(k.v, window), _band(v.v, window).swapaxes(-1, -2)
+        # band slot j of row i holds row i - (window-1) + j
+        mask = (np.arange(window) >= window - 1 - positions[:, None])[:, None, :]
     else:
         def rows(x):        # [n_heads, t, hs] -> [kv, g*t, hs]
             return x.reshape(nkv, g * t, hs)
@@ -424,7 +435,8 @@ def attention(q, k, v, window: int | None, cap: float | None) -> Var:
         def heads(x):
             return x.reshape(nh, t, hs)
         kx, vx = k.v.swapaxes(-1, -2), v.v
-        mask = np.tile(np.tri(t, dtype=bool), (g, 1))
+        first = np.arange(t) - positions                # each row's sequence start
+        mask = np.tile(np.tri(t, dtype=bool) & (np.arange(t) >= first[:, None]), (g, 1))
     inv = 1.0 / math.sqrt(hs)
     qx = rows(q.v)
     z = (qx @ kx) * inv
@@ -440,7 +452,7 @@ def attention(q, k, v, window: int | None, cap: float | None) -> Var:
             dz *= 1.0 - np.square(z / cap)
         dz *= inv
         dk, dv = dz.swapaxes(-1, -2) @ qx, p.swapaxes(-1, -2) @ gx
-        if band:
+        if window is not None:
             dk, dv = _unband(dk), _unband(dv)
         _accum(q, heads(dz @ kx.swapaxes(-1, -2)), owned=True)
         _accum(k, dk, owned=True)

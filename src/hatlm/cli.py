@@ -127,8 +127,8 @@ def cmd_generate(args) -> int:
 
 def cmd_bench_sched(args) -> int:
     cfg, params = _load_model(args)
-    with open(args.prompts, encoding="utf-8") as fh:
-        prompts = [line.rstrip("\n").encode("utf-8") for line in fh if line.strip()]
+    with open(args.prompts, "rb") as fh:
+        prompts = [line for line in fh.read().split(b"\n") if line.strip()]
     if not prompts:
         raise ValueError("no prompts")
     if args.policy == "boundary_sync":

@@ -68,6 +68,8 @@ class HatConfig:
             raise ValueError("backbone hidden must be divisible by encoder head_size")
         if self.encoder.hidden != self.decoder.hidden:
             raise ValueError("decoder consumes encoder states: hidden sizes must match")
+        if self.backbone.max_positions < 2:
+            raise ValueError("backbone.max_positions must hold BOS and a word")
         if self.max_word_bytes < 4:
             raise ValueError("max_word_bytes must hold one UTF-8 codepoint")
 

@@ -15,13 +15,16 @@ word step for all sessions at a boundary (pooling, backbone, decoder
 injections and the deferred byte; several closes run in rounds).
 `step_byte` is the same code at batch size one, so there is one
 implementation of the incremental math. A new `GenSession` only
-allocates; `prefill` starts it without stepping: one no-grad batch forward
-over the prompt (`model.prompt_pass`; an empty prompt is the 0xFE
-sentinel), with the word assignment the incremental splitter gives it,
-fills the caches from that forward's keys, values and states. They match a
-byte-by-byte prefill within the 1e-4 incremental = batch tolerance, not
-bit for bit; solo and batched runs both call it, so they still agree
-exactly.
+allocates. `BatchRunner.prefill_all` starts its sessions without stepping,
+from one no-grad forward over the pack of their prompts
+(`model.prompt_pass`; an empty prompt is the 0xFE sentinel); `prefill` is
+the same call with one prompt. Three things stay per session. Each prompt
+goes through its own splitter and checks first, so a bad prompt fails
+before any session changes. In the forward, each prompt is its own
+sequence: no read crosses into another prompt and every product is made of
+gemm rows, so a session gets the same bits in any pack as alone. Filling a
+session's caches is a copy. They match a byte-by-byte prefill within the
+1e-4 incremental = batch tolerance, not bit for bit.
 
 Batch invariance is part of the contract: a session's logits have the same
 bits in any batch as alone. Hence every projection is
@@ -445,65 +448,65 @@ def _word_steps(sessions: list[GenSession]) -> None:
     _encode_committed(sessions, byte_vals)
 
 
+def _prefill(sessions: list[GenSession], prompts: list[bytes],
+             indices: list[int | None]) -> None:
+    """Prefill sessions[b] with prompts[b] from one forward. Every prompt is
+    checked first, so a SessionError (naming indices[b]) changes no session."""
+    streams = []
+    for s, p, i in zip(sessions, prompts, indices):
+        if s.status != "prefilling":
+            raise SessionError("session already prefilled", i)
+        cfg, limit = s.cfg, _byte_limit(s.cfg)
+        if len(p) > limit:
+            raise SessionError(f"prompt of {len(p)} bytes exceeds the byte positions ({limit})", i)
+        try:
+            splitter, closes, inc_index = stream(p, cfg.max_word_bytes)
+        except SplitError as exc:
+            raise SessionError(str(exc), i) from None
+        if splitter.gate.need:
+            raise SessionError("prompt ends inside a multi-byte codepoint", i)
+        if len(closes) + 1 > cfg.backbone.max_positions:
+            raise SessionError(f"backbone positions exhausted ({cfg.backbone.max_positions})", i)
+        streams.append((splitter, closes, inc_index))
+    if not sessions:
+        return
+    P, cfg = sessions[0].params, sessions[0].cfg
+    spans = [[(ev.start, ev.end) for ev in closes] for _, closes, _ in streams]
+    passes = model.prompt_pass(P, cfg, [(p, sp, index, not p) for p, sp, (_, _, index)
+                                        in zip(prompts, spans, streams)])
+    injects = _dec_injections(P, cfg, np.stack([fw.backbone_outputs[-1] for fw in passes]))
+    for s, p, sp, (splitter, _, index), fw, inj in zip(sessions, prompts, spans, streams,
+                                                      passes, injects):
+        n, m, rows = len(p), len(fw.byte_states), len(sp) + 1
+        for ring, kv, w in ((s.enc_ring, fw.encoder_kv, cfg.encoder.window),
+                            (s.dec_ring, fw.decoder_kv, cfg.decoder.window)):
+            ring[:, :, np.arange(max(0, m - w), m) % w] = kv
+        s.word_cache.reserve(rows)
+        s.word_cache.kv[:, :, :rows] = fw.backbone_kv
+        s.word_cache.rows = rows
+        s.inject = inj.copy()
+        s.pending_base = sp[-1][1] if sp else 0
+        s.pending_states = list(fw.byte_states[s.pending_base:n].copy())
+        s.consumed_spans = sp
+        s.inc_index = index
+        s.cur_logits = fw.logits.copy()
+        s.next_pos = m
+        s.prefill_words = len(sp)
+        s.backbone_calls += rows
+        s.sentinel_used = not p
+        s.splitter = splitter
+        s.prompt = bytes(p)
+        s.status = "mid_word"
+
+
 def prefill(session: GenSession, prompt_bytes: bytes) -> GenSession:
-    """Fill the session's caches from one batch forward over the prompt.
+    """Fill the session's caches from one no-grad forward over the prompt:
+    `BatchRunner.prefill_all` with one prompt (see the module docstring).
 
-    First `splitter.stream` runs the prompt through a fresh incremental
-    splitter, which holds the UTF-8 gate: that gives the words it closes
-    and, per byte, the backbone row its decoder reads (`inc_index`), exactly
-    as pushing the bytes one at a time would. Then one no-grad forward with
-    that assignment (`model.prompt_pass`) yields everything the session
-    caches, the BOS backbone position included. A prompt that is not valid
-    UTF-8, ends inside a codepoint or needs more positions than the model
-    has raises SessionError before the session changes.
-
-    An empty prompt runs as the 0xFE sentinel, so the first byte is predicted
-    from begin-of-sequence context alone; the sentinel is not text."""
-    if session.status != "prefilling":
-        raise SessionError("session already prefilled")
-    cfg = session.cfg
-    limit = _byte_limit(cfg)
-    n = len(prompt_bytes)
-    if n > limit:
-        raise SessionError(f"prompt of {n} bytes exceeds the byte positions ({limit})")
-    try:
-        splitter, closes, index = stream(prompt_bytes, cfg.max_word_bytes)
-    except SplitError as exc:
-        raise SessionError(str(exc)) from None
-    if splitter.gate.need:
-        raise SessionError("prompt ends inside a multi-byte codepoint")
-    if len(closes) + 1 > cfg.backbone.max_positions:
-        raise SessionError(f"backbone positions exhausted ({cfg.backbone.max_positions})")
-
-    spans = [(ev.start, ev.end) for ev in closes]
-    sentinel = not prompt_bytes
-    m = n + sentinel
-    fw = model.prompt_pass(session.params, cfg, prompt_bytes, spans, index, sentinel)
-    for ring, kv, w in ((session.enc_ring, fw.encoder_kv, cfg.encoder.window),
-                        (session.dec_ring, fw.decoder_kv, cfg.decoder.window)):
-        pos = np.arange(max(0, m - w), m)
-        for i, (k, v) in enumerate(kv):
-            ring[i, 0, pos % w] = k[:, pos].swapaxes(0, 1)
-            ring[i, 1, pos % w] = v[:, pos].swapaxes(0, 1)
-    cache, rows = session.word_cache, len(closes) + 1
-    cache.reserve(rows)
-    for i, (k, v) in enumerate(fw.backbone_kv):
-        cache.kv[i, 0, :rows] = k.swapaxes(0, 1)
-        cache.kv[i, 1, :rows] = v.swapaxes(0, 1)
-    cache.rows = rows
-    session.inject = _dec_injections(session.params, cfg, fw.backbone_outputs[-1:])[0]
-    session.pending_base = spans[-1][1] if spans else 0
-    session.pending_states = list(fw.byte_states[session.pending_base:n].copy())
-    session.consumed_spans = spans
-    session.inc_index = index
-    session.cur_logits = fw.logits.copy()
-    session.next_pos = m
-    session.prefill_words = len(closes)
-    session.backbone_calls += len(closes) + 1
-    session.sentinel_used = sentinel
-    session.splitter = splitter
-    session.prompt = bytes(prompt_bytes)
-    session.status = "mid_word"
+    A prompt that is not valid UTF-8, ends inside a codepoint or needs more
+    positions than the model has raises SessionError before the session
+    changes. An empty prompt runs as the 0xFE sentinel, which is not text."""
+    _prefill([session], [prompt_bytes], [None])
     return session
 
 
@@ -651,8 +654,11 @@ class BatchRunner:
         self.trace: list[str] = []
 
     def prefill_all(self, prompts: list[bytes]) -> None:
-        for s, p in zip(self.sessions, prompts):
-            prefill(s, p)
+        """Prefill session i with prompts[i] from one forward (see `prefill`);
+        a SessionError (naming the session) leaves every session fresh."""
+        if len(prompts) != len(self.sessions):
+            raise ValueError(f"{len(prompts)} prompts for {len(self.sessions)} sessions")
+        _prefill(self.sessions, prompts, list(range(len(prompts))))
         self.trace.append(
             "0\t" + " ".join(f"s{i}=P" for i in range(len(self.sessions))))
         self.tick = 1

@@ -68,7 +68,11 @@ def rms_norm(x: np.ndarray, eps: float = 1e-5,
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.exp(-x))
+    """x / (1 + exp(-x)), holding one array beside x."""
+    e = np.negative(x)
+    np.exp(e, out=e)
+    e += 1.0
+    return np.divide(x, e, out=e)
 
 
 def swiglu_ffn(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray,
@@ -131,10 +135,11 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if not mask.any(axis=-1).all():
         raise InternalInvariantError("attention row with empty visible key set")
     neg = np.array(-np.inf, dtype=logits.dtype)
-    z = np.where(mask, logits, neg)
-    m = np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = np.where(mask, logits, neg)
+    e -= np.max(e, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, cap: float | None,

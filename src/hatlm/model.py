@@ -195,7 +195,7 @@ def _self_attn(P, prefix: str, x: ad.Var, s: StackConfig, cfg: HatConfig,
     k = ad.rope(k, positions, s.rope_base)
     if kv is not None:
         kv.append((k.v, v.v))
-    o = ad.attention(q, k, v, s.window, cfg.softcap)
+    o = ad.attention(q, k, v, positions, s.window, cfg.softcap)
     o = ad.reshape(ad.transpose(o, (1, 0, 2)), (t, nh * hs))
     return ad.matmul(o, P[f"{prefix}.attn.wo"])
 
@@ -215,15 +215,15 @@ def _stack(P, name: str, x: ad.Var, s: StackConfig, cfg: HatConfig,
     return x
 
 
-def encode_bytes_var(P, cfg: HatConfig, byte_ids: np.ndarray,
+def encode_bytes_var(P, cfg: HatConfig, byte_ids: np.ndarray, positions: np.ndarray,
                      kv: list | None = None) -> ad.Var:
-    t = len(byte_ids)
-    if t == 0:
+    """Encoder states; byte i sits at `positions[i]` of its sequence (`ad.attention`)."""
+    if len(byte_ids) == 0:
         raise ValueError("empty byte sequence")
-    if t > cfg.encoder.max_positions:
-        raise ValueError(f"input of {t} bytes exceeds encoder max positions")
+    if positions.max() >= cfg.encoder.max_positions:
+        raise ValueError(f"input of {positions.max() + 1} bytes exceeds encoder max positions")
     x = ad.gather(P["encoder.byte_embedding"], byte_ids)
-    return _stack(P, "encoder", x, cfg.encoder, cfg, np.arange(t), kv)
+    return _stack(P, "encoder", x, cfg.encoder, cfg, positions, kv)
 
 
 def pool_words_var(P, cfg: HatConfig, byte_states: ad.Var,
@@ -237,6 +237,8 @@ def pool_words_var(P, cfg: HatConfig, byte_states: ad.Var,
     span (`ad.segment_softmax`) and so does the weighted sum of the values
     (`ad.segment_sum`). Time and memory are linear in the covered bytes.
     Spans may skip bytes or overlap; a byte in two spans is read by both.
+    The query is folded into the key projection: the logits are gemm rows,
+    whose bits a `q @ kᵀ` gemv would let depend on the slice's width.
     """
     nh, hs, c = cfg.n_enc_cross_heads, cfg.encoder.head_size, cfg.cross_hidden
     n, t = len(spans), byte_states.shape[0]
@@ -254,33 +256,36 @@ def pool_words_var(P, cfg: HatConfig, byte_states: ad.Var,
         x = byte_states                             # the spans tile the bytes
     else:
         x = ad.gather(byte_states, np.arange(cover) + np.repeat(a - starts, lens))
-    k = ad.reshape(ad.matmul(x, P["connector.wk"]), (cover, nh, hs))
-    v = ad.reshape(ad.matmul(x, P["connector.wv"]), (cover, nh, hs))
     q = ad.reshape(ad.matmul(ad.reshape(P["connector.query"], (1, c)), P["connector.wq"]),
-                   (nh, 1, hs))
-    logits = ad.scale(ad.matmul(q, ad.transpose(k, (1, 2, 0))), 1.0 / math.sqrt(hs))
+                   (nh, hs))
+    wkq = ad.sum_(ad.mul(ad.reshape(P["connector.wk"], (-1, nh, hs)), q), axis=2)
+    logits = ad.scale(ad.transpose(ad.matmul(x, wkq), (1, 0)), 1.0 / math.sqrt(hs))
+    v = ad.reshape(ad.matmul(x, P["connector.wv"]), (cover, nh, hs))
+    del x                       # a no-grad pass frees it here
     if cfg.softcap is not None:
         logits = ad.softcap(logits, cfg.softcap)
-    p = ad.segment_softmax(ad.reshape(logits, (nh, cover)), starts)
+    p = ad.segment_softmax(logits, starts)
     weighted = ad.mul(ad.reshape(p, (nh, cover, 1)), ad.transpose(v, (1, 0, 2)))
     o = ad.segment_sum(weighted, starts, axis=1)   # [nh, n, hs]
     o = ad.reshape(ad.transpose(o, (1, 0, 2)), (n, nh * hs))
     return ad.matmul(o, P["connector.wo"])
 
 
-def backbone_forward_var(P, cfg: HatConfig, word_embs: ad.Var,
+def backbone_forward_var(P, cfg: HatConfig, word_embs: ad.Var, positions: np.ndarray,
                          kv: list | None = None) -> ad.Var:
-    """Causal transformer over [BOS; words]; row k predicts word k."""
-    n = word_embs.shape[0]
-    if n + 1 > cfg.backbone.max_positions:
-        raise ValueError(f"{n} words exceed backbone max positions")
+    """Causal transformer over one [BOS; words] block per sequence: row r sits
+    at `positions[r]` of its block, 0 is the BOS and the other rows take the
+    word embeddings in order. Row k of a block predicts its word k."""
+    if positions.max() + 1 > cfg.backbone.max_positions:
+        raise ValueError(f"{positions.max()} words exceed backbone max positions")
+    word = positions > 0
     bos = ad.reshape(P["backbone.bos"], (1, cfg.backbone.hidden))
-    x = ad.concat([bos, word_embs], axis=0) if n else bos
-    return _stack(P, "backbone", x, cfg.backbone, cfg, np.arange(n + 1), kv)
+    x = ad.gather(ad.concat([bos, word_embs], axis=0), np.cumsum(word) * word)
+    return _stack(P, "backbone", x, cfg.backbone, cfg, positions, kv)
 
 
 def decode_bytes_var(P, cfg: HatConfig, byte_states: ad.Var, bb_out: ad.Var,
-                     byte_row: np.ndarray, kv: list | None = None,
+                     byte_row: np.ndarray, positions: np.ndarray, kv: list | None = None,
                      last_only: bool = False) -> ad.Var:
     """Decoder blocks: word-context injection, then a local transformer layer.
 
@@ -288,66 +293,96 @@ def decode_bytes_var(P, cfg: HatConfig, byte_states: ad.Var, bb_out: ad.Var,
     softmax over that single key is identically 1 and the block reduces to a
     value read. The cross wq/wk projections and the pre-norm still exist as
     parameters (the checkpoint and count layouts include them) but cannot
-    influence a one-key softmax. With `last_only`, the final norm and the
-    head read the last byte's state alone and one logits row comes back.
+    influence a one-key softmax. Byte i sits at `positions[i]` of its own
+    sequence (see `ad.attention`). With `last_only`, the final norm and the
+    head read the last byte of each sequence alone, one logits row each.
     """
-    t = byte_states.shape[0]
-    if len(byte_row) != t:
+    if len(byte_row) != byte_states.shape[0]:
         raise ValueError("word index length must match byte count")
     if len(byte_row) and (byte_row.min() < 0 or byte_row.max() >= bb_out.shape[0]):
         raise ValueError("word index out of backbone output range")
     x = byte_states
-    positions = np.arange(t)
     for i in range(cfg.decoder.n_layers):
         cp = f"decoder.layers.{i}.cross"
         kvn = ad.rms_norm(bb_out, cfg.norm_eps, P[f"{cp}.kv_norm.gain"])
         vrows = ad.matmul(kvn, P[f"{cp}.wv"])       # [rows, h_dec]
-        sel = ad.gather(vrows, byte_row)            # [t, h_dec]
-        inj = ad.matmul(sel, P[f"{cp}.wo"])
-        x = ad.add(x, ad.rms_norm(inj, cfg.norm_eps, P[f"{cp}.post_norm.gain"]))
+        x = ad.add(x, ad.rms_norm(ad.matmul(ad.gather(vrows, byte_row), P[f"{cp}.wo"]),
+                                  cfg.norm_eps, P[f"{cp}.post_norm.gain"]))
         prefix = f"decoder.layers.{i}"
         x = ad.add(x, _self_attn(P, prefix, x, cfg.decoder, cfg, positions, kv))
         x = ad.add(x, _mlp(P, prefix, x, cfg))
     if last_only:
-        x = ad.narrow(x, 0, t - 1, 1)
+        x = ad.gather(x, np.flatnonzero(np.append(positions[1:] == 0, True)))
     h = ad.rms_norm(x, cfg.norm_eps, P["decoder.final_norm.gain"])
     return ad.matmul(h, P["decoder.lm_head"])
 
 
 @dataclass
 class PromptPass:
-    """A no-grad forward over a prompt, with what an incremental session
-    caches: per layer of each stack, the rotated keys and the values,
-    each [n_kv_heads, rows, hs] (rows = bytes, or BOS plus the words)."""
+    """One prompt's share of a no-grad forward over a pack, with what a
+    session caches: per stack, every layer's rotated keys and values as a
+    cache holds them, [n_layers, 2, rows, n_kv_heads, hs], for the last
+    `window` bytes (all without a window), or for BOS and the words."""
     byte_states: np.ndarray       # [n_bytes, h_enc]
     backbone_outputs: np.ndarray  # [n_words + 1, h_bb], all rows
     logits: np.ndarray            # [256], the last byte's
-    encoder_kv: list
-    backbone_kv: list
-    decoder_kv: list
+    encoder_kv: np.ndarray
+    backbone_kv: np.ndarray
+    decoder_kv: np.ndarray
 
 
-def prompt_pass(params, cfg: HatConfig, committed: bytes,
-                closed_spans: list[tuple[int, int]], inc_index,
-                sentinel_prefix: bool) -> PromptPass:
-    """Forward pass over the text bytes `committed` that pools the [start, end)
-    `closed_spans` and lets byte i read backbone row `inc_index[i]` (0 = BOS),
-    after the 0xFE sentinel (row 0) if `sentinel_prefix`. Keeps each
-    self-attention layer's K and V; only the last byte reaches the head."""
-    byte_ids = np.frombuffer(committed, dtype=np.uint8).astype(np.int64)
-    byte_row = np.asarray(inc_index, dtype=np.int64)
-    if sentinel_prefix:
-        byte_ids = np.concatenate([[BYTE_BOS], byte_ids])
-        closed_spans = [(a + 1, b + 1) for a, b in closed_spans]
-        byte_row = np.concatenate([[0], byte_row])
-    kv = {"encoder": [], "backbone": [], "decoder": []}
-    byte_states = encode_bytes_var(params, cfg, byte_ids, kv["encoder"])
-    word_embs = pool_words_var(params, cfg, byte_states, closed_spans)
-    bb_all = backbone_forward_var(params, cfg, word_embs, kv["backbone"])
-    logits = decode_bytes_var(params, cfg, byte_states, bb_all, byte_row, kv["decoder"],
-                              last_only=True)
-    return PromptPass(byte_states.v, bb_all.v, logits.v[0], kv["encoder"],
-                      kv["backbone"], kv["decoder"])
+# Two one-byte, one-word prompts end every pack, so no product has a single
+# row: that runs as a gemv, which rounds otherwise than gemm rows do.
+_PAD = [(b" ", [(0, 1)], [0], False)] * 2
+
+
+def _cache_rows(layers: list, lens: np.ndarray, window: int | None):
+    """Empty `layers`, a pack's per-layer (K, V), into one array as caches
+    hold it, with the last `window` rows of each prompt, and their starts."""
+    w = window or int(lens.sum())
+    keep = np.arange(lens.sum()) >= np.repeat(np.cumsum(lens) - w, lens)
+    kv = np.stack([np.stack([k[:, keep], v[:, keep]]) for k, v in layers]).swapaxes(2, 3)
+    layers.clear()
+    return kv, np.cumsum([0, *np.minimum(lens, w)])
+
+
+def prompt_pass(params, cfg: HatConfig, prompts: list[tuple]) -> list[PromptPass]:
+    """One no-grad forward over a pack of prompts, each `(committed,
+    closed_spans, inc_index, sentinel_prefix)`: it pools the [start, end)
+    `closed_spans` of the text bytes `committed` and lets byte i read
+    backbone row `inc_index[i]` (0 = BOS), after the 0xFE sentinel (row 0)
+    if `sentinel_prefix`. Only each prompt's last byte reaches the head.
+
+    Each prompt is its own sequence: its positions restart at 0, so no read
+    crosses into another prompt. With every product made of gemm rows
+    (`_PAD`), a prompt gets the same bits in any pack as alone."""
+    ids, spans, rows, n_words = [], [], [], []
+    t = r = 0
+    for committed, closed, inc_index, sentinel in [*prompts, *_PAD]:
+        b = np.frombuffer(bytes([BYTE_BOS] * sentinel) + committed, dtype=np.uint8)
+        row = np.asarray([0] * sentinel + list(inc_index), dtype=np.int64)
+        if not len(b) or len(row) != len(b) or row.min() < 0 or row.max() > len(closed):
+            raise ValueError("a prompt needs bytes and an in-range word index per byte")
+        spans += [(a + t + sentinel, e + t + sentinel) for a, e in closed]
+        ids.append(b)
+        rows.append(row + r)
+        n_words.append(len(closed))
+        t, r = t + len(row), r + len(closed) + 1
+    lens, blocks = np.array([len(b) for b in ids]), np.array(n_words) + 1
+    pos = np.concatenate([np.arange(n) for n in lens])
+    enc, bb, dec = [], [], []
+    byte_states = encode_bytes_var(params, cfg, np.concatenate(ids), pos, enc)
+    enc = _cache_rows(enc, lens, cfg.encoder.window)
+    word_embs = pool_words_var(params, cfg, byte_states, spans)
+    bb_all = backbone_forward_var(params, cfg, word_embs,
+                                  np.concatenate([np.arange(n) for n in blocks]), bb)
+    logits = decode_bytes_var(params, cfg, byte_states, bb_all, np.concatenate(rows), pos,
+                              dec, last_only=True)
+    bb, dec = _cache_rows(bb, blocks, None), _cache_rows(dec, lens, cfg.decoder.window)
+    tb = np.cumsum([0, *lens])
+    return [PromptPass(byte_states.v[tb[j]:tb[j + 1]], bb_all.v[bb[1][j]:bb[1][j + 1]],
+                       logits.v[j], *(c[:, :, b[j]:b[j + 1]] for c, b in (enc, bb, dec)))
+            for j in range(len(prompts))]
 
 
 def forward(params, cfg: HatConfig, data: bytes) -> ForwardTrace:
@@ -362,10 +397,11 @@ def forward(params, cfg: HatConfig, data: bytes) -> ForwardTrace:
     for j, (a, b) in enumerate(spans):
         byte_row[a:b] = j
     byte_ids = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
-    byte_states = encode_bytes_var(params, cfg, byte_ids)
+    pos = np.arange(len(data))
+    byte_states = encode_bytes_var(params, cfg, byte_ids, pos)
     word_embs = pool_words_var(params, cfg, byte_states, spans)
-    bb_all = backbone_forward_var(params, cfg, word_embs)
-    logits = decode_bytes_var(params, cfg, byte_states, bb_all, byte_row)
+    bb_all = backbone_forward_var(params, cfg, word_embs, np.arange(len(spans) + 1))
+    logits = decode_bytes_var(params, cfg, byte_states, bb_all, byte_row, pos)
     return ForwardTrace(byte_states.v, word_embs.v, bb_all.v[:len(spans)], logits.v, logits)
 
 
@@ -375,5 +411,5 @@ def next_byte_logits(params, cfg: HatConfig, committed: bytes,
                      sentinel_prefix: bool) -> np.ndarray:
     """Batch recomputation of the generation path's last-row logits: the
     oracle the cached incremental engine is checked against."""
-    return prompt_pass(params, cfg, committed, closed_spans, inc_index,
-                       sentinel_prefix).logits
+    return prompt_pass(params, cfg, [(committed, closed_spans, inc_index,
+                                      sentinel_prefix)])[0].logits

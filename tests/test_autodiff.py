@@ -102,6 +102,14 @@ def test_swiglu_composite():
              r(3, 4), r(4, 6), r(4, 6), r(6, 4))
 
 
+def test_swiglu_without_tape_matches_taped_value():
+    # with no input needing a gradient, swiglu keeps one hidden array
+    args = r(5, 4), r(4, 6), r(4, 6), r(6, 4)
+    plain, taped = ad.swiglu(*args), ad.swiglu(ad.wrap(args[0], rg=True), *args[1:])
+    assert not plain.rg and taped.rg
+    assert np.array_equal(plain.v, taped.v)
+
+
 # ---------------------------------------------------------------------------
 # grouped, banded attention
 
@@ -140,7 +148,8 @@ ATTENTION_CASES = {            # n_heads, n_kv_heads, t, window, cap
 def test_attention(case):
     nh, nkv, t, window, cap = ATTENTION_CASES[case]
     m = r(nh, t, 4)
-    fd_check(lambda q, k, v: ad.sum_(ad.mul(ad.attention(q, k, v, window, cap), m)),
+    fd_check(lambda q, k, v: ad.sum_(ad.mul(ad.attention(q, k, v, np.arange(t), window, cap),
+                                            m)),
              2 * r(nh, t, 4), 2 * r(nkv, t, 4), r(nkv, t, 4))
 
 
@@ -155,9 +164,10 @@ def test_attention_matches_composite(seed, n_kv, group, t, hs, window, cap, dtyp
               ((3, (n_kv * group, t, hs)), (3, (n_kv, t, hs)), (1, (n_kv, t, hs)))]
     m = g.standard_normal((n_kv * group, t, hs)).astype(dtype)
     results = []
-    for fn in (ad.attention, composite_attention):
+    for fn in (lambda *qkv: ad.attention(*qkv, np.arange(t), window, cap),
+               lambda *qkv: composite_attention(*qkv, window, cap)):
         leaves = [ad.wrap(a, rg=True) for a in arrays]
-        out = fn(*leaves, window, cap)
+        out = fn(*leaves)
         ad.backward(ad.sum_(ad.mul(out, m)))
         results.append([out.v] + [leaf.grad for leaf in leaves])
     tol = dict(rtol=0, atol=1e-12) if dtype == np.float64 else dict(rtol=1e-4, atol=1e-5)
@@ -175,8 +185,8 @@ def test_attention_no_grad_matches_tape(t, cap, dtype):
     q, k, v = ((s * g.standard_normal(shape)).astype(dtype) for s, shape in
                ((3, (6, t, 8)), (3, (2, t, 8)), (1, (2, t, 8))))
     for window in (None, t + 3):
-        plain = ad.attention(q, k, v, window, cap)
-        taped = ad.attention(ad.wrap(q, rg=True), k, v, window, cap)
+        plain = ad.attention(q, k, v, np.arange(t), window, cap)
+        taped = ad.attention(ad.wrap(q, rg=True), k, v, np.arange(t), window, cap)
         assert not plain.rg and taped.rg
         assert plain.v.dtype == dtype
         atol = 1e-12 if dtype == np.float64 else 1e-6
@@ -190,7 +200,7 @@ def test_attention_no_grad_dense_read_is_blocked():
     peaks = []
     for rg in (False, True):
         tracemalloc.start()
-        out = ad.attention(ad.wrap(q, rg=rg), k, v, None, 30.0)
+        out = ad.attention(ad.wrap(q, rg=rg), k, v, np.arange(512), None, 30.0)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
         del out

@@ -128,6 +128,17 @@ def test_bench_sched_outputs_accounting(tmp_path):
         assert float(kv[key]) > 0, key
 
 
+def test_bench_sched_names_the_prompt_that_is_not_utf8(tmp_path, capsys):
+    # the file is read as bytes, so the bad line reaches prefill_all, which
+    # names its session and the splitter's offset
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_bytes(b"hello there\n\n  \nab\xff cd\n")
+    code, out = run_cli("bench-sched", "--config", "micro", "--prompts", str(prompts),
+                        "--max-bytes", "4")
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: s1: invalid UTF-8 at byte offset 2\n"
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["split"])  # neither --text nor --file

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hatlm import autodiff as ad
 from hatlm import kernels as K
+from hatlm import model
 
 
 def test_rms_norm_hand_computed():
@@ -115,6 +116,26 @@ def test_rows_and_attend_are_batch_invariant(width):
         assert np.array_equal(K.attend(q[:B], k[:B], v[:B], 30.0), full[:B])
 
 
+
+def test_gemm_rows_have_the_same_bits_from_two_rows_up(micro_cfg):
+    # packed prefill (`model.prompt_pass`) rests on this: a row of X @ W has
+    # the same bits in a product of any M >= 2 rows, wherever it sits, at
+    # every (K, N) a micro projection uses, the pooling logits' included. M = 1
+    # is the exception: it runs as a gemv, which sums in another order at
+    # K >= 64. `kernels.matmul_rows` and the pad prompts that end every pack
+    # exist for that case.
+    rng = np.random.default_rng(0)
+    shapes = {shape for name, shape in model.param_shapes(micro_cfg).items()
+              if len(shape) == 2 and name != "encoder.byte_embedding"}
+    shapes.add((micro_cfg.encoder.hidden, micro_cfg.n_enc_cross_heads))
+    for k, n in sorted(shapes):
+        x = rng.standard_normal((4200, k)).astype(np.float32)
+        w = rng.standard_normal((k, n)).astype(np.float32)
+        ref = x @ w
+        for m in (2, 3, 17, 64, 1000, 4096):
+            for s in (0, 1, 4200 - m):
+                assert np.array_equal(x[s:s + m] @ w, ref[s:s + m]), (k, n, m, s)
+
 def test_attention_single_key_returns_value_row():
     rng = np.random.default_rng(4)
     q = rng.standard_normal((2, 4))
@@ -196,7 +217,8 @@ def test_attend_matches_autodiff_reference(seed, n, n_kv, group, hs, cap):
     assert np.allclose(K.attend(q, k, v, cap), ref, rtol=0, atol=1e-6)
     # and against the last row of the training attention, q at position n-1
     qt = np.concatenate([rng.standard_normal((nh, n - 1, hs)), q[:, None, :]], axis=1)
-    last = ad.attention(qt, k.transpose(1, 0, 2), v.transpose(1, 0, 2), None, cap).v[:, -1]
+    last = ad.attention(qt, k.transpose(1, 0, 2), v.transpose(1, 0, 2), np.arange(n),
+                        None, cap).v[:, -1]
     assert np.allclose(K.attend(q, k, v, cap), last.reshape(nh * hs), rtol=0, atol=1e-6)
 
 

@@ -125,7 +125,8 @@ def test_logits_softmax_rows_sum_to_one(micro_cfg, micro_params):
 def test_over_length_input_rejected(micro_cfg, micro_params):
     data = b"x" * (micro_cfg.encoder.max_positions + 1)
     with pytest.raises(ValueError):
-        model.encode_bytes_var(micro_params, micro_cfg, np.frombuffer(data, np.uint8))
+        model.encode_bytes_var(micro_params, micro_cfg, np.frombuffer(data, np.uint8),
+                               np.arange(len(data)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +150,9 @@ def test_word_level_future_perturbation(micro_cfg, micro_params):
     spans = [(s.start, s.end) for s in split(data).spans]
     we = tr.word_embeddings.copy()
     we[2] += 1.0
-    out_base = model.backbone_forward_var(micro_params, micro_cfg, tr.word_embeddings).v
-    out_pert = model.backbone_forward_var(micro_params, micro_cfg, we).v
+    rows = np.arange(len(we) + 1)
+    out_base = model.backbone_forward_var(micro_params, micro_cfg, tr.word_embeddings, rows).v
+    out_pert = model.backbone_forward_var(micro_params, micro_cfg, we, rows).v
     assert np.array_equal(out_base[:3], out_pert[:3])   # rows 0..2 see words < 2 only
     assert not np.array_equal(out_base[3:], out_pert[3:])
 
@@ -160,11 +162,14 @@ def test_cross_word_leakage(micro_cfg, micro_params):
     data = b"aaa bbb ccc ddd"
     tr = model.forward(micro_params, micro_cfg, data)
     word_index = np.array([0] * 3 + [1] * 4 + [2] * 4 + [3] * 4)
-    bb = model.backbone_forward_var(micro_params, micro_cfg, tr.word_embeddings).v
+    bb = model.backbone_forward_var(micro_params, micro_cfg, tr.word_embeddings,
+                                    np.arange(len(tr.word_embeddings) + 1)).v
     bb_pert = bb.copy()
     bb_pert[2] += 3.0  # row consumed only by bytes with word_index == 2
-    a = model.decode_bytes_var(micro_params, micro_cfg, tr.byte_states, bb, word_index).v
-    b = model.decode_bytes_var(micro_params, micro_cfg, tr.byte_states, bb_pert, word_index).v
+    pos = np.arange(len(word_index))
+    a = model.decode_bytes_var(micro_params, micro_cfg, tr.byte_states, bb, word_index, pos).v
+    b = model.decode_bytes_var(micro_params, micro_cfg, tr.byte_states, bb_pert, word_index,
+                               pos).v
     assert np.array_equal(a[:7], b[:7])
     assert not np.array_equal(a[7:11], b[7:11])
 
@@ -176,18 +181,18 @@ def test_attention_mask_exactness_sliding(micro_cfg):
     params = model.init_params(cfg, seed=5)
     w, t = cfg.encoder.window, 20
     ids = np.frombuffer(b"sliding window probe", dtype=np.uint8).astype(np.int64)
-    base = model.encode_bytes_var(params, cfg, ids).v
+    base = model.encode_bytes_var(params, cfg, ids, np.arange(t)).v
     far, near = ids.copy(), ids.copy()
     far[t - 1 - w] ^= 1
     near[t - w] ^= 1
-    assert np.array_equal(base[-1], model.encode_bytes_var(params, cfg, far).v[-1])
-    assert not np.array_equal(base[-1], model.encode_bytes_var(params, cfg, near).v[-1])
+    assert np.array_equal(base[-1], model.encode_bytes_var(params, cfg, far, np.arange(t)).v[-1])
+    assert not np.array_equal(base[-1], model.encode_bytes_var(params, cfg, near, np.arange(t)).v[-1])
 
 
 def test_single_byte_matches_self_only_attention_path(micro_cfg, micro_params):
     # one-byte input: every attention row is a softmax over one key
     from hatlm import kernels as K
-    got = model.encode_bytes_var(micro_params, micro_cfg, np.array([65])).v
+    got = model.encode_bytes_var(micro_params, micro_cfg, np.array([65]), np.arange(1)).v
     x = micro_params["encoder.byte_embedding"][65]
     s, cfg = micro_cfg.encoder, micro_cfg
     for i in range(s.n_layers):
@@ -407,6 +412,7 @@ def test_checkpoint_rejects_tensor_mismatch(tmp_path, micro_cfg, micro_params, f
     ("encoder.head_size", "8.0"),
     ("backbone.hidden", "true"),
     ("backbone.max_positions", "0"),
+    ("backbone.max_positions", "1"),      # no row for a word after BOS
     ("decoder.mlp_expansion", "0.0"),
     ("decoder.rope_base", "-10000.0"),
     ("decoder.rope_base", "none"),

@@ -278,6 +278,92 @@ def test_failed_prefill_leaves_session_fresh(micro_cfg, micro_params, case):
     assert extra(s) == extra(fresh)
 
 
+# -- packed prefill ------------------------------------------------------------
+
+# prompts the random sets must be able to hold: the sentinel, one byte, 2-9
+# bytes around the window of 8, one word that closes nothing, and
+# multi-byte codepoints that open a chunk (`∑` in `a∑b`, a flag, an emoji)
+PACK_PROMPTS = ["", "a", ".", "é", "ab", "abcdefgh", "abcdefghi", "word", "a∑b c",
+                "x \U0001F1E9\U0001F1EA!", "日本語 です", "\U0001F600y z"]
+
+
+@st.composite
+def prompt_sets(draw):
+    base = draw(st.lists(st.one_of(TEXT, st.sampled_from(PACK_PROMPTS)),
+                         min_size=1, max_size=6))
+    return draw(st.permutations(base + draw(st.lists(st.sampled_from(base), max_size=2))))
+
+
+@given(prompts=prompt_sets(), cap=st.sampled_from([4, 16]))
+@example(prompts=PACK_PROMPTS + ["a", "word"], cap=16)
+@example(prompts=["a"], cap=16)
+@example(prompts=["word", ""], cap=4)
+@settings(max_examples=40, deadline=None)
+def test_packed_prefill_matches_solo_prefill(micro_cfg, micro_params, prompts, cap):
+    # every session of a prefill_all holds the same bits as a solo prefill
+    # of its prompt, whatever else is in the pack
+    cfg = replace(micro_cfg, max_word_bytes=cap)
+    sessions = [GenSession(micro_params, cfg) for _ in prompts]
+    BatchRunner(sessions, BoundarySync()).prefill_all([p.encode() for p in prompts])
+    for p, got in zip(prompts, sessions):
+        solo = prefill(GenSession(micro_params, cfg), p.encode())
+        rows = solo.word_cache.rows
+        assert got.word_cache.rows == rows
+        for a, b in ((solo.enc_ring, got.enc_ring), (solo.dec_ring, got.dec_ring),
+                     (solo.word_cache.kv[:, :, :rows], got.word_cache.kv[:, :, :rows]),
+                     (solo.inject, got.inject), (solo.cur_logits, got.cur_logits),
+                     (np.array(solo.pending_states), np.array(got.pending_states))):
+            assert np.array_equal(a, b)
+        assert (got.consumed_spans, got.inc_index, got.next_pos) == \
+            (solo.consumed_spans, solo.inc_index, solo.next_pos)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64])
+def test_one_prompt_forward_per_prefill_all(micro_cfg, micro_params, monkeypatch, n):
+    calls = []
+    real = infer.model.prompt_pass
+    monkeypatch.setattr(infer.model, "prompt_pass",
+                        lambda *args: calls.append(len(args[2])) or real(*args))
+    prompts = [PACK_PROMPTS[i % len(PACK_PROMPTS)].encode() for i in range(n)]
+    sessions = [GenSession(micro_params, micro_cfg) for _ in prompts]
+    BatchRunner(sessions, BoundarySync()).prefill_all(prompts)
+    assert calls == [n]
+    prefill(GenSession(micro_params, micro_cfg), prompts[0])
+    assert calls == [n, 1]
+
+
+def test_prefill_all_needs_one_prompt_per_session(micro_cfg, micro_params):
+    sessions = [GenSession(micro_params, micro_cfg) for _ in range(2)]
+    fresh = _state(GenSession(micro_params, micro_cfg))
+    runner = BatchRunner(sessions, BoundarySync())
+    for prompts in ([b"hi "], [b"hi ", b"yo ", b"x"]):
+        with pytest.raises(ValueError, match="prompts for 2 sessions"):
+            runner.prefill_all(prompts)
+        assert [_state(s) for s in sessions] == [fresh, fresh]
+
+
+# per kind, a prompt prefill must reject on a model with 12 byte positions
+# and 3 backbone rows (`_tight` both ways)
+BAD_PROMPTS = {"invalid-utf8": b"ab\xff", "ends-mid-codepoint": b"x \xe6\x97",
+               "too-many-bytes": b"abcdefghijklm", "too-many-words": b"a b c d "}
+
+
+@given(good=st.lists(st.sampled_from([b"", b"hi", b"x y", "é日".encode()]), max_size=5),
+       kind=st.sampled_from(sorted(BAD_PROMPTS)), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_failed_prefill_all_leaves_every_session_fresh(micro_cfg, micro_params, good, kind,
+                                                       data):
+    cfg = _tight(_tight(micro_cfg, "encoder"), "backbone")
+    at = data.draw(st.integers(0, len(good)))
+    prompts = good[:at] + [BAD_PROMPTS[kind]] + good[at:]
+    sessions = [GenSession(micro_params, cfg) for _ in prompts]
+    fresh = _state(GenSession(micro_params, cfg))
+    with pytest.raises(infer.SessionError) as err:
+        BatchRunner(sessions, BoundarySync()).prefill_all(prompts)
+    assert err.value.session == at and str(err.value).startswith(f"s{at}: ")
+    assert all(_state(s) == fresh for s in sessions)
+
+
 @pytest.mark.parametrize("limit", ["encoder", "backbone"])
 @pytest.mark.parametrize("batched", [False, True], ids=["solo", "batch3"])
 def test_position_exhaustion_leaves_sessions_unchanged(micro_cfg, micro_params,
