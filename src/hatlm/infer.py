@@ -16,23 +16,23 @@ injections and the deferred byte; several closes run in rounds).
 `step_byte` is the same code at batch size one, so there is one
 implementation of the incremental math. A new `GenSession` only
 allocates. `BatchRunner.prefill_all` starts its sessions without stepping,
-from one no-grad forward over the pack of their prompts
-(`model.prompt_pass`; an empty prompt is the 0xFE sentinel); `prefill` is
-the same call with one prompt. Three things stay per session. Each prompt
-goes through its own splitter and checks first, so a bad prompt fails
-before any session changes. In the forward, each prompt is its own
-sequence: no read crosses into another prompt and every product is made of
-gemm rows, so a session gets the same bits in any pack as alone. Filling a
-session's caches is a copy. They match a byte-by-byte prefill within the
-1e-4 incremental = batch tolerance, not bit for bit.
+from no-grad forwards over the pack of their prompts (`model.prompt_pass`,
+one per chunk of at most `PACK_BYTES` bytes; an empty prompt is the 0xFE
+sentinel); `prefill` is the same call with one prompt. Three things stay
+per session. Each prompt goes through its own splitter and checks first,
+so a bad prompt fails before any session changes. In the forward, each
+prompt is its own sequence: no read crosses into another prompt and every
+product is made of gemm rows, so a session gets the same bits in any pack
+as alone. Filling a session's caches is a copy. They match a byte-by-byte
+prefill within the 1e-4 incremental = batch tolerance, not bit for bit.
 
 Batch invariance is part of the contract: a session's logits have the same
 bits in any batch as alone. Hence every projection is
 :func:`hatlm.kernels.matmul_rows` (one BLAS call per row: a `(B, K)` gemm
-can round a row differently from the gemv used at B=1), and the backbone
-and pooling attention reads stay per session over exactly that session's
-rows (padding a masked read changes its bits). Only the byte rings, the
-same shape for every session, are read batched, under a valid mask.
+can round a row differently from the gemv used at B=1). `attend` reduces
+along the key axis only, so the backbone and pooling reads take one call per
+group of equal key counts, never padded (a masked, padded read sums in
+another order). The byte rings are read in one call, masked until all are full.
 
 A session's prompt and output are one byte stream through one splitter,
 whose UTF-8 gate masks sampling to the bytes it accepts (and the end
@@ -125,14 +125,14 @@ class WordCache:
         while self.kv.shape[2] < rows:
             self.kv = np.concatenate([self.kv, np.zeros_like(self.kv)], axis=2)
 
-    def put(self, layer: int, k: np.ndarray, v: np.ndarray):
+    def put(self, layer: int, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Store `layer`'s key and value of position `rows`; return that
-        layer's keys and values up to and including it."""
+        layer's keys and values up to and including it, [2, rows + 1, ...]."""
         n = self.rows
         self.reserve(n + 1)
         self.kv[layer, 0, n] = k
         self.kv[layer, 1, n] = v
-        return self.kv[layer, 0, :n + 1], self.kv[layer, 1, :n + 1]
+        return self.kv[layer, :, :n + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +174,13 @@ def _byte_stack(P, name: str, cfg: HatConfig, rings: list[np.ndarray],
 
     Row b sits at byte position pos[b] of the session that owns rings[b].
     The rings are stacked once; each layer writes its new K/V rows into the
-    stack and reads the window under a valid mask, and the new rows are
-    copied back into the sessions' rings at the end. `inject`
+    stack and reads the window, masked until every ring is full, and the new
+    rows are copied back into the sessions' rings at the end. `inject`
     ([B, n_layers, hidden]) is added before each decoder layer."""
     s = getattr(cfg, name)
     kv = np.stack(rings)                            # [B, L, 2, W, n_kv, hs]
     rows, slot = np.arange(len(rings)), pos % s.window
-    valid = np.arange(s.window) <= pos[:, None]     # written slots, new one included
+    valid = None if pos.min() >= s.window - 1 else np.arange(s.window) <= pos[:, None]
     rot = _rot(s, pos, x.dtype)
     for i in range(s.n_layers):
         prefix = f"{name}.layers.{i}"
@@ -196,35 +196,61 @@ def _byte_stack(P, name: str, cfg: HatConfig, rings: list[np.ndarray],
     return x
 
 
+def _groups(keys: list[int]) -> list[list[int]]:
+    """Indices of equal keys, by first appearance (a dict: the first
+    `np.unique` call in a process adds about 1.7 MiB of resident memory)."""
+    out: dict[int, list[int]] = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return list(out.values())
+
+
+def _attend_words(caches: list[WordCache], layer: int, q, k, v, cap) -> np.ndarray:
+    """Put row b's key and value into caches[b] at `layer` and read each
+    cache's rows, one `attend` per group of equal row counts (never padded)."""
+    o = np.empty((len(caches), q[0].size), q.dtype)
+    for g in _groups([c.rows for c in caches]):
+        kv = [caches[b].put(layer, k[b], v[b]) for b in g]
+        kv = kv[0][None] if len(g) == 1 else np.stack(kv)   # [G, 2, rows + 1, n_kv, hs]
+        o[g] = attend(q[g], kv[:, 0], kv[:, 1], cap)
+    return o
+
+
 def _word_stack(sessions: list[GenSession], x: np.ndarray) -> np.ndarray:
-    """One new backbone position per session; each reads exactly its own
-    word rows, so the attention reads are per session and unpadded."""
+    """One new backbone position per session (reads: `_attend_words`)."""
     P, cfg = sessions[0].params, sessions[0].cfg
     caches = [s.word_cache for s in sessions]
     rot = _rot(cfg.backbone, np.array([c.rows for c in caches]), x.dtype)
     for i in range(cfg.backbone.n_layers):
         prefix = f"backbone.layers.{i}"
         q, k, v = _qkv(P, prefix, cfg, cfg.backbone, x, rot)
-        o = np.stack([attend(q[b], *c.put(i, k[b], v[b]), cfg.softcap)
-                      for b, c in enumerate(caches)])
-        x = _finish_layer(P, prefix, cfg, x, o)
+        x = _finish_layer(P, prefix, cfg, x, _attend_words(caches, i, q, k, v, cfg.softcap))
     for s in sessions:
         s.word_cache.rows += 1
         s.backbone_calls += 1
     return x
 
 
+def _attend_spans(q, k, v, lens: list[int], cap) -> np.ndarray:
+    """Read consecutive spans of lens[j] key rows with the one query q, in
+    one `attend` per group of equal lengths with q broadcast over it."""
+    starts = np.cumsum([0, *lens[:-1]])
+    o = np.empty((len(lens), q.size), q.dtype)
+    for g in _groups(lens):
+        idx = starts[g][:, None] + np.arange(lens[g[0]])       # [G, n]
+        o[g] = attend(np.broadcast_to(q, (len(g), *q.shape)), k[idx], v[idx], cap)
+    return o
+
+
 def _pool_words(P, cfg: HatConfig, spans: list[np.ndarray]) -> np.ndarray:
-    """One word embedding per span of encoder states (each [n, hidden]); each
-    word attends to exactly its own bytes."""
+    """One word embedding per span of encoder states (each [n, hidden]),
+    read from exactly its own bytes (`_attend_spans`)."""
     nh, hs = cfg.n_enc_cross_heads, cfg.encoder.head_size
     states = np.concatenate(spans)
     k = matmul_rows(states, P["connector.wk"]).reshape(-1, nh, hs)
     v = matmul_rows(states, P["connector.wv"]).reshape(-1, nh, hs)
     q = (P["connector.query"] @ P["connector.wq"]).reshape(nh, hs)
-    ends = np.cumsum([len(x) for x in spans])
-    o = np.stack([attend(q, k[a - len(x):a], v[a - len(x):a], cfg.softcap)
-                  for x, a in zip(spans, ends)])
+    o = _attend_spans(q, k, v, [len(x) for x in spans], cfg.softcap)
     return matmul_rows(o, P["connector.wo"])
 
 
@@ -448,10 +474,15 @@ def _word_steps(sessions: list[GenSession]) -> None:
     _encode_committed(sessions, byte_vals)
 
 
+# Prompt bytes per prefill forward, which holds all its activations at once
+# (about 1 MiB per KiB of prompt, micro); a wave of 64 chat prompts fits.
+PACK_BYTES = 8192
+
+
 def _prefill(sessions: list[GenSession], prompts: list[bytes],
              indices: list[int | None]) -> None:
-    """Prefill sessions[b] with prompts[b] from one forward. Every prompt is
-    checked first, so a SessionError (naming indices[b]) changes no session."""
+    """Prefill sessions[b] with prompts[b], one forward per PACK_BYTES chunk,
+    once every prompt passed its checks (a SessionError names indices[b])."""
     streams = []
     for s, p, i in zip(sessions, prompts, indices):
         if s.status != "prefilling":
@@ -468,8 +499,16 @@ def _prefill(sessions: list[GenSession], prompts: list[bytes],
         if len(closes) + 1 > cfg.backbone.max_positions:
             raise SessionError(f"backbone positions exhausted ({cfg.backbone.max_positions})", i)
         streams.append((splitter, closes, inc_index))
-    if not sessions:
-        return
+    a = size = 0
+    for j, p in enumerate(prompts, 1):
+        size += len(p)
+        if j == len(prompts) or size + len(prompts[j]) > PACK_BYTES:
+            _fill(sessions[a:j], prompts[a:j], streams[a:j])
+            a, size = j, 0
+
+
+def _fill(sessions: list[GenSession], prompts: list[bytes], streams: list[tuple]) -> None:
+    """Fill checked sessions from one `model.prompt_pass` over their prompts."""
     P, cfg = sessions[0].params, sessions[0].cfg
     spans = [[(ev.start, ev.end) for ev in closes] for _, closes, _ in streams]
     passes = model.prompt_pass(P, cfg, [(p, sp, index, not p) for p, sp, (_, _, index)

@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -364,3 +365,91 @@ def test_word_position_limit_raises(micro_cfg, micro_params):
         prefill(s, b"x ")
         while not s.finished:
             step_byte(s)
+
+
+# ---------------------------------------------------------------------------
+# grouped word-step reads
+
+def per_session_word_reads(caches, layer, q, k, v, cap):
+    """The backbone read before grouping: per session, put the new row and
+    read views of its own cache."""
+    out = []
+    for b, c in enumerate(caches):
+        n = c.rows
+        c.reserve(n + 1)
+        c.kv[layer, 0, n], c.kv[layer, 1, n] = k[b], v[b]
+        out.append(infer.attend(q[b], c.kv[layer, 0, :n + 1], c.kv[layer, 1, :n + 1], cap))
+    return np.stack(out)
+
+
+def per_span_reads(q, k, v, lens, cap):
+    """Pooling's read before grouping: one read per span of consecutive keys."""
+    ends = np.cumsum(lens)
+    return np.stack([infer.attend(q, k[a - n:a], v[a - n:a], cap) for n, a in zip(lens, ends)])
+
+
+def counts(lo, hi, distinct):
+    """Lists of 1-64 counts in [lo, hi]: any mix, all equal, or all distinct."""
+    return st.one_of(
+        st.lists(st.integers(lo, hi), min_size=1, max_size=64),
+        st.integers(lo, hi).flatmap(lambda r: st.lists(st.just(r), min_size=1, max_size=64)),
+        st.lists(st.integers(lo, hi), min_size=1, max_size=distinct, unique=True))
+
+
+@given(rows=counts(0, 70, 64), layer=st.integers(0, 1), cap=st.sampled_from([None, 30.0]),
+       seed=st.integers(0, 2 ** 16))
+@example(rows=[3], layer=0, cap=30.0, seed=0)
+@example(rows=[5, 5, 9, 5, 9, 20], layer=1, cap=30.0, seed=1)
+@settings(max_examples=60, deadline=None)
+def test_grouped_word_reads_match_per_session_reads(micro_cfg, rows, layer, cap, seed):
+    bb, rng = micro_cfg.backbone, np.random.default_rng(seed)
+    caches = []
+    for r in rows:
+        c = infer.WordCache(bb, np.float32)
+        c.reserve(r)
+        c.kv[:, :, :r] = rng.standard_normal((bb.n_layers, 2, r, bb.n_kv_heads, bb.head_size))
+        c.rows = r
+        caches.append(c)
+    twins = copy.deepcopy(caches)
+    q = rng.standard_normal((len(rows), bb.n_heads, bb.head_size)).astype(np.float32)
+    k, v = rng.standard_normal((2, len(rows), bb.n_kv_heads, bb.head_size)).astype(np.float32)
+    got = infer._attend_words(caches, layer, q, k, v, cap)
+    assert np.array_equal(got, per_session_word_reads(twins, layer, q, k, v, cap))
+    for a, b in zip(caches, twins):
+        assert a.rows == b.rows and np.array_equal(a.kv, b.kv)
+
+
+@given(lens=counts(1, 16, 16), cap=st.sampled_from([None, 30.0]), seed=st.integers(0, 2 ** 16))
+@example(lens=[1], cap=30.0, seed=0)
+@example(lens=[16, 1, 16, 2, 1], cap=30.0, seed=1)
+@settings(max_examples=60, deadline=None)
+def test_grouped_span_reads_match_per_span_reads(micro_cfg, lens, cap, seed):
+    assert max(lens) <= micro_cfg.max_word_bytes
+    nh, hs, rng = micro_cfg.n_enc_cross_heads, micro_cfg.encoder.head_size, \
+        np.random.default_rng(seed)
+    q = rng.standard_normal((nh, hs)).astype(np.float32)
+    k, v = rng.standard_normal((2, sum(lens), nh, hs)).astype(np.float32)
+    assert np.array_equal(infer._attend_spans(q, k, v, lens, cap),
+                          per_span_reads(q, k, v, lens, cap))
+
+
+def test_word_step_reads_once_per_cache_shape(micro_cfg, micro_params, monkeypatch):
+    # 64 sessions at a boundary hold 3 distinct word-cache row counts and
+    # close words of 5 distinct lengths: a word step makes one backbone read
+    # per layer and row count and one pooling read per length
+    prompts = [("w" + " w" * (i % 3) + " " + "x" * (1 + i // 3 % 5)).encode()
+               for i in range(64)]
+    sessions = [GenSession(micro_params, micro_cfg, SamplingConfig("forced", forced=b" "),
+                           max_new_bytes=1) for _ in prompts]
+    runner = infer.BatchRunner(sessions, infer.BoundarySync())
+    runner.prefill_all(prompts)
+    runner.run_tick()
+    assert all(len(s.pending_closes) == 1 for s in sessions)
+    k = len({s.word_cache.rows for s in sessions})
+    m = len({c.end - c.start for s in sessions for c in s.pending_closes})
+    assert (k, m) == (3, 5)
+    calls = []
+    real = infer.attend
+    monkeypatch.setattr(infer, "attend", lambda *a: calls.append(a) or real(*a))
+    infer._consume_closes(sessions)
+    assert len(calls) == micro_cfg.backbone.n_layers * k + m

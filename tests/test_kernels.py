@@ -117,6 +117,23 @@ def test_rows_and_attend_are_batch_invariant(width):
 
 
 
+@given(b=st.integers(1, 64), shape=st.sampled_from(["ring", "backbone"]),
+       n=st.integers(1, 64), cap=st.sampled_from([None, 30.0]), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_all_true_mask_reads_as_no_mask(b, shape, n, cap, seed):
+    # the byte-ring read drops its mask once every ring is full; a batch with
+    # one unfilled ring still reads masked, so a session that is full gets
+    # the same bits either way only if an all-true mask changes nothing.
+    # Keys and values are views of one stacked [B, 2, n, kv, hs] array, as
+    # the ring and grouped backbone reads pass them.
+    nh, n_kv, n = (2, 1, 8) if shape == "ring" else (8, 4, n)
+    rng = np.random.default_rng(seed)
+    q = (3 * rng.standard_normal((b, nh, 8))).astype(np.float32)
+    kv = rng.standard_normal((b, 2, n, n_kv, 8)).astype(np.float32)
+    masked = K.attend(q, kv[:, 0], kv[:, 1], cap, np.ones((b, n), dtype=bool))
+    assert np.array_equal(masked, K.attend(q, kv[:, 0], kv[:, 1], cap))
+
+
 def test_gemm_rows_have_the_same_bits_from_two_rows_up(micro_cfg):
     # packed prefill (`model.prompt_pass`) rests on this: a row of X @ W has
     # the same bits in a product of any M >= 2 rows, wherever it sits, at

@@ -1,5 +1,6 @@
 import copy
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from hatlm.infer import (
     step_byte,
 )
 
-from conftest import POOLS
+from conftest import DATA, POOLS
 
 
 def solo_run(params, cfg, prompt, budget=20, sampling=None):
@@ -305,8 +306,13 @@ def test_packed_prefill_matches_solo_prefill(micro_cfg, micro_params, prompts, c
     cfg = replace(micro_cfg, max_word_bytes=cap)
     sessions = [GenSession(micro_params, cfg) for _ in prompts]
     BatchRunner(sessions, BoundarySync()).prefill_all([p.encode() for p in prompts])
+    assert_solo_prefills(micro_params, cfg, [p.encode() for p in prompts], sessions)
+
+
+def assert_solo_prefills(params, cfg, prompts, sessions):
+    """sessions[i] holds the bits of a solo prefill of prompts[i]."""
     for p, got in zip(prompts, sessions):
-        solo = prefill(GenSession(micro_params, cfg), p.encode())
+        solo = prefill(GenSession(params, cfg), p)
         rows = solo.word_cache.rows
         assert got.word_cache.rows == rows
         for a, b in ((solo.enc_ring, got.enc_ring), (solo.dec_ring, got.dec_ring),
@@ -330,6 +336,38 @@ def test_one_prompt_forward_per_prefill_all(micro_cfg, micro_params, monkeypatch
     assert calls == [n]
     prefill(GenSession(micro_params, micro_cfg), prompts[0])
     assert calls == [n, 1]
+
+
+@pytest.mark.parametrize("limit,chunks", [(0, [1] * 5), (8, [2, 1, 2]), (100, [5])])
+def test_prefill_all_packs_consecutive_chunks(micro_cfg, micro_params, monkeypatch, limit,
+                                              chunks):
+    # a chunk takes prompts while they fit in PACK_BYTES, and at least one;
+    # each session still holds the bits of a solo prefill
+    calls = []
+    real = infer.model.prompt_pass
+    monkeypatch.setattr(infer.model, "prompt_pass",
+                        lambda *args: calls.append(len(args[2])) or real(*args))
+    monkeypatch.setattr(infer, "PACK_BYTES", limit)
+    prompts = [b"ab", b"", "日本語 です".encode(), b"a", b"word"]
+    sessions = [GenSession(micro_params, micro_cfg) for _ in prompts]
+    BatchRunner(sessions, BoundarySync()).prefill_all(prompts)
+    assert calls == chunks
+    assert_solo_prefills(micro_params, micro_cfg, prompts, sessions)
+
+
+def test_prefill_all_memory_is_bounded(micro_cfg, micro_params):
+    # 64 prompts of 2,048 B peaked at 121 MiB traced in one forward; chunks
+    # of PACK_BYTES keep it under 40 MiB
+    text = (DATA / "english_sample.txt").read_bytes()[:2048]
+    sessions = [GenSession(micro_params, micro_cfg) for _ in range(64)]
+    tracemalloc.start()
+    try:
+        BatchRunner(sessions, BoundarySync()).prefill_all([text] * 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2 ** 20, peak / 2 ** 20
+    assert_solo_prefills(micro_params, micro_cfg, [text, text], [sessions[0], sessions[-1]])
 
 
 def test_prefill_all_needs_one_prompt_per_session(micro_cfg, micro_params):
