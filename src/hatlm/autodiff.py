@@ -5,11 +5,11 @@ hand-derived and checked against central finite differences in the test
 suite. Values keep the dtype of their inputs, so running a graph in float64
 gives float64 gradients (used by the gradient oracle).
 
-The layer math is one node per operation, valued by `kernels`: `rms_norm`,
-`softcap`, `swiglu` (over `kernels.silu`), `rope`, and `attention`, the
-causal, optionally banded self-attention over grouped KV heads. The
-remaining primitives (matmul, gather, reshape, the segment ops, ...) glue
-them together.
+The layer math is one node per operation, valued by `kernels`: `matmul`
+(gemm rows), `rms_norm`, `softcap`, `swiglu` (`kernels.swiglu_ffn`), `rope`,
+and `attention`, the causal, optionally banded self-attention over grouped
+KV heads. The remaining primitives (gather, reshape, the segment ops, ...)
+glue them together.
 
 A node that needs no gradient keeps neither its parents nor its backward
 closure, so a no-grad forward holds no tape: each intermediate array is
@@ -143,7 +143,7 @@ def scale(a, c: float) -> Var:
 
 def matmul(a, b) -> Var:
     a, b = wrap(a), wrap(b)
-    out = np.matmul(a.v, b.v)
+    out = kernels.matmul(a.v, b.v)
 
     def bw(g):
         ga = np.matmul(g, np.swapaxes(b.v, -1, -2))
@@ -329,11 +329,9 @@ def softcap(a, cap: float) -> Var:
 def swiglu(x, w_gate, w_up, w_down) -> Var:
     """w_down applied to silu(x w_gate) * (x w_up), for rows x [n, hidden]."""
     x, wg, wu, wd = (wrap(p) for p in (x, w_gate, w_up, w_down))
-    if not (x.rg or wg.rg or wu.rg or wd.rg):     # no tape: hold one hidden array
-        h = kernels.silu(x.v @ wg.v)
-        h *= x.v @ wu.v
-        return Var(h @ wd.v)
-    a, b = x.v @ wg.v, x.v @ wu.v
+    if not (x.rg or wg.rg or wu.rg or wd.rg):
+        return Var(kernels.swiglu_ffn(x.v, wg.v, wu.v, wd.v))
+    a, b = kernels.matmul(x.v, wg.v), kernels.matmul(x.v, wu.v)
     sa = kernels.silu(a)
     h = sa * b
 
@@ -345,7 +343,7 @@ def swiglu(x, w_gate, w_up, w_down) -> Var:
         _accum(wg, x.v.T @ da, owned=True)
         _accum(wu, x.v.T @ db, owned=True)
         _accum(wd, h.T @ g, owned=True)
-    return Var(h @ wd.v, (x, wg, wu, wd), bw)
+    return Var(kernels.matmul(h, wd.v), (x, wg, wu, wd), bw)
 
 
 def _band(x: np.ndarray, w: int) -> np.ndarray:

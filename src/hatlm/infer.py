@@ -6,7 +6,7 @@ the sliding window (encoder and decoder; fixed-shape arrays, slot
 cache for the backbone. Bytes cycle through the lightweight encoder-decoder
 loop; the backbone runs only when the incremental splitter closes a word.
 The layer math mirrors the batch pass in :mod:`hatlm.model` and runs on the
-shared kernels.
+shared kernels; the word-context read is `model.word_context` itself.
 
 Every step is batched over sessions: `BatchRunner.run_tick` runs one byte
 step for all its byte-stepping sessions (sample and commit per session,
@@ -27,12 +27,12 @@ as alone. Filling a session's caches is a copy. They match a byte-by-byte
 prefill within the 1e-4 incremental = batch tolerance, not bit for bit.
 
 Batch invariance is part of the contract: a session's logits have the same
-bits in any batch as alone. Hence every projection is
-:func:`hatlm.kernels.matmul_rows` (one BLAS call per row: a `(B, K)` gemm
-can round a row differently from the gemv used at B=1). `attend` reduces
-along the key axis only, so the backbone and pooling reads take one call per
-group of equal key counts, never padded (a masked, padded read sums in
-another order). The byte rings are read in one call, masked until all are full.
+bits in any batch as alone. Hence every product is gemm rows and a one-row
+input is padded (:func:`hatlm.kernels.matmul`: BLAS runs one row as a gemv,
+which sums in another order). `attend` reduces along the key axis only, so
+the backbone and pooling reads take one call per group of equal key counts,
+never padded (a masked, padded read sums in another order). The byte rings
+are read in one call, masked until all are full.
 
 A session's prompt and output are one byte stream through one splitter,
 whose UTF-8 gate masks sampling to the bytes it accepts (and the end
@@ -50,8 +50,7 @@ import numpy as np
 
 from . import model
 from .config import HatConfig, StackConfig
-from .kernels import (attend, matmul_rows, rms_norm, rope_angles, rotate, softmax,
-                      swiglu_ffn)
+from .kernels import attend, matmul, rms_norm, rope_angles, rotate, softmax, swiglu_ffn
 from .splitter import BYTE_EOS, IncrementalSplitterState, SplitError, WordClosed, stream
 
 
@@ -144,9 +143,9 @@ def _qkv(P, prefix: str, cfg: HatConfig, s: StackConfig, x: np.ndarray, rot):
     `rot` holds the cos and sin tables of the rows' positions, [B, 1, hs/2]."""
     b = x.shape[0]
     h = rms_norm(x, cfg.norm_eps, P[f"{prefix}.attn_norm.gain"])
-    q = matmul_rows(h, P[f"{prefix}.attn.wq"]).reshape(b, s.n_heads, s.head_size)
-    k = matmul_rows(h, P[f"{prefix}.attn.wk"]).reshape(b, s.n_kv_heads, s.head_size)
-    v = matmul_rows(h, P[f"{prefix}.attn.wv"]).reshape(b, s.n_kv_heads, s.head_size)
+    q = matmul(h, P[f"{prefix}.attn.wq"]).reshape(b, s.n_heads, s.head_size)
+    k = matmul(h, P[f"{prefix}.attn.wk"]).reshape(b, s.n_kv_heads, s.head_size)
+    v = matmul(h, P[f"{prefix}.attn.wv"]).reshape(b, s.n_kv_heads, s.head_size)
     if cfg.qk_norm:
         q = rms_norm(q, cfg.norm_eps)
         k = rms_norm(k, cfg.norm_eps)
@@ -161,7 +160,7 @@ def _rot(s: StackConfig, pos: np.ndarray, dtype):
 def _finish_layer(P, prefix: str, cfg: HatConfig, x: np.ndarray,
                   o: np.ndarray) -> np.ndarray:
     """Attention output projection and the MLP, both residual."""
-    x = x + matmul_rows(o, P[f"{prefix}.attn.wo"])
+    x = x + matmul(o, P[f"{prefix}.attn.wo"])
     h = rms_norm(x, cfg.norm_eps, P[f"{prefix}.mlp_norm.gain"])
     return x + swiglu_ffn(h, P[f"{prefix}.mlp.w_gate"], P[f"{prefix}.mlp.w_up"],
                           P[f"{prefix}.mlp.w_down"])
@@ -247,26 +246,11 @@ def _pool_words(P, cfg: HatConfig, spans: list[np.ndarray]) -> np.ndarray:
     read from exactly its own bytes (`_attend_spans`)."""
     nh, hs = cfg.n_enc_cross_heads, cfg.encoder.head_size
     states = np.concatenate(spans)
-    k = matmul_rows(states, P["connector.wk"]).reshape(-1, nh, hs)
-    v = matmul_rows(states, P["connector.wv"]).reshape(-1, nh, hs)
-    q = (P["connector.query"] @ P["connector.wq"]).reshape(nh, hs)
+    k = matmul(states, P["connector.wk"]).reshape(-1, nh, hs)
+    v = matmul(states, P["connector.wv"]).reshape(-1, nh, hs)
+    q = matmul(P["connector.query"], P["connector.wq"]).reshape(nh, hs)
     o = _attend_spans(q, k, v, [len(x) for x in spans], cfg.softcap)
-    return matmul_rows(o, P["connector.wo"])
-
-
-def _dec_injections(P, cfg: HatConfig, rows: np.ndarray) -> np.ndarray:
-    """Per-decoder-block residual contribution of the word-context read,
-    [B, n_layers, hidden] for backbone rows [B, hidden].
-
-    The cross block attends to a single backbone row, so its output is a
-    fixed vector until the next word closes."""
-    inj = []
-    for i in range(cfg.decoder.n_layers):
-        cp = f"decoder.layers.{i}.cross"
-        kvn = rms_norm(rows, cfg.norm_eps, P[f"{cp}.kv_norm.gain"])
-        o = matmul_rows(matmul_rows(kvn, P[f"{cp}.wv"]), P[f"{cp}.wo"])
-        inj.append(rms_norm(o, cfg.norm_eps, P[f"{cp}.post_norm.gain"]))
-    return np.stack(inj, axis=1)
+    return matmul(o, P["connector.wo"])
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +386,8 @@ def _encode_decode(sessions: list[GenSession], byte_vals: list[int]) -> None:
                     P["encoder.byte_embedding"][byte_vals], pos)
     y = _byte_stack(P, "decoder", cfg, [s.dec_ring for s in sessions], x, pos,
                     np.stack([s.inject for s in sessions]))
-    logits = matmul_rows(rms_norm(y, cfg.norm_eps, P["decoder.final_norm.gain"]),
-                         P["decoder.lm_head"])
+    logits = matmul(rms_norm(y, cfg.norm_eps, P["decoder.final_norm.gain"]),
+                    P["decoder.lm_head"])
     for s, state, row in zip(sessions, x, logits):
         s.pending_states.append(state.copy())
         s.inc_index.append(s.word_cache.rows - 1)
@@ -416,14 +400,14 @@ def _consume_closes(sessions: list[GenSession]) -> None:
     decoder injections. Round r takes the r-th close of every session that
     has one, so a session's words still go through in order."""
     P, cfg = sessions[0].params, sessions[0].cfg
-    last = [None] * len(sessions)
+    last = np.empty((len(sessions), cfg.backbone.hidden), P["backbone.bos"].dtype)
     for r in range(max(len(s.pending_closes) for s in sessions)):
         idx = [j for j, s in enumerate(sessions) if len(s.pending_closes) > r]
         group = [sessions[j] for j in idx]
         words = _pool_words(P, cfg, [s._take_span(s.pending_closes[r]) for s in group])
-        for j, row in zip(idx, _word_stack(group, words)):
-            last[j] = row
-    for s, inj in zip(sessions, _dec_injections(P, cfg, np.stack(last))):
+        last[idx] = _word_stack(group, words)
+    inject = np.stack([c.v for c in model.word_context(P, cfg, last)], axis=1)
+    for s, inj in zip(sessions, inject):
         s.inject = inj.copy()
         s.pending_closes = []
 
@@ -513,9 +497,7 @@ def _fill(sessions: list[GenSession], prompts: list[bytes], streams: list[tuple]
     spans = [[(ev.start, ev.end) for ev in closes] for _, closes, _ in streams]
     passes = model.prompt_pass(P, cfg, [(p, sp, index, not p) for p, sp, (_, _, index)
                                         in zip(prompts, spans, streams)])
-    injects = _dec_injections(P, cfg, np.stack([fw.backbone_outputs[-1] for fw in passes]))
-    for s, p, sp, (splitter, _, index), fw, inj in zip(sessions, prompts, spans, streams,
-                                                      passes, injects):
+    for s, p, sp, (splitter, _, index), fw in zip(sessions, prompts, spans, streams, passes):
         n, m, rows = len(p), len(fw.byte_states), len(sp) + 1
         for ring, kv, w in ((s.enc_ring, fw.encoder_kv, cfg.encoder.window),
                             (s.dec_ring, fw.decoder_kv, cfg.decoder.window)):
@@ -523,7 +505,7 @@ def _fill(sessions: list[GenSession], prompts: list[bytes], streams: list[tuple]
         s.word_cache.reserve(rows)
         s.word_cache.kv[:, :, :rows] = fw.backbone_kv
         s.word_cache.rows = rows
-        s.inject = inj.copy()
+        s.inject = fw.inject.copy()
         s.pending_base = sp[-1][1] if sp else 0
         s.pending_states = list(fw.byte_states[s.pending_base:n].copy())
         s.consumed_spans = sp

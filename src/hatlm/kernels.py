@@ -3,16 +3,16 @@ and the single-query grouped-KV attention read.
 
 These are the one implementation of each piece of math: the incremental
 engine calls them directly and the autodiff tape takes its forward values
-from `rms_norm`, `silu`, `softcap`, `rope` and `masked_softmax`. All operations are pure functions
-over numpy arrays, deterministic for a given input dtype (float32 or float64
-throughout; outputs follow inputs). Setting the environment variable
-HATLM_DEBUG_FINITE=1 (or the module flag) makes every kernel assert that its
-output is finite.
+from `matmul`, `swiglu_ffn`, `silu`, `rms_norm`, `softcap`, `rope` and `masked_softmax`.
+All operations are pure functions over numpy arrays, deterministic for a
+given input dtype (float32 or float64 throughout; outputs follow inputs).
+Setting the environment variable HATLM_DEBUG_FINITE=1 (or the module flag)
+makes every kernel assert that its output is finite.
 
-`matmul_rows`, `swiglu_ffn`, `rms_norm`, `rope` and `attend` are
+`matmul`, `swiglu_ffn`, `rms_norm`, `rope` and `attend` are
 batch-invariant: a row's result has the same bits whatever other rows are
-computed beside it. Batched generation relies on this to match a solo run
-exactly (see :mod:`hatlm.infer`).
+computed beside it (every product is gemm rows; a one-row input is padded).
+Batched generation relies on this to match a solo run exactly (see :mod:`hatlm.infer`).
 """
 
 from __future__ import annotations
@@ -40,17 +40,19 @@ def _check(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def matmul_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """`x @ w` with one BLAS call per row of x: `(1, K) @ (K, N)` each.
+def matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`x @ w` as gemm rows, over any leading axes; a 1-D x is one row.
 
-    A single `(B, K) @ (K, N)` product lets BLAS pick its kernel by B (gemv
-    for one row, gemm for several), and the two sum in different orders, so
-    a row can get other bits inside a batch than alone. Row by row, its bits
-    do not depend on B.
-    """
-    if x.shape[-1] != w.shape[0]:
+    BLAS runs one row as a gemv, which sums in another order than a gemm. A
+    gemm row has the same bits in a product of any two or more rows, so a
+    one-row input runs as two (the row twice) and the pad row is dropped."""
+    if w.ndim < 2 or x.shape[-1] != w.shape[-2]:
         raise ShapeError(f"matmul inner dims {x.shape} x {w.shape}")
-    return _check((x[..., None, :] @ w)[..., 0, :])
+    if x.ndim == 1:
+        return matmul(x[None], w)[0]
+    if x.shape[-2] == 1:
+        return _check((x.repeat(2, -2) @ w)[..., :1, :])
+    return _check(x @ w)
 
 
 def rms_norm(x: np.ndarray, eps: float = 1e-5,
@@ -77,8 +79,10 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 def swiglu_ffn(x: np.ndarray, w_gate: np.ndarray, w_up: np.ndarray,
                w_down: np.ndarray) -> np.ndarray:
-    """w_down applied to silu(x w_gate) * (x w_up), row by row."""
-    return matmul_rows(silu(matmul_rows(x, w_gate)) * matmul_rows(x, w_up), w_down)
+    """w_down applied to silu(x w_gate) * (x w_up), holding one hidden array."""
+    h = silu(matmul(x, w_gate))
+    h *= matmul(x, w_up)
+    return matmul(h, w_down)
 
 
 def rope_angles(positions: np.ndarray, d: int, base: float,

@@ -284,30 +284,40 @@ def backbone_forward_var(P, cfg: HatConfig, word_embs: ad.Var, positions: np.nda
     return _stack(P, "backbone", x, cfg.backbone, cfg, positions, kv)
 
 
-def decode_bytes_var(P, cfg: HatConfig, byte_states: ad.Var, bb_out: ad.Var,
+def word_context(P, cfg: HatConfig, rows) -> list[ad.Var]:
+    """Each decoder block's word-context injection, [n, h_dec], for backbone
+    rows [n, h_bb]. Each byte reads exactly one backbone row (its word's
+    predictor), so the softmax over that single key is identically 1 and the
+    block reduces to a value read: kv-norm, wv, wo, post-norm. The cross
+    wq/wk projections and the pre-norm still exist as parameters (the
+    checkpoint and count layouts include them) but cannot influence a
+    one-key softmax. A byte gathers its row's injection from the result."""
+    out = []
+    for i in range(cfg.decoder.n_layers):
+        cp = f"decoder.layers.{i}.cross"
+        kvn = ad.rms_norm(rows, cfg.norm_eps, P[f"{cp}.kv_norm.gain"])
+        o = ad.matmul(ad.matmul(kvn, P[f"{cp}.wv"]), P[f"{cp}.wo"])
+        out.append(ad.rms_norm(o, cfg.norm_eps, P[f"{cp}.post_norm.gain"]))
+    return out
+
+
+def decode_bytes_var(P, cfg: HatConfig, byte_states: ad.Var, context: list[ad.Var],
                      byte_row: np.ndarray, positions: np.ndarray, kv: list | None = None,
                      last_only: bool = False) -> ad.Var:
     """Decoder blocks: word-context injection, then a local transformer layer.
 
-    Each byte reads exactly one backbone row (its word's predictor), so the
-    softmax over that single key is identically 1 and the block reduces to a
-    value read. The cross wq/wk projections and the pre-norm still exist as
-    parameters (the checkpoint and count layouts include them) but cannot
-    influence a one-key softmax. Byte i sits at `positions[i]` of its own
-    sequence (see `ad.attention`). With `last_only`, the final norm and the
-    head read the last byte of each sequence alone, one logits row each.
+    Byte i adds row `byte_row[i]` of each block's `word_context`, and sits
+    at `positions[i]` of its own sequence (see `ad.attention`). With
+    `last_only`, the final norm and the head read the last byte of each
+    sequence alone, one logits row each.
     """
     if len(byte_row) != byte_states.shape[0]:
         raise ValueError("word index length must match byte count")
-    if len(byte_row) and (byte_row.min() < 0 or byte_row.max() >= bb_out.shape[0]):
+    if len(byte_row) and (byte_row.min() < 0 or byte_row.max() >= context[0].shape[0]):
         raise ValueError("word index out of backbone output range")
     x = byte_states
     for i in range(cfg.decoder.n_layers):
-        cp = f"decoder.layers.{i}.cross"
-        kvn = ad.rms_norm(bb_out, cfg.norm_eps, P[f"{cp}.kv_norm.gain"])
-        vrows = ad.matmul(kvn, P[f"{cp}.wv"])       # [rows, h_dec]
-        x = ad.add(x, ad.rms_norm(ad.matmul(ad.gather(vrows, byte_row), P[f"{cp}.wo"]),
-                                  cfg.norm_eps, P[f"{cp}.post_norm.gain"]))
+        x = ad.add(x, ad.gather(context[i], byte_row))
         prefix = f"decoder.layers.{i}"
         x = ad.add(x, _self_attn(P, prefix, x, cfg.decoder, cfg, positions, kv))
         x = ad.add(x, _mlp(P, prefix, x, cfg))
@@ -324,16 +334,11 @@ class PromptPass:
     cache holds them, [n_layers, 2, rows, n_kv_heads, hs], for the last
     `window` bytes (all without a window), or for BOS and the words."""
     byte_states: np.ndarray       # [n_bytes, h_enc]
-    backbone_outputs: np.ndarray  # [n_words + 1, h_bb], all rows
+    inject: np.ndarray            # [n_dec_layers, h_dec], the last backbone row's context
     logits: np.ndarray            # [256], the last byte's
     encoder_kv: np.ndarray
     backbone_kv: np.ndarray
     decoder_kv: np.ndarray
-
-
-# Two one-byte, one-word prompts end every pack, so no product has a single
-# row: that runs as a gemv, which rounds otherwise than gemm rows do.
-_PAD = [(b" ", [(0, 1)], [0], False)] * 2
 
 
 def _cache_rows(layers: list, lens: np.ndarray, window: int | None):
@@ -354,11 +359,12 @@ def prompt_pass(params, cfg: HatConfig, prompts: list[tuple]) -> list[PromptPass
     if `sentinel_prefix`. Only each prompt's last byte reaches the head.
 
     Each prompt is its own sequence: its positions restart at 0, so no read
-    crosses into another prompt. With every product made of gemm rows
-    (`_PAD`), a prompt gets the same bits in any pack as alone."""
+    crosses into another prompt. Every product is gemm rows and a one-row
+    input is padded (`kernels.matmul`), so a prompt gets the same bits in any
+    pack as alone, a pack of one one-byte prompt included."""
     ids, spans, rows, n_words = [], [], [], []
     t = r = 0
-    for committed, closed, inc_index, sentinel in [*prompts, *_PAD]:
+    for committed, closed, inc_index, sentinel in prompts:
         b = np.frombuffer(bytes([BYTE_BOS] * sentinel) + committed, dtype=np.uint8)
         row = np.asarray([0] * sentinel + list(inc_index), dtype=np.int64)
         if not len(b) or len(row) != len(b) or row.min() < 0 or row.max() > len(closed):
@@ -376,12 +382,14 @@ def prompt_pass(params, cfg: HatConfig, prompts: list[tuple]) -> list[PromptPass
     word_embs = pool_words_var(params, cfg, byte_states, spans)
     bb_all = backbone_forward_var(params, cfg, word_embs,
                                   np.concatenate([np.arange(n) for n in blocks]), bb)
-    logits = decode_bytes_var(params, cfg, byte_states, bb_all, np.concatenate(rows), pos,
+    context = word_context(params, cfg, bb_all)
+    logits = decode_bytes_var(params, cfg, byte_states, context, np.concatenate(rows), pos,
                               dec, last_only=True)
     bb, dec = _cache_rows(bb, blocks, None), _cache_rows(dec, lens, cfg.decoder.window)
     tb = np.cumsum([0, *lens])
-    return [PromptPass(byte_states.v[tb[j]:tb[j + 1]], bb_all.v[bb[1][j]:bb[1][j + 1]],
-                       logits.v[j], *(c[:, :, b[j]:b[j + 1]] for c, b in (enc, bb, dec)))
+    inject = np.stack([c.v[bb[1][1:] - 1] for c in context], axis=1)
+    return [PromptPass(byte_states.v[tb[j]:tb[j + 1]], inject[j], logits.v[j],
+                       *(c[:, :, b[j]:b[j + 1]] for c, b in (enc, bb, dec)))
             for j in range(len(prompts))]
 
 
@@ -393,15 +401,14 @@ def forward(params, cfg: HatConfig, data: bytes) -> ForwardTrace:
     exactly when one of them requires a gradient."""
     result = split(data, cfg.max_word_bytes)
     spans = [(s.start, s.end) for s in result.spans]
-    byte_row = np.empty(len(data), dtype=np.int64)
-    for j, (a, b) in enumerate(spans):
-        byte_row[a:b] = j
+    byte_row = np.repeat(np.arange(len(spans)), [b - a for a, b in spans])
     byte_ids = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
     pos = np.arange(len(data))
     byte_states = encode_bytes_var(params, cfg, byte_ids, pos)
     word_embs = pool_words_var(params, cfg, byte_states, spans)
     bb_all = backbone_forward_var(params, cfg, word_embs, np.arange(len(spans) + 1))
-    logits = decode_bytes_var(params, cfg, byte_states, bb_all, byte_row, pos)
+    logits = decode_bytes_var(params, cfg, byte_states, word_context(params, cfg, bb_all),
+                              byte_row, pos)
     return ForwardTrace(byte_states.v, word_embs.v, bb_all.v[:len(spans)], logits.v, logits)
 
 

@@ -33,7 +33,7 @@ def loop_prefill(session, prompt):
     text: it leaves no pending state and no `inc_index` entry."""
     P, cfg = session.params, session.cfg
     bos = infer._word_stack([session], P["backbone.bos"][None])
-    session.inject = infer._dec_injections(P, cfg, bos)[0]
+    session.inject = np.stack([c.v[0] for c in model.word_context(P, cfg, bos)])
     if not prompt:
         infer._encode_decode([session], [BYTE_BOS])
         session.pending_states, session.inc_index = [], []

@@ -83,24 +83,36 @@ def test_softcap_hand_value():
 
 
 def test_matmul_examples():
-    assert np.array_equal(K.matmul_rows(np.eye(3), np.arange(9.).reshape(3, 3)),
+    assert np.array_equal(K.matmul(np.eye(3), np.arange(9.).reshape(3, 3)),
                           np.arange(9.).reshape(3, 3))
-    assert K.matmul_rows(np.array([[2.0]]), np.array([[3.0]]))[0, 0] == 6.0
-    out = K.matmul_rows(np.array([[1., 2.], [3., 4.]]), np.array([[5.], [6.]]))
+    assert K.matmul(np.array([[2.0]]), np.array([[3.0]]))[0, 0] == 6.0
+    out = K.matmul(np.array([[1., 2.], [3., 4.]]), np.array([[5.], [6.]]))
     assert np.array_equal(out, np.array([[17.], [39.]]))
-    with pytest.raises(K.ShapeError):
-        K.matmul_rows(np.ones((2, 3)), np.ones((2, 3)))
+    # the inner dimension of a stacked w is its axis -2
+    for a, b in (((2, 3), (2, 3)), ((2, 3), (2, 4, 3)), ((3,), (3,))):
+        with pytest.raises(K.ShapeError):
+            K.matmul(np.ones(a), np.ones(b))
+    # one row comes back as one row, with the bits of a gemm row
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((2, 64)).astype(np.float32)
+    w = rng.standard_normal((64, 64)).astype(np.float32)
+    one = K.matmul(x[:1], w)
+    assert one.shape == (1, 64) and np.array_equal(one, (x @ w)[:1])
+    assert np.array_equal(K.matmul(x[0], w), one[0])
+    # stacked one-row inputs: each [1, K] is padded on its own
+    stacked = K.matmul(x[:, None], w)
+    assert stacked.shape == (2, 1, 64) and np.array_equal(stacked[:, 0], x @ w)
 
 
 @pytest.mark.parametrize("width", [16, 64])
 def test_rows_and_attend_are_batch_invariant(width):
     # width 16: the encoder/decoder (2 query heads on 1 KV head); width 64:
     # the backbone (8 on 4). A row's bits must not depend on the batch size,
-    # which a plain (B, K) @ (K, N) product does not give at K=64.
+    # which a plain (B, K) @ (K, N) product does not give at K=64 and B=1.
     rng = np.random.default_rng(width)
     x = rng.standard_normal((64, width)).astype(np.float32)
     w = rng.standard_normal((width, width)).astype(np.float32)
-    alone = np.stack([x[b] @ w for b in range(64)])
+    alone = x @ w
     hs, n = 8, 8
     nh = width // hs
     q = rng.standard_normal((64, nh, hs)).astype(np.float32)
@@ -111,7 +123,7 @@ def test_rows_and_attend_are_batch_invariant(width):
     masked = np.stack([K.attend(q[b], k[b], v[b], 30.0, valid[b]) for b in range(64)])
     full = np.stack([K.attend(q[b], k[b], v[b], 30.0) for b in range(64)])
     for B in (1, 2, 3, 64):
-        assert np.array_equal(K.matmul_rows(x[:B], w), alone[:B])
+        assert np.array_equal(K.matmul(x[:B], w), alone[:B])
         assert np.array_equal(K.attend(q[:B], k[:B], v[:B], 30.0, valid[:B]), masked[:B])
         assert np.array_equal(K.attend(q[:B], k[:B], v[:B], 30.0), full[:B])
 
@@ -135,12 +147,12 @@ def test_all_true_mask_reads_as_no_mask(b, shape, n, cap, seed):
 
 
 def test_gemm_rows_have_the_same_bits_from_two_rows_up(micro_cfg):
-    # packed prefill (`model.prompt_pass`) rests on this: a row of X @ W has
-    # the same bits in a product of any M >= 2 rows, wherever it sits, at
-    # every (K, N) a micro projection uses, the pooling logits' included. M = 1
-    # is the exception: it runs as a gemv, which sums in another order at
-    # K >= 64. `kernels.matmul_rows` and the pad prompts that end every pack
-    # exist for that case.
+    # batched generation and packed prefill (`model.prompt_pass`) rest on
+    # this: a row of X @ W has the same bits in a product of any M >= 2 rows,
+    # wherever it sits, at every (K, N) a micro projection uses, the pooling
+    # logits' included. M = 1 is the exception: it runs as a gemv, which sums
+    # in another order at K >= 64, so `kernels.matmul` pads a one-row input
+    # to two rows.
     rng = np.random.default_rng(0)
     shapes = {shape for name, shape in model.param_shapes(micro_cfg).items()
               if len(shape) == 2 and name != "encoder.byte_embedding"}

@@ -157,6 +157,38 @@ def test_word_level_future_perturbation(micro_cfg, micro_params):
     assert not np.array_equal(out_base[3:], out_pert[3:])
 
 
+def gather_then_wo_decode(P, cfg, byte_states, bb_out, byte_row, positions):
+    """The decoder as it read the word context before `model.word_context`:
+    gather each byte's wv row, then run wo and the post-norm on every byte."""
+    x = byte_states
+    for i in range(cfg.decoder.n_layers):
+        cp = f"decoder.layers.{i}.cross"
+        kvn = ad.rms_norm(bb_out, cfg.norm_eps, P[f"{cp}.kv_norm.gain"])
+        vrows = ad.matmul(kvn, P[f"{cp}.wv"])
+        x = ad.add(x, ad.rms_norm(ad.matmul(ad.gather(vrows, byte_row), P[f"{cp}.wo"]),
+                                  cfg.norm_eps, P[f"{cp}.post_norm.gain"]))
+        prefix = f"decoder.layers.{i}"
+        x = ad.add(x, model._self_attn(P, prefix, x, cfg.decoder, cfg, positions))
+        x = ad.add(x, model._mlp(P, prefix, x, cfg))
+    h = ad.rms_norm(x, cfg.norm_eps, P["decoder.final_norm.gain"])
+    return ad.matmul(h, P["decoder.lm_head"])
+
+
+def test_word_context_per_row_matches_gather_then_wo(micro_cfg, micro_params):
+    # the read is row-wise and every product is gemm rows, so running it per
+    # backbone row and gathering after gives each byte the same bits
+    for s in random_utf8_strings(40, seed=23):
+        data = s.encode()
+        if not data:
+            continue
+        tr = model.forward(micro_params, micro_cfg, data)
+        spans = split(data, micro_cfg.max_word_bytes).spans
+        byte_row = np.repeat(np.arange(len(spans)), [sp.end - sp.start for sp in spans])
+        ref = gather_then_wo_decode(micro_params, micro_cfg, tr.byte_states,
+                                    tr.backbone_outputs, byte_row, np.arange(len(data)))
+        assert np.array_equal(tr.logits, ref.v), s
+
+
 def test_cross_word_leakage(micro_cfg, micro_params):
     # bytes of word j are bit-insensitive to backbone rows > j
     data = b"aaa bbb ccc ddd"
@@ -167,9 +199,9 @@ def test_cross_word_leakage(micro_cfg, micro_params):
     bb_pert = bb.copy()
     bb_pert[2] += 3.0  # row consumed only by bytes with word_index == 2
     pos = np.arange(len(word_index))
-    a = model.decode_bytes_var(micro_params, micro_cfg, tr.byte_states, bb, word_index, pos).v
-    b = model.decode_bytes_var(micro_params, micro_cfg, tr.byte_states, bb_pert, word_index,
-                               pos).v
+    a, b = (model.decode_bytes_var(micro_params, micro_cfg, tr.byte_states,
+                                   model.word_context(micro_params, micro_cfg, rows),
+                                   word_index, pos).v for rows in (bb, bb_pert))
     assert np.array_equal(a[:7], b[:7])
     assert not np.array_equal(a[7:11], b[7:11])
 

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, precondition,
+                                 rule)
 
-from hatlm import infer
+from hatlm import config, infer, model
 from hatlm.infer import (
     BatchRunner,
     BoundarySync,
@@ -517,3 +519,162 @@ def test_illegal_forced_byte_leaves_tick_unchanged(micro_cfg, micro_params, besi
         step_byte(sessions[1])
     assert err.value.session is None
     assert [_state(s) for s in sessions] == before
+
+
+# -- a stateful model of one batch ---------------------------------------------
+
+MICRO = config.micro()
+MACHINE_PARAMS = model.init_params(MICRO, seed=1234)
+# mixed-script pieces: chunk-opening multi-byte codepoints (∑, a flag, an
+# emoji) and U+00AD, U+FE0F, U+2044 and a combining mark, which decide a
+# close late. At cap 4 the piece after "a.\u0301" or "1,\u00ad" closes two
+# words with one byte, and so does the last byte of "+___\u00ad".
+PIECES = ["a", "b", " ", ".", ":", "+", "_", "1", "é", "日", "∑", "\u00ad", "\ufe0f",
+          "\u2044", "\u0301", "\U0001F1E9\U0001F1EA", "\U0001F600", "a.\u0301", "1,\u00ad",
+          "+___\u00ad"]
+SCRIPT = st.lists(st.sampled_from(PIECES), max_size=8).map(lambda p: "".join(p).encode())
+TEXT_PROMPT = st.lists(st.sampled_from(PIECES), max_size=2).map(lambda p: "".join(p).encode())
+# one prompt in four holds a byte no text may hold, a cut codepoint or a
+# lone continuation byte
+PROMPT = st.tuples(TEXT_PROMPT, st.sampled_from([b""] * 9 + [b"\xff", b"\xc3", b"\x80"]),
+                   TEXT_PROMPT).map(b"".join)
+# half the sessions follow a script, which reaches the limits by design
+SAMPLING = st.one_of(SCRIPT.map(lambda b: SamplingConfig("forced", forced=b)),
+                     SCRIPT.map(lambda b: SamplingConfig("forced", forced=b)),
+                     st.just(SamplingConfig("greedy")),
+                     st.integers(0, 9).map(lambda seed: SamplingConfig("temperature", seed=seed)))
+
+
+class BatchMachine(RuleBasedStateMachine):
+    """One BatchRunner of micro sessions with few positions. Each session
+    has a shadow: a solo session prefilled with the same prompt that takes
+    the same byte and word steps, one at a time."""
+
+    @initialize(rows=st.sampled_from([2, 3, 4, 8]))
+    def start(self, rows):
+        self.cfg = replace(MICRO, max_word_bytes=4,
+                           encoder=replace(MICRO.encoder, max_positions=24),
+                           decoder=replace(MICRO.decoder, max_positions=24),
+                           backbone=replace(MICRO.backbone, max_positions=rows))
+        self.runner = BatchRunner([], BoundarySync())
+        self.shadows = []
+        self.original = None        # a session the batch swapped for its copy, and its state
+
+    def session(self, sampling):
+        return GenSession(MACHINE_PARAMS, self.cfg, sampling, max_new_bytes=12)
+
+    def twin(self, s):
+        return copy.deepcopy(s, {id(MACHINE_PARAMS): MACHINE_PARAMS, id(self.cfg): self.cfg})
+
+    @precondition(lambda self: sum(not s.finished for s in self.runner.sessions) < 3)
+    @rule(new=st.lists(st.tuples(PROMPT, SAMPLING), min_size=1, max_size=2))
+    def add_sessions(self, new):
+        # the new sessions prefill from one packed forward, their shadows alone
+        sessions = [self.session(sampling) for _, sampling in new]
+        shadows, bad = [], []
+        for j, (prompt, sampling) in enumerate(new):
+            try:
+                shadows.append(prefill(self.session(sampling), prompt))
+            except infer.SessionError:
+                bad.append(j)
+        pack = BatchRunner(sessions, BoundarySync())
+        if not bad:
+            pack.prefill_all([p for p, _ in new])
+            self.runner.sessions += sessions
+            self.shadows += shadows
+            return
+        with pytest.raises(infer.SessionError) as err:
+            pack.prefill_all([p for p, _ in new])
+        assert err.value.session == bad[0]
+        assert all(_state(s) == _state(self.session(sampling))
+                   for s, (_, sampling) in zip(sessions, new))
+
+    @precondition(lambda self: any(not s.finished for s in self.runner.sessions))
+    @rule(policy=st.sampled_from([BoundarySync(), FixedByteStride(1), FixedByteStride(2)]))
+    def tick(self, policy):
+        # the shadows step copies of themselves first: the batch must refuse
+        # the tick, naming the first session whose shadow refuses, or take it
+        runner = self.runner
+        runner.policy = policy
+        plan = schedule(runner.sessions, policy, runner.tick)
+        stepped, refused = {}, None
+        for i in plan.word_steps + plan.byte_steps:
+            stepped[i] = self.twin(self.shadows[i])
+            try:
+                (infer.word_phase if i in plan.word_steps else infer.byte_phase)(stepped[i])
+            except infer.SessionError:
+                refused = i
+                break
+        if refused is None:
+            runner.run_tick()
+            for i, shadow in stepped.items():
+                self.shadows[i] = shadow
+            return
+        before = [_state(s) for s in runner.sessions]
+        with pytest.raises(infer.SessionError) as err:
+            runner.run_tick()
+        assert err.value.session == refused and str(err.value).startswith(f"s{refused}: ")
+        assert [_state(s) for s in runner.sessions] == before
+        assert refused not in plan.word_steps   # a byte step keeps room for its closes
+        s, shadow = runner.sessions[refused], self.shadows[refused]
+        if s._forced and not s.splitter.gate.admits(s._forced[0]):
+            s._forced.popleft()
+            shadow._forced.popleft()
+        else:                       # out of positions for good
+            del runner.sessions[refused], self.shadows[refused]
+
+    @precondition(lambda self: any(s.sampling.mode == "forced" and not s.finished
+                                   for s in self.runner.sessions))
+    @rule(data=st.data())
+    def force_illegal_byte(self, data):
+        i = data.draw(st.sampled_from([i for i, s in enumerate(self.runner.sessions)
+                                       if s.sampling.mode == "forced" and not s.finished]))
+        gate = self.runner.sessions[i].splitter.gate
+        b = data.draw(st.integers(0, 255).filter(lambda b: not gate.admits(b)))
+        self.runner.sessions[i]._forced.appendleft(b)
+        self.shadows[i]._forced.appendleft(b)
+
+    @precondition(lambda self: self.runner.sessions)
+    @rule(data=st.data())
+    def deepcopy_session(self, data):
+        i = data.draw(st.integers(0, len(self.runner.sessions) - 1))
+        s = self.runner.sessions[i]
+        self.runner.sessions[i] = self.twin(s)
+        self.original = (s, _state(s))
+
+    @invariant()
+    def sessions_hold_their_shadows_bits(self):
+        for s, shadow in zip(self.runner.sessions, self.shadows):
+            assert (bytes(s.generated), s.status, s.next_pos) == \
+                (bytes(shadow.generated), shadow.status, shadow.next_pos)
+            rows = s.word_cache.rows
+            assert rows == shadow.word_cache.rows
+            for a, b in ((s.cur_logits, shadow.cur_logits), (s.enc_ring, shadow.enc_ring),
+                         (s.dec_ring, shadow.dec_ring), (s.inject, shadow.inject),
+                         (s.word_cache.kv[:, :, :rows], shadow.word_cache.kv[:, :, :rows]),
+                         (np.array(s.pending_states), np.array(shadow.pending_states))):
+                assert np.array_equal(a, b)
+            closes = s.prefill_words + s.gen_closes - len(s.pending_closes)
+            assert s.backbone_calls == rows == 1 + closes
+            assert rows + len(s.pending_closes) <= self.cfg.backbone.max_positions
+        if self.original is not None:       # the copy shares no state with it
+            assert _state(self.original[0]) == self.original[1]
+
+
+TestBatchMachine = BatchMachine.TestCase
+TestBatchMachine.settings = settings(max_examples=50, stateful_step_count=40, deadline=None)
+
+
+def test_machine_run_with_two_closes_at_the_last_row():
+    # one run of the machine kept as an explicit example: session 1's last
+    # script byte closes two words when the backbone has one row left, beside
+    # a session mid-way through a 4-byte codepoint
+    machine = BatchMachine()
+    machine.start(rows=2)
+    machine.add_sessions([(b"", SamplingConfig("forced", forced="\U0001F600".encode())),
+                          (b"", SamplingConfig("forced", forced=TWO_CLOSES))])
+    machine.sessions_hold_their_shadows_bits()
+    for _ in TWO_CLOSES:
+        machine.tick(FixedByteStride(1))
+        machine.sessions_hold_their_shadows_bits()
+    assert len(machine.runner.sessions) == 1      # session 1 was refused, then retired
