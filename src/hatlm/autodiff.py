@@ -6,10 +6,11 @@ suite. Values keep the dtype of their inputs, so running a graph in float64
 gives float64 gradients (used by the gradient oracle).
 
 The layer math is one node per operation, valued by `kernels`: `matmul`
-(gemm rows), `rms_norm`, `softcap`, `swiglu` (`kernels.swiglu_ffn`), `rope`,
-and `attention`, the causal, optionally banded self-attention over grouped
-KV heads. The remaining primitives (gather, reshape, the segment ops, ...)
-glue them together.
+(gemm rows), `rms_norm`, `softcap`, `swiglu` (`kernels.swiglu_ffn`, over
+one gate|up tensor), `rope`, and `attention`, the causal, optionally banded
+self-attention of fused query|key heads over grouped KV heads. The
+remaining primitives (gather, reshape, the segment ops, ...) glue them
+together.
 
 A node that needs no gradient keeps neither its parents nor its backward
 closure, so a no-grad forward holds no tape: each intermediate array is
@@ -71,17 +72,19 @@ def _check_finite(x: np.ndarray, what: str) -> None:
         raise FloatingPointError(f"non-finite autodiff {what} of shape {x.shape}")
 
 
-def _accum(p: Var, g: np.ndarray, owned: bool = False) -> None:
-    """Add `g` into p.grad. The first gradient is kept as it is when `owned`
-    (a new array nothing else holds) and copied otherwise; later ones are
-    added in place."""
+def _accum(p: Var, g: np.ndarray, owned: bool = False, at=...) -> None:
+    """Add `g` into p.grad[at]. The first whole gradient is kept as it is
+    when `owned` (a new array nothing else holds) and copied otherwise; one
+    into a part zero-fills p.grad first. Later ones are added in place."""
     if not p.rg:
         return
+    if p.grad is None and at is not ...:
+        p.grad = np.zeros_like(p.v)
     if p.grad is None:
         keep = owned and isinstance(g, np.ndarray) and g.dtype == p.v.dtype
         p.grad = g if keep else np.array(g, dtype=p.v.dtype)
     else:
-        p.grad += g
+        p.grad[at] += g
     if kernels.DEBUG_FINITE:
         _check_finite(p.grad, "gradient")
 
@@ -197,15 +200,13 @@ def concat(parts, axis: int = 0) -> Var:
 
 
 def narrow(a, axis: int, start: int, length: int) -> Var:
+    """A slice of `axis`. Its gradient is added into its part of a's, so the
+    parts of one node share one full-size gradient array."""
     a = wrap(a)
-    sl = [slice(None)] * a.v.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
+    sl = (slice(None),) * axis + (slice(start, start + length),)
 
     def bw(g):
-        ga = np.zeros_like(a.v)
-        ga[sl] = g
-        _accum(a, ga, owned=True)
+        _accum(a, g, at=sl)
     return Var(a.v[sl], (a,), bw)
 
 
@@ -219,16 +220,6 @@ def sum_(a, axis=None, keepdims: bool = False) -> Var:
             gg = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(gg, a.v.shape))
     return Var(out, (a,), bw)
-
-
-def masked_softmax(a, mask: np.ndarray) -> Var:
-    """Softmax over the last axis where mask (a constant) is True."""
-    a = wrap(a)
-    p = kernels.masked_softmax(a.v, mask)
-
-    def bw(g):
-        _accum(a, p * (g - np.sum(g * p, axis=-1, keepdims=True)), owned=True)
-    return Var(p, (a,), bw)
 
 
 def _segment_counts(starts: np.ndarray, n: int) -> np.ndarray:
@@ -326,24 +317,24 @@ def softcap(a, cap: float) -> Var:
     return Var(out, (a,), bw)
 
 
-def swiglu(x, w_gate, w_up, w_down) -> Var:
-    """w_down applied to silu(x w_gate) * (x w_up), for rows x [n, hidden]."""
-    x, wg, wu, wd = (wrap(p) for p in (x, w_gate, w_up, w_down))
-    if not (x.rg or wg.rg or wu.rg or wd.rg):
-        return Var(kernels.swiglu_ffn(x.v, wg.v, wu.v, wd.v))
-    a, b = kernels.matmul(x.v, wg.v), kernels.matmul(x.v, wu.v)
+def swiglu(x, w_gate_up, w_down) -> Var:
+    """w_down applied to silu(x w_gate) * (x w_up), for rows x [n, hidden],
+    with w_gate|w_up one tensor (`kernels.swiglu_ffn`)."""
+    x, wgu, wd = (wrap(p) for p in (x, w_gate_up, w_down))
+    if not (x.rg or wgu.rg or wd.rg):
+        return Var(kernels.swiglu_ffn(x.v, wgu.v, wd.v))
+    a, b = kernels.matmul(x.v, wgu.v.reshape(len(wgu.v), 2, -1).swapaxes(0, 1))
     sa = kernels.silu(a)
     h = sa * b
 
     def bw(g):
         dh = g @ wd.v.T
         s = 1.0 / (1.0 + np.exp(-a))
-        da, db = dh * b * (s + sa * (1.0 - s)), dh * sa
-        _accum(x, da @ wg.v.T + db @ wu.v.T, owned=True)
-        _accum(wg, x.v.T @ da, owned=True)
-        _accum(wu, x.v.T @ db, owned=True)
+        dab = np.concatenate([dh * b * (s + sa * (1.0 - s)), dh * sa], axis=1)
+        _accum(x, dab @ wgu.v.T, owned=True)
+        _accum(wgu, x.v.T @ dab, owned=True)
         _accum(wd, h.T @ g, owned=True)
-    return Var(kernels.matmul(h, wd.v), (x, wg, wu, wd), bw)
+    return Var(kernels.matmul(h, wd.v), (x, wgu, wd), bw)
 
 
 def _band(x: np.ndarray, w: int) -> np.ndarray:
@@ -387,15 +378,16 @@ def _causal_blocks(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return out.reshape(nh, t, hs)
 
 
-def attention(q, k, v, positions, window: int | None, cap: float | None) -> Var:
+def attention(qk, v, positions, window: int | None, cap: float | None) -> Var:
     """Causal self-attention of t positions over grouped KV heads.
 
-    q is [n_heads, t, hs]; k and v are [n_kv_heads, t, hs] with n_kv_heads
-    dividing n_heads; returns [n_heads, t, hs]. Row i is at `positions[i]`
-    of its sequence (one per prompt of a pack), which starts at row
-    i - positions[i]; it reads that sequence's rows in (i - window, i], or
-    up to i when `window` is None. Logits are scaled by 1/sqrt(hs) and, when
-    `cap` is set, softcapped.
+    qk is [n_heads + n_kv_heads, t, hs], the query heads and then the key
+    heads, and v is [n_kv_heads, t, hs], with n_kv_heads dividing n_heads;
+    returns [n_heads, t, hs], and qk gets one gradient. Row i is at
+    `positions[i]` of its sequence (one per prompt of a pack), which starts
+    at row i - positions[i]; it reads that sequence's rows in
+    (i - window, i], or up to i when `window` is None. Logits are scaled by
+    1/sqrt(hs) and, when `cap` is set, softcapped.
 
     Query heads are grouped per KV head by reshaping (as `kernels.attend`),
     so keys are never repeated. A windowed read goes through a sliding-window
@@ -406,16 +398,17 @@ def attention(q, k, v, positions, window: int | None, cap: float | None) -> Var:
     needs a gradient, the dense read goes through `_causal_blocks` instead,
     one sequence at a time, and keeps no probabilities.
     """
-    q, k, v = wrap(q), wrap(k), wrap(v)
-    nh, t, hs = q.v.shape
-    nkv = k.v.shape[0]
+    qk, v = wrap(qk), wrap(v)
+    nkv, t, hs = v.v.shape
+    nh = qk.v.shape[0] - nkv
     g = nh // nkv
+    q, k = qk.v[:nh], qk.v[nh:]
     positions = np.asarray(positions)
-    if window is None and not (q.rg or k.rg or v.rg):
-        out = np.empty((nh, t, hs), dtype=q.v.dtype)
+    if window is None and not (qk.rg or v.rg):
+        out = np.empty((nh, t, hs), dtype=q.dtype)
         bounds = np.append(np.flatnonzero(positions == 0), t)
         for a, b in zip(bounds[:-1], bounds[1:]):
-            out[:, a:b] = _causal_blocks(q.v[:, a:b], k.v[:, a:b], v.v[:, a:b], cap)
+            out[:, a:b] = _causal_blocks(q[:, a:b], k[:, a:b], v.v[:, a:b], cap)
         return Var(out)
     if window is not None:
         def rows(x):        # [n_heads, t, hs] -> [kv, t, g, hs]
@@ -423,7 +416,7 @@ def attention(q, k, v, positions, window: int | None, cap: float | None) -> Var:
 
         def heads(x):
             return x.transpose(0, 2, 1, 3).reshape(nh, t, hs)
-        kx, vx = _band(k.v, window), _band(v.v, window).swapaxes(-1, -2)
+        kx, vx = _band(k, window), _band(v.v, window).swapaxes(-1, -2)
         # band slot j of row i holds row i - (window-1) + j
         mask = (np.arange(window) >= window - 1 - positions[:, None])[:, None, :]
     else:
@@ -432,11 +425,11 @@ def attention(q, k, v, positions, window: int | None, cap: float | None) -> Var:
 
         def heads(x):
             return x.reshape(nh, t, hs)
-        kx, vx = k.v.swapaxes(-1, -2), v.v
+        kx, vx = k.swapaxes(-1, -2), v.v
         first = np.arange(t) - positions                # each row's sequence start
         mask = np.tile(np.tri(t, dtype=bool) & (np.arange(t) >= first[:, None]), (g, 1))
     inv = 1.0 / math.sqrt(hs)
-    qx = rows(q.v)
+    qx = rows(q)
     z = (qx @ kx) * inv
     if cap is not None:
         z = kernels.softcap(z, cap)
@@ -452,7 +445,6 @@ def attention(q, k, v, positions, window: int | None, cap: float | None) -> Var:
         dk, dv = dz.swapaxes(-1, -2) @ qx, p.swapaxes(-1, -2) @ gx
         if window is not None:
             dk, dv = _unband(dk), _unband(dv)
-        _accum(q, heads(dz @ kx.swapaxes(-1, -2)), owned=True)
-        _accum(k, dk, owned=True)
+        _accum(qk, np.concatenate([heads(dz @ kx.swapaxes(-1, -2)), dk]), owned=True)
         _accum(v, dv, owned=True)
-    return Var(heads(p @ vx), (q, k, v), bw)
+    return Var(heads(p @ vx), (qk, v), bw)

@@ -2,7 +2,7 @@
 
 Layout (all integers little-endian):
 
-    magic   8 bytes  b"HATCKPT2"
+    magic   8 bytes  b"HATCKPT3"
     u32     length of the canonical config text (UTF-8)
     bytes   config text
     u32     tensor count
@@ -12,13 +12,14 @@ Layout (all integers little-endian):
         f32   raw little-endian values, row-major
     u32     zlib.crc32 of every byte before it
 
-Tensors are stored sorted by name. Values are 32-bit floats; float64
-parameter sets are rejected (saving them would silently lose precision).
-Loading verifies the checksum before it parses anything, so a flipped byte
-anywhere (a digit of the config text included) or a truncated file is
-rejected; it then checks the tensor names and shapes against the parameter
-layout the stored config implies. Every malformed file raises
-CheckpointError.
+Tensors are stored sorted by name, fused as `model.param_shapes` lays them
+out (HATCKPT2 stored q, k, v and gate, up apart; such a file is refused by
+name). Values are 32-bit floats; float64 parameter sets are rejected
+(saving them would silently lose precision). Loading verifies the checksum
+before it parses anything, so a flipped byte anywhere (a digit of the
+config text included) or a truncated file is rejected; it then checks the
+tensor names and shapes against the parameter layout the stored config
+implies. Every malformed file raises CheckpointError.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from . import config as config_mod
 from . import model
 from .config import HatConfig
 
-MAGIC = b"HATCKPT2"
+MAGIC = b"HATCKPT3"
 
 
 class CheckpointError(ValueError):
@@ -63,6 +64,8 @@ def save(path, cfg: HatConfig, params: dict) -> None:
 def load(path) -> tuple[HatConfig, dict]:
     with open(path, "rb") as fh:
         blob = fh.read()
+    if blob[:8] == b"HATCKPT2":
+        raise CheckpointError("unsupported HATCKPT2 checkpoint (q, k, v and gate, up apart)")
     if len(blob) < len(MAGIC) + 4 or blob[:len(MAGIC)] != MAGIC:
         raise CheckpointError("bad checkpoint magic")
     blob, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])

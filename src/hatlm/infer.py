@@ -1,30 +1,27 @@
 """Incremental generation with dual KV caches and batched scheduling.
 
-A generation session keeps two caches: per-layer byte-level K/V rings of
-the sliding window (encoder and decoder; fixed-shape arrays, slot
-`pos % window`, keys rotated before caching) and a growable word-level
-cache for the backbone. Bytes cycle through the lightweight encoder-decoder
-loop; the backbone runs only when the incremental splitter closes a word.
-The layer math mirrors the batch pass in :mod:`hatlm.model` and runs on the
-shared kernels; the word-context read is `model.word_context` itself.
+A session keeps per-layer byte-level K/V rings of the sliding window
+(encoder and decoder; slot `pos % window`, keys rotated before caching) and
+a growable word-level cache for the backbone. Bytes cycle through the
+encoder-decoder loop; the backbone runs only when the incremental splitter
+closes a word. A layer reads the batch pass's tensors (:mod:`hatlm.model`)
+with the same kernels: one q|k|v product, qk-norm and the rotation once over
+q|k (cos and sin are rows of a per-stack table), one gate|up product. The
+word-context read is `model.word_context` itself.
 
 Every step is batched over sessions: `BatchRunner.run_tick` runs one byte
-step for all its byte-stepping sessions (sample and commit per session,
-then one encoder+decoder pass for the bytes that closed no word) and one
-word step for all sessions at a boundary (pooling, backbone, decoder
-injections and the deferred byte; several closes run in rounds).
-`step_byte` is the same code at batch size one, so there is one
-implementation of the incremental math. A new `GenSession` only
-allocates. `BatchRunner.prefill_all` starts its sessions without stepping,
-from no-grad forwards over the pack of their prompts (`model.prompt_pass`,
-one per chunk of at most `PACK_BYTES` bytes; an empty prompt is the 0xFE
-sentinel); `prefill` is the same call with one prompt. Three things stay
-per session. Each prompt goes through its own splitter and checks first,
-so a bad prompt fails before any session changes. In the forward, each
-prompt is its own sequence: no read crosses into another prompt and every
-product is made of gemm rows, so a session gets the same bits in any pack
-as alone. Filling a session's caches is a copy. They match a byte-by-byte
-prefill within the 1e-4 incremental = batch tolerance, not bit for bit.
+step for its byte-stepping sessions (sample and commit per session, then one
+encoder+decoder pass for the bytes that closed no word) and one word step
+for the sessions at a boundary (pooling, backbone, decoder injections and
+the deferred byte; several closes run in rounds). `step_byte` is the same
+code at batch size one. A new `GenSession` only allocates;
+`BatchRunner.prefill_all` starts its sessions from no-grad forwards over the
+pack of their prompts (`model.prompt_pass`, one per chunk of at most
+`PACK_BYTES` bytes; an empty prompt is the 0xFE sentinel), once every prompt
+has passed its own splitter and checks, and `prefill` is the same call with
+one prompt. Each prompt is its own sequence of the pack, so a session gets
+the same bits in any pack as alone. Filling its caches is a copy; they match
+a byte-by-byte prefill within the 1e-4 incremental = batch tolerance.
 
 Batch invariance is part of the contract: a session's logits have the same
 bits in any batch as alone. Hence every product is gemm rows and a one-row
@@ -43,6 +40,7 @@ is the batch recomputation oracle for the same word assignment.
 from __future__ import annotations
 
 import copy
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -138,23 +136,26 @@ class WordCache:
 # one new position per session, batched over sessions (mirrors the batch pass)
 
 def _qkv(P, prefix: str, cfg: HatConfig, s: StackConfig, x: np.ndarray, rot):
-    """Rotated queries [B, n_heads, hs], rotated keys and values [B, n_kv, hs].
-
-    `rot` holds the cos and sin tables of the rows' positions, [B, 1, hs/2]."""
-    b = x.shape[0]
+    """Rotated queries [B, n_heads, hs], rotated keys and values [B, n_kv, hs]:
+    one q|k|v product, then qk-norm and the rotation once over the query and
+    key heads together. `rot` holds the rows' cos and sin, [B, 1, hs/2]."""
     h = rms_norm(x, cfg.norm_eps, P[f"{prefix}.attn_norm.gain"])
-    q = matmul(h, P[f"{prefix}.attn.wq"]).reshape(b, s.n_heads, s.head_size)
-    k = matmul(h, P[f"{prefix}.attn.wk"]).reshape(b, s.n_kv_heads, s.head_size)
-    v = matmul(h, P[f"{prefix}.attn.wv"]).reshape(b, s.n_kv_heads, s.head_size)
+    qkv = matmul(h, P[f"{prefix}.attn.wqkv"]).reshape(len(x), -1, s.head_size)
+    qk, v = qkv[:, :s.n_heads + s.n_kv_heads], qkv[:, s.n_heads + s.n_kv_heads:]
     if cfg.qk_norm:
-        q = rms_norm(q, cfg.norm_eps)
-        k = rms_norm(k, cfg.norm_eps)
-    return rotate(q, *rot), rotate(k, *rot), v
+        qk = rms_norm(qk, cfg.norm_eps)
+    qk = rotate(qk, *rot)
+    return qk[:, :s.n_heads], qk[:, s.n_heads:], v
 
 
-def _rot(s: StackConfig, pos: np.ndarray, dtype):
-    """Rotary cos and sin tables for one position per row, [B, 1, hs/2]."""
-    return tuple(t[:, None] for t in rope_angles(pos, s.head_size, s.rope_base, dtype))
+@functools.cache
+def _rope_table(s: StackConfig, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Rotary cos and sin of every position of stack s, [max_positions, 1, hs/2],
+    shared and read-only, built on first use: row p has the bits of `rope_angles` at p."""
+    cos, sin = (t[:, None] for t in rope_angles(np.arange(s.max_positions), s.head_size,
+                                                s.rope_base, dtype))
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
 
 
 def _finish_layer(P, prefix: str, cfg: HatConfig, x: np.ndarray,
@@ -162,8 +163,7 @@ def _finish_layer(P, prefix: str, cfg: HatConfig, x: np.ndarray,
     """Attention output projection and the MLP, both residual."""
     x = x + matmul(o, P[f"{prefix}.attn.wo"])
     h = rms_norm(x, cfg.norm_eps, P[f"{prefix}.mlp_norm.gain"])
-    return x + swiglu_ffn(h, P[f"{prefix}.mlp.w_gate"], P[f"{prefix}.mlp.w_up"],
-                          P[f"{prefix}.mlp.w_down"])
+    return x + swiglu_ffn(h, P[f"{prefix}.mlp.w_gate_up"], P[f"{prefix}.mlp.w_down"])
 
 
 def _byte_stack(P, name: str, cfg: HatConfig, rings: list[np.ndarray],
@@ -180,7 +180,7 @@ def _byte_stack(P, name: str, cfg: HatConfig, rings: list[np.ndarray],
     kv = np.stack(rings)                            # [B, L, 2, W, n_kv, hs]
     rows, slot = np.arange(len(rings)), pos % s.window
     valid = None if pos.min() >= s.window - 1 else np.arange(s.window) <= pos[:, None]
-    rot = _rot(s, pos, x.dtype)
+    rot = tuple(t[pos] for t in _rope_table(s, x.dtype))
     for i in range(s.n_layers):
         prefix = f"{name}.layers.{i}"
         if inject is not None:
@@ -219,7 +219,7 @@ def _word_stack(sessions: list[GenSession], x: np.ndarray) -> np.ndarray:
     """One new backbone position per session (reads: `_attend_words`)."""
     P, cfg = sessions[0].params, sessions[0].cfg
     caches = [s.word_cache for s in sessions]
-    rot = _rot(cfg.backbone, np.array([c.rows for c in caches]), x.dtype)
+    rot = tuple(t[[c.rows for c in caches]] for t in _rope_table(cfg.backbone, x.dtype))
     for i in range(cfg.backbone.n_layers):
         prefix = f"backbone.layers.{i}"
         q, k, v = _qkv(P, prefix, cfg, cfg.backbone, x, rot)

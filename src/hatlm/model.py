@@ -33,16 +33,14 @@ from .splitter import BYTE_BOS, split
 
 
 def _layer_shapes(prefix: str, s: StackConfig) -> dict[str, tuple]:
-    h, inner, kv = s.hidden, s.n_heads * s.head_size, s.n_kv_heads * s.head_size
+    """One layer; the q|k|v and the gate|up weights are one tensor (product) each."""
+    h, inner = s.hidden, s.n_heads * s.head_size
     return {
         f"{prefix}.attn_norm.gain": (h,),
-        f"{prefix}.attn.wq": (h, inner),
-        f"{prefix}.attn.wk": (h, kv),
-        f"{prefix}.attn.wv": (h, kv),
+        f"{prefix}.attn.wqkv": (h, inner + 2 * s.n_kv_heads * s.head_size),
         f"{prefix}.attn.wo": (inner, h),
         f"{prefix}.mlp_norm.gain": (h,),
-        f"{prefix}.mlp.w_gate": (h, s.intermediate),
-        f"{prefix}.mlp.w_up": (h, s.intermediate),
+        f"{prefix}.mlp.w_gate_up": (h, 2 * s.intermediate),
         f"{prefix}.mlp.w_down": (s.intermediate, h),
     }
 
@@ -127,21 +125,28 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndar
 
 def init_params(cfg: HatConfig, seed: int, dtype=np.float32) -> dict[str, np.ndarray]:
     """Seeded random parameters: truncated normal (std 0.02, cut at 2 sigma),
-    output projections scaled by 1/sqrt(2 n_layers), norm gains at one."""
+    output projections scaled by 1/sqrt(2 n_layers), norm gains at one. A
+    fused tensor is drawn as its column blocks (wq, wk, wv; w_gate, w_up),
+    each in the sorted order of all block names, and then concatenated."""
     rng = np.random.default_rng(seed)
-    layer_counts = {"encoder": cfg.encoder.n_layers,
-                    "backbone": cfg.backbone.n_layers,
-                    "decoder": cfg.decoder.n_layers}
-    params = {}
-    for name, shape in sorted(param_shapes(cfg).items()):
-        if name.endswith("norm.gain"):
-            params[name] = np.ones(shape, dtype=dtype)
-            continue
+    blocks, drawn = {}, {}          # tensor name -> {block name: shape}
+    for name, shape in param_shapes(cfg).items():
+        blocks[name] = {name: shape}
+        if name.endswith(".wqkv"):
+            s = getattr(cfg, name.split(".", 1)[0])
+            q, kv = s.n_heads * s.head_size, s.n_kv_heads * s.head_size
+            blocks[name] = {name[:-3] + c: (shape[0], w) for c, w in zip("qkv", (q, kv, kv))}
+        elif name.endswith(".w_gate_up"):
+            blocks[name] = {name[:-7] + c: (shape[0], shape[1] // 2) for c in ("gate", "up")}
+    for name, shape in sorted(b for parts in blocks.values() for b in parts.items()):
         std = 0.02
         if name.endswith((".attn.wo", ".mlp.w_down", ".cross.wo")):
-            std /= math.sqrt(2.0 * layer_counts[name.split(".", 1)[0]])
-        params[name] = _trunc_normal(rng, shape, std, dtype)
-    return params
+            std /= math.sqrt(2.0 * getattr(cfg, name.split(".", 1)[0]).n_layers)
+        drawn[name] = np.ones(shape, dtype=dtype) if name.endswith("norm.gain") \
+            else _trunc_normal(rng, shape, std, dtype)
+    return {name: drawn.pop(name) if name in drawn
+            else np.concatenate([drawn.pop(b) for b in parts], axis=1)
+            for name, parts in sorted(blocks.items())}
 
 
 def group_of(name: str) -> str:
@@ -180,30 +185,28 @@ class ForwardTrace:
 
 def _self_attn(P, prefix: str, x: ad.Var, s: StackConfig, cfg: HatConfig,
                positions: np.ndarray, kv: list | None = None) -> ad.Var:
-    """Self-attention sublayer; `kv`, when given, collects the layer's
-    rotated keys and its values, each [n_kv_heads, t, hs]."""
+    """Self-attention sublayer: one q|k|v product, qk-norm and the rotation
+    once over q|k. `kv`, when given, collects the layer's rotated keys and
+    its values, each [n_kv_heads, t, hs]."""
     t = x.shape[0]
     nh, nkv, hs = s.n_heads, s.n_kv_heads, s.head_size
     h = ad.rms_norm(x, cfg.norm_eps, P[f"{prefix}.attn_norm.gain"])
-    q = ad.transpose(ad.reshape(ad.matmul(h, P[f"{prefix}.attn.wq"]), (t, nh, hs)), (1, 0, 2))
-    k = ad.transpose(ad.reshape(ad.matmul(h, P[f"{prefix}.attn.wk"]), (t, nkv, hs)), (1, 0, 2))
-    v = ad.transpose(ad.reshape(ad.matmul(h, P[f"{prefix}.attn.wv"]), (t, nkv, hs)), (1, 0, 2))
+    qkv = ad.transpose(ad.reshape(ad.matmul(h, P[f"{prefix}.attn.wqkv"]),
+                                  (t, nh + 2 * nkv, hs)), (1, 0, 2))
+    qk, v = ad.narrow(qkv, 0, 0, nh + nkv), ad.narrow(qkv, 0, nh + nkv, nkv)
     if cfg.qk_norm:
-        q = ad.rms_norm(q, cfg.norm_eps)
-        k = ad.rms_norm(k, cfg.norm_eps)
-    q = ad.rope(q, positions, s.rope_base)
-    k = ad.rope(k, positions, s.rope_base)
-    if kv is not None:
-        kv.append((k.v, v.v))
-    o = ad.attention(q, k, v, positions, s.window, cfg.softcap)
+        qk = ad.rms_norm(qk, cfg.norm_eps)
+    qk = ad.rope(qk, positions, s.rope_base)
+    if kv is not None:          # copies: views would keep all of q|k|v alive
+        kv.append((qk.v[nh:].copy(), v.v.copy()))
+    o = ad.attention(qk, v, positions, s.window, cfg.softcap)
     o = ad.reshape(ad.transpose(o, (1, 0, 2)), (t, nh * hs))
     return ad.matmul(o, P[f"{prefix}.attn.wo"])
 
 
 def _mlp(P, prefix: str, x: ad.Var, cfg: HatConfig) -> ad.Var:
     h = ad.rms_norm(x, cfg.norm_eps, P[f"{prefix}.mlp_norm.gain"])
-    return ad.swiglu(h, P[f"{prefix}.mlp.w_gate"], P[f"{prefix}.mlp.w_up"],
-                     P[f"{prefix}.mlp.w_down"])
+    return ad.swiglu(h, P[f"{prefix}.mlp.w_gate_up"], P[f"{prefix}.mlp.w_down"])
 
 
 def _stack(P, name: str, x: ad.Var, s: StackConfig, cfg: HatConfig,

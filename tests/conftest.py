@@ -1,9 +1,12 @@
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hatlm import config, model
+from hatlm import autodiff as ad
+from hatlm import checkpoint, config, kernels, model
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
@@ -24,6 +27,40 @@ def micro_params(micro_cfg):
 def micro_params64(micro_cfg):
     return {k: v.astype(np.float64)
             for k, v in model.init_params(micro_cfg, seed=1234).items()}
+
+
+def masked_softmax(a, mask: np.ndarray) -> ad.Var:
+    """Softmax over the last axis where mask (a constant) is True, as an
+    autodiff node: the differentiable reference of the dense attention reads."""
+    a = ad.wrap(a)
+    p = kernels.masked_softmax(a.v, mask)
+
+    def bw(g):
+        ad._accum(a, p * (g - np.sum(g * p, axis=-1, keepdims=True)), owned=True)
+    return ad.Var(p, (a,), bw)
+
+
+def separate_layout(cfg, params) -> dict:
+    """`params` in the layout before the fused tensors: each wqkv as wq, wk,
+    wv and each w_gate_up as w_gate, w_up (views of the fused tensors)."""
+    old = {}
+    for name, arr in params.items():
+        if name.endswith(".wqkv"):
+            s = getattr(cfg, name.split(".", 1)[0])
+            parts = np.split(arr, np.cumsum([s.n_heads, s.n_kv_heads]) * s.head_size, axis=1)
+            old.update({name[:-3] + c: p for c, p in zip("qkv", parts)})
+        elif name.endswith(".w_gate_up"):
+            old.update({name[:-7] + c: p for c, p in zip(("gate", "up"), np.split(arr, 2, 1))})
+        else:
+            old[name] = arr
+    return old
+
+
+def write_hatckpt2(path, cfg, params) -> None:
+    """Save `params` as a HATCKPT2 file, the format of `separate_layout`."""
+    checkpoint.save(path, cfg, separate_layout(cfg, params))
+    body = b"HATCKPT2" + path.read_bytes()[8:-4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
 POOLS = [

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hatlm import autodiff as ad
 
-from conftest import DATA
+from conftest import DATA, masked_softmax
 
 rng = np.random.default_rng(42)
 
@@ -74,13 +74,7 @@ def test_softcap():
 def test_masked_softmax():
     mask = np.tril(np.ones((4, 4), dtype=bool))
     m = r(2, 4, 4)
-    fd_check(lambda a: ad.sum_(ad.mul(ad.masked_softmax(a, mask), m)), r(2, 4, 4))
-
-
-def test_masked_softmax_empty_row_raises():
-    from hatlm.kernels import InternalInvariantError
-    with pytest.raises(InternalInvariantError):
-        ad.masked_softmax(ad.wrap(np.zeros((2, 3))), np.zeros((2, 3), dtype=bool))
+    fd_check(lambda a: ad.sum_(ad.mul(masked_softmax(a, mask), m)), r(2, 4, 4))
 
 
 def test_rope():
@@ -98,13 +92,12 @@ def test_cross_entropy():
 
 
 def test_swiglu_composite():
-    fd_check(lambda x, g, u, d: ad.sum_(ad.swiglu(x, g, u, d)),
-             r(3, 4), r(4, 6), r(4, 6), r(6, 4))
+    fd_check(lambda x, gu, d: ad.sum_(ad.swiglu(x, gu, d)), r(3, 4), r(4, 12), r(6, 4))
 
 
 def test_swiglu_without_tape_matches_taped_value():
     # with no input needing a gradient, swiglu keeps one hidden array
-    args = r(5, 4), r(4, 6), r(4, 6), r(6, 4)
+    args = r(5, 4), r(4, 12), r(6, 4)
     plain, taped = ad.swiglu(*args), ad.swiglu(ad.wrap(args[0], rg=True), *args[1:])
     assert not plain.rg and taped.rg
     assert np.array_equal(plain.v, taped.v)
@@ -129,7 +122,7 @@ def composite_attention(q, k, v, window, cap):
     logits = ad.scale(ad.matmul(qe, ad.transpose(kb, (0, 1, 3, 2))), 1.0 / math.sqrt(hs))
     if cap is not None:
         logits = ad.softcap(logits, cap)
-    p = ad.masked_softmax(logits, (idx >= 0)[None, :, None, :])
+    p = masked_softmax(logits, (idx >= 0)[None, :, None, :])
     return ad.reshape(ad.matmul(p, vb), (nh, t, hs))
 
 
@@ -148,8 +141,8 @@ ATTENTION_CASES = {            # n_heads, n_kv_heads, t, window, cap
 def test_attention(case):
     nh, nkv, t, window, cap = ATTENTION_CASES[case]
     m = r(nh, t, 4)
-    fd_check(lambda q, k, v: ad.sum_(ad.mul(ad.attention(q, k, v, np.arange(t), window, cap),
-                                            m)),
+    fd_check(lambda q, k, v: ad.sum_(ad.mul(ad.attention(ad.concat([q, k]), v, np.arange(t),
+                                                         window, cap), m)),
              2 * r(nh, t, 4), 2 * r(nkv, t, 4), r(nkv, t, 4))
 
 
@@ -164,7 +157,7 @@ def test_attention_matches_composite(seed, n_kv, group, t, hs, window, cap, dtyp
               ((3, (n_kv * group, t, hs)), (3, (n_kv, t, hs)), (1, (n_kv, t, hs)))]
     m = g.standard_normal((n_kv * group, t, hs)).astype(dtype)
     results = []
-    for fn in (lambda *qkv: ad.attention(*qkv, np.arange(t), window, cap),
+    for fn in (lambda q, k, v: ad.attention(ad.concat([q, k]), v, np.arange(t), window, cap),
                lambda *qkv: composite_attention(*qkv, window, cap)):
         leaves = [ad.wrap(a, rg=True) for a in arrays]
         out = fn(*leaves)
@@ -182,11 +175,11 @@ def test_attention_matches_composite(seed, n_kv, group, t, hs, window, cap, dtyp
 def test_attention_no_grad_matches_tape(t, cap, dtype):
     # with no input needing a gradient, the dense read goes by query blocks
     g = np.random.default_rng(t)
-    q, k, v = ((s * g.standard_normal(shape)).astype(dtype) for s, shape in
-               ((3, (6, t, 8)), (3, (2, t, 8)), (1, (2, t, 8))))
+    qk, v = ((s * g.standard_normal(shape)).astype(dtype) for s, shape in
+             ((3, (6 + 2, t, 8)), (1, (2, t, 8))))
     for window in (None, t + 3):
-        plain = ad.attention(q, k, v, np.arange(t), window, cap)
-        taped = ad.attention(ad.wrap(q, rg=True), k, v, np.arange(t), window, cap)
+        plain = ad.attention(qk, v, np.arange(t), window, cap)
+        taped = ad.attention(ad.wrap(qk, rg=True), v, np.arange(t), window, cap)
         assert not plain.rg and taped.rg
         assert plain.v.dtype == dtype
         atol = 1e-12 if dtype == np.float64 else 1e-6
@@ -195,12 +188,11 @@ def test_attention_no_grad_matches_tape(t, cap, dtype):
 
 def test_attention_no_grad_dense_read_is_blocked():
     g = np.random.default_rng(0)
-    q, k, v = g.standard_normal((4, 512, 8)), g.standard_normal((2, 512, 8)), \
-        g.standard_normal((2, 512, 8))
+    qk, v = g.standard_normal((4 + 2, 512, 8)), g.standard_normal((2, 512, 8))
     peaks = []
     for rg in (False, True):
         tracemalloc.start()
-        out = ad.attention(ad.wrap(q, rg=rg), k, v, np.arange(512), None, 30.0)
+        out = ad.attention(ad.wrap(qk, rg=rg), v, np.arange(512), None, 30.0)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
         del out

@@ -10,7 +10,7 @@ import pytest
 from hatlm import checkpoint, config, metrics, model
 from hatlm.cli import main
 
-from conftest import DATA, REPO
+from conftest import DATA, REPO, write_hatckpt2
 
 
 def run_cli(*args):
@@ -164,6 +164,15 @@ def test_malformed_model_input_exits_1(tmp_path, capsys, micro_cfg, micro_params
     err = capsys.readouterr().err
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_old_checkpoint_format_exits_1(tmp_path, capsys, micro_cfg, micro_params):
+    path = tmp_path / "old.ckpt"
+    write_hatckpt2(path, micro_cfg, micro_params)
+    code, out = run_cli("generate", "--ckpt", str(path), "--prompt", "hi", "--max-bytes", "2")
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: unsupported HATCKPT2") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("args", [("split", "--text"),

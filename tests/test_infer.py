@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hatlm import autodiff as ad
 from hatlm import infer, model
+from hatlm import kernels as K
 from hatlm.infer import (
     GenSession,
     SamplingConfig,
@@ -453,3 +455,92 @@ def test_word_step_reads_once_per_cache_shape(micro_cfg, micro_params, monkeypat
     monkeypatch.setattr(infer, "attend", lambda *a: calls.append(a) or real(*a))
     infer._consume_closes(sessions)
     assert len(calls) == micro_cfg.backbone.n_layers * k + m
+
+
+# ---------------------------------------------------------------------------
+# the fused layer against the per-projection layer it replaced
+
+def per_projection_qkv(P, prefix, cfg, s, x, pos):
+    """Rows x [n, hidden] at positions pos to rotated q [n, n_heads, hs] and
+    rotated k, v [n, n_kv, hs], as the layer computed them with separate
+    products: wq, wk, wv are sliced out of wqkv, and qk-norm and a per-call
+    `rope_angles` rotation run on q and on k apart."""
+    n, hs = len(x), s.head_size
+    wq, wk, wv = np.split(P[f"{prefix}.attn.wqkv"], np.cumsum([s.n_heads, s.n_kv_heads]) * hs, 1)
+    h = K.rms_norm(x, cfg.norm_eps, P[f"{prefix}.attn_norm.gain"])
+    q = K.matmul(h, wq).reshape(n, s.n_heads, hs)
+    k = K.matmul(h, wk).reshape(n, s.n_kv_heads, hs)
+    v = K.matmul(h, wv).reshape(n, s.n_kv_heads, hs)
+    if cfg.qk_norm:
+        q, k = K.rms_norm(q, cfg.norm_eps), K.rms_norm(k, cfg.norm_eps)
+    cos, sin = (t[:, None] for t in K.rope_angles(pos, hs, s.rope_base, x.dtype))
+    return K.rotate(q, cos, sin), K.rotate(k, cos, sin), v
+
+
+def per_projection_out(P, prefix, cfg, x, o):
+    """The attention output projection and the MLP, both residual, with
+    w_gate and w_up sliced out of w_gate_up and multiplied apart."""
+    w_gate, w_up = np.split(P[f"{prefix}.mlp.w_gate_up"], 2, axis=1)
+    x = x + K.matmul(o, P[f"{prefix}.attn.wo"])
+    h = K.rms_norm(x, cfg.norm_eps, P[f"{prefix}.mlp_norm.gain"])
+    g = K.silu(K.matmul(h, w_gate))
+    g *= K.matmul(h, w_up)
+    return x + K.matmul(g, P[f"{prefix}.mlp.w_down"])
+
+
+LAYERS = [(stack, i) for stack in ("encoder", "backbone", "decoder") for i in range(2)]
+
+
+@given(layer=st.sampled_from(LAYERS), lens=st.lists(st.integers(1, 80), min_size=1, max_size=4),
+       qk_norm=st.booleans(), taped=st.booleans(), f64=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_tape_layer_matches_per_projection_layer(micro_cfg, micro_params, micro_params64,
+                                                 layer, lens, qk_norm, taped, f64, seed):
+    # the tape's layer (`model._self_attn`, `model._mlp`) on a pack of
+    # sequences, with and without a gradient tape
+    (stack, i), cfg = layer, replace(micro_cfg, qk_norm=qk_norm)
+    s, prefix, P = getattr(cfg, stack), f"{stack}.layers.{i}", \
+        micro_params64 if f64 else micro_params
+    pos = np.concatenate([np.arange(n) for n in lens])
+    x = np.random.default_rng(seed).standard_normal((len(pos), s.hidden))
+    x = x.astype(P[prefix + ".attn.wo"].dtype)
+    xv = ad.wrap(x, rg=taped)
+    y = ad.add(xv, model._self_attn(P, prefix, xv, s, cfg, pos))
+    y = ad.add(y, model._mlp(P, prefix, y, cfg))
+    q, k, v = (a.transpose(1, 0, 2) for a in per_projection_qkv(P, prefix, cfg, s, x, pos))
+    o = ad.attention(ad.wrap(np.concatenate([q, k]), rg=taped), v, pos, s.window, cfg.softcap).v
+    want = per_projection_out(P, prefix, cfg, x, o.transpose(1, 0, 2).reshape(len(pos), -1))
+    assert y.rg == taped and np.array_equal(y.v, want)
+
+
+@given(layer=st.sampled_from(LAYERS), b=st.integers(1, 64), qk_norm=st.booleans(),
+       f64=st.booleans(), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_step_layer_matches_per_projection_layer(micro_cfg, micro_params, micro_params64,
+                                                 layer, b, qk_norm, f64, seed):
+    # the incremental step's halves (`infer._qkv`, `infer._finish_layer`) on
+    # b rows, each at its own position, with the rotation read from the table
+    (stack, i), cfg = layer, replace(micro_cfg, qk_norm=qk_norm)
+    s, prefix, P = getattr(cfg, stack), f"{stack}.layers.{i}", \
+        micro_params64 if f64 else micro_params
+    rng = np.random.default_rng(seed)
+    dtype = P[prefix + ".attn.wo"].dtype
+    x = rng.standard_normal((b, s.hidden)).astype(dtype)
+    o = rng.standard_normal((b, s.n_heads * s.head_size)).astype(dtype)
+    pos = rng.integers(0, s.max_positions, b)
+    got = infer._qkv(P, prefix, cfg, s, x, tuple(t[pos] for t in infer._rope_table(s, dtype)))
+    for a, want in zip(got, per_projection_qkv(P, prefix, cfg, s, x, pos)):
+        assert np.array_equal(a, want)
+    assert np.array_equal(infer._finish_layer(P, prefix, cfg, x, o),
+                          per_projection_out(P, prefix, cfg, x, o))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rope_table_rows_match_rope_angles(micro_cfg, dtype):
+    for s in (micro_cfg.encoder, micro_cfg.backbone):
+        pos = np.arange(s.max_positions)
+        cos, sin = infer._rope_table(s, np.dtype(dtype))
+        want = K.rope_angles(pos, s.head_size, s.rope_base, dtype)
+        assert np.array_equal(cos[:, 0], want[0]) and np.array_equal(sin[:, 0], want[1])
+        assert cos.dtype == dtype

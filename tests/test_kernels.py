@@ -9,6 +9,8 @@ from hatlm import autodiff as ad
 from hatlm import kernels as K
 from hatlm import model
 
+from conftest import masked_softmax
+
 
 def test_rms_norm_hand_computed():
     x = np.array([3.0, 4.0])
@@ -32,16 +34,16 @@ def test_rms_norm_gain_shape_mismatch():
 
 def test_swiglu_zero_input_and_zero_gate():
     w = np.eye(1)
-    assert K.swiglu_ffn(np.zeros((1, 1)), w, w, w)[0, 0] == 0
+    assert K.swiglu_ffn(np.zeros((1, 1)), np.hstack([w, w]), w)[0, 0] == 0
     x = np.random.default_rng(0).standard_normal((3, 4))
     zero_gate = np.zeros((4, 4))
-    out = K.swiglu_ffn(x, zero_gate, np.eye(4), np.eye(4))
+    out = K.swiglu_ffn(x, np.hstack([zero_gate, np.eye(4)]), np.eye(4))
     assert np.array_equal(out, np.zeros((3, 4)))
 
 
 def test_swiglu_scalar_case():
     w = np.ones((1, 1))
-    out = K.swiglu_ffn(np.ones((1, 1)), w, w, w)
+    out = K.swiglu_ffn(np.ones((1, 1)), np.hstack([w, w]), w)
     assert np.allclose(out, 1.0 / (1.0 + math.exp(-1.0)), atol=1e-6)
     assert round(float(out[0, 0]), 6) == 0.731059
 
@@ -165,6 +167,29 @@ def test_gemm_rows_have_the_same_bits_from_two_rows_up(micro_cfg):
             for s in (0, 1, 4200 - m):
                 assert np.array_equal(x[s:s + m] @ w, ref[s:s + m]), (k, n, m, s)
 
+
+@given(stack=st.sampled_from(["encoder", "backbone", "decoder"]),
+       rows=st.one_of(st.integers(1, 64), st.integers(65, 4096)),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_fused_product_columns_match_separate_products(micro_cfg, stack, rows, dtype, seed):
+    # the fused layout's "no bit changes" rests on this: each column block of
+    # h @ [wq|wk|wv] and of h @ [w_gate|w_up] has the bits of its own product,
+    # at the step's row counts (1-64) and the tape's (up to 4,096); so has
+    # each block of w_gate|w_up read as a stack of the two (`swiglu_ffn`)
+    s = getattr(micro_cfg, stack)
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((rows, s.hidden)).astype(dtype)
+    q, kv = s.n_heads * s.head_size, s.n_kv_heads * s.head_size
+    for widths in ((q, kv, kv), (s.intermediate, s.intermediate)):
+        parts = [rng.standard_normal((s.hidden, n)).astype(dtype) for n in widths]
+        fused = np.concatenate(parts, axis=1)
+        for got, w in zip(np.split(K.matmul(h, fused), np.cumsum(widths)[:-1], axis=1), parts):
+            assert np.array_equal(got, K.matmul(h, w)), (stack, rows, widths)
+    stacked = K.matmul(h, fused.reshape(s.hidden, 2, -1).swapaxes(0, 1))
+    for got, w in zip(stacked, parts):
+        assert np.array_equal(got, K.matmul(h, w)), (stack, rows)
+
 def test_attention_single_key_returns_value_row():
     rng = np.random.default_rng(4)
     q = rng.standard_normal((2, 4))
@@ -241,13 +266,13 @@ def test_attend_matches_autodiff_reference(seed, n, n_kv, group, hs, cap):
     logits = ad.scale(ad.matmul(q[:, None, :], kh.transpose(0, 2, 1)), 1 / math.sqrt(hs))
     if cap is not None:
         logits = ad.softcap(logits, cap)
-    p = ad.masked_softmax(logits, np.ones((1, n), dtype=bool))
+    p = masked_softmax(logits, np.ones((1, n), dtype=bool))
     ref = ad.matmul(p, vh).v.reshape(nh * hs)
     assert np.allclose(K.attend(q, k, v, cap), ref, rtol=0, atol=1e-6)
     # and against the last row of the training attention, q at position n-1
     qt = np.concatenate([rng.standard_normal((nh, n - 1, hs)), q[:, None, :]], axis=1)
-    last = ad.attention(qt, k.transpose(1, 0, 2), v.transpose(1, 0, 2), np.arange(n),
-                        None, cap).v[:, -1]
+    last = ad.attention(np.concatenate([qt, k.transpose(1, 0, 2)]), v.transpose(1, 0, 2),
+                        np.arange(n), None, cap).v[:, -1]
     assert np.allclose(K.attend(q, k, v, cap), last.reshape(nh * hs), rtol=0, atol=1e-6)
 
 

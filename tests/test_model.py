@@ -12,7 +12,7 @@ from hatlm import autodiff as ad
 from hatlm import checkpoint, config, model, train
 from hatlm.splitter import split
 
-from conftest import random_utf8_strings
+from conftest import masked_softmax, random_utf8_strings, separate_layout, write_hatckpt2
 
 TABLE1 = (119_291_904, 6_979_584_000, 93_619_200, 7_192_495_104)
 TABLE2 = (476_610_560, 68_452_352_000, 373_884_928, 69_302_847_488)
@@ -58,6 +58,20 @@ def test_init_deterministic_and_seed_sensitive(micro_cfg):
     c = model.init_params(micro_cfg, seed=6)
     assert all(np.array_equal(a[k], b[k]) for k in a)
     assert any(not np.array_equal(a[k], c[k]) for k in a)
+
+
+def test_init_keeps_the_draws_of_the_separate_layout(micro_cfg):
+    # wq, wk, wv, w_gate and w_up were tensors of their own, drawn in sorted
+    # name order; every block of a fused tensor keeps the bits of its draw
+    old = separate_layout(micro_cfg, model.init_params(micro_cfg, seed=1234))
+    rng = np.random.default_rng(1234)
+    for name, arr in sorted(old.items()):
+        if name.endswith("norm.gain"):
+            continue
+        std = 0.02
+        if name.endswith((".attn.wo", ".mlp.w_down", ".cross.wo")):
+            std /= math.sqrt(2.0 * getattr(micro_cfg, name.split(".", 1)[0]).n_layers)
+        assert np.array_equal(arr, model._trunc_normal(rng, arr.shape, std, np.float32)), name
 
 
 def test_norm_gains_initialized_to_one(micro_cfg, micro_params):
@@ -230,17 +244,18 @@ def test_single_byte_matches_self_only_attention_path(micro_cfg, micro_params):
     for i in range(s.n_layers):
         pfx = f"encoder.layers.{i}"
         h = K.rms_norm(x, cfg.norm_eps, micro_params[f"{pfx}.attn_norm.gain"])
-        q = (h @ micro_params[f"{pfx}.attn.wq"]).reshape(s.n_heads, s.head_size)
-        k = (h @ micro_params[f"{pfx}.attn.wk"]).reshape(1, s.n_kv_heads, s.head_size)
-        v = (h @ micro_params[f"{pfx}.attn.wv"]).reshape(1, s.n_kv_heads, s.head_size)
+        wq, wk, wv = np.split(micro_params[f"{pfx}.attn.wqkv"],
+                              np.cumsum([s.n_heads, s.n_kv_heads]) * s.head_size, axis=1)
+        q = (h @ wq).reshape(s.n_heads, s.head_size)
+        k = (h @ wk).reshape(1, s.n_kv_heads, s.head_size)
+        v = (h @ wv).reshape(1, s.n_kv_heads, s.head_size)
         if cfg.qk_norm:
             q = K.rms_norm(q, cfg.norm_eps)
             k = K.rms_norm(k, cfg.norm_eps)
         att = K.attend(q, k, v, cfg.softcap)
         x = x + (att @ micro_params[f"{pfx}.attn.wo"])
         hm = K.rms_norm(x, cfg.norm_eps, micro_params[f"{pfx}.mlp_norm.gain"])
-        x = x + K.swiglu_ffn(hm, micro_params[f"{pfx}.mlp.w_gate"],
-                             micro_params[f"{pfx}.mlp.w_up"],
+        x = x + K.swiglu_ffn(hm, micro_params[f"{pfx}.mlp.w_gate_up"],
                              micro_params[f"{pfx}.mlp.w_down"])
     assert np.allclose(got[0], x, atol=1e-6)
 
@@ -308,7 +323,7 @@ def _dense_pool_reference(P, cfg, byte_states, spans):
     mask = np.zeros((n, t), dtype=bool)
     for j, (a, b) in enumerate(spans):
         mask[j, a:b] = True
-    p = ad.masked_softmax(logits, mask[None])
+    p = masked_softmax(logits, mask[None])
     o = ad.reshape(ad.transpose(ad.matmul(p, v), (1, 0, 2)), (n, nh * hs))
     return ad.matmul(o, P["connector.wo"])
 
@@ -382,6 +397,14 @@ def test_checkpoint_rejects_corruption(tmp_path, micro_cfg, micro_params):
     (tmp_path / "magic.ckpt").write_bytes(b"NOTMAGIC" + blob[8:])
     with pytest.raises(checkpoint.CheckpointError):
         checkpoint.load(tmp_path / "magic.ckpt")
+
+
+def test_checkpoint_rejects_separate_projection_format(tmp_path, micro_cfg, micro_params):
+    # a HATCKPT2 file holds wq, wk, wv and w_gate, w_up apart: refused by name
+    path = tmp_path / "old.ckpt"
+    write_hatckpt2(path, micro_cfg, micro_params)
+    with pytest.raises(checkpoint.CheckpointError, match="HATCKPT2"):
+        checkpoint.load(path)
 
 
 @pytest.fixture(scope="session")

@@ -559,6 +559,7 @@ class BatchMachine(RuleBasedStateMachine):
         self.runner = BatchRunner([], BoundarySync())
         self.shadows = []
         self.original = None        # a session the batch swapped for its copy, and its state
+        self.oracle_checked = {}    # (id, finished) -> session, kept so that no id is reused
 
     def session(self, sampling):
         return GenSession(MACHINE_PARAMS, self.cfg, sampling, max_new_bytes=12)
@@ -659,6 +660,33 @@ class BatchMachine(RuleBasedStateMachine):
             assert rows + len(s.pending_closes) <= self.cfg.backbone.max_positions
         if self.original is not None:       # the copy shares no state with it
             assert _state(self.original[0]) == self.original[1]
+
+    @invariant()
+    def cache_report_matches_the_caches(self):
+        # rows written to a ring or a word cache are never all zero (keys are
+        # normed), and rows never written are
+        for s in self.runner.sessions:
+            enc, dec, words = (int(kv.any(axis=(0, 1, 3, 4)).sum())
+                               for kv in (s.enc_ring, s.dec_ring, s.word_cache.kv))
+            assert (enc, dec) == (min(s.next_pos, self.cfg.encoder.window),
+                                  min(s.next_pos, self.cfg.decoder.window))
+            assert tuple(infer.cache_report(s)) == (
+                enc, words, s.enc_ring[:, :, :enc].nbytes + s.dec_ring[:, :, :dec].nbytes
+                + s.word_cache.kv[:, :, :words].nbytes)
+            assert words == s.word_cache.rows
+
+    @invariant()
+    def logits_match_the_batch_oracle(self):
+        # each check is a forward pass, so a session is checked twice: after
+        # its first generated byte is encoded, and once it has finished
+        for s in self.runner.sessions:
+            key = (id(s), s.finished)
+            if s.generated and s.status != "at_boundary" and key not in self.oracle_checked:
+                self.oracle_checked[key] = s
+                want = model.next_byte_logits(MACHINE_PARAMS, self.cfg, s.committed,
+                                              s.consumed_spans, np.array(s.inc_index),
+                                              s.sentinel_used)
+                assert np.max(np.abs(want - s.cur_logits)) < 1e-4
 
 
 TestBatchMachine = BatchMachine.TestCase

@@ -155,7 +155,7 @@ def test_adam_effective_lr_is_lr_times_multiplier(micro_cfg):
     params = model.init_params(micro_cfg, seed=9)
     data = b"single step check"
     _, grads = train.loss_and_grads(params, micro_cfg, data)
-    name = "backbone.layers.0.attn.wq"
+    name = "backbone.layers.0.attn.wqkv"
     g = grads[name]
     lr, mult = 3e-4, 0.1
     st = train.AdamState()
