@@ -7,10 +7,13 @@ gives float64 gradients (used by the gradient oracle).
 
 The layer math is one node per operation, valued by `kernels`: `matmul`
 (gemm rows), `rms_norm`, `softcap`, `swiglu` (`kernels.swiglu_ffn`, over
-one gate|up tensor), `rope`, and `attention`, the causal, optionally banded
-self-attention of fused query|key heads over grouped KV heads. The
-remaining primitives (gather, reshape, the segment ops, ...) glue them
-together.
+one gate|up tensor), `rope` (`kernels.rotate` by `kernels.rope_table`
+rows), and `attention`, the causal, optionally banded self-attention of
+fused query|key heads over grouped KV heads. The remaining primitives
+(gather, reshape, the segment ops, ...) glue them together.
+
+A VJP reuses what its forward computed instead of computing it again
+(the norm's RMS, the rotation's table rows, the attention's probabilities).
 
 A node that needs no gradient keeps neither its parents nor its backward
 closure, so a no-grad forward holds no tape: each intermediate array is
@@ -257,15 +260,14 @@ def segment_sum(a, starts, axis: int) -> Var:
     return Var(np.add.reduceat(a.v, starts, axis=axis), (a,), bw)
 
 
-def rope(a, positions, base: float) -> Var:
-    """Rotary transform on the last axis; positions align with axis -2.
-
-    The rotation is orthogonal, so its VJP is the inverse rotation."""
+def rope(a, c, s) -> Var:
+    """Rotary transform by `kernels.rope_table` rows c and s that broadcast against
+    a. It is orthogonal: its VJP is the inverse rotation, by the rows c and -s."""
     a = wrap(a)
 
     def bw(g):
-        _accum(a, kernels.rope(g, -np.asarray(positions), base), owned=True)
-    return Var(kernels.rope(a.v, positions, base), (a,), bw)
+        _accum(a, kernels.rotate(g, c, np.negative(s)), owned=True)
+    return Var(kernels.rotate(a.v, c, s), (a,), bw)
 
 
 def cross_entropy(logits, targets) -> Var:
@@ -292,14 +294,14 @@ def rms_norm(a, eps: float, gain=None) -> Var:
     """RMS normalization over the last axis, optionally gain-scaled."""
     a = wrap(a)
     gain = None if gain is None else wrap(gain)
-    xhat = kernels.rms_norm(a.v, eps)
+    rms = kernels.rms(a.v, eps)
+    xhat = a.v / rms
 
     def bw(g):
-        d = a.v.shape[-1]
         dxhat = g if gain is None else g * gain.v
-        rms = np.sqrt(np.add.reduce(np.square(a.v), axis=-1, keepdims=True) / d + eps)
-        dot = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
-        _accum(a, (dxhat - xhat * dot) / rms, owned=True)
+        dot = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / a.v.shape[-1]
+        ga = xhat * dot
+        _accum(a, np.divide(np.subtract(dxhat, ga, out=ga), rms, out=ga), owned=True)
         if gain is not None:
             _accum(gain, _unbroadcast(g * xhat, gain.v.shape), owned=True)
     if gain is None:

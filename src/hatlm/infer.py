@@ -6,7 +6,7 @@ a growable word-level cache for the backbone. Bytes cycle through the
 encoder-decoder loop; the backbone runs only when the incremental splitter
 closes a word. A layer reads the batch pass's tensors (:mod:`hatlm.model`)
 with the same kernels: one q|k|v product, qk-norm and the rotation once over
-q|k (cos and sin are rows of a per-stack table), one gate|up product. The
+q|k (by rows of `kernels.rope_table`, as the tape), one gate|up product. The
 word-context read is `model.word_context` itself.
 
 Every step is batched over sessions: `BatchRunner.run_tick` runs one byte
@@ -40,7 +40,6 @@ is the batch recomputation oracle for the same word assignment.
 from __future__ import annotations
 
 import copy
-import functools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -48,7 +47,7 @@ import numpy as np
 
 from . import model
 from .config import HatConfig, StackConfig
-from .kernels import attend, matmul, rms_norm, rope_angles, rotate, softmax, swiglu_ffn
+from .kernels import attend, matmul, rms_norm, rotate, softmax, swiglu_ffn
 from .splitter import BYTE_EOS, IncrementalSplitterState, SplitError, WordClosed, stream
 
 
@@ -138,7 +137,7 @@ class WordCache:
 def _qkv(P, prefix: str, cfg: HatConfig, s: StackConfig, x: np.ndarray, rot):
     """Rotated queries [B, n_heads, hs], rotated keys and values [B, n_kv, hs]:
     one q|k|v product, then qk-norm and the rotation once over the query and
-    key heads together. `rot` holds the rows' cos and sin, [B, 1, hs/2]."""
+    key heads together. `rot` holds the rows' C and S (`model.rope_rows`), [B, 1, hs]."""
     h = rms_norm(x, cfg.norm_eps, P[f"{prefix}.attn_norm.gain"])
     qkv = matmul(h, P[f"{prefix}.attn.wqkv"]).reshape(len(x), -1, s.head_size)
     qk, v = qkv[:, :s.n_heads + s.n_kv_heads], qkv[:, s.n_heads + s.n_kv_heads:]
@@ -146,16 +145,6 @@ def _qkv(P, prefix: str, cfg: HatConfig, s: StackConfig, x: np.ndarray, rot):
         qk = rms_norm(qk, cfg.norm_eps)
     qk = rotate(qk, *rot)
     return qk[:, :s.n_heads], qk[:, s.n_heads:], v
-
-
-@functools.cache
-def _rope_table(s: StackConfig, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Rotary cos and sin of every position of stack s, [max_positions, 1, hs/2],
-    shared and read-only, built on first use: row p has the bits of `rope_angles` at p."""
-    cos, sin = (t[:, None] for t in rope_angles(np.arange(s.max_positions), s.head_size,
-                                                s.rope_base, dtype))
-    cos.flags.writeable = sin.flags.writeable = False
-    return cos, sin
 
 
 def _finish_layer(P, prefix: str, cfg: HatConfig, x: np.ndarray,
@@ -180,7 +169,7 @@ def _byte_stack(P, name: str, cfg: HatConfig, rings: list[np.ndarray],
     kv = np.stack(rings)                            # [B, L, 2, W, n_kv, hs]
     rows, slot = np.arange(len(rings)), pos % s.window
     valid = None if pos.min() >= s.window - 1 else np.arange(s.window) <= pos[:, None]
-    rot = tuple(t[pos] for t in _rope_table(s, x.dtype))
+    rot = model.rope_rows(s, pos[:, None], x.dtype)
     for i in range(s.n_layers):
         prefix = f"{name}.layers.{i}"
         if inject is not None:
@@ -219,7 +208,7 @@ def _word_stack(sessions: list[GenSession], x: np.ndarray) -> np.ndarray:
     """One new backbone position per session (reads: `_attend_words`)."""
     P, cfg = sessions[0].params, sessions[0].cfg
     caches = [s.word_cache for s in sessions]
-    rot = tuple(t[[c.rows for c in caches]] for t in _rope_table(cfg.backbone, x.dtype))
+    rot = model.rope_rows(cfg.backbone, [[c.rows] for c in caches], x.dtype)
     for i in range(cfg.backbone.n_layers):
         prefix = f"backbone.layers.{i}"
         q, k, v = _qkv(P, prefix, cfg, cfg.backbone, x, rot)
@@ -343,16 +332,11 @@ class GenSession:
         return self.status == "finished"
 
 
-def _byte_limit(cfg: HatConfig) -> int:
-    """Byte positions a session can encode and decode."""
-    return min(cfg.encoder.max_positions, cfg.decoder.max_positions)
-
-
 def _check_room(s: GenSession, closes: int, index: int | None = None) -> None:
     """Raise SessionError unless `s` has a byte position for one more byte and
     backbone positions for `closes` more words."""
     cfg = s.cfg
-    limit = _byte_limit(cfg)
+    limit = model.byte_limit(cfg)
     if s.next_pos >= limit:
         raise SessionError(f"byte positions exhausted ({limit})", index)
     if s.word_cache.rows + closes > cfg.backbone.max_positions:
@@ -471,7 +455,7 @@ def _prefill(sessions: list[GenSession], prompts: list[bytes],
     for s, p, i in zip(sessions, prompts, indices):
         if s.status != "prefilling":
             raise SessionError("session already prefilled", i)
-        cfg, limit = s.cfg, _byte_limit(s.cfg)
+        cfg, limit = s.cfg, model.byte_limit(s.cfg)
         if len(p) > limit:
             raise SessionError(f"prompt of {len(p)} bytes exceeds the byte positions ({limit})", i)
         try:

@@ -3,13 +3,13 @@ and the single-query grouped-KV attention read.
 
 These are the one implementation of each piece of math: the incremental
 engine calls them directly and the autodiff tape takes its forward values
-from `matmul`, `swiglu_ffn`, `silu`, `rms_norm`, `softcap`, `rope` and `masked_softmax`.
+from `matmul`, `swiglu_ffn`, `silu`, `rms`, `softcap`, `rotate` and `masked_softmax`.
 All operations are pure functions over numpy arrays, deterministic for a
 given input dtype (float32 or float64 throughout; outputs follow inputs).
 Setting the environment variable HATLM_DEBUG_FINITE=1 (or the module flag)
 makes every kernel assert that its output is finite.
 
-`matmul`, `swiglu_ffn`, `rms_norm`, `rope` and `attend` are
+`matmul`, `swiglu_ffn`, `rms_norm`, `rotate` and `attend` are
 batch-invariant: a row's result has the same bits whatever other rows are
 computed beside it (every product is gemm rows; a one-row input is padded).
 Batched generation relies on this to match a solo run exactly (see :mod:`hatlm.infer`).
@@ -17,6 +17,7 @@ Batched generation relies on this to match a solo run exactly (see :mod:`hatlm.i
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 
@@ -55,13 +56,17 @@ def matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _check(x @ w)
 
 
-def rms_norm(x: np.ndarray, eps: float = 1e-5,
-             gain: np.ndarray | None = None) -> np.ndarray:
-    """x / sqrt(mean(x^2) + eps) over the last axis, optionally gain-scaled."""
+def rms(x: np.ndarray, eps: float) -> np.ndarray:
+    """sqrt(mean(x^2) + eps) over the last axis, kept: `rms_norm`'s denominator."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    ms = np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
-    y = x / np.sqrt(ms + eps)
+    return np.sqrt(np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1] + eps)
+
+
+def rms_norm(x: np.ndarray, eps: float = 1e-5,
+             gain: np.ndarray | None = None) -> np.ndarray:
+    """x / rms(x) over the last axis, optionally gain-scaled."""
+    y = x / rms(x, eps)
     if gain is not None:
         if gain.shape != x.shape[-1:]:
             raise ShapeError(f"gain {gain.shape} does not match {x.shape}")
@@ -89,35 +94,34 @@ def swiglu_ffn(x: np.ndarray, w_gate_up: np.ndarray, w_down: np.ndarray) -> np.n
 
 def rope_angles(positions: np.ndarray, d: int, base: float,
                 dtype) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of the rotary angles at `positions`, each (T, d/2).
-
-    Frequencies are base**(-2i/d)."""
+    """cos and sin of the rotary angles at `positions`, each (T, d/2), at
+    frequencies base**(-2i/d)."""
     positions = np.asarray(positions, dtype=dtype)
     inv = base ** (-np.arange(0, d, 2, dtype=dtype) / d)
     ang = positions[:, None] * inv[None, :]
     return np.cos(ang), np.sin(ang)
 
 
-def rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate the pairs (x[..., i], x[..., i + d/2]) by angle tables that
-    broadcast against x[..., :d/2]."""
-    half = x.shape[-1] // 2
-    x1, x2 = x[..., :half], x[..., half:]
-    return _check(np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1))
-
-
-def rope(x: np.ndarray, positions: np.ndarray, base: float) -> np.ndarray:
-    """Rotary position transform on the last axis (pairs split half/half).
-
-    `x` has shape (..., T, d) with d even; `positions` has length T and
-    aligns with axis -2. Negated positions apply the inverse rotation.
-    """
-    d = x.shape[-1]
+@functools.cache
+def rope_table(d: int, base: float, n: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Rows C[p] = cos_p|cos_p and S[p] = -sin_p|sin_p (`rope_angles` at p) of
+    positions 0..n-1, each [n, d]; shared and read-only, built on first use."""
     if d % 2:
         raise ShapeError(f"rope head dim must be even, got {d}")
-    if np.shape(positions) != (x.shape[-2],):
-        raise ShapeError("positions length must match the sequence axis")
-    return rotate(x, *rope_angles(positions, d, base, x.dtype))
+    cos, sin = rope_angles(np.arange(n), d, base, dtype)
+    c, s = np.concatenate([cos, cos], axis=-1), np.concatenate([-sin, sin], axis=-1)
+    c.flags.writeable = s.flags.writeable = False
+    return c, s
+
+
+def rotate(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rotate the pairs (x[..., i], x[..., i + d/2]) by `rope_table` rows that broadcast
+    against x: x·C + swap_halves(x)·S, the bits of (x1 cos - x2 sin | x1 sin + x2 cos)."""
+    half = x.shape[-1] // 2
+    y = np.concatenate([x[..., half:], x[..., :half]], axis=-1)
+    y *= s
+    y += x * c
+    return _check(y)
 
 
 def softcap(logits: np.ndarray, cap: float) -> np.ndarray:
@@ -137,14 +141,12 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     Masked positions contribute exactly zero weight (bit-exact insensitivity
     to their logits). Raises if any query row has no visible key.
     """
-    mask = np.broadcast_to(mask, logits.shape)
-    if not mask.any(axis=-1).all():
+    if not mask.any(axis=-1).all():        # before broadcasting: the same rows, fewer
         raise InternalInvariantError("attention row with empty visible key set")
-    neg = np.array(-np.inf, dtype=logits.dtype)
-    e = np.where(mask, logits, neg)
-    e -= np.max(e, axis=-1, keepdims=True)
+    e = np.where(mask, logits, np.array(-np.inf, dtype=logits.dtype))
+    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= np.sum(e, axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 

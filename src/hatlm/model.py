@@ -26,6 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import HatConfig, StackConfig
+from .kernels import rope_table
 from .splitter import BYTE_BOS, split
 
 # ---------------------------------------------------------------------------
@@ -183,6 +184,12 @@ class ForwardTrace:
     logits_var: ad.Var            # the same logits as a graph node
 
 
+def rope_rows(s: StackConfig, positions, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Stack s's `kernels.rope_table` rows C and S at `positions` (an index array)."""
+    return tuple(t[positions] for t in rope_table(s.head_size, s.rope_base,
+                                                  s.max_positions, dtype))
+
+
 def _self_attn(P, prefix: str, x: ad.Var, s: StackConfig, cfg: HatConfig,
                positions: np.ndarray, kv: list | None = None) -> ad.Var:
     """Self-attention sublayer: one q|k|v product, qk-norm and the rotation
@@ -196,7 +203,7 @@ def _self_attn(P, prefix: str, x: ad.Var, s: StackConfig, cfg: HatConfig,
     qk, v = ad.narrow(qkv, 0, 0, nh + nkv), ad.narrow(qkv, 0, nh + nkv, nkv)
     if cfg.qk_norm:
         qk = ad.rms_norm(qk, cfg.norm_eps)
-    qk = ad.rope(qk, positions, s.rope_base)
+    qk = ad.rope(qk, *rope_rows(s, positions, qk.dtype))
     if kv is not None:          # copies: views would keep all of q|k|v alive
         kv.append((qk.v[nh:].copy(), v.v.copy()))
     o = ad.attention(qk, v, positions, s.window, cfg.softcap)
@@ -218,13 +225,18 @@ def _stack(P, name: str, x: ad.Var, s: StackConfig, cfg: HatConfig,
     return x
 
 
+def byte_limit(cfg: HatConfig) -> int:
+    """Byte positions the encoder and the decoder both have."""
+    return min(cfg.encoder.max_positions, cfg.decoder.max_positions)
+
+
 def encode_bytes_var(P, cfg: HatConfig, byte_ids: np.ndarray, positions: np.ndarray,
                      kv: list | None = None) -> ad.Var:
     """Encoder states; byte i sits at `positions[i]` of its sequence (`ad.attention`)."""
     if len(byte_ids) == 0:
         raise ValueError("empty byte sequence")
-    if positions.max() >= cfg.encoder.max_positions:
-        raise ValueError(f"input of {positions.max() + 1} bytes exceeds encoder max positions")
+    if positions.max() >= byte_limit(cfg):
+        raise ValueError(f"input of {positions.max() + 1} bytes exceeds the byte positions")
     x = ad.gather(P["encoder.byte_embedding"], byte_ids)
     return _stack(P, "encoder", x, cfg.encoder, cfg, positions, kv)
 

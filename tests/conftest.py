@@ -40,6 +40,34 @@ def masked_softmax(a, mask: np.ndarray) -> ad.Var:
     return ad.Var(p, (a,), bw)
 
 
+def half_split_rotate(x, cos, sin):
+    """The rotation as `kernels.rotate` computed it before the full-width
+    table: the pairs (x1, x2) of the two halves of the last axis, by cos and
+    sin tables that broadcast against x[..., :d/2]."""
+    half = x.shape[-1] // 2
+    x1, x2 = x[..., :half], x[..., half:]
+    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+
+
+def angle_rope(x, positions, base: float):
+    """Rotary transform of x [..., t, d] with the angles of `positions` (one
+    per row of axis -2) computed per call, as `ad.rope` ran before the
+    table: its forward at `positions` and its VJP at `-positions`."""
+    cos, sin = kernels.rope_angles(positions, x.shape[-1], base, x.dtype)
+    return half_split_rotate(x, cos, sin)
+
+
+def recomputing_rms_norm_vjp(x, g, eps: float, gain=None):
+    """`ad.rms_norm`'s input gradient as it was before the VJP kept the
+    forward's RMS: the RMS is computed again from x."""
+    d = x.shape[-1]
+    xhat = kernels.rms_norm(x, eps)
+    dxhat = g if gain is None else g * gain
+    rms = np.sqrt(np.add.reduce(np.square(x), axis=-1, keepdims=True) / d + eps)
+    dot = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
+    return (dxhat - xhat * dot) / rms
+
+
 def separate_layout(cfg, params) -> dict:
     """`params` in the layout before the fused tensors: each wqkv as wq, wk,
     wv and each w_gate_up as w_gate, w_up (views of the fused tensors)."""

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hatlm import autodiff as ad
+from hatlm import kernels
 
-from conftest import DATA, masked_softmax
+from conftest import DATA, angle_rope, masked_softmax, recomputing_rms_norm_vjp
 
 rng = np.random.default_rng(42)
 
@@ -79,7 +80,58 @@ def test_masked_softmax():
 
 def test_rope():
     m = r(2, 5, 6)
-    fd_check(lambda a: ad.sum_(ad.mul(ad.rope(a, np.arange(5), 100.0), m)), r(2, 5, 6))
+    rows = kernels.rope_table(6, 100.0, 5, np.dtype(np.float64))
+    fd_check(lambda a: ad.sum_(ad.mul(ad.rope(a, *rows), m)), r(2, 5, 6))
+
+
+def _vjp(node, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """x's gradient under `node` for the output gradient g: sum(node(x) * g)
+    gives the node exactly g."""
+    xv = ad.wrap(x, rg=True)
+    ad.backward(ad.sum_(ad.mul(node(xv), g)))
+    return xv.grad
+
+
+ROPE_SHAPES = [("step", b) for b in (1, 2, 23, 64)] + \
+    [("pack", lens) for lens in ([1], [300], [4096], [5, 1, 40], [1000, 24, 3000])]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind,size", ROPE_SHAPES)
+def test_rope_matches_angle_rope_forward_and_vjp(dtype, kind, size):
+    # ad.rope on table rows against the per-call angles it replaced: the
+    # forward at the positions and the VJP as the rotation at -positions
+    gen = np.random.default_rng(7)
+    base, hs = 1e5, 8
+    if kind == "step":                  # [B, heads, hs] at [B, 1, hs] rows
+        pos = gen.integers(0, 4096, size)
+        x, g = (gen.standard_normal((size, 3, hs)).astype(dtype) for _ in "xg")
+
+        def ref(a, p):
+            return angle_rope(a.swapaxes(0, 1), p, base).swapaxes(0, 1)
+        idx = pos[:, None]
+    else:                               # a strided [heads, t, hs] view of a pack
+        pos = np.concatenate([np.arange(n) for n in size])
+        x, g = (gen.standard_normal((len(pos), 5, hs)).astype(dtype).transpose(1, 0, 2)[:3]
+                for _ in "xg")
+
+        def ref(a, p):
+            return angle_rope(a, p, base)
+        idx = pos
+    c, s = (t[idx] for t in kernels.rope_table(hs, base, 4096, np.dtype(dtype)))
+    assert np.array_equal(ad.rope(x, c, s).v, ref(x, pos))
+    assert np.array_equal(_vjp(lambda a: ad.rope(a, c, s), x, g), ref(g, -pos))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 16), (2, 16), (23, 64), (1024, 16), (3, 4096, 8)])
+@pytest.mark.parametrize("with_gain", [False, True])
+def test_rms_norm_vjp_matches_recomputing_vjp(dtype, shape, with_gain):
+    gen = np.random.default_rng(shape[0])
+    x, g = (gen.standard_normal(shape).astype(dtype) for _ in "xg")
+    gain = gen.standard_normal(shape[-1]).astype(dtype) if with_gain else None
+    got = _vjp(lambda a: ad.rms_norm(a, 1e-5, gain), x, g)
+    assert np.array_equal(got, recomputing_rms_norm_vjp(x, g, 1e-5, gain))
 
 
 def test_sum_keepdims():

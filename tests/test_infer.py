@@ -20,7 +20,7 @@ from hatlm.infer import (
 )
 from hatlm.splitter import BYTE_BOS, IncrementalSplitterState, SplitError, Utf8Gate, split
 
-from conftest import POOLS
+from conftest import POOLS, half_split_rotate
 
 
 def make_session(params, cfg, mode="greedy", budget=32, **kw):
@@ -294,6 +294,60 @@ def test_incremental_matches_batch_oracle(micro_cfg, micro_params):
             assert out.byte == expect
 
 
+def assert_caches_match_prompt_pass(s: GenSession):
+    """Every layer's keys and values in the session's encoder and decoder
+    rings and its word cache equal, within 1e-4, the ones `model.prompt_pass`
+    computes for the same committed bytes, spans and index. A key rotated by
+    a wrong position differs by O(1) here, where the logits barely move."""
+    cfg = s.cfg
+    fw = model.prompt_pass(s.params, cfg, [(s.committed, s.consumed_spans,
+                                            np.array(s.inc_index), s.sentinel_used)])[0]
+    m = s.next_pos
+    for ring, kv, w in ((s.enc_ring, fw.encoder_kv, cfg.encoder.window),
+                        (s.dec_ring, fw.decoder_kv, cfg.decoder.window)):
+        slots = np.arange(max(0, m - w), m) % w
+        for i in range(len(kv)):
+            assert_close(ring[i][:, slots], kv[i])
+    rows = s.word_cache.rows
+    for i in range(len(fw.backbone_kv)):
+        assert_close(s.word_cache.kv[i, :, :rows], fw.backbone_kv[i])
+
+
+POSITION_SCRIPTS = [("Hello there, ", "general kenobi, you are a bold one."),
+                    ("", "a b c d e f g h i j"),
+                    ("日本語 and ", "ééé ❤️ x\U0001F600y done")]
+
+
+@pytest.mark.parametrize("prompt,script", POSITION_SCRIPTS)
+def test_solo_caches_match_prompt_pass_after_forced_bytes(micro_cfg, micro_params,
+                                                          prompt, script):
+    script = script.encode()
+    s = GenSession(micro_params, micro_cfg, SamplingConfig("forced", forced=script),
+                   max_new_bytes=len(script))
+    prefill(s, prompt.encode())
+    assert_caches_match_prompt_pass(s)
+    while not s.finished:
+        step_byte(s)
+        assert_caches_match_prompt_pass(s)
+    assert bytes(s.generated) == script
+
+
+def test_batched_caches_match_prompt_pass_after_forced_bytes(micro_cfg, micro_params):
+    sessions = [GenSession(micro_params, micro_cfg,
+                           SamplingConfig("forced", forced=script.encode()),
+                           max_new_bytes=len(script.encode()))
+                for _, script in POSITION_SCRIPTS]
+    runner = infer.BatchRunner(sessions, infer.BoundarySync())
+    runner.prefill_all([prompt.encode() for prompt, _ in POSITION_SCRIPTS])
+    while not all(s.finished for s in sessions):
+        runner.run_tick()
+        for s in sessions:
+            if s.status != "at_boundary":
+                assert_caches_match_prompt_pass(s)
+    assert [bytes(s.generated) for s in sessions] == \
+        [script.encode() for _, script in POSITION_SCRIPTS]
+
+
 def test_incremental_matches_training_forward_on_ascii(micro_cfg, micro_params):
     # where prefix consistency holds (ASCII), the generation-time assignment
     # equals the teacher-forced one, so the training forward is also an oracle
@@ -474,7 +528,7 @@ def per_projection_qkv(P, prefix, cfg, s, x, pos):
     if cfg.qk_norm:
         q, k = K.rms_norm(q, cfg.norm_eps), K.rms_norm(k, cfg.norm_eps)
     cos, sin = (t[:, None] for t in K.rope_angles(pos, hs, s.rope_base, x.dtype))
-    return K.rotate(q, cos, sin), K.rotate(k, cos, sin), v
+    return half_split_rotate(q, cos, sin), half_split_rotate(k, cos, sin), v
 
 
 def per_projection_out(P, prefix, cfg, x, o):
@@ -529,7 +583,7 @@ def test_step_layer_matches_per_projection_layer(micro_cfg, micro_params, micro_
     x = rng.standard_normal((b, s.hidden)).astype(dtype)
     o = rng.standard_normal((b, s.n_heads * s.head_size)).astype(dtype)
     pos = rng.integers(0, s.max_positions, b)
-    got = infer._qkv(P, prefix, cfg, s, x, tuple(t[pos] for t in infer._rope_table(s, dtype)))
+    got = infer._qkv(P, prefix, cfg, s, x, model.rope_rows(s, pos[:, None], dtype))
     for a, want in zip(got, per_projection_qkv(P, prefix, cfg, s, x, pos)):
         assert np.array_equal(a, want)
     assert np.array_equal(infer._finish_layer(P, prefix, cfg, x, o),
@@ -538,9 +592,11 @@ def test_step_layer_matches_per_projection_layer(micro_cfg, micro_params, micro_
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_rope_table_rows_match_rope_angles(micro_cfg, dtype):
+    # C[p] is cos_p|cos_p and S[p] is -sin_p|sin_p, of `rope_angles` at p
     for s in (micro_cfg.encoder, micro_cfg.backbone):
         pos = np.arange(s.max_positions)
-        cos, sin = infer._rope_table(s, np.dtype(dtype))
-        want = K.rope_angles(pos, s.head_size, s.rope_base, dtype)
-        assert np.array_equal(cos[:, 0], want[0]) and np.array_equal(sin[:, 0], want[1])
-        assert cos.dtype == dtype
+        c, sn = model.rope_rows(s, pos, np.dtype(dtype))
+        cos, sin = K.rope_angles(pos, s.head_size, s.rope_base, dtype)
+        assert np.array_equal(c, np.hstack([cos, cos]))
+        assert np.array_equal(sn, np.hstack([-sin, sin]))
+        assert c.dtype == dtype

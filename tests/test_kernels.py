@@ -9,7 +9,7 @@ from hatlm import autodiff as ad
 from hatlm import kernels as K
 from hatlm import model
 
-from conftest import masked_softmax
+from conftest import half_split_rotate, masked_softmax
 
 
 def test_rms_norm_hand_computed():
@@ -50,14 +50,15 @@ def test_swiglu_scalar_case():
 
 def test_rope_position_zero_is_identity():
     x = np.random.default_rng(1).standard_normal((4, 1, 8))
-    out = K.rope(x, np.zeros(1, dtype=int), 1e4)
+    c, s = K.rope_table(8, 1e4, 1, np.dtype(np.float64))
+    out = K.rotate(x, c, s)
     assert np.allclose(out, x, atol=1e-12)
 
 
 def test_rope_preserves_norm():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((2, 6, 16))
-    out = K.rope(x, np.arange(6), 1e5)
+    out = K.rotate(x, *K.rope_table(16, 1e5, 6, np.dtype(np.float64)))
     assert np.allclose(np.linalg.norm(out, axis=-1), np.linalg.norm(x, axis=-1), atol=1e-6)
 
 
@@ -65,10 +66,11 @@ def test_rope_relative_shift_property():
     rng = np.random.default_rng(3)
     q = rng.standard_normal(8)
     k = rng.standard_normal(8)
+    c, s = K.rope_table(8, 1e4, 8, np.dtype(np.float64))
 
     def dot_at(m, n):
-        qm = K.rope(q[None], np.array([m]), 1e4)[0]
-        kn = K.rope(k[None], np.array([n]), 1e4)[0]
+        qm = K.rotate(q, c[m], s[m])
+        kn = K.rotate(k, c[n], s[n])
         return float(qm @ kn)
 
     assert abs(dot_at(5, 3) - dot_at(7, 5)) < 1e-5
@@ -76,7 +78,45 @@ def test_rope_relative_shift_property():
 
 def test_rope_odd_dim_rejected():
     with pytest.raises(K.ShapeError):
-        K.rope(np.ones((2, 7)), np.arange(2), 1e4)
+        K.rope_table(7, 1e4, 2, np.dtype(np.float64))
+
+
+# the full-width rotation against the half-split one it replaced
+
+ROPE_DTYPES = [np.float32, np.float64]
+
+
+@pytest.mark.parametrize("dtype", ROPE_DTYPES)
+def test_rope_table_is_cached_read_only_and_full_width(dtype):
+    c, s = K.rope_table(8, 1e5, 300, np.dtype(dtype))
+    assert K.rope_table(8, 1e5, 300, np.dtype(dtype))[0] is c
+    assert c.shape == s.shape == (300, 8) and c.dtype == s.dtype == dtype
+    assert not (c.flags.writeable or s.flags.writeable)
+
+
+@pytest.mark.parametrize("dtype", ROPE_DTYPES)
+@pytest.mark.parametrize("b", [1, 2, 23, 64])
+def test_rotate_matches_half_split_at_step_shapes(dtype, b):
+    # the byte and word steps: [B, heads, hs] rows with [B, 1, hs] table rows
+    rng = np.random.default_rng(b)
+    c, s = K.rope_table(8, 1e5, 4096, np.dtype(dtype))
+    pos = rng.integers(0, 4096, b)
+    x = rng.standard_normal((b, 3, 8)).astype(dtype)
+    cos, sin = (t[:, None] for t in K.rope_angles(pos, 8, 1e5, dtype))
+    assert np.array_equal(K.rotate(x, c[pos, None], s[pos, None]), half_split_rotate(x, cos, sin))
+
+
+@pytest.mark.parametrize("dtype", ROPE_DTYPES)
+@pytest.mark.parametrize("lens", [[1], [7], [300], [4096], [5, 1, 40], [1000, 24, 3000]])
+def test_rotate_matches_half_split_at_sequence_shapes(dtype, lens):
+    # the tape: a strided [heads, t, hs] view of q|k|v, at the positions of a
+    # pack whose sequences restart at 0
+    rng = np.random.default_rng(len(lens))
+    pos = np.concatenate([np.arange(n) for n in lens])
+    x = rng.standard_normal((len(pos), 5, 8)).astype(dtype).transpose(1, 0, 2)[:3]
+    c, s = K.rope_table(8, 5e5, 4096, np.dtype(dtype))
+    want = half_split_rotate(x, *K.rope_angles(pos, 8, 5e5, dtype))
+    assert np.array_equal(K.rotate(x, c[pos], s[pos]), want)
 
 
 def test_softcap_hand_value():
@@ -223,6 +263,10 @@ def test_attention_softmax_rows_sum_to_one():
 def test_attention_empty_visible_set_raises():
     with pytest.raises(K.InternalInvariantError):
         K.masked_softmax(np.zeros((1, 3)), np.zeros((1, 3), dtype=bool))
+    # a mask that broadcasts against the logits: one of its rows sees no key
+    with pytest.raises(K.InternalInvariantError):
+        K.masked_softmax(np.zeros((2, 4, 3)), np.array([[[True, False, False]],
+                                                         [[False, False, False]]]))
 
 
 def test_determinism_bit_identical():
