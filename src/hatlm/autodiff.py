@@ -15,10 +15,14 @@ fused query|key heads over grouped KV heads. The remaining primitives
 A VJP reuses what its forward computed instead of computing it again
 (the norm's RMS, the rotation's table rows, the attention's probabilities).
 
+A dense (unwindowed) attention read goes ATTENTION_BLOCK query positions at
+a time, with or without a gradient, so it never holds [kv, g*t, t] logits.
+On the tape it keeps each block's probabilities for its VJP, which goes
+block by block too; without a gradient it keeps none.
+
 A node that needs no gradient keeps neither its parents nor its backward
 closure, so a no-grad forward holds no tape: each intermediate array is
-freed as soon as the next operation has consumed it, and a dense attention
-read goes a block of query positions at a time. With
+freed as soon as the next operation has consumed it. With
 `kernels.DEBUG_FINITE` on, every node value and every accumulated gradient
 must be finite or a FloatingPointError is raised.
 """
@@ -31,7 +35,7 @@ import numpy as np
 
 from . import kernels
 
-ATTENTION_BLOCK = 32   # query positions per block of a no-grad dense attention read
+ATTENTION_BLOCK = 32   # query positions per block of a dense attention read
 
 
 class Var:
@@ -164,9 +168,14 @@ def gather(a, idx, axis: int = 0) -> Var:
     idx = np.asarray(idx)
 
     def bw(g):
+        # sum each source row's gradients as one run of the sorted index
+        flat = idx.ravel() % a.v.shape[axis]
+        order = np.argsort(flat, kind="stable")
+        runs = np.flatnonzero(np.diff(flat[order], prepend=-1))
+        g = np.moveaxis(g, range(axis, axis + idx.ndim), range(idx.ndim))
         acc = np.zeros_like(a.v)
-        np.add.at(np.moveaxis(acc, axis, 0), idx,
-                  np.moveaxis(g, range(axis, axis + idx.ndim), range(idx.ndim)))
+        np.moveaxis(acc, axis, 0)[flat[order[runs]]] = np.add.reduceat(
+            g.reshape(flat.size, *g.shape[idx.ndim:])[order], runs, axis=0)
         _accum(a, acc, owned=True)
     return Var(np.take(a.v, idx, axis=axis), (a,), bw)
 
@@ -358,25 +367,34 @@ def _unband(g: np.ndarray) -> np.ndarray:
     return acc[:, w - 1:]
 
 
-def _causal_blocks(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                   cap: float | None) -> np.ndarray:
-    """The dense causal read of `attention`, without a tape: ATTENTION_BLOCK
-    query positions at a time, each block meeting only the keys up to its
-    last position, so the logits held at once are [kv, g, block, <= t]
-    rather than [kv, g*t, t]."""
+def _causal_blocks(q: np.ndarray, k: np.ndarray, v: np.ndarray, positions: np.ndarray,
+                   cap: float | None, tape: list | None) -> np.ndarray:
+    """The dense causal read of `attention`: each sequence of the pack goes
+    ATTENTION_BLOCK query rows at a time, each block meeting only its
+    sequence's keys up to its last row, so the logits held at once are
+    [kv, g, block, <= t] rather than [kv, g*t, t]. A `tape` list gets each
+    block's rows, first key, probabilities and (with `cap`) tanh values;
+    without one, a block keeps nothing and softcaps in place."""
     nh, t, hs = q.shape
     nkv = k.shape[0]
     qg = q.reshape(nkv, nh // nkv, t, hs)
     kt, vx = k[:, None].swapaxes(-1, -2), v[:, None]
     out = np.empty_like(qg)
     inv = 1.0 / math.sqrt(hs)
-    for a in range(0, t, ATTENTION_BLOCK):
-        b = min(a + ATTENTION_BLOCK, t)
-        z = (qg[:, :, a:b] @ kt[..., :b]) * inv
-        if cap is not None:
-            z = kernels.softcap(z, cap)
-        mask = np.arange(b) <= np.arange(a, b)[:, None]
-        out[:, :, a:b] = kernels.masked_softmax(z, mask) @ vx[:, :, :b]
+    starts = np.flatnonzero(positions == 0)
+    for s, e in zip(starts, np.append(starts[1:], t)):
+        for a in range(s, e, ATTENTION_BLOCK):
+            b = min(a + ATTENTION_BLOCK, e)
+            z = qg[:, :, a:b] @ kt[..., s:b]
+            z *= inv
+            th = None
+            if cap is not None:         # cap * tanh(z / cap), as kernels.softcap
+                th = np.tanh(np.divide(z, cap, out=z), out=z)
+                z = np.multiply(cap, th, out=None if tape is not None else th)
+            p = kernels.masked_softmax(z, np.arange(s, b) <= np.arange(a, b)[:, None])
+            out[:, :, a:b] = p @ vx[:, :, s:b]
+            if tape is not None:
+                tape.append((a, b, s, p, th))
     return out.reshape(nh, t, hs)
 
 
@@ -394,11 +412,11 @@ def attention(qk, v, positions, window: int | None, cap: float | None) -> Var:
     Query heads are grouped per KV head by reshaping (as `kernels.attend`),
     so keys are never repeated. A windowed read goes through a sliding-window
     view of the front-padded K and V rows (`_band`), [kv, t, g, window]
-    logits, at every t: fewer key slots would sum in another order.
-    Otherwise each KV head's g*t query rows meet all t keys under a causal
-    mask. The backward reuses the forward's probabilities. When no input
-    needs a gradient, the dense read goes through `_causal_blocks` instead,
-    one sequence at a time, and keeps no probabilities.
+    logits, at every t: fewer key slots would sum in another order, and the
+    backward reuses its probabilities. Otherwise the read is `_causal_blocks`,
+    with or without a gradient. On the tape each block keeps its
+    probabilities (and tanh values), and the backward goes block by block:
+    it writes the block's query rows and adds into its keys and values.
     """
     qk, v = wrap(qk), wrap(v)
     nkv, t, hs = v.v.shape
@@ -406,31 +424,43 @@ def attention(qk, v, positions, window: int | None, cap: float | None) -> Var:
     g = nh // nkv
     q, k = qk.v[:nh], qk.v[nh:]
     positions = np.asarray(positions)
-    if window is None and not (qk.rg or v.rg):
-        out = np.empty((nh, t, hs), dtype=q.dtype)
-        bounds = np.append(np.flatnonzero(positions == 0), t)
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            out[:, a:b] = _causal_blocks(q[:, a:b], k[:, a:b], v.v[:, a:b], cap)
-        return Var(out)
-    if window is not None:
-        def rows(x):        # [n_heads, t, hs] -> [kv, t, g, hs]
-            return x.reshape(nkv, g, t, hs).transpose(0, 2, 1, 3)
-
-        def heads(x):
-            return x.transpose(0, 2, 1, 3).reshape(nh, t, hs)
-        kx, vx = _band(k, window), _band(v.v, window).swapaxes(-1, -2)
-        # band slot j of row i holds row i - (window-1) + j
-        mask = (np.arange(window) >= window - 1 - positions[:, None])[:, None, :]
-    else:
-        def rows(x):        # [n_heads, t, hs] -> [kv, g*t, hs]
-            return x.reshape(nkv, g * t, hs)
-
-        def heads(x):
-            return x.reshape(nh, t, hs)
-        kx, vx = k.swapaxes(-1, -2), v.v
-        first = np.arange(t) - positions                # each row's sequence start
-        mask = np.tile(np.tri(t, dtype=bool) & (np.arange(t) >= first[:, None]), (g, 1))
     inv = 1.0 / math.sqrt(hs)
+    if window is None:
+        blocks = [] if qk.rg or v.rg else None
+        out = _causal_blocks(q, k, v.v, positions, cap, blocks)
+        if blocks is None:
+            return Var(out)
+        qg, kx, vx = q.reshape(nkv, g, t, hs), k[:, None], v.v[:, None]
+
+        def bw(gr):
+            gx = gr.reshape(nkv, g, t, hs)
+            dqk, dv = np.empty_like(qk.v), np.zeros_like(v.v)
+            dqk[nh:] = 0
+            dq, dk = dqk[:nh].reshape(nkv, g, t, hs), dqk[nh:]
+            for a, b, s, p, th in blocks:
+                dz = gx[:, :, a:b] @ vx[:, :, s:b].swapaxes(-1, -2)
+                dz -= np.sum(dz * p, axis=-1, keepdims=True)
+                dz *= p
+                if th is not None:
+                    dz *= 1.0 - np.square(th)
+                dz *= inv
+                dq[:, :, a:b] = dz @ kx[:, :, s:b]
+                # a KV head's keys and values sum over its g query heads' rows
+                rows = (nkv, g * (b - a), -1)
+                dk[:, s:b] += dz.reshape(rows).swapaxes(-1, -2) @ qg[:, :, a:b].reshape(rows)
+                dv[:, s:b] += p.reshape(rows).swapaxes(-1, -2) @ gx[:, :, a:b].reshape(rows)
+            _accum(qk, dqk, owned=True)
+            _accum(v, dv, owned=True)
+        return Var(out, (qk, v), bw)
+
+    def rows(x):        # [n_heads, t, hs] -> [kv, t, g, hs]
+        return x.reshape(nkv, g, t, hs).transpose(0, 2, 1, 3)
+
+    def heads(x):
+        return x.transpose(0, 2, 1, 3).reshape(nh, t, hs)
+    kx, vx = _band(k, window), _band(v.v, window).swapaxes(-1, -2)
+    # band slot j of row i holds row i - (window-1) + j
+    mask = (np.arange(window) >= window - 1 - positions[:, None])[:, None, :]
     qx = rows(q)
     z = (qx @ kx) * inv
     if cap is not None:
@@ -444,9 +474,7 @@ def attention(qk, v, positions, window: int | None, cap: float | None) -> Var:
         if cap is not None:
             dz *= 1.0 - np.square(z / cap)
         dz *= inv
-        dk, dv = dz.swapaxes(-1, -2) @ qx, p.swapaxes(-1, -2) @ gx
-        if window is not None:
-            dk, dv = _unband(dk), _unband(dv)
+        dk, dv = _unband(dz.swapaxes(-1, -2) @ qx), _unband(p.swapaxes(-1, -2) @ gx)
         _accum(qk, np.concatenate([heads(dz @ kx.swapaxes(-1, -2)), dk]), owned=True)
         _accum(v, dv, owned=True)
     return Var(heads(p @ vx), (qk, v), bw)

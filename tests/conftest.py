@@ -1,3 +1,4 @@
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -38,6 +39,39 @@ def masked_softmax(a, mask: np.ndarray) -> ad.Var:
     def bw(g):
         ad._accum(a, p * (g - np.sum(g * p, axis=-1, keepdims=True)), owned=True)
     return ad.Var(p, (a,), bw)
+
+
+def dense_masked_attention(qk, v, positions, cap) -> ad.Var:
+    """`ad.attention` with no window as the tape read it before the query
+    blocks: each KV head's g*t query rows meet all t keys under a causal
+    mask tiled g times, and the node keeps the whole [kv, g*t, t]
+    probabilities and logits for its backward."""
+    qk, v = ad.wrap(qk), ad.wrap(v)
+    nkv, t, hs = v.v.shape
+    nh = qk.v.shape[0] - nkv
+    g = nh // nkv
+    positions = np.asarray(positions)
+    qx, kx, vx = qk.v[:nh].reshape(nkv, g * t, hs), qk.v[nh:].swapaxes(-1, -2), v.v
+    first = np.arange(t) - positions                # each row's sequence start
+    mask = np.tile(np.tri(t, dtype=bool) & (np.arange(t) >= first[:, None]), (g, 1))
+    inv = 1.0 / math.sqrt(hs)
+    z = (qx @ kx) * inv
+    if cap is not None:
+        z = kernels.softcap(z, cap)
+    p = kernels.masked_softmax(z, mask)
+
+    def bw(gr):
+        gx = gr.reshape(nkv, g * t, hs)
+        dp = gx @ vx.swapaxes(-1, -2)
+        dz = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
+        if cap is not None:
+            dz *= 1.0 - np.square(z / cap)
+        dz *= inv
+        dk, dv = dz.swapaxes(-1, -2) @ qx, p.swapaxes(-1, -2) @ gx
+        ad._accum(qk, np.concatenate([(dz @ kx.swapaxes(-1, -2)).reshape(nh, t, hs), dk]),
+                  owned=True)
+        ad._accum(v, dv, owned=True)
+    return ad.Var((p @ vx).reshape(nh, t, hs), (qk, v), bw)
 
 
 def half_split_rotate(x, cos, sin):

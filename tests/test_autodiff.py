@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hatlm import autodiff as ad
 from hatlm import kernels
 
-from conftest import DATA, angle_rope, masked_softmax, recomputing_rms_norm_vjp
+from conftest import (DATA, angle_rope, dense_masked_attention, masked_softmax,
+                      recomputing_rms_norm_vjp)
 
 rng = np.random.default_rng(42)
 
@@ -198,12 +199,7 @@ def test_attention(case):
              2 * r(nh, t, 4), 2 * r(nkv, t, 4), r(nkv, t, 4))
 
 
-@given(seed=st.integers(0, 2 ** 31 - 1), n_kv=st.integers(1, 3), group=st.integers(1, 3),
-       t=st.integers(1, 12), hs=st.sampled_from([2, 4, 8]),
-       window=st.one_of(st.none(), st.integers(1, 14)),
-       cap=st.sampled_from([None, 2.0, 30.0]), dtype=st.sampled_from([np.float64, np.float32]))
-@settings(max_examples=150, deadline=None)
-def test_attention_matches_composite(seed, n_kv, group, t, hs, window, cap, dtype):
+def _check_against_composite(seed, n_kv, group, t, hs, window, cap, dtype):
     g = np.random.default_rng(seed)
     arrays = [(s * g.standard_normal(shape)).astype(dtype) for s, shape in
               ((3, (n_kv * group, t, hs)), (3, (n_kv, t, hs)), (1, (n_kv, t, hs)))]
@@ -221,11 +217,29 @@ def test_attention_matches_composite(seed, n_kv, group, t, hs, window, cap, dtyp
         assert np.allclose(got, want, **tol)
 
 
+@given(seed=st.integers(0, 2 ** 31 - 1), n_kv=st.integers(1, 3), group=st.integers(1, 3),
+       t=st.integers(1, 12), hs=st.sampled_from([2, 4, 8]),
+       window=st.one_of(st.none(), st.integers(1, 14)),
+       cap=st.sampled_from([None, 2.0, 30.0]), dtype=st.sampled_from([np.float64, np.float32]))
+@settings(max_examples=150, deadline=None)
+def test_attention_matches_composite(seed, n_kv, group, t, hs, window, cap, dtype):
+    _check_against_composite(seed, n_kv, group, t, hs, window, cap, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("cap", [None, 30.0])
+@pytest.mark.parametrize("window", [None, 9])
+@pytest.mark.parametrize("t", [40, 70])
+def test_attention_matches_composite_over_blocks(t, window, cap, dtype):
+    # t spans two and three query blocks of the dense read
+    _check_against_composite(t, 2, 2, t, 4, window, cap, dtype)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("cap", [None, 2.0])
 @pytest.mark.parametrize("t", [1, 31, 32, 33, 64, 100])
 def test_attention_no_grad_matches_tape(t, cap, dtype):
-    # with no input needing a gradient, the dense read goes by query blocks
+    # the dense read runs one code path with or without a tape: the same bits
     g = np.random.default_rng(t)
     qk, v = ((s * g.standard_normal(shape)).astype(dtype) for s, shape in
              ((3, (6 + 2, t, 8)), (1, (2, t, 8))))
@@ -234,8 +248,48 @@ def test_attention_no_grad_matches_tape(t, cap, dtype):
         taped = ad.attention(ad.wrap(qk, rg=True), v, np.arange(t), window, cap)
         assert not plain.rg and taped.rg
         assert plain.v.dtype == dtype
-        atol = 1e-12 if dtype == np.float64 else 1e-6
-        assert np.allclose(plain.v, taped.v, rtol=0, atol=atol)
+        if window is None:
+            assert np.array_equal(plain.v, taped.v)
+        else:
+            atol = 1e-12 if dtype == np.float64 else 1e-6
+            assert np.allclose(plain.v, taped.v, rtol=0, atol=atol)
+
+
+def _pack_positions(lens):
+    return np.concatenate([np.arange(n) for n in lens])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("cap", [None, 2.0, 30.0])
+@pytest.mark.parametrize("lens", [(1,), (31,), (32,), (33,), (70,), (100,),
+                                  (32, 33), (1, 40, 29), (5, 64, 31)], ids=str)
+def test_attention_blocked_matches_dense(lens, cap, dtype):
+    positions = _pack_positions(lens)
+    t = len(positions)
+    g = np.random.default_rng(t + len(lens))
+    qk, v, m = ((s * g.standard_normal(shape)).astype(dtype) for s, shape in
+                ((3, (8 + 4, t, 8)), (1, (4, t, 8)), (1, (8, t, 8))))
+    results = []
+    for fn in (lambda a, b: ad.attention(a, b, positions, None, cap),
+               lambda a, b: dense_masked_attention(a, b, positions, cap)):
+        leaves = [ad.wrap(qk, rg=True), ad.wrap(v, rg=True)]
+        out = fn(*leaves)
+        ad.backward(ad.sum_(ad.mul(out, m)))
+        results.append([out.v] + [leaf.grad for leaf in leaves])
+    tol = dict(rtol=0, atol=1e-12) if dtype == np.float64 else dict(rtol=1e-4, atol=1e-5)
+    for got, want in zip(*results):
+        assert got.dtype == dtype
+        assert np.allclose(got, want, **tol)
+
+
+@pytest.mark.parametrize("lens,cap", [((70,), None), ((70,), 2.0), ((33, 37), 2.0)], ids=str)
+def test_attention_blocked_fd(lens, cap):
+    positions = _pack_positions(lens)
+    t = len(positions)
+    m = r(4, t, 4)
+    fd_check(lambda q, k, v: ad.sum_(ad.mul(ad.attention(ad.concat([q, k]), v, positions,
+                                                         None, cap), m)),
+             2 * r(4, t, 4), 2 * r(2, t, 4), r(2, t, 4), samples=16)
 
 
 def test_attention_no_grad_dense_read_is_blocked():
@@ -249,6 +303,21 @@ def test_attention_no_grad_dense_read_is_blocked():
         tracemalloc.stop()
         del out
     assert peaks[0] < peaks[1] / 4
+
+
+def test_attention_tape_is_blocked():
+    # the tape keeps per-block probabilities, not the [kv, g*t, t] logits
+    g = np.random.default_rng(0)
+    qk, v, m = (g.standard_normal((n, 512, 8)) for n in (4 + 2, 2, 4))
+    peaks = []
+    for fn in (lambda a, b: ad.attention(a, b, np.arange(512), None, 30.0),
+               lambda a, b: dense_masked_attention(a, b, np.arange(512), 30.0)):
+        leaves = [ad.wrap(qk, rg=True), ad.wrap(v, rg=True)]
+        tracemalloc.start()
+        ad.backward(ad.sum_(ad.mul(fn(*leaves), m)))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] < 0.7 * peaks[1]
 
 
 def test_backward_requires_scalar_root():
@@ -314,7 +383,29 @@ def test_segment_starts_validated(starts):
 
 
 # ---------------------------------------------------------------------------
-# gather backward: the same bits as a plain np.add.at scatter
+# gather backward: a sorted np.add.reduceat, against a plain np.add.at scatter
+
+def add_at_scatter(shape, idx, axis, g):
+    """The gather's backward as it was before the sorted reduceat: one
+    np.add.at, which adds each gathered row in index order."""
+    acc = np.zeros(shape, dtype=g.dtype)
+    np.add.at(np.moveaxis(acc, axis, 0), idx,
+              np.moveaxis(g, range(axis, axis + idx.ndim), range(idx.ndim)))
+    return acc
+
+
+def assert_gather_backward_matches_add_at(a, idx, axis, m):
+    """a's gradient under gather(a, idx, axis) for the output gradient m is
+    the np.add.at scatter of m up to the rounding of the sums: within 1e-12
+    (float64) or 1e-5 (float32) of the scatter of |m|."""
+    v = ad.wrap(a, rg=True)
+    ad.backward(ad.sum_(ad.mul(ad.gather(v, idx, axis=axis), m)))
+    ref = add_at_scatter(a.shape, idx, axis, m)
+    scale = add_at_scatter(a.shape, idx, axis, np.abs(m).astype(np.float64))
+    assert v.grad.dtype == a.dtype
+    tol = 1e-12 if a.dtype == np.float64 else 1e-5
+    assert np.all(np.abs(v.grad - ref) <= tol * np.maximum(scale, 1.0))
+
 
 TEXT = (DATA / "english_sample.txt").read_bytes()[:1024]
 GATHER_CASES = {
@@ -333,15 +424,25 @@ GATHER_CASES = {
 @pytest.mark.parametrize("case", sorted(GATHER_CASES))
 def test_gather_backward_equals_add_at(case, dtype):
     shape, idx, axis = GATHER_CASES[case]
-    a = ad.wrap(r(*shape).astype(dtype), rg=True)
     out_shape = shape[:axis] + idx.shape + shape[axis + 1:]
     m = (r(*out_shape) * 10.0 ** rng.uniform(-4, 4, out_shape)).astype(dtype)
-    ad.backward(ad.sum_(ad.mul(ad.gather(a, idx, axis=axis), m)))
-    ref = np.zeros(shape, dtype=dtype)
-    np.add.at(np.moveaxis(ref, axis, 0), idx,
-              np.moveaxis(m, range(axis, axis + idx.ndim), range(idx.ndim)))
-    assert a.grad.dtype == dtype
-    assert np.array_equal(a.grad, ref)
+    assert_gather_backward_matches_add_at(r(*shape).astype(dtype), idx, axis, m)
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1), rows=st.integers(1, 9), cols=st.integers(1, 4),
+       idx_shape=st.sampled_from([(0,), (1,), (7,), (40,), (2, 3), (5, 4)]),
+       axis=st.sampled_from([0, 1]), sort=st.booleans(),
+       dtype=st.sampled_from([np.float64, np.float32]))
+@settings(max_examples=150, deadline=None)
+def test_gather_backward_matches_add_at_scatter(seed, rows, cols, idx_shape, axis, sort, dtype):
+    g = np.random.default_rng(seed)
+    idx = g.integers(-rows, rows, size=idx_shape)  # repeats, and negative rows as np.take reads
+    if sort:
+        idx = np.sort(idx, axis=None).reshape(idx_shape)
+    shape = (rows, cols) if axis == 0 else (cols, rows)
+    out_shape = shape[:axis] + idx.shape + shape[axis + 1:]
+    m = (g.standard_normal(out_shape) * 10.0 ** g.uniform(-3, 3, out_shape)).astype(dtype)
+    assert_gather_backward_matches_add_at(g.standard_normal(shape).astype(dtype), idx, axis, m)
 
 
 # ---------------------------------------------------------------------------
