@@ -18,7 +18,10 @@ A VJP reuses what its forward computed instead of computing it again
 A dense (unwindowed) attention read goes ATTENTION_BLOCK query positions at
 a time, with or without a gradient, so it never holds [kv, g*t, t] logits.
 On the tape it keeps each block's probabilities for its VJP, which goes
-block by block too; without a gradient it keeps none.
+block by block too; without a gradient it keeps none. Each read hides keys
+in place, and only where one is hidden (`kernels.hide_keys`): a block on the
+triangle above the diagonal of its last keys, the band read in the first
+window - 1 rows of each sequence.
 
 A node that needs no gradient keeps neither its parents nor its backward
 closure, so a no-grad forward holds no tape: each intermediate array is
@@ -382,6 +385,7 @@ def _causal_blocks(q: np.ndarray, k: np.ndarray, v: np.ndarray, positions: np.nd
     out = np.empty_like(qg)
     inv = 1.0 / math.sqrt(hs)
     starts = np.flatnonzero(positions == 0)
+    above = ~np.tri(ATTENTION_BLOCK, dtype=bool)    # a block's last keys ahead of its rows
     for s, e in zip(starts, np.append(starts[1:], t)):
         for a in range(s, e, ATTENTION_BLOCK):
             b = min(a + ATTENTION_BLOCK, e)
@@ -391,7 +395,7 @@ def _causal_blocks(q: np.ndarray, k: np.ndarray, v: np.ndarray, positions: np.nd
             if cap is not None:         # cap * tanh(z / cap), as kernels.softcap
                 th = np.tanh(np.divide(z, cap, out=z), out=z)
                 z = np.multiply(cap, th, out=None if tape is not None else th)
-            p = kernels.masked_softmax(z, np.arange(s, b) <= np.arange(a, b)[:, None])
+            p = kernels.softmax(kernels.hide_keys(z, above[:b - a, :b - a], 2))
             out[:, :, a:b] = p @ vx[:, :, s:b]
             if tape is not None:
                 tape.append((a, b, s, p, th))
@@ -406,17 +410,19 @@ def attention(qk, v, positions, window: int | None, cap: float | None) -> Var:
     returns [n_heads, t, hs], and qk gets one gradient. Row i is at
     `positions[i]` of its sequence (one per prompt of a pack), which starts
     at row i - positions[i]; it reads that sequence's rows in
-    (i - window, i], or up to i when `window` is None. Logits are scaled by
-    1/sqrt(hs) and, when `cap` is set, softcapped.
+    (i - window, i], or up to i when `window` is None. The positions must
+    start at 0 and each one rise by 1 or restart at 0, else ValueError.
+    Logits are scaled by 1/sqrt(hs) and, when `cap` is set, softcapped.
 
     Query heads are grouped per KV head by reshaping (as `kernels.attend`),
     so keys are never repeated. A windowed read goes through a sliding-window
     view of the front-padded K and V rows (`_band`), [kv, t, g, window]
     logits, at every t: fewer key slots would sum in another order, and the
-    backward reuses its probabilities. Otherwise the read is `_causal_blocks`,
-    with or without a gradient. On the tape each block keeps its
-    probabilities (and tanh values), and the backward goes block by block:
-    it writes the block's query rows and adds into its keys and values.
+    backward reuses its probabilities; its row max goes slot by slot.
+    Otherwise the read is `_causal_blocks`, with or without a gradient. On
+    the tape each block keeps its probabilities (and tanh values), and the
+    backward goes block by block: it writes the block's query rows and adds
+    into its keys and values.
     """
     qk, v = wrap(qk), wrap(v)
     nkv, t, hs = v.v.shape
@@ -424,6 +430,9 @@ def attention(qk, v, positions, window: int | None, cap: float | None) -> Var:
     g = nh // nkv
     q, k = qk.v[:nh], qk.v[nh:]
     positions = np.asarray(positions)
+    if positions.shape != (t,) or np.any(positions[:1] != 0) or np.any(
+            (positions[1:] != positions[:-1] + 1) & (positions[1:] != 0)):
+        raise ValueError("positions must start at 0 and each one rise by 1 or restart at 0")
     inv = 1.0 / math.sqrt(hs)
     if window is None:
         blocks = [] if qk.rg or v.rg else None
@@ -459,13 +468,17 @@ def attention(qk, v, positions, window: int | None, cap: float | None) -> Var:
     def heads(x):
         return x.transpose(0, 2, 1, 3).reshape(nh, t, hs)
     kx, vx = _band(k, window), _band(v.v, window).swapaxes(-1, -2)
-    # band slot j of row i holds row i - (window-1) + j
-    mask = (np.arange(window) >= window - 1 - positions[:, None])[:, None, :]
     qx = rows(q)
     z = (qx @ kx) * inv
     if cap is not None:
         z = kernels.softcap(z, cap)
-    p = kernels.masked_softmax(z, mask)
+    p = z.copy() if cap is not None and (qk.rg or v.rg) else z     # the cap's VJP reads z
+    # band slot j of row i holds row i - (window-1) + j
+    kernels.hide_keys(p, np.arange(window) < window - 1 - positions[:, None], 1)
+    peak = p[..., :1].copy()
+    for j in range(1, window):      # as `_unband`: a reduce over the short slot axis is slow
+        np.maximum(peak, p[..., j:j + 1], out=peak)
+    kernels.softmax(p, peak)
 
     def bw(gr):
         gx = rows(gr)

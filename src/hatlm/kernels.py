@@ -3,9 +3,10 @@ and the single-query grouped-KV attention read.
 
 These are the one implementation of each piece of math: the incremental
 engine calls them directly and the autodiff tape takes its forward values
-from `matmul`, `swiglu_ffn`, `silu`, `rms`, `softcap`, `rotate` and `masked_softmax`.
-All operations are pure functions over numpy arrays, deterministic for a
-given input dtype (float32 or float64 throughout; outputs follow inputs).
+from `matmul`, `swiglu_ffn`, `silu`, `rms`, `softcap`, `rotate`, `hide_keys` and
+`softmax`. Those two work in place on the logits they are given (a masked read
+passes `hide_keys` only its hidden pairs); the rest are pure functions, and all
+are deterministic for a given input dtype (float32 or float64; outputs follow inputs).
 Setting the environment variable HATLM_DEBUG_FINITE=1 (or the module flag)
 makes every kernel assert that its output is finite.
 
@@ -129,25 +130,26 @@ def softcap(logits: np.ndarray, cap: float) -> np.ndarray:
     return cap * np.tanh(logits / cap)
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = x - np.maximum.reduce(x, axis=axis, keepdims=True)
-    np.exp(e, out=e)
-    return e / np.add.reduce(e, axis=axis, keepdims=True)
+def softmax(x: np.ndarray, peak: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, in place: x becomes the probabilities.
+    `peak` is x's row max (last axis kept) when the caller has taken it."""
+    x -= np.maximum.reduce(x, axis=-1, keepdims=True) if peak is None else peak
+    np.exp(x, out=x)
+    x /= np.add.reduce(x, axis=-1, keepdims=True)
+    return x
 
 
-def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis restricted to mask==True positions.
-
-    Masked positions contribute exactly zero weight (bit-exact insensitivity
-    to their logits). Raises if any query row has no visible key.
-    """
-    if not mask.any(axis=-1).all():        # before broadcasting: the same rows, fewer
+def hide_keys(x: np.ndarray, hidden: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Write -inf into the logits x, in place, only where `hidden` is True,
+    so `softmax` gives those keys exactly zero weight. hidden's leading axes
+    are x's query axes from `axis` on, its last axis the last hidden.shape[-1]
+    keys of x. Returns x; raises if a query row sees no key."""
+    n, at = hidden.shape[-1], np.flatnonzero(hidden)
+    if n == x.shape[-1] and np.any(np.bincount(at // n) == n):
         raise InternalInvariantError("attention row with empty visible key set")
-    e = np.where(mask, logits, np.array(-np.inf, dtype=logits.dtype))
-    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
-    return e
+    *rows, keys = np.unravel_index(at, hidden.shape)
+    x[(slice(None),) * axis + (*rows, ..., keys + (x.shape[-1] - n))] = -np.inf
+    return x
 
 
 def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, cap: float | None,
@@ -171,8 +173,5 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, cap: float | None,
     logits = (qg @ k.swapaxes(-3, -2).swapaxes(-2, -1)) / math.sqrt(hs)  # [..., kv, g, n]
     if cap is not None:
         logits = softcap(logits, cap)
-    if valid is None:
-        p = softmax(logits)
-    else:
-        p = masked_softmax(logits, valid[..., None, None, :])
+    p = softmax(logits if valid is None else hide_keys(logits, ~valid))
     return _check((p @ v.swapaxes(-3, -2)).reshape(*lead, n_heads * hs))

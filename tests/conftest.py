@@ -30,11 +30,25 @@ def micro_params64(micro_cfg):
             for k, v in model.init_params(micro_cfg, seed=1234).items()}
 
 
+def where_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis restricted to mask==True positions, as
+    `kernels` computed it before `hide_keys`: one `np.where` of the mask,
+    broadcast over all the logits, then the max, exp, sum and divide. Raises
+    if a query row has no visible key."""
+    if not mask.any(axis=-1).all():
+        raise kernels.InternalInvariantError("attention row with empty visible key set")
+    e = np.where(mask, logits, np.array(-np.inf, dtype=logits.dtype))
+    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
+
+
 def masked_softmax(a, mask: np.ndarray) -> ad.Var:
     """Softmax over the last axis where mask (a constant) is True, as an
     autodiff node: the differentiable reference of the dense attention reads."""
     a = ad.wrap(a)
-    p = kernels.masked_softmax(a.v, mask)
+    p = where_softmax(a.v, mask)
 
     def bw(g):
         ad._accum(a, p * (g - np.sum(g * p, axis=-1, keepdims=True)), owned=True)
@@ -58,7 +72,7 @@ def dense_masked_attention(qk, v, positions, cap) -> ad.Var:
     z = (qx @ kx) * inv
     if cap is not None:
         z = kernels.softcap(z, cap)
-    p = kernels.masked_softmax(z, mask)
+    p = where_softmax(z, mask)
 
     def bw(gr):
         gx = gr.reshape(nkv, g * t, hs)
@@ -72,6 +86,77 @@ def dense_masked_attention(qk, v, positions, cap) -> ad.Var:
                   owned=True)
         ad._accum(v, dv, owned=True)
     return ad.Var((p @ vx).reshape(nh, t, hs), (qk, v), bw)
+
+
+def where_band_attention(qk, v, positions, window: int, cap) -> ad.Var:
+    """`ad.attention` with a window as it read before `kernels.hide_keys`:
+    the [t, 1, window] band mask broadcast over all the logits by
+    `where_softmax`, and the capped logits kept for the softcap's VJP."""
+    qk, v = ad.wrap(qk), ad.wrap(v)
+    nkv, t, hs = v.v.shape
+    nh = qk.v.shape[0] - nkv
+    g = nh // nkv
+    positions = np.asarray(positions)
+
+    def rows(x):
+        return x.reshape(nkv, g, t, hs).transpose(0, 2, 1, 3)
+
+    def heads(x):
+        return x.transpose(0, 2, 1, 3).reshape(nh, t, hs)
+    kx, vx = ad._band(qk.v[nh:], window), ad._band(v.v, window).swapaxes(-1, -2)
+    mask = (np.arange(window) >= window - 1 - positions[:, None])[:, None, :]
+    qx, inv = rows(qk.v[:nh]), 1.0 / math.sqrt(hs)
+    z = (qx @ kx) * inv
+    if cap is not None:
+        z = kernels.softcap(z, cap)
+    p = where_softmax(z, mask)
+
+    def bw(gr):
+        gx = rows(gr)
+        dp = gx @ vx.swapaxes(-1, -2)
+        dz = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
+        if cap is not None:
+            dz *= 1.0 - np.square(z / cap)
+        dz *= inv
+        dk, dv = ad._unband(dz.swapaxes(-1, -2) @ qx), ad._unband(p.swapaxes(-1, -2) @ gx)
+        ad._accum(qk, np.concatenate([heads(dz @ kx.swapaxes(-1, -2)), dk]), owned=True)
+        ad._accum(v, dv, owned=True)
+    return ad.Var(heads(p @ vx), (qk, v), bw)
+
+
+def where_causal_read(qk: np.ndarray, v: np.ndarray, positions, cap) -> np.ndarray:
+    """`ad.attention` with no window as `autodiff._causal_blocks` read it
+    before `kernels.hide_keys`: each block's causal mask over all its keys,
+    broadcast over the block's logits by `where_softmax`."""
+    nkv, t, hs = v.shape
+    nh = qk.shape[0] - nkv
+    qg = qk[:nh].reshape(nkv, nh // nkv, t, hs)
+    kt, vx = qk[nh:, None].swapaxes(-1, -2), v[:, None]
+    out = np.empty_like(qg)
+    starts = np.flatnonzero(np.asarray(positions) == 0)
+    for s, e in zip(starts, np.append(starts[1:], t)):
+        for a in range(s, e, ad.ATTENTION_BLOCK):
+            b = min(a + ad.ATTENTION_BLOCK, e)
+            z = qg[:, :, a:b] @ kt[..., s:b]
+            z *= 1.0 / math.sqrt(hs)
+            if cap is not None:
+                z = kernels.softcap(z, cap)
+            p = where_softmax(z, np.arange(s, b) <= np.arange(a, b)[:, None])
+            out[:, :, a:b] = p @ vx[:, :, s:b]
+    return out.reshape(nh, t, hs)
+
+
+def where_attend(q, k, v, cap, valid: np.ndarray) -> np.ndarray:
+    """`kernels.attend` with `valid` as it read before `kernels.hide_keys`:
+    the [..., 1, 1, n] mask broadcast over all the logits by `where_softmax`."""
+    *lead, n_heads, hs = q.shape
+    n_kv = k.shape[-2]
+    qg = q.reshape(*lead, n_kv, n_heads // n_kv, hs)
+    logits = (qg @ k.swapaxes(-3, -2).swapaxes(-2, -1)) / math.sqrt(hs)
+    if cap is not None:
+        logits = kernels.softcap(logits, cap)
+    p = where_softmax(logits, valid[..., None, None, :])
+    return (p @ v.swapaxes(-3, -2)).reshape(*lead, n_heads * hs)
 
 
 def half_split_rotate(x, cos, sin):

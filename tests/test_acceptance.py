@@ -110,12 +110,12 @@ def test_incremental_full_equivalence():
             f"{checked_steps} steps checked at 1e-4")
 
 
-def test_gradient_oracle():
-    t0 = time.time()
+def _gradient_oracle(data: bytes) -> float:
+    """Worst relative error of 200 analytic gradient coordinates, 40 per
+    parameter group, against central differences in float64."""
     cfg = config.micro()
     params = {k: v.astype(np.float64)
               for k, v in model.init_params(cfg, seed=1234).items()}
-    data = "Oracle text: FooBar a+b 3.14, mixed!".encode()
     _, grads = train.loss_and_grads(params, cfg, data)
     rng = np.random.default_rng(2024)
     by_group = {}
@@ -138,8 +138,29 @@ def test_gradient_oracle():
             ana = grads[name][idx]
             worst = max(worst, abs(num - ana) / max(abs(num), abs(ana), 1e-5))
             coords += 1
-    assert coords == 200 and worst < 1e-4
+    assert coords == 200
+    return worst
+
+
+def test_gradient_oracle():
+    t0 = time.time()
+    worst = _gradient_oracle("Oracle text: FooBar a+b 3.14, mixed!".encode())
+    assert worst < 1e-4
     _report("gradient oracle (200 coords, all groups, float64)", t0,
+            f"max rel err {worst:.2e}")
+
+
+def test_gradient_oracle_across_a_query_block():
+    # 44 words: the backbone's 45 rows cross an ATTENTION_BLOCK seam, so the
+    # oracle sees the second block's reads of the first block's keys
+    t0 = time.time()
+    data = ("Oracle text: FooBar a+b 3.14, mixed! It runs past one query block of the "
+            "backbone, so the gradient crosses the seam: x=1, y=2; ok? Yes -- 42 words "
+            "or more, with café and naïve, then stop.").encode()
+    assert len(split(data, config.micro().max_word_bytes).spans) > 32
+    worst = _gradient_oracle(data)
+    assert worst < 1e-4
+    _report("gradient oracle across a query block (200 coords, 189 B, float64)", t0,
             f"max rel err {worst:.2e}")
 
 

@@ -12,7 +12,7 @@ from hatlm import autodiff as ad
 from hatlm import kernels
 
 from conftest import (DATA, angle_rope, dense_masked_attention, masked_softmax,
-                      recomputing_rms_norm_vjp)
+                      recomputing_rms_norm_vjp, where_band_attention, where_causal_read)
 
 rng = np.random.default_rng(42)
 
@@ -290,6 +290,62 @@ def test_attention_blocked_fd(lens, cap):
     fd_check(lambda q, k, v: ad.sum_(ad.mul(ad.attention(ad.concat([q, k]), v, positions,
                                                          None, cap), m)),
              2 * r(4, t, 4), 2 * r(2, t, 4), r(2, t, 4), samples=16)
+
+
+def _qkv_m(seed, lens, n_kv, group, dtype):
+    g = np.random.default_rng(seed)
+    t = sum(lens)
+    return [(s * g.standard_normal(shape)).astype(dtype) for s, shape in
+            ((3, (n_kv * (group + 1), t, 8)), (1, (n_kv, t, 8)), (1, (n_kv * group, t, 8)))]
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1), window=st.sampled_from([1, 2, 8]),
+       lens=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+       n_kv=st.integers(1, 2), group=st.integers(1, 3), cap=st.sampled_from([None, 30.0]),
+       dtype=st.sampled_from([np.float32, np.float64]))
+@settings(max_examples=80, deadline=None)
+def test_band_read_has_the_bits_of_the_where_mask(seed, window, lens, n_kv, group, cap, dtype):
+    # the band read hides only the slots before each sequence's first row,
+    # in place, and takes its row max slot by slot: no bit moves, with or
+    # without a tape, gradients included (the softcap's VJP reads the
+    # capped logits, which the in-place mask must not touch)
+    positions = _pack_positions(lens)
+    qk, v, m = _qkv_m(seed, lens, n_kv, group, dtype)
+    plain = ad.attention(qk, v, positions, window, cap)
+    results = []
+    for fn in (lambda a, b: ad.attention(a, b, positions, window, cap),
+               lambda a, b: where_band_attention(a, b, positions, window, cap)):
+        leaves = [ad.wrap(qk, rg=True), ad.wrap(v, rg=True)]
+        out = fn(*leaves)
+        ad.backward(ad.sum_(ad.mul(out, m)))
+        results.append([out.v] + [leaf.grad for leaf in leaves])
+    assert np.array_equal(plain.v, results[1][0])
+    for got, want in zip(*results):
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1),
+       lens=st.lists(st.sampled_from([1, 31, 32, 33, 70]), min_size=1, max_size=3),
+       cap=st.sampled_from([None, 30.0]), dtype=st.sampled_from([np.float32, np.float64]))
+@settings(max_examples=40, deadline=None)
+def test_causal_read_has_the_bits_of_the_where_mask(seed, lens, cap, dtype):
+    # each block hides only the triangle above the diagonal of its last keys
+    positions = _pack_positions(lens)
+    qk, v, _ = _qkv_m(seed, lens, 2, 2, dtype)
+    want = where_causal_read(qk, v, positions, cap)
+    for rg in (False, True):
+        got = ad.attention(ad.wrap(qk, rg=rg), v, positions, None, cap).v
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("window", [None, 3])
+@pytest.mark.parametrize("positions", [np.arange(3, 8), [0, 1, 2, 0, 5], [0, 1, 3, 4, 5],
+                                       [0, 1, 2, 3], np.zeros((1, 5), dtype=int)], ids=str)
+def test_attention_rejects_positions_that_do_not_count_up_from_0(window, positions):
+    # rows before a first 0 would read garbage, and a row that skips ahead
+    # would read keys of the sequence before it
+    with pytest.raises(ValueError, match="positions"):
+        ad.attention(r(4 + 2, 5, 4), r(2, 5, 4), positions, window, None)
 
 
 def test_attention_no_grad_dense_read_is_blocked():

@@ -9,7 +9,7 @@ from hatlm import autodiff as ad
 from hatlm import kernels as K
 from hatlm import model
 
-from conftest import half_split_rotate, masked_softmax
+from conftest import half_split_rotate, masked_softmax, where_attend
 
 
 def test_rms_norm_hand_computed():
@@ -188,6 +188,29 @@ def test_all_true_mask_reads_as_no_mask(b, shape, n, cap, seed):
     assert np.array_equal(masked, K.attend(q, kv[:, 0], kv[:, 1], cap))
 
 
+@given(b=st.sampled_from([1, 2, 23]), shape=st.sampled_from(["ring", "backbone"]),
+       n=st.integers(1, 12), ring=st.booleans(), cap=st.sampled_from([None, 30.0]),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=80, deadline=None)
+def test_masked_attend_has_the_bits_of_the_where_mask(b, shape, n, ring, cap, dtype, seed):
+    # the step hides only the (row, slot) pairs `valid` leaves out; `ring`
+    # masks as an unfilled byte ring does (slots up to the row's position)
+    nh, n_kv = (2, 1) if shape == "ring" else (8, 4)
+    rng = np.random.default_rng(seed)
+    q = (3 * rng.standard_normal((b, nh, 8))).astype(dtype)
+    kv = rng.standard_normal((b, 2, n, n_kv, 8)).astype(dtype)
+    if ring:
+        valid = np.arange(n) <= rng.integers(0, n, b)[:, None]
+    else:
+        valid = rng.random((b, n)) < 0.5
+        valid[np.arange(b), rng.integers(0, n, b)] = True
+    got = K.attend(q, kv[:, 0], kv[:, 1], cap, valid)
+    assert got.dtype == dtype
+    assert np.array_equal(got, where_attend(q, kv[:, 0], kv[:, 1], cap, valid))
+    assert np.array_equal(K.attend(q[0], kv[0, 0], kv[0, 1], cap, valid[0]),
+                          where_attend(q[0], kv[0, 0], kv[0, 1], cap, valid[0]))
+
+
 def test_gemm_rows_have_the_same_bits_from_two_rows_up(micro_cfg):
     # batched generation and packed prefill (`model.prompt_pass`) rest on
     # this: a row of X @ W has the same bits in a product of any M >= 2 rows,
@@ -255,18 +278,32 @@ def test_attention_softmax_rows_sum_to_one():
     rng = np.random.default_rng(7)
     logits = rng.standard_normal((3, 6, 6))
     mask = np.tril(np.ones((6, 6), dtype=bool))
-    p = K.masked_softmax(logits, mask[None])
+    p = K.softmax(K.hide_keys(logits, ~mask, 1))
     assert np.allclose(p.sum(-1), 1.0, atol=1e-6)
     assert np.array_equal(p[:, 0, 1:], np.zeros((3, 5)))
 
 
 def test_attention_empty_visible_set_raises():
     with pytest.raises(K.InternalInvariantError):
-        K.masked_softmax(np.zeros((1, 3)), np.zeros((1, 3), dtype=bool))
-    # a mask that broadcasts against the logits: one of its rows sees no key
+        K.hide_keys(np.zeros((1, 3)), np.ones((1, 3), dtype=bool))
+    # the step's form, a mask over the leading axis: one of its rows sees no key
     with pytest.raises(K.InternalInvariantError):
-        K.masked_softmax(np.zeros((2, 4, 3)), np.array([[[True, False, False]],
-                                                         [[False, False, False]]]))
+        K.hide_keys(np.zeros((2, 4, 3)), ~np.array([[True, False, False],
+                                                    [False, False, False]]))
+    with pytest.raises(K.InternalInvariantError):
+        K.attend(np.zeros((2, 2, 4)), np.zeros((2, 3, 1, 4)), np.zeros((2, 3, 1, 4)), None,
+                 np.array([[True, False, False], [False, False, False]]))
+    # the band read's form, [t, window] over axis 1 of [kv, t, g, window]
+    band = np.arange(4) < 4 - np.array([0, 1, 2, 3, 4])[:, None]
+    with pytest.raises(K.InternalInvariantError):
+        K.hide_keys(np.zeros((1, 5, 2, 4)), band, 1)
+    # a causal block's form, a triangle over axis 2 of [kv, g, rows, keys]
+    # that hides its diagonal too: the block's first row sees no key
+    with pytest.raises(K.InternalInvariantError):
+        K.hide_keys(np.zeros((2, 2, 3, 3)), ~np.tri(3, k=-1, dtype=bool), 2)
+    # over the last keys only, a row hidden there still sees the keys before
+    x = K.hide_keys(np.zeros((2, 2, 3, 5)), ~np.tri(3, k=-1, dtype=bool), 2)
+    assert np.isneginf(x[..., 0, 2:]).all() and np.isfinite(x[..., :2]).all()
 
 
 def test_determinism_bit_identical():
