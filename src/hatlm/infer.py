@@ -28,8 +28,8 @@ bits in any batch as alone. Hence every product is gemm rows and a one-row
 input is padded (:func:`hatlm.kernels.matmul`: BLAS runs one row as a gemv,
 which sums in another order). `attend` reduces along the key axis only, so
 the backbone and pooling reads take one call per group of equal key counts,
-never padded (a masked, padded read sums in another order). The byte rings
-are read in one call, masked until all are full.
+never padded (a masked, padded read sums in another order). The byte rings,
+rows of arrays a `BatchRunner` owns, are read in one call, masked until full.
 
 A session's prompt and output are one byte stream through one splitter,
 whose UTF-8 gate masks sampling to the bytes it accepts (and the end
@@ -42,6 +42,7 @@ from __future__ import annotations
 import copy
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,19 +156,19 @@ def _finish_layer(P, prefix: str, cfg: HatConfig, x: np.ndarray,
     return x + swiglu_ffn(h, P[f"{prefix}.mlp.w_gate_up"], P[f"{prefix}.mlp.w_down"])
 
 
-def _byte_stack(P, name: str, cfg: HatConfig, rings: list[np.ndarray],
+def _byte_stack(P, name: str, cfg: HatConfig, kv: np.ndarray, rows: slice | np.ndarray,
                 x: np.ndarray, pos: np.ndarray,
                 inject: np.ndarray | None = None) -> np.ndarray:
     """One byte per row through the encoder or the decoder.
 
-    Row b sits at byte position pos[b] of the session that owns rings[b].
-    The rings are stacked once; each layer writes its new K/V rows into the
-    stack and reads the window, masked until every ring is full, and the new
-    rows are copied back into the sessions' rings at the end. `inject`
-    ([B, n_layers, hidden]) is added before each decoder layer."""
+    Row j sits at byte position pos[j] of ring kv[rows][j], a runner's row or
+    a lone session's ring (`_Rows`). Each layer writes its new K/V rows and
+    reads the window, masked until every ring read is full: in place if `rows`
+    is a slice, else in one gather whose new slots alone are scattered back.
+    `inject` ([B, n_layers, hidden]) is added before each decoder layer."""
     s = getattr(cfg, name)
-    kv = np.stack(rings)                            # [B, L, 2, W, n_kv, hs]
-    rows, slot = np.arange(len(rings)), pos % s.window
+    batch = kv[rows]                                # [B, L, 2, W, n_kv, hs]
+    b, slot = np.arange(len(x)), pos % s.window
     valid = None if pos.min() >= s.window - 1 else np.arange(s.window) <= pos[:, None]
     rot = model.rope_rows(s, pos[:, None], x.dtype)
     for i in range(s.n_layers):
@@ -175,12 +176,12 @@ def _byte_stack(P, name: str, cfg: HatConfig, rings: list[np.ndarray],
         if inject is not None:
             x = x + inject[:, i]
         q, k, v = _qkv(P, prefix, cfg, s, x, rot)
-        kv[rows, i, 0, slot] = k
-        kv[rows, i, 1, slot] = v
-        o = attend(q, kv[:, i, 0], kv[:, i, 1], cfg.softcap, valid)
+        batch[b, i, 0, slot] = k
+        batch[b, i, 1, slot] = v
+        o = attend(q, batch[:, i, 0], batch[:, i, 1], cfg.softcap, valid)
         x = _finish_layer(P, prefix, cfg, x, o)
-    for b, ring in enumerate(rings):
-        ring[:, :, slot[b]] = kv[b, :, :, slot[b]]
+    if not isinstance(rows, slice):
+        kv[rows, :, :, slot] = batch[b, :, :, slot]
     return x
 
 
@@ -247,6 +248,8 @@ def _pool_words(P, cfg: HatConfig, spans: list[np.ndarray]) -> np.ndarray:
 
 @dataclass
 class GenSession:
+    """One generation stream. A `BatchRunner` that adopts it makes its byte
+    rings and `inject` (None until prefill) views of rows of its arrays."""
     params: dict
     cfg: HatConfig
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
@@ -361,15 +364,29 @@ def _check_byte_step(s: GenSession, index: int | None) -> None:
 # ---------------------------------------------------------------------------
 # batched steps: every public step below is one of these at batch size one
 
-def _encode_decode(sessions: list[GenSession], byte_vals: list[int]) -> None:
-    """Encode and decode the committed text byte byte_vals[b] for
-    sessions[b], all in one step."""
+class _Rows(NamedTuple):
+    """A batch's rings, [N, n_layers, 2, window, n_kv, hs] per stack, and
+    injections, [N, n_dec_layers, h_dec]: sessions[j] owns row rows[j]."""
+    enc: np.ndarray
+    dec: np.ndarray
+    inject: np.ndarray
+
+
+def _lone(s: GenSession) -> _Rows:
+    return _Rows(s.enc_ring[None], s.dec_ring[None], s.inject[None])   # views: in place
+
+
+def _encode_decode(sessions: list[GenSession], byte_vals: list[int], batch: _Rows,
+                   rows: list[int]) -> None:
+    """Encode and decode the committed text byte byte_vals[j] for sessions[j]
+    in one step; a session that has used its budget finishes."""
+    if not sessions:
+        return
     P, cfg = sessions[0].params, sessions[0].cfg
     pos = np.array([s.next_pos for s in sessions])
-    x = _byte_stack(P, "encoder", cfg, [s.enc_ring for s in sessions],
-                    P["encoder.byte_embedding"][byte_vals], pos)
-    y = _byte_stack(P, "decoder", cfg, [s.dec_ring for s in sessions], x, pos,
-                    np.stack([s.inject for s in sessions]))
+    sel = slice(None) if len(rows) == len(batch.enc) else np.array(rows)   # ascending
+    x = _byte_stack(P, "encoder", cfg, batch.enc, sel, P["encoder.byte_embedding"][byte_vals], pos)
+    y = _byte_stack(P, "decoder", cfg, batch.dec, sel, x, pos, batch.inject[sel])
     logits = matmul(rms_norm(y, cfg.norm_eps, P["decoder.final_norm.gain"]),
                     P["decoder.lm_head"])
     for s, state, row in zip(sessions, x, logits):
@@ -377,12 +394,13 @@ def _encode_decode(sessions: list[GenSession], byte_vals: list[int]) -> None:
         s.inc_index.append(s.word_cache.rows - 1)
         s.cur_logits = row.copy()
         s.next_pos += 1
+        s.status = "finished" if len(s.generated) >= s.max_new_bytes else "mid_word"
 
 
-def _consume_closes(sessions: list[GenSession]) -> None:
+def _consume_closes(sessions: list[GenSession], batch: _Rows, rows: list[int]) -> None:
     """Pool and step the backbone once per pending close, then refresh the
-    decoder injections. Round r takes the r-th close of every session that
-    has one, so a session's words still go through in order."""
+    decoder injections in place. Round r takes the r-th close of every
+    session that has one, so a session's words still go through in order."""
     P, cfg = sessions[0].params, sessions[0].cfg
     last = np.empty((len(sessions), cfg.backbone.hidden), P["backbone.bos"].dtype)
     for r in range(max(len(s.pending_closes) for s in sessions)):
@@ -390,18 +408,10 @@ def _consume_closes(sessions: list[GenSession]) -> None:
         group = [sessions[j] for j in idx]
         words = _pool_words(P, cfg, [s._take_span(s.pending_closes[r]) for s in group])
         last[idx] = _word_stack(group, words)
-    inject = np.stack([c.v for c in model.word_context(P, cfg, last)], axis=1)
-    for s, inj in zip(sessions, inject):
-        s.inject = inj.copy()
-        s.pending_closes = []
-
-
-def _encode_committed(sessions: list[GenSession], byte_vals: list[int]) -> None:
-    """Encode committed bytes; a session that has used its budget finishes."""
-    if sessions:
-        _encode_decode(sessions, byte_vals)
+    for i, c in enumerate(model.word_context(P, cfg, last)):
+        batch.inject[rows, i] = c.v
     for s in sessions:
-        s.status = "finished" if len(s.generated) >= s.max_new_bytes else "mid_word"
+        s.pending_closes = []
 
 
 @dataclass(frozen=True)
@@ -411,12 +421,12 @@ class StepOutcome:
     finished: bool = False
 
 
-def _byte_steps(sessions: list[GenSession]) -> list[StepOutcome]:
+def _byte_steps(sessions: list[GenSession], batch: _Rows, rows: list[int]) -> list[StepOutcome]:
     """Sample and commit one byte per session, then encode the bytes that
     closed no word in one step; the others wait for a word step."""
     picks = [s.sample() for s in sessions]
     closes, todo = [], []
-    for s, b in zip(sessions, picks):
+    for s, b, r in zip(sessions, picks, rows):
         events = () if b == BYTE_EOS else tuple(s._commit_push(b))
         closes.append(events)
         if b == BYTE_EOS:
@@ -427,19 +437,20 @@ def _byte_steps(sessions: list[GenSession]) -> list[StepOutcome]:
             s.pending_byte = b
             s.status = "at_boundary"
         else:
-            todo.append((s, b))
-    _encode_committed([s for s, _ in todo], [b for _, b in todo])
+            todo.append((s, b, r))
+    _encode_decode([s for s, _, _ in todo], [b for _, b, _ in todo], batch,
+                   [r for _, _, r in todo])
     return [StepOutcome(byte=b, closes=ev, finished=s.finished)
             for s, b, ev in zip(sessions, picks, closes)]
 
 
-def _word_steps(sessions: list[GenSession]) -> None:
+def _word_steps(sessions: list[GenSession], batch: _Rows, rows: list[int]) -> None:
     """Consume every session's pending closes, then encode the deferred bytes."""
-    _consume_closes(sessions)
+    _consume_closes(sessions, batch, rows)
     byte_vals = [s.pending_byte for s in sessions]
     for s in sessions:
         s.pending_byte = None
-    _encode_committed(sessions, byte_vals)
+    _encode_decode(sessions, byte_vals, batch, rows)
 
 
 # Prompt bytes per prefill forward, which holds all its activations at once
@@ -526,7 +537,7 @@ def byte_phase(session: GenSession) -> StepOutcome:
     if session.status == "at_boundary":
         raise SessionError("session is blocked on a backbone step")
     _check_byte_step(session, None)
-    return _byte_steps([session])[0]
+    return _byte_steps([session], _lone(session), [0])[0]
 
 
 def word_phase(session: GenSession) -> None:
@@ -537,7 +548,7 @@ def word_phase(session: GenSession) -> None:
     if session.status != "at_boundary":
         raise SessionError("no pending word boundary")
     _check_room(session, len(session.pending_closes))
-    _word_steps([session])
+    _word_steps([session], _lone(session), [0])
 
 
 def step_byte(session: GenSession) -> StepOutcome:
@@ -644,19 +655,46 @@ class BatchRunner:
     batched byte step for its `byte_steps` sessions (see `run_tick`). All
     sessions must share one model: the same `params` and `cfg` objects.
 
+    The runner owns its sessions' byte rings and injections (`_Rows`):
+    session i's are views of row i. At the top of a tick it adopts them again
+    (copies their arrays into a fresh `_Rows`, so a session that left keeps
+    its row, and points each at its row) if `sessions` changed or a session's
+    arrays are not its rows (a deep copy, a prefill, another runner's).
+
     Trace format: one line per tick, `tick<TAB>s<i>=<action>[:<hex>]` per
     session, where the action is P (prefill), B (byte step, with the
     emitted byte in hex), or W (word step)."""
 
     def __init__(self, sessions: list[GenSession], policy: Policy):
-        if any(s.params is not sessions[0].params or s.cfg is not sessions[0].cfg
-               for s in sessions):
-            raise ValueError("a batch runs one model: every session needs the "
-                             "same params and cfg objects")
         self.sessions = sessions
         self.policy = policy
         self.tick = 0
         self.trace: list[str] = []
+        self._adopt()
+
+    def _adopted(self) -> bool:                # a plain loop: this runs every tick
+        enc, dec, inject = self._rows or (None,) * 3
+        for s, t in zip(self.sessions, self._members):
+            if s is not t or s.enc_ring.base is not enc or s.dec_ring.base is not dec or (
+                    s.inject is not None and s.inject.base is not inject):
+                return False
+        return len(self.sessions) == len(self._members)
+
+    def _adopt(self) -> None:
+        ss = self.sessions
+        if any(s.params is not ss[0].params or s.cfg is not ss[0].cfg for s in ss):
+            raise ValueError("a batch runs one model: every session needs the "
+                             "same params and cfg objects")
+        self._members, self._rows = list(ss), None
+        if ss:
+            d, like = ss[0].cfg.decoder, ss[0].enc_ring
+            self._rows = _Rows(*(np.zeros((len(ss), *shape), like.dtype) for shape in
+                                 (like.shape, ss[0].dec_ring.shape, (d.n_layers, d.hidden))))
+        for i, s in enumerate(ss):
+            for name, batch in zip(("enc_ring", "dec_ring", "inject"), self._rows):
+                if getattr(s, name) is not None:        # an inject before prefill stays None
+                    batch[i] = getattr(s, name)
+                    setattr(s, name, batch[i])
 
     def prefill_all(self, prompts: list[bytes]) -> None:
         """Prefill session i with prompts[i] from one forward (see `prefill`);
@@ -675,7 +713,10 @@ class BatchRunner:
         session can sample and has room for the words its byte closes (see
         `_check_byte_step`), are checked before any session changes: no
         script byte is taken and no RNG is drawn from. So a SessionError
-        (naming the session) leaves the whole batch as it was."""
+        (naming the session) leaves the whole batch as it was; so does the
+        ValueError of sessions that do not share one model."""
+        if not self._adopted():
+            self._adopt()
         plan = schedule(self.sessions, self.policy, self.tick)
         words = [self.sessions[i] for i in plan.word_steps]
         steps = [self.sessions[i] for i in plan.byte_steps]
@@ -685,10 +726,10 @@ class BatchRunner:
             _check_byte_step(s, i)
         actions = [f"s{i}=W" for i in plan.word_steps]
         if words:
-            _word_steps(words)
+            _word_steps(words, self._rows, plan.word_steps)
         if steps:
-            actions += [f"s{i}=B:{out.byte:02x}"
-                        for i, out in zip(plan.byte_steps, _byte_steps(steps))]
+            actions += [f"s{i}=B:{out.byte:02x}" for i, out in
+                        zip(plan.byte_steps, _byte_steps(steps, self._rows, plan.byte_steps))]
         if actions:
             self.trace.append(f"{self.tick}\t" + " ".join(actions))
         self.tick += 1

@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import HatConfig, StackConfig
 from .kernels import rope_table
-from .splitter import BYTE_BOS, split
+from .splitter import BYTE_BOS, SplitResult, split
 
 # ---------------------------------------------------------------------------
 # parameter shapes and counts
@@ -408,13 +408,14 @@ def prompt_pass(params, cfg: HatConfig, prompts: list[tuple]) -> list[PromptPass
             for j in range(len(prompts))]
 
 
-def forward(params, cfg: HatConfig, data: bytes) -> ForwardTrace:
+def forward(params, cfg: HatConfig, data: bytes, words: SplitResult | None = None) -> ForwardTrace:
     """Teacher-forced forward over text bytes: split -> encode -> pool ->
     backbone -> decode. logits[i] predicts byte i+1.
 
+    `words` is `split(data, cfg.max_word_bytes)`, computed here if not given.
     `params` maps names to arrays or to `ad.Var`s; the graph records a tape
     exactly when one of them requires a gradient."""
-    result = split(data, cfg.max_word_bytes)
+    result = split(data, cfg.max_word_bytes) if words is None else words
     spans = [(s.start, s.end) for s in result.spans]
     byte_row = np.repeat(np.arange(len(spans)), [b - a for a, b in spans])
     byte_ids = np.frombuffer(data, dtype=np.uint8).astype(np.int64)

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import HatConfig
+from . import model
 from .model import PARAM_GROUPS, forward, group_of, init_params
 
 WEIGHT_DECAY_EXEMPT_SUFFIX = "norm.gain"
@@ -103,10 +104,10 @@ def hatification_policy(frozen_steps: int = 2000,
 # ---------------------------------------------------------------------------
 # loss and gradients
 
-def _loss_var(params, cfg: HatConfig, data: bytes) -> ad.Var:
+def _loss_var(params, cfg: HatConfig, data: bytes, words=None) -> ad.Var:
     if len(data) < 2:
         raise ValueError("need at least 2 bytes to form a prediction target")
-    trace = forward(params, cfg, data)
+    trace = forward(params, cfg, data, words)
     targets = np.frombuffer(data, dtype=np.uint8)[1:].astype(np.int64)
     return ad.cross_entropy(ad.narrow(trace.logits_var, 0, 0, len(data) - 1), targets)
 
@@ -116,11 +117,11 @@ def loss(params, cfg: HatConfig, data: bytes) -> float:
     return float(_loss_var(params, cfg, data).v)
 
 
-def loss_and_grads(params, cfg: HatConfig, data: bytes,
-                   frozen: tuple[str, ...] = ()) -> tuple[float, dict]:
+def loss_and_grads(params, cfg: HatConfig, data: bytes, frozen: tuple[str, ...] = (),
+                   words=None) -> tuple[float, dict]:
     """The loss and its analytic gradients, with frozen groups exactly zero."""
     P = {k: ad.wrap(v, rg=group_of(k) not in frozen) for k, v in params.items()}
-    out = _loss_var(P, cfg, data)
+    out = _loss_var(P, cfg, data, words)
     ad.backward(out)
     grads = {k: (P[k].grad if P[k].grad is not None else np.zeros_like(v))
              for k, v in params.items()}
@@ -209,7 +210,8 @@ def train_loop(cfg: HatConfig, corpus: bytes, schedule: LrSchedule,
                params: dict | None = None, on_step=None) -> TrainResult:
     """Deterministic single-sequence-per-step training.
 
-    The corpus is cut into seq_len-byte documents visited round-robin.
+    The corpus is cut into seq_len-byte documents visited round-robin,
+    each split into words once, before the first step.
     Aborts with a diagnostic if the loss turns NaN or infinite. After each
     step, `on_step` (if given) receives a dict with `step`, `loss`, `lr`
     (the schedule's base rate), `grad_norm` (the global norm before
@@ -220,6 +222,7 @@ def train_loop(cfg: HatConfig, corpus: bytes, schedule: LrSchedule,
     chunks = documents(corpus, seq_len)
     if not chunks:
         raise ValueError("corpus too short for the sequence length")
+    words = [model.split(d, cfg.max_word_bytes) for d in chunks]
     if params is None:
         params = init_params(cfg, seed)
     else:
@@ -231,7 +234,7 @@ def train_loop(cfg: HatConfig, corpus: bytes, schedule: LrSchedule,
         t0 = perf_counter()
         data = chunks[step % len(chunks)]
         frozen = tuple(g for g in PARAM_GROUPS if policy.frozen_at(g, step))
-        step_loss, grads = loss_and_grads(params, cfg, data, frozen)
+        step_loss, grads = loss_and_grads(params, cfg, data, frozen, words[step % len(chunks)])
         if not math.isfinite(step_loss):
             raise FloatingPointError(f"loss diverged to {step_loss} at step {step}")
         norm = clip_global_norm(grads, clip_norm,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hatlm import autodiff as ad
-from hatlm import checkpoint, config, kernels, model
+from hatlm import checkpoint, config, infer, kernels, model
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
@@ -157,6 +157,30 @@ def where_attend(q, k, v, cap, valid: np.ndarray) -> np.ndarray:
         logits = kernels.softcap(logits, cap)
     p = where_softmax(logits, valid[..., None, None, :])
     return (p @ v.swapaxes(-3, -2)).reshape(*lead, n_heads * hs)
+
+
+def stacked_byte_stack(P, name: str, cfg, rings: list, x: np.ndarray, pos: np.ndarray,
+                       inject: np.ndarray | None = None) -> np.ndarray:
+    """`infer._byte_stack` as it ran before the batch runner owned the rings:
+    the sessions' rings (a list) stacked into a new array on every call, and
+    each session's new slot copied back into its ring one by one."""
+    s = getattr(cfg, name)
+    kv = np.stack(rings)                            # [B, L, 2, W, n_kv, hs]
+    rows, slot = np.arange(len(rings)), pos % s.window
+    valid = None if pos.min() >= s.window - 1 else np.arange(s.window) <= pos[:, None]
+    rot = model.rope_rows(s, pos[:, None], x.dtype)
+    for i in range(s.n_layers):
+        prefix = f"{name}.layers.{i}"
+        if inject is not None:
+            x = x + inject[:, i]
+        q, k, v = infer._qkv(P, prefix, cfg, s, x, rot)
+        kv[rows, i, 0, slot] = k
+        kv[rows, i, 1, slot] = v
+        o = kernels.attend(q, kv[:, i, 0], kv[:, i, 1], cfg.softcap, valid)
+        x = infer._finish_layer(P, prefix, cfg, x, o)
+    for b, ring in enumerate(rings):
+        ring[:, :, slot[b]] = kv[b, :, :, slot[b]]
+    return x
 
 
 def half_split_rotate(x, cos, sin):

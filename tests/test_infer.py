@@ -20,7 +20,7 @@ from hatlm.infer import (
 )
 from hatlm.splitter import BYTE_BOS, IncrementalSplitterState, SplitError, Utf8Gate, split
 
-from conftest import POOLS, half_split_rotate
+from conftest import POOLS, half_split_rotate, stacked_byte_stack
 
 
 def make_session(params, cfg, mode="greedy", budget=32, **kw):
@@ -37,7 +37,7 @@ def loop_prefill(session, prompt):
     bos = infer._word_stack([session], P["backbone.bos"][None])
     session.inject = np.stack([c.v[0] for c in model.word_context(P, cfg, bos)])
     if not prompt:
-        infer._encode_decode([session], [BYTE_BOS])
+        infer._encode_decode([session], [BYTE_BOS], infer._lone(session), [0])
         session.pending_states, session.inc_index = [], []
         session.sentinel_used = True
     session.prompt = bytes(prompt)
@@ -47,8 +47,8 @@ def loop_prefill(session, prompt):
             infer._check_room(session, len(events))
             session.pending_closes = events
             session.prefill_words += len(events)
-            infer._consume_closes([session])
-        infer._encode_decode([session], [b])
+            infer._consume_closes([session], infer._lone(session), [0])
+        infer._encode_decode([session], [b], infer._lone(session), [0])
     if session.splitter.gate.need:
         raise SessionError("prompt ends inside a multi-byte codepoint")
     session.status = "mid_word"
@@ -489,6 +489,39 @@ def test_grouped_span_reads_match_per_span_reads(micro_cfg, lens, cap, seed):
                           per_span_reads(q, k, v, lens, cap))
 
 
+@given(n=st.sampled_from([1, 2, 23, 64]), pick=st.sampled_from(["all", "subset", "one"]),
+       full=st.booleans(), f64=st.booleans(), seed=st.integers(0, 2 ** 16))
+@example(n=64, pick="all", full=False, f64=False, seed=0)
+@example(n=23, pick="subset", full=True, f64=True, seed=1)
+@settings(max_examples=60, deadline=None)
+def test_batch_rings_match_stacked_rings(micro_cfg, micro_params, micro_params64,
+                                         n, pick, full, f64, seed):
+    # a byte step over rows of a batch's ring and injection arrays (in place
+    # when it takes every row in order, else a gather and a slot scatter)
+    # against the step that stacks per-session rings and copies slots back
+    P, rng, cfg = micro_params64 if f64 else micro_params, np.random.default_rng(seed), micro_cfg
+    dtype, w = P["encoder.byte_embedding"].dtype, cfg.encoder.window
+    enc, dec = (rng.standard_normal((n, *infer._ring(stack, dtype).shape)).astype(dtype)
+                for stack in (cfg.encoder, cfg.decoder))
+    inject = rng.standard_normal((n, cfg.decoder.n_layers, cfg.decoder.hidden)).astype(dtype)
+    rows = {"all": np.arange(n), "one": rng.integers(0, n, 1),
+            "subset": np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False))}[pick]
+    pos = rng.integers(w - 1 if full else 0, cfg.encoder.max_positions, len(rows))
+    if not full:
+        pos[rng.integers(len(rows))] = rng.integers(0, w - 1)    # a ring not yet full
+    x0 = P["encoder.byte_embedding"][rng.integers(0, 256, len(rows))]
+    ref_enc, ref_dec, ref_inject = [list(a.copy()) for a in (enc, dec, inject)]
+    sel = slice(None) if len(rows) == n else rows       # as `infer._encode_decode` picks
+    x = infer._byte_stack(P, "encoder", cfg, enc, sel, x0, pos)
+    y = infer._byte_stack(P, "decoder", cfg, dec, sel, x, pos, inject[sel])
+    want_x = stacked_byte_stack(P, "encoder", cfg, [ref_enc[r] for r in rows], x0, pos)
+    want_y = stacked_byte_stack(P, "decoder", cfg, [ref_dec[r] for r in rows], want_x, pos,
+                                np.stack([ref_inject[r] for r in rows]))
+    assert np.array_equal(x, want_x) and np.array_equal(y, want_y)
+    for got, want in ((enc, ref_enc), (dec, ref_dec), (inject, ref_inject)):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_word_step_reads_once_per_cache_shape(micro_cfg, micro_params, monkeypatch):
     # 64 sessions at a boundary hold 3 distinct word-cache row counts and
     # close words of 5 distinct lengths: a word step makes one backbone read
@@ -507,7 +540,7 @@ def test_word_step_reads_once_per_cache_shape(micro_cfg, micro_params, monkeypat
     calls = []
     real = infer.attend
     monkeypatch.setattr(infer, "attend", lambda *a: calls.append(a) or real(*a))
-    infer._consume_closes(sessions)
+    infer._consume_closes(sessions, runner._rows, list(range(64)))
     assert len(calls) == micro_cfg.backbone.n_layers * k + m
 
 

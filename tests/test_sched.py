@@ -163,6 +163,26 @@ def test_batch_runner_requires_one_model(micro_cfg, micro_params):
         BatchRunner([a, GenSession(micro_params, replace(micro_cfg))], BoundarySync())
 
 
+def test_session_of_another_model_appended_later_is_refused(micro_cfg, micro_params):
+    # the runner checks its sessions again when it adopts them, so a tick
+    # refuses a session appended with other params or cfg objects before any
+    # session changes
+    runner = BatchRunner([GenSession(micro_params, micro_cfg, max_new_bytes=8)], BoundarySync())
+    runner.prefill_all([b"ab"])
+    runner.run_tick()
+    for other in (GenSession(model.init_params(micro_cfg, seed=2), micro_cfg, max_new_bytes=8),
+                  GenSession(micro_params, replace(micro_cfg), max_new_bytes=8)):
+        runner.sessions.append(prefill(other, b"ab"))
+        before = [_state(s) for s in runner.sessions]
+        with pytest.raises(ValueError, match="one model"):
+            runner.run_tick()
+        assert [_state(s) for s in runner.sessions] == before
+        runner.sessions.pop()
+    runner.run_to_completion()
+    assert bytes(runner.sessions[0].generated) == bytes(
+        solo_run(micro_params, micro_cfg, b"ab", budget=8).generated)
+
+
 TEXT = st.lists(st.sampled_from([c for pool in POOLS for c in pool]),
                 max_size=10).map("".join)
 
@@ -219,6 +239,56 @@ def test_deepcopy_mid_generation_finishes_identically(micro_cfg, micro_params):
     for a, b in zip(runner.sessions, twin.sessions):
         assert bytes(a.generated) == bytes(b.generated)
         assert np.array_equal(a.cur_logits, b.cur_logits)
+        for x, y in ((a.enc_ring, b.enc_ring), (a.dec_ring, b.dec_ring), (a.inject, b.inject)):
+            assert np.array_equal(x, y) and not np.shares_memory(x, y)
+
+
+def test_session_deleted_mid_run_steps_alone_like_its_solo_twin(micro_cfg, micro_params):
+    # the runner and the session it lost step in turn: each keeps its own
+    # rings and injections, so both finish as their solo twins do
+    prompts = [b"alpha beta ", "naïve 日本".encode(), b"x", b"3.14 "]
+    sessions = [GenSession(micro_params, micro_cfg, SamplingConfig("greedy"),
+                           max_new_bytes=16) for _ in prompts]
+    runner = BatchRunner(sessions, BoundarySync())
+    runner.prefill_all(prompts)
+    for _ in range(5):
+        runner.run_tick()
+    everyone = list(sessions)
+    gone = runner.sessions.pop(1)
+    while not gone.finished or not all(s.finished for s in runner.sessions):
+        if not all(s.finished for s in runner.sessions):
+            runner.run_tick()
+        if not gone.finished:
+            (infer.word_phase if gone.status == "at_boundary" else step_byte)(gone)
+    for s, prompt in zip(everyone, prompts):
+        solo = solo_run(micro_params, micro_cfg, prompt, budget=16)
+        rows = solo.word_cache.rows
+        assert bytes(s.generated) == bytes(solo.generated)
+        for x, y in ((s.cur_logits, solo.cur_logits), (s.enc_ring, solo.enc_ring),
+                     (s.dec_ring, solo.dec_ring), (s.inject, solo.inject),
+                     (s.word_cache.kv[:, :, :rows], solo.word_cache.kv[:, :, :rows])):
+            assert np.array_equal(x, y)
+
+
+def test_session_swapped_for_its_copy_mid_run_finishes_like_its_solo_twin(micro_cfg,
+                                                                          micro_params):
+    # the runner adopts the copy into its row; the original keeps its state
+    prompts = [b"alpha beta ", b"x", b"3.14 "]
+    sessions = [GenSession(micro_params, micro_cfg, SamplingConfig("greedy"),
+                           max_new_bytes=16) for _ in prompts]
+    runner = BatchRunner(sessions, BoundarySync())
+    runner.prefill_all(prompts)
+    for _ in range(5):
+        runner.run_tick()
+    original, before = sessions[1], _state(sessions[1])
+    sessions[1] = copy.deepcopy(original, {id(micro_params): micro_params,
+                                           id(micro_cfg): micro_cfg})
+    runner.run_to_completion()
+    assert _state(original) == before
+    for s, prompt in zip(sessions, prompts):
+        solo = solo_run(micro_params, micro_cfg, prompt, budget=16)
+        assert bytes(s.generated) == bytes(solo.generated)
+        assert np.array_equal(s.cur_logits, solo.cur_logits)
 
 
 # -- running out of positions --------------------------------------------------
@@ -660,6 +730,13 @@ class BatchMachine(RuleBasedStateMachine):
             assert rows + len(s.pending_closes) <= self.cfg.backbone.max_positions
         if self.original is not None:       # the copy shares no state with it
             assert _state(self.original[0]) == self.original[1]
+
+    @invariant()
+    def sessions_share_no_arrays(self):
+        arrays = [a for s in self.runner.sessions for a in (s.enc_ring, s.dec_ring, s.inject)
+                  if a is not None]
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
     @invariant()
     def cache_report_matches_the_caches(self):

@@ -254,3 +254,30 @@ def test_empty_corpus_rejected(micro_cfg):
     sched = LrSchedule(1, 1e-3, 1, 1)
     with pytest.raises(ValueError):
         train.train_loop(micro_cfg, b"", sched, GroupPolicy(), steps=1, seed=0)
+
+
+def test_train_loop_splits_each_document_once(micro_cfg, micro_params, monkeypatch):
+    # train_loop splits its 4 documents before the first step and passes the
+    # words down; the run is bit for bit the one that splits on every step
+    sched = LrSchedule(warmup_steps=4, stable_lr=3e-3, stable_steps=40, decay_steps=0)
+    corpus = CORPUS[:256]
+    splits = []
+    real_split = model.split
+    monkeypatch.setattr(model, "split", lambda *a: splits.append(a) or real_split(*a))
+    got = train.train_loop(micro_cfg, corpus, sched, GroupPolicy(), steps=32, seed=5,
+                           seq_len=64)
+    assert len(splits) == 4
+    real = train.loss_and_grads
+    monkeypatch.setattr(train, "loss_and_grads",
+                        lambda params, cfg, data, frozen=(), words=None:
+                        real(params, cfg, data, frozen))
+    splits.clear()
+    want = train.train_loop(micro_cfg, corpus, sched, GroupPolicy(), steps=32, seed=5,
+                            seq_len=64)
+    assert len(splits) == 4 + 32        # the spans made up front go unused
+    assert got.loss_curve == want.loss_curve and got.grad_norms == want.grad_norms
+    assert all(np.array_equal(got.params[k], want.params[k]) for k in got.params)
+    for doc in train.documents(corpus, 64):
+        a = real(micro_params, micro_cfg, doc, (), real_split(doc, micro_cfg.max_word_bytes))
+        b = real(micro_params, micro_cfg, doc)
+        assert a[0] == b[0] and all(np.array_equal(a[1][k], b[1][k]) for k in a[1])
