@@ -7,10 +7,16 @@ equal configs always produce byte-identical files (used both for bundled
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
 CONFIG_FORMAT_VERSION = 2
+
+
+def _check_positive(key: str, v) -> None:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
+        raise ValueError(f"{key} must be finite and positive, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -35,9 +41,7 @@ class StackConfig:
             if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name}.{f} must be a positive integer, got {v!r}")
         for f in ("mlp_expansion", "rope_base"):
-            v = getattr(self, f)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0:
-                raise ValueError(f"{name}.{f} must be positive, got {v!r}")
+            _check_positive(f"{name}.{f}", getattr(self, f))
         if self.n_heads * self.head_size != self.hidden:
             raise ValueError(f"{name}: n_heads*head_size must equal hidden")
         if self.n_heads % self.n_kv_heads:
@@ -70,8 +74,16 @@ class HatConfig:
             raise ValueError("decoder consumes encoder states: hidden sizes must match")
         if self.backbone.max_positions < 2:
             raise ValueError("backbone.max_positions must hold BOS and a word")
-        if self.max_word_bytes < 4:
+        w = self.max_word_bytes
+        if isinstance(w, bool) or not isinstance(w, int):
+            raise ValueError(f"max_word_bytes must be an integer, got {w!r}")
+        if w < 4:
             raise ValueError("max_word_bytes must hold one UTF-8 codepoint")
+        if not isinstance(self.qk_norm, bool):
+            raise ValueError(f"qk_norm must be true or false, got {self.qk_norm!r}")
+        _check_positive("norm_eps", self.norm_eps)
+        if self.softcap is not None:
+            _check_positive("softcap", self.softcap)
 
     @property
     def cross_hidden(self) -> int:

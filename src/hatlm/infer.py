@@ -20,8 +20,10 @@ pack of their prompts (`model.prompt_pass`, one per chunk of at most
 `PACK_BYTES` bytes; an empty prompt is the 0xFE sentinel), once every prompt
 has passed its own splitter and checks, and `prefill` is the same call with
 one prompt. Each prompt is its own sequence of the pack, so a session gets
-the same bits in any pack as alone. Filling its caches is a copy; they match
-a byte-by-byte prefill within the 1e-4 incremental = batch tolerance.
+the same bits in any pack as alone. The pass encodes every byte but decodes
+only each prompt's last n_layers*(window-1)+1 bytes, the rows that the
+decoder ring and the last logits read. Filling the caches is a copy; they
+match a byte-by-byte prefill within the 1e-4 incremental = batch tolerance.
 
 Batch invariance is part of the contract: a session's logits have the same
 bits in any batch as alone. Hence every product is gemm rows and a one-row
@@ -320,7 +322,9 @@ class GenSession:
                                   self.sampling, rng)
 
     def sample(self) -> int:
-        self.check_sample()
+        """Pick and take the next byte. The caller has run `check_sample`
+        (every step does, in `_check_byte_step`, before any session
+        changes): the session has logits and a forced byte is legal."""
         if self.sampling.mode == "forced":
             return self._forced.popleft() if self._forced else BYTE_EOS
         return self.peek(self.rng)

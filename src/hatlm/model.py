@@ -191,10 +191,12 @@ def rope_rows(s: StackConfig, positions, dtype) -> tuple[np.ndarray, np.ndarray]
 
 
 def _self_attn(P, prefix: str, x: ad.Var, s: StackConfig, cfg: HatConfig,
-               positions: np.ndarray, kv: list | None = None) -> ad.Var:
+               positions: np.ndarray, kv: list | None = None,
+               rotation: np.ndarray | None = None) -> ad.Var:
     """Self-attention sublayer: one q|k|v product, qk-norm and the rotation
-    once over q|k. `kv`, when given, collects the layer's rotated keys and
-    its values, each [n_kv_heads, t, hs]."""
+    once over q|k, by `rotation` (default `positions`), then the read of
+    `ad.attention` at `positions`. `kv`, when given, collects the layer's
+    rotated keys and its values, each [n_kv_heads, t, hs]."""
     t = x.shape[0]
     nh, nkv, hs = s.n_heads, s.n_kv_heads, s.head_size
     h = ad.rms_norm(x, cfg.norm_eps, P[f"{prefix}.attn_norm.gain"])
@@ -203,7 +205,7 @@ def _self_attn(P, prefix: str, x: ad.Var, s: StackConfig, cfg: HatConfig,
     qk, v = ad.narrow(qkv, 0, 0, nh + nkv), ad.narrow(qkv, 0, nh + nkv, nkv)
     if cfg.qk_norm:
         qk = ad.rms_norm(qk, cfg.norm_eps)
-    qk = ad.rope(qk, *rope_rows(s, positions, qk.dtype))
+    qk = ad.rope(qk, *rope_rows(s, positions if rotation is None else rotation, qk.dtype))
     if kv is not None:          # copies: views would keep all of q|k|v alive
         kv.append((qk.v[nh:].copy(), v.v.copy()))
     o = ad.attention(qk, v, positions, s.window, cfg.softcap)
@@ -318,11 +320,12 @@ def word_context(P, cfg: HatConfig, rows) -> list[ad.Var]:
 
 def decode_bytes_var(P, cfg: HatConfig, byte_states: ad.Var, context: list[ad.Var],
                      byte_row: np.ndarray, positions: np.ndarray, kv: list | None = None,
-                     last_only: bool = False) -> ad.Var:
+                     last_only: bool = False, rotation: np.ndarray | None = None) -> ad.Var:
     """Decoder blocks: word-context injection, then a local transformer layer.
 
     Byte i adds row `byte_row[i]` of each block's `word_context`, and sits
-    at `positions[i]` of its own sequence (see `ad.attention`). With
+    at `positions[i]` of its own sequence (see `ad.attention`); its query and
+    key are rotated at `rotation[i]` (default `positions[i]`). With
     `last_only`, the final norm and the head read the last byte of each
     sequence alone, one logits row each.
     """
@@ -334,7 +337,7 @@ def decode_bytes_var(P, cfg: HatConfig, byte_states: ad.Var, context: list[ad.Va
     for i in range(cfg.decoder.n_layers):
         x = ad.add(x, ad.gather(context[i], byte_row))
         prefix = f"decoder.layers.{i}"
-        x = ad.add(x, _self_attn(P, prefix, x, cfg.decoder, cfg, positions, kv))
+        x = ad.add(x, _self_attn(P, prefix, x, cfg.decoder, cfg, positions, kv, rotation))
         x = ad.add(x, _mlp(P, prefix, x, cfg))
     if last_only:
         x = ad.gather(x, np.flatnonzero(np.append(positions[1:] == 0, True)))
@@ -347,7 +350,10 @@ class PromptPass:
     """One prompt's share of a no-grad forward over a pack, with what a
     session caches: per stack, every layer's rotated keys and values as a
     cache holds them, [n_layers, 2, rows, n_kv_heads, hs], for the last
-    `window` bytes (all without a window), or for BOS and the words."""
+    `window` bytes (all without a window), or for BOS and the words. Every
+    byte is encoded; the decoder ran over the prompt's tail alone (see
+    `prompt_pass`), and its cache rows and the logits have the bits that a
+    decode of the whole prompt gives."""
     byte_states: np.ndarray       # [n_bytes, h_enc]
     inject: np.ndarray            # [n_dec_layers, h_dec], the last backbone row's context
     logits: np.ndarray            # [256], the last byte's
@@ -376,7 +382,27 @@ def prompt_pass(params, cfg: HatConfig, prompts: list[tuple]) -> list[PromptPass
     Each prompt is its own sequence: its positions restart at 0, so no read
     crosses into another prompt. Every product is gemm rows and a one-row
     input is padded (`kernels.matmul`), so a prompt gets the same bits in any
-    pack as alone, a pack of one one-byte prompt included."""
+    pack as alone, a pack of one one-byte prompt included.
+
+    The encoder, pooling and backbone run over every byte and word: every
+    closed word is pooled and every backbone row is cached. The decoder runs
+    over each prompt's tail alone, which starts n_layers*(w-1) rows before
+    the prompt's first row that reaches the head (its last byte), for a
+    window w: the last min(len, n_layers*(w-1) + 1) bytes, the 0xFE sentinel
+    counted. Without a window the tail is the whole prompt. This is exact. A
+    decoder layer's output at row r reads its input rows r-w+1 .. r, so for
+    a tail that starts at row `first`:
+      * layer l's (from 1) keys and values at row r are exact once
+        r >= first + (l-1)(w-1), which holds for the last w rows, which the
+        cache keeps;
+      * the last byte's logits are exact once r >= first + n_layers*(w-1).
+    Every product is gemm rows and every attention read is per row, so the
+    kept rows have the bits of a decode of the whole prompt. Rows near the
+    tail's start see cut windows; none of them leaves this function. The
+    tail attends as a sequence that starts at its first byte, and its
+    queries and keys are rotated at their positions in the prompt, so the
+    cached keys keep their bits.
+    """
     ids, spans, rows, n_words = [], [], [], []
     t = r = 0
     for committed, closed, inc_index, sentinel in prompts:
@@ -398,9 +424,18 @@ def prompt_pass(params, cfg: HatConfig, prompts: list[tuple]) -> list[PromptPass
     bb_all = backbone_forward_var(params, cfg, word_embs,
                                   np.concatenate([np.arange(n) for n in blocks]), bb)
     context = word_context(params, cfg, bb_all)
-    logits = decode_bytes_var(params, cfg, byte_states, context, np.concatenate(rows), pos,
-                              dec, last_only=True)
-    bb, dec = _cache_rows(bb, blocks, None), _cache_rows(dec, lens, cfg.decoder.window)
+    ends = np.cumsum(lens)
+    head = ends - 1                     # each prompt's first row that reaches the head
+    d = cfg.decoder
+    first = ends - lens if d.window is None else np.maximum(
+        ends - lens, head - d.n_layers * (d.window - 1))
+    tail_lens = ends - first
+    tail = np.concatenate([np.arange(a, e) for a, e in zip(first, ends)])
+    logits = decode_bytes_var(params, cfg, ad.gather(byte_states, tail), context,
+                              np.concatenate(rows)[tail],
+                              np.concatenate([np.arange(n) for n in tail_lens]), dec,
+                              last_only=True, rotation=pos[tail])
+    bb, dec = _cache_rows(bb, blocks, None), _cache_rows(dec, tail_lens, d.window)
     tb = np.cumsum([0, *lens])
     inject = np.stack([c.v[bb[1][1:] - 1] for c in context], axis=1)
     return [PromptPass(byte_states.v[tb[j]:tb[j + 1]], inject[j], logits.v[j],

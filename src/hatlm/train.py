@@ -129,8 +129,19 @@ def loss_and_grads(params, cfg: HatConfig, data: bytes, frozen: tuple[str, ...] 
 
 
 def documents(corpus: bytes, seq_len: int) -> list[bytes]:
-    """The corpus cut into seq_len-byte documents of at least 2 bytes."""
-    docs = [corpus[i:i + seq_len] for i in range(0, len(corpus), seq_len)]
+    """The corpus cut into documents of at most seq_len bytes, each at the
+    last codepoint boundary (a byte that is not a UTF-8 continuation) at or
+    below seq_len; documents under 2 bytes, with nothing to predict, are
+    dropped."""
+    if seq_len < 1:
+        raise ValueError(f"seq_len must be positive, got {seq_len}")
+    docs, i = [], 0
+    while i < len(corpus):
+        j = min(i + seq_len, len(corpus))
+        while i + 1 < j < len(corpus) and corpus[j] & 0xC0 == 0x80:
+            j -= 1
+        docs.append(corpus[i:j])
+        i = j
     return [d for d in docs if len(d) >= 2]
 
 

@@ -254,3 +254,37 @@ def random_utf8_strings(n: int, seed: int, max_len: int = 40) -> list[str]:
         picks = [POOLS[p][int(rng.integers(0, len(POOLS[p])))] for p in pool_ids]
         out.append("".join(picks))
     return out
+
+
+def full_decode_prompt_pass(params, cfg, prompts: list[tuple]) -> list:
+    """`model.prompt_pass` as it ran before the decoder read only each
+    prompt's tail: the decoder runs over every byte of the pack, at the
+    same positions as the encoder."""
+    ids, spans, rows, n_words = [], [], [], []
+    t = r = 0
+    for committed, closed, inc_index, sentinel in prompts:
+        b = np.frombuffer(bytes([model.BYTE_BOS] * sentinel) + committed, dtype=np.uint8)
+        row = np.asarray([0] * sentinel + list(inc_index), dtype=np.int64)
+        spans += [(a + t + sentinel, e + t + sentinel) for a, e in closed]
+        ids.append(b)
+        rows.append(row + r)
+        n_words.append(len(closed))
+        t, r = t + len(row), r + len(closed) + 1
+    lens, blocks = np.array([len(b) for b in ids]), np.array(n_words) + 1
+    pos = np.concatenate([np.arange(n) for n in lens])
+    enc, bb, dec = [], [], []
+    byte_states = model.encode_bytes_var(params, cfg, np.concatenate(ids), pos, enc)
+    enc = model._cache_rows(enc, lens, cfg.encoder.window)
+    word_embs = model.pool_words_var(params, cfg, byte_states, spans)
+    bb_all = model.backbone_forward_var(params, cfg, word_embs,
+                                        np.concatenate([np.arange(n) for n in blocks]), bb)
+    context = model.word_context(params, cfg, bb_all)
+    logits = model.decode_bytes_var(params, cfg, byte_states, context, np.concatenate(rows),
+                                    pos, dec, last_only=True)
+    bb = model._cache_rows(bb, blocks, None)
+    dec = model._cache_rows(dec, lens, cfg.decoder.window)
+    tb = np.cumsum([0, *lens])
+    inject = np.stack([c.v[bb[1][1:] - 1] for c in context], axis=1)
+    return [model.PromptPass(byte_states.v[tb[j]:tb[j + 1]], inject[j], logits.v[j],
+                             *(c[:, :, b[j]:b[j + 1]] for c, b in (enc, bb, dec)))
+            for j in range(len(prompts))]

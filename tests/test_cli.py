@@ -111,6 +111,14 @@ def test_train_toy_quick(tmp_path):
     assert set(params2) == set(model.param_shapes(cfg2))
 
 
+def test_train_toy_cuts_documents_between_codepoints(tmp_path):
+    # at 52 bytes a raw cut would split a 2-byte codepoint of the German text
+    code, out = run_cli("train-toy", "--config", "micro", "--corpus",
+                        str(DATA / "german_sample.txt"), "--steps", "2", "--warmup", "1",
+                        "--decay", "1", "--seq-len", "52")
+    assert code == 0 and "final_loss=" in out
+
+
 def test_bench_sched_outputs_accounting(tmp_path):
     prompts = tmp_path / "prompts.txt"
     prompts.write_text("hello there\nsecond one\n")
@@ -164,6 +172,19 @@ def test_malformed_model_input_exits_1(tmp_path, capsys, micro_cfg, micro_params
     err = capsys.readouterr().err
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edit", ["max_word_bytes=none", "norm_eps=none", "norm_eps=nan",
+                                  "softcap=0.0", "softcap=nan", "backbone.mlp_expansion=inf"])
+def test_bad_config_value_exits_1(tmp_path, capsys, micro_cfg, edit):
+    key = edit.split("=")[0]
+    path = tmp_path / "bad.cfg"
+    path.write_text("".join(edit + "\n" if ln.startswith(key + "=") else ln + "\n"
+                            for ln in config.to_text(micro_cfg).splitlines()))
+    code, out = run_cli("generate", "--config", str(path), "--prompt", "hi", "--max-bytes", "2")
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {key} ") and err.count("\n") == 1
 
 
 def test_old_checkpoint_format_exits_1(tmp_path, capsys, micro_cfg, micro_params):

@@ -20,7 +20,7 @@ from hatlm.infer import (
 )
 from hatlm.splitter import BYTE_BOS, IncrementalSplitterState, SplitError, Utf8Gate, split
 
-from conftest import POOLS, half_split_rotate, stacked_byte_stack
+from conftest import DATA, POOLS, half_split_rotate, stacked_byte_stack
 
 
 def make_session(params, cfg, mode="greedy", budget=32, **kw):
@@ -58,7 +58,13 @@ def loop_prefill(session, prompt):
 # ---------------------------------------------------------------------------
 # prefill
 
-@pytest.mark.parametrize("prompt", [b"Hello, world", b"a", b"FooBar x ", b"3.14 and..."])
+ENGLISH = (DATA / "english_sample.txt").read_bytes()
+
+
+# 14, 15 and 16 B sit around micro's decoder tail, 2 * (8 - 1) + 1 bytes
+@pytest.mark.parametrize("prompt", [b"Hello, world", b"a", b"FooBar x ", b"3.14 and...",
+                                    *(pytest.param(ENGLISH[:n], id=f"english{n}B")
+                                      for n in (14, 15, 16, 100, 2000))])
 def test_prefill_matches_full_forward(micro_cfg, micro_params, prompt):
     s = prefill(make_session(micro_params, micro_cfg), prompt)
     full = model.forward(micro_params, micro_cfg, prompt)

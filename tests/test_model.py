@@ -1,7 +1,7 @@
 import math
 import struct
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,9 +10,16 @@ from hypothesis import strategies as st
 
 from hatlm import autodiff as ad
 from hatlm import checkpoint, config, model, train
-from hatlm.splitter import split
+from hatlm.splitter import split, stream
 
-from conftest import masked_softmax, random_utf8_strings, separate_layout, write_hatckpt2
+from conftest import (
+    DATA,
+    full_decode_prompt_pass,
+    masked_softmax,
+    random_utf8_strings,
+    separate_layout,
+    write_hatckpt2,
+)
 
 TABLE1 = (119_291_904, 6_979_584_000, 93_619_200, 7_192_495_104)
 TABLE2 = (476_610_560, 68_452_352_000, 373_884_928, 69_302_847_488)
@@ -201,6 +208,38 @@ def test_word_context_per_row_matches_gather_then_wo(micro_cfg, micro_params):
         ref = gather_then_wo_decode(micro_params, micro_cfg, tr.byte_states,
                                     tr.backbone_outputs, byte_row, np.arange(len(data)))
         assert np.array_equal(tr.logits, ref.v), s
+
+
+def _prompt_inputs(cfg, prompts: list[bytes]) -> list[tuple]:
+    """`model.prompt_pass` inputs as prefill builds them (`splitter.stream`)."""
+    out = []
+    for p in prompts:
+        _, closes, index = stream(p, cfg.max_word_bytes)
+        out.append((p, [(c.start, c.end) for c in closes], index, not p))
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("decoder", [{}, {"window": 3, "n_layers": 3}, {"window": None}],
+                         ids=["micro", "window3x3", "global"])
+def test_prompt_pass_tail_decode_matches_full_decode(decoder, dtype):
+    # the decoder reads each prompt's last n_layers*(window-1)+1 bytes: prompts
+    # one byte short of that tail, equal to it and one over, alone and packed
+    cfg = replace(config.micro(), decoder=replace(config.micro().decoder, **decoder))
+    params = {k: v.astype(dtype) for k, v in model.init_params(cfg, seed=1234).items()}
+    d = cfg.decoder
+    tail = d.n_layers * (d.window - 1) + 1 if d.window else 15    # no window: whole prompts
+    text = (DATA / "english_sample.txt").read_bytes()
+    edge = [text[:n] for n in (tail - 1, tail, tail + 1)]
+    packs = [[p] for p in edge] + [[b""], [text[:2048]],
+                                   [b"", *edge, "a∑b c".encode(), b"x", text[:700]]]
+    for pack in packs:
+        inputs = _prompt_inputs(cfg, pack)
+        for got, ref in zip(model.prompt_pass(params, cfg, inputs),
+                            full_decode_prompt_pass(params, cfg, inputs), strict=True):
+            for f in fields(model.PromptPass):
+                a, b = getattr(got, f.name), getattr(ref, f.name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), f.name
 
 
 def test_cross_word_leakage(micro_cfg, micro_params):
@@ -474,11 +513,23 @@ def test_checkpoint_rejects_tensor_mismatch(tmp_path, micro_cfg, micro_params, f
     ("encoder.n_layers", "-1"),
     ("encoder.n_layers", "0"),
     ("encoder.window", "true"),
+    ("backbone.mlp_expansion", "inf"),
+    ("encoder.rope_base", "inf"),
+    ("max_word_bytes", "none"),
+    ("max_word_bytes", "inf"),
+    ("qk_norm", "5"),
+    ("norm_eps", "none"),
+    ("norm_eps", "nan"),
+    ("norm_eps", "0.0"),
+    ("softcap", "0.0"),
+    ("softcap", "nan"),
+    ("softcap", "-1"),
 ])
 def test_from_text_rejects_bad_sizes(key, value):
     lines = [f"{key}={value}" if ln.startswith(f"{key}=") else ln
              for ln in config.to_text(config.micro()).splitlines()]
-    with pytest.raises(ValueError, match=key.split(".")[1]):
+    assert lines != config.to_text(config.micro()).splitlines()
+    with pytest.raises(ValueError, match=key.split(".")[-1]):
         config.from_text("\n".join(lines))
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hatlm import autodiff as ad
 from hatlm import kernels, model, train
@@ -48,6 +50,31 @@ def test_corpus_loss_weights_documents_by_predicted_bytes(micro_cfg, micro_param
     losses = [train.loss(micro_params, micro_cfg, corpus[i:i + 13]) for i in (0, 13, 26)]
     expect = (12 * losses[0] + 12 * losses[1] + 3 * losses[2]) / 27
     assert train.corpus_loss(micro_params, micro_cfg, corpus, 13) == pytest.approx(expect, rel=1e-12)
+
+
+@given(text=st.text(max_size=200), seq_len=st.integers(4, 40))
+@example(text="abcä", seq_len=4)            # a raw cut would split the ä
+@example(text="a\U0001F600b", seq_len=4)    # "a" alone is too short to keep
+@settings(max_examples=200, deadline=None)
+def test_documents_cut_at_codepoint_boundaries(text, seq_len):
+    corpus = text.encode()
+    docs = train.documents(corpus, seq_len)
+    at = 0
+    for d in docs:
+        d.decode("utf-8")
+        assert 2 <= len(d) <= seq_len
+        if corpus[at:at + len(d)] != d:
+            # only at seq_len 4: a 1-byte codepoint before a 4-byte one
+            assert seq_len == 4 and corpus[at + 1:at + 1 + len(d)] == d
+            at += 1
+        at += len(d)
+    assert len(corpus) - at < 2
+
+
+@pytest.mark.parametrize("seq_len", [0, -3])
+def test_documents_rejects_a_seq_len_below_one(seq_len):
+    with pytest.raises(ValueError, match="seq_len"):
+        train.documents(b"abcdef", seq_len)
 
 
 def test_loss_nonnegative(micro_cfg, micro_params):
