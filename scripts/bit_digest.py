@@ -16,7 +16,8 @@ run uses the micro config and params seed 1234, in float32 and in float64:
   * one 2 KB prompt, prefilled alone: the same caches, injection and logits;
   * `train.loss` and the `train.loss_and_grads` loss and gradients on the
     first 1 KB of each data text;
-  * the loss curve of a 12-step `train_loop` at seq_len 256.
+  * the loss curve, the global norms before clipping and the final
+    parameters of a 12-step `train_loop` at seq_len 256.
 """
 
 import hashlib
@@ -99,7 +100,10 @@ def digests() -> list[tuple[str, str]]:
         result = train.train_loop(cfg, (DATA / TEXTS[0]).read_bytes(), schedule,
                                   train.GroupPolicy(), steps=12, seed=1234, seq_len=256,
                                   params=params)
-        out.append((f"{tag}.train_loop12.loss_curve", _sha(np.array(result.loss_curve))))
+        out += [(f"{tag}.train_loop12.loss_curve", _sha(np.array(result.loss_curve))),
+                (f"{tag}.train_loop12.grad_norms", _sha(np.array(result.grad_norms))),
+                (f"{tag}.train_loop12.params",
+                 _sha(*(result.params[k] for k in sorted(result.params))))]
     return out
 
 

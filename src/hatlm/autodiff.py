@@ -13,7 +13,19 @@ fused query|key heads over grouped KV heads. The remaining primitives
 (gather, reshape, the segment ops, ...) glue them together.
 
 A VJP reuses what its forward computed instead of computing it again
-(the norm's RMS, the rotation's table rows, the attention's probabilities).
+(the norm's RMS, the rotation's table rows, the attention's probabilities,
+swiglu's 1 + exp(-a)); cross_entropy builds its gradient in the buffer of
+its forward's exponentials.
+
+A gradient moves by reference where it can. A node keeps the first
+gradient that reaches it as it is, and `Var.owns_grad` records whether it
+owns that array (a new one from a VJP) or borrows it (the view that `add`,
+`reshape`, `transpose`, `concat` or `sum_` passes on from its own
+gradient). A second contribution copies a borrowed gradient once, then adds
+in place, so no node writes into an array that another node holds. A
+`narrow` part lands in an array its parent owns, which the first part
+zeroes only outside itself. `train.loss_and_grads` copies the leaf
+gradients that are borrowed.
 
 A dense (unwindowed) attention read goes ATTENTION_BLOCK query positions at
 a time, with or without a gradient, so it never holds [kv, g*t, t] logits.
@@ -42,13 +54,13 @@ ATTENTION_BLOCK = 32   # query positions per block of a dense attention read
 
 
 class Var:
-    __slots__ = ("v", "grad", "_parents", "_bw", "rg")
+    __slots__ = ("v", "grad", "owns_grad", "_parents", "_bw", "rg")
 
     def __init__(self, value, parents=(), bw=None, rg=None):
         self.v = np.asarray(value)
         self.rg = any(p.rg for p in parents) if rg is None else rg
         self._parents, self._bw = (parents, bw) if self.rg else ((), None)
-        self.grad = None
+        self.grad, self.owns_grad = None, False
         if kernels.DEBUG_FINITE:
             _check_finite(self.v, "value")
 
@@ -82,25 +94,42 @@ def _check_finite(x: np.ndarray, what: str) -> None:
         raise FloatingPointError(f"non-finite autodiff {what} of shape {x.shape}")
 
 
-def _accum(p: Var, g: np.ndarray, owned: bool = False, at=...) -> None:
-    """Add `g` into p.grad[at]. The first whole gradient is kept as it is
-    when `owned` (a new array nothing else holds) and copied otherwise; one
-    into a part zero-fills p.grad first. Later ones are added in place."""
+def _accum(p: Var, g: np.ndarray, owned: bool = False, at=None) -> None:
+    """Add `g` into p.grad, or into its part p.grad[at] when `at` is a
+    `narrow` slice (whole along every axis before its last).
+
+    The first whole gradient is kept by reference, whether p owns it (`owned`:
+    a new array nothing else holds) or borrows it (a view of another node's
+    gradient, which that node no longer changes); `p.owns_grad` records which.
+    A second contribution copies a borrowed gradient once, then adds in place.
+    A part always lands in an array p owns: the first writes 0 + g (the bits
+    of adding into zeros, so -0.0 becomes +0.0) and zeroes the rest."""
     if not p.rg:
         return
-    if p.grad is None and at is not ...:
-        p.grad = np.zeros_like(p.v)
-    if p.grad is None:
-        keep = owned and isinstance(g, np.ndarray) and g.dtype == p.v.dtype
-        p.grad = g if keep else np.array(g, dtype=p.v.dtype)
+    if p.grad is None and at is not None:
+        p.grad, p.owns_grad = np.empty_like(p.v), True
+        np.add(g, 0.0, out=p.grad[at])
+        *whole, part = at
+        p.grad[(*whole, slice(None, part.start))] = 0
+        p.grad[(*whole, slice(part.stop, None))] = 0
+    elif p.grad is None:
+        if isinstance(g, np.ndarray) and g.dtype == p.v.dtype:
+            p.grad, p.owns_grad = g, owned
+        else:
+            p.grad, p.owns_grad = np.array(g, dtype=p.v.dtype), True
     else:
-        p.grad[at] += g
+        if not p.owns_grad:
+            p.grad, p.owns_grad = np.array(p.grad), True
+        p.grad[... if at is None else at] += g
     if kernels.DEBUG_FINITE:
         _check_finite(p.grad, "gradient")
 
 
 def backward(root: Var) -> None:
-    """Accumulate d(root)/d(leaf) into .grad of every requires-grad leaf."""
+    """Accumulate d(root)/d(leaf) into .grad of every requires-grad leaf.
+
+    A graph is walked once: a VJP may build its gradient in its forward's
+    buffers, and a node lends its gradient to its parents by reference."""
     if root.v.ndim != 0:
         raise ValueError("backward root must be a scalar")
     order: list[Var] = []
@@ -117,7 +146,7 @@ def backward(root: Var) -> None:
         stack.append((node, True))
         for p in node._parents:
             stack.append((p, False))
-    root.grad = np.ones_like(root.v)
+    root.grad, root.owns_grad = np.ones_like(root.v), True
     for node in reversed(order):
         if node._bw is not None and node.grad is not None:
             node._bw(node.grad)
@@ -215,8 +244,9 @@ def concat(parts, axis: int = 0) -> Var:
 
 
 def narrow(a, axis: int, start: int, length: int) -> Var:
-    """A slice of `axis`. Its gradient is added into its part of a's, so the
-    parts of one node share one full-size gradient array."""
+    """A slice of `axis`. Its gradient lands in its part of a's, so the
+    parts of one node share one full-size gradient array; the first part
+    zeroes only the rows outside it."""
     a = wrap(a)
     sl = (slice(None),) * axis + (slice(start, start + length),)
 
@@ -295,10 +325,12 @@ def cross_entropy(logits, targets) -> Var:
     lse = (m + np.log(se)).squeeze(-1)
     loss = (lse - lg.v[np.arange(n), t]).mean()
 
-    def bw(g):
-        p = e / se
-        p[np.arange(n), t] -= 1.0
-        _accum(lg, g * p / n, owned=True)
+    def bw(g):      # in e: e / se, less 1 at the targets, times g, over n
+        np.divide(e, se, out=e)
+        e[np.arange(n), t] -= 1.0
+        np.multiply(e, g, out=e)
+        np.divide(e, n, out=e)
+        _accum(lg, e, owned=True)
     return Var(np.asarray(loss), (lg,), bw)
 
 
@@ -338,13 +370,21 @@ def swiglu(x, w_gate_up, w_down) -> Var:
     if not (x.rg or wgu.rg or wd.rg):
         return Var(kernels.swiglu_ffn(x.v, wgu.v, wd.v))
     a, b = kernels.matmul(x.v, wgu.v.reshape(len(wgu.v), 2, -1).swapaxes(0, 1))
-    sa = kernels.silu(a)
+    d = kernels.silu_denominator(a)     # the backward's sigmoid is 1 / d
+    sa = a / d
     h = sa * b
 
     def bw(g):
         dh = g @ wd.v.T
-        s = 1.0 / (1.0 + np.exp(-a))
-        dab = np.concatenate([dh * b * (s + sa * (1.0 - s)), dh * sa], axis=1)
+        s = np.divide(1.0, d, out=d)
+        ds = np.subtract(1.0, s)        # silu' = s + sa * (1 - s)
+        ds *= sa
+        ds += s
+        n, m = a.shape
+        dab = np.empty((n, 2 * m), dtype=np.result_type(dh, a))
+        np.multiply(dh, b, out=dab[:, :m])
+        dab[:, :m] *= ds
+        np.multiply(dh, sa, out=dab[:, m:])
         _accum(x, dab @ wgu.v.T, owned=True)
         _accum(wgu, x.v.T @ dab, owned=True)
         _accum(wd, h.T @ g, owned=True)

@@ -3,8 +3,8 @@ and the single-query grouped-KV attention read.
 
 These are the one implementation of each piece of math: the incremental
 engine calls them directly and the autodiff tape takes its forward values
-from `matmul`, `swiglu_ffn`, `silu`, `rms`, `softcap`, `rotate`, `hide_keys` and
-`softmax`. Those two work in place on the logits they are given (a masked read
+from `matmul`, `swiglu_ffn`, `silu_denominator` (`silu`'s), `rms`, `softcap`,
+`rotate`, `hide_keys` and `softmax`. Those two work in place on the logits they are given (a masked read
 passes `hide_keys` only its hidden pairs); the rest are pure functions, and all
 are deterministic for a given input dtype (float32 or float64; outputs follow inputs).
 Setting the environment variable HATLM_DEBUG_FINITE=1 (or the module flag)
@@ -75,11 +75,18 @@ def rms_norm(x: np.ndarray, eps: float = 1e-5,
     return _check(y)
 
 
-def silu(x: np.ndarray) -> np.ndarray:
-    """x / (1 + exp(-x)), holding one array beside x."""
+def silu_denominator(x: np.ndarray) -> np.ndarray:
+    """1 + exp(-x) in a new array: `silu`'s denominator, whose reciprocal is
+    the sigmoid."""
     e = np.negative(x)
     np.exp(e, out=e)
     e += 1.0
+    return e
+
+
+def silu(x: np.ndarray) -> np.ndarray:
+    """x / (1 + exp(-x)), holding one array beside x."""
+    e = silu_denominator(x)
     return np.divide(x, e, out=e)
 
 

@@ -119,12 +119,20 @@ def loss(params, cfg: HatConfig, data: bytes) -> float:
 
 def loss_and_grads(params, cfg: HatConfig, data: bytes, frozen: tuple[str, ...] = (),
                    words=None) -> tuple[float, dict]:
-    """The loss and its analytic gradients, with frozen groups exactly zero."""
+    """The loss and its analytic gradients, with frozen groups exactly zero.
+    Each gradient is a writable array that shares no memory with another:
+    one that its leaf borrowed from the tape is copied."""
     P = {k: ad.wrap(v, rg=group_of(k) not in frozen) for k, v in params.items()}
     out = _loss_var(P, cfg, data, words)
     ad.backward(out)
-    grads = {k: (P[k].grad if P[k].grad is not None else np.zeros_like(v))
-             for k, v in params.items()}
+    grads = {}
+    for k, v in params.items():
+        g = P[k].grad
+        if g is None:
+            g = np.zeros_like(v)
+        elif not P[k].owns_grad:
+            g = np.array(g)
+        grads[k] = g
     return float(out.v), grads
 
 
@@ -183,29 +191,43 @@ def _decayed(name: str) -> bool:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr_of_name) -> None:
-    """One decoupled-weight-decay Adam update in place.
+    """One decoupled-weight-decay Adam update of the dict `params`.
 
     `lr_of_name(name)` returns the effective step size (schedule x group
-    multiplier), or None to skip the tensor entirely (frozen)."""
+    multiplier), or None to skip the tensor entirely (frozen). The moments
+    in `state` are updated in place; each updated tensor is a new array
+    bound into `params`, so the arrays a caller passed are never written.
+    Each tensor's update is built in one buffer, with the operations (and
+    so the bits) of m' = b1 m + (1 - b1) g, v' = b2 v + (1 - b2) g g and
+    p' = p - lr (m' / c1 / (sqrt(v' / c2) + eps) + wd p), c_i = 1 - b_i^t."""
     for name in sorted(params):
         lr = lr_of_name(name)
         if lr is None:
             continue
-        g = grads[name]
+        g, p = grads[name], params[name]
         if name not in state.m:
-            state.m[name] = np.zeros_like(params[name])
-            state.v[name] = np.zeros_like(params[name])
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
             state.t[name] = 0
         state.t[name] += 1
         t = state.t[name]
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        mhat = state.m[name] / (1 - state.beta1 ** t)
-        vhat = state.v[name] / (1 - state.beta2 ** t)
-        upd = mhat / (np.sqrt(vhat) + state.eps)
+        m, v = state.m[name], state.v[name]
+        m *= state.beta1
+        tmp = np.multiply(1 - state.beta1, g)
+        m += tmp
+        v *= state.beta2
+        np.multiply(1 - state.beta2, g, out=tmp)
+        tmp *= g
+        v += tmp
+        upd = np.divide(m, 1 - state.beta1 ** t)
+        np.divide(v, 1 - state.beta2 ** t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        upd /= tmp
         if state.weight_decay and _decayed(name):
-            upd = upd + state.weight_decay * params[name]
-        params[name] = params[name] - np.asarray(lr, dtype=params[name].dtype) * upd
+            upd += np.multiply(state.weight_decay, p, out=tmp)
+        upd *= np.asarray(lr, dtype=p.dtype)
+        params[name] = np.subtract(p, upd, out=upd)
 
 
 @dataclass

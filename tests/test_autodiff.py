@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hatlm import autodiff as ad
@@ -394,6 +394,140 @@ def test_grad_accumulates_over_reuse():
     out = ad.sum_(ad.add(ad.mul(a, a), a))  # d/da (a^2 + a) = 2a + 1
     ad.backward(out)
     assert np.allclose(a.grad, [5.0])
+
+
+# ---------------------------------------------------------------------------
+# gradient ownership: kept by reference, copied on a second contribution
+
+def copying_accum(p, g, owned=False, at=None):
+    """`ad._accum` as it was before gradients were kept by reference: the
+    first whole gradient is copied, one into a part zero-fills p.grad first,
+    and later ones are added in place."""
+    if not p.rg:
+        return
+    if p.grad is None and at is None:
+        p.grad = np.array(g, dtype=p.v.dtype)
+        return
+    if p.grad is None:
+        p.grad = np.zeros_like(p.v)
+    p.grad[... if at is None else at] += g
+
+
+GRAPH_OPS = ("add", "reshape", "transpose", "narrow", "split", "concat", "sum")
+SHAPES = ((2, 3), (2, 3), (3, 2))
+WEIGHTS = (0.0, -0.0, 1.0, -1.5, 0.25, 3.0)     # -0.0 shows a part written as g, not 0 + g
+
+
+def build_graph(leaves, steps, uses, weights):
+    """A scalar over nodes built from `leaves` by `steps` (op, i, j, k): i
+    and j pick earlier nodes, k an axis and a size. `uses[n]` adds node n
+    to the root as 0: nothing, 1: its sum (a broadcast view of the root's
+    gradient), 2: its sum weighted by `weights` rolled by n (an array it owns)."""
+    nodes = list(leaves)
+    for op, i, j, k in steps:
+        x = nodes[i % len(nodes)]
+        axis, n = k % 2, x.shape[k % 2]
+        if op == "add":         # with a node of x's shape, maybe x
+            alike = [y for y in nodes if y.shape == x.shape]
+            nodes.append(ad.add(x, alike[j % len(alike)]))
+        elif op == "reshape":
+            nodes.append(ad.reshape(x, x.shape[::-1]))
+        elif op == "transpose":
+            nodes.append(ad.transpose(x, (1, 0)))
+        elif op == "narrow":        # any part, the whole axis included
+            start = j % n
+            nodes.append(ad.narrow(x, axis, start, 1 + k // 2 % (n - start)))
+        elif op == "split" and n > 1:   # two parts that cover the axis
+            cut = 1 + j % (n - 1)
+            nodes += [ad.narrow(x, axis, 0, cut), ad.narrow(x, axis, cut, n - cut)]
+        elif op == "concat":
+            alike = [y for y in nodes if y.shape[1 - axis] == x.shape[1 - axis]]
+            nodes.append(ad.concat([x, alike[j % len(alike)]], axis=axis))
+        elif op == "sum":
+            nodes.append(ad.sum_(x, axis=axis, keepdims=True))
+    terms = []
+    for n, (node, use) in enumerate(zip(nodes, uses)):
+        if use == 1:
+            terms.append(ad.sum_(node))
+        elif use == 2:
+            w = np.resize(np.roll(weights, n), node.shape).astype(node.dtype)
+            terms.append(ad.sum_(ad.mul(node, w)))
+    root = terms[0]
+    for term in terms[1:]:
+        root = ad.add(root, term)
+    return root
+
+
+def leaf_gradients(accum, dtype, steps, uses, weights):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "_accum", accum)
+        leaves = [ad.wrap(np.arange(6, dtype=dtype).reshape(s), rg=True) for s in SHAPES]
+        ad.backward(build_graph(leaves, steps, uses, weights))
+    return leaves
+
+
+STEP = st.tuples(st.sampled_from(GRAPH_OPS), st.integers(0, 6), st.integers(0, 6),
+                 st.integers(0, 20))
+
+
+@given(dtype=st.sampled_from([np.float32, np.float64]), steps=st.lists(STEP, max_size=8),
+       uses=st.lists(st.sampled_from([0, 1, 2, 2]), min_size=19, max_size=19),
+       weights=st.lists(st.sampled_from(WEIGHTS), min_size=6, max_size=6))
+# an owned gradient lent to both leaves of an add, then a second one into
+# one of them: added in place, it would reach the other leaf too
+@example(dtype=np.float64, steps=[("add", 0, 1, 1), ("add", 1, 1, 9)],
+         uses=[0, 0, 0, 2, 2] + [0] * 14, weights=[1.0, -1.5, 0.25, 3.0, 1.0, 1.0])
+@example(dtype=np.float32, steps=[("concat", 5, 0, 19), ("add", 5, 6, 14), ("reshape", 6, 0, 10)],
+         uses=[0, 0, 2, 2, 2, 1] + [0] * 13, weights=[1.0, -1.5, 0.25, 3.0, 1.0, -0.0])
+@example(dtype=np.float32, steps=[("narrow", 0, 0, 2), ("split", 6, 0, 12), ("add", 1, 3, 4),
+                                  ("sum", 3, 0, 12)],
+         uses=[0, 0, 2, 0, 0, 0, 2, 2] + [0] * 11, weights=[-0.0, -1.5, 0.25, 3.0, -0.0, 1.0])
+@settings(max_examples=300, deadline=None)
+def test_leaf_gradients_have_the_bits_of_always_copying(dtype, steps, uses, weights):
+    n_nodes = len(SHAPES) + sum(2 if op == "split" else 1 for op, *_ in steps)
+    uses = uses[:n_nodes]
+    uses[-1] = uses[-1] or 1
+    weights = np.array(weights)
+    got = leaf_gradients(ad._accum, dtype, steps, uses, weights)
+    ref = leaf_gradients(copying_accum, dtype, steps, uses, weights)
+    # what loss_and_grads hands out without a copy shares no memory
+    owned = [a.grad for a in got if a.owns_grad]
+    assert not any(np.shares_memory(g, b.grad) for g in owned
+                   for b in got if b.grad is not None and b.grad is not g)
+    for a, b in zip(got, ref):
+        assert (a.grad is None) == (b.grad is None)
+        if b.grad is not None:
+            assert a.grad.dtype == b.grad.dtype and a.grad.shape == b.grad.shape
+            assert np.ascontiguousarray(a.grad).tobytes() == b.grad.tobytes()
+
+
+def test_cross_entropy_vjp_has_the_bits_of_the_allocating_vjp():
+    # the parent VJP: g * (e / se - onehot(t)) / n in new arrays
+    for dtype in (np.float32, np.float64):
+        x, t = r(6, 11).astype(dtype), np.array([3, 0, 10, 3, 7, 1])
+        a = ad.wrap(x, rg=True)
+        ad.backward(ad.scale(ad.cross_entropy(a, t), 1.75))
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        p[np.arange(6), t] -= 1.0
+        ref = np.array(1.75, dtype=dtype) * p / 6
+        assert a.grad.dtype == dtype and a.grad.tobytes() == ref.tobytes()
+
+
+def test_swiglu_vjp_has_the_bits_of_the_recomputing_vjp():
+    # the parent VJP: the sigmoid recomputed as 1 / (1 + exp(-a))
+    for dtype in (np.float32, np.float64):
+        xv, guv, dv, m = (q.astype(dtype) for q in (r(5, 4), r(4, 12), r(6, 4), r(5, 4)))
+        leaves = [ad.wrap(q, rg=True) for q in (xv, guv, dv)]
+        ad.backward(ad.sum_(ad.mul(ad.swiglu(*leaves), m)))
+        a, b = xv @ guv[:, :6], xv @ guv[:, 6:]
+        sa = kernels.silu(a)
+        dh = m @ dv.T
+        s = 1.0 / (1.0 + np.exp(-a))
+        dab = np.concatenate([dh * b * (s + sa * (1.0 - s)), dh * sa], axis=1)
+        refs = dab @ guv.T, xv.T @ dab, (sa * b).T @ m
+        for leaf, ref in zip(leaves, refs):
+            assert leaf.grad.tobytes() == ref.tobytes()
 
 
 def test_no_grad_graph_keeps_no_tape():

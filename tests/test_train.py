@@ -112,6 +112,27 @@ def test_debug_finite_training_step(micro_cfg, micro_params, monkeypatch):
 # ---------------------------------------------------------------------------
 # gradients
 
+def assert_writable_and_unshared(grads, params):
+    arrays = list(grads.values()) + list(params.values())
+    assert all(g.flags.writeable for g in grads.values())
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                   for b in arrays[i + 1:])
+
+
+def test_loss_and_grads_returns_writable_arrays_that_share_no_memory(micro_cfg, micro_params,
+                                                                    monkeypatch):
+    # in the model, three leaves borrow views of the tape (a concat part, two reshapes)
+    _, grads = train.loss_and_grads(micro_params, micro_cfg, b"each gradient is its own array",
+                                    frozen=("encoder",))
+    assert_writable_and_unshared(grads, micro_params)
+    # two leaves added together, then summed, borrow one read-only broadcast view
+    a, b = "decoder.final_norm.gain", "encoder.layers.0.attn_norm.gain"
+    monkeypatch.setattr(train, "_loss_var", lambda P, *_: ad.sum_(ad.add(P[a], P[b])))
+    _, grads = train.loss_and_grads(micro_params, micro_cfg, b"unused")
+    assert np.array_equal(grads[a], np.ones(16)) and np.array_equal(grads[b], np.ones(16))
+    assert_writable_and_unshared(grads, micro_params)
+
+
 def test_gradients_deterministic(micro_cfg, micro_params):
     data = b"grad determinism probe"
     _, g1 = train.loss_and_grads(micro_params, micro_cfg, data)
@@ -196,6 +217,52 @@ def test_adam_effective_lr_is_lr_times_multiplier(micro_cfg):
     assert np.allclose(params[name], expect, atol=1e-7)
 
 
+def allocating_adam_step(params, grads, state, lr_of_name):
+    """`train.adam_step` as it was before its in-place moments: every
+    operation in a new array."""
+    for name in sorted(params):
+        lr = lr_of_name(name)
+        if lr is None:
+            continue
+        g = grads[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(params[name])
+            state.v[name] = np.zeros_like(params[name])
+            state.t[name] = 0
+        state.t[name] += 1
+        t = state.t[name]
+        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
+        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
+        mhat = state.m[name] / (1 - state.beta1 ** t)
+        vhat = state.v[name] / (1 - state.beta2 ** t)
+        upd = mhat / (np.sqrt(vhat) + state.eps)
+        if state.weight_decay and train._decayed(name):
+            upd = upd + state.weight_decay * params[name]
+        params[name] = params[name] - np.asarray(lr, dtype=params[name].dtype) * upd
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_has_the_bits_of_the_allocating_update(micro_cfg, dtype):
+    init = {k: v.astype(dtype) for k, v in model.init_params(micro_cfg, seed=9).items()}
+    kept = {k: v.copy() for k, v in init.items()}
+    rng = np.random.default_rng(4)
+    steps = [{k: rng.standard_normal(v.shape).astype(dtype) for k, v in init.items()}
+             for _ in range(3)]
+    runs = []
+    for adam in (train.adam_step, allocating_adam_step):
+        params, state = dict(init), train.AdamState()
+        for t, grads in enumerate(steps):   # the embedding frozen at the second step
+            adam(params, grads, state, lambda n, t=t: None if n == "encoder.byte_embedding"
+                 and t == 1 else 1e-3 * (t + 1))
+        runs.append((params, state))
+    (got, st_got), (ref, st_ref) = runs
+    for k in init:
+        assert got[k].dtype == dtype and got[k].tobytes() == ref[k].tobytes(), k
+        assert st_got.m[k].tobytes() == st_ref.m[k].tobytes()
+        assert st_got.v[k].tobytes() == st_ref.v[k].tobytes()
+        assert init[k].tobytes() == kept[k].tobytes()      # the caller's arrays
+
+
 def test_weight_decay_exemptions():
     assert not train._decayed("encoder.byte_embedding")
     assert not train._decayed("decoder.final_norm.gain")
@@ -233,6 +300,37 @@ def test_train_deterministic_same_seed(micro_cfg):
     assert a.loss_curve == b.loss_curve
     assert all(np.array_equal(a.params[k], b.params[k]) for k in a.params)
     assert a.grad_norms == b.grad_norms and len(a.grad_norms) == 12
+
+
+def test_train_loop_leaves_the_callers_params_unchanged(micro_cfg):
+    # perfbench passes one params dict to every unit it runs
+    params = model.init_params(micro_cfg, seed=5)
+    kept = {k: v.copy() for k, v in params.items()}
+    sched = LrSchedule(warmup_steps=1, stable_lr=1e-3, stable_steps=10, decay_steps=1)
+    res = train.train_loop(micro_cfg, CORPUS, sched, GroupPolicy(), steps=2, seed=5,
+                           seq_len=64, params=params)
+    assert params.keys() == kept.keys()
+    assert all(params[k].tobytes() == kept[k].tobytes() for k in kept)
+    assert all(res.params[k] is not params[k] for k in kept)
+    assert any(not np.array_equal(res.params[k], kept[k]) for k in kept)
+
+
+@given(text=st.text(min_size=1, max_size=80), seq_len=st.integers(4, 96))
+@example(text="a\U0001F600", seq_len=4)    # "a" alone is too short to keep
+@example(text="a", seq_len=4)               # no document at all: refused
+@settings(max_examples=100, deadline=None)
+def test_one_train_step_on_any_utf8_corpus(micro_cfg, text, seq_len):
+    corpus = text.encode()
+    docs = train.documents(corpus, seq_len)
+    for d in docs:
+        d.decode("utf-8")
+    sched = LrSchedule(warmup_steps=1, stable_lr=1e-3, stable_steps=10, decay_steps=1)
+    if not docs:        # nothing of 2 bytes or more to predict
+        with pytest.raises(ValueError, match="too short"):
+            train.train_loop(micro_cfg, corpus, sched, GroupPolicy(), 1, seed=3, seq_len=seq_len)
+        return
+    res = train.train_loop(micro_cfg, corpus, sched, GroupPolicy(), 1, seed=3, seq_len=seq_len)
+    assert len(res.loss_curve) == 1 and np.isfinite(res.loss_curve[0])
 
 
 def test_grad_norms_are_the_unclipped_norms(micro_cfg):
