@@ -417,12 +417,13 @@ def _causal_blocks(q: np.ndarray, k: np.ndarray, v: np.ndarray, positions: np.nd
     sequence's keys up to its last row, so the logits held at once are
     [kv, g, block, <= t] rather than [kv, g*t, t]. A `tape` list gets each
     block's rows, first key, probabilities and (with `cap`) tanh values;
-    without one, a block keeps nothing and softcaps in place."""
+    without one, a block keeps nothing and softcaps in place. Returns
+    [t, n_heads * hs] rows."""
     nh, t, hs = q.shape
     nkv = k.shape[0]
     qg = q.reshape(nkv, nh // nkv, t, hs)
     kt, vx = k[:, None].swapaxes(-1, -2), v[:, None]
-    out = np.empty_like(qg)
+    out = np.empty((t, nkv, nh // nkv, hs), q.dtype)
     inv = 1.0 / math.sqrt(hs)
     starts = np.flatnonzero(positions == 0)
     above = ~np.tri(ATTENTION_BLOCK, dtype=bool)    # a block's last keys ahead of its rows
@@ -436,10 +437,10 @@ def _causal_blocks(q: np.ndarray, k: np.ndarray, v: np.ndarray, positions: np.nd
                 th = np.tanh(np.divide(z, cap, out=z), out=z)
                 z = np.multiply(cap, th, out=None if tape is not None else th)
             p = kernels.softmax(kernels.hide_keys(z, above[:b - a, :b - a], 2))
-            out[:, :, a:b] = p @ vx[:, :, s:b]
+            out[a:b] = (p @ vx[:, :, s:b]).transpose(2, 0, 1, 3)
             if tape is not None:
                 tape.append((a, b, s, p, th))
-    return out.reshape(nh, t, hs)
+    return out.reshape(t, nh * hs)
 
 
 def attention(qk, v, positions, window: int | None, cap: float | None) -> Var:
@@ -447,12 +448,13 @@ def attention(qk, v, positions, window: int | None, cap: float | None) -> Var:
 
     qk is [n_heads + n_kv_heads, t, hs], the query heads and then the key
     heads, and v is [n_kv_heads, t, hs], with n_kv_heads dividing n_heads;
-    returns [n_heads, t, hs], and qk gets one gradient. Row i is at
-    `positions[i]` of its sequence (one per prompt of a pack), which starts
-    at row i - positions[i]; it reads that sequence's rows in
-    (i - window, i], or up to i when `window` is None. The positions must
-    start at 0 and each one rise by 1 or restart at 0, else ValueError.
-    Logits are scaled by 1/sqrt(hs) and, when `cap` is set, softcapped.
+    returns [t, n_heads * hs] rows, the output projection's input, and qk
+    gets one gradient. Row i is at `positions[i]` of its sequence (one per
+    prompt of a pack), which starts at row i - positions[i]; it reads that
+    sequence's rows in (i - window, i], or up to i when `window` is None.
+    The positions must start at 0 and each one rise by 1 or restart at 0,
+    else ValueError. Logits are scaled by 1/sqrt(hs) and, when `cap` is
+    set, softcapped.
 
     Query heads are grouped per KV head by reshaping (as `kernels.attend`),
     so keys are never repeated. A windowed read goes through a sliding-window
@@ -482,7 +484,7 @@ def attention(qk, v, positions, window: int | None, cap: float | None) -> Var:
         qg, kx, vx = q.reshape(nkv, g, t, hs), k[:, None], v.v[:, None]
 
         def bw(gr):
-            gx = gr.reshape(nkv, g, t, hs)
+            gx = gr.reshape(t, nkv, g, hs).transpose(1, 2, 0, 3)
             dqk, dv = np.empty_like(qk.v), np.zeros_like(v.v)
             dqk[nh:] = 0
             dq, dk = dqk[:nh].reshape(nkv, g, t, hs), dqk[nh:]
@@ -502,13 +504,8 @@ def attention(qk, v, positions, window: int | None, cap: float | None) -> Var:
             _accum(v, dv, owned=True)
         return Var(out, (qk, v), bw)
 
-    def rows(x):        # [n_heads, t, hs] -> [kv, t, g, hs]
-        return x.reshape(nkv, g, t, hs).transpose(0, 2, 1, 3)
-
-    def heads(x):
-        return x.transpose(0, 2, 1, 3).reshape(nh, t, hs)
     kx, vx = _band(k, window), _band(v.v, window).swapaxes(-1, -2)
-    qx = rows(q)
+    qx = q.reshape(nkv, g, t, hs).transpose(0, 2, 1, 3)     # [kv, t, g, hs]
     z = (qx @ kx) * inv
     if cap is not None:
         z = kernels.softcap(z, cap)
@@ -521,13 +518,14 @@ def attention(qk, v, positions, window: int | None, cap: float | None) -> Var:
     kernels.softmax(p, peak)
 
     def bw(gr):
-        gx = rows(gr)
+        gx = gr.reshape(t, nkv, g, hs).swapaxes(0, 1)
         dp = gx @ vx.swapaxes(-1, -2)
         dz = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
         if cap is not None:
             dz *= 1.0 - np.square(z / cap)
         dz *= inv
         dk, dv = _unband(dz.swapaxes(-1, -2) @ qx), _unband(p.swapaxes(-1, -2) @ gx)
-        _accum(qk, np.concatenate([heads(dz @ kx.swapaxes(-1, -2)), dk]), owned=True)
+        dq = (dz @ kx.swapaxes(-1, -2)).transpose(0, 2, 1, 3).reshape(nh, t, hs)
+        _accum(qk, np.concatenate([dq, dk]), owned=True)
         _accum(v, dv, owned=True)
-    return Var(heads(p @ vx), (qk, v), bw)
+    return Var((p @ vx).swapaxes(0, 1).reshape(t, nh * hs), (qk, v), bw)

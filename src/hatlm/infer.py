@@ -35,8 +35,9 @@ rows of arrays a `BatchRunner` owns, are read in one call, masked until full.
 
 A session's prompt and output are one byte stream through one splitter,
 whose UTF-8 gate masks sampling to the bytes it accepts (and the end
-sentinel 0xFF at codepoint boundaries); :func:`hatlm.model.next_byte_logits`
-is the batch recomputation oracle for the same word assignment.
+sentinel 0xFF at codepoint boundaries). Its word assignment is the one that
+training reads (`model.forward`), and `model.next_byte_logits` is the batch
+recomputation oracle.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
-"""Model construction, the teacher-forced forward pass of training and
-evaluation, and the prompt pass of generation (caches and oracle).
+"""Model construction and its one forward (`_pack_pass`), which gives the
+teacher-forced logits of training and evaluation and the prompt pass of
+generation (caches and oracle) with one word assignment, `splitter.stream`'s.
 
 The network has three transformer stacks (byte encoder, word backbone, byte
 decoder) bridged by two connectors: learned-query cross-attention pooling
@@ -27,7 +28,8 @@ import numpy as np
 from . import autodiff as ad
 from .config import HatConfig, StackConfig
 from .kernels import rope_table
-from .splitter import BYTE_BOS, SplitResult, split
+from .splitter import BYTE_BOS, stream
+from .splitter import split  # noqa: F401  perfbench's tracer wraps model.split
 
 # ---------------------------------------------------------------------------
 # parameter shapes and counts
@@ -175,15 +177,6 @@ PARAM_GROUPS = ("encoder", "connector", "backbone", "decoder", "head")
 # ---------------------------------------------------------------------------
 # forward pass
 
-@dataclass
-class ForwardTrace:
-    byte_states: np.ndarray       # [n_bytes, h_enc]
-    word_embeddings: np.ndarray   # [n_words, h_bb]
-    backbone_outputs: np.ndarray  # [n_words, h_bb] (consumed rows)
-    logits: np.ndarray            # [n_bytes, 256]
-    logits_var: ad.Var            # the same logits as a graph node
-
-
 def rope_rows(s: StackConfig, positions, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Stack s's `kernels.rope_table` rows C and S at `positions` (an index array)."""
     return tuple(t[positions] for t in rope_table(s.head_size, s.rope_base,
@@ -208,9 +201,8 @@ def _self_attn(P, prefix: str, x: ad.Var, s: StackConfig, cfg: HatConfig,
     qk = ad.rope(qk, *rope_rows(s, positions if rotation is None else rotation, qk.dtype))
     if kv is not None:          # copies: views would keep all of q|k|v alive
         kv.append((qk.v[nh:].copy(), v.v.copy()))
-    o = ad.attention(qk, v, positions, s.window, cfg.softcap)
-    o = ad.reshape(ad.transpose(o, (1, 0, 2)), (t, nh * hs))
-    return ad.matmul(o, P[f"{prefix}.attn.wo"])
+    return ad.matmul(ad.attention(qk, v, positions, s.window, cfg.softcap),
+                     P[f"{prefix}.attn.wo"])
 
 
 def _mlp(P, prefix: str, x: ad.Var, cfg: HatConfig) -> ad.Var:
@@ -269,8 +261,8 @@ def pool_words_var(P, cfg: HatConfig, byte_states: ad.Var,
     lens = b - a
     starts = np.concatenate([[0], np.cumsum(lens[:-1])])
     cover = int(lens.sum())
-    if cover == t and a[0] == 0 and np.array_equal(a[1:], b[:-1]):
-        x = byte_states                             # the spans tile the bytes
+    if a[0] == 0 and np.array_equal(a[1:], b[:-1]):    # the spans tile the first bytes
+        x = byte_states if cover == t else ad.narrow(byte_states, 0, 0, cover)
     else:
         x = ad.gather(byte_states, np.arange(cover) + np.repeat(a - starts, lens))
     q = ad.reshape(ad.matmul(ad.reshape(P["connector.query"], (1, c)), P["connector.wq"]),
@@ -352,7 +344,7 @@ class PromptPass:
     cache holds them, [n_layers, 2, rows, n_kv_heads, hs], for the last
     `window` bytes (all without a window), or for BOS and the words. Every
     byte is encoded; the decoder ran over the prompt's tail alone (see
-    `prompt_pass`), and its cache rows and the logits have the bits that a
+    `_pack_pass`), and its cache rows and the logits have the bits that a
     decode of the whole prompt gives."""
     byte_states: np.ndarray       # [n_bytes, h_enc]
     inject: np.ndarray            # [n_dec_layers, h_dec], the last backbone row's context
@@ -372,26 +364,25 @@ def _cache_rows(layers: list, lens: np.ndarray, window: int | None):
     return kv, np.cumsum([0, *np.minimum(lens, w)])
 
 
-def prompt_pass(params, cfg: HatConfig, prompts: list[tuple]) -> list[PromptPass]:
-    """One no-grad forward over a pack of prompts, each `(committed,
-    closed_spans, inc_index, sentinel_prefix)`: it pools the [start, end)
-    `closed_spans` of the text bytes `committed` and lets byte i read
-    backbone row `inc_index[i]` (0 = BOS), after the 0xFE sentinel (row 0)
-    if `sentinel_prefix`. Only each prompt's last byte reaches the head.
+def _pack_pass(params, cfg: HatConfig, prompts: list[tuple], kv: list | None = None):
+    """The one forward of `forward` and `prompt_pass`, over a pack of
+    prompts, each `(text, closed_spans, index, sentinel_prefix)`: it pools
+    the [start, end) `closed_spans` of the text bytes and lets byte i read
+    backbone row `index[i]` (0 = BOS), after the 0xFE sentinel (row 0) if
+    `sentinel_prefix`. Each prompt is its own sequence: its positions
+    restart at 0, so no read crosses into another prompt. Returns the byte
+    states, each decoder block's word context, the logits and the prompts'
+    byte counts. Without `kv`, every byte reaches the head.
 
-    Each prompt is its own sequence: its positions restart at 0, so no read
-    crosses into another prompt. Every product is gemm rows and a one-row
-    input is padded (`kernels.matmul`), so a prompt gets the same bits in any
-    pack as alone, a pack of one one-byte prompt included.
-
-    The encoder, pooling and backbone run over every byte and word: every
-    closed word is pooled and every backbone row is cached. The decoder runs
-    over each prompt's tail alone, which starts n_layers*(w-1) rows before
-    the prompt's first row that reaches the head (its last byte), for a
-    window w: the last min(len, n_layers*(w-1) + 1) bytes, the 0xFE sentinel
-    counted. Without a window the tail is the whole prompt. This is exact. A
-    decoder layer's output at row r reads its input rows r-w+1 .. r, so for
-    a tail that starts at row `first`:
+    With `kv`, a list, only each prompt's last byte does, and `kv` gets the
+    encoder's, the backbone's and the decoder's cache rows with their starts
+    (`_cache_rows`). The encoder, pooling and backbone run over every byte
+    and word. The decoder runs over each prompt's tail alone, which starts
+    n_layers*(w-1) rows before its last byte, for a window w: the last
+    min(len, n_layers*(w-1) + 1) bytes, the 0xFE sentinel counted. Without
+    a window the tail is the whole prompt. This is exact. A decoder layer's
+    output at row r reads its input rows r-w+1 .. r, so for a tail that
+    starts at row `first`:
       * layer l's (from 1) keys and values at row r are exact once
         r >= first + (l-1)(w-1), which holds for the last w rows, which the
         cache keeps;
@@ -405,9 +396,9 @@ def prompt_pass(params, cfg: HatConfig, prompts: list[tuple]) -> list[PromptPass
     """
     ids, spans, rows, n_words = [], [], [], []
     t = r = 0
-    for committed, closed, inc_index, sentinel in prompts:
-        b = np.frombuffer(bytes([BYTE_BOS] * sentinel) + committed, dtype=np.uint8)
-        row = np.asarray([0] * sentinel + list(inc_index), dtype=np.int64)
+    for text, closed, index, sentinel in prompts:
+        b = np.frombuffer(bytes([BYTE_BOS] * sentinel) + text, dtype=np.uint8)
+        row = np.asarray([0] * sentinel + list(index), dtype=np.int64)
         if not len(b) or len(row) != len(b) or row.min() < 0 or row.max() > len(closed):
             raise ValueError("a prompt needs bytes and an in-range word index per byte")
         spans += [(a + t + sentinel, e + t + sentinel) for a, e in closed]
@@ -417,50 +408,56 @@ def prompt_pass(params, cfg: HatConfig, prompts: list[tuple]) -> list[PromptPass
         t, r = t + len(row), r + len(closed) + 1
     lens, blocks = np.array([len(b) for b in ids]), np.array(n_words) + 1
     pos = np.concatenate([np.arange(n) for n in lens])
-    enc, bb, dec = [], [], []
-    byte_states = encode_bytes_var(params, cfg, np.concatenate(ids), pos, enc)
-    enc = _cache_rows(enc, lens, cfg.encoder.window)
+    enc, bb, dec = (None,) * 3 if kv is None else ([], [], [])
+    byte_states = encode_bytes_var(params, cfg, np.concatenate(ids).astype(np.int64), pos, enc)
+    if kv is not None:
+        kv.append(_cache_rows(enc, lens, cfg.encoder.window))
     word_embs = pool_words_var(params, cfg, byte_states, spans)
     bb_all = backbone_forward_var(params, cfg, word_embs,
                                   np.concatenate([np.arange(n) for n in blocks]), bb)
     context = word_context(params, cfg, bb_all)
-    ends = np.cumsum(lens)
-    head = ends - 1                     # each prompt's first row that reaches the head
-    d = cfg.decoder
-    first = ends - lens if d.window is None else np.maximum(
-        ends - lens, head - d.n_layers * (d.window - 1))
+    ends, d = np.cumsum(lens), cfg.decoder
+    first = ends - lens
+    if kv is not None and d.window is not None:     # from n_layers*(w-1) before the last byte
+        first = np.maximum(first, ends - 1 - d.n_layers * (d.window - 1))
     tail_lens = ends - first
     tail = np.concatenate([np.arange(a, e) for a, e in zip(first, ends)])
-    logits = decode_bytes_var(params, cfg, ad.gather(byte_states, tail), context,
-                              np.concatenate(rows)[tail],
+    x = byte_states if len(tail) == t else ad.gather(byte_states, tail)   # no identity gather
+    logits = decode_bytes_var(params, cfg, x, context, np.concatenate(rows)[tail],
                               np.concatenate([np.arange(n) for n in tail_lens]), dec,
-                              last_only=True, rotation=pos[tail])
-    bb, dec = _cache_rows(bb, blocks, None), _cache_rows(dec, tail_lens, d.window)
-    tb = np.cumsum([0, *lens])
+                              last_only=kv is not None, rotation=pos[tail])
+    if kv is not None:
+        kv += [_cache_rows(bb, blocks, None), _cache_rows(dec, tail_lens, d.window)]
+    return byte_states, context, logits, lens
+
+
+def prompt_pass(params, cfg: HatConfig, prompts: list[tuple]) -> list[PromptPass]:
+    """One no-grad `_pack_pass` with caches over a pack of prompts, each
+    `(committed, closed_spans, inc_index, sentinel_prefix)`. Every product
+    is gemm rows and a one-row input is padded (`kernels.matmul`), so a
+    prompt gets the same bits in any pack as alone, a pack of one one-byte
+    prompt included."""
+    kv = []
+    byte_states, context, logits, lens = _pack_pass(params, cfg, prompts, kv)
+    (enc, bb, dec), tb = kv, np.cumsum([0, *lens])
     inject = np.stack([c.v[bb[1][1:] - 1] for c in context], axis=1)
     return [PromptPass(byte_states.v[tb[j]:tb[j + 1]], inject[j], logits.v[j],
                        *(c[:, :, b[j]:b[j + 1]] for c, b in (enc, bb, dec)))
             for j in range(len(prompts))]
 
 
-def forward(params, cfg: HatConfig, data: bytes, words: SplitResult | None = None) -> ForwardTrace:
-    """Teacher-forced forward over text bytes: split -> encode -> pool ->
-    backbone -> decode. logits[i] predicts byte i+1.
+def forward(params, cfg: HatConfig, data: bytes, words: tuple | None = None) -> ad.Var:
+    """Teacher-forced logits over text bytes, [n_bytes, 256]: row i predicts
+    byte i+1. This is the prompt pass's forward (`_pack_pass`) over one
+    document with no sentinel and no caches, in which every byte reaches
+    the head: byte i reads the backbone row after the words that
+    `splitter.stream` has closed once byte i is pushed, as in generation.
 
-    `words` is `split(data, cfg.max_word_bytes)`, computed here if not given.
-    `params` maps names to arrays or to `ad.Var`s; the graph records a tape
-    exactly when one of them requires a gradient."""
-    result = split(data, cfg.max_word_bytes) if words is None else words
-    spans = [(s.start, s.end) for s in result.spans]
-    byte_row = np.repeat(np.arange(len(spans)), [b - a for a, b in spans])
-    byte_ids = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
-    pos = np.arange(len(data))
-    byte_states = encode_bytes_var(params, cfg, byte_ids, pos)
-    word_embs = pool_words_var(params, cfg, byte_states, spans)
-    bb_all = backbone_forward_var(params, cfg, word_embs, np.arange(len(spans) + 1))
-    logits = decode_bytes_var(params, cfg, byte_states, word_context(params, cfg, bb_all),
-                              byte_row, pos)
-    return ForwardTrace(byte_states.v, word_embs.v, bb_all.v[:len(spans)], logits.v, logits)
+    `words` is `stream(data, cfg.max_word_bytes)`, computed here if not
+    given. `params` maps names to arrays or to `ad.Var`s; the graph records
+    a tape exactly when one of them requires a gradient."""
+    _, closes, index = stream(data, cfg.max_word_bytes) if words is None else words
+    return _pack_pass(params, cfg, [(data, [(c.start, c.end) for c in closes], index, False)])[2]
 
 
 def next_byte_logits(params, cfg: HatConfig, committed: bytes,

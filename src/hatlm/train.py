@@ -107,9 +107,9 @@ def hatification_policy(frozen_steps: int = 2000,
 def _loss_var(params, cfg: HatConfig, data: bytes, words=None) -> ad.Var:
     if len(data) < 2:
         raise ValueError("need at least 2 bytes to form a prediction target")
-    trace = forward(params, cfg, data, words)
     targets = np.frombuffer(data, dtype=np.uint8)[1:].astype(np.int64)
-    return ad.cross_entropy(ad.narrow(trace.logits_var, 0, 0, len(data) - 1), targets)
+    return ad.cross_entropy(ad.narrow(forward(params, cfg, data, words), 0, 0, len(data) - 1),
+                            targets)
 
 
 def loss(params, cfg: HatConfig, data: bytes) -> float:
@@ -163,14 +163,14 @@ def corpus_loss(params, cfg: HatConfig, corpus: bytes, seq_len: int) -> float:
 
 def clip_global_norm(grads: dict, max_norm: float,
                      names: tuple[str, ...] | None = None) -> float:
-    """Scale grads (in place) so their joint L2 norm is at most max_norm."""
+    """Scale grads in place so their joint L2 norm is at most max_norm."""
     keys = grads.keys() if names is None else names
-    total = math.sqrt(sum(float(np.sum(grads[k].astype(np.float64) ** 2))
-                          for k in keys))
+    total = math.sqrt(sum(float(np.sum(np.square(g, out=g)))
+                          for g in (grads[k].astype(np.float64) for k in keys)))
     if total > max_norm and total > 0:
         scale = max_norm / total
         for k in keys:
-            grads[k] = grads[k] * scale
+            grads[k] *= scale
     return total
 
 
@@ -244,7 +244,7 @@ def train_loop(cfg: HatConfig, corpus: bytes, schedule: LrSchedule,
     """Deterministic single-sequence-per-step training.
 
     The corpus is cut into seq_len-byte documents visited round-robin,
-    each split into words once, before the first step.
+    each split into words once (`splitter.stream`), before the first step.
     Aborts with a diagnostic if the loss turns NaN or infinite. After each
     step, `on_step` (if given) receives a dict with `step`, `loss`, `lr`
     (the schedule's base rate), `grad_norm` (the global norm before
@@ -255,7 +255,7 @@ def train_loop(cfg: HatConfig, corpus: bytes, schedule: LrSchedule,
     chunks = documents(corpus, seq_len)
     if not chunks:
         raise ValueError("corpus too short for the sequence length")
-    words = [model.split(d, cfg.max_word_bytes) for d in chunks]
+    words = [model.stream(d, cfg.max_word_bytes) for d in chunks]
     if params is None:
         params = init_params(cfg, seed)
     else:

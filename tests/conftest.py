@@ -2,12 +2,14 @@ import math
 import struct
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hatlm import autodiff as ad
 from hatlm import checkpoint, config, infer, kernels, model
+from hatlm.splitter import stream
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
@@ -55,6 +57,60 @@ def masked_softmax(a, mask: np.ndarray) -> ad.Var:
     return ad.Var(p, (a,), bw)
 
 
+def head_rows(out) -> ad.Var:
+    """[n_heads, t, hs] heads as the [t, n_heads * hs] rows that
+    `ad.attention` returns: a transpose and a reshape on the graph."""
+    nh, t, hs = out.shape
+    return ad.reshape(ad.transpose(out, (1, 0, 2)), (t, nh * hs))
+
+
+def head_major_causal_attention(qk, v, positions, cap) -> ad.Var:
+    """`ad.attention` with no window as it read when it returned
+    [n_heads, t, hs] heads, put in rows on the graph (`head_rows`), as
+    `model._self_attn` did: the blocks' output is kept head-major, and the
+    backward reads its gradient in that order."""
+    qk, v = ad.wrap(qk), ad.wrap(v)
+    nkv, t, hs = v.v.shape
+    nh = qk.v.shape[0] - nkv
+    g = nh // nkv
+    qg, k = qk.v[:nh].reshape(nkv, g, t, hs), qk.v[nh:]
+    kt, kx, vx = k[:, None].swapaxes(-1, -2), k[:, None], v.v[:, None]
+    out, blocks, inv = np.empty_like(qg), [], 1.0 / math.sqrt(hs)
+    above = ~np.tri(ad.ATTENTION_BLOCK, dtype=bool)
+    starts = np.flatnonzero(np.asarray(positions) == 0)
+    for s, e in zip(starts, np.append(starts[1:], t)):
+        for a in range(s, e, ad.ATTENTION_BLOCK):
+            b = min(a + ad.ATTENTION_BLOCK, e)
+            z = qg[:, :, a:b] @ kt[..., s:b]
+            z *= inv
+            th = None
+            if cap is not None:
+                th = np.tanh(np.divide(z, cap, out=z), out=z)
+                z = np.multiply(cap, th)
+            p = kernels.softmax(kernels.hide_keys(z, above[:b - a, :b - a], 2))
+            out[:, :, a:b] = p @ vx[:, :, s:b]
+            blocks.append((a, b, s, p, th))
+
+    def bw(gr):
+        gx = gr.reshape(nkv, g, t, hs)
+        dqk, dv = np.zeros_like(qk.v), np.zeros_like(v.v)
+        dq, dk = dqk[:nh].reshape(nkv, g, t, hs), dqk[nh:]
+        for a, b, s, p, th in blocks:
+            dz = gx[:, :, a:b] @ vx[:, :, s:b].swapaxes(-1, -2)
+            dz -= np.sum(dz * p, axis=-1, keepdims=True)
+            dz *= p
+            if th is not None:
+                dz *= 1.0 - np.square(th)
+            dz *= inv
+            dq[:, :, a:b] = dz @ kx[:, :, s:b]
+            rows = (nkv, g * (b - a), -1)
+            dk[:, s:b] += dz.reshape(rows).swapaxes(-1, -2) @ qg[:, :, a:b].reshape(rows)
+            dv[:, s:b] += p.reshape(rows).swapaxes(-1, -2) @ gx[:, :, a:b].reshape(rows)
+        ad._accum(qk, dqk, owned=True)
+        ad._accum(v, dv, owned=True)
+    return head_rows(ad.Var(out.reshape(nh, t, hs), (qk, v), bw))
+
+
 def dense_masked_attention(qk, v, positions, cap) -> ad.Var:
     """`ad.attention` with no window as the tape read it before the query
     blocks: each KV head's g*t query rows meet all t keys under a causal
@@ -85,7 +141,7 @@ def dense_masked_attention(qk, v, positions, cap) -> ad.Var:
         ad._accum(qk, np.concatenate([(dz @ kx.swapaxes(-1, -2)).reshape(nh, t, hs), dk]),
                   owned=True)
         ad._accum(v, dv, owned=True)
-    return ad.Var((p @ vx).reshape(nh, t, hs), (qk, v), bw)
+    return head_rows(ad.Var((p @ vx).reshape(nh, t, hs), (qk, v), bw))
 
 
 def where_band_attention(qk, v, positions, window: int, cap) -> ad.Var:
@@ -121,7 +177,7 @@ def where_band_attention(qk, v, positions, window: int, cap) -> ad.Var:
         dk, dv = ad._unband(dz.swapaxes(-1, -2) @ qx), ad._unband(p.swapaxes(-1, -2) @ gx)
         ad._accum(qk, np.concatenate([heads(dz @ kx.swapaxes(-1, -2)), dk]), owned=True)
         ad._accum(v, dv, owned=True)
-    return ad.Var(heads(p @ vx), (qk, v), bw)
+    return head_rows(ad.Var(heads(p @ vx), (qk, v), bw))
 
 
 def where_causal_read(qk: np.ndarray, v: np.ndarray, positions, cap) -> np.ndarray:
@@ -143,7 +199,7 @@ def where_causal_read(qk: np.ndarray, v: np.ndarray, positions, cap) -> np.ndarr
                 z = kernels.softcap(z, cap)
             p = where_softmax(z, np.arange(s, b) <= np.arange(a, b)[:, None])
             out[:, :, a:b] = p @ vx[:, :, s:b]
-    return out.reshape(nh, t, hs)
+    return out.reshape(nh, t, hs).transpose(1, 0, 2).reshape(t, nh * hs)
 
 
 def where_attend(q, k, v, cap, valid: np.ndarray) -> np.ndarray:
@@ -288,3 +344,21 @@ def full_decode_prompt_pass(params, cfg, prompts: list[tuple]) -> list:
     return [model.PromptPass(byte_states.v[tb[j]:tb[j + 1]], inject[j], logits.v[j],
                              *(c[:, :, b[j]:b[j + 1]] for c, b in (enc, bb, dec)))
             for j in range(len(prompts))]
+
+
+def forward_stages(params, cfg, data: bytes) -> SimpleNamespace:
+    """`model.forward` rebuilt from the stage functions, with what it holds
+    on the way: the byte states, the embeddings of the words `stream`
+    closes (`spans`), every backbone row (BOS and one per close), each
+    byte's row (`byte_row`, the stream's index) and the logits."""
+    _, closes, index = stream(data, cfg.max_word_bytes)
+    spans = [(c.start, c.end) for c in closes]
+    pos, byte_row = np.arange(len(data)), np.asarray(index)
+    byte_states = model.encode_bytes_var(params, cfg, np.frombuffer(data, np.uint8), pos)
+    word_embs = model.pool_words_var(params, cfg, byte_states, spans)
+    rows = model.backbone_forward_var(params, cfg, word_embs, np.arange(len(spans) + 1))
+    logits = model.decode_bytes_var(params, cfg, byte_states,
+                                    model.word_context(params, cfg, rows), byte_row, pos)
+    return SimpleNamespace(byte_states=byte_states.v, spans=spans,
+                           word_embeddings=word_embs.v, backbone_rows=rows.v,
+                           byte_row=byte_row, logits=logits.v)

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from hatlm import autodiff as ad
 from hatlm import kernels
 
-from conftest import (DATA, angle_rope, dense_masked_attention, masked_softmax,
-                      recomputing_rms_norm_vjp, where_band_attention, where_causal_read)
+from conftest import (DATA, angle_rope, dense_masked_attention, head_major_causal_attention,
+                      head_rows, masked_softmax, recomputing_rms_norm_vjp, where_band_attention,
+                      where_causal_read)
 
 rng = np.random.default_rng(42)
 
@@ -176,7 +177,7 @@ def composite_attention(q, k, v, window, cap):
     if cap is not None:
         logits = ad.softcap(logits, cap)
     p = masked_softmax(logits, (idx >= 0)[None, :, None, :])
-    return ad.reshape(ad.matmul(p, vb), (nh, t, hs))
+    return head_rows(ad.reshape(ad.matmul(p, vb), (nh, t, hs)))
 
 
 ATTENTION_CASES = {            # n_heads, n_kv_heads, t, window, cap
@@ -193,7 +194,7 @@ ATTENTION_CASES = {            # n_heads, n_kv_heads, t, window, cap
 @pytest.mark.parametrize("case", list(ATTENTION_CASES))
 def test_attention(case):
     nh, nkv, t, window, cap = ATTENTION_CASES[case]
-    m = r(nh, t, 4)
+    m = r(t, nh * 4)
     fd_check(lambda q, k, v: ad.sum_(ad.mul(ad.attention(ad.concat([q, k]), v, np.arange(t),
                                                          window, cap), m)),
              2 * r(nh, t, 4), 2 * r(nkv, t, 4), r(nkv, t, 4))
@@ -203,7 +204,7 @@ def _check_against_composite(seed, n_kv, group, t, hs, window, cap, dtype):
     g = np.random.default_rng(seed)
     arrays = [(s * g.standard_normal(shape)).astype(dtype) for s, shape in
               ((3, (n_kv * group, t, hs)), (3, (n_kv, t, hs)), (1, (n_kv, t, hs)))]
-    m = g.standard_normal((n_kv * group, t, hs)).astype(dtype)
+    m = g.standard_normal((t, n_kv * group * hs)).astype(dtype)
     results = []
     for fn in (lambda q, k, v: ad.attention(ad.concat([q, k]), v, np.arange(t), window, cap),
                lambda *qkv: composite_attention(*qkv, window, cap)):
@@ -268,7 +269,7 @@ def test_attention_blocked_matches_dense(lens, cap, dtype):
     t = len(positions)
     g = np.random.default_rng(t + len(lens))
     qk, v, m = ((s * g.standard_normal(shape)).astype(dtype) for s, shape in
-                ((3, (8 + 4, t, 8)), (1, (4, t, 8)), (1, (8, t, 8))))
+                ((3, (8 + 4, t, 8)), (1, (4, t, 8)), (1, (t, 8 * 8))))
     results = []
     for fn in (lambda a, b: ad.attention(a, b, positions, None, cap),
                lambda a, b: dense_masked_attention(a, b, positions, cap)):
@@ -286,7 +287,7 @@ def test_attention_blocked_matches_dense(lens, cap, dtype):
 def test_attention_blocked_fd(lens, cap):
     positions = _pack_positions(lens)
     t = len(positions)
-    m = r(4, t, 4)
+    m = r(t, 4 * 4)
     fd_check(lambda q, k, v: ad.sum_(ad.mul(ad.attention(ad.concat([q, k]), v, positions,
                                                          None, cap), m)),
              2 * r(4, t, 4), 2 * r(2, t, 4), r(2, t, 4), samples=16)
@@ -296,7 +297,7 @@ def _qkv_m(seed, lens, n_kv, group, dtype):
     g = np.random.default_rng(seed)
     t = sum(lens)
     return [(s * g.standard_normal(shape)).astype(dtype) for s, shape in
-            ((3, (n_kv * (group + 1), t, 8)), (1, (n_kv, t, 8)), (1, (n_kv * group, t, 8)))]
+            ((3, (n_kv * (group + 1), t, 8)), (1, (n_kv, t, 8)), (1, (t, n_kv * group * 8)))]
 
 
 @given(seed=st.integers(0, 2 ** 31 - 1), window=st.sampled_from([1, 2, 8]),
@@ -338,6 +339,29 @@ def test_causal_read_has_the_bits_of_the_where_mask(seed, lens, cap, dtype):
         assert got.dtype == dtype and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("window,cap", [(None, None), (None, 30.0), (3, None), (9, 2.0)])
+@pytest.mark.parametrize("lens", [(7,), (40,), (33, 37)], ids=str)
+def test_attention_rows_have_the_bits_of_the_head_major_read(lens, window, cap, dtype):
+    # the read returns [t, n_heads * hs] rows, the output projection's input:
+    # the bits of the head-major reads put in rows on the graph, as the model
+    # did before, for the output and both gradients, with and without a tape
+    # (`where_band_attention` has the band read's bits)
+    positions = _pack_positions(lens)
+    qk, v, m = _qkv_m(sum(lens), lens, 2, 3, dtype)
+    results = []
+    for fn in (lambda a, b: ad.attention(a, b, positions, window, cap),
+               lambda a, b: head_major_causal_attention(a, b, positions, cap) if window is None
+               else where_band_attention(a, b, positions, window, cap)):
+        leaves = [ad.wrap(qk, rg=True), ad.wrap(v, rg=True)]
+        out = fn(*leaves)
+        ad.backward(ad.sum_(ad.mul(out, m)))
+        results.append([out.v] + [leaf.grad for leaf in leaves])
+    assert np.array_equal(ad.attention(qk, v, positions, window, cap).v, results[1][0])
+    for got, want in zip(*results):
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("window", [None, 3])
 @pytest.mark.parametrize("positions", [np.arange(3, 8), [0, 1, 2, 0, 5], [0, 1, 3, 4, 5],
                                        [0, 1, 2, 3], np.zeros((1, 5), dtype=int)], ids=str)
@@ -364,7 +388,7 @@ def test_attention_no_grad_dense_read_is_blocked():
 def test_attention_tape_is_blocked():
     # the tape keeps per-block probabilities, not the [kv, g*t, t] logits
     g = np.random.default_rng(0)
-    qk, v, m = (g.standard_normal((n, 512, 8)) for n in (4 + 2, 2, 4))
+    qk, v, m = (g.standard_normal(shape) for shape in ((4 + 2, 512, 8), (2, 512, 8), (512, 32)))
     peaks = []
     for fn in (lambda a, b: ad.attention(a, b, np.arange(512), None, 30.0),
                lambda a, b: dense_masked_attention(a, b, np.arange(512), 30.0)):

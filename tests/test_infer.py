@@ -18,9 +18,10 @@ from hatlm.infer import (
     sample_from_logits,
     step_byte,
 )
-from hatlm.splitter import BYTE_BOS, IncrementalSplitterState, SplitError, Utf8Gate, split
+from hatlm.splitter import (BYTE_BOS, IncrementalSplitterState, SplitError, Utf8Gate,
+                            boundary_divergence, split)
 
-from conftest import DATA, POOLS, half_split_rotate, stacked_byte_stack
+from conftest import DATA, POOLS, half_split_rotate, random_utf8_strings, stacked_byte_stack
 
 
 def make_session(params, cfg, mode="greedy", budget=32, **kw):
@@ -68,7 +69,7 @@ ENGLISH = (DATA / "english_sample.txt").read_bytes()
 def test_prefill_matches_full_forward(micro_cfg, micro_params, prompt):
     s = prefill(make_session(micro_params, micro_cfg), prompt)
     full = model.forward(micro_params, micro_cfg, prompt)
-    assert np.max(np.abs(s.cur_logits - full.logits[-1])) < 1e-4
+    assert np.max(np.abs(s.cur_logits - full.v[-1])) < 1e-4
 
 
 def test_prefill_twice_identical_state(micro_cfg, micro_params):
@@ -364,8 +365,26 @@ def test_incremental_matches_training_forward_on_ascii(micro_cfg, micro_params):
         committed = s.committed
         assert s.inc_index == word_index_of_bytes(committed, micro_cfg.max_word_bytes)
         full = model.forward(micro_params, micro_cfg, committed)
-        assert np.max(np.abs(s.cur_logits - full.logits[-1])) < 1e-4
+        assert np.max(np.abs(s.cur_logits - full.v[-1])) < 1e-4
         step_byte(s)
+
+
+MIXED = ["a∑b c", "flag \U0001F1E9\U0001F1EA then ∑x≤y",
+         *random_utf8_strings(60, seed=7, max_len=30)]
+
+
+def test_training_forward_matches_prefill_at_every_codepoint_boundary(micro_cfg, micro_params):
+    # training reads generation's causal word index (`splitter.stream`), so
+    # the teacher-forced logits of byte i are those of a session prefilled
+    # with bytes 0..i, also where the batch split assigns bytes otherwise
+    assert boundary_divergence(MIXED[0].encode()) == (2, [1, 2])
+    for data in (text.encode() for text in MIXED if text):
+        logits = model.forward(micro_params, micro_cfg, data).v
+        for i in range(len(data)):
+            if i + 1 < len(data) and data[i + 1] & 0xC0 == 0x80:
+                continue                # inside a codepoint: no prefill ends here
+            s = prefill(make_session(micro_params, micro_cfg), data[:i + 1])
+            assert np.max(np.abs(s.cur_logits - logits[i])) < 1e-4, (data, i)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +622,7 @@ def test_tape_layer_matches_per_projection_layer(micro_cfg, micro_params, micro_
     y = ad.add(y, model._mlp(P, prefix, y, cfg))
     q, k, v = (a.transpose(1, 0, 2) for a in per_projection_qkv(P, prefix, cfg, s, x, pos))
     o = ad.attention(ad.wrap(np.concatenate([q, k]), rg=taped), v, pos, s.window, cfg.softcap).v
-    want = per_projection_out(P, prefix, cfg, x, o.transpose(1, 0, 2).reshape(len(pos), -1))
+    want = per_projection_out(P, prefix, cfg, x, o)
     assert y.rg == taped and np.array_equal(y.v, want)
 
 

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from hatlm import autodiff as ad
 from hatlm import checkpoint, config, model, train
-from hatlm.splitter import split, stream
+from hatlm.splitter import stream
 
 from conftest import (
     DATA,
+    forward_stages,
     full_decode_prompt_pass,
     masked_softmax,
     random_utf8_strings,
@@ -97,13 +98,15 @@ def test_init_truncated_at_two_sigma(micro_cfg, micro_params):
 
 def test_trace_shapes(micro_cfg, micro_params):
     data = "Shape check: FooBar 3.14 ok!".encode()
-    tr = model.forward(micro_params, micro_cfg, data)
-    n_words = len(split(data, micro_cfg.max_word_bytes))
+    tr = forward_stages(micro_params, micro_cfg, data)
+    n_closes = len(stream(data, micro_cfg.max_word_bytes)[1])
     assert tr.byte_states.shape == (len(data), micro_cfg.encoder.hidden)
-    assert tr.word_embeddings.shape == (n_words, micro_cfg.backbone.hidden)
-    assert tr.backbone_outputs.shape == (n_words, micro_cfg.backbone.hidden)
+    assert tr.word_embeddings.shape == (n_closes, micro_cfg.backbone.hidden)
+    assert tr.backbone_rows.shape == (n_closes + 1, micro_cfg.backbone.hidden)
     assert tr.logits.shape == (len(data), 256)
     assert np.all(np.isfinite(tr.logits))
+    # the stages rebuild model.forward's logits
+    assert np.array_equal(model.forward(micro_params, micro_cfg, data).v, tr.logits)
 
 
 def test_shape_closure_random_texts(micro_cfg, micro_params):
@@ -111,17 +114,18 @@ def test_shape_closure_random_texts(micro_cfg, micro_params):
         data = s.encode()
         if not data:
             continue
-        tr = model.forward(micro_params, micro_cfg, data)
-        n_words = len(split(data, micro_cfg.max_word_bytes))
-        assert tr.word_embeddings.shape[0] == n_words
-        assert tr.logits.shape == (len(data), 256)
-        assert np.all(np.isfinite(tr.logits))
+        tr = forward_stages(micro_params, micro_cfg, data)
+        n_closes = len(stream(data, micro_cfg.max_word_bytes)[1])
+        assert tr.word_embeddings.shape[0] == n_closes
+        logits = model.forward(micro_params, micro_cfg, data).v
+        assert logits.shape == (len(data), 256)
+        assert np.all(np.isfinite(logits))
 
 
 def test_forward_bit_deterministic(micro_cfg, micro_params):
     data = b"determinism check 123"
-    a = model.forward(micro_params, micro_cfg, data).logits
-    b = model.forward(micro_params, micro_cfg, data).logits
+    a = model.forward(micro_params, micro_cfg, data).v
+    b = model.forward(micro_params, micro_cfg, data).v
     assert np.array_equal(a, b)
 
 
@@ -132,13 +136,13 @@ def test_loss_at_random_init_near_uniform(micro_cfg):
 
 
 def test_forward_with_array_params_keeps_no_tape(micro_cfg, micro_params):
-    logits = model.forward(micro_params, micro_cfg, b"no tape here").logits_var
+    logits = model.forward(micro_params, micro_cfg, b"no tape here")
     assert not logits.rg and logits._parents == ()
 
 
 def test_logits_softmax_rows_sum_to_one(micro_cfg, micro_params):
-    tr = model.forward(micro_params, micro_cfg, b"softmax rows")
-    p = np.exp(tr.logits - tr.logits.max(-1, keepdims=True))
+    logits = model.forward(micro_params, micro_cfg, b"softmax rows").v
+    p = np.exp(logits - logits.max(-1, keepdims=True))
     p /= p.sum(-1, keepdims=True)
     assert np.allclose(p.sum(-1), 1.0, atol=1e-6)
 
@@ -158,8 +162,8 @@ def test_byte_level_future_perturbation(micro_cfg, micro_params):
     base = bytearray(b"aaa bbb ccc ddd eee")
     mut = bytearray(base)
     mut[14] = ord("x")  # inside the 4th word
-    a = model.forward(micro_params, micro_cfg, bytes(base)).logits
-    b = model.forward(micro_params, micro_cfg, bytes(mut)).logits
+    a = model.forward(micro_params, micro_cfg, bytes(base)).v
+    b = model.forward(micro_params, micro_cfg, bytes(mut)).v
     assert np.array_equal(a[:14], b[:14])
     assert not np.array_equal(a[14:], b[14:])
 
@@ -167,8 +171,7 @@ def test_byte_level_future_perturbation(micro_cfg, micro_params):
 def test_word_level_future_perturbation(micro_cfg, micro_params):
     # perturbing word j leaves backbone outputs at rows <= j unchanged
     data = b"aaa bbb ccc ddd"
-    tr = model.forward(micro_params, micro_cfg, data)
-    spans = [(s.start, s.end) for s in split(data).spans]
+    tr = forward_stages(micro_params, micro_cfg, data)
     we = tr.word_embeddings.copy()
     we[2] += 1.0
     rows = np.arange(len(we) + 1)
@@ -202,12 +205,10 @@ def test_word_context_per_row_matches_gather_then_wo(micro_cfg, micro_params):
         data = s.encode()
         if not data:
             continue
-        tr = model.forward(micro_params, micro_cfg, data)
-        spans = split(data, micro_cfg.max_word_bytes).spans
-        byte_row = np.repeat(np.arange(len(spans)), [sp.end - sp.start for sp in spans])
+        tr = forward_stages(micro_params, micro_cfg, data)
         ref = gather_then_wo_decode(micro_params, micro_cfg, tr.byte_states,
-                                    tr.backbone_outputs, byte_row, np.arange(len(data)))
-        assert np.array_equal(tr.logits, ref.v), s
+                                    tr.backbone_rows, tr.byte_row, np.arange(len(data)))
+        assert np.array_equal(model.forward(micro_params, micro_cfg, data).v, ref.v), s
 
 
 def _prompt_inputs(cfg, prompts: list[bytes]) -> list[tuple]:
@@ -245,8 +246,9 @@ def test_prompt_pass_tail_decode_matches_full_decode(decoder, dtype):
 def test_cross_word_leakage(micro_cfg, micro_params):
     # bytes of word j are bit-insensitive to backbone rows > j
     data = b"aaa bbb ccc ddd"
-    tr = model.forward(micro_params, micro_cfg, data)
+    tr = forward_stages(micro_params, micro_cfg, data)
     word_index = np.array([0] * 3 + [1] * 4 + [2] * 4 + [3] * 4)
+    assert np.array_equal(tr.byte_row, word_index)
     bb = model.backbone_forward_var(micro_params, micro_cfg, tr.word_embeddings,
                                     np.arange(len(tr.word_embeddings) + 1)).v
     bb_pert = bb.copy()
@@ -416,8 +418,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, micro_cfg, micro_params):
     for name in micro_params:
         assert np.array_equal(micro_params[name], params2[name])
     probe = b"checkpoint probe text"
-    a = model.forward(micro_params, micro_cfg, probe).logits
-    b = model.forward(params2, cfg2, probe).logits
+    a = model.forward(micro_params, micro_cfg, probe).v
+    b = model.forward(params2, cfg2, probe).v
     assert np.array_equal(a, b)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from hatlm import autodiff as ad
 from hatlm import kernels, model, train
+from hatlm.splitter import stream
 from hatlm.train import GroupPolicy, LrSchedule, lr_at
 
 from conftest import DATA
@@ -318,12 +321,17 @@ def test_train_loop_leaves_the_callers_params_unchanged(micro_cfg):
 @given(text=st.text(min_size=1, max_size=80), seq_len=st.integers(4, 96))
 @example(text="a\U0001F600", seq_len=4)    # "a" alone is too short to keep
 @example(text="a", seq_len=4)               # no document at all: refused
+@example(text="a\u2211b c\U0001F1E9\U0001F1EA", seq_len=5)  # chunk-opening multi-byte codepoints
 @settings(max_examples=100, deadline=None)
 def test_one_train_step_on_any_utf8_corpus(micro_cfg, text, seq_len):
+    # every document streams through the splitter (training's word
+    # assignment) and ends on a codepoint boundary; one step stays finite
     corpus = text.encode()
     docs = train.documents(corpus, seq_len)
     for d in docs:
         d.decode("utf-8")
+        state, _, index = stream(d, micro_cfg.max_word_bytes)
+        assert state.gate.need == 0 and len(index) == len(d)
     sched = LrSchedule(warmup_steps=1, stable_lr=1e-3, stable_steps=10, decay_steps=1)
     if not docs:        # nothing of 2 bytes or more to predict
         with pytest.raises(ValueError, match="too short"):
@@ -331,6 +339,21 @@ def test_one_train_step_on_any_utf8_corpus(micro_cfg, text, seq_len):
         return
     res = train.train_loop(micro_cfg, corpus, sched, GroupPolicy(), 1, seed=3, seq_len=seq_len)
     assert len(res.loss_curve) == 1 and np.isfinite(res.loss_curve[0])
+
+
+@pytest.mark.parametrize("f64", [False, True])
+def test_clip_scales_the_gradients_in_place(micro_cfg, micro_params, micro_params64, f64):
+    # the bits of the copying clip, grads[k] * scale, in the same arrays; a
+    # tensor outside `names` is neither counted nor scaled
+    params = micro_params64 if f64 else micro_params
+    _, grads = train.loss_and_grads(params, micro_cfg, CORPUS[:64])
+    names = tuple(k for k in grads if model.group_of(k) != "backbone")
+    arrays, before = dict(grads), {k: g.copy() for k, g in grads.items()}
+    total = math.sqrt(sum(float(np.sum(before[k].astype(np.float64) ** 2)) for k in names))
+    assert train.clip_global_norm(grads, 1e-3, names) == total > 1e-3
+    for k, g in grads.items():
+        assert g is arrays[k]
+        assert g.tobytes() == (before[k] * (1e-3 / total) if k in names else before[k]).tobytes()
 
 
 def test_grad_norms_are_the_unclipped_norms(micro_cfg):
@@ -382,13 +405,14 @@ def test_empty_corpus_rejected(micro_cfg):
 
 
 def test_train_loop_splits_each_document_once(micro_cfg, micro_params, monkeypatch):
-    # train_loop splits its 4 documents before the first step and passes the
-    # words down; the run is bit for bit the one that splits on every step
+    # train_loop streams its 4 documents through the splitter before the
+    # first step and passes the words down; the run is bit for bit the one
+    # that streams on every step
     sched = LrSchedule(warmup_steps=4, stable_lr=3e-3, stable_steps=40, decay_steps=0)
     corpus = CORPUS[:256]
     splits = []
-    real_split = model.split
-    monkeypatch.setattr(model, "split", lambda *a: splits.append(a) or real_split(*a))
+    real_stream = model.stream
+    monkeypatch.setattr(model, "stream", lambda *a: splits.append(a) or real_stream(*a))
     got = train.train_loop(micro_cfg, corpus, sched, GroupPolicy(), steps=32, seed=5,
                            seq_len=64)
     assert len(splits) == 4
@@ -399,10 +423,10 @@ def test_train_loop_splits_each_document_once(micro_cfg, micro_params, monkeypat
     splits.clear()
     want = train.train_loop(micro_cfg, corpus, sched, GroupPolicy(), steps=32, seed=5,
                             seq_len=64)
-    assert len(splits) == 4 + 32        # the spans made up front go unused
+    assert len(splits) == 4 + 32        # the words made up front go unused
     assert got.loss_curve == want.loss_curve and got.grad_norms == want.grad_norms
     assert all(np.array_equal(got.params[k], want.params[k]) for k in got.params)
     for doc in train.documents(corpus, 64):
-        a = real(micro_params, micro_cfg, doc, (), real_split(doc, micro_cfg.max_word_bytes))
+        a = real(micro_params, micro_cfg, doc, (), real_stream(doc, micro_cfg.max_word_bytes))
         b = real(micro_params, micro_cfg, doc)
         assert a[0] == b[0] and all(np.array_equal(a[1][k], b[1][k]) for k in a[1])
