@@ -35,10 +35,11 @@ in place, and only where one is hidden (`kernels.hide_keys`): a block on the
 triangle above the diagonal of its last keys, the band read in the first
 window - 1 rows of each sequence.
 
-A node that needs no gradient keeps neither its parents nor its backward
-closure, so a no-grad forward holds no tape: each intermediate array is
-freed as soon as the next operation has consumed it. With
-`kernels.DEBUG_FINITE` on, every node value and every accumulated gradient
+A `Var` is a tape node only, and a frozen leaf is a plain array. A
+primitive none of whose inputs is a Var returns its kernel's ndarray, with
+no node and no closure, so a no-grad forward holds no tape and frees each
+array once the next operation has consumed it. With `kernels.DEBUG_FINITE`
+on, every value, a node's or a plain one, and every accumulated gradient
 must be finite or a FloatingPointError is raised.
 """
 
@@ -54,30 +55,27 @@ ATTENTION_BLOCK = 32   # query positions per block of a dense attention read
 
 
 class Var:
-    __slots__ = ("v", "grad", "owns_grad", "_parents", "_bw", "rg")
+    """A tape node: a value whose gradient is wanted, its parents and its VJP."""
+    __slots__ = ("v", "grad", "owns_grad", "_parents", "_bw")
 
-    def __init__(self, value, parents=(), bw=None, rg=None):
+    def __init__(self, value, parents=(), bw=None):
         self.v = np.asarray(value)
-        self.rg = any(p.rg for p in parents) if rg is None else rg
-        self._parents, self._bw = (parents, bw) if self.rg else ((), None)
+        self._parents, self._bw = parents, bw
         self.grad, self.owns_grad = None, False
-        if kernels.DEBUG_FINITE:
-            _check_finite(self.v, "value")
+        _finite(self.v)
 
-    @property
-    def shape(self):
-        return self.v.shape
-
-    @property
-    def dtype(self):
-        return self.v.dtype
-
-    def __repr__(self):
-        return f"Var(shape={self.v.shape}, rg={self.rg})"
+    shape = property(lambda self: self.v.shape)
+    dtype = property(lambda self: self.v.dtype)
 
 
-def wrap(x, rg: bool = False) -> Var:
-    return x if isinstance(x, Var) else Var(np.asarray(x), rg=rg)
+def wrap(x, rg: bool = False):
+    """A leaf: x as a Var (`backward` fills its .grad) if rg, else as an array."""
+    return x if type(x) is Var else Var(x) if rg else np.asarray(x)
+
+
+def _v(x):
+    """A taped input's value: a Var's, or a constant as it is (a scalar stays weak)."""
+    return x.v if type(x) is Var else x
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -89,14 +87,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _check_finite(x: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError(f"non-finite autodiff {what} of shape {x.shape}")
+def _finite(x: np.ndarray, what: str = "value") -> np.ndarray:
+    """x, which must be finite under `kernels.DEBUG_FINITE`."""
+    if kernels.DEBUG_FINITE and not np.all(np.isfinite(x)):
+        raise FloatingPointError(f"non-finite autodiff {what} of shape {np.shape(x)}")
+    return x
 
 
-def _accum(p: Var, g: np.ndarray, owned: bool = False, at=None) -> None:
+def _accum(p, g: np.ndarray, owned: bool = False, at=None) -> None:
     """Add `g` into p.grad, or into its part p.grad[at] when `at` is a
-    `narrow` slice (whole along every axis before its last).
+    `narrow` slice (whole along every axis before its last); a constant p
+    (not a Var) takes nothing.
 
     The first whole gradient is kept by reference, whether p owns it (`owned`:
     a new array nothing else holds) or borrows it (a view of another node's
@@ -104,7 +105,7 @@ def _accum(p: Var, g: np.ndarray, owned: bool = False, at=None) -> None:
     A second contribution copies a borrowed gradient once, then adds in place.
     A part always lands in an array p owns: the first writes 0 + g (the bits
     of adding into zeros, so -0.0 becomes +0.0) and zeroes the rest."""
-    if not p.rg:
+    if type(p) is not Var:
         return
     if p.grad is None and at is not None:
         p.grad, p.owns_grad = np.empty_like(p.v), True
@@ -121,12 +122,11 @@ def _accum(p: Var, g: np.ndarray, owned: bool = False, at=None) -> None:
         if not p.owns_grad:
             p.grad, p.owns_grad = np.array(p.grad), True
         p.grad[... if at is None else at] += g
-    if kernels.DEBUG_FINITE:
-        _check_finite(p.grad, "gradient")
+    _finite(p.grad, "gradient")
 
 
 def backward(root: Var) -> None:
-    """Accumulate d(root)/d(leaf) into .grad of every requires-grad leaf.
+    """Accumulate d(root)/d(leaf) into .grad of every leaf Var.
 
     A graph is walked once: a VJP may build its gradient in its forward's
     buffers, and a node lends its gradient to its parents by reference."""
@@ -140,7 +140,7 @@ def backward(root: Var) -> None:
         if done:
             order.append(node)
             continue
-        if id(node) in seen or not node.rg:
+        if type(node) is not Var or id(node) in seen:
             continue
         seen.add(id(node))
         stack.append((node, True))
@@ -153,50 +153,52 @@ def backward(root: Var) -> None:
 
 
 # ---------------------------------------------------------------------------
-# primitives
+# primitives: each returns its kernel's plain array when no input is a Var
 
-def add(a, b) -> Var:
-    a, b = wrap(a), wrap(b)
-    out = a.v + b.v
-
-    def bw(g):
-        _accum(a, _unbroadcast(g, a.v.shape))
-        _accum(b, _unbroadcast(g, b.v.shape))
-    return Var(out, (a, b), bw)
-
-
-def mul(a, b) -> Var:
-    a, b = wrap(a), wrap(b)
-    out = a.v * b.v
+def add(a, b):
+    if type(a) is not Var and type(b) is not Var:
+        return _finite(a + b)
+    av, bv = _v(a), _v(b)
 
     def bw(g):
-        _accum(a, _unbroadcast(g * b.v, a.v.shape), owned=True)
-        _accum(b, _unbroadcast(g * a.v, b.v.shape), owned=True)
-    return Var(out, (a, b), bw)
+        _accum(a, _unbroadcast(g, np.shape(av)))
+        _accum(b, _unbroadcast(g, np.shape(bv)))
+    return Var(av + bv, (a, b), bw)
 
 
-def scale(a, c: float) -> Var:
-    a = wrap(a)
-
-    def bw(g):
-        _accum(a, g * c, owned=True)
-    return Var(a.v * c, (a,), bw)
-
-
-def matmul(a, b) -> Var:
-    a, b = wrap(a), wrap(b)
-    out = kernels.matmul(a.v, b.v)
+def mul(a, b):
+    if type(a) is not Var and type(b) is not Var:
+        return _finite(a * b)
+    av, bv = _v(a), _v(b)
 
     def bw(g):
-        ga = np.matmul(g, np.swapaxes(b.v, -1, -2))
-        gb = np.matmul(np.swapaxes(a.v, -1, -2), g)
-        _accum(a, _unbroadcast(ga, a.v.shape), owned=True)
-        _accum(b, _unbroadcast(gb, b.v.shape), owned=True)
-    return Var(out, (a, b), bw)
+        _accum(a, _unbroadcast(g * bv, np.shape(av)), owned=True)
+        _accum(b, _unbroadcast(g * av, np.shape(bv)), owned=True)
+    return Var(av * bv, (a, b), bw)
 
 
-def gather(a, idx, axis: int = 0) -> Var:
-    a = wrap(a)
+def scale(a, c: float):
+    if type(a) is not Var:
+        return _finite(a * c)
+    return Var(a.v * c, (a,), lambda g: _accum(a, g * c, owned=True))
+
+
+def matmul(a, b):
+    if type(a) is not Var and type(b) is not Var:
+        return kernels.matmul(a, b)
+    av, bv = _v(a), _v(b)
+
+    def bw(g):
+        ga = np.matmul(g, np.swapaxes(bv, -1, -2))
+        gb = np.matmul(np.swapaxes(av, -1, -2), g)
+        _accum(a, _unbroadcast(ga, av.shape), owned=True)
+        _accum(b, _unbroadcast(gb, bv.shape), owned=True)
+    return Var(kernels.matmul(av, bv), (a, b), bw)
+
+
+def gather(a, idx, axis: int = 0):
+    if type(a) is not Var:
+        return _finite(np.take(a, idx, axis=axis))
     idx = np.asarray(idx)
 
     def bw(g):
@@ -212,58 +214,50 @@ def gather(a, idx, axis: int = 0) -> Var:
     return Var(np.take(a.v, idx, axis=axis), (a,), bw)
 
 
-def reshape(a, shape) -> Var:
-    a = wrap(a)
-
-    def bw(g):
-        _accum(a, g.reshape(a.v.shape))
-    return Var(a.v.reshape(shape), (a,), bw)
+def reshape(a, shape):
+    if type(a) is not Var:
+        return _finite(a.reshape(shape))
+    return Var(a.v.reshape(shape), (a,), lambda g: _accum(a, g.reshape(a.v.shape)))
 
 
-def transpose(a, axes) -> Var:
-    a = wrap(a)
+def transpose(a, axes):
+    if type(a) is not Var:
+        return _finite(a.transpose(axes))
     inv = np.argsort(axes)
+    return Var(a.v.transpose(axes), (a,), lambda g: _accum(a, g.transpose(inv)))
+
+
+def concat(parts, axis: int = 0):
+    if not any(type(p) is Var for p in parts):
+        return _finite(np.concatenate(parts, axis=axis))
+    values = [_v(p) for p in parts]
+    ends = np.cumsum([p.shape[axis] for p in values])[:-1]
 
     def bw(g):
-        _accum(a, g.transpose(inv))
-    return Var(a.v.transpose(axes), (a,), bw)
+        for p, gp in zip(parts, np.split(g, ends, axis=axis)):
+            _accum(p, gp)
+    return Var(np.concatenate(values, axis=axis), tuple(parts), bw)
 
 
-def concat(parts, axis: int = 0) -> Var:
-    parts = [wrap(p) for p in parts]
-    sizes = [p.v.shape[axis] for p in parts]
-    out = np.concatenate([p.v for p in parts], axis=axis)
-
-    def bw(g):
-        offs = np.cumsum([0] + sizes)
-        for p, s, e in zip(parts, offs[:-1], offs[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(s, e)
-            _accum(p, g[tuple(sl)])
-    return Var(out, tuple(parts), bw)
-
-
-def narrow(a, axis: int, start: int, length: int) -> Var:
+def narrow(a, axis: int, start: int, length: int):
     """A slice of `axis`. Its gradient lands in its part of a's, so the
     parts of one node share one full-size gradient array; the first part
     zeroes only the rows outside it."""
-    a = wrap(a)
     sl = (slice(None),) * axis + (slice(start, start + length),)
+    if type(a) is not Var:
+        return _finite(a[sl])
+    return Var(a.v[sl], (a,), lambda g: _accum(a, g, at=sl))
 
-    def bw(g):
-        _accum(a, g, at=sl)
-    return Var(a.v[sl], (a,), bw)
 
-
-def sum_(a, axis=None, keepdims: bool = False) -> Var:
-    a = wrap(a)
+def sum_(a, axis=None, keepdims: bool = False):
+    if type(a) is not Var:
+        return _finite(a.sum(axis=axis, keepdims=keepdims))
     out = a.v.sum(axis=axis, keepdims=keepdims)
 
     def bw(g):
-        gg = g
         if not keepdims and axis is not None:
-            gg = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg, a.v.shape))
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g, a.v.shape))
     return Var(out, (a,), bw)
 
 
@@ -276,14 +270,16 @@ def _segment_counts(starts: np.ndarray, n: int) -> np.ndarray:
     return np.diff(np.append(starts, n))
 
 
-def segment_softmax(a, starts) -> Var:
+def segment_softmax(a, starts):
     """Softmax over the last axis within each segment: the segments split it
     at `starts` (strictly rising, from 0), every one non-empty."""
-    a = wrap(a)
-    counts = _segment_counts(starts, a.v.shape[-1])
-    m = np.maximum.reduceat(a.v, starts, axis=-1)
-    e = np.exp(a.v - np.repeat(m, counts, axis=-1))
+    av = _v(a)
+    counts = _segment_counts(starts, av.shape[-1])
+    m = np.maximum.reduceat(av, starts, axis=-1)
+    e = np.exp(av - np.repeat(m, counts, axis=-1))
     p = e / np.repeat(np.add.reduceat(e, starts, axis=-1), counts, axis=-1)
+    if type(a) is not Var:
+        return _finite(p)
 
     def bw(g):
         dot = np.add.reduceat(g * p, starts, axis=-1)
@@ -291,91 +287,89 @@ def segment_softmax(a, starts) -> Var:
     return Var(p, (a,), bw)
 
 
-def segment_sum(a, starts, axis: int) -> Var:
+def segment_sum(a, starts, axis: int):
     """Sum of each segment of `axis`; the segments split it at `starts`
     (strictly rising, from 0), every one non-empty."""
-    a = wrap(a)
-    counts = _segment_counts(starts, a.v.shape[axis])
+    av = _v(a)
+    counts = _segment_counts(starts, av.shape[axis])
+    out = np.add.reduceat(av, starts, axis=axis)
+    if type(a) is not Var:
+        return _finite(out)
+    return Var(out, (a,), lambda g: _accum(a, np.repeat(g, counts, axis=axis), owned=True))
 
-    def bw(g):
-        _accum(a, np.repeat(g, counts, axis=axis), owned=True)
-    return Var(np.add.reduceat(a.v, starts, axis=axis), (a,), bw)
 
-
-def rope(a, c, s) -> Var:
+def rope(a, c, s):
     """Rotary transform by `kernels.rope_table` rows c and s that broadcast against
     a. It is orthogonal: its VJP is the inverse rotation, by the rows c and -s."""
-    a = wrap(a)
+    if type(a) is not Var:
+        return kernels.rotate(a, c, s)
+    return Var(kernels.rotate(a.v, c, s), (a,),
+               lambda g: _accum(a, kernels.rotate(g, c, np.negative(s)), owned=True))
 
-    def bw(g):
-        _accum(a, kernels.rotate(g, c, np.negative(s)), owned=True)
-    return Var(kernels.rotate(a.v, c, s), (a,), bw)
 
-
-def cross_entropy(logits, targets) -> Var:
+def cross_entropy(logits, targets):
     """Mean cross-entropy of rows of `logits` against integer `targets`."""
-    lg = wrap(logits)
+    lv = _v(logits)
     t = np.asarray(targets)
-    n = lg.v.shape[0]
+    n = lv.shape[0]
     if t.shape != (n,):
         raise ValueError("targets must be one index per logits row")
-    m = lg.v.max(axis=-1, keepdims=True)
-    e = np.exp(lg.v - m)
+    m = lv.max(axis=-1, keepdims=True)
+    e = np.exp(lv - m)
     se = e.sum(axis=-1, keepdims=True)
     lse = (m + np.log(se)).squeeze(-1)
-    loss = (lse - lg.v[np.arange(n), t]).mean()
+    loss = np.asarray((lse - lv[np.arange(n), t]).mean())
+    if type(logits) is not Var:
+        return _finite(loss)
 
     def bw(g):      # in e: e / se, less 1 at the targets, times g, over n
         np.divide(e, se, out=e)
         e[np.arange(n), t] -= 1.0
         np.multiply(e, g, out=e)
         np.divide(e, n, out=e)
-        _accum(lg, e, owned=True)
-    return Var(np.asarray(loss), (lg,), bw)
+        _accum(logits, e, owned=True)
+    return Var(loss, (logits,), bw)
 
 
-def rms_norm(a, eps: float, gain=None) -> Var:
+def rms_norm(a, eps: float, gain=None):
     """RMS normalization over the last axis, optionally gain-scaled."""
-    a = wrap(a)
-    gain = None if gain is None else wrap(gain)
-    rms = kernels.rms(a.v, eps)
-    xhat = a.v / rms
+    if type(a) is not Var and type(gain) is not Var:
+        return kernels.rms_norm(a, eps, gain)
+    av, gv = _v(a), None if gain is None else _v(gain)
+    rms = kernels.rms(av, eps)
+    xhat = av / rms
 
     def bw(g):
-        dxhat = g if gain is None else g * gain.v
-        dot = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / a.v.shape[-1]
+        dxhat = g if gv is None else g * gv
+        dot = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / av.shape[-1]
         ga = xhat * dot
         _accum(a, np.divide(np.subtract(dxhat, ga, out=ga), rms, out=ga), owned=True)
-        if gain is not None:
-            _accum(gain, _unbroadcast(g * xhat, gain.v.shape), owned=True)
-    if gain is None:
-        return Var(xhat, (a,), bw)
-    return Var(xhat * gain.v, (a, gain), bw)
+        if gv is not None:
+            _accum(gain, _unbroadcast(g * xhat, gv.shape), owned=True)
+    return Var(xhat if gv is None else xhat * gv, (a, gain), bw)
 
 
-def softcap(a, cap: float) -> Var:
+def softcap(a, cap: float):
     """cap * tanh(a / cap)."""
-    a = wrap(a)
+    if type(a) is not Var:
+        return _finite(kernels.softcap(a, cap))
     out = kernels.softcap(a.v, cap)
-
-    def bw(g):
-        _accum(a, g * (1.0 - np.square(out / cap)), owned=True)
-    return Var(out, (a,), bw)
+    return Var(out, (a,), lambda g: _accum(a, g * (1.0 - np.square(out / cap)), owned=True))
 
 
-def swiglu(x, w_gate_up, w_down) -> Var:
+def swiglu(x, w_gate_up, w_down):
     """w_down applied to silu(x w_gate) * (x w_up), for rows x [n, hidden],
     with w_gate|w_up one tensor (`kernels.swiglu_ffn`)."""
-    x, wgu, wd = (wrap(p) for p in (x, w_gate_up, w_down))
-    if not (x.rg or wgu.rg or wd.rg):
-        return Var(kernels.swiglu_ffn(x.v, wgu.v, wd.v))
-    a, b = kernels.matmul(x.v, wgu.v.reshape(len(wgu.v), 2, -1).swapaxes(0, 1))
+    if type(x) is not Var and type(w_gate_up) is not Var and type(w_down) is not Var:
+        return kernels.swiglu_ffn(x, w_gate_up, w_down)
+    xv, wgu, wd = _v(x), _v(w_gate_up), _v(w_down)
+    a, b = kernels.matmul(xv, wgu.reshape(len(wgu), 2, -1).swapaxes(0, 1))
     d = kernels.silu_denominator(a)     # the backward's sigmoid is 1 / d
     sa = a / d
     h = sa * b
 
     def bw(g):
-        dh = g @ wd.v.T
+        dh = g @ wd.T
         s = np.divide(1.0, d, out=d)
         ds = np.subtract(1.0, s)        # silu' = s + sa * (1 - s)
         ds *= sa
@@ -385,10 +379,10 @@ def swiglu(x, w_gate_up, w_down) -> Var:
         np.multiply(dh, b, out=dab[:, :m])
         dab[:, :m] *= ds
         np.multiply(dh, sa, out=dab[:, m:])
-        _accum(x, dab @ wgu.v.T, owned=True)
-        _accum(wgu, x.v.T @ dab, owned=True)
-        _accum(wd, h.T @ g, owned=True)
-    return Var(kernels.matmul(h, wd.v), (x, wgu, wd), bw)
+        _accum(x, dab @ wgu.T, owned=True)
+        _accum(w_gate_up, xv.T @ dab, owned=True)
+        _accum(w_down, h.T @ g, owned=True)
+    return Var(kernels.matmul(h, wd), (x, w_gate_up, w_down), bw)
 
 
 def _band(x: np.ndarray, w: int) -> np.ndarray:
@@ -443,7 +437,7 @@ def _causal_blocks(q: np.ndarray, k: np.ndarray, v: np.ndarray, positions: np.nd
     return out.reshape(t, nh * hs)
 
 
-def attention(qk, v, positions, window: int | None, cap: float | None) -> Var:
+def attention(qk, v, positions, window: int | None, cap: float | None):
     """Causal self-attention of t positions over grouped KV heads.
 
     qk is [n_heads + n_kv_heads, t, hs], the query heads and then the key
@@ -466,26 +460,27 @@ def attention(qk, v, positions, window: int | None, cap: float | None) -> Var:
     backward goes block by block: it writes the block's query rows and adds
     into its keys and values.
     """
-    qk, v = wrap(qk), wrap(v)
-    nkv, t, hs = v.v.shape
-    nh = qk.v.shape[0] - nkv
+    rg = type(qk) is Var or type(v) is Var
+    qkv, vv = _v(qk), _v(v)
+    nkv, t, hs = vv.shape
+    nh = qkv.shape[0] - nkv
     g = nh // nkv
-    q, k = qk.v[:nh], qk.v[nh:]
+    q, k = qkv[:nh], qkv[nh:]
     positions = np.asarray(positions)
     if positions.shape != (t,) or np.any(positions[:1] != 0) or np.any(
             (positions[1:] != positions[:-1] + 1) & (positions[1:] != 0)):
         raise ValueError("positions must start at 0 and each one rise by 1 or restart at 0")
     inv = 1.0 / math.sqrt(hs)
     if window is None:
-        blocks = [] if qk.rg or v.rg else None
-        out = _causal_blocks(q, k, v.v, positions, cap, blocks)
-        if blocks is None:
-            return Var(out)
-        qg, kx, vx = q.reshape(nkv, g, t, hs), k[:, None], v.v[:, None]
+        blocks = [] if rg else None
+        out = _causal_blocks(q, k, vv, positions, cap, blocks)
+        if not rg:
+            return _finite(out)
+        qg, kx, vx = q.reshape(nkv, g, t, hs), k[:, None], vv[:, None]
 
         def bw(gr):
             gx = gr.reshape(t, nkv, g, hs).transpose(1, 2, 0, 3)
-            dqk, dv = np.empty_like(qk.v), np.zeros_like(v.v)
+            dqk, dv = np.empty_like(qkv), np.zeros_like(vv)
             dqk[nh:] = 0
             dq, dk = dqk[:nh].reshape(nkv, g, t, hs), dqk[nh:]
             for a, b, s, p, th in blocks:
@@ -504,18 +499,21 @@ def attention(qk, v, positions, window: int | None, cap: float | None) -> Var:
             _accum(v, dv, owned=True)
         return Var(out, (qk, v), bw)
 
-    kx, vx = _band(k, window), _band(v.v, window).swapaxes(-1, -2)
+    kx, vx = _band(k, window), _band(vv, window).swapaxes(-1, -2)
     qx = q.reshape(nkv, g, t, hs).transpose(0, 2, 1, 3)     # [kv, t, g, hs]
     z = (qx @ kx) * inv
     if cap is not None:
         z = kernels.softcap(z, cap)
-    p = z.copy() if cap is not None and (qk.rg or v.rg) else z     # the cap's VJP reads z
+    p = z.copy() if cap is not None and rg else z     # the cap's VJP reads z
     # band slot j of row i holds row i - (window-1) + j
     kernels.hide_keys(p, np.arange(window) < window - 1 - positions[:, None], 1)
     peak = p[..., :1].copy()
     for j in range(1, window):      # as `_unband`: a reduce over the short slot axis is slow
         np.maximum(peak, p[..., j:j + 1], out=peak)
     kernels.softmax(p, peak)
+    out = (p @ vx).swapaxes(0, 1).reshape(t, nh * hs)
+    if not rg:
+        return _finite(out)
 
     def bw(gr):
         gx = gr.reshape(t, nkv, g, hs).swapaxes(0, 1)
@@ -528,4 +526,4 @@ def attention(qk, v, positions, window: int | None, cap: float | None) -> Var:
         dq = (dz @ kx.swapaxes(-1, -2)).transpose(0, 2, 1, 3).reshape(nh, t, hs)
         _accum(qk, np.concatenate([dq, dk]), owned=True)
         _accum(v, dv, owned=True)
-    return Var((p @ vx).swapaxes(0, 1).reshape(t, nh * hs), (qk, v), bw)
+    return Var(out, (qk, v), bw)

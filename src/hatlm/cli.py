@@ -184,8 +184,8 @@ def cmd_ckpt_roundtrip(args) -> int:
         if not np.array_equal(params[name], params2[name]):
             raise ValueError(f"tensor {name} did not round-trip bit-exactly")
     probe = b"roundtrip probe 123"
-    if not np.array_equal(model.forward(params, cfg, probe).v,
-                          model.forward(params2, cfg2, probe).v):
+    if not np.array_equal(model.forward(params, cfg, probe),
+                          model.forward(params2, cfg2, probe)):
         raise ValueError("forward outputs differ after round-trip")
     print(f"ok tensors={len(params)} forward=bit-exact path={args.out}")
     return 0

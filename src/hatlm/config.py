@@ -42,6 +42,8 @@ class StackConfig:
                 raise ValueError(f"{name}.{f} must be a positive integer, got {v!r}")
         for f in ("mlp_expansion", "rope_base"):
             _check_positive(f"{name}.{f}", getattr(self, f))
+        if self.intermediate < 1:
+            raise ValueError(f"{name}.mlp_expansion gives no MLP unit, got {self.mlp_expansion!r}")
         if self.n_heads * self.head_size != self.hidden:
             raise ValueError(f"{name}: n_heads*head_size must equal hidden")
         if self.n_heads % self.n_kv_heads:
@@ -72,6 +74,8 @@ class HatConfig:
             raise ValueError("backbone hidden must be divisible by encoder head_size")
         if self.encoder.hidden != self.decoder.hidden:
             raise ValueError("decoder consumes encoder states: hidden sizes must match")
+        if self.backbone.window is not None:
+            raise ValueError("backbone.window must be none: generation reads every word")
         if self.backbone.max_positions < 2:
             raise ValueError("backbone.max_positions must hold BOS and a word")
         w = self.max_word_bytes

@@ -4,10 +4,10 @@ A session keeps per-layer byte-level K/V rings of the sliding window
 (encoder and decoder; slot `pos % window`, keys rotated before caching) and
 a growable word-level cache for the backbone. Bytes cycle through the
 encoder-decoder loop; the backbone runs only when the incremental splitter
-closes a word. A layer reads the batch pass's tensors (:mod:`hatlm.model`)
-with the same kernels: one q|k|v product, qk-norm and the rotation once over
-q|k (by rows of `kernels.rope_table`, as the tape), one gate|up product. The
-word-context read is `model.word_context` itself.
+closes a word. A layer is the tape's own, on no-grad [B, hidden] rows:
+`model.layer_qkv`, the read of the caches (`kernels.attend`) and
+`model.layer_out`, so only the attention read differs from the batch pass.
+The head is `model.head` and the word-context read is `model.word_context`.
 
 Every step is batched over sessions: `BatchRunner.run_tick` runs one byte
 step for its byte-stepping sessions (sample and commit per session, then one
@@ -51,7 +51,7 @@ import numpy as np
 
 from . import model
 from .config import HatConfig, StackConfig
-from .kernels import attend, matmul, rms_norm, rotate, softmax, swiglu_ffn
+from .kernels import attend, matmul, softmax
 from .splitter import BYTE_EOS, IncrementalSplitterState, SplitError, WordClosed, stream
 
 
@@ -136,28 +136,7 @@ class WordCache:
 
 
 # ---------------------------------------------------------------------------
-# one new position per session, batched over sessions (mirrors the batch pass)
-
-def _qkv(P, prefix: str, cfg: HatConfig, s: StackConfig, x: np.ndarray, rot):
-    """Rotated queries [B, n_heads, hs], rotated keys and values [B, n_kv, hs]:
-    one q|k|v product, then qk-norm and the rotation once over the query and
-    key heads together. `rot` holds the rows' C and S (`model.rope_rows`), [B, 1, hs]."""
-    h = rms_norm(x, cfg.norm_eps, P[f"{prefix}.attn_norm.gain"])
-    qkv = matmul(h, P[f"{prefix}.attn.wqkv"]).reshape(len(x), -1, s.head_size)
-    qk, v = qkv[:, :s.n_heads + s.n_kv_heads], qkv[:, s.n_heads + s.n_kv_heads:]
-    if cfg.qk_norm:
-        qk = rms_norm(qk, cfg.norm_eps)
-    qk = rotate(qk, *rot)
-    return qk[:, :s.n_heads], qk[:, s.n_heads:], v
-
-
-def _finish_layer(P, prefix: str, cfg: HatConfig, x: np.ndarray,
-                  o: np.ndarray) -> np.ndarray:
-    """Attention output projection and the MLP, both residual."""
-    x = x + matmul(o, P[f"{prefix}.attn.wo"])
-    h = rms_norm(x, cfg.norm_eps, P[f"{prefix}.mlp_norm.gain"])
-    return x + swiglu_ffn(h, P[f"{prefix}.mlp.w_gate_up"], P[f"{prefix}.mlp.w_down"])
-
+# one new position per session, batched over sessions (the batch pass's layer)
 
 def _byte_stack(P, name: str, cfg: HatConfig, kv: np.ndarray, rows: slice | np.ndarray,
                 x: np.ndarray, pos: np.ndarray,
@@ -178,11 +157,11 @@ def _byte_stack(P, name: str, cfg: HatConfig, kv: np.ndarray, rows: slice | np.n
         prefix = f"{name}.layers.{i}"
         if inject is not None:
             x = x + inject[:, i]
-        q, k, v = _qkv(P, prefix, cfg, s, x, rot)
-        batch[b, i, 0, slot] = k
+        qk, v = model.layer_qkv(P, prefix, s, cfg, x, rot)
+        batch[b, i, 0, slot] = qk[:, s.n_heads:]
         batch[b, i, 1, slot] = v
-        o = attend(q, batch[:, i, 0], batch[:, i, 1], cfg.softcap, valid)
-        x = _finish_layer(P, prefix, cfg, x, o)
+        o = attend(qk[:, :s.n_heads], batch[:, i, 0], batch[:, i, 1], cfg.softcap, valid)
+        x = model.layer_out(P, prefix, cfg, x, o)
     if not isinstance(rows, slice):
         kv[rows, :, :, slot] = batch[b, :, :, slot]
     return x
@@ -211,12 +190,13 @@ def _attend_words(caches: list[WordCache], layer: int, q, k, v, cap) -> np.ndarr
 def _word_stack(sessions: list[GenSession], x: np.ndarray) -> np.ndarray:
     """One new backbone position per session (reads: `_attend_words`)."""
     P, cfg = sessions[0].params, sessions[0].cfg
-    caches = [s.word_cache for s in sessions]
-    rot = model.rope_rows(cfg.backbone, [[c.rows] for c in caches], x.dtype)
-    for i in range(cfg.backbone.n_layers):
+    bb, caches = cfg.backbone, [s.word_cache for s in sessions]
+    rot = model.rope_rows(bb, [[c.rows] for c in caches], x.dtype)
+    for i in range(bb.n_layers):
         prefix = f"backbone.layers.{i}"
-        q, k, v = _qkv(P, prefix, cfg, cfg.backbone, x, rot)
-        x = _finish_layer(P, prefix, cfg, x, _attend_words(caches, i, q, k, v, cfg.softcap))
+        qk, v = model.layer_qkv(P, prefix, bb, cfg, x, rot)
+        o = _attend_words(caches, i, qk[:, :bb.n_heads], qk[:, bb.n_heads:], v, cfg.softcap)
+        x = model.layer_out(P, prefix, cfg, x, o)
     for s in sessions:
         s.word_cache.rows += 1
         s.backbone_calls += 1
@@ -392,8 +372,7 @@ def _encode_decode(sessions: list[GenSession], byte_vals: list[int], batch: _Row
     sel = slice(None) if len(rows) == len(batch.enc) else np.array(rows)   # ascending
     x = _byte_stack(P, "encoder", cfg, batch.enc, sel, P["encoder.byte_embedding"][byte_vals], pos)
     y = _byte_stack(P, "decoder", cfg, batch.dec, sel, x, pos, batch.inject[sel])
-    logits = matmul(rms_norm(y, cfg.norm_eps, P["decoder.final_norm.gain"]),
-                    P["decoder.lm_head"])
+    logits = model.head(P, cfg, y)
     for s, state, row in zip(sessions, x, logits):
         s.pending_states.append(state.copy())
         s.inc_index.append(s.word_cache.rows - 1)
@@ -414,7 +393,7 @@ def _consume_closes(sessions: list[GenSession], batch: _Rows, rows: list[int]) -
         words = _pool_words(P, cfg, [s._take_span(s.pending_closes[r]) for s in group])
         last[idx] = _word_stack(group, words)
     for i, c in enumerate(model.word_context(P, cfg, last)):
-        batch.inject[rows, i] = c.v
+        batch.inject[rows, i] = c
     for s in sessions:
         s.pending_closes = []
 

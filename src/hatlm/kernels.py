@@ -1,12 +1,12 @@
 """Dense numeric kernels: matmul, normalization, rotary embedding, softmax,
 and the single-query grouped-KV attention read.
 
-These are the one implementation of each piece of math: the incremental
-engine calls them directly and the autodiff tape takes its forward values
-from `matmul`, `swiglu_ffn`, `silu_denominator` (`silu`'s), `rms`, `softcap`,
-`rotate`, `hide_keys` and `softmax`. Those two work in place on the logits they are given (a masked read
-passes `hide_keys` only its hidden pairs); the rest are pure functions, and all
-are deterministic for a given input dtype (float32 or float64; outputs follow inputs).
+These are the one implementation of each piece of math: the autodiff
+primitives, taped or not (the incremental step's layer), take their values
+from them, and the step's cache reads call `attend`. `hide_keys` and
+`softmax` work in place on the logits they are given (a masked read passes
+`hide_keys` only its hidden pairs); the rest are pure functions, and all are
+deterministic for a given input dtype (float32 or float64; outputs follow inputs).
 Setting the environment variable HATLM_DEBUG_FINITE=1 (or the module flag)
 makes every kernel assert that its output is finite.
 

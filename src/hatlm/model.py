@@ -183,39 +183,52 @@ def rope_rows(s: StackConfig, positions, dtype) -> tuple[np.ndarray, np.ndarray]
                                                   s.max_positions, dtype))
 
 
-def _self_attn(P, prefix: str, x: ad.Var, s: StackConfig, cfg: HatConfig,
-               positions: np.ndarray, kv: list | None = None,
-               rotation: np.ndarray | None = None) -> ad.Var:
-    """Self-attention sublayer: one q|k|v product, qk-norm and the rotation
-    once over q|k, by `rotation` (default `positions`), then the read of
-    `ad.attention` at `positions`. `kv`, when given, collects the layer's
-    rotated keys and its values, each [n_kv_heads, t, hs]."""
-    t = x.shape[0]
+def layer_qkv(P, prefix: str, s: StackConfig, cfg: HatConfig, x, rot):
+    """A layer's projection half, row-major: rows x [t, hidden] give qk
+    [t, n_heads + n_kv_heads, hs], qk-normed and rotated by the C and S rows
+    `rot` ([t, 1, hs] each, `rope_rows`), and v [t, n_kv_heads, hs]: the
+    keys and values in a cache's layout. One q|k|v product."""
     nh, nkv, hs = s.n_heads, s.n_kv_heads, s.head_size
     h = ad.rms_norm(x, cfg.norm_eps, P[f"{prefix}.attn_norm.gain"])
-    qkv = ad.transpose(ad.reshape(ad.matmul(h, P[f"{prefix}.attn.wqkv"]),
-                                  (t, nh + 2 * nkv, hs)), (1, 0, 2))
-    qk, v = ad.narrow(qkv, 0, 0, nh + nkv), ad.narrow(qkv, 0, nh + nkv, nkv)
+    qkv = ad.reshape(ad.matmul(h, P[f"{prefix}.attn.wqkv"]), (x.shape[0], nh + 2 * nkv, hs))
+    qk, v = ad.narrow(qkv, 1, 0, nh + nkv), ad.narrow(qkv, 1, nh + nkv, nkv)
     if cfg.qk_norm:
         qk = ad.rms_norm(qk, cfg.norm_eps)
-    qk = ad.rope(qk, *rope_rows(s, positions if rotation is None else rotation, qk.dtype))
-    if kv is not None:          # copies: views would keep all of q|k|v alive
-        kv.append((qk.v[nh:].copy(), v.v.copy()))
-    return ad.matmul(ad.attention(qk, v, positions, s.window, cfg.softcap),
-                     P[f"{prefix}.attn.wo"])
+    return ad.rope(qk, *rot), v
 
 
-def _mlp(P, prefix: str, x: ad.Var, cfg: HatConfig) -> ad.Var:
+def layer_out(P, prefix: str, cfg: HatConfig, x, o):
+    """A layer's output half, for the attention read o [t, n_heads * hs]:
+    x + o·wo, then + the SwiGLU MLP of its norm."""
+    x = ad.add(x, ad.matmul(o, P[f"{prefix}.attn.wo"]))
     h = ad.rms_norm(x, cfg.norm_eps, P[f"{prefix}.mlp_norm.gain"])
-    return ad.swiglu(h, P[f"{prefix}.mlp.w_gate_up"], P[f"{prefix}.mlp.w_down"])
+    return ad.add(x, ad.swiglu(h, P[f"{prefix}.mlp.w_gate_up"], P[f"{prefix}.mlp.w_down"]))
 
 
-def _stack(P, name: str, x: ad.Var, s: StackConfig, cfg: HatConfig,
-           positions: np.ndarray, kv: list | None = None) -> ad.Var:
+def head(P, cfg: HatConfig, x):
+    """Byte logits of decoder rows: the final norm, then lm_head."""
+    return ad.matmul(ad.rms_norm(x, cfg.norm_eps, P["decoder.final_norm.gain"]),
+                     P["decoder.lm_head"])
+
+
+def _stack(P, name: str, x, s: StackConfig, cfg: HatConfig, positions: np.ndarray,
+           kv: list | None = None, rotation: np.ndarray | None = None, inject=None):
+    """Stack s over a pack: each layer adds `inject[i]` (when given), then runs
+    its two halves around the read of `ad.attention` at `positions`, with
+    queries and keys rotated at `rotation` (default `positions`). `kv`, in a
+    no-grad pass, collects each layer's keys and values ([t, n_kv, hs])."""
+    rot = rope_rows(s, (positions if rotation is None else rotation)[:, None], x.dtype)
     for i in range(s.n_layers):
         prefix = f"{name}.layers.{i}"
-        x = ad.add(x, _self_attn(P, prefix, x, s, cfg, positions, kv))
-        x = ad.add(x, _mlp(P, prefix, x, cfg))
+        if inject is not None:
+            x = ad.add(x, inject[i])
+        qk, v = layer_qkv(P, prefix, s, cfg, x, rot)
+        if kv is not None:          # copies: views would keep all of q|k|v alive
+            kv.append((qk[:, s.n_heads:].copy(), v.copy()))
+        o = ad.attention(ad.transpose(qk, (1, 0, 2)), ad.transpose(v, (1, 0, 2)), positions,
+                         s.window, cfg.softcap)
+        del qk, v                   # a no-grad pass frees q|k|v here, before the MLP
+        x = layer_out(P, prefix, cfg, x, o)
     return x
 
 
@@ -225,7 +238,7 @@ def byte_limit(cfg: HatConfig) -> int:
 
 
 def encode_bytes_var(P, cfg: HatConfig, byte_ids: np.ndarray, positions: np.ndarray,
-                     kv: list | None = None) -> ad.Var:
+                     kv: list | None = None):
     """Encoder states; byte i sits at `positions[i]` of its sequence (`ad.attention`)."""
     if len(byte_ids) == 0:
         raise ValueError("empty byte sequence")
@@ -235,8 +248,7 @@ def encode_bytes_var(P, cfg: HatConfig, byte_ids: np.ndarray, positions: np.ndar
     return _stack(P, "encoder", x, cfg.encoder, cfg, positions, kv)
 
 
-def pool_words_var(P, cfg: HatConfig, byte_states: ad.Var,
-                   spans: list[tuple[int, int]]) -> ad.Var:
+def pool_words_var(P, cfg: HatConfig, byte_states, spans: list[tuple[int, int]]):
     """One word embedding per span via learned-query cross-attention.
 
     No rotary transform, no residual, no norms: the connector is a bare
@@ -252,7 +264,7 @@ def pool_words_var(P, cfg: HatConfig, byte_states: ad.Var,
     nh, hs, c = cfg.n_enc_cross_heads, cfg.encoder.head_size, cfg.cross_hidden
     n, t = len(spans), byte_states.shape[0]
     if n == 0:
-        return ad.wrap(np.zeros((0, c), dtype=byte_states.dtype))
+        return np.zeros((0, c), dtype=byte_states.dtype)
     a, b = np.asarray(spans, dtype=np.int64).reshape(n, 2).T
     bad = ~((0 <= a) & (a < b) & (b <= t))
     if bad.any():
@@ -280,8 +292,8 @@ def pool_words_var(P, cfg: HatConfig, byte_states: ad.Var,
     return ad.matmul(o, P["connector.wo"])
 
 
-def backbone_forward_var(P, cfg: HatConfig, word_embs: ad.Var, positions: np.ndarray,
-                         kv: list | None = None) -> ad.Var:
+def backbone_forward_var(P, cfg: HatConfig, word_embs, positions: np.ndarray,
+                         kv: list | None = None):
     """Causal transformer over one [BOS; words] block per sequence: row r sits
     at `positions[r]` of its block, 0 is the BOS and the other rows take the
     word embeddings in order. Row k of a block predicts its word k."""
@@ -293,7 +305,7 @@ def backbone_forward_var(P, cfg: HatConfig, word_embs: ad.Var, positions: np.nda
     return _stack(P, "backbone", x, cfg.backbone, cfg, positions, kv)
 
 
-def word_context(P, cfg: HatConfig, rows) -> list[ad.Var]:
+def word_context(P, cfg: HatConfig, rows) -> list:
     """Each decoder block's word-context injection, [n, h_dec], for backbone
     rows [n, h_bb]. Each byte reads exactly one backbone row (its word's
     predictor), so the softmax over that single key is identically 1 and the
@@ -310,9 +322,9 @@ def word_context(P, cfg: HatConfig, rows) -> list[ad.Var]:
     return out
 
 
-def decode_bytes_var(P, cfg: HatConfig, byte_states: ad.Var, context: list[ad.Var],
+def decode_bytes_var(P, cfg: HatConfig, byte_states, context: list,
                      byte_row: np.ndarray, positions: np.ndarray, kv: list | None = None,
-                     last_only: bool = False, rotation: np.ndarray | None = None) -> ad.Var:
+                     last_only: bool = False, rotation: np.ndarray | None = None):
     """Decoder blocks: word-context injection, then a local transformer layer.
 
     Byte i adds row `byte_row[i]` of each block's `word_context`, and sits
@@ -325,16 +337,11 @@ def decode_bytes_var(P, cfg: HatConfig, byte_states: ad.Var, context: list[ad.Va
         raise ValueError("word index length must match byte count")
     if len(byte_row) and (byte_row.min() < 0 or byte_row.max() >= context[0].shape[0]):
         raise ValueError("word index out of backbone output range")
-    x = byte_states
-    for i in range(cfg.decoder.n_layers):
-        x = ad.add(x, ad.gather(context[i], byte_row))
-        prefix = f"decoder.layers.{i}"
-        x = ad.add(x, _self_attn(P, prefix, x, cfg.decoder, cfg, positions, kv, rotation))
-        x = ad.add(x, _mlp(P, prefix, x, cfg))
+    x = _stack(P, "decoder", byte_states, cfg.decoder, cfg, positions, kv, rotation,
+               [ad.gather(c, byte_row) for c in context])
     if last_only:
         x = ad.gather(x, np.flatnonzero(np.append(positions[1:] == 0, True)))
-    h = ad.rms_norm(x, cfg.norm_eps, P["decoder.final_norm.gain"])
-    return ad.matmul(h, P["decoder.lm_head"])
+    return head(P, cfg, x)
 
 
 @dataclass
@@ -359,7 +366,7 @@ def _cache_rows(layers: list, lens: np.ndarray, window: int | None):
     hold it, with the last `window` rows of each prompt, and their starts."""
     w = window or int(lens.sum())
     keep = np.arange(lens.sum()) >= np.repeat(np.cumsum(lens) - w, lens)
-    kv = np.stack([np.stack([k[:, keep], v[:, keep]]) for k, v in layers]).swapaxes(2, 3)
+    kv = np.stack([np.stack([k[keep], v[keep]]) for k, v in layers])
     layers.clear()
     return kv, np.cumsum([0, *np.minimum(lens, w)])
 
@@ -440,13 +447,13 @@ def prompt_pass(params, cfg: HatConfig, prompts: list[tuple]) -> list[PromptPass
     kv = []
     byte_states, context, logits, lens = _pack_pass(params, cfg, prompts, kv)
     (enc, bb, dec), tb = kv, np.cumsum([0, *lens])
-    inject = np.stack([c.v[bb[1][1:] - 1] for c in context], axis=1)
-    return [PromptPass(byte_states.v[tb[j]:tb[j + 1]], inject[j], logits.v[j],
+    inject = np.stack([c[bb[1][1:] - 1] for c in context], axis=1)
+    return [PromptPass(byte_states[tb[j]:tb[j + 1]], inject[j], logits[j],
                        *(c[:, :, b[j]:b[j + 1]] for c, b in (enc, bb, dec)))
             for j in range(len(prompts))]
 
 
-def forward(params, cfg: HatConfig, data: bytes, words: tuple | None = None) -> ad.Var:
+def forward(params, cfg: HatConfig, data: bytes, words: tuple | None = None):
     """Teacher-forced logits over text bytes, [n_bytes, 256]: row i predicts
     byte i+1. This is the prompt pass's forward (`_pack_pass`) over one
     document with no sentinel and no caches, in which every byte reaches
@@ -454,8 +461,8 @@ def forward(params, cfg: HatConfig, data: bytes, words: tuple | None = None) -> 
     `splitter.stream` has closed once byte i is pushed, as in generation.
 
     `words` is `stream(data, cfg.max_word_bytes)`, computed here if not
-    given. `params` maps names to arrays or to `ad.Var`s; the graph records
-    a tape exactly when one of them requires a gradient."""
+    given. `params` maps names to arrays or to `ad.Var` leaves: the result
+    is a tape node when one of them is a Var, else a plain array."""
     _, closes, index = stream(data, cfg.max_word_bytes) if words is None else words
     return _pack_pass(params, cfg, [(data, [(c.start, c.end) for c in closes], index, False)])[2]
 

@@ -104,7 +104,7 @@ def hatification_policy(frozen_steps: int = 2000,
 # ---------------------------------------------------------------------------
 # loss and gradients
 
-def _loss_var(params, cfg: HatConfig, data: bytes, words=None) -> ad.Var:
+def _loss_var(params, cfg: HatConfig, data: bytes, words=None):
     if len(data) < 2:
         raise ValueError("need at least 2 bytes to form a prediction target")
     targets = np.frombuffer(data, dtype=np.uint8)[1:].astype(np.int64)
@@ -114,26 +114,35 @@ def _loss_var(params, cfg: HatConfig, data: bytes, words=None) -> ad.Var:
 
 def loss(params, cfg: HatConfig, data: bytes) -> float:
     """Mean next-byte cross-entropy over the len(data)-1 predictable positions."""
-    return float(_loss_var(params, cfg, data).v)
+    return float(_loss_var(params, cfg, data))
+
+
+class Grads(dict):
+    """`loss_and_grads`' gradients by name. `unreached` names the tensors that
+    no gradient reached (a frozen group's, or one the loss does not read):
+    their gradients are zeros, and `adam_step` leaves them as they are."""
+    unreached: frozenset = frozenset()
 
 
 def loss_and_grads(params, cfg: HatConfig, data: bytes, frozen: tuple[str, ...] = (),
-                   words=None) -> tuple[float, dict]:
+                   words=None) -> tuple[float, Grads]:
     """The loss and its analytic gradients, with frozen groups exactly zero.
     Each gradient is a writable array that shares no memory with another:
     one that its leaf borrowed from the tape is copied."""
     P = {k: ad.wrap(v, rg=group_of(k) not in frozen) for k, v in params.items()}
     out = _loss_var(P, cfg, data, words)
-    ad.backward(out)
-    grads = {}
-    for k, v in params.items():
-        g = P[k].grad
-        if g is None:
-            g = np.zeros_like(v)
-        elif not P[k].owns_grad:
-            g = np.array(g)
-        grads[k] = g
-    return float(out.v), grads
+    if type(out) is ad.Var:     # not when every group is frozen
+        ad.backward(out)
+        out = out.v
+    grads = Grads()
+    grads.unreached = frozenset(k for k, leaf in P.items()
+                                if type(leaf) is not ad.Var or leaf.grad is None)
+    for k, leaf in P.items():
+        if k in grads.unreached:
+            grads[k] = np.zeros_like(params[k])
+        else:
+            grads[k] = leaf.grad if leaf.owns_grad else np.array(leaf.grad)
+    return float(out), grads
 
 
 def documents(corpus: bytes, seq_len: int) -> list[bytes]:
@@ -194,15 +203,17 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr_of_name) -> None:
     """One decoupled-weight-decay Adam update of the dict `params`.
 
     `lr_of_name(name)` returns the effective step size (schedule x group
-    multiplier), or None to skip the tensor entirely (frozen). The moments
+    multiplier), or None to skip the tensor entirely (frozen); so is a
+    tensor in `grads.unreached` (`Grads`), which no gradient reached. The moments
     in `state` are updated in place; each updated tensor is a new array
     bound into `params`, so the arrays a caller passed are never written.
     Each tensor's update is built in one buffer, with the operations (and
     so the bits) of m' = b1 m + (1 - b1) g, v' = b2 v + (1 - b2) g g and
     p' = p - lr (m' / c1 / (sqrt(v' / c2) + eps) + wd p), c_i = 1 - b_i^t."""
+    skip = getattr(grads, "unreached", ())
     for name in sorted(params):
         lr = lr_of_name(name)
-        if lr is None:
+        if lr is None or name in skip:
             continue
         g, p = grads[name], params[name]
         if name not in state.m:

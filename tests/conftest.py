@@ -49,8 +49,9 @@ def where_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def masked_softmax(a, mask: np.ndarray) -> ad.Var:
     """Softmax over the last axis where mask (a constant) is True, as an
     autodiff node: the differentiable reference of the dense attention reads."""
-    a = ad.wrap(a)
-    p = where_softmax(a.v, mask)
+    p = where_softmax(ad._v(a), mask)
+    if type(a) is not ad.Var:
+        return p
 
     def bw(g):
         ad._accum(a, p * (g - np.sum(g * p, axis=-1, keepdims=True)), owned=True)
@@ -69,12 +70,12 @@ def head_major_causal_attention(qk, v, positions, cap) -> ad.Var:
     [n_heads, t, hs] heads, put in rows on the graph (`head_rows`), as
     `model._self_attn` did: the blocks' output is kept head-major, and the
     backward reads its gradient in that order."""
-    qk, v = ad.wrap(qk), ad.wrap(v)
-    nkv, t, hs = v.v.shape
-    nh = qk.v.shape[0] - nkv
+    qkv, vv = ad._v(qk), ad._v(v)
+    nkv, t, hs = vv.shape
+    nh = qkv.shape[0] - nkv
     g = nh // nkv
-    qg, k = qk.v[:nh].reshape(nkv, g, t, hs), qk.v[nh:]
-    kt, kx, vx = k[:, None].swapaxes(-1, -2), k[:, None], v.v[:, None]
+    qg, k = qkv[:nh].reshape(nkv, g, t, hs), qkv[nh:]
+    kt, kx, vx = k[:, None].swapaxes(-1, -2), k[:, None], vv[:, None]
     out, blocks, inv = np.empty_like(qg), [], 1.0 / math.sqrt(hs)
     above = ~np.tri(ad.ATTENTION_BLOCK, dtype=bool)
     starts = np.flatnonzero(np.asarray(positions) == 0)
@@ -93,7 +94,7 @@ def head_major_causal_attention(qk, v, positions, cap) -> ad.Var:
 
     def bw(gr):
         gx = gr.reshape(nkv, g, t, hs)
-        dqk, dv = np.zeros_like(qk.v), np.zeros_like(v.v)
+        dqk, dv = np.zeros_like(qkv), np.zeros_like(vv)
         dq, dk = dqk[:nh].reshape(nkv, g, t, hs), dqk[nh:]
         for a, b, s, p, th in blocks:
             dz = gx[:, :, a:b] @ vx[:, :, s:b].swapaxes(-1, -2)
@@ -116,12 +117,12 @@ def dense_masked_attention(qk, v, positions, cap) -> ad.Var:
     blocks: each KV head's g*t query rows meet all t keys under a causal
     mask tiled g times, and the node keeps the whole [kv, g*t, t]
     probabilities and logits for its backward."""
-    qk, v = ad.wrap(qk), ad.wrap(v)
-    nkv, t, hs = v.v.shape
-    nh = qk.v.shape[0] - nkv
+    qkv, vv = ad._v(qk), ad._v(v)
+    nkv, t, hs = vv.shape
+    nh = qkv.shape[0] - nkv
     g = nh // nkv
     positions = np.asarray(positions)
-    qx, kx, vx = qk.v[:nh].reshape(nkv, g * t, hs), qk.v[nh:].swapaxes(-1, -2), v.v
+    qx, kx, vx = qkv[:nh].reshape(nkv, g * t, hs), qkv[nh:].swapaxes(-1, -2), vv
     first = np.arange(t) - positions                # each row's sequence start
     mask = np.tile(np.tri(t, dtype=bool) & (np.arange(t) >= first[:, None]), (g, 1))
     inv = 1.0 / math.sqrt(hs)
@@ -148,9 +149,9 @@ def where_band_attention(qk, v, positions, window: int, cap) -> ad.Var:
     """`ad.attention` with a window as it read before `kernels.hide_keys`:
     the [t, 1, window] band mask broadcast over all the logits by
     `where_softmax`, and the capped logits kept for the softcap's VJP."""
-    qk, v = ad.wrap(qk), ad.wrap(v)
-    nkv, t, hs = v.v.shape
-    nh = qk.v.shape[0] - nkv
+    qkv, vv = ad._v(qk), ad._v(v)
+    nkv, t, hs = vv.shape
+    nh = qkv.shape[0] - nkv
     g = nh // nkv
     positions = np.asarray(positions)
 
@@ -159,9 +160,9 @@ def where_band_attention(qk, v, positions, window: int, cap) -> ad.Var:
 
     def heads(x):
         return x.transpose(0, 2, 1, 3).reshape(nh, t, hs)
-    kx, vx = ad._band(qk.v[nh:], window), ad._band(v.v, window).swapaxes(-1, -2)
+    kx, vx = ad._band(qkv[nh:], window), ad._band(vv, window).swapaxes(-1, -2)
     mask = (np.arange(window) >= window - 1 - positions[:, None])[:, None, :]
-    qx, inv = rows(qk.v[:nh]), 1.0 / math.sqrt(hs)
+    qx, inv = rows(qkv[:nh]), 1.0 / math.sqrt(hs)
     z = (qx @ kx) * inv
     if cap is not None:
         z = kernels.softcap(z, cap)
@@ -229,11 +230,11 @@ def stacked_byte_stack(P, name: str, cfg, rings: list, x: np.ndarray, pos: np.nd
         prefix = f"{name}.layers.{i}"
         if inject is not None:
             x = x + inject[:, i]
-        q, k, v = infer._qkv(P, prefix, cfg, s, x, rot)
-        kv[rows, i, 0, slot] = k
+        qk, v = model.layer_qkv(P, prefix, s, cfg, x, rot)
+        kv[rows, i, 0, slot] = qk[:, s.n_heads:]
         kv[rows, i, 1, slot] = v
-        o = kernels.attend(q, kv[:, i, 0], kv[:, i, 1], cfg.softcap, valid)
-        x = infer._finish_layer(P, prefix, cfg, x, o)
+        o = kernels.attend(qk[:, :s.n_heads], kv[:, i, 0], kv[:, i, 1], cfg.softcap, valid)
+        x = model.layer_out(P, prefix, cfg, x, o)
     for b, ring in enumerate(rings):
         ring[:, :, slot[b]] = kv[b, :, :, slot[b]]
     return x
@@ -340,8 +341,8 @@ def full_decode_prompt_pass(params, cfg, prompts: list[tuple]) -> list:
     bb = model._cache_rows(bb, blocks, None)
     dec = model._cache_rows(dec, lens, cfg.decoder.window)
     tb = np.cumsum([0, *lens])
-    inject = np.stack([c.v[bb[1][1:] - 1] for c in context], axis=1)
-    return [model.PromptPass(byte_states.v[tb[j]:tb[j + 1]], inject[j], logits.v[j],
+    inject = np.stack([c[bb[1][1:] - 1] for c in context], axis=1)
+    return [model.PromptPass(byte_states[tb[j]:tb[j + 1]], inject[j], logits[j],
                              *(c[:, :, b[j]:b[j + 1]] for c, b in (enc, bb, dec)))
             for j in range(len(prompts))]
 
@@ -359,6 +360,6 @@ def forward_stages(params, cfg, data: bytes) -> SimpleNamespace:
     rows = model.backbone_forward_var(params, cfg, word_embs, np.arange(len(spans) + 1))
     logits = model.decode_bytes_var(params, cfg, byte_states,
                                     model.word_context(params, cfg, rows), byte_row, pos)
-    return SimpleNamespace(byte_states=byte_states.v, spans=spans,
-                           word_embeddings=word_embs.v, backbone_rows=rows.v,
-                           byte_row=byte_row, logits=logits.v)
+    return SimpleNamespace(byte_states=byte_states, spans=spans,
+                           word_embeddings=word_embs, backbone_rows=rows,
+                           byte_row=byte_row, logits=logits)

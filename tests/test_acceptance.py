@@ -286,6 +286,6 @@ def test_checkpoint_roundtrip(tmp_path):
     for name in params:
         assert np.array_equal(params[name], params2[name]), name
     probe = "Round-trip probe: FooBar 3.14!".encode()
-    assert np.array_equal(model.forward(params, cfg, probe).v,
-                          model.forward(params2, cfg2, probe).v)
+    assert np.array_equal(model.forward(params, cfg, probe),
+                          model.forward(params2, cfg2, probe))
     _report("checkpoint round-trip (tensors and forward bit-exact)", t0)

@@ -30,8 +30,8 @@ def fd_check(fn, *arrays, eps=1e-6, tol=1e-5, samples=8):
             plus, minus = base.copy(), base.copy()
             plus[idx] += eps
             minus[idx] -= eps
-            fp = fn(*[ad.wrap(plus if a is base else a) for a in arrays]).v
-            fm = fn(*[ad.wrap(minus if a is base else a) for a in arrays]).v
+            fp = fn(*[plus if a is base else a for a in arrays])
+            fm = fn(*[minus if a is base else a for a in arrays])
             num = (fp - fm) / (2 * eps)
             assert abs(num - grad[idx]) <= tol * max(1.0, abs(num), abs(grad[idx])), \
                 f"grad mismatch at {idx}: fd={num} analytic={grad[idx]}"
@@ -121,7 +121,7 @@ def test_rope_matches_angle_rope_forward_and_vjp(dtype, kind, size):
             return angle_rope(a, p, base)
         idx = pos
     c, s = (t[idx] for t in kernels.rope_table(hs, base, 4096, np.dtype(dtype)))
-    assert np.array_equal(ad.rope(x, c, s).v, ref(x, pos))
+    assert np.array_equal(ad.rope(x, c, s), ref(x, pos))
     assert np.array_equal(_vjp(lambda a: ad.rope(a, c, s), x, g), ref(g, -pos))
 
 
@@ -150,11 +150,11 @@ def test_swiglu_composite():
 
 
 def test_swiglu_without_tape_matches_taped_value():
-    # with no input needing a gradient, swiglu keeps one hidden array
+    # with no input needing a gradient, swiglu is `kernels.swiglu_ffn`
     args = r(5, 4), r(4, 12), r(6, 4)
     plain, taped = ad.swiglu(*args), ad.swiglu(ad.wrap(args[0], rg=True), *args[1:])
-    assert not plain.rg and taped.rg
-    assert np.array_equal(plain.v, taped.v)
+    assert type(plain) is np.ndarray and type(taped) is ad.Var
+    assert np.array_equal(plain, taped.v)
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +247,13 @@ def test_attention_no_grad_matches_tape(t, cap, dtype):
     for window in (None, t + 3):
         plain = ad.attention(qk, v, np.arange(t), window, cap)
         taped = ad.attention(ad.wrap(qk, rg=True), v, np.arange(t), window, cap)
-        assert not plain.rg and taped.rg
-        assert plain.v.dtype == dtype
+        assert type(plain) is np.ndarray and type(taped) is ad.Var
+        assert plain.dtype == dtype
         if window is None:
-            assert np.array_equal(plain.v, taped.v)
+            assert np.array_equal(plain, taped.v)
         else:
             atol = 1e-12 if dtype == np.float64 else 1e-6
-            assert np.allclose(plain.v, taped.v, rtol=0, atol=atol)
+            assert np.allclose(plain, taped.v, rtol=0, atol=atol)
 
 
 def _pack_positions(lens):
@@ -320,7 +320,7 @@ def test_band_read_has_the_bits_of_the_where_mask(seed, window, lens, n_kv, grou
         out = fn(*leaves)
         ad.backward(ad.sum_(ad.mul(out, m)))
         results.append([out.v] + [leaf.grad for leaf in leaves])
-    assert np.array_equal(plain.v, results[1][0])
+    assert np.array_equal(plain, results[1][0])
     for got, want in zip(*results):
         assert got.dtype == dtype and np.array_equal(got, want)
 
@@ -335,7 +335,8 @@ def test_causal_read_has_the_bits_of_the_where_mask(seed, lens, cap, dtype):
     qk, v, _ = _qkv_m(seed, lens, 2, 2, dtype)
     want = where_causal_read(qk, v, positions, cap)
     for rg in (False, True):
-        got = ad.attention(ad.wrap(qk, rg=rg), v, positions, None, cap).v
+        got = ad.attention(ad.wrap(qk, rg=rg), v, positions, None, cap)
+        got = got.v if rg else got
         assert got.dtype == dtype and np.array_equal(got, want)
 
 
@@ -357,7 +358,7 @@ def test_attention_rows_have_the_bits_of_the_head_major_read(lens, window, cap, 
         out = fn(*leaves)
         ad.backward(ad.sum_(ad.mul(out, m)))
         results.append([out.v] + [leaf.grad for leaf in leaves])
-    assert np.array_equal(ad.attention(qk, v, positions, window, cap).v, results[1][0])
+    assert np.array_equal(ad.attention(qk, v, positions, window, cap), results[1][0])
     for got, want in zip(*results):
         assert got.dtype == dtype and np.array_equal(got, want)
 
@@ -410,7 +411,15 @@ def test_no_grad_leaves_skip_tape():
     b = ad.wrap(r(3, 3), rg=True)
     out = ad.sum_(ad.matmul(a, b))
     ad.backward(out)
-    assert a.grad is None and b.grad is not None
+    assert type(a) is np.ndarray and b.grad is not None
+    assert out._parents[0]._parents[0] is a         # a constant input, not a node
+
+
+def test_a_scalar_constant_keeps_the_arrays_dtype():
+    # a Python scalar stays weak with a tape as without one
+    x = np.ones(3, np.float32)
+    for op in (ad.add, ad.mul):
+        assert op(x, 2.0).dtype == op(ad.wrap(x, rg=True), 2.0).v.dtype == np.float32
 
 
 def test_grad_accumulates_over_reuse():
@@ -427,7 +436,7 @@ def copying_accum(p, g, owned=False, at=None):
     """`ad._accum` as it was before gradients were kept by reference: the
     first whole gradient is copied, one into a part zero-fills p.grad first,
     and later ones are added in place."""
-    if not p.rg:
+    if type(p) is not ad.Var:
         return
     if p.grad is None and at is None:
         p.grad = np.array(g, dtype=p.v.dtype)
@@ -557,7 +566,7 @@ def test_swiglu_vjp_has_the_bits_of_the_recomputing_vjp():
 def test_no_grad_graph_keeps_no_tape():
     a, b = ad.wrap(r(3, 3)), ad.wrap(r(3, 3))
     out = ad.sum_(ad.softcap(ad.matmul(a, b), 2.0))
-    assert out._parents == () and out._bw is None and not out.rg
+    assert not isinstance(out, ad.Var)
     kept = ad.sum_(ad.matmul(a, ad.wrap(r(3, 3), rg=True)))
     assert kept._parents != () and kept._bw is not None
 
@@ -577,7 +586,7 @@ SEGMENTS = [
 def test_segment_softmax(starts):
     m = r(3, 7)
     fd_check(lambda a: ad.sum_(ad.mul(ad.segment_softmax(a, starts), m)), 3 * r(3, 7))
-    p = ad.segment_softmax(ad.wrap(r(3, 7)), starts).v
+    p = ad.segment_softmax(ad.wrap(r(3, 7)), starts)
     assert np.allclose(np.add.reduceat(p, starts, axis=-1), 1.0)
 
 
@@ -663,10 +672,12 @@ def test_gather_backward_matches_add_at_scatter(seed, rows, cols, idx_shape, axi
 # HATLM_DEBUG_FINITE over the tape
 
 def test_debug_finite_rejects_forward_overflow(monkeypatch):
+    # a node's value and a no-grad primitive's plain array are both checked
     from hatlm import kernels
     monkeypatch.setattr(kernels, "DEBUG_FINITE", True)
-    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-        ad.scale(ad.wrap(np.full(3, 1e200), rg=True), 1e200)
+    for rg in (True, False):
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+            ad.scale(ad.wrap(np.full(3, 1e200), rg=rg), 1e200)
 
 
 def test_debug_finite_rejects_infinite_gradient(monkeypatch):

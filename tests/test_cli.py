@@ -175,7 +175,8 @@ def test_malformed_model_input_exits_1(tmp_path, capsys, micro_cfg, micro_params
 
 
 @pytest.mark.parametrize("edit", ["max_word_bytes=none", "norm_eps=none", "norm_eps=nan",
-                                  "softcap=0.0", "softcap=nan", "backbone.mlp_expansion=inf"])
+                                  "softcap=0.0", "softcap=nan", "backbone.mlp_expansion=inf",
+                                  "backbone.window=4"])
 def test_bad_config_value_exits_1(tmp_path, capsys, micro_cfg, edit):
     key = edit.split("=")[0]
     path = tmp_path / "bad.cfg"

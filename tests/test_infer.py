@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hatlm import autodiff as ad
-from hatlm import infer, model
+from hatlm import config, infer, model, train
 from hatlm import kernels as K
 from hatlm.infer import (
     GenSession,
@@ -36,7 +36,7 @@ def loop_prefill(session, prompt):
     text: it leaves no pending state and no `inc_index` entry."""
     P, cfg = session.params, session.cfg
     bos = infer._word_stack([session], P["backbone.bos"][None])
-    session.inject = np.stack([c.v[0] for c in model.word_context(P, cfg, bos)])
+    session.inject = np.stack([c[0] for c in model.word_context(P, cfg, bos)])
     if not prompt:
         infer._encode_decode([session], [BYTE_BOS], infer._lone(session), [0])
         session.pending_states, session.inc_index = [], []
@@ -69,7 +69,26 @@ ENGLISH = (DATA / "english_sample.txt").read_bytes()
 def test_prefill_matches_full_forward(micro_cfg, micro_params, prompt):
     s = prefill(make_session(micro_params, micro_cfg), prompt)
     full = model.forward(micro_params, micro_cfg, prompt)
-    assert np.max(np.abs(s.cur_logits - full.v[-1])) < 1e-4
+    assert np.max(np.abs(s.cur_logits - full[-1])) < 1e-4
+
+
+def test_no_grad_passes_build_no_var(micro_cfg, micro_params, monkeypatch):
+    # a primitive over plain arrays returns its kernel's array: a prefill of
+    # a 64-prompt pack, a loss and generation steps (word steps included)
+    # make no tape node
+    made, real = [], ad.Var.__init__
+    monkeypatch.setattr(ad.Var, "__init__",
+                        lambda self, *a, **kw: made.append(1) or real(self, *a, **kw))
+    prompts = [s.encode() for s in random_utf8_strings(64, seed=11)]
+    sessions = [make_session(micro_params, micro_cfg) for _ in prompts]
+    infer.BatchRunner(sessions, infer.BoundarySync()).prefill_all(prompts)
+    train.loss(micro_params, micro_cfg, ENGLISH[:256])
+    s = prefill(make_session(micro_params, micro_cfg, "forced", forced=b"ab cd ef"), b"x")
+    for _ in range(8):
+        step_byte(s)
+    assert s.gen_closes >= 2 and made == []
+    ad.add(ad.wrap(np.ones(2), rg=True), 1.0)          # a taped op makes its node
+    assert len(made) == 2
 
 
 def test_prefill_twice_identical_state(micro_cfg, micro_params):
@@ -301,6 +320,39 @@ def test_incremental_matches_batch_oracle(micro_cfg, micro_params):
             assert out.byte == expect
 
 
+MICRO_TEXT = [ln.split("=") for ln in config.to_text(config.micro()).splitlines()]
+CONFIG_VALUES = ["none", "true", "0", "-1", "1", "2", "4", "8", "1e-30", "inf", "nan"]
+
+
+@given(edits=st.dictionaries(st.sampled_from([k for k, _ in MICRO_TEXT if k != "format_version"]),
+                             st.sampled_from(CONFIG_VALUES), min_size=1, max_size=3))
+@example(edits={"backbone.window": "4"})     # generation reads every word-cache row
+@settings(max_examples=200, deadline=None)
+def test_any_config_mutation_runs_or_fails_typed(edits):
+    # a micro config with 1-3 keys changed either fails `from_text` with a
+    # ValueError, or prefills a short mixed-script prompt and generates 2
+    # bytes (each closing a word) with finite logits within 1e-4 of the
+    # oracle, or fails typed
+    try:
+        cfg = config.from_text("".join(f"{k}={edits.get(k, v)}\n" for k, v in MICRO_TEXT))
+    except ValueError:
+        return
+    try:
+        params = model.init_params(cfg, seed=7)
+        s = prefill(GenSession(params, cfg, SamplingConfig("forced", forced=b" x"), 2),
+                    "a∑b c d e 日本 f g h".encode())
+        while True:
+            oracle = model.next_byte_logits(params, cfg, s.committed, list(s.consumed_spans),
+                                            s.inc_index, s.sentinel_used)
+            assert np.all(np.isfinite(s.cur_logits))
+            assert np.max(np.abs(s.cur_logits - oracle)) < 1e-4
+            if s.finished:
+                break
+            step_byte(s)
+    except (ValueError, SessionError):
+        pass
+
+
 def assert_caches_match_prompt_pass(s: GenSession):
     """Every layer's keys and values in the session's encoder and decoder
     rings and its word cache equal, within 1e-4, the ones `model.prompt_pass`
@@ -365,7 +417,7 @@ def test_incremental_matches_training_forward_on_ascii(micro_cfg, micro_params):
         committed = s.committed
         assert s.inc_index == word_index_of_bytes(committed, micro_cfg.max_word_bytes)
         full = model.forward(micro_params, micro_cfg, committed)
-        assert np.max(np.abs(s.cur_logits - full.v[-1])) < 1e-4
+        assert np.max(np.abs(s.cur_logits - full[-1])) < 1e-4
         step_byte(s)
 
 
@@ -379,7 +431,7 @@ def test_training_forward_matches_prefill_at_every_codepoint_boundary(micro_cfg,
     # with bytes 0..i, also where the batch split assigns bytes otherwise
     assert boundary_divergence(MIXED[0].encode()) == (2, [1, 2])
     for data in (text.encode() for text in MIXED if text):
-        logits = model.forward(micro_params, micro_cfg, data).v
+        logits = model.forward(micro_params, micro_cfg, data)
         for i in range(len(data)):
             if i + 1 < len(data) and data[i + 1] & 0xC0 == 0x80:
                 continue                # inside a codepoint: no prefill ends here
@@ -609,8 +661,8 @@ LAYERS = [(stack, i) for stack in ("encoder", "backbone", "decoder") for i in ra
 @settings(max_examples=40, deadline=None)
 def test_tape_layer_matches_per_projection_layer(micro_cfg, micro_params, micro_params64,
                                                  layer, lens, qk_norm, taped, f64, seed):
-    # the tape's layer (`model._self_attn`, `model._mlp`) on a pack of
-    # sequences, with and without a gradient tape
+    # the tape's layer (`model.layer_qkv`, `ad.attention`, `model.layer_out`)
+    # on a pack of sequences, with and without a gradient tape
     (stack, i), cfg = layer, replace(micro_cfg, qk_norm=qk_norm)
     s, prefix, P = getattr(cfg, stack), f"{stack}.layers.{i}", \
         micro_params64 if f64 else micro_params
@@ -618,12 +670,14 @@ def test_tape_layer_matches_per_projection_layer(micro_cfg, micro_params, micro_
     x = np.random.default_rng(seed).standard_normal((len(pos), s.hidden))
     x = x.astype(P[prefix + ".attn.wo"].dtype)
     xv = ad.wrap(x, rg=taped)
-    y = ad.add(xv, model._self_attn(P, prefix, xv, s, cfg, pos))
-    y = ad.add(y, model._mlp(P, prefix, y, cfg))
+    qk, v = model.layer_qkv(P, prefix, s, cfg, xv, model.rope_rows(s, pos[:, None], x.dtype))
+    o = ad.attention(ad.transpose(qk, (1, 0, 2)), ad.transpose(v, (1, 0, 2)), pos, s.window,
+                     cfg.softcap)
+    y = model.layer_out(P, prefix, cfg, xv, o)
     q, k, v = (a.transpose(1, 0, 2) for a in per_projection_qkv(P, prefix, cfg, s, x, pos))
-    o = ad.attention(ad.wrap(np.concatenate([q, k]), rg=taped), v, pos, s.window, cfg.softcap).v
+    o = ad.attention(np.concatenate([q, k]), v, pos, s.window, cfg.softcap)
     want = per_projection_out(P, prefix, cfg, x, o)
-    assert y.rg == taped and np.array_equal(y.v, want)
+    assert (type(y) is ad.Var) == taped and np.array_equal(y.v if taped else y, want)
 
 
 @given(layer=st.sampled_from(LAYERS), b=st.integers(1, 64), qk_norm=st.booleans(),
@@ -631,8 +685,9 @@ def test_tape_layer_matches_per_projection_layer(micro_cfg, micro_params, micro_
 @settings(max_examples=40, deadline=None)
 def test_step_layer_matches_per_projection_layer(micro_cfg, micro_params, micro_params64,
                                                  layer, b, qk_norm, f64, seed):
-    # the incremental step's halves (`infer._qkv`, `infer._finish_layer`) on
-    # b rows, each at its own position, with the rotation read from the table
+    # the incremental step's halves (`model.layer_qkv`, `model.layer_out` on
+    # plain rows) on b rows, each at its own position, with the rotation read
+    # from the table
     (stack, i), cfg = layer, replace(micro_cfg, qk_norm=qk_norm)
     s, prefix, P = getattr(cfg, stack), f"{stack}.layers.{i}", \
         micro_params64 if f64 else micro_params
@@ -641,10 +696,11 @@ def test_step_layer_matches_per_projection_layer(micro_cfg, micro_params, micro_
     x = rng.standard_normal((b, s.hidden)).astype(dtype)
     o = rng.standard_normal((b, s.n_heads * s.head_size)).astype(dtype)
     pos = rng.integers(0, s.max_positions, b)
-    got = infer._qkv(P, prefix, cfg, s, x, model.rope_rows(s, pos[:, None], dtype))
+    qk, v = model.layer_qkv(P, prefix, s, cfg, x, model.rope_rows(s, pos[:, None], dtype))
+    got = qk[:, :s.n_heads], qk[:, s.n_heads:], v
     for a, want in zip(got, per_projection_qkv(P, prefix, cfg, s, x, pos)):
         assert np.array_equal(a, want)
-    assert np.array_equal(infer._finish_layer(P, prefix, cfg, x, o),
+    assert np.array_equal(model.layer_out(P, prefix, cfg, x, o),
                           per_projection_out(P, prefix, cfg, x, o))
 
 

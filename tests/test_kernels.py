@@ -348,12 +348,12 @@ def test_attend_matches_autodiff_reference(seed, n, n_kv, group, hs, cap):
     if cap is not None:
         logits = ad.softcap(logits, cap)
     p = masked_softmax(logits, np.ones((1, n), dtype=bool))
-    ref = ad.matmul(p, vh).v.reshape(nh * hs)
+    ref = ad.matmul(p, vh).reshape(nh * hs)
     assert np.allclose(K.attend(q, k, v, cap), ref, rtol=0, atol=1e-6)
     # and against the last row of the training attention, q at position n-1
     qt = np.concatenate([rng.standard_normal((nh, n - 1, hs)), q[:, None, :]], axis=1)
     last = ad.attention(np.concatenate([qt, k.transpose(1, 0, 2)]), v.transpose(1, 0, 2),
-                        np.arange(n), None, cap).v[-1]
+                        np.arange(n), None, cap)[-1]
     assert np.allclose(K.attend(q, k, v, cap), last.reshape(nh * hs), rtol=0, atol=1e-6)
 
 

@@ -92,15 +92,15 @@ def test_loss_matches_graph_loss(micro_cfg, micro_params):
 
 
 def test_training_tape_stays_small(micro_cfg, micro_params, monkeypatch):
-    # walk the tape from the loss root as `backward` does: requires-grad
-    # nodes, leaves included
+    # walk the tape from the loss root as `backward` does: the Var nodes,
+    # leaves included
     roots, real = [], ad.backward
     monkeypatch.setattr(ad, "backward", lambda root: (roots.append(root), real(root)))
     train.loss_and_grads(micro_params, micro_cfg, (DATA / "english_sample.txt").read_bytes()[:256])
     seen, stack = set(), [roots[0]]
     while stack:
         node = stack.pop()
-        if id(node) not in seen and node.rg:
+        if id(node) not in seen and type(node) is ad.Var:
             seen.add(id(node))
             stack.extend(node._parents)
     assert len(seen) <= 250
@@ -314,8 +314,28 @@ def test_train_loop_leaves_the_callers_params_unchanged(micro_cfg):
                            seq_len=64, params=params)
     assert params.keys() == kept.keys()
     assert all(params[k].tobytes() == kept[k].tobytes() for k in kept)
-    assert all(res.params[k] is not params[k] for k in kept)
+    # every tensor Adam updates is a new array; one no gradient reaches is kept
+    assert all(res.params[k] is not params[k] for k in kept if not k.endswith(UNREAD))
     assert any(not np.array_equal(res.params[k], kept[k]) for k in kept)
+
+
+# the decoder cross blocks' tensors that a one-key read ignores (`model.word_context`)
+UNREAD = (".cross.wq", ".cross.wk", ".cross.pre_norm.gain")
+
+
+def test_adam_leaves_the_tensors_no_gradient_reaches(micro_cfg):
+    # a byte reads one word, so no gradient reaches the cross blocks' wq, wk
+    # and pre-norm gain: Adam neither moves nor decays them, and every other
+    # tensor moves
+    params = model.init_params(micro_cfg, seed=5)
+    unread = frozenset(k for k in params if k.endswith(UNREAD))
+    assert len(unread) == 3 * micro_cfg.decoder.n_layers
+    assert train.loss_and_grads(params, micro_cfg, CORPUS[:64])[1].unreached == unread
+    sched = LrSchedule(warmup_steps=1, stable_lr=1e-3, stable_steps=10, decay_steps=1)
+    res = train.train_loop(micro_cfg, CORPUS, sched, GroupPolicy(), steps=4, seed=5,
+                           seq_len=64, params=params)
+    for k in params:
+        assert (res.params[k].tobytes() == params[k].tobytes()) == (k in unread), k
 
 
 @given(text=st.text(min_size=1, max_size=80), seq_len=st.integers(4, 96))
