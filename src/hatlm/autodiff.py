@@ -264,10 +264,13 @@ def sum_(a, axis=None, keepdims: bool = False):
 def _segment_counts(starts: np.ndarray, n: int) -> np.ndarray:
     """Lengths of the segments [starts[j], starts[j+1]) of an axis of n."""
     starts = np.asarray(starts)
-    if starts.ndim != 1 or len(starts) == 0 or starts[0] != 0 or starts[-1] >= n \
-            or np.any(starts[1:] <= starts[:-1]):
-        raise ValueError("segment starts must rise strictly from 0 below the axis length")
-    return np.diff(np.append(starts, n))
+    if starts.ndim == 1 and len(starts) and starts[0] == 0:
+        counts = np.empty_like(starts)
+        np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+        counts[-1] = n - starts[-1]
+        if counts.min() > 0:
+            return counts
+    raise ValueError("segment starts must rise strictly from 0 below the axis length")
 
 
 def segment_softmax(a, starts):

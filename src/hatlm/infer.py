@@ -29,9 +29,11 @@ Batch invariance is part of the contract: a session's logits have the same
 bits in any batch as alone. Hence every product is gemm rows and a one-row
 input is padded (:func:`hatlm.kernels.matmul`: BLAS runs one row as a gemv,
 which sums in another order). `attend` reduces along the key axis only, so
-the backbone and pooling reads take one call per group of equal key counts,
-never padded (a masked, padded read sums in another order). The byte rings,
-rows of arrays a `BatchRunner` owns, are read in one call, masked until full.
+the backbone read takes one call per group of equal key counts, never padded
+(a masked, padded read sums in another order). The byte rings, rows of
+arrays a `BatchRunner` owns, are read in one call, masked until full. Words
+pool through the batch pass's `model.pool_words_var`, whose softmax and sum
+run within each span, so one call pools a round's closing words.
 
 A session's prompt and output are one byte stream through one splitter,
 whose UTF-8 gate masks sampling to the bytes it accepts (and the end
@@ -51,7 +53,7 @@ import numpy as np
 
 from . import model
 from .config import HatConfig, StackConfig
-from .kernels import attend, matmul, softmax
+from .kernels import attend, softmax
 from .splitter import BYTE_EOS, IncrementalSplitterState, SplitError, WordClosed, stream
 
 
@@ -203,29 +205,6 @@ def _word_stack(sessions: list[GenSession], x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _attend_spans(q, k, v, lens: list[int], cap) -> np.ndarray:
-    """Read consecutive spans of lens[j] key rows with the one query q, in
-    one `attend` per group of equal lengths with q broadcast over it."""
-    starts = np.cumsum([0, *lens[:-1]])
-    o = np.empty((len(lens), q.size), q.dtype)
-    for g in _groups(lens):
-        idx = starts[g][:, None] + np.arange(lens[g[0]])       # [G, n]
-        o[g] = attend(np.broadcast_to(q, (len(g), *q.shape)), k[idx], v[idx], cap)
-    return o
-
-
-def _pool_words(P, cfg: HatConfig, spans: list[np.ndarray]) -> np.ndarray:
-    """One word embedding per span of encoder states (each [n, hidden]),
-    read from exactly its own bytes (`_attend_spans`)."""
-    nh, hs = cfg.n_enc_cross_heads, cfg.encoder.head_size
-    states = np.concatenate(spans)
-    k = matmul(states, P["connector.wk"]).reshape(-1, nh, hs)
-    v = matmul(states, P["connector.wv"]).reshape(-1, nh, hs)
-    q = matmul(P["connector.query"], P["connector.wq"]).reshape(nh, hs)
-    o = _attend_spans(q, k, v, [len(x) for x in spans], cfg.softcap)
-    return matmul(o, P["connector.wo"])
-
-
 # ---------------------------------------------------------------------------
 # generation session
 
@@ -267,12 +246,13 @@ class GenSession:
         self.inject: np.ndarray | None = None       # [decoder layers, hidden]
         self.cur_logits: np.ndarray | None = None
 
-    def _take_span(self, ev: WordClosed) -> np.ndarray:
-        """Remove and return the buffered encoder states of a closed word."""
+    def _take_span(self, ev: WordClosed) -> list[np.ndarray]:
+        """Remove and return the buffered encoder states of a closed word,
+        one [hidden] row per byte."""
         lo, hi = ev.start - self.pending_base, ev.end - self.pending_base
         if lo < 0 or hi > len(self.pending_states):
             raise SessionError("word close outside the buffered byte states")
-        states = np.stack(self.pending_states[lo:hi])
+        states = self.pending_states[lo:hi]
         del self.pending_states[:hi]
         self.pending_base = ev.end
         self.consumed_spans.append((ev.start, ev.end))
@@ -384,13 +364,20 @@ def _encode_decode(sessions: list[GenSession], byte_vals: list[int], batch: _Row
 def _consume_closes(sessions: list[GenSession], batch: _Rows, rows: list[int]) -> None:
     """Pool and step the backbone once per pending close, then refresh the
     decoder injections in place. Round r takes the r-th close of every
-    session that has one, so a session's words still go through in order."""
+    session that has one, so a session's words still go through in order,
+    and pools them in one `model.pool_words_var` call over the stack of
+    their states, which the spans tile."""
     P, cfg = sessions[0].params, sessions[0].cfg
     last = np.empty((len(sessions), cfg.backbone.hidden), P["backbone.bos"].dtype)
     for r in range(max(len(s.pending_closes) for s in sessions)):
         idx = [j for j, s in enumerate(sessions) if len(s.pending_closes) > r]
         group = [sessions[j] for j in idx]
-        words = _pool_words(P, cfg, [s._take_span(s.pending_closes[r]) for s in group])
+        states, spans = [], []
+        for s in group:
+            span = s._take_span(s.pending_closes[r])
+            spans.append((len(states), len(states) + len(span)))
+            states += span
+        words = model.pool_words_var(P, cfg, np.stack(states), spans)
         last[idx] = _word_stack(group, words)
     for i, c in enumerate(model.word_context(P, cfg, last)):
         batch.inject[rows, i] = c

@@ -259,7 +259,9 @@ def pool_words_var(P, cfg: HatConfig, byte_states, spans: list[tuple[int, int]])
     (`ad.segment_sum`). Time and memory are linear in the covered bytes.
     Spans may skip bytes or overlap; a byte in two spans is read by both.
     The query is folded into the key projection: the logits are gemm rows,
-    whose bits a `q @ kᵀ` gemv would let depend on the slice's width.
+    whose bits a `q @ kᵀ` gemv would let depend on the slice's width. So a
+    span's embedding has the same bits in any group of spans, and the word
+    step (`infer._consume_closes`) pools through this function too.
     """
     nh, hs, c = cfg.n_enc_cross_heads, cfg.encoder.head_size, cfg.cross_hidden
     n, t = len(spans), byte_states.shape[0]

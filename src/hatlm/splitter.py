@@ -318,16 +318,6 @@ def split(data: bytes, max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> SplitRes
     return SplitResult(tuple(WordSpan(a, b) for a, b in spans))
 
 
-def word_index_of_bytes(data: bytes,
-                        max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> list[int]:
-    """Per-byte chunk indices: index[i] = j iff byte i lies in span j."""
-    result = split(data, max_word_bytes)
-    index = []
-    for j, span in enumerate(result.spans):
-        index.extend([j] * (span.end - span.start))
-    return index
-
-
 def stream(data: bytes, max_word_bytes: int
            ) -> tuple[IncrementalSplitterState, list[WordClosed], list[int]]:
     """The incremental splitter after `data`, as if pushed one byte at a time.
@@ -355,23 +345,3 @@ def stream(data: bytes, max_word_bytes: int
     index += [len(at)] * (len(data) - len(index))
     return state, [WordClosed(a, b) for a, b in closes], index
 
-
-def incremental_word_index(data: bytes,
-                           max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> list[int]:
-    """Per-byte chunk index as seen by the incremental splitter (see `stream`);
-    differs from `word_index_of_bytes` where a close is decided after the
-    first byte of the chunk that follows it."""
-    return stream(data, max_word_bytes)[2]
-
-
-def boundary_divergence(data: bytes,
-                        max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> tuple[int, list[int]]:
-    """Count bytes whose incremental chunk index differs from the batch split.
-
-    Returns (count, offending byte offsets). Expected 0 for ASCII text; any
-    nonzero finding is catalogued by the caller, not hidden.
-    """
-    full = word_index_of_bytes(data, max_word_bytes)
-    inc = incremental_word_index(data, max_word_bytes)
-    bad = [i for i, (a, b) in enumerate(zip(full, inc)) if a != b]
-    return len(bad), bad

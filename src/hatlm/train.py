@@ -94,13 +94,6 @@ class GroupPolicy:
         return cls(frozen, mult)
 
 
-def hatification_policy(frozen_steps: int = 2000,
-                        backbone_multiplier: float = 0.1) -> GroupPolicy:
-    """Backbone delayed and slowed (pretrained part), everything else full rate."""
-    return GroupPolicy(frozen_until_step={"backbone": frozen_steps},
-                       lr_multiplier={"backbone": backbone_multiplier})
-
-
 # ---------------------------------------------------------------------------
 # loss and gradients
 

@@ -9,7 +9,7 @@ import pytest
 
 from hatlm import autodiff as ad
 from hatlm import checkpoint, config, infer, kernels, model
-from hatlm.splitter import stream
+from hatlm.splitter import DEFAULT_MAX_WORD_BYTES, split, stream
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
@@ -311,6 +311,26 @@ def random_utf8_strings(n: int, seed: int, max_len: int = 40) -> list[str]:
         picks = [POOLS[p][int(rng.integers(0, len(POOLS[p])))] for p in pool_ids]
         out.append("".join(picks))
     return out
+
+
+def word_index_of_bytes(data: bytes, max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> list[int]:
+    """Per-byte chunk indices of the batch split: index[i] = j iff byte i
+    lies in span j. Training and generation both read `stream`'s causal
+    index; this is the reference it is checked against."""
+    index = []
+    for j, span in enumerate(split(data, max_word_bytes).spans):
+        index.extend([j] * (span.end - span.start))
+    return index
+
+
+def boundary_divergence(data: bytes,
+                        max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> tuple[int, list[int]]:
+    """Count bytes whose causal chunk index (`stream`) differs from the batch
+    split's. Returns (count, offending byte offsets); 0 for ASCII text."""
+    full = word_index_of_bytes(data, max_word_bytes)
+    inc = stream(data, max_word_bytes)[2]
+    bad = [i for i, (a, b) in enumerate(zip(full, inc)) if a != b]
+    return len(bad), bad
 
 
 def full_decode_prompt_pass(params, cfg, prompts: list[tuple]) -> list:

@@ -7,10 +7,10 @@ import numpy as np
 
 from hatlm import checkpoint, config, infer, metrics, model, train
 from hatlm.infer import BatchRunner, BoundarySync, FixedByteStride, GenSession, SamplingConfig
-from hatlm.splitter import split, word_index_of_bytes
+from hatlm.splitter import split
 from hatlm.wordbreak import word_boundaries
 
-from conftest import DATA, TEST_DATA, random_utf8_strings
+from conftest import DATA, TEST_DATA, random_utf8_strings, word_index_of_bytes
 
 
 def _report(name: str, t0: float, detail: str = ""):

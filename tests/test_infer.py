@@ -18,10 +18,10 @@ from hatlm.infer import (
     sample_from_logits,
     step_byte,
 )
-from hatlm.splitter import (BYTE_BOS, IncrementalSplitterState, SplitError, Utf8Gate,
-                            boundary_divergence, split)
+from hatlm.splitter import BYTE_BOS, IncrementalSplitterState, SplitError, Utf8Gate, split
 
-from conftest import DATA, POOLS, half_split_rotate, random_utf8_strings, stacked_byte_stack
+from conftest import (DATA, POOLS, boundary_divergence, half_split_rotate, random_utf8_strings,
+                      stacked_byte_stack, word_index_of_bytes)
 
 
 def make_session(params, cfg, mode="greedy", budget=32, **kw):
@@ -410,7 +410,6 @@ def test_batched_caches_match_prompt_pass_after_forced_bytes(micro_cfg, micro_pa
 def test_incremental_matches_training_forward_on_ascii(micro_cfg, micro_params):
     # where prefix consistency holds (ASCII), the generation-time assignment
     # equals the teacher-forced one, so the training forward is also an oracle
-    from hatlm.splitter import word_index_of_bytes
     s = make_session(micro_params, micro_cfg, budget=15)
     prefill(s, b"abc def ")
     while not s.finished:
@@ -515,12 +514,6 @@ def per_session_word_reads(caches, layer, q, k, v, cap):
     return np.stack(out)
 
 
-def per_span_reads(q, k, v, lens, cap):
-    """Pooling's read before grouping: one read per span of consecutive keys."""
-    ends = np.cumsum(lens)
-    return np.stack([infer.attend(q, k[a - n:a], v[a - n:a], cap) for n, a in zip(lens, ends)])
-
-
 def counts(lo, hi, distinct):
     """Lists of 1-64 counts in [lo, hi]: any mix, all equal, or all distinct."""
     return st.one_of(
@@ -552,18 +545,24 @@ def test_grouped_word_reads_match_per_session_reads(micro_cfg, rows, layer, cap,
         assert a.rows == b.rows and np.array_equal(a.kv, b.kv)
 
 
-@given(lens=counts(1, 16, 16), cap=st.sampled_from([None, 30.0]), seed=st.integers(0, 2 ** 16))
-@example(lens=[1], cap=30.0, seed=0)
-@example(lens=[16, 1, 16, 2, 1], cap=30.0, seed=1)
+@given(lens=counts(1, 16, 16), f64=st.booleans(), cap=st.sampled_from([None, 30.0]),
+       seed=st.integers(0, 2 ** 16))
+@example(lens=[1], f64=False, cap=30.0, seed=0)
+@example(lens=[16, 1, 16, 2, 1], f64=True, cap=None, seed=1)
 @settings(max_examples=60, deadline=None)
-def test_grouped_span_reads_match_per_span_reads(micro_cfg, lens, cap, seed):
+def test_tiled_pooling_matches_each_span_pooled_alone(micro_cfg, micro_params, micro_params64,
+                                                      lens, f64, cap, seed):
+    # the word step pools a round's words in one `pool_words_var` call over
+    # the stack of their states, which the spans tile: each word gets the
+    # bits it gets pooled alone
     assert max(lens) <= micro_cfg.max_word_bytes
-    nh, hs, rng = micro_cfg.n_enc_cross_heads, micro_cfg.encoder.head_size, \
-        np.random.default_rng(seed)
-    q = rng.standard_normal((nh, hs)).astype(np.float32)
-    k, v = rng.standard_normal((2, sum(lens), nh, hs)).astype(np.float32)
-    assert np.array_equal(infer._attend_spans(q, k, v, lens, cap),
-                          per_span_reads(q, k, v, lens, cap))
+    P, cfg = micro_params64 if f64 else micro_params, replace(micro_cfg, softcap=cap)
+    states = np.random.default_rng(seed).standard_normal(
+        (sum(lens), cfg.encoder.hidden)).astype(P["encoder.byte_embedding"].dtype)
+    ends = np.cumsum(lens).tolist()
+    spans = [(b - n, b) for n, b in zip(lens, ends)]
+    alone = [model.pool_words_var(P, cfg, states[a:b], [(0, b - a)]) for a, b in spans]
+    assert np.array_equal(model.pool_words_var(P, cfg, states, spans), np.concatenate(alone))
 
 
 @given(n=st.sampled_from([1, 2, 23, 64]), pick=st.sampled_from(["all", "subset", "one"]),
@@ -602,7 +601,7 @@ def test_batch_rings_match_stacked_rings(micro_cfg, micro_params, micro_params64
 def test_word_step_reads_once_per_cache_shape(micro_cfg, micro_params, monkeypatch):
     # 64 sessions at a boundary hold 3 distinct word-cache row counts and
     # close words of 5 distinct lengths: a word step makes one backbone read
-    # per layer and row count and one pooling read per length
+    # per layer and row count, and pools every word in one call
     prompts = [("w" + " w" * (i % 3) + " " + "x" * (1 + i // 3 % 5)).encode()
                for i in range(64)]
     sessions = [GenSession(micro_params, micro_cfg, SamplingConfig("forced", forced=b" "),
@@ -614,11 +613,13 @@ def test_word_step_reads_once_per_cache_shape(micro_cfg, micro_params, monkeypat
     k = len({s.word_cache.rows for s in sessions})
     m = len({c.end - c.start for s in sessions for c in s.pending_closes})
     assert (k, m) == (3, 5)
-    calls = []
-    real = infer.attend
-    monkeypatch.setattr(infer, "attend", lambda *a: calls.append(a) or real(*a))
+    calls, pools = [], []
+    attend, pool = infer.attend, model.pool_words_var
+    monkeypatch.setattr(infer, "attend", lambda *a: calls.append(a) or attend(*a))
+    monkeypatch.setattr(model, "pool_words_var", lambda *a: pools.append(a) or pool(*a))
     infer._consume_closes(sessions, runner._rows, list(range(64)))
-    assert len(calls) == micro_cfg.backbone.n_layers * k + m
+    assert len(calls) == micro_cfg.backbone.n_layers * k
+    assert len(pools) == 1 and len(pools[0][3]) == 64
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,13 @@ from hatlm.splitter import (
     IncrementalSplitterState,
     SplitError,
     WordSpan,
-    boundary_divergence,
-    incremental_word_index,
     split,
     stream,
-    word_index_of_bytes,
 )
 from hatlm.wordbreak import CLASS, IGNORABLE, PROPS, word_boundaries
 
-from conftest import DATA, POOLS, TEST_DATA, random_utf8_strings
+from conftest import (DATA, POOLS, TEST_DATA, boundary_divergence, random_utf8_strings,
+                      word_index_of_bytes)
 
 RI = [chr(c) for c in range(0x1F1E6, 0x1F200)]  # regional indicators
 
@@ -604,4 +602,4 @@ def test_divergence_catalogue_mixed_corpus():
 
 def test_incremental_word_index_matches_full_on_ascii():
     data = b"plain ascii, nothing fancy here."
-    assert incremental_word_index(data) == word_index_of_bytes(data)
+    assert stream(data, DEFAULT_MAX_WORD_BYTES)[2] == word_index_of_bytes(data)

@@ -189,7 +189,7 @@ def test_finite_difference_agreement(micro_cfg, micro_params64):
 # policy and optimizer
 
 def test_policy_file_roundtrip():
-    p = train.hatification_policy()
+    p = GroupPolicy(frozen_until_step={"backbone": 2000}, lr_multiplier={"backbone": 0.1})
     q = GroupPolicy.from_text(p.to_text())
     assert q.frozen_until_step.get("backbone") == 2000
     assert q.multiplier("backbone") == pytest.approx(0.1)
