@@ -146,13 +146,13 @@ def _byte_stack(P, name: str, cfg: HatConfig, kv: np.ndarray, rows: slice | np.n
     """One byte per row through the encoder or the decoder.
 
     Row j sits at byte position pos[j] of ring kv[rows][j], a runner's row or
-    a lone session's ring (`_Rows`). Each layer writes its new K/V rows and
-    reads the window, masked until every ring read is full: in place if `rows`
-    is a slice, else in one gather whose new slots alone are scattered back.
-    `inject` ([B, n_layers, hidden]) is added before each decoder layer."""
+    a lone session's ring (`_Rows`). Each layer writes its new K/V slots
+    straight into `kv` and reads the window from `kv[rows, i]` (a view if
+    `rows` is a slice, else one gather of that layer), masked until every
+    ring read is full. `inject` ([B, n_layers, hidden]) is added before each
+    decoder layer."""
     s = getattr(cfg, name)
-    batch = kv[rows]                                # [B, L, 2, W, n_kv, hs]
-    b, slot = np.arange(len(x)), pos % s.window
+    r, slot = np.arange(len(kv))[rows], pos % s.window
     valid = None if pos.min() >= s.window - 1 else np.arange(s.window) <= pos[:, None]
     rot = model.rope_rows(s, pos[:, None], x.dtype)
     for i in range(s.n_layers):
@@ -160,12 +160,11 @@ def _byte_stack(P, name: str, cfg: HatConfig, kv: np.ndarray, rows: slice | np.n
         if inject is not None:
             x = x + inject[:, i]
         qk, v = model.layer_qkv(P, prefix, s, cfg, x, rot)
-        batch[b, i, 0, slot] = qk[:, s.n_heads:]
-        batch[b, i, 1, slot] = v
-        o = attend(qk[:, :s.n_heads], batch[:, i, 0], batch[:, i, 1], cfg.softcap, valid)
+        kv[r, i, 0, slot] = qk[:, s.n_heads:]
+        kv[r, i, 1, slot] = v
+        ring = kv[rows, i]                          # [B, 2, W, n_kv, hs]
+        o = attend(qk[:, :s.n_heads], ring[:, 0], ring[:, 1], cfg.softcap, valid)
         x = model.layer_out(P, prefix, cfg, x, o)
-    if not isinstance(rows, slice):
-        kv[rows, :, :, slot] = batch[b, :, :, slot]
     return x
 
 

@@ -81,37 +81,22 @@ def param_shapes(cfg: HatConfig) -> dict[str, tuple]:
     return shapes
 
 
-def _layer_count(s: StackConfig) -> int:
-    h, inner, kv = s.hidden, s.n_heads * s.head_size, s.n_kv_heads * s.head_size
-    attn = h * inner + 2 * h * kv + inner * h
-    mlp = 3 * h * s.intermediate
-    return attn + mlp + 2 * h
-
-
 def count_params(cfg: HatConfig) -> dict[str, int]:
-    """Exact per-component parameter counts.
-
-    Closed-form integer arithmetic (no tensors are allocated), so this works
-    for production-size configs. `aux` holds the BOS word vector, which is
-    excluded from the component totals.
+    """Exact per-component parameter counts: the sizes of `param_shapes`
+    summed by name prefix (shapes only, so production-size configs cost
+    nothing). The encoder includes the pooling connector. `aux` holds the
+    BOS word vector, which is excluded from the component totals.
     """
-    enc, bb, dec, c = cfg.encoder, cfg.backbone, cfg.decoder, cfg.cross_hidden
-    connector = c + 2 * enc.hidden * c + 2 * c * c
-    encoder = cfg.byte_vocab * enc.hidden + enc.n_layers * _layer_count(enc) + connector
-    backbone_layer = _layer_count(bb)
-    backbone = bb.n_layers * backbone_layer
-    cross_block = 2 * dec.hidden * dec.hidden + 2 * bb.hidden * dec.hidden \
-        + 2 * dec.hidden + bb.hidden
-    decoder = dec.n_layers * (_layer_count(dec) + cross_block) \
-        + dec.hidden + dec.hidden * cfg.byte_vocab
-    return {
-        "encoder": encoder,
-        "backbone": backbone,
-        "decoder": decoder,
-        "total": encoder + backbone + decoder,
-        "backbone_per_layer": backbone_layer,
-        "aux": bb.hidden,
-    }
+    sizes = {name: math.prod(shape) for name, shape in param_shapes(cfg).items()}
+
+    def under(*prefixes: str) -> int:
+        return sum(n for name, n in sizes.items() if name.startswith(prefixes))
+
+    parts = {"encoder": under("encoder.", "connector."),
+             "backbone": under("backbone.layers."),
+             "decoder": under("decoder.")}
+    return {**parts, "total": sum(parts.values()),
+            "backbone_per_layer": under("backbone.layers.0."), "aux": under("backbone.bos")}
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,11 @@ of default UAX#29 word segments this applies, in order:
 One engine, `IncrementalSplitterState`, applies them to a stream of
 codepoints with O(1) work each (amortised) and closes a chunk only once no
 continuation of the text can change it, so its closes are always leading
-spans of the split of the whole text. `push_byte` feeds it a byte at a time,
-`stream` a whole prefix and `split` a whole text, whose end settles the
-last chunk. It is the one front end of a byte stream, prompt or generated:
-its `Utf8Gate`, which sampling masks with, refuses any byte that breaks
-UTF-8.
+spans of the split of the whole text. It has two drivers: `push_byte`
+feeds it a byte at a time and `stream` a whole prefix; `split` is `stream`
+followed by the end of the text, which settles the last chunk. It is the
+one front end of a byte stream, prompt or generated: its `Utf8Gate`,
+which sampling masks with, refuses any byte that breaks UTF-8.
 """
 
 from __future__ import annotations
@@ -281,37 +281,18 @@ def _cut(prev: int, p: int) -> bool:
     return bool((prev | p) & MATH or (prev & LOWER and p & UPPER))
 
 
-def _feed_text(state: IncrementalSplitterState, data: bytes, text: str,
-               out: list) -> list[int]:
-    """Feed `text`, the decoded prefix of `data`, through `state`, appending
-    the spans it closes to `out`. Returns, per close, the text offset after
-    the codepoint whose arrival decided it."""
-    at, pos = [], 0
-    for ch in text:
-        cp = ord(ch)
-        n = 1 if cp < 0x80 else 2 if cp < 0x800 else 3 if cp < 0x10000 else 4
-        state.buf += data[pos:pos + n]
-        pos += n
-        k = len(out)
-        state._feed(cp, n, out)
-        if len(out) > k:
-            at += [pos] * (len(out) - k)
-    return at
-
-
 def split(data: bytes, max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> SplitResult:
-    """Split a UTF-8 byte sequence into word chunks.
+    """Split a UTF-8 byte sequence into word chunks: `stream`, then the end
+    of the text, which releases a held boundary and closes the last chunk.
 
     Sentinel bytes 0xFE/0xFF are rejected as invalid UTF-8 (they cannot
-    appear in well-formed input). Raises SplitError on malformed input.
+    appear in well-formed input). Raises SplitError on malformed input,
+    a codepoint cut off by the end of the text included.
     """
-    state = IncrementalSplitterState(max_word_bytes=max_word_bytes)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise SplitError("invalid UTF-8", exc.start) from None
-    spans = []
-    _feed_text(state, data, text, spans)
+    state, closes, _ = stream(data, max_word_bytes)
+    if state.gate.need:
+        raise SplitError("invalid UTF-8", state.end)
+    spans = [(w.start, w.end) for w in closes]
     if state.held:   # the end of the text joins nothing
         state._release(True, spans)
     state._close(state.end, spans)
@@ -332,8 +313,17 @@ def stream(data: bytes, max_word_bytes: int
         if exc.reason != "unexpected end of data":
             raise SplitError("invalid UTF-8", exc.start) from None
         text, tail = data[:exc.start].decode("utf-8"), data[exc.start:]
-    closes = []
-    at = _feed_text(state, data, text, closes)
+    # per close, the text offset after the codepoint whose arrival decided it
+    closes, at, pos = [], [], 0
+    for ch in text:
+        cp = ord(ch)
+        n = 1 if cp < 0x80 else 2 if cp < 0x800 else 3 if cp < 0x10000 else 4
+        state.buf += data[pos:pos + n]
+        pos += n
+        k = len(closes)
+        state._feed(cp, n, closes)
+        if len(closes) > k:
+            at += [pos] * (len(closes) - k)
     for b in tail:   # a codepoint in flight
         state.gate.push(b)
     state.buf += tail
@@ -344,4 +334,3 @@ def stream(data: bytes, max_word_bytes: int
         index += [k] * (end - 1 - len(index))
     index += [len(at)] * (len(data) - len(index))
     return state, [WordClosed(a, b) for a, b in closes], index
-

@@ -18,6 +18,7 @@ from . import autodiff as ad
 from .config import HatConfig
 from . import model
 from .model import PARAM_GROUPS, forward, group_of, init_params
+from .splitter import SplitError
 
 WEIGHT_DECAY_EXEMPT_SUFFIX = "norm.gain"
 WEIGHT_DECAY_EXEMPT_NAMES = ("encoder.byte_embedding", "backbone.bos")
@@ -68,13 +69,6 @@ class GroupPolicy:
 
     def multiplier(self, group: str) -> float:
         return self.lr_multiplier.get(group, 1.0)
-
-    def to_text(self) -> str:
-        items = {}
-        for g in PARAM_GROUPS:
-            items[f"{g}.frozen_until_step"] = self.frozen_until_step.get(g, 0)
-            items[f"{g}.lr_multiplier"] = self.lr_multiplier.get(g, 1.0)
-        return "".join(f"{k}={items[k]}\n" for k in sorted(items))
 
     @classmethod
     def from_text(cls, text: str) -> "GroupPolicy":
@@ -140,16 +134,22 @@ def loss_and_grads(params, cfg: HatConfig, data: bytes, frozen: tuple[str, ...] 
 
 def documents(corpus: bytes, seq_len: int) -> list[bytes]:
     """The corpus cut into documents of at most seq_len bytes, each at the
-    last codepoint boundary (a byte that is not a UTF-8 continuation) at or
-    below seq_len; documents under 2 bytes, with nothing to predict, are
-    dropped."""
+    last codepoint boundary at or below seq_len; documents under 2 bytes,
+    with nothing to predict, are dropped. Raises SplitError if the corpus
+    is not UTF-8, and ValueError if a codepoint is longer than seq_len."""
     if seq_len < 1:
         raise ValueError(f"seq_len must be positive, got {seq_len}")
+    try:
+        corpus.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SplitError("invalid UTF-8", exc.start) from None
     docs, i = [], 0
     while i < len(corpus):
         j = min(i + seq_len, len(corpus))
-        while i + 1 < j < len(corpus) and corpus[j] & 0xC0 == 0x80:
+        while j < len(corpus) and corpus[j] & 0xC0 == 0x80:
             j -= 1
+        if j == i:
+            raise ValueError(f"seq_len {seq_len} cannot hold the codepoint at byte offset {i}")
         docs.append(corpus[i:j])
         i = j
     return [d for d in docs if len(d) >= 2]

@@ -119,6 +119,15 @@ def test_train_toy_cuts_documents_between_codepoints(tmp_path):
     assert code == 0 and "final_loss=" in out
 
 
+def test_train_toy_names_seq_len_when_a_codepoint_cannot_fit(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes("a€b€c".encode() * 3)
+    code, _ = run_cli("train-toy", "--config", "micro", "--corpus", str(corpus),
+                      "--steps", "1", "--seq-len", "2")
+    err = capsys.readouterr().err
+    assert code == 1 and "seq_len 2" in err and "offset 1" in err
+
+
 def test_bench_sched_outputs_accounting(tmp_path):
     prompts = tmp_path / "prompts.txt"
     prompts.write_text("hello there\nsecond one\n")

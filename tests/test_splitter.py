@@ -447,6 +447,7 @@ def test_closes_are_the_leading_spans_of_the_split(s, max_word_bytes):
 @given(st.lists(st.one_of(pieces, MARKED_PUNCT), max_size=24).map("".join)
        | st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=40), CAPS)
 @example("\u4f60__\u0301 a:\u0301b \u05d0\u05f4\u05d1 1\u2044\u03012", 4)
+@example("0.\ufe0f", 4)    # the text ends at a held boundary: its end releases it
 @settings(max_examples=300, deadline=None)
 def test_split_matches_reference(s, max_word_bytes):
     data = s.encode()

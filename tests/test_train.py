@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from hatlm import autodiff as ad
 from hatlm import kernels, model, train
-from hatlm.splitter import stream
+from hatlm.splitter import SplitError, stream
 from hatlm.train import GroupPolicy, LrSchedule, lr_at
 
-from conftest import DATA
+from conftest import DATA, REPO
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +72,44 @@ def test_documents_cut_at_codepoint_boundaries(text, seq_len):
             at += 1
         at += len(d)
     assert len(corpus) - at < 2
+
+
+@given(text=st.text(max_size=60), seq_len=st.integers(1, 3))
+@example(text="a€b", seq_len=2)             # a raw cut gave the document b"\x82\xac"
+@example(text="abcdefg", seq_len=1)
+@example(text="abcdefg", seq_len=2)
+@example(text="abcdefg", seq_len=3)
+@example(text="aäb", seq_len=3)
+@example(text="ab\U0001F600", seq_len=3)
+@settings(max_examples=200, deadline=None)
+def test_documents_refuse_a_codepoint_longer_than_seq_len(text, seq_len):
+    # whole codepoints, as many as fit, per document; a codepoint that does
+    # not fit names seq_len and its offset
+    corpus, docs, cur, at = text.encode(), [], b"", 0
+    for ch in text:
+        b = ch.encode()
+        if len(b) > seq_len:
+            with pytest.raises(ValueError, match=f"seq_len {seq_len} .* offset {at}$"):
+                train.documents(corpus, seq_len)
+            return
+        if len(cur) + len(b) > seq_len:
+            docs.append(cur)
+            cur = b""
+        cur += b
+        at += len(b)
+    assert train.documents(corpus, seq_len) == [d for d in docs + [cur] if len(d) >= 2]
+
+
+def test_documents_refuse_a_corpus_that_is_not_utf8():
+    with pytest.raises(SplitError) as err:
+        train.documents(b"abcd\xe2\x82ef", 2)
+    assert err.value.offset == 4
+
+
+def test_train_loop_names_seq_len_when_a_codepoint_cannot_fit(micro_cfg):
+    with pytest.raises(ValueError, match="seq_len 2 cannot hold the codepoint at byte offset 1"):
+        train.train_loop(micro_cfg, "a€b€c".encode() * 3, SCHED, GroupPolicy(), steps=1,
+                         seed=0, seq_len=2)
 
 
 @pytest.mark.parametrize("seq_len", [0, -3])
@@ -189,8 +227,10 @@ def test_finite_difference_agreement(micro_cfg, micro_params64):
 # policy and optimizer
 
 def test_policy_file_roundtrip():
-    p = GroupPolicy(frozen_until_step={"backbone": 2000}, lr_multiplier={"backbone": 0.1})
-    q = GroupPolicy.from_text(p.to_text())
+    # the README's hatification recipe, a two-line `train-toy --policy` file
+    text = "backbone.frozen_until_step=2000\nbackbone.lr_multiplier=0.1\n"
+    assert "\n  ".join(text.splitlines()) in (REPO / "README.md").read_text()
+    q = GroupPolicy.from_text(text)
     assert q.frozen_until_step.get("backbone") == 2000
     assert q.multiplier("backbone") == pytest.approx(0.1)
     assert q.multiplier("encoder") == 1.0
