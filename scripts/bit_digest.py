@@ -12,8 +12,9 @@ run uses the micro config and params seed 1234, in float32 and in float64:
 
   * a wave of 64 prompts (0 to 95 bytes) prefilled in one `BatchRunner`:
     byte rings, word caches, injections and logits; then its greedy bytes
-    under `BoundarySync`, and the same state after them (a rounding change
-    in the step's layer shows there even where no greedy byte moves);
+    under `BoundarySync`, the runner's trace text, and the same state after
+    them (a rounding change in the step's layer shows there even where no
+    greedy byte moves);
   * one 2 KB prompt, prefilled alone: the same caches, injection and logits;
   * `train.loss` and the `train.loss_and_grads` loss and gradients on the
     first 1 KB of each data text;
@@ -87,6 +88,8 @@ def digests() -> list[tuple[str, str]]:
         runner.run_to_completion()
         out.append((f"{tag}.wave.generated",
                     _sha(*(np.frombuffer(bytes(s.generated), np.uint8) for s in wave))))
+        out.append((f"{tag}.wave.trace",
+                    hashlib.sha256(runner.trace_text().encode()).hexdigest()))
         out += _caches(f"{tag}.wave.generate", wave)
         solo = infer.prefill(session(1), (DATA / TEXTS[0]).read_bytes()[:2048])
         out += _caches(f"{tag}.solo2k.prefill", [solo])

@@ -45,6 +45,7 @@ must be finite or a FloatingPointError is raised.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -239,11 +240,17 @@ def concat(parts, axis: int = 0):
     return Var(np.concatenate(values, axis=axis), tuple(parts), bw)
 
 
+@functools.lru_cache(maxsize=1024)
+def _narrow_index(axis: int, start: int, length: int) -> tuple:
+    """`narrow`'s index, built once per part rather than on every call."""
+    return (slice(None),) * axis + (slice(start, start + length),)
+
+
 def narrow(a, axis: int, start: int, length: int):
     """A slice of `axis`. Its gradient lands in its part of a's, so the
     parts of one node share one full-size gradient array; the first part
     zeroes only the rows outside it."""
-    sl = (slice(None),) * axis + (slice(start, start + length),)
+    sl = _narrow_index(axis, start, length)
     if type(a) is not Var:
         return _finite(a[sl])
     return Var(a.v[sl], (a,), lambda g: _accum(a, g, at=sl))

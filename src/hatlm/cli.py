@@ -143,7 +143,15 @@ def cmd_bench_sched(args) -> int:
     t0 = time.perf_counter()
     runner.prefill_all(prompts)
     t1 = time.perf_counter()
-    runner.run_to_completion()
+    # per session, the end of each tick that emitted one of its bytes
+    emits, batches = [[] for _ in sessions], []
+    while any(not s.finished for s in sessions):
+        plan = runner.run_tick()
+        now = time.perf_counter()
+        batches += [len(plan.byte_steps)] if plan.byte_steps else []
+        for i in plan.byte_steps:
+            if len(emits[i]) < len(sessions[i].generated):
+                emits[i].append(now)
     t2 = time.perf_counter()
     total_bytes = sum(len(s.generated) for s in sessions)
     calls = sum(s.backbone_calls for s in sessions)
@@ -161,6 +169,11 @@ def cmd_bench_sched(args) -> int:
     print(f"prefill_bytes_per_s={sum(map(len, prompts)) / (t1 - t0):.1f}")
     print(f"gen_s={t2 - t1:.6f}")
     print(f"gen_bytes_per_s={total_bytes / (t2 - t1):.1f}")
+    gaps = [b - a for e in emits for a, b in zip(e, e[1:])]
+    p50, p95 = np.percentile(gaps, [50, 95]) * 1e3 if gaps else (float("nan"),) * 2
+    print(f"gap_ms_p50={p50:.4f}")
+    print(f"gap_ms_p95={p95:.4f}")
+    print(f"byte_batch_mean={np.mean(batches) if batches else 0.0:.4f}")
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(runner.trace_text())

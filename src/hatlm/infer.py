@@ -10,11 +10,13 @@ closes a word. A layer is the tape's own, on no-grad [B, hidden] rows:
 The head is `model.head` and the word-context read is `model.word_context`.
 
 Every step is batched over sessions: `BatchRunner.run_tick` runs one byte
-step for its byte-stepping sessions (sample and commit per session, then one
-encoder+decoder pass for the bytes that closed no word) and one word step
-for the sessions at a boundary (pooling, backbone, decoder injections and
-the deferred byte; several closes run in rounds). `step_byte` is the same
-code at batch size one. A new `GenSession` only allocates;
+step for its byte-stepping sessions (per session one sample, one splitter
+push and a few list appends, then one encoder+decoder pass for the bytes
+that closed no word, whose new pending states and `cur_logits` are rows,
+views, of that pass's fresh arrays) and one word step for the sessions at a
+boundary (pooling, backbone, decoder injections and the deferred byte;
+several closes run in rounds). `step_byte` is the same code at batch size
+one. A new `GenSession` only allocates;
 `BatchRunner.prefill_all` starts its sessions from no-grad forwards over the
 pack of their prompts (`model.prompt_pass`, one per chunk of at most
 `PACK_BYTES` bytes; an empty prompt is the 0xFE sentinel), once every prompt
@@ -207,6 +209,12 @@ def _word_stack(sessions: list[GenSession], x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # generation session
 
+def _check_budget(max_new_bytes: int) -> int:
+    if max_new_bytes < 0:
+        raise ValueError(f"max_new_bytes must be >= 0, got {max_new_bytes}")
+    return max_new_bytes
+
+
 @dataclass
 class GenSession:
     """One generation stream. A `BatchRunner` that adopts it makes its byte
@@ -221,6 +229,7 @@ class GenSession:
         if self.max_new_bytes is None:
             # default byte budget: 4 bytes-per-word headroom x 8
             self.max_new_bytes = 4 * cfg.backbone.max_positions * 8
+        _check_budget(self.max_new_bytes)
         self.rng = np.random.default_rng(self.sampling.seed)
         self._forced = deque(self.sampling.forced)
         dtype = P["encoder.byte_embedding"].dtype
@@ -256,11 +265,6 @@ class GenSession:
         self.pending_base = ev.end
         self.consumed_spans.append((ev.start, ev.end))
         return states
-
-    def _commit_push(self, b: int) -> list[WordClosed]:
-        events = self.splitter.push_byte(b)
-        self.generated.append(b)
-        return events
 
     def check_sample(self, index: int | None = None) -> None:
         """Raise SessionError (naming session `index`) unless `sample` can
@@ -351,13 +355,14 @@ def _encode_decode(sessions: list[GenSession], byte_vals: list[int], batch: _Row
     sel = slice(None) if len(rows) == len(batch.enc) else np.array(rows)   # ascending
     x = _byte_stack(P, "encoder", cfg, batch.enc, sel, P["encoder.byte_embedding"][byte_vals], pos)
     y = _byte_stack(P, "decoder", cfg, batch.dec, sel, x, pos, batch.inject[sel])
-    logits = model.head(P, cfg, y)
-    for s, state, row in zip(sessions, x, logits):
-        s.pending_states.append(state.copy())
+    for s, state, row in zip(sessions, x, model.head(P, cfg, y)):
+        s.pending_states.append(state)
         s.inc_index.append(s.word_cache.rows - 1)
-        s.cur_logits = row.copy()
+        s.cur_logits = row
         s.next_pos += 1
-        s.status = "finished" if len(s.generated) >= s.max_new_bytes else "mid_word"
+        s.status = "mid_word"
+        if len(s.generated) >= s.max_new_bytes:   # a finished session keeps no tick's array
+            s.status, s.cur_logits = "finished", row.copy()
 
 
 def _consume_closes(sessions: list[GenSession], batch: _Rows, rows: list[int]) -> None:
@@ -391,27 +396,33 @@ class StepOutcome:
     finished: bool = False
 
 
-def _byte_steps(sessions: list[GenSession], batch: _Rows, rows: list[int]) -> list[StepOutcome]:
+def _byte_steps(sessions: list[GenSession], batch: _Rows, rows: list[int]
+                ) -> tuple[list[int], list[list[WordClosed]]]:
     """Sample and commit one byte per session, then encode the bytes that
-    closed no word in one step; the others wait for a word step."""
-    picks = [s.sample() for s in sessions]
-    closes, todo = [], []
-    for s, b, r in zip(sessions, picks, rows):
-        events = () if b == BYTE_EOS else tuple(s._commit_push(b))
-        closes.append(events)
+    closed no word in one step; the others wait for a word step. Returns
+    each session's byte and the words it closed."""
+    picks, closes, todo, vals, todo_rows = [], [], [], [], []
+    for s, r in zip(sessions, rows):
+        b = s.sample()
+        picks.append(b)
         if b == BYTE_EOS:
             s.status = "finished"
-        elif events:
+            closes.append([])
+            continue
+        events = s.splitter.push_byte(b)
+        s.generated.append(b)
+        closes.append(events)
+        if events:
             s.gen_closes += len(events)
-            s.pending_closes = list(events)
+            s.pending_closes = events
             s.pending_byte = b
             s.status = "at_boundary"
         else:
-            todo.append((s, b, r))
-    _encode_decode([s for s, _, _ in todo], [b for _, b, _ in todo], batch,
-                   [r for _, _, r in todo])
-    return [StepOutcome(byte=b, closes=ev, finished=s.finished)
-            for s, b, ev in zip(sessions, picks, closes)]
+            todo.append(s)
+            vals.append(b)
+            todo_rows.append(r)
+    _encode_decode(todo, vals, batch, todo_rows)
+    return picks, closes
 
 
 def _word_steps(sessions: list[GenSession], batch: _Rows, rows: list[int]) -> None:
@@ -482,7 +493,7 @@ def _fill(sessions: list[GenSession], prompts: list[bytes], streams: list[tuple]
         s.sentinel_used = not p
         s.splitter = splitter
         s.prompt = bytes(p)
-        s.status = "mid_word"
+        s.status = "mid_word" if s.max_new_bytes > 0 else "finished"
 
 
 def prefill(session: GenSession, prompt_bytes: bytes) -> GenSession:
@@ -507,7 +518,8 @@ def byte_phase(session: GenSession) -> StepOutcome:
     if session.status == "at_boundary":
         raise SessionError("session is blocked on a backbone step")
     _check_byte_step(session, None)
-    return _byte_steps([session], _lone(session), [0])[0]
+    (b,), (closes,) = _byte_steps([session], _lone(session), [0])
+    return StepOutcome(byte=b, closes=tuple(closes), finished=session.finished)
 
 
 def word_phase(session: GenSession) -> None:
@@ -534,7 +546,7 @@ def step_byte(session: GenSession) -> StepOutcome:
 def generate(session: GenSession, prompt: bytes, max_new_bytes: int | None = None) -> bytes:
     """Prefill then greedy-loop until EOS or the byte budget."""
     if max_new_bytes is not None:
-        session.max_new_bytes = max_new_bytes
+        session.max_new_bytes = _check_budget(max_new_bytes)
     prefill(session, prompt)
     while not session.finished:
         step_byte(session)
@@ -605,11 +617,11 @@ def schedule(sessions: list[GenSession], policy: Policy, tick: int = 0) -> StepP
     """Plan one tick: which sessions take byte steps vs. a batched word step."""
     if not sessions:
         raise ValueError("empty batch")
-    active = [i for i, s in enumerate(sessions) if not s.finished]
-    boundary = tuple(i for i in active if sessions[i].status == "at_boundary")
-    mid = tuple(i for i in active if sessions[i].status == "mid_word")
-    if isinstance(policy, BoundarySync):
-        if active and len(boundary) == len(active):
+    status = [s.status for s in sessions]
+    boundary = tuple(i for i, x in enumerate(status) if x == "at_boundary")
+    mid = tuple(i for i, x in enumerate(status) if x == "mid_word")
+    if isinstance(policy, BoundarySync):   # every unfinished session at a boundary
+        if boundary and len(boundary) == len(status) - status.count("finished"):
             return StepPlan(byte_steps=(), word_steps=boundary)
         return StepPlan(byte_steps=mid, word_steps=())
     if isinstance(policy, FixedByteStride):
@@ -692,14 +704,20 @@ class BatchRunner:
         steps = [self.sessions[i] for i in plan.byte_steps]
         for i, s in zip(plan.word_steps, words):
             _check_room(s, len(s.pending_closes), i)
-        for i, s in zip(plan.byte_steps, steps):
-            _check_byte_step(s, i)
+        if steps:   # inline far from every limit; near one, or refused, the full check
+            cfg = steps[0].cfg
+            limit, room = model.byte_limit(cfg), cfg.backbone.max_positions
+            for i, s in zip(plan.byte_steps, steps):
+                f = s._forced
+                if (s.next_pos >= limit or s.word_cache.rows + len(s.splitter.buf) >= room
+                        or s.cur_logits is None or f and not s.splitter.gate.admits(f[0])):
+                    _check_byte_step(s, i)
         actions = [f"s{i}=W" for i in plan.word_steps]
         if words:
             _word_steps(words, self._rows, plan.word_steps)
         if steps:
-            actions += [f"s{i}=B:{out.byte:02x}" for i, out in
-                        zip(plan.byte_steps, _byte_steps(steps, self._rows, plan.byte_steps))]
+            picks, _ = _byte_steps(steps, self._rows, plan.byte_steps)
+            actions += [f"s{i}=B:{b:02x}" for i, b in zip(plan.byte_steps, picks)]
         if actions:
             self.trace.append(f"{self.tick}\t" + " ".join(actions))
         self.tick += 1

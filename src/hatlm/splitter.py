@@ -175,24 +175,25 @@ class IncrementalSplitterState:
     def push_byte(self, b: int) -> list[WordClosed]:
         if not 0 <= b <= 0xFF:
             raise ValueError(f"not a byte: {b}")
-        gate, buf = self.gate, self.buf
-        if b == BYTE_EOS or not gate.admits(b):
-            # report the start of the ill-formed sequence, as `split` does
-            k = len(buf) - (gate.need > 0)
-            while gate.need and buf[k] < 0xC0:
-                k -= 1
-            raise SplitError("invalid UTF-8", self.lo + k)
-        gate.push(b)
+        gate, buf, out = self.gate, self.buf, []
+        if b >= 0x80 or gate.need:
+            if b == BYTE_EOS or not gate.admits(b):
+                # report the start of the ill-formed sequence, as `split` does
+                k = len(buf) - (gate.need > 0)
+                while gate.need and buf[k] < 0xC0:
+                    k -= 1
+                raise SplitError("invalid UTF-8", self.lo + k)
+            gate.push(b)
         buf.append(b)
-        if gate.need:
-            return []
-        k = len(buf) - 1
-        while buf[k] & 0xC0 == 0x80:
-            k -= 1
-        out = []
-        self._feed(ord(buf[k:].decode()), len(buf) - k, out)
+        if b < 0x80:        # a whole codepoint, the byte itself
+            self._feed(b, 1, out)
+        elif not gate.need:
+            k = len(buf) - 1
+            while buf[k] & 0xC0 == 0x80:
+                k -= 1
+            self._feed(ord(buf[k:].decode()), len(buf) - k, out)
         self.closed_words += len(out)
-        return [WordClosed(a, e) for a, e in out]
+        return [WordClosed(a, e) for a, e in out] if out else out
 
     # -- the engine: `buf` already holds the codepoint fed ---------------------
 

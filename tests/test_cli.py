@@ -141,8 +141,38 @@ def test_bench_sched_outputs_accounting(tmp_path):
                                          + int(kv["prefill_words"])
                                          + int(kv["sessions"]))
     assert trace.read_text().startswith("0\ts0=P s1=P")
-    for key in ("prefill_s", "prefill_bytes_per_s", "gen_s", "gen_bytes_per_s"):
+    for key in ("prefill_s", "prefill_bytes_per_s", "gen_s", "gen_bytes_per_s",
+                "gap_ms_p50", "gap_ms_p95"):
         assert float(kv[key]) > 0, key
+    assert float(kv["gap_ms_p50"]) <= float(kv["gap_ms_p95"])
+    # 8 bytes per session, so at least 7 byte ticks; each holds one or both
+    ticks = trace.read_text().splitlines()[1:]
+    byte_ticks = [t.count("=B:") for t in ticks if "=B:" in t]
+    assert float(kv["byte_batch_mean"]) == pytest.approx(np.mean(byte_ticks), abs=1e-4)
+    assert 1 <= float(kv["byte_batch_mean"]) <= 2 and len(byte_ticks) >= 7
+
+
+def test_zero_byte_budget_generates_nothing(tmp_path):
+    code, out = run_cli("generate", "--config", "micro", "--prompt", "hello wor",
+                        "--max-bytes", "0", "--greedy", "--hex")
+    assert (code, out) == (0, "\n")
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("hello wor\nsecond\n")
+    code, out = run_cli("bench-sched", "--config", "micro", "--prompts", str(prompts),
+                        "--max-bytes", "0")
+    kv = dict(line.split("=") for line in out.splitlines())
+    assert code == 0 and (kv["generated_bytes"], kv["ticks"]) == ("0", "0")
+    assert kv["gap_ms_p50"] == kv["gap_ms_p95"] == "nan" and kv["byte_batch_mean"] == "0.0000"
+
+
+@pytest.mark.parametrize("command", ["generate", "bench-sched"])
+def test_negative_byte_budget_exits_1(tmp_path, capsys, command):
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text("hello\n")
+    where = ("--prompt", "hello") if command == "generate" else ("--prompts", str(prompts))
+    code, out = run_cli(command, "--config", "micro", *where, "--max-bytes", "-3")
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: max_new_bytes must be >= 0, got -3\n"
 
 
 def test_bench_sched_names_the_prompt_that_is_not_utf8(tmp_path, capsys):

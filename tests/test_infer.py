@@ -302,6 +302,29 @@ def test_byte_budget_finishes_session(micro_cfg, micro_params):
     assert len(s.generated) <= 5
 
 
+@pytest.mark.parametrize("prompt", [b"hello wor", b""])
+def test_zero_byte_budget_emits_nothing(micro_cfg, micro_params, prompt):
+    # a prompt that ends inside a word leaves prefill with a byte to sample;
+    # a spent budget finishes the session there instead
+    s = make_session(micro_params, micro_cfg, budget=32)
+    assert infer.generate(s, prompt, max_new_bytes=0) == b""
+    assert s.finished and s.next_pos == len(prompt) + (not prompt)
+    s = prefill(make_session(micro_params, micro_cfg, budget=0), prompt)
+    assert s.finished
+    with pytest.raises(SessionError, match="finished"):
+        step_byte(s)
+
+
+@pytest.mark.parametrize("budget", [-1, -3])
+def test_negative_byte_budget_is_refused(micro_cfg, micro_params, budget):
+    with pytest.raises(ValueError, match=f"max_new_bytes must be >= 0, got {budget}"):
+        make_session(micro_params, micro_cfg, budget=budget)
+    s = make_session(micro_params, micro_cfg, budget=4)
+    with pytest.raises(ValueError, match="max_new_bytes"):
+        infer.generate(s, b"hi", max_new_bytes=budget)
+    assert s.status == "prefilling" and s.max_new_bytes == 4
+
+
 # ---------------------------------------------------------------------------
 # equivalence with batch recomputation
 

@@ -1,5 +1,7 @@
 import copy
+import os
 import re
+import tempfile
 import tracemalloc
 from dataclasses import replace
 
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, precondition,
                                  rule)
 
-from hatlm import config, infer, model
+from hatlm import checkpoint, config, infer, model
 from hatlm.infer import (
     BatchRunner,
     BoundarySync,
@@ -105,6 +107,27 @@ def test_backbone_call_accounting_over_batch(micro_cfg, micro_params):
     closes = sum(s.gen_closes for s in batch)
     prefill_words = sum(s.prefill_words for s in batch)
     assert calls == closes + prefill_words + len(batch)
+
+
+@pytest.mark.parametrize("policy", [BoundarySync(), FixedByteStride(1)])
+def test_budget_zero_sessions_run_no_byte_tick(micro_cfg, micro_params, policy):
+    # sessions 0 and 2 have a spent budget: they leave prefill finished, and
+    # session 1 runs as it does alone
+    budgets = [0, 6, 0]
+    sessions = [GenSession(micro_params, micro_cfg, SamplingConfig("greedy"),
+                           max_new_bytes=budget) for budget in budgets]
+    runner = BatchRunner(sessions, policy)
+    runner.prefill_all([b"hello wor", b"tick ", b""])
+    assert [s.status for s in sessions] == ["finished", "mid_word", "finished"]
+    runner.run_to_completion()
+    assert not any(re.search(r"s[02]=", line) for line in runner.trace[1:])
+    assert [bytes(s.generated) for s in sessions] == [
+        b"", bytes(solo_run(micro_params, micro_cfg, b"tick ", budget=6).generated), b""]
+    everyone_spent = [GenSession(micro_params, micro_cfg, max_new_bytes=0) for _ in range(2)]
+    runner = BatchRunner(everyone_spent, policy)
+    runner.prefill_all([b"ab", b"c"])
+    runner.run_to_completion()
+    assert runner.trace == ["0\ts0=P s1=P"]
 
 
 def test_backbone_reduction_vs_per_byte(micro_cfg, micro_params):
@@ -705,6 +728,33 @@ class BatchMachine(RuleBasedStateMachine):
         self.runner.sessions[i]._forced.appendleft(b)
         self.shadows[i]._forced.appendleft(b)
 
+    @precondition(lambda self: any(map(_restartable, self.runner.sessions)))
+    @rule(data=st.data())
+    def restart_from_checkpoint(self, data):
+        # a twin prefilled with a mid-word session's committed bytes on
+        # parameters saved and loaded mid-run reads its logits, then takes
+        # the next bytes its shadow takes (up to 4) as forced bytes and ends alike
+        i = data.draw(st.sampled_from([i for i, s in enumerate(self.runner.sessions)
+                                       if _restartable(s)]))
+        s, ahead = self.runner.sessions[i], self.twin(self.shadows[i])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "machine.ckpt")
+            checkpoint.save(path, self.cfg, MACHINE_PARAMS)
+            cfg, params = checkpoint.load(path)
+        try:
+            while not ahead.finished and len(ahead.generated) < len(s.generated) + 4:
+                step_byte(ahead)
+        except infer.SessionError:
+            pass
+        script = bytes(ahead.generated[len(s.generated):])
+        twin = prefill(GenSession(params, cfg, SamplingConfig("forced", forced=script),
+                                  max_new_bytes=len(script)), s.committed)
+        assert np.max(np.abs(twin.cur_logits - s.cur_logits)) < 1e-4
+        while not twin.finished:
+            step_byte(twin)
+        assert bytes(twin.generated) == script
+        assert np.max(np.abs(twin.cur_logits - ahead.cur_logits)) < 1e-4
+
     @precondition(lambda self: self.runner.sessions)
     @rule(data=st.data())
     def deepcopy_session(self, data):
@@ -764,6 +814,12 @@ class BatchMachine(RuleBasedStateMachine):
                                               s.consumed_spans, np.array(s.inc_index),
                                               s.sentinel_used)
                 assert np.max(np.abs(want - s.cur_logits)) < 1e-4
+
+
+def _restartable(s) -> bool:
+    """Whether a prompt of `s`'s committed bytes puts a fresh session where
+    `s` is: mid-word at a codepoint boundary, with no sentinel."""
+    return s.status == "mid_word" and not s.sentinel_used and not s.splitter.gate.need
 
 
 TestBatchMachine = BatchMachine.TestCase

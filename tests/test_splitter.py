@@ -533,7 +533,8 @@ def test_stream_equals_pushing_byte_by_byte(data, cut, max_word_bytes):
 @example("+___\u00ad", 4)
 @settings(max_examples=200, deadline=None)
 def test_push_closes_at_most_len_buf_words(s, max_word_bytes):
-    # the bound `infer._check_byte_step` counts on before it pushes into a copy
+    # the bound `infer._check_byte_step` counts on before it pushes into a copy,
+    # and `BatchRunner.run_tick`'s inline check before it takes a byte step
     st_ = IncrementalSplitterState(max_word_bytes=max_word_bytes)
     for b in s.encode():
         bound = len(st_.buf)
