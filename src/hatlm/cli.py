@@ -144,11 +144,13 @@ def cmd_bench_sched(args) -> int:
     runner.prefill_all(prompts)
     t1 = time.perf_counter()
     # per session, the end of each tick that emitted one of its bytes
-    emits, batches = [[] for _ in sessions], []
+    emits, batches, word_ms = [[] for _ in sessions], [], []
     while any(not s.finished for s in sessions):
+        start = time.perf_counter()
         plan = runner.run_tick()
         now = time.perf_counter()
         batches += [len(plan.byte_steps)] if plan.byte_steps else []
+        word_ms += [(now - start) * 1e3] if plan.word_steps else []
         for i in plan.byte_steps:
             if len(emits[i]) < len(sessions[i].generated):
                 emits[i].append(now)
@@ -174,6 +176,8 @@ def cmd_bench_sched(args) -> int:
     print(f"gap_ms_p50={p50:.4f}")
     print(f"gap_ms_p95={p95:.4f}")
     print(f"byte_batch_mean={np.mean(batches) if batches else 0.0:.4f}")
+    print(f"word_ticks={len(word_ms)}")
+    print(f"word_tick_ms_p50={np.median(word_ms) if word_ms else float('nan'):.4f}")
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(runner.trace_text())

@@ -2,7 +2,7 @@
 
 A session keeps per-layer byte-level K/V rings of the sliding window
 (encoder and decoder; slot `pos % window`, keys rotated before caching) and
-a growable word-level cache for the backbone. Bytes cycle through the
+a block-grown word-level cache for the backbone. Bytes cycle through the
 encoder-decoder loop; the backbone runs only when the incremental splitter
 closes a word. A layer is the tape's own, on no-grad [B, hidden] rows:
 `model.layer_qkv`, the read of the caches (`kernels.attend`) and
@@ -12,8 +12,8 @@ The head is `model.head` and the word-context read is `model.word_context`.
 Every step is batched over sessions: `BatchRunner.run_tick` runs one byte
 step for its byte-stepping sessions (per session one sample, one splitter
 push and a few list appends, then one encoder+decoder pass for the bytes
-that closed no word, whose new pending states and `cur_logits` are rows,
-views, of that pass's fresh arrays) and one word step for the sessions at a
+that closed no word, whose new pending states and `cur_logits` are views of
+that pass's fresh arrays until it finishes) and one word step for those at a
 boundary (pooling, backbone, decoder injections and the deferred byte;
 several closes run in rounds). `step_byte` is the same code at batch size
 one. A new `GenSession` only allocates;
@@ -30,12 +30,12 @@ match a byte-by-byte prefill within the 1e-4 incremental = batch tolerance.
 Batch invariance is part of the contract: a session's logits have the same
 bits in any batch as alone. Hence every product is gemm rows and a one-row
 input is padded (:func:`hatlm.kernels.matmul`: BLAS runs one row as a gemv,
-which sums in another order). `attend` reduces along the key axis only, so
-the backbone read takes one call per group of equal key counts, never padded
-(a masked, padded read sums in another order). The byte rings, rows of
-arrays a `BatchRunner` owns, are read in one call, masked until full. Words
-pool through the batch pass's `model.pool_words_var`, whose softmax and sum
-run within each span, so one call pools a round's closing words.
+which sums in another order). `attend` reduces along the key axis only, and
+a padded read sums in another order, so a session reads its word cache in
+whole blocks of WORD_BLOCK rows, masked past its last: one call per block
+count. Byte rings (read masked until full) and word caches are rows of arrays
+a `BatchRunner` owns. Words pool through the batch pass's
+`model.pool_words_var`, whose softmax and sum run within each span.
 
 A session's prompt and output are one byte stream through one splitter,
 whose UTF-8 gate masks sampling to the bytes it accepts (and the end
@@ -113,30 +113,29 @@ def _ring(stack: StackConfig, dtype) -> np.ndarray:
                      stack.head_size), dtype)
 
 
+WORD_BLOCK = 16     # word-cache rows: a cache's first size and a backbone read's unit
+
+
+def _grown(kv: np.ndarray, rows: int) -> np.ndarray:
+    """kv, or a copy zero-padded on its row axis (-3) to hold `rows` and at
+    least half as many again, in whole WORD_BLOCKs."""
+    n = kv.shape[-3]
+    if n >= rows:
+        return kv
+    pad = -(-max(rows, n * 3 // 2) // WORD_BLOCK) * WORD_BLOCK - n
+    return np.pad(kv, [(0, 0)] * (kv.ndim - 3) + [(0, pad), (0, 0), (0, 0)])
+
+
 class WordCache:
     """Backbone K/V rows, one per consumed word position.
 
     `kv[i, 0, :rows]` holds layer i's rotated keys and `kv[i, 1, :rows]` its
-    values; the row axis doubles whenever it fills."""
+    values, zeros after them; `_grown` grows the row axis when it fills."""
 
     def __init__(self, stack: StackConfig, dtype):
-        self.kv = np.zeros((stack.n_layers, 2, 16, stack.n_kv_heads,
+        self.kv = np.zeros((stack.n_layers, 2, WORD_BLOCK, stack.n_kv_heads,
                             stack.head_size), dtype)
         self.rows = 0
-
-    def reserve(self, rows: int) -> None:
-        """Double the row axis until it holds `rows` rows."""
-        while self.kv.shape[2] < rows:
-            self.kv = np.concatenate([self.kv, np.zeros_like(self.kv)], axis=2)
-
-    def put(self, layer: int, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Store `layer`'s key and value of position `rows`; return that
-        layer's keys and values up to and including it, [2, rows + 1, ...]."""
-        n = self.rows
-        self.reserve(n + 1)
-        self.kv[layer, 0, n] = k
-        self.kv[layer, 1, n] = v
-        return self.kv[layer, :, :n + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -179,26 +178,32 @@ def _groups(keys: list[int]) -> list[list[int]]:
     return list(out.values())
 
 
-def _attend_words(caches: list[WordCache], layer: int, q, k, v, cap) -> np.ndarray:
-    """Put row b's key and value into caches[b] at `layer` and read each
-    cache's rows, one `attend` per group of equal row counts (never padded)."""
-    o = np.empty((len(caches), q[0].size), q.dtype)
-    for g in _groups([c.rows for c in caches]):
-        kv = [caches[b].put(layer, k[b], v[b]) for b in g]
-        kv = kv[0][None] if len(g) == 1 else np.stack(kv)   # [G, 2, rows + 1, n_kv, hs]
-        o[g] = attend(q[g], kv[:, 0], kv[:, 1], cap)
-    return o
-
-
-def _word_stack(sessions: list[GenSession], x: np.ndarray) -> np.ndarray:
-    """One new backbone position per session (reads: `_attend_words`)."""
+def _word_stack(sessions: list[GenSession], batch: _Rows, rows: list[int],
+                x: np.ndarray) -> np.ndarray:
+    """One new backbone position n per session, whose word cache is row rows[j]
+    of batch.words. Each layer writes the new K/V there, then reads each row's
+    first (n // WORD_BLOCK + 1) * WORD_BLOCK slots, masked past n: one `attend`
+    per block count (a view of a run of rows, else a gather), never padded further."""
     P, cfg = sessions[0].params, sessions[0].cfg
-    bb, caches = cfg.backbone, [s.word_cache for s in sessions]
-    rot = model.rope_rows(bb, [[c.rows] for c in caches], x.dtype)
+    bb, words = cfg.backbone, batch.words
+    n = [s.word_cache.rows for s in sessions]
+    r, slot = np.array(rows), np.array(n)
+    reads = []
+    for g in _groups([k // WORD_BLOCK for k in n]):
+        rg, m = [rows[j] for j in g], (n[g[0]] // WORD_BLOCK + 1) * WORD_BLOCK
+        at = slice(rg[0], rg[0] + len(g)) if rg == list(range(rg[0], rg[0] + len(g))) else r[g]
+        valid = None if all(n[j] == m - 1 for j in g) else np.arange(m) <= slot[g][:, None]
+        reads.append((g if len(g) < len(n) else slice(None), at, m, valid))   # a view if all
+    rot = model.rope_rows(bb, slot[:, None], x.dtype)
     for i in range(bb.n_layers):
         prefix = f"backbone.layers.{i}"
         qk, v = model.layer_qkv(P, prefix, bb, cfg, x, rot)
-        o = _attend_words(caches, i, qk[:, :bb.n_heads], qk[:, bb.n_heads:], v, cfg.softcap)
+        words[r, i, 0, slot] = qk[:, bb.n_heads:]
+        words[r, i, 1, slot] = v
+        o = np.empty((len(sessions), bb.n_heads * bb.head_size), x.dtype)
+        for g, at, m, valid in reads:
+            kv = words[at, i, :, :m]                    # [G, 2, m, n_kv, hs]
+            o[g] = attend(qk[g, :bb.n_heads], kv[:, 0], kv[:, 1], cfg.softcap, valid)
         x = model.layer_out(P, prefix, cfg, x, o)
     for s in sessions:
         s.word_cache.rows += 1
@@ -333,15 +338,23 @@ def _check_byte_step(s: GenSession, index: int | None) -> None:
 # batched steps: every public step below is one of these at batch size one
 
 class _Rows(NamedTuple):
-    """A batch's rings, [N, n_layers, 2, window, n_kv, hs] per stack, and
-    injections, [N, n_dec_layers, h_dec]: sessions[j] owns row rows[j]."""
+    """A batch's rings, [N, n_layers, 2, window, n_kv, hs] per stack,
+    injections, [N, n_dec_layers, h_dec], and word caches,
+    [N, n_bb_layers, 2, C, n_kv, hs]: sessions[j] owns row rows[j]."""
     enc: np.ndarray
     dec: np.ndarray
     inject: np.ndarray
+    words: np.ndarray
 
 
-def _lone(s: GenSession) -> _Rows:
-    return _Rows(s.enc_ring[None], s.dec_ring[None], s.inject[None])   # views: in place
+def _lone(s: GenSession) -> _Rows:      # views: in place
+    return _Rows(s.enc_ring[None], s.dec_ring[None], s.inject[None], s.word_cache.kv[None])
+
+
+def _finish(s: GenSession) -> None:
+    """Finish `s`, copying its rows of step arrays, so that it keeps none alive."""
+    s.status, s.cur_logits = "finished", s.cur_logits.copy()
+    s.pending_states = [state.copy() for state in s.pending_states]
 
 
 def _encode_decode(sessions: list[GenSession], byte_vals: list[int], batch: _Rows,
@@ -361,8 +374,8 @@ def _encode_decode(sessions: list[GenSession], byte_vals: list[int], batch: _Row
         s.cur_logits = row
         s.next_pos += 1
         s.status = "mid_word"
-        if len(s.generated) >= s.max_new_bytes:   # a finished session keeps no tick's array
-            s.status, s.cur_logits = "finished", row.copy()
+        if len(s.generated) >= s.max_new_bytes:
+            _finish(s)
 
 
 def _consume_closes(sessions: list[GenSession], batch: _Rows, rows: list[int]) -> None:
@@ -382,7 +395,7 @@ def _consume_closes(sessions: list[GenSession], batch: _Rows, rows: list[int]) -
             spans.append((len(states), len(states) + len(span)))
             states += span
         words = model.pool_words_var(P, cfg, np.stack(states), spans)
-        last[idx] = _word_stack(group, words)
+        last[idx] = _word_stack(group, batch, [rows[j] for j in idx], words)
     for i, c in enumerate(model.word_context(P, cfg, last)):
         batch.inject[rows, i] = c
     for s in sessions:
@@ -406,7 +419,7 @@ def _byte_steps(sessions: list[GenSession], batch: _Rows, rows: list[int]
         b = s.sample()
         picks.append(b)
         if b == BYTE_EOS:
-            s.status = "finished"
+            _finish(s)
             closes.append([])
             continue
         events = s.splitter.push_byte(b)
@@ -478,7 +491,7 @@ def _fill(sessions: list[GenSession], prompts: list[bytes], streams: list[tuple]
         for ring, kv, w in ((s.enc_ring, fw.encoder_kv, cfg.encoder.window),
                             (s.dec_ring, fw.decoder_kv, cfg.decoder.window)):
             ring[:, :, np.arange(max(0, m - w), m) % w] = kv
-        s.word_cache.reserve(rows)
+        s.word_cache.kv = _grown(s.word_cache.kv, rows)
         s.word_cache.kv[:, :, :rows] = fw.backbone_kv
         s.word_cache.rows = rows
         s.inject = fw.inject.copy()
@@ -530,6 +543,8 @@ def word_phase(session: GenSession) -> None:
     if session.status != "at_boundary":
         raise SessionError("no pending word boundary")
     _check_room(session, len(session.pending_closes))
+    words = session.word_cache
+    words.kv = _grown(words.kv, words.rows + len(session.pending_closes))
     _word_steps([session], _lone(session), [0])
 
 
@@ -637,11 +652,11 @@ class BatchRunner:
     batched byte step for its `byte_steps` sessions (see `run_tick`). All
     sessions must share one model: the same `params` and `cfg` objects.
 
-    The runner owns its sessions' byte rings and injections (`_Rows`):
-    session i's are views of row i. At the top of a tick it adopts them again
-    (copies their arrays into a fresh `_Rows`, so a session that left keeps
-    its row, and points each at its row) if `sessions` changed or a session's
-    arrays are not its rows (a deep copy, a prefill, another runner's).
+    The runner owns its sessions' byte rings, injections and word caches
+    (`_Rows`): session i's are views of row i. At the top of a tick it adopts
+    them (copies their arrays into a fresh `_Rows`, so a session that left
+    keeps its row, and points each at its row) if `sessions` changed or a
+    session's arrays are not its rows (a deep copy, a prefill, another's).
 
     Trace format: one line per tick, `tick<TAB>s<i>=<action>[:<hex>]` per
     session, where the action is P (prefill), B (byte step, with the
@@ -655,9 +670,10 @@ class BatchRunner:
         self._adopt()
 
     def _adopted(self) -> bool:                # a plain loop: this runs every tick
-        enc, dec, inject = self._rows or (None,) * 3
+        enc, dec, inject, words = self._rows or (None,) * 4
         for s, t in zip(self.sessions, self._members):
             if s is not t or s.enc_ring.base is not enc or s.dec_ring.base is not dec or (
+                    s.word_cache.kv.base is not words) or (
                     s.inject is not None and s.inject.base is not inject):
                 return False
         return len(self.sessions) == len(self._members)
@@ -668,15 +684,21 @@ class BatchRunner:
             raise ValueError("a batch runs one model: every session needs the "
                              "same params and cfg objects")
         self._members, self._rows = list(ss), None
-        if ss:
-            d, like = ss[0].cfg.decoder, ss[0].enc_ring
-            self._rows = _Rows(*(np.zeros((len(ss), *shape), like.dtype) for shape in
-                                 (like.shape, ss[0].dec_ring.shape, (d.n_layers, d.hidden))))
+        if all(s.status == "prefilling" for s in ss):   # adopted at the first tick after
+            self._members = []                          # prefill, which fills their arrays
+            return
+        d, like, kv = ss[0].cfg.decoder, ss[0].enc_ring, ss[0].word_cache.kv
+        c = max(s.word_cache.kv.shape[2] for s in ss)       # a multiple of WORD_BLOCK
+        self._rows = _Rows(*(np.zeros((len(ss), *shape), like.dtype) for shape in
+                             (like.shape, ss[0].dec_ring.shape, (d.n_layers, d.hidden),
+                              (*kv.shape[:2], c, *kv.shape[3:]))))
         for i, s in enumerate(ss):
             for name, batch in zip(("enc_ring", "dec_ring", "inject"), self._rows):
                 if getattr(s, name) is not None:        # an inject before prefill stays None
                     batch[i] = getattr(s, name)
                     setattr(s, name, batch[i])
+            self._rows.words[i, :, :, :s.word_cache.kv.shape[2]] = s.word_cache.kv
+            s.word_cache.kv = self._rows.words[i]
 
     def prefill_all(self, prompts: list[bytes]) -> None:
         """Prefill session i with prompts[i] from one forward (see `prefill`);
@@ -713,7 +735,13 @@ class BatchRunner:
                         or s.cur_logits is None or f and not s.splitter.gate.admits(f[0])):
                     _check_byte_step(s, i)
         actions = [f"s{i}=W" for i in plan.word_steps]
-        if words:
+        if words:   # a word step that fills the word caches grows every row at once
+            need = max(s.word_cache.rows + len(s.pending_closes) for s in words)
+            grown = _grown(self._rows.words, need)
+            if grown is not self._rows.words:
+                self._rows = self._rows._replace(words=grown)
+                for s, kv in zip(self.sessions, grown):
+                    s.word_cache.kv = kv
             _word_steps(words, self._rows, plan.word_steps)
         if steps:
             picks, _ = _byte_steps(steps, self._rows, plan.byte_steps)

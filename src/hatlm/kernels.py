@@ -4,8 +4,8 @@ and the single-query grouped-KV attention read.
 These are the one implementation of each piece of math: the autodiff
 primitives, taped or not (the incremental step's layer), take their values
 from them, and the step's cache reads call `attend`. `hide_keys` and
-`softmax` work in place on the logits they are given (a masked read passes
-`hide_keys` only its hidden pairs); the rest are pure functions, and all are
+`softmax` work in place on the logits they are given (the tape's reads pass
+`hide_keys` only their hidden pairs); the rest are pure functions, and all are
 deterministic for a given input dtype (float32 or float64; outputs follow inputs).
 Setting the environment variable HATLM_DEBUG_FINITE=1 (or the module flag)
 makes every kernel assert that its output is finite.
@@ -180,5 +180,8 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, cap: float | None,
     logits = (qg @ k.swapaxes(-3, -2).swapaxes(-2, -1)) / math.sqrt(hs)  # [..., kv, g, n]
     if cap is not None:
         logits = softcap(logits, cap)
-    p = softmax(logits if valid is None else hide_keys(logits, ~valid))
-    return _check((p @ v.swapaxes(-3, -2)).reshape(*lead, n_heads * hs))
+    if valid is not None:   # -inf where hidden, the bits of `hide_keys`, dense
+        if not valid.any(axis=-1).all():
+            raise InternalInvariantError("attention row with empty visible key set")
+        np.copyto(logits, -np.inf, where=~valid[..., None, None, :])
+    return _check((softmax(logits) @ v.swapaxes(-3, -2)).reshape(*lead, n_heads * hs))

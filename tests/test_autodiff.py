@@ -485,6 +485,8 @@ def build_graph(leaves, steps, uses, weights):
         elif use == 2:
             w = np.resize(np.roll(weights, n), node.shape).astype(node.dtype)
             terms.append(ad.sum_(ad.mul(node, w)))
+    if not terms:   # the used last node was a split of a 1-long axis, which adds none
+        terms.append(ad.sum_(nodes[-1]))
     root = terms[0]
     for term in terms[1:]:
         root = ad.add(root, term)

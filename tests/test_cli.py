@@ -134,7 +134,7 @@ def test_bench_sched_outputs_accounting(tmp_path):
     trace = tmp_path / "trace.log"
     code, out = run_cli("bench-sched", "--config", "micro", "--seed", "3",
                         "--prompts", str(prompts), "--policy", "boundary_sync",
-                        "--max-bytes", "8", "--trace", str(trace))
+                        "--max-bytes", "32", "--trace", str(trace))
     assert code == 0
     kv = dict(line.split("=") for line in out.splitlines())
     assert int(kv["backbone_calls"]) == (int(kv["gen_word_closes"])
@@ -145,11 +145,14 @@ def test_bench_sched_outputs_accounting(tmp_path):
                 "gap_ms_p50", "gap_ms_p95"):
         assert float(kv[key]) > 0, key
     assert float(kv["gap_ms_p50"]) <= float(kv["gap_ms_p95"])
-    # 8 bytes per session, so at least 7 byte ticks; each holds one or both
+    # 32 bytes per session, so at least 31 byte ticks; each holds one or both
     ticks = trace.read_text().splitlines()[1:]
     byte_ticks = [t.count("=B:") for t in ticks if "=B:" in t]
     assert float(kv["byte_batch_mean"]) == pytest.approx(np.mean(byte_ticks), abs=1e-4)
-    assert 1 <= float(kv["byte_batch_mean"]) <= 2 and len(byte_ticks) >= 7
+    assert 1 <= float(kv["byte_batch_mean"]) <= 2 and len(byte_ticks) >= 31
+    # the ticks that ran a word step (4 closes at seed 3), and their median wall time
+    assert int(kv["word_ticks"]) == sum("=W" in t for t in ticks) >= 1
+    assert float(kv["word_tick_ms_p50"]) > 0
 
 
 def test_zero_byte_budget_generates_nothing(tmp_path):
@@ -163,6 +166,7 @@ def test_zero_byte_budget_generates_nothing(tmp_path):
     kv = dict(line.split("=") for line in out.splitlines())
     assert code == 0 and (kv["generated_bytes"], kv["ticks"]) == ("0", "0")
     assert kv["gap_ms_p50"] == kv["gap_ms_p95"] == "nan" and kv["byte_batch_mean"] == "0.0000"
+    assert (kv["word_ticks"], kv["word_tick_ms_p50"]) == ("0", "nan")
 
 
 @pytest.mark.parametrize("command", ["generate", "bench-sched"])

@@ -1,4 +1,3 @@
-import copy
 from dataclasses import replace
 
 import numpy as np
@@ -35,7 +34,8 @@ def loop_prefill(session, prompt):
     An empty prompt encodes and decodes the 0xFE sentinel, which is not
     text: it leaves no pending state and no `inc_index` entry."""
     P, cfg = session.params, session.cfg
-    bos = infer._word_stack([session], P["backbone.bos"][None])
+    bos = infer._word_stack([session], infer._Rows(None, None, None, session.word_cache.kv[None]),
+                            [0], P["backbone.bos"][None])
     session.inject = np.stack([c[0] for c in model.word_context(P, cfg, bos)])
     if not prompt:
         infer._encode_decode([session], [BYTE_BOS], infer._lone(session), [0])
@@ -48,6 +48,8 @@ def loop_prefill(session, prompt):
             infer._check_room(session, len(events))
             session.pending_closes = events
             session.prefill_words += len(events)
+            words = session.word_cache
+            words.kv = infer._grown(words.kv, words.rows + len(events))
             infer._consume_closes([session], infer._lone(session), [0])
         infer._encode_decode([session], [b], infer._lone(session), [0])
     if session.splitter.gate.need:
@@ -523,18 +525,25 @@ def test_word_position_limit_raises(micro_cfg, micro_params):
 
 
 # ---------------------------------------------------------------------------
-# grouped word-step reads
+# blocked word-step reads
 
-def per_session_word_reads(caches, layer, q, k, v, cap):
-    """The backbone read before grouping: per session, put the new row and
-    read views of its own cache."""
-    out = []
-    for b, c in enumerate(caches):
-        n = c.rows
-        c.reserve(n + 1)
-        c.kv[layer, 0, n], c.kv[layer, 1, n] = k[b], v[b]
-        out.append(infer.attend(q[b], c.kv[layer, 0, :n + 1], c.kv[layer, 1, :n + 1], cap))
-    return np.stack(out)
+def lone_word_stack(P, cfg, cache, x):
+    """The backbone step of one session alone, as a loop over its own
+    `WordCache`: per layer, put the new row n and read the cache's first
+    (n // WORD_BLOCK + 1) * WORD_BLOCK slots, masked past n, with no batch axis."""
+    bb, n = cfg.backbone, cache.rows
+    m = (n // infer.WORD_BLOCK + 1) * infer.WORD_BLOCK
+    cache.kv = infer._grown(cache.kv, n + 1)
+    rot = model.rope_rows(bb, [[n]], x.dtype)
+    for i in range(bb.n_layers):
+        prefix = f"backbone.layers.{i}"
+        qk, v = model.layer_qkv(P, prefix, bb, cfg, x[None], rot)
+        cache.kv[i, 0, n], cache.kv[i, 1, n] = qk[0, bb.n_heads:], v[0]
+        o = infer.attend(qk[0, :bb.n_heads], cache.kv[i, 0, :m], cache.kv[i, 1, :m],
+                         cfg.softcap, np.arange(m) <= n)
+        x = model.layer_out(P, prefix, cfg, x[None], o[None])[0]
+    cache.rows += 1
+    return x
 
 
 def counts(lo, hi, distinct):
@@ -545,27 +554,55 @@ def counts(lo, hi, distinct):
         st.lists(st.integers(lo, hi), min_size=1, max_size=distinct, unique=True))
 
 
-@given(rows=counts(0, 70, 64), layer=st.integers(0, 1), cap=st.sampled_from([None, 30.0]),
-       seed=st.integers(0, 2 ** 16))
-@example(rows=[3], layer=0, cap=30.0, seed=0)
-@example(rows=[5, 5, 9, 5, 9, 20], layer=1, cap=30.0, seed=1)
+# the row counts around a 16-row block's edges
+EDGES = st.sampled_from([15, 16, 17, 31, 32, 33])
+
+
+@given(rows=st.one_of(counts(0, 70, 64), st.lists(st.one_of(EDGES, st.integers(0, 70)),
+                                                  min_size=1, max_size=64)),
+       pick=st.sampled_from(["all", "ordered", "unordered", "one"]), f64=st.booleans(),
+       cap=st.sampled_from([None, 30.0]), seed=st.integers(0, 2 ** 16))
+@example(rows=[15, 16, 17, 31, 32, 33], pick="all", f64=False, cap=30.0, seed=0)
+@example(rows=[3], pick="one", f64=True, cap=None, seed=0)
+@example(rows=[5, 5, 9, 15, 40, 20, 16, 47], pick="unordered", f64=False, cap=30.0, seed=1)
 @settings(max_examples=60, deadline=None)
-def test_grouped_word_reads_match_per_session_reads(micro_cfg, rows, layer, cap, seed):
-    bb, rng = micro_cfg.backbone, np.random.default_rng(seed)
+def test_blocked_word_reads_match_each_cache_read_alone(micro_cfg, micro_params, micro_params64,
+                                                        rows, pick, f64, cap, seed):
+    # a word step over rows of a runner's word-cache array, grouped by block
+    # count (a view of a run of rows, else a gather), against each session's
+    # step alone over its own cache: the same bits, and the same cache rows
+    P, cfg = micro_params64 if f64 else micro_params, replace(micro_cfg, softcap=cap)
+    bb, rng, dtype = cfg.backbone, np.random.default_rng(seed), P["backbone.bos"].dtype
     caches = []
     for r in rows:
-        c = infer.WordCache(bb, np.float32)
-        c.reserve(r)
+        c = infer.WordCache(bb, dtype)
+        c.kv = infer._grown(c.kv, r)
         c.kv[:, :, :r] = rng.standard_normal((bb.n_layers, 2, r, bb.n_kv_heads, bb.head_size))
         c.rows = r
         caches.append(c)
-    twins = copy.deepcopy(caches)
-    q = rng.standard_normal((len(rows), bb.n_heads, bb.head_size)).astype(np.float32)
-    k, v = rng.standard_normal((2, len(rows), bb.n_kv_heads, bb.head_size)).astype(np.float32)
-    got = infer._attend_words(caches, layer, q, k, v, cap)
-    assert np.array_equal(got, per_session_word_reads(twins, layer, q, k, v, cap))
-    for a, b in zip(caches, twins):
-        assert a.rows == b.rows and np.array_equal(a.kv, b.kv)
+    # the runner's rows hold every session's next row, as `run_tick` grows them
+    words = infer._grown(np.zeros((len(rows), *infer.WordCache(bb, dtype).kv.shape), dtype),
+                         max(rows) + 1)
+    sessions = []
+    for j, c in enumerate(caches):
+        words[j, :, :, :c.kv.shape[2]] = c.kv
+        s = GenSession(P, cfg)
+        s.word_cache.kv, s.word_cache.rows = words[j], c.rows
+        sessions.append(s)
+    n = len(rows)
+    at = {"all": np.arange(n), "one": rng.integers(0, n, 1),
+          "ordered": np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False)),
+          "unordered": rng.permutation(n)[:rng.integers(1, n + 1)]}[pick].tolist()
+    x = rng.standard_normal((len(at), bb.hidden)).astype(dtype)
+    got = infer._word_stack([sessions[j] for j in at], infer._Rows(None, None, None, words),
+                            at, x)
+    want = [lone_word_stack(P, cfg, caches[j], x[t]) for t, j in enumerate(at)]
+    assert np.array_equal(got, np.stack(want))
+    for j, (s, c) in enumerate(zip(sessions, caches)):
+        m = min(c.kv.shape[2], words.shape[3])
+        assert (s.word_cache.rows, s.backbone_calls) == (c.rows, int(j in at))
+        assert np.array_equal(words[j, :, :, :m], c.kv[:, :, :m])
+        assert not words[j, :, :, m:].any() and not c.kv[:, :, m:].any()
 
 
 @given(lens=counts(1, 16, 16), f64=st.booleans(), cap=st.sampled_from([None, 30.0]),
@@ -622,10 +659,11 @@ def test_batch_rings_match_stacked_rings(micro_cfg, micro_params, micro_params64
 
 
 def test_word_step_reads_once_per_cache_shape(micro_cfg, micro_params, monkeypatch):
-    # 64 sessions at a boundary hold 3 distinct word-cache row counts and
-    # close words of 5 distinct lengths: a word step makes one backbone read
-    # per layer and row count, and pools every word in one call
-    prompts = [("w" + " w" * (i % 3) + " " + "x" * (1 + i // 3 % 5)).encode()
+    # 64 sessions at a boundary hold 3 distinct word-cache row counts in 2
+    # blocks of 16 rows and close words of 5 distinct lengths: a word step
+    # makes one backbone read per layer and block count, and pools every
+    # word in one call
+    prompts = [("w" + " w" * (i % 3 * 9) + " " + "x" * (1 + i // 3 % 5)).encode()
                for i in range(64)]
     sessions = [GenSession(micro_params, micro_cfg, SamplingConfig("forced", forced=b" "),
                            max_new_bytes=1) for _ in prompts]
@@ -633,9 +671,9 @@ def test_word_step_reads_once_per_cache_shape(micro_cfg, micro_params, monkeypat
     runner.prefill_all(prompts)
     runner.run_tick()
     assert all(len(s.pending_closes) == 1 for s in sessions)
-    k = len({s.word_cache.rows for s in sessions})
+    k = len({s.word_cache.rows // infer.WORD_BLOCK for s in sessions})
     m = len({c.end - c.start for s in sessions for c in s.pending_closes})
-    assert (k, m) == (3, 5)
+    assert (len({s.word_cache.rows for s in sessions}), k, m) == (3, 2, 5)
     calls, pools = [], []
     attend, pool = infer.attend, model.pool_words_var
     monkeypatch.setattr(infer, "attend", lambda *a: calls.append(a) or attend(*a))

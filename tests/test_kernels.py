@@ -211,6 +211,44 @@ def test_masked_attend_has_the_bits_of_the_where_mask(b, shape, n, ring, cap, dt
                           where_attend(q[0], kv[0, 0], kv[0, 1], cap, valid[0]))
 
 
+def hide_keys_attend(q, k, v, cap, valid: np.ndarray) -> np.ndarray:
+    """`kernels.attend` with `valid` as it read before its dense mask:
+    `hide_keys` scatters -inf into the hidden (row, key) pairs only."""
+    *lead, n_heads, hs = q.shape
+    n_kv = k.shape[-2]
+    qg = q.reshape(*lead, n_kv, n_heads // n_kv, hs)
+    logits = (qg @ k.swapaxes(-3, -2).swapaxes(-2, -1)) / math.sqrt(hs)
+    if cap is not None:
+        logits = K.softcap(logits, cap)
+    p = K.softmax(K.hide_keys(logits, ~valid))
+    return (p @ v.swapaxes(-3, -2)).reshape(*lead, n_heads * hs)
+
+
+@given(b=st.sampled_from([1, 2, 23, 64]), shape=st.sampled_from(["ring", "backbone"]),
+       n=st.integers(1, 70), mask=st.sampled_from(["prefix", "random", "all"]),
+       cap=st.sampled_from([None, 30.0]), dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=80, deadline=None)
+def test_dense_mask_has_the_bits_of_hide_keys(b, shape, n, mask, cap, dtype, seed):
+    # `attend` writes -inf into every hidden slot with one `np.copyto`, where
+    # `hide_keys` scatters it into the same slots: the reads have the same
+    # bits, an all-true mask included, and a row that sees no key still raises
+    nh, n_kv = (2, 1) if shape == "ring" else (8, 4)
+    rng = np.random.default_rng(seed)
+    q = (3 * rng.standard_normal((b, nh, 8))).astype(dtype)
+    kv = rng.standard_normal((b, 2, n, n_kv, 8)).astype(dtype)
+    valid = {"prefix": np.arange(n) <= rng.integers(0, n, b)[:, None],
+             "random": rng.random((b, n)) < 0.5, "all": np.ones((b, n), dtype=bool)}[mask]
+    valid[np.arange(b), rng.integers(0, n, b)] = True
+    got = K.attend(q, kv[:, 0], kv[:, 1], cap, valid)
+    assert np.array_equal(got, hide_keys_attend(q, kv[:, 0], kv[:, 1], cap, valid))
+    assert np.array_equal(K.attend(q[0], kv[0, 0], kv[0, 1], cap, valid[0]),
+                          hide_keys_attend(q[0], kv[0, 0], kv[0, 1], cap, valid[0]))
+    valid[rng.integers(0, b)] = False
+    with pytest.raises(K.InternalInvariantError):
+        K.attend(q, kv[:, 0], kv[:, 1], cap, valid)
+
+
 def test_gemm_rows_have_the_same_bits_from_two_rows_up(micro_cfg):
     # batched generation and packed prefill (`model.prompt_pass`) rest on
     # this: a row of X @ W has the same bits in a product of any M >= 2 rows,

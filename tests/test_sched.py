@@ -262,8 +262,73 @@ def test_deepcopy_mid_generation_finishes_identically(micro_cfg, micro_params):
     for a, b in zip(runner.sessions, twin.sessions):
         assert bytes(a.generated) == bytes(b.generated)
         assert np.array_equal(a.cur_logits, b.cur_logits)
-        for x, y in ((a.enc_ring, b.enc_ring), (a.dec_ring, b.dec_ring), (a.inject, b.inject)):
+        for x, y in ((a.enc_ring, b.enc_ring), (a.dec_ring, b.dec_ring), (a.inject, b.inject),
+                     (a.word_cache.kv, b.word_cache.kv)):
             assert np.array_equal(x, y) and not np.shares_memory(x, y)
+
+
+def test_word_cache_crossing_a_block_as_the_runner_grows_matches_solo_twins(micro_cfg,
+                                                                           micro_params):
+    # session 0's cache passes 16 rows mid-wave: its reads go from one
+    # 16-row block to two, and the runner grows its word-cache rows from 16
+    # to 32 for every session; the others stay in one block. After every tick
+    # each stepped session's logits, and at the end its cache rows, have the
+    # bits of its solo twin's
+    prompts = [b"a " * 13, b"x", "naïve 日本".encode(), b"3.14 "]
+    scripts = [b"b c d e f ", b"yz w q r s ", b" q r s t u", b"15 ab cd ef "]
+
+    def make(script):
+        return GenSession(micro_params, micro_cfg, SamplingConfig("forced", forced=script),
+                          max_new_bytes=len(script))
+
+    solos = []
+    for prompt, script in zip(prompts, scripts):
+        s = prefill(make(script), prompt)
+        seen = {len(s.committed): s.cur_logits}
+        while not s.finished:
+            step_byte(s)
+            seen[len(s.committed)] = s.cur_logits
+        solos.append((s, seen))
+    sessions = [make(script) for script in scripts]
+    runner = BatchRunner(sessions, BoundarySync())
+    runner.prefill_all(prompts)
+    sizes, rows0, after = [], [], 0      # word steps of the others once the runner grew
+    while any(not s.finished for s in sessions):
+        plan = runner.run_tick()
+        if sizes and sizes[-1] == 32:
+            after += len(set(plan.word_steps) - {0})
+        sizes.append(runner._rows.words.shape[3])
+        rows0.append(sessions[0].word_cache.rows)
+        for i in plan.byte_steps + plan.word_steps:
+            s = sessions[i]
+            if s.status != "at_boundary":
+                assert np.array_equal(s.cur_logits, solos[i][1][len(s.committed)])
+    assert sizes[0] == 16 and sizes[-1] == 32 and rows0[0] < 16 < rows0[-1] and after
+    for s, (solo, _) in zip(sessions, solos):
+        rows = solo.word_cache.rows
+        assert s.word_cache.rows == rows and s.word_cache.kv.shape[2] == 32
+        assert np.array_equal(s.word_cache.kv[:, :, :rows], solo.word_cache.kv[:, :, :rows])
+        assert not s.word_cache.kv[:, :, rows:].any()
+
+
+def test_finished_sessions_keep_no_step_arrays(micro_cfg, micro_params):
+    # a session finishes when its byte budget is spent or when it draws the
+    # end byte 0xFF; either way it copies its logits row and its unpooled
+    # encoder states, rows of a step's [B, ...] arrays, so a finished wave
+    # keeps none of those arrays alive
+    prompts = [(b"w%d " % i) * (1 + i % 3) for i in range(64)]
+    sessions = [GenSession(micro_params, micro_cfg,
+                           SamplingConfig("forced", forced=b"ab cd"[:1 + i % 5]),
+                           max_new_bytes=3 + i % 2 * 8) for i in range(64)]
+    runner = BatchRunner(sessions, BoundarySync())
+    runner.prefill_all(prompts)
+    runner.run_to_completion()
+    spent = [len(s.generated) == s.max_new_bytes for s in sessions]
+    assert any(spent) and not all(spent)            # both ways of finishing
+    assert sum(len(s.pending_states) for s in sessions) >= 64
+    for s in sessions:
+        assert s.finished
+        assert all(a.base is None for a in (s.cur_logits, *s.pending_states))
 
 
 def test_session_deleted_mid_run_steps_alone_like_its_solo_twin(micro_cfg, micro_params):
@@ -652,6 +717,7 @@ class BatchMachine(RuleBasedStateMachine):
         self.runner = BatchRunner([], BoundarySync())
         self.shadows = []
         self.original = None        # a session the batch swapped for its copy, and its state
+        self.word_tick = False      # whether the last rule was a tick that ran a word step
         self.oracle_checked = {}    # (id, finished) -> session, kept so that no id is reused
 
     def session(self, sampling):
@@ -664,6 +730,7 @@ class BatchMachine(RuleBasedStateMachine):
     @rule(new=st.lists(st.tuples(PROMPT, SAMPLING), min_size=1, max_size=2))
     def add_sessions(self, new):
         # the new sessions prefill from one packed forward, their shadows alone
+        self.word_tick = False
         sessions = [self.session(sampling) for _, sampling in new]
         shadows, bad = [], []
         for j, (prompt, sampling) in enumerate(new):
@@ -699,10 +766,12 @@ class BatchMachine(RuleBasedStateMachine):
             except infer.SessionError:
                 refused = i
                 break
+        self.word_tick = False
         if refused is None:
             runner.run_tick()
             for i, shadow in stepped.items():
                 self.shadows[i] = shadow
+            self.word_tick = bool(plan.word_steps)
             return
         before = [_state(s) for s in runner.sessions]
         with pytest.raises(infer.SessionError) as err:
@@ -761,6 +830,7 @@ class BatchMachine(RuleBasedStateMachine):
         i = data.draw(st.integers(0, len(self.runner.sessions) - 1))
         s = self.runner.sessions[i]
         self.runner.sessions[i] = self.twin(s)
+        self.word_tick = False
         self.original = (s, _state(s))
 
     @invariant()
@@ -783,10 +853,21 @@ class BatchMachine(RuleBasedStateMachine):
 
     @invariant()
     def sessions_share_no_arrays(self):
-        arrays = [a for s in self.runner.sessions for a in (s.enc_ring, s.dec_ring, s.inject)
-                  if a is not None]
+        arrays = [a for s in self.runner.sessions
+                  for a in (s.enc_ring, s.dec_ring, s.inject, s.word_cache.kv) if a is not None]
         assert not any(np.shares_memory(a, b)
                        for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+    @invariant()
+    def word_caches_are_runner_rows(self):
+        # a word step writes and reads the runner's array: after one, each
+        # session's word cache is its row of it
+        if self.word_tick:
+            words = self.runner._rows.words
+            for i, s in enumerate(self.runner.sessions):
+                kv = s.word_cache.kv
+                assert kv.base is words and kv.shape == words[i].shape
+                assert kv.ctypes.data == words[i].ctypes.data
 
     @invariant()
     def cache_report_matches_the_caches(self):
