@@ -20,6 +20,10 @@ run uses the micro config and params seed 1234, in float32 and in float64:
     first 1 KB of each data text;
   * the loss curve, the global norms before clipping and the final
     parameters of a 12-step `train_loop` at seq_len 256.
+
+Then, once (the splitter reads no dtype), `splitter.stream`'s closes and
+per-byte index over each whole data text at caps 4, 16 and 128, so a change
+to the splitter shows in its own lines and not only through the caches.
 """
 
 import hashlib
@@ -27,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hatlm import config, infer, model, train
+from hatlm import config, infer, model, splitter, train
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 TEXTS = ("english_sample.txt", "german_sample.txt")
@@ -109,6 +113,12 @@ def digests() -> list[tuple[str, str]]:
                 (f"{tag}.train_loop12.grad_norms", _sha(np.array(result.grad_norms))),
                 (f"{tag}.train_loop12.params",
                  _sha(*(result.params[k] for k in sorted(result.params))))]
+    for name in TEXTS:
+        for cap in (4, 16, 128):
+            _, closes, index = splitter.stream((DATA / name).read_bytes(), cap)
+            out.append((f"splitter.{name.split('_')[0]}.cap{cap}",
+                        _sha(np.array([(c.start, c.end) for c in closes], np.int64),
+                             np.array(index, np.int64))))
     return out
 
 

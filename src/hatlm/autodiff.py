@@ -28,9 +28,9 @@ zeroes only outside itself. `train.loss_and_grads` copies the leaf
 gradients that are borrowed.
 
 A dense (unwindowed) attention read goes ATTENTION_BLOCK query positions at
-a time, with or without a gradient, so it never holds [kv, g*t, t] logits.
-On the tape it keeps each block's probabilities for its VJP, which goes
-block by block too; without a gradient it keeps none. Each read hides keys
+a time (one product per block shape of a pack), with or without a gradient,
+so it never holds [kv, g*t, t] logits. On the tape it keeps each read's
+probabilities for its VJP, which goes read by read; without one it keeps none. Each read hides keys
 in place, and only where one is hidden (`kernels.hide_keys`): a block on the
 triangle above the diagonal of its last keys, the band read in the first
 window - 1 rows of each sequence.
@@ -419,31 +419,41 @@ def _causal_blocks(q: np.ndarray, k: np.ndarray, v: np.ndarray, positions: np.nd
     """The dense causal read of `attention`: each sequence of the pack goes
     ATTENTION_BLOCK query rows at a time, each block meeting only its
     sequence's keys up to its last row, so the logits held at once are
-    [kv, g, block, <= t] rather than [kv, g*t, t]. A `tape` list gets each
-    block's rows, first key, probabilities and (with `cap`) tanh values;
-    without one, a block keeps nothing and softcaps in place. Returns
-    [t, n_heads * hs] rows."""
+    [kv, g, block, <= t] rather than [kv, g*t, t]. A pack's G blocks of one
+    shape (n rows, m keys, by rising m) share one product over [kv, g, G, n,
+    hs] and [kv, 1, G, m, hs] gathers; a lone block, or a one-row one (a
+    vector product, whose bits follow the operand layout), reads its slices.
+    A `tape` list gets each read's row and key indices, probabilities and
+    (with `cap`) tanh values; without one, a read keeps nothing and softcaps
+    in place. Returns [t, n_heads * hs] rows."""
     nh, t, hs = q.shape
     nkv = k.shape[0]
     qg = q.reshape(nkv, nh // nkv, t, hs)
-    kt, vx = k[:, None].swapaxes(-1, -2), v[:, None]
+    kx, vx = k[:, None], v[:, None]
     out = np.empty((t, nkv, nh // nkv, hs), q.dtype)
     inv = 1.0 / math.sqrt(hs)
     starts = np.flatnonzero(positions == 0)
     above = ~np.tri(ATTENTION_BLOCK, dtype=bool)    # a block's last keys ahead of its rows
+    shapes = {}
     for s, e in zip(starts, np.append(starts[1:], t)):
         for a in range(s, e, ATTENTION_BLOCK):
             b = min(a + ATTENTION_BLOCK, e)
-            z = qg[:, :, a:b] @ kt[..., s:b]
+            shapes.setdefault((b - s, b - a), []).append((a, s))
+    for (m, n), blocks in sorted(shapes.items()):
+        a, s = np.array(blocks).T
+        reads = ([(a[:, None] + np.arange(n), s[:, None] + np.arange(m))] if n > 1 and len(a) > 1
+                 else [(slice(i, i + n), slice(j, j + m)) for i, j in blocks])
+        for qi, ki in reads:
+            z = qg[:, :, qi] @ kx[:, :, ki].swapaxes(-1, -2)
             z *= inv
             th = None
             if cap is not None:         # cap * tanh(z / cap), as kernels.softcap
                 th = np.tanh(np.divide(z, cap, out=z), out=z)
                 z = np.multiply(cap, th, out=None if tape is not None else th)
-            p = kernels.softmax(kernels.hide_keys(z, above[:b - a, :b - a], 2))
-            out[a:b] = (p @ vx[:, :, s:b]).transpose(2, 0, 1, 3)
+            p = kernels.softmax(kernels.hide_keys(z, above[:n, :n], z.ndim - 2))
+            out[qi] = np.moveaxis(p @ vx[:, :, ki], (0, 1), (-3, -2))
             if tape is not None:
-                tape.append((a, b, s, p, th))
+                tape.append((qi, ki, p, th))
     return out.reshape(t, nh * hs)
 
 
@@ -465,10 +475,10 @@ def attention(qk, v, positions, window: int | None, cap: float | None):
     view of the front-padded K and V rows (`_band`), [kv, t, g, window]
     logits, at every t: fewer key slots would sum in another order, and the
     backward reuses its probabilities; its row max goes slot by slot.
-    Otherwise the read is `_causal_blocks`, with or without a gradient. On
-    the tape each block keeps its probabilities (and tanh values), and the
-    backward goes block by block: it writes the block's query rows and adds
-    into its keys and values.
+    Otherwise the read is `_causal_blocks`, one product per block shape of
+    the pack, with or without a gradient. On the tape each read keeps its
+    probabilities (and tanh values); the backward goes read by read, in each
+    block's product shapes, writing query rows and adding into keys and values.
     """
     rg = type(qk) is Var or type(v) is Var
     qkv, vv = _v(qk), _v(v)
@@ -493,18 +503,21 @@ def attention(qk, v, positions, window: int | None, cap: float | None):
             dqk, dv = np.empty_like(qkv), np.zeros_like(vv)
             dqk[nh:] = 0
             dq, dk = dqk[:nh].reshape(nkv, g, t, hs), dqk[nh:]
-            for a, b, s, p, th in blocks:
-                dz = gx[:, :, a:b] @ vx[:, :, s:b].swapaxes(-1, -2)
+
+            def rows(x):    # [kv, g, (G,) n, c] -> [kv, (G,) g*n, c], a KV head's rows
+                x = np.moveaxis(x, 1, -3)
+                return x.reshape(*x.shape[:-3], -1, x.shape[-1])
+            for qi, ki, p, th in blocks:
+                dz = gx[:, :, qi] @ vx[:, :, ki].swapaxes(-1, -2)
                 dz -= np.sum(dz * p, axis=-1, keepdims=True)
                 dz *= p
                 if th is not None:
                     dz *= 1.0 - np.square(th)
                 dz *= inv
-                dq[:, :, a:b] = dz @ kx[:, :, s:b]
+                dq[:, :, qi] = dz @ kx[:, :, ki]
                 # a KV head's keys and values sum over its g query heads' rows
-                rows = (nkv, g * (b - a), -1)
-                dk[:, s:b] += dz.reshape(rows).swapaxes(-1, -2) @ qg[:, :, a:b].reshape(rows)
-                dv[:, s:b] += p.reshape(rows).swapaxes(-1, -2) @ gx[:, :, a:b].reshape(rows)
+                dk[:, ki] += rows(dz).swapaxes(-1, -2) @ rows(qg[:, :, qi])
+                dv[:, ki] += rows(p).swapaxes(-1, -2) @ rows(gx[:, :, qi])
             _accum(qk, dqk, owned=True)
             _accum(v, dv, owned=True)
         return Var(out, (qk, v), bw)

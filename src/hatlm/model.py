@@ -186,6 +186,7 @@ def layer_out(P, prefix: str, cfg: HatConfig, x, o):
     """A layer's output half, for the attention read o [t, n_heads * hs]:
     x + o·wo, then + the SwiGLU MLP of its norm."""
     x = ad.add(x, ad.matmul(o, P[f"{prefix}.attn.wo"]))
+    del o                       # a caller that hands x and o over frees both here
     h = ad.rms_norm(x, cfg.norm_eps, P[f"{prefix}.mlp_norm.gain"])
     return ad.add(x, ad.swiglu(h, P[f"{prefix}.mlp.w_gate_up"], P[f"{prefix}.mlp.w_down"]))
 
@@ -213,7 +214,8 @@ def _stack(P, name: str, x, s: StackConfig, cfg: HatConfig, positions: np.ndarra
         o = ad.attention(ad.transpose(qk, (1, 0, 2)), ad.transpose(v, (1, 0, 2)), positions,
                          s.window, cfg.softcap)
         del qk, v                   # a no-grad pass frees q|k|v here, before the MLP
-        x = layer_out(P, prefix, cfg, x, o)
+        xo, x, o = [x, o], None, None   # and the layer input and the read in `layer_out`
+        x = layer_out(P, prefix, cfg, xo.pop(0), xo.pop())
     return x
 
 
@@ -229,8 +231,8 @@ def encode_bytes_var(P, cfg: HatConfig, byte_ids: np.ndarray, positions: np.ndar
         raise ValueError("empty byte sequence")
     if positions.max() >= byte_limit(cfg):
         raise ValueError(f"input of {positions.max() + 1} bytes exceeds the byte positions")
-    x = ad.gather(P["encoder.byte_embedding"], byte_ids)
-    return _stack(P, "encoder", x, cfg.encoder, cfg, positions, kv)
+    return _stack(P, "encoder", ad.gather(P["encoder.byte_embedding"], byte_ids), cfg.encoder,
+                  cfg, positions, kv)
 
 
 def pool_words_var(P, cfg: HatConfig, byte_states, spans: list[tuple[int, int]]):
@@ -288,8 +290,8 @@ def backbone_forward_var(P, cfg: HatConfig, word_embs, positions: np.ndarray,
         raise ValueError(f"{positions.max()} words exceed backbone max positions")
     word = positions > 0
     bos = ad.reshape(P["backbone.bos"], (1, cfg.backbone.hidden))
-    x = ad.gather(ad.concat([bos, word_embs], axis=0), np.cumsum(word) * word)
-    return _stack(P, "backbone", x, cfg.backbone, cfg, positions, kv)
+    return _stack(P, "backbone", ad.gather(ad.concat([bos, word_embs]), np.cumsum(word) * word),
+                  cfg.backbone, cfg, positions, kv)
 
 
 def word_context(P, cfg: HatConfig, rows) -> list:

@@ -20,7 +20,8 @@ One engine, `IncrementalSplitterState`, applies them to a stream of
 codepoints with O(1) work each (amortised) and closes a chunk only once no
 continuation of the text can change it, so its closes are always leading
 spans of the split of the whole text. It has two drivers: `push_byte`
-feeds it a byte at a time and `stream` a whole prefix; `split` is `stream`
+feeds it a byte at a time and `stream` a whole prefix, with the lowercase
+ASCII letters after one in one step (`_letters`); `split` is `stream`
 followed by the end of the text, which settles the last chunk. It is the
 one front end of a byte stream, prompt or generated: its `Utf8Gate`,
 which sampling masks with, refuses any byte that breaks UTF-8.
@@ -28,12 +29,13 @@ which sampling masks with, refuses any byte that breaks UTF-8.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .wordbreak import (BREAK, HOLD, JOIN, LOWER, MATH, PROPS, PUNCT, SPACE, UPPER,
-                        WordBreaker)
+from .wordbreak import (ALETTER, BREAK, HOLD, JOIN, LOWER, MATH, PROPS, PUNCT, SPACE,
+                        UPPER, WordBreaker)
 
 DEFAULT_MAX_WORD_BYTES = 128
 
@@ -212,6 +214,17 @@ class IncrementalSplitterState:
             self._settle(p, n, here != JOIN, out)
         self._cut_caps(out, None)
 
+    def _letters(self, run: bytes, out: list) -> int:
+        """Take lowercase ASCII letters that follow one, up to the first that
+        makes a cap cut; return how many. After `_feed` takes such a letter,
+        each joins the open word (WB5) and moves only buf, end, settled and pc."""
+        n = min(len(run), self.lo + self.max_word_bytes + 1 - self.end)
+        self.buf += run[:n]
+        self.end, self.settled = self.end + n, self.settled + n
+        self.breaker.pc = ALETTER
+        self._cut_caps(out, None)
+        return n
+
     def _release(self, brk: bool, out: list) -> None:
         """Settle the held codepoints; the first opens a piece if `brk`, the
         rest followed it under WB4."""
@@ -316,15 +329,21 @@ def stream(data: bytes, max_word_bytes: int
         text, tail = data[:exc.start].decode("utf-8"), data[exc.start:]
     # per close, the text offset after the codepoint whose arrival decided it
     closes, at, pos = [], [], 0
-    for ch in text:
-        cp = ord(ch)
-        n = 1 if cp < 0x80 else 2 if cp < 0x800 else 3 if cp < 0x10000 else 4
-        state.buf += data[pos:pos + n]
-        pos += n
-        k = len(closes)
-        state._feed(cp, n, closes)
-        if len(closes) > k:
-            at += [pos] * (len(closes) - k)
+    pieces = re.split("(?<=[a-z])([a-z]+)", text) + [""]
+    for other, letters in zip(pieces[::2], pieces[1::2]):
+        for ch in other:
+            cp = ord(ch)
+            n = 1 if cp < 0x80 else 2 if cp < 0x800 else 3 if cp < 0x10000 else 4
+            state.buf += data[pos:pos + n]
+            pos += n
+            state._feed(cp, n, closes)
+            if len(closes) > len(at):
+                at += [pos] * (len(closes) - len(at))
+        run = data[pos:pos + len(letters)]      # lowercase letters after one: in one
+        while run:                              # step per cap cut, the letter deciding it
+            n = state._letters(run, closes)
+            run, pos = run[n:], pos + n
+            at += [pos] * (len(closes) - len(at))
     for b in tail:   # a codepoint in flight
         state.gate.push(b)
     state.buf += tail

@@ -340,6 +340,32 @@ def test_causal_read_has_the_bits_of_the_where_mask(seed, lens, cap, dtype):
         assert got.dtype == dtype and np.array_equal(got, want)
 
 
+def _taped_read(qk, v, m, positions, cap):
+    """A dense read on the tape: its output and the gradients of sum(out * m)."""
+    leaves = [ad.wrap(qk, rg=True), ad.wrap(v, rg=True)]
+    out = ad.attention(*leaves, positions, None, cap)
+    ad.backward(ad.sum_(ad.mul(out, m)))
+    return out.v, leaves[0].grad, leaves[1].grad
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1),
+       lens=st.lists(st.sampled_from([1, 2, 4, 7, 31, 32, 33, 40]), min_size=2, max_size=64),
+       cap=st.sampled_from([None, 30.0]), dtype=st.sampled_from([np.float32, np.float64]))
+@settings(max_examples=30, deadline=None)
+def test_pack_reads_each_sequence_with_the_bits_of_its_read_alone(seed, lens, cap, dtype):
+    # a pack's blocks of one shape share one product, on the tape and off
+    # it: no bit of a sequence's output rows or gradients may move
+    positions = _pack_positions(lens)
+    qk, v, m = _qkv_m(seed, lens, 2, 2, dtype)
+    pack = _taped_read(qk, v, m, positions, cap)
+    assert np.array_equal(ad.attention(qk, v, positions, None, cap), pack[0])
+    ends = np.cumsum(lens)
+    for s, e in zip(ends - lens, ends):
+        alone = _taped_read(qk[:, s:e], v[:, s:e], m[s:e], np.arange(e - s), cap)
+        for got, want in zip((pack[0][s:e], pack[1][:, s:e], pack[2][:, s:e]), alone):
+            assert got.dtype == dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("window,cap", [(None, None), (None, 30.0), (3, None), (9, 2.0)])
 @pytest.mark.parametrize("lens", [(7,), (40,), (33, 37)], ids=str)

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 import zlib
 from dataclasses import fields, replace
 
@@ -156,6 +157,23 @@ def test_over_length_input_rejected(micro_cfg, micro_params):
 
 # ---------------------------------------------------------------------------
 # causality suite
+
+def test_no_grad_stack_frees_the_layer_input_and_read_before_the_mlp(micro_cfg, micro_params):
+    # at a layer's MLP a no-grad pass holds the residual sum, its norm, gate|up
+    # (2x wide) and the silu: about 10 [t, hidden] arrays at micro. Holding the
+    # layer input and the attention read through the MLP, and the embedding
+    # rows through the stack, peaked at 13
+    ids = np.frombuffer((DATA / "english_sample.txt").read_bytes()[:4000], np.uint8)
+    ids, positions = ids.astype(np.int64), np.arange(len(ids)) % 500
+    model.encode_bytes_var(micro_params, micro_cfg, ids[:2], positions[:2])   # the rope table
+    tracemalloc.start()
+    try:
+        out = model.encode_bytes_var(micro_params, micro_cfg, ids, positions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * out.nbytes, peak / out.nbytes
+
 
 def test_byte_level_future_perturbation(micro_cfg, micro_params):
     # mutating a byte leaves all logits at earlier positions bit-unchanged

@@ -495,6 +495,17 @@ def final_closes(prefix: bytes, max_word_bytes: int) -> int:
 @example("\u4f60\u203f\u203f\u203f\u203f", 4)   # a cap cut at the start of a connector run
 @example("abcd.\u0301\u0301\u0301e", 4)   # a cap cut at a held boundary
 @example("1\u2044x", 128)   # the math cut decides the boundary WB12 would hold
+# lowercase runs, which `stream` takes in one step up to each cap cut: across
+# the cap several times, after a held boundary, after U+0301, after a camel
+# cut, inside a merging chunk and at the end of the text
+@example("x" + "a" * 20, 4)
+@example("b" * 23, 5)
+@example("q" * 40, 16)
+@example("can'tgoodbye", 4)
+@example("a\u0301bcdefghij", 4)
+@example("aBcdefghij", 5)
+@example("ab.cdefghij", 4)
+@example("ab, cdefghij", 5)
 @settings(max_examples=60, deadline=None)
 def test_streaming_closes_exactly_what_is_final(s, max_word_bytes):
     data = s.encode()
@@ -503,6 +514,7 @@ def test_streaming_closes_exactly_what_is_final(s, max_word_bytes):
         st_.push_byte(b)
         if i + 1 == len(data) or not 0x80 <= data[i + 1] <= 0xBF:
             assert st_.closed_words == final_closes(data[:i + 1], max_word_bytes), f"byte {i}"
+            assert stream(data[:i + 1], max_word_bytes)[0].closed_words == st_.closed_words
 
 
 @given(st.lists(st.one_of(pieces, MARKED_PUNCT), max_size=16).map("".join)
@@ -510,6 +522,14 @@ def test_streaming_closes_exactly_what_is_final(s, max_word_bytes):
        st.integers(0, 3), st.sampled_from([4, 16]))
 @example(b"a:\xcc\x81b c", 1, 16)
 @example(b"ab\xf0\x90\x80\xfe", 0, 16)
+@example(b"a" * 40, 0, 4)   # lowercase runs, as in the test above
+@example(b"zz " + b"a" * 40, 0, 5)
+@example(b"x" + b"q" * 40, 1, 16)
+@example(b"can'tgoodbye", 0, 4)
+@example("a\u0301bcdefghij".encode(), 0, 4)
+@example(b"aBcdefghij", 0, 5)
+@example(b"ab.cdefghij", 0, 4)
+@example(b"ab, cdefghij", 0, 5)
 @settings(max_examples=200, deadline=None)
 def test_stream_equals_pushing_byte_by_byte(data, cut, max_word_bytes):
     prefix = data[:max(0, len(data) - cut)]   # may end inside a codepoint
