@@ -155,9 +155,6 @@ def test_over_length_input_rejected(micro_cfg, micro_params):
                                np.arange(len(data)))
 
 
-# ---------------------------------------------------------------------------
-# causality suite
-
 def test_no_grad_stack_frees_the_layer_input_and_read_before_the_mlp(micro_cfg, micro_params):
     # at a layer's MLP a no-grad pass holds the residual sum, its norm, gate|up
     # (2x wide) and the silu: about 10 [t, hidden] arrays at micro. Holding the
@@ -174,6 +171,9 @@ def test_no_grad_stack_frees_the_layer_input_and_read_before_the_mlp(micro_cfg, 
         tracemalloc.stop()
     assert peak < 11 * out.nbytes, peak / out.nbytes
 
+
+# ---------------------------------------------------------------------------
+# causality suite
 
 def test_byte_level_future_perturbation(micro_cfg, micro_params):
     # mutating a byte leaves all logits at earlier positions bit-unchanged

@@ -906,7 +906,7 @@ def _restartable(s) -> bool:
 TestBatchMachine = BatchMachine.TestCase
 # no shrink phase: each step runs the model twice, so shrinking a failure took
 # five minutes; a failure is reported as found, the search itself is unchanged.
-# derandomize: every run draws the same 50 examples, so its time repeats; the
+# derandomize: every run draws the same 50 examples, so its work repeats; the
 # trade is that runs no longer draw fresh examples
 TestBatchMachine.settings = settings(max_examples=50, stateful_step_count=40, deadline=None,
                                      phases=[p for p in Phase if p != Phase.shrink],
