@@ -27,6 +27,11 @@ in place, so no node writes into an array that another node holds. A
 zeroes only outside itself. `train.loss_and_grads` copies the leaf
 gradients that are borrowed.
 
+`backward` consumes the graph as it walks it: once a node's VJP has run,
+the node drops its gradient and its VJP, and with it what the VJP kept
+(probabilities, normalized rows, gate|up halves), so backward's memory
+falls as it goes. Leaves keep their gradients and every node its value.
+
 A dense (unwindowed) attention read goes ATTENTION_BLOCK query positions at
 a time (one product per block shape of a pack), with or without a gradient,
 so it never holds [kv, g*t, t] logits. On the tape it keeps each read's
@@ -129,8 +134,12 @@ def _accum(p, g: np.ndarray, owned: bool = False, at=None) -> None:
 def backward(root: Var) -> None:
     """Accumulate d(root)/d(leaf) into .grad of every leaf Var.
 
-    A graph is walked once: a VJP may build its gradient in its forward's
-    buffers, and a node lends its gradient to its parents by reference."""
+    A graph is walked once and consumed as it is walked: a VJP may build its
+    gradient in its forward's buffers, a node lends its gradient to its
+    parents by reference, and once its VJP has run (or no gradient reached
+    it) an inner node other than the root drops its .grad and its VJP, and
+    with it what the VJP captured. Leaves keep their gradients and every
+    node its .v."""
     if root.v.ndim != 0:
         raise ValueError("backward root must be a scalar")
     order: list[Var] = []
@@ -151,6 +160,8 @@ def backward(root: Var) -> None:
     for node in reversed(order):
         if node._bw is not None and node.grad is not None:
             node._bw(node.grad)
+        if node._bw is not None and node is not root:
+            node.grad = node._bw = None
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import contextlib
 import json
 import logging
 import os
+import resource
 import sys
 import time
 
@@ -93,8 +94,9 @@ def cmd_train_toy(args) -> int:
     with (open(args.metrics, "w", encoding="utf-8") if args.metrics
           else contextlib.nullcontext()) as fh:
         def on_step(row):
-            if fh is not None:
-                fh.write(json.dumps(row) + "\n")
+            if fh is not None:   # ru_maxrss counts KiB on Linux
+                rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+                fh.write(json.dumps({**row, "peak_rss_mb": rss}) + "\n")
         result = train.train_loop(cfg, corpus, schedule, policy, steps=args.steps,
                                   seed=args.seed, seq_len=args.seq_len, on_step=on_step)
     if args.loss_curve:
@@ -240,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     tt.add_argument("--save", help="write final checkpoint here")
     tt.add_argument("--loss-curve", help="write step<TAB>loss lines here")
     tt.add_argument("--metrics", help="write one JSON line per step here: step, loss, "
-                    "lr, grad_norm, bytes_per_s")
+                    "lr, grad_norm, bytes_per_s, peak_rss_mb")
     tt.set_defaults(func=cmd_train_toy)
 
     gen = sub.add_parser("generate", help="incremental generation from a checkpoint")

@@ -181,8 +181,13 @@ def from_text(text: str) -> HatConfig:
             continue
         if "=" not in line:
             raise ValueError(f"line {ln}: expected key=value, got {line!r}")
-        k, _, v = line.partition("=")
-        raw[k.strip()] = _parse(v.strip())
+        k, _, v = (part.strip() for part in line.partition("="))
+        if k in raw:
+            raise ValueError(f"line {ln}: config key {k} given twice")
+        try:
+            raw[k] = _parse(v)
+        except ValueError:
+            raise ValueError(f"line {ln}: config key {k} has no valid value: {v!r}") from None
     version = raw.pop("format_version", None)
     if version != CONFIG_FORMAT_VERSION:
         raise ValueError(f"unsupported config format version {version!r}")

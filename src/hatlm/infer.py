@@ -82,8 +82,8 @@ class SamplingConfig:
     def __post_init__(self):
         if self.mode not in ("greedy", "temperature", "forced"):
             raise ValueError(f"unknown sampling mode {self.mode!r}")
-        if self.mode == "temperature" and self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if self.mode == "temperature" and not 0 < self.temperature < np.inf:
+            raise ValueError(f"temperature must be finite and positive, got {self.temperature!r}")
 
 
 def sample_from_logits(logits: np.ndarray, allowed: np.ndarray,

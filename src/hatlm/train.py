@@ -35,6 +35,12 @@ class LrSchedule:
     decay_steps: int
     final_lr: float = 0.0
 
+    def __post_init__(self):
+        for f in ("warmup_steps", "stable_lr", "stable_steps", "decay_steps", "final_lr"):
+            v = getattr(self, f)
+            if not 0 <= v < math.inf:
+                raise ValueError(f"{f} must be finite and not negative, got {v!r}")
+
 
 def lr_at(schedule: LrSchedule, step: int) -> float:
     w, s, d = schedule.warmup_steps, schedule.stable_steps, schedule.decay_steps
@@ -249,11 +255,14 @@ def train_loop(cfg: HatConfig, corpus: bytes, schedule: LrSchedule,
 
     The corpus is cut into seq_len-byte documents visited round-robin,
     each split into words once (`splitter.stream`), before the first step.
-    Aborts with a diagnostic if the loss turns NaN or infinite. After each
-    step, `on_step` (if given) receives a dict with `step`, `loss`, `lr`
-    (the schedule's base rate), `grad_norm` (the global norm before
-    clipping) and `bytes_per_s` (the step's bytes over its wall time).
+    Aborts with a diagnostic, before that step's update, if the loss or the
+    gradient norm turns NaN or infinite. After each step, `on_step` (if
+    given) receives a dict with `step`, `loss`, `lr` (the schedule's base
+    rate), `grad_norm` (the global norm before clipping) and `bytes_per_s`
+    (the step's bytes over its wall time).
     """
+    if steps < 0:
+        raise ValueError(f"steps must not be negative, got {steps}")
     if not corpus:
         raise ValueError("empty corpus")
     chunks = documents(corpus, seq_len)
@@ -276,6 +285,8 @@ def train_loop(cfg: HatConfig, corpus: bytes, schedule: LrSchedule,
             raise FloatingPointError(f"loss diverged to {step_loss} at step {step}")
         norm = clip_global_norm(grads, clip_norm,
                                 tuple(k for k in grads if group_of(k) not in frozen))
+        if not math.isfinite(norm):
+            raise FloatingPointError(f"gradient norm diverged to {norm} at step {step}")
         base_lr = lr_at(schedule, step)
 
         def lr_of_name(name: str, _frozen=frozen, _lr=base_lr):

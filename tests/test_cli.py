@@ -104,9 +104,11 @@ def test_train_toy_quick(tmp_path):
     rows = [json.loads(line) for line in metrics_path.read_text().splitlines()]
     assert [row["step"] for row in rows] == list(range(8))
     for row in rows:
-        assert set(row) == {"step", "loss", "lr", "grad_norm", "bytes_per_s"}
+        assert set(row) == {"step", "loss", "lr", "grad_norm", "bytes_per_s", "peak_rss_mb"}
         assert all(math.isfinite(v) for v in row.values())
-        assert row["grad_norm"] > 0 and row["bytes_per_s"] > 0
+        assert row["grad_norm"] > 0 and row["bytes_per_s"] > 0 and row["peak_rss_mb"] > 0
+    rss = [row["peak_rss_mb"] for row in rows]
+    assert rss == sorted(rss)       # a peak never falls
     cfg2, params2 = checkpoint.load(ckpt)
     assert set(params2) == set(model.param_shapes(cfg2))
 
@@ -126,6 +128,34 @@ def test_train_toy_names_seq_len_when_a_codepoint_cannot_fit(tmp_path, capsys):
                       "--steps", "1", "--seq-len", "2")
     err = capsys.readouterr().err
     assert code == 1 and "seq_len 2" in err and "offset 1" in err
+
+
+@pytest.mark.parametrize("args,field", [
+    (("--lr", "nan"), "stable_lr"), (("--lr", "-1"), "stable_lr"), (("--lr", "inf"), "stable_lr"),
+    (("--steps", "-3"), "steps"), (("--warmup", "-1"), "warmup_steps")])
+def test_train_toy_refuses_what_it_cannot_train(tmp_path, capsys, args, field):
+    # it once wrote a NaN checkpoint, trained uphill or printed steps=-3, and exited 0
+    ckpt = tmp_path / "x.npz"
+    code, out = run_cli("train-toy", "--corpus", str(DATA / "overfit_ascii.txt"),
+                        "--steps", "1", *args, "--save", str(ckpt))
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "") and not ckpt.exists()
+    assert err.startswith(f"error: {field} must ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("temperature", ["nan", "inf", "0"])
+def test_generate_refuses_a_temperature_that_is_not_finite_and_positive(capsys, temperature):
+    code, out = run_cli("generate", "--prompt", "hi", "--temperature", temperature)
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err.startswith("error: temperature must be finite and positive")
+
+
+def test_count_params_refuses_a_config_key_given_twice(tmp_path, capsys):
+    path = tmp_path / "twice.cfg"
+    path.write_text((DATA / "micro.cfg").read_text() + "encoder.n_layers=7\n")
+    code, out = run_cli("count-params", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert "config key encoder.n_layers given twice" in capsys.readouterr().err
 
 
 def test_bench_sched_outputs_accounting(tmp_path):

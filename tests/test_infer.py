@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -207,6 +208,13 @@ def test_greedy_respects_mask():
     gate = Utf8Gate()
     pick = sample_from_logits(logits, gate.allowed(), SamplingConfig("greedy"), None)
     assert pick != 0x80
+
+
+@pytest.mark.parametrize("temperature", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_sampling_refuses_a_temperature_that_is_not_finite_and_positive(temperature):
+    with pytest.raises(ValueError, match="temperature must be finite and positive"):
+        SamplingConfig("temperature", temperature=temperature)
+    SamplingConfig("greedy", temperature=temperature)    # read only when sampling
 
 
 def test_temperature_sampling_deterministic(micro_cfg, micro_params):

@@ -564,6 +564,22 @@ def test_from_text_rejects_v1_and_derived_keys(edit, match):
         config.from_text(text.replace(*edit))
 
 
+def test_from_text_names_the_line_and_key_of_a_value_that_does_not_parse():
+    lines = config.to_text(config.micro()).splitlines()
+    ln = lines.index("encoder.n_layers=2") + 1
+    lines[ln - 1] = "encoder.n_layers = x"
+    with pytest.raises(ValueError, match=f"^line {ln}: config key encoder.n_layers .*'x'$"):
+        config.from_text("\n".join(lines))
+
+
+def test_from_text_refuses_a_key_given_twice():
+    # a second value would otherwise silently win over the first
+    lines = (DATA / "micro.cfg").read_text().splitlines() + ["encoder.n_layers=7"]
+    with pytest.raises(ValueError, match=f"^line {len(lines)}: config key encoder.n_layers "
+                                         "given twice$"):
+        config.from_text("\n".join(lines))
+
+
 def test_connector_heads_must_tile_backbone_hidden():
     # the pooling connector has backbone.hidden / encoder.head_size heads
     cfg = config.micro()

@@ -39,6 +39,17 @@ def test_lr_piecewise_shape():
     assert lr_at(SCHED, 10_000) == 0.0
 
 
+@pytest.mark.parametrize("field,value", [("stable_lr", math.nan), ("stable_lr", math.inf),
+                                         ("stable_lr", -1.0), ("final_lr", math.nan),
+                                         ("final_lr", -1e-6), ("warmup_steps", -1),
+                                         ("stable_steps", -1), ("decay_steps", -3)])
+def test_schedule_refuses_a_rate_or_step_count_it_cannot_use(field, value):
+    kw = dict(warmup_steps=1, stable_lr=1e-3, stable_steps=1, decay_steps=1, final_lr=0.0)
+    LrSchedule(**kw)
+    with pytest.raises(ValueError, match=field):
+        LrSchedule(**{**kw, field: value})
+
+
 # ---------------------------------------------------------------------------
 # loss
 
@@ -450,6 +461,33 @@ def test_inf_loss_aborts(micro_cfg, monkeypatch):
     sched = LrSchedule(warmup_steps=1, stable_lr=1e-3, stable_steps=10, decay_steps=1)
     with pytest.raises(FloatingPointError, match="inf"):
         train.train_loop(micro_cfg, CORPUS, sched, GroupPolicy(), steps=2, seed=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_gradient_norm_aborts_before_the_update(micro_cfg, monkeypatch, bad):
+    # the loss stays finite; the second step's gradient does not
+    real, updates = train.loss_and_grads, []
+
+    def poisoned(params, cfg, data, frozen, words):
+        loss, grads = real(params, cfg, data, frozen, words)
+        if updates:
+            grads["decoder.lm_head"][0, 0] = bad
+        return loss, grads
+    monkeypatch.setattr(train, "loss_and_grads", poisoned)
+    monkeypatch.setattr(train, "adam_step", lambda *a: updates.append(a))
+    sched = LrSchedule(warmup_steps=1, stable_lr=1e-3, stable_steps=10, decay_steps=1)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(FloatingPointError, match="gradient norm .* at step 1$"):
+        train.train_loop(micro_cfg, CORPUS, sched, GroupPolicy(), steps=3, seed=0)
+    assert len(updates) == 1
+
+
+def test_train_loop_refuses_negative_steps(micro_cfg):
+    sched = LrSchedule(1, 1e-3, 1, 1)
+    assert train.train_loop(micro_cfg, CORPUS, sched, GroupPolicy(), steps=0,
+                            seed=0).loss_curve == []
+    with pytest.raises(ValueError, match="steps must not be negative, got -3"):
+        train.train_loop(micro_cfg, CORPUS, sched, GroupPolicy(), steps=-3, seed=0)
 
 
 def test_loss_curve_file_format(tmp_path):
