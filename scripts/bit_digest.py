@@ -8,7 +8,9 @@ bits, so "no bit changed" is a `diff` of two outputs:
 
 The script takes no options and imports `hatlm` from PYTHONPATH, so one
 copy digests any checkout; the texts come from this copy's `data/`. Each
-run uses the micro config and params seed 1234, in float32 and in float64:
+run uses params seed 1234, in float32 and in float64, and the micro config,
+then again under `nocap.` names micro with `softcap=None` (whose attention
+reads shift every softmax row by its max, where capped ones need not):
 
   * a wave of 64 prompts (0 to 95 bytes) prefilled in one `BatchRunner`:
     byte rings, word caches, injections and logits; then its greedy bytes
@@ -26,6 +28,7 @@ per-byte index over each whole data text at caps 4, 16 and 128, so a change
 to the splitter shows in its own lines and not only through the caches.
 """
 
+import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -74,45 +77,49 @@ def _caches(prefix: str, sessions: list) -> list[tuple[str, str]]:
     ]
 
 
+def _model_runs(cfg, dtype, tag: str) -> list[tuple[str, str]]:
+    """The digests of one config and dtype, named under `tag`."""
+    out = []
+    params = {k: v.astype(dtype) for k, v in model.init_params(cfg, seed=1234).items()}
+
+    def session(budget):
+        return infer.GenSession(params, cfg, infer.SamplingConfig("greedy"),
+                                max_new_bytes=budget)
+    wave = [session(16) for _ in range(64)]
+    runner = infer.BatchRunner(wave, infer.BoundarySync())
+    runner.prefill_all(_wave_prompts())
+    out += _caches(f"{tag}.wave.prefill", wave)
+    runner.run_to_completion()
+    out.append((f"{tag}.wave.generated",
+                _sha(*(np.frombuffer(bytes(s.generated), np.uint8) for s in wave))))
+    out.append((f"{tag}.wave.trace", hashlib.sha256(runner.trace_text().encode()).hexdigest()))
+    out += _caches(f"{tag}.wave.generate", wave)
+    solo = infer.prefill(session(1), (DATA / TEXTS[0]).read_bytes()[:2048])
+    out += _caches(f"{tag}.solo2k.prefill", [solo])
+    for name in TEXTS:
+        doc = _utf8_prefix((DATA / name).read_bytes(), 1024)
+        key = f"{tag}.{name.split('_')[0]}1k"
+        loss, grads = train.loss_and_grads(params, cfg, doc)
+        out += [(f"{key}.loss", _sha(np.float64(train.loss(params, cfg, doc)))),
+                (f"{key}.loss_and_grads",
+                 _sha(np.float64(loss), *(grads[k] for k in sorted(grads))))]
+    schedule = train.LrSchedule(warmup_steps=2, stable_lr=3e-3, stable_steps=8, decay_steps=2)
+    result = train.train_loop(cfg, (DATA / TEXTS[0]).read_bytes(), schedule,
+                              train.GroupPolicy(), steps=12, seed=1234, seq_len=256,
+                              params=params)
+    return out + [(f"{tag}.train_loop12.loss_curve", _sha(np.array(result.loss_curve))),
+                  (f"{tag}.train_loop12.grad_norms", _sha(np.array(result.grad_norms))),
+                  (f"{tag}.train_loop12.params",
+                   _sha(*(result.params[k] for k in sorted(result.params))))]
+
+
 def digests() -> list[tuple[str, str]]:
     """The (name, sha256 hex digest) pairs, in print order."""
-    cfg = config.micro()
     out = []
-    for dtype in (np.float32, np.float64):
-        tag = np.dtype(dtype).name
-        params = {k: v.astype(dtype) for k, v in model.init_params(cfg, seed=1234).items()}
-
-        def session(budget):
-            return infer.GenSession(params, cfg, infer.SamplingConfig("greedy"),
-                                    max_new_bytes=budget)
-        wave = [session(16) for _ in range(64)]
-        runner = infer.BatchRunner(wave, infer.BoundarySync())
-        runner.prefill_all(_wave_prompts())
-        out += _caches(f"{tag}.wave.prefill", wave)
-        runner.run_to_completion()
-        out.append((f"{tag}.wave.generated",
-                    _sha(*(np.frombuffer(bytes(s.generated), np.uint8) for s in wave))))
-        out.append((f"{tag}.wave.trace",
-                    hashlib.sha256(runner.trace_text().encode()).hexdigest()))
-        out += _caches(f"{tag}.wave.generate", wave)
-        solo = infer.prefill(session(1), (DATA / TEXTS[0]).read_bytes()[:2048])
-        out += _caches(f"{tag}.solo2k.prefill", [solo])
-        for name in TEXTS:
-            doc = _utf8_prefix((DATA / name).read_bytes(), 1024)
-            key = f"{tag}.{name.split('_')[0]}1k"
-            loss, grads = train.loss_and_grads(params, cfg, doc)
-            out += [(f"{key}.loss", _sha(np.float64(train.loss(params, cfg, doc)))),
-                    (f"{key}.loss_and_grads",
-                     _sha(np.float64(loss), *(grads[k] for k in sorted(grads))))]
-        schedule = train.LrSchedule(warmup_steps=2, stable_lr=3e-3, stable_steps=8,
-                                    decay_steps=2)
-        result = train.train_loop(cfg, (DATA / TEXTS[0]).read_bytes(), schedule,
-                                  train.GroupPolicy(), steps=12, seed=1234, seq_len=256,
-                                  params=params)
-        out += [(f"{tag}.train_loop12.loss_curve", _sha(np.array(result.loss_curve))),
-                (f"{tag}.train_loop12.grad_norms", _sha(np.array(result.grad_norms))),
-                (f"{tag}.train_loop12.params",
-                 _sha(*(result.params[k] for k in sorted(result.params))))]
+    micro = config.micro()
+    for prefix, cfg in (("", micro), ("nocap.", dataclasses.replace(micro, softcap=None))):
+        for dtype in (np.float32, np.float64):
+            out += _model_runs(cfg, dtype, prefix + np.dtype(dtype).name)
     for name in TEXTS:
         for cap in (4, 16, 128):
             _, closes, index = splitter.stream((DATA / name).read_bytes(), cap)

@@ -35,10 +35,11 @@ falls as it goes. Leaves keep their gradients and every node its value.
 A dense (unwindowed) attention read goes ATTENTION_BLOCK query positions at
 a time (one product per block shape of a pack), with or without a gradient,
 so it never holds [kv, g*t, t] logits. On the tape it keeps each read's
-probabilities for its VJP, which goes read by read; without one it keeps none. Each read hides keys
-in place, and only where one is hidden (`kernels.hide_keys`): a block on the
-triangle above the diagonal of its last keys, the band read in the first
-window - 1 rows of each sequence.
+probabilities for its VJP, which goes read by read; without one it keeps
+none. Each read caps its logits (`kernels.capped_logits`) and hides keys in
+place: a block the triangle above the diagonal of its last keys, the band
+read the first window - 1 slots of each sequence. Capped logits take no row
+max where `kernels.shift_free` holds.
 
 A `Var` is a tape node only, and a frozen leaf is a plain array. A
 primitive none of whose inputs is a Var returns its kernel's ndarray, with
@@ -435,8 +436,8 @@ def _causal_blocks(q: np.ndarray, k: np.ndarray, v: np.ndarray, positions: np.nd
     hs] and [kv, 1, G, m, hs] gathers; a lone block, or a one-row one (a
     vector product, whose bits follow the operand layout), reads its slices.
     A `tape` list gets each read's row and key indices, probabilities and
-    (with `cap`) tanh values; without one, a read keeps nothing and softcaps
-    in place. Returns [t, n_heads * hs] rows."""
+    (with `cap`) tanh values, capped / cap; without one, a read keeps
+    nothing. Returns [t, n_heads * hs] rows."""
     nh, t, hs = q.shape
     nkv = k.shape[0]
     qg = q.reshape(nkv, nh // nkv, t, hs)
@@ -456,12 +457,10 @@ def _causal_blocks(q: np.ndarray, k: np.ndarray, v: np.ndarray, positions: np.nd
                  else [(slice(i, i + n), slice(j, j + m)) for i, j in blocks])
         for qi, ki in reads:
             z = qg[:, :, qi] @ kx[:, :, ki].swapaxes(-1, -2)
-            z *= inv
-            th = None
-            if cap is not None:         # cap * tanh(z / cap), as kernels.softcap
-                th = np.tanh(np.divide(z, cap, out=z), out=z)
-                z = np.multiply(cap, th, out=None if tape is not None else th)
-            p = kernels.softmax(kernels.hide_keys(z, above[:n, :n], z.ndim - 2))
+            kernels.capped_logits(z, inv, cap)
+            th = None if cap is None or tape is None else z / cap
+            np.copyto(z[..., m - n:], -np.inf, where=above[:n, :n])
+            p = kernels.softmax(z, cap)
             out[qi] = np.moveaxis(p @ vx[:, :, ki], (0, 1), (-3, -2))
             if tape is not None:
                 tape.append((qi, ki, p, th))
@@ -485,7 +484,8 @@ def attention(qk, v, positions, window: int | None, cap: float | None):
     so keys are never repeated. A windowed read goes through a sliding-window
     view of the front-padded K and V rows (`_band`), [kv, t, g, window]
     logits, at every t: fewer key slots would sum in another order, and the
-    backward reuses its probabilities; its row max goes slot by slot.
+    backward reuses its probabilities; its row max, taken only where the
+    softmax needs a shift (`kernels.shift_free`), goes slot by slot.
     Otherwise the read is `_causal_blocks`, one product per block shape of
     the pack, with or without a gradient. On the tape each read keeps its
     probabilities (and tanh values); the backward goes read by read, in each
@@ -535,16 +535,16 @@ def attention(qk, v, positions, window: int | None, cap: float | None):
 
     kx, vx = _band(k, window), _band(vv, window).swapaxes(-1, -2)
     qx = q.reshape(nkv, g, t, hs).transpose(0, 2, 1, 3)     # [kv, t, g, hs]
-    z = (qx @ kx) * inv
-    if cap is not None:
-        z = kernels.softcap(z, cap)
+    z = kernels.capped_logits(qx @ kx, inv, cap)
     p = z.copy() if cap is not None and rg else z     # the cap's VJP reads z
     # band slot j of row i holds row i - (window-1) + j
     kernels.hide_keys(p, np.arange(window) < window - 1 - positions[:, None], 1)
-    peak = p[..., :1].copy()
-    for j in range(1, window):      # as `_unband`: a reduce over the short slot axis is slow
-        np.maximum(peak, p[..., j:j + 1], out=peak)
-    kernels.softmax(p, peak)
+    peak = None
+    if not kernels.shift_free(p, cap):
+        peak = p[..., :1].copy()
+        for j in range(1, window):  # as `_unband`: a reduce over the short slot axis is slow
+            np.maximum(peak, p[..., j:j + 1], out=peak)
+    kernels.softmax(p, cap, peak)
     out = (p @ vx).swapaxes(0, 1).reshape(t, nh * hs)
     if not rg:
         return _finite(out)

@@ -3,9 +3,9 @@ and the single-query grouped-KV attention read.
 
 These are the one implementation of each piece of math: the autodiff
 primitives, taped or not (the incremental step's layer), take their values
-from them, and the step's cache reads call `attend`. `hide_keys` and
-`softmax` work in place on the logits they are given (the tape's reads pass
-`hide_keys` only their hidden pairs); the rest are pure functions, and all are
+from them, and the step's cache reads call `attend`. `capped_logits`,
+`hide_keys` and `softmax` (which takes no row-max shift where `shift_free`) work
+in place on the logits they are given; the rest are pure functions, and all are
 deterministic for a given input dtype (float32 or float64; outputs follow inputs).
 Setting the environment variable HATLM_DEBUG_FINITE=1 (or the module flag)
 makes every kernel assert that its output is finite.
@@ -137,10 +137,30 @@ def softcap(logits: np.ndarray, cap: float) -> np.ndarray:
     return cap * np.tanh(logits / cap)
 
 
-def softmax(x: np.ndarray, peak: np.ndarray | None = None) -> np.ndarray:
+def capped_logits(z: np.ndarray, scale: float, cap: float | None) -> np.ndarray:
+    """Attention logits in place: z * scale, or with a cap cap * tanh(z *
+    (scale / cap)), the 1/sqrt(hs) scale and the 1/cap divide in one multiply."""
+    z *= scale if cap is None else scale / cap
+    if cap is not None:
+        np.multiply(np.tanh(z, out=z), cap, out=z)
+    return z
+
+
+def shift_free(x: np.ndarray, cap: float | None) -> bool:
+    """Whether `softmax` may skip the row-max shift of x, logits within +-cap
+    or -inf: in x's dtype every exp is then normal and a row's sum finite."""
+    if cap is None:
+        return False
+    f = np.finfo(x.dtype)
+    return cap + math.log(x.shape[-1]) < math.log(f.max) and cap < -math.log(f.tiny)
+
+
+def softmax(x: np.ndarray, cap: float | None = None, peak: np.ndarray | None = None):
     """Softmax over the last axis, in place: x becomes the probabilities.
-    `peak` is x's row max (last axis kept) when the caller has taken it."""
-    x -= np.maximum.reduce(x, axis=-1, keepdims=True) if peak is None else peak
+    Logits within +-cap are exponentiated as they are where `shift_free`;
+    else x is first shifted by its row max, `peak` (last axis kept) if given."""
+    if not shift_free(x, cap):
+        x -= np.maximum.reduce(x, axis=-1, keepdims=True) if peak is None else peak
     np.exp(x, out=x)
     x /= np.add.reduce(x, axis=-1, keepdims=True)
     return x
@@ -167,8 +187,9 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, cap: float | None,
     n_kv_heads dividing n_heads; the leading axes (none, or a batch axis)
     are the same for all three. Query heads are grouped per KV head by
     reshaping, so the keys are never repeated. Logits are scaled by
-    1/sqrt(hs) and, when `cap` is set, softcapped. `valid` ([..., n]) masks
-    keys out with exactly zero weight. Returns [..., n_heads*hs].
+    1/sqrt(hs) and, when `cap` is set, softcapped and not shifted (`softmax`).
+    `valid` ([..., n]) masks keys out with exactly zero weight. Returns
+    [..., n_heads*hs].
 
     Both products are one BLAS call per (row, KV head) of the same shape
     whatever the batch size, and the softmax reduces along the key axis
@@ -177,11 +198,13 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, cap: float | None,
     *lead, n_heads, hs = q.shape
     n_kv = k.shape[-2]
     qg = q.reshape(*lead, n_kv, n_heads // n_kv, hs)
-    logits = (qg @ k.swapaxes(-3, -2).swapaxes(-2, -1)) / math.sqrt(hs)  # [..., kv, g, n]
-    if cap is not None:
-        logits = softcap(logits, cap)
+    logits = qg @ k.swapaxes(-3, -2).swapaxes(-2, -1)    # [..., kv, g, n]
+    if cap is None:
+        logits /= math.sqrt(hs)     # a divide, as the uncapped read always took
+    else:
+        capped_logits(logits, 1.0 / math.sqrt(hs), cap)
     if valid is not None:   # -inf where hidden, the bits of `hide_keys`, dense
         if not valid.any(axis=-1).all():
             raise InternalInvariantError("attention row with empty visible key set")
         np.copyto(logits, -np.inf, where=~valid[..., None, None, :])
-    return _check((softmax(logits) @ v.swapaxes(-3, -2)).reshape(*lead, n_heads * hs))
+    return _check((softmax(logits, cap) @ v.swapaxes(-3, -2)).reshape(*lead, n_heads * hs))

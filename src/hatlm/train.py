@@ -67,8 +67,10 @@ class GroupPolicy:
         for g in list(self.frozen_until_step) + list(self.lr_multiplier):
             if g not in PARAM_GROUPS:
                 raise ValueError(f"unknown parameter group {g!r}")
-        if any(m <= 0 for m in self.lr_multiplier.values()):
-            raise ValueError("lr multipliers must be positive")
+        if not all(0 < m < math.inf for m in self.lr_multiplier.values()):
+            raise ValueError(f"lr multipliers must be finite and positive: {self.lr_multiplier}")
+        if any(n < 0 for n in self.frozen_until_step.values()):
+            raise ValueError("frozen_until_step must not be negative")
 
     def frozen_at(self, group: str, step: int) -> bool:
         return step < self.frozen_until_step.get(group, 0)
@@ -78,19 +80,23 @@ class GroupPolicy:
 
     @classmethod
     def from_text(cls, text: str) -> "GroupPolicy":
+        """`group.frozen_until_step=N` and `group.lr_multiplier=X` lines."""
         frozen, mult = {}, {}
-        for line in text.splitlines():
+        for ln, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            k, _, v = line.partition("=")
-            group, _, what = k.strip().partition(".")
-            if what == "frozen_until_step":
-                frozen[group] = int(v)
-            elif what == "lr_multiplier":
-                mult[group] = float(v)
-            else:
-                raise ValueError(f"unknown policy key {k!r}")
+            k, _, v = (part.strip() for part in line.partition("="))
+            group, _, what = k.partition(".")
+            into = {"frozen_until_step": frozen, "lr_multiplier": mult}.get(what)
+            if into is None:
+                raise ValueError(f"line {ln}: unknown policy key {k!r}")
+            if group in into:
+                raise ValueError(f"line {ln}: policy key {k} given twice")
+            try:
+                into[group] = int(v) if into is frozen else float(v)
+            except ValueError:
+                raise ValueError(f"line {ln}: policy key {k} has no valid value: {v!r}") from None
         return cls(frozen, mult)
 
 
@@ -171,11 +177,12 @@ def corpus_loss(params, cfg: HatConfig, corpus: bytes, seq_len: int) -> float:
 
 def clip_global_norm(grads: dict, max_norm: float,
                      names: tuple[str, ...] | None = None) -> float:
-    """Scale grads in place so their joint L2 norm is at most max_norm."""
+    """Scale grads in place so their joint L2 norm is at most max_norm, unless
+    it is not finite; return the norm before scaling."""
     keys = grads.keys() if names is None else names
     total = math.sqrt(sum(float(np.sum(np.square(g, out=g)))
                           for g in (grads[k].astype(np.float64) for k in keys)))
-    if total > max_norm and total > 0:
+    if 0 < total < math.inf and total > max_norm:
         scale = max_norm / total
         for k in keys:
             grads[k] *= scale

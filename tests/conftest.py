@@ -32,15 +32,17 @@ def micro_params64(micro_cfg):
             for k, v in model.init_params(micro_cfg, seed=1234).items()}
 
 
-def where_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def where_softmax(logits: np.ndarray, mask: np.ndarray, cap=None) -> np.ndarray:
     """Softmax over the last axis restricted to mask==True positions, as
     `kernels` computed it before `hide_keys`: one `np.where` of the mask,
-    broadcast over all the logits, then the max, exp, sum and divide. Raises
+    broadcast over all the logits, then the max (skipped for logits capped
+    at `cap` where `kernels.shift_free` holds), exp, sum and divide. Raises
     if a query row has no visible key."""
     if not mask.any(axis=-1).all():
         raise kernels.InternalInvariantError("attention row with empty visible key set")
     e = np.where(mask, logits, np.array(-np.inf, dtype=logits.dtype))
-    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
+    if not kernels.shift_free(e, cap):
+        e -= np.maximum.reduce(e, axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
@@ -69,7 +71,8 @@ def head_major_causal_attention(qk, v, positions, cap) -> ad.Var:
     """`ad.attention` with no window as it read when it returned
     [n_heads, t, hs] heads, put in rows on the graph (`head_rows`), as
     `model._self_attn` did: the blocks' output is kept head-major, and the
-    backward reads its gradient in that order."""
+    backward reads its gradient in that order. Logits are capped by
+    `kernels.capped_logits`, and the tape keeps their tanh as capped / cap."""
     qkv, vv = ad._v(qk), ad._v(v)
     nkv, t, hs = vv.shape
     nh = qkv.shape[0] - nkv
@@ -83,12 +86,12 @@ def head_major_causal_attention(qk, v, positions, cap) -> ad.Var:
         for a in range(s, e, ad.ATTENTION_BLOCK):
             b = min(a + ad.ATTENTION_BLOCK, e)
             z = qg[:, :, a:b] @ kt[..., s:b]
-            z *= inv
             th = None
-            if cap is not None:
-                th = np.tanh(np.divide(z, cap, out=z), out=z)
-                z = np.multiply(cap, th)
-            p = kernels.softmax(kernels.hide_keys(z, above[:b - a, :b - a], 2))
+            if cap is None:
+                z *= inv
+            else:
+                th = kernels.capped_logits(z, inv, cap) / cap
+            p = kernels.softmax(kernels.hide_keys(z, above[:b - a, :b - a], 2), cap)
             out[:, :, a:b] = p @ vx[:, :, s:b]
             blocks.append((a, b, s, p, th))
 
@@ -112,11 +115,13 @@ def head_major_causal_attention(qk, v, positions, cap) -> ad.Var:
     return head_rows(ad.Var(out.reshape(nh, t, hs), (qk, v), bw))
 
 
-def dense_masked_attention(qk, v, positions, cap) -> ad.Var:
-    """`ad.attention` with no window as the tape read it before the query
-    blocks: each KV head's g*t query rows meet all t keys under a causal
-    mask tiled g times, and the node keeps the whole [kv, g*t, t]
-    probabilities and logits for its backward."""
+def dense_masked_attention(qk, v, positions, cap, window=None) -> ad.Var:
+    """`ad.attention` as the tape read it before the query blocks: each KV
+    head's g*t query rows meet all t keys under a causal mask (each row's
+    last `window` keys when set) tiled g times, and the node keeps the whole
+    [kv, g*t, t] probabilities and logits for its backward. The math is the
+    shifted one of the reads before `kernels.capped_logits`: the scaled
+    logits capped by `kernels.softcap`, every row shifted by its max."""
     qkv, vv = ad._v(qk), ad._v(v)
     nkv, t, hs = vv.shape
     nh = qkv.shape[0] - nkv
@@ -124,6 +129,8 @@ def dense_masked_attention(qk, v, positions, cap) -> ad.Var:
     positions = np.asarray(positions)
     qx, kx, vx = qkv[:nh].reshape(nkv, g * t, hs), qkv[nh:].swapaxes(-1, -2), vv
     first = np.arange(t) - positions                # each row's sequence start
+    if window is not None:
+        first = np.maximum(first, np.arange(t) - window + 1)
     mask = np.tile(np.tri(t, dtype=bool) & (np.arange(t) >= first[:, None]), (g, 1))
     inv = 1.0 / math.sqrt(hs)
     z = (qx @ kx) * inv
@@ -148,7 +155,8 @@ def dense_masked_attention(qk, v, positions, cap) -> ad.Var:
 def where_band_attention(qk, v, positions, window: int, cap) -> ad.Var:
     """`ad.attention` with a window as it read before `kernels.hide_keys`:
     the [t, 1, window] band mask broadcast over all the logits by
-    `where_softmax`, and the capped logits kept for the softcap's VJP."""
+    `where_softmax`, and the logits of `kernels.capped_logits` kept for the
+    softcap's VJP."""
     qkv, vv = ad._v(qk), ad._v(v)
     nkv, t, hs = vv.shape
     nh = qkv.shape[0] - nkv
@@ -163,10 +171,8 @@ def where_band_attention(qk, v, positions, window: int, cap) -> ad.Var:
     kx, vx = ad._band(qkv[nh:], window), ad._band(vv, window).swapaxes(-1, -2)
     mask = (np.arange(window) >= window - 1 - positions[:, None])[:, None, :]
     qx, inv = rows(qkv[:nh]), 1.0 / math.sqrt(hs)
-    z = (qx @ kx) * inv
-    if cap is not None:
-        z = kernels.softcap(z, cap)
-    p = where_softmax(z, mask)
+    z = (qx @ kx) * inv if cap is None else kernels.capped_logits(qx @ kx, inv, cap)
+    p = where_softmax(z, mask, cap)
 
     def bw(gr):
         gx = rows(gr)
@@ -184,7 +190,8 @@ def where_band_attention(qk, v, positions, window: int, cap) -> ad.Var:
 def where_causal_read(qk: np.ndarray, v: np.ndarray, positions, cap) -> np.ndarray:
     """`ad.attention` with no window as `autodiff._causal_blocks` read it
     before `kernels.hide_keys`: each block's causal mask over all its keys,
-    broadcast over the block's logits by `where_softmax`."""
+    broadcast over the block's logits by `where_softmax`, the logits capped
+    by `kernels.capped_logits`."""
     nkv, t, hs = v.shape
     nh = qk.shape[0] - nkv
     qg = qk[:nh].reshape(nkv, nh // nkv, t, hs)
@@ -195,24 +202,26 @@ def where_causal_read(qk: np.ndarray, v: np.ndarray, positions, cap) -> np.ndarr
         for a in range(s, e, ad.ATTENTION_BLOCK):
             b = min(a + ad.ATTENTION_BLOCK, e)
             z = qg[:, :, a:b] @ kt[..., s:b]
-            z *= 1.0 / math.sqrt(hs)
-            if cap is not None:
-                z = kernels.softcap(z, cap)
-            p = where_softmax(z, np.arange(s, b) <= np.arange(a, b)[:, None])
+            if cap is None:
+                z *= 1.0 / math.sqrt(hs)
+            else:
+                kernels.capped_logits(z, 1.0 / math.sqrt(hs), cap)
+            p = where_softmax(z, np.arange(s, b) <= np.arange(a, b)[:, None], cap)
             out[:, :, a:b] = p @ vx[:, :, s:b]
     return out.reshape(nh, t, hs).transpose(1, 0, 2).reshape(t, nh * hs)
 
 
 def where_attend(q, k, v, cap, valid: np.ndarray) -> np.ndarray:
     """`kernels.attend` with `valid` as it read before `kernels.hide_keys`:
-    the [..., 1, 1, n] mask broadcast over all the logits by `where_softmax`."""
+    the [..., 1, 1, n] mask broadcast over all the logits by `where_softmax`,
+    the logits capped by `kernels.capped_logits`."""
     *lead, n_heads, hs = q.shape
     n_kv = k.shape[-2]
     qg = q.reshape(*lead, n_kv, n_heads // n_kv, hs)
-    logits = (qg @ k.swapaxes(-3, -2).swapaxes(-2, -1)) / math.sqrt(hs)
-    if cap is not None:
-        logits = kernels.softcap(logits, cap)
-    p = where_softmax(logits, valid[..., None, None, :])
+    logits = qg @ k.swapaxes(-3, -2).swapaxes(-2, -1)
+    logits = (logits / math.sqrt(hs) if cap is None
+              else kernels.capped_logits(logits, 1.0 / math.sqrt(hs), cap))
+    p = where_softmax(logits, valid[..., None, None, :], cap)
     return (p @ v.swapaxes(-3, -2)).reshape(*lead, n_heads * hs)
 
 

@@ -389,6 +389,69 @@ def test_attention_rows_have_the_bits_of_the_head_major_read(lens, window, cap, 
         assert got.dtype == dtype and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("window", [None, 1, 3, 8])
+@pytest.mark.parametrize("lens", [(7,), (40,), (33, 37), (1, 64, 5)], ids=str)
+def test_unshifted_reads_match_the_shifted_math(lens, window, dtype):
+    # micro's cap of 30 lets every read skip the row-max shift; the output
+    # and both gradients differ from the dense read's with the shifted math
+    # by at most 1e-6 of its largest entry, on the tape and off it
+    positions = _pack_positions(lens)
+    qk, v, m = _qkv_m(sum(lens) + len(lens), lens, 2, 3, dtype)
+    assert kernels.shift_free(np.empty(sum(lens), dtype), 30.0)
+    results = []
+    for fn in (lambda a, b: ad.attention(a, b, positions, window, 30.0),
+               lambda a, b: dense_masked_attention(a, b, positions, 30.0, window)):
+        leaves = [ad.wrap(qk, rg=True), ad.wrap(v, rg=True)]
+        out = fn(*leaves)
+        ad.backward(ad.sum_(ad.mul(out, m)))
+        results.append([out.v] + [leaf.grad for leaf in leaves])
+    results[0].append(ad.attention(qk, v, positions, window, 30.0))
+    results[1].append(results[1][0])
+    for got, want in zip(*results):
+        assert got.dtype == dtype
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("window", [None, 2, 8])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_cap_the_dtype_cannot_hold_takes_the_shifted_path(window, dtype):
+    # exp(100) overflows float32: its reads of logits near +-100 must shift,
+    # and then have the shifted references' bits; float64 holds it unshifted
+    lens = (40, 33)
+    positions = _pack_positions(lens)
+    qk, v, _ = _qkv_m(7, lens, 2, 2, dtype)
+    qk *= 100                   # logits far beyond the cap, so capped near +-100
+    assert kernels.shift_free(np.empty(sum(lens), dtype), 100.0) == (dtype == np.float64)
+    want = (where_causal_read(qk, v, positions, 100.0) if window is None else
+            where_band_attention(qk, v, positions, window, 100.0).v)
+    for rg in (False, True):
+        got = ad.attention(ad.wrap(qk, rg=rg), v, positions, window, 100.0)
+        got = got.v if rg else got
+        assert np.isfinite(got).all() and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rg", [False, True])
+def test_causal_blocks_hide_exactly_the_slots_of_hide_keys(monkeypatch, rg):
+    # each block writes -inf with one `np.copyto` over its last keys where
+    # `hide_keys` scatters it: the same slots, in grouped and single reads
+    seen, softmax = [], kernels.softmax
+
+    def spy(x, *args):
+        seen.append(np.isneginf(x))
+        return softmax(x, *args)
+    monkeypatch.setattr(kernels, "softmax", spy)
+    lens = (1, 31, 32, 33, 70, 33)
+    qk, v, _ = _qkv_m(3, lens, 2, 2, np.float32)
+    ad.attention(ad.wrap(qk, rg=rg), v, _pack_positions(lens), None, 30.0)
+    above = ~np.tri(ad.ATTENTION_BLOCK, dtype=bool)
+    assert len(seen) == 7       # the block shapes of the pack, 33 in one product
+    for hidden in seen:
+        n = hidden.shape[-2]
+        want = kernels.hide_keys(np.zeros(hidden.shape), above[:n, :n], hidden.ndim - 2)
+        assert np.array_equal(hidden, np.isneginf(want))
+
+
 @pytest.mark.parametrize("window", [None, 3])
 @pytest.mark.parametrize("positions", [np.arange(3, 8), [0, 1, 2, 0, 5], [0, 1, 3, 4, 5],
                                        [0, 1, 2, 3], np.zeros((1, 5), dtype=int)], ids=str)

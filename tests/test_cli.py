@@ -143,6 +143,21 @@ def test_train_toy_refuses_what_it_cannot_train(tmp_path, capsys, args, field):
     assert err.startswith(f"error: {field} must ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("policy,message", [
+    ("backbone.lr_multiplier=nan\n", "lr multipliers must be finite and positive"),
+    ("backbone.frozen_until_step=2\nbackbone.frozen_until_step=x\n",
+     "line 2: policy key backbone.frozen_until_step given twice")])
+def test_train_toy_refuses_a_policy_it_cannot_use(tmp_path, capsys, policy, message):
+    # a NaN multiplier once took step 0's update and died at step 1 with
+    # "loss diverged to nan", naming neither the policy nor the key
+    path, ckpt = tmp_path / "policy.txt", tmp_path / "x.npz"
+    path.write_text(policy)
+    code, out = run_cli("train-toy", "--corpus", str(DATA / "overfit_ascii.txt"),
+                        "--steps", "2", "--policy", str(path), "--save", str(ckpt))
+    assert (code, out) == (1, "") and not ckpt.exists()
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("temperature", ["nan", "inf", "0"])
 def test_generate_refuses_a_temperature_that_is_not_finite_and_positive(capsys, temperature):
     code, out = run_cli("generate", "--prompt", "hi", "--temperature", temperature)

@@ -9,7 +9,7 @@ from hatlm import autodiff as ad
 from hatlm import kernels as K
 from hatlm import model
 
-from conftest import half_split_rotate, masked_softmax, where_attend
+from conftest import half_split_rotate, masked_softmax, where_attend, where_softmax
 
 
 def test_rms_norm_hand_computed():
@@ -213,14 +213,15 @@ def test_masked_attend_has_the_bits_of_the_where_mask(b, shape, n, ring, cap, dt
 
 def hide_keys_attend(q, k, v, cap, valid: np.ndarray) -> np.ndarray:
     """`kernels.attend` with `valid` as it read before its dense mask:
-    `hide_keys` scatters -inf into the hidden (row, key) pairs only."""
+    `hide_keys` scatters -inf into the hidden (row, key) pairs only; the
+    logits are capped by `capped_logits`."""
     *lead, n_heads, hs = q.shape
     n_kv = k.shape[-2]
     qg = q.reshape(*lead, n_kv, n_heads // n_kv, hs)
-    logits = (qg @ k.swapaxes(-3, -2).swapaxes(-2, -1)) / math.sqrt(hs)
-    if cap is not None:
-        logits = K.softcap(logits, cap)
-    p = K.softmax(K.hide_keys(logits, ~valid))
+    logits = qg @ k.swapaxes(-3, -2).swapaxes(-2, -1)
+    logits = (logits / math.sqrt(hs) if cap is None
+              else K.capped_logits(logits, 1.0 / math.sqrt(hs), cap))
+    p = K.softmax(K.hide_keys(logits, ~valid), cap)
     return (p @ v.swapaxes(-3, -2)).reshape(*lead, n_heads * hs)
 
 
@@ -247,6 +248,57 @@ def test_dense_mask_has_the_bits_of_hide_keys(b, shape, n, mask, cap, dtype, see
     valid[rng.integers(0, b)] = False
     with pytest.raises(K.InternalInvariantError):
         K.attend(q, kv[:, 0], kv[:, 1], cap, valid)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_unshifted_softmax_at_the_longest_micro_read_is_finite_and_sums_to_1(micro_cfg, dtype):
+    # the backbone's 1,024 keys, every logit at +cap or every one at -cap:
+    # no row max is taken, and every exp is normal, so each row is uniform
+    cap, keys = micro_cfg.softcap, micro_cfg.backbone.max_positions
+    x = np.stack([np.full(keys, cap), np.full(keys, -cap)]).astype(dtype)
+    assert K.shift_free(x, cap)
+    p = K.softmax(x, cap)
+    assert np.isfinite(p).all()
+    assert np.allclose(p.sum(axis=-1), 1.0, rtol=0, atol=1e-6)
+    # the read itself: queries far beyond the cap meet keys of either sign
+    q = np.full((1, 8, 8), 1e6, dtype)
+    k = np.ones((1, keys, 4, 8), dtype) * np.where(np.arange(keys) % 2, -1, 1)[:, None, None]
+    v = np.random.default_rng(0).standard_normal((1, keys, 4, 8)).astype(dtype)
+    out = K.attend(q, k, v, cap)
+    assert np.isfinite(out).all()
+    want = np.repeat(v[0, ::2].mean(axis=0), 2, axis=0).ravel()    # 2 query heads a KV head
+    assert np.allclose(out[0], want, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("cap,dtype,free", [
+    (30.0, np.float32, True), (30.0, np.float64, True), (None, np.float32, False),
+    (100.0, np.float32, False), (100.0, np.float64, True), (705.0, np.float64, False)])
+def test_shift_free_holds_only_where_every_exp_is_normal_and_every_sum_finite(cap, dtype, free):
+    x = np.zeros((2, 1024), dtype)
+    assert K.shift_free(x, cap) == free
+    if cap is not None:     # a row at +cap sums to a finite value unshifted exactly then
+        x[:] = cap
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(np.exp(x).sum(axis=-1)).all() == free
+
+
+@given(b=st.sampled_from([1, 2, 23]), n=st.integers(1, 40), mask=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_unshifted_attend_matches_the_shifted_math(b, n, mask, dtype, seed):
+    # the step's read at micro's cap, against the logits capped by
+    # `softcap` and shifted by their row max: within 1e-6 of the largest entry
+    rng = np.random.default_rng(seed)
+    q = (3 * rng.standard_normal((b, 8, 8))).astype(dtype)
+    kv = (3 * rng.standard_normal((b, 2, n, 4, 8))).astype(dtype)
+    valid = rng.random((b, n)) < 0.5 if mask else np.ones((b, n), dtype=bool)
+    valid[np.arange(b), rng.integers(0, n, b)] = True
+    logits = (q.reshape(b, 4, 2, 8) @ kv[:, 0].swapaxes(-3, -2).swapaxes(-2, -1)) / math.sqrt(8)
+    p = where_softmax(K.softcap(logits, 30.0), valid[:, None, None, :])
+    want = (p @ kv[:, 1].swapaxes(-3, -2)).reshape(b, 64)
+    got = K.attend(q, kv[:, 0], kv[:, 1], 30.0, valid)
+    assert got.dtype == dtype
+    assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
 
 def test_gemm_rows_have_the_same_bits_from_two_rows_up(micro_cfg):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,30 @@ def test_policy_rejects_unknown_group():
         GroupPolicy(frozen_until_step={"nonsense": 5})
 
 
+@pytest.mark.parametrize("kw,match", [
+    ({"lr_multiplier": {"backbone": math.nan}}, "lr multipliers must be finite and positive"),
+    ({"lr_multiplier": {"encoder": math.inf}}, "lr multipliers must be finite and positive"),
+    ({"lr_multiplier": {"decoder": 0.0}}, "lr multipliers must be finite and positive"),
+    ({"frozen_until_step": {"backbone": -1}}, "frozen_until_step must not be negative")])
+def test_policy_refuses_a_multiplier_or_freeze_it_cannot_use(kw, match):
+    # a NaN multiplier once passed `m <= 0` and trained step 0 at a NaN rate
+    with pytest.raises(ValueError, match=match):
+        GroupPolicy(**kw)
+
+
+@pytest.mark.parametrize("text,match", [
+    ("# x\nbackbone.frozen_until_step=x\n", "line 2: policy key backbone.frozen_until_step "
+                                            "has no valid value: 'x'"),
+    ("encoder.lr_multiplier = 1e\n", "line 1: policy key encoder.lr_multiplier has no valid"),
+    ("backbone.lr_multiplier=0.1\n\nbackbone.lr_multiplier=0.2\n",
+     "line 3: policy key backbone.lr_multiplier given twice"),
+    ("backbone.frozen=3\n", "line 1: unknown policy key 'backbone.frozen'"),
+    ("backbone.lr_multiplier=nan\n", "lr multipliers must be finite and positive")])
+def test_policy_from_text_names_the_line_and_key_it_refuses(text, match):
+    with pytest.raises(ValueError, match=match):
+        GroupPolicy.from_text(text)
+
+
 def test_adam_effective_lr_is_lr_times_multiplier(micro_cfg):
     # one optimizer step must equal the hand-computed update at lr * mult
     params = model.init_params(micro_cfg, seed=9)
@@ -427,6 +452,21 @@ def test_clip_scales_the_gradients_in_place(micro_cfg, micro_params, micro_param
         assert g.tobytes() == (before[k] * (1e-3 / total) if k in names else before[k]).tobytes()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_clip_leaves_gradients_alone_on_a_non_finite_norm(micro_cfg, micro_params, bad):
+    # max_norm / inf once scaled every entry by 0, so an infinite one became
+    # NaN with a RuntimeWarning
+    _, grads = train.loss_and_grads(micro_params, micro_cfg, CORPUS[:64])
+    grads["decoder.lm_head"][0, 0] = bad
+    before = {k: g.copy() for k, g in grads.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        total = train.clip_global_norm(grads, 1e-3)
+    assert math.isnan(total) if math.isnan(bad) else total == math.inf
+    for k, g in grads.items():
+        assert g.tobytes() == before[k].tobytes()
+
+
 def test_grad_norms_are_the_unclipped_norms(micro_cfg):
     sched = LrSchedule(warmup_steps=1, stable_lr=1e-3, stable_steps=10, decay_steps=1)
     rows = []
@@ -476,8 +516,9 @@ def test_non_finite_gradient_norm_aborts_before_the_update(micro_cfg, monkeypatc
     monkeypatch.setattr(train, "loss_and_grads", poisoned)
     monkeypatch.setattr(train, "adam_step", lambda *a: updates.append(a))
     sched = LrSchedule(warmup_steps=1, stable_lr=1e-3, stable_steps=10, decay_steps=1)
-    with np.errstate(invalid="ignore"), \
+    with warnings.catch_warnings(), \
             pytest.raises(FloatingPointError, match="gradient norm .* at step 1$"):
+        warnings.simplefilter("error", RuntimeWarning)
         train.train_loop(micro_cfg, CORPUS, sched, GroupPolicy(), steps=3, seed=0)
     assert len(updates) == 1
 
