@@ -36,17 +36,18 @@ A dense (unwindowed) attention read goes ATTENTION_BLOCK query positions at
 a time (one product per block shape of a pack), with or without a gradient,
 so it never holds [kv, g*t, t] logits. On the tape it keeps each read's
 probabilities for its VJP, which goes read by read; without one it keeps
-none. Each read caps its logits (`kernels.capped_logits`) and hides keys in
-place: a block the triangle above the diagonal of its last keys, the band
-read the first window - 1 slots of each sequence. Capped logits take no row
-max where `kernels.shift_free` holds.
+none. Each read scales and caps its logits (`kernels.capped_logits`) and
+writes -inf into the keys it hides with one write: a block the triangle
+above the diagonal of its last keys, the band read the slots before each
+sequence, in the rows whose band starts before it. `kernels.softmax` shifts
+each row by its max unless `kernels.shift_free` holds.
 
 A `Var` is a tape node only, and a frozen leaf is a plain array. A
 primitive none of whose inputs is a Var returns its kernel's ndarray, with
 no node and no closure, so a no-grad forward holds no tape and frees each
 array once the next operation has consumed it. With `kernels.DEBUG_FINITE`
 on, every value, a node's or a plain one, and every accumulated gradient
-must be finite or a FloatingPointError is raised.
+must be finite or `kernels.check_finite` raises a FloatingPointError.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ import math
 import numpy as np
 
 from . import kernels
+from .kernels import check_finite
 
 ATTENTION_BLOCK = 32   # query positions per block of a dense attention read
 
@@ -69,7 +71,7 @@ class Var:
         self.v = np.asarray(value)
         self._parents, self._bw = parents, bw
         self.grad, self.owns_grad = None, False
-        _finite(self.v)
+        check_finite(self.v)
 
     shape = property(lambda self: self.v.shape)
     dtype = property(lambda self: self.v.dtype)
@@ -92,13 +94,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
         if n == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
     return g
-
-
-def _finite(x: np.ndarray, what: str = "value") -> np.ndarray:
-    """x, which must be finite under `kernels.DEBUG_FINITE`."""
-    if kernels.DEBUG_FINITE and not np.all(np.isfinite(x)):
-        raise FloatingPointError(f"non-finite autodiff {what} of shape {np.shape(x)}")
-    return x
 
 
 def _accum(p, g: np.ndarray, owned: bool = False, at=None) -> None:
@@ -129,7 +124,7 @@ def _accum(p, g: np.ndarray, owned: bool = False, at=None) -> None:
         if not p.owns_grad:
             p.grad, p.owns_grad = np.array(p.grad), True
         p.grad[... if at is None else at] += g
-    _finite(p.grad, "gradient")
+    check_finite(p.grad, "gradient")
 
 
 def backward(root: Var) -> None:
@@ -170,7 +165,7 @@ def backward(root: Var) -> None:
 
 def add(a, b):
     if type(a) is not Var and type(b) is not Var:
-        return _finite(a + b)
+        return check_finite(a + b)
     av, bv = _v(a), _v(b)
 
     def bw(g):
@@ -181,7 +176,7 @@ def add(a, b):
 
 def mul(a, b):
     if type(a) is not Var and type(b) is not Var:
-        return _finite(a * b)
+        return check_finite(a * b)
     av, bv = _v(a), _v(b)
 
     def bw(g):
@@ -192,7 +187,7 @@ def mul(a, b):
 
 def scale(a, c: float):
     if type(a) is not Var:
-        return _finite(a * c)
+        return check_finite(a * c)
     return Var(a.v * c, (a,), lambda g: _accum(a, g * c, owned=True))
 
 
@@ -211,7 +206,7 @@ def matmul(a, b):
 
 def gather(a, idx, axis: int = 0):
     if type(a) is not Var:
-        return _finite(np.take(a, idx, axis=axis))
+        return check_finite(np.take(a, idx, axis=axis))
     idx = np.asarray(idx)
 
     def bw(g):
@@ -229,20 +224,20 @@ def gather(a, idx, axis: int = 0):
 
 def reshape(a, shape):
     if type(a) is not Var:
-        return _finite(a.reshape(shape))
+        return check_finite(a.reshape(shape))
     return Var(a.v.reshape(shape), (a,), lambda g: _accum(a, g.reshape(a.v.shape)))
 
 
 def transpose(a, axes):
     if type(a) is not Var:
-        return _finite(a.transpose(axes))
+        return check_finite(a.transpose(axes))
     inv = np.argsort(axes)
     return Var(a.v.transpose(axes), (a,), lambda g: _accum(a, g.transpose(inv)))
 
 
 def concat(parts, axis: int = 0):
     if not any(type(p) is Var for p in parts):
-        return _finite(np.concatenate(parts, axis=axis))
+        return check_finite(np.concatenate(parts, axis=axis))
     values = [_v(p) for p in parts]
     ends = np.cumsum([p.shape[axis] for p in values])[:-1]
 
@@ -264,13 +259,13 @@ def narrow(a, axis: int, start: int, length: int):
     zeroes only the rows outside it."""
     sl = _narrow_index(axis, start, length)
     if type(a) is not Var:
-        return _finite(a[sl])
+        return check_finite(a[sl])
     return Var(a.v[sl], (a,), lambda g: _accum(a, g, at=sl))
 
 
 def sum_(a, axis=None, keepdims: bool = False):
     if type(a) is not Var:
-        return _finite(a.sum(axis=axis, keepdims=keepdims))
+        return check_finite(a.sum(axis=axis, keepdims=keepdims))
     out = a.v.sum(axis=axis, keepdims=keepdims)
 
     def bw(g):
@@ -301,7 +296,7 @@ def segment_softmax(a, starts):
     e = np.exp(av - np.repeat(m, counts, axis=-1))
     p = e / np.repeat(np.add.reduceat(e, starts, axis=-1), counts, axis=-1)
     if type(a) is not Var:
-        return _finite(p)
+        return check_finite(p)
 
     def bw(g):
         dot = np.add.reduceat(g * p, starts, axis=-1)
@@ -316,7 +311,7 @@ def segment_sum(a, starts, axis: int):
     counts = _segment_counts(starts, av.shape[axis])
     out = np.add.reduceat(av, starts, axis=axis)
     if type(a) is not Var:
-        return _finite(out)
+        return check_finite(out)
     return Var(out, (a,), lambda g: _accum(a, np.repeat(g, counts, axis=axis), owned=True))
 
 
@@ -342,7 +337,7 @@ def cross_entropy(logits, targets):
     lse = (m + np.log(se)).squeeze(-1)
     loss = np.asarray((lse - lv[np.arange(n), t]).mean())
     if type(logits) is not Var:
-        return _finite(loss)
+        return check_finite(loss)
 
     def bw(g):      # in e: e / se, less 1 at the targets, times g, over n
         np.divide(e, se, out=e)
@@ -374,7 +369,7 @@ def rms_norm(a, eps: float, gain=None):
 def softcap(a, cap: float):
     """cap * tanh(a / cap)."""
     if type(a) is not Var:
-        return _finite(kernels.softcap(a, cap))
+        return check_finite(kernels.softcap(a, cap))
     out = kernels.softcap(a.v, cap)
     return Var(out, (a,), lambda g: _accum(a, g * (1.0 - np.square(out / cap)), owned=True))
 
@@ -484,8 +479,7 @@ def attention(qk, v, positions, window: int | None, cap: float | None):
     so keys are never repeated. A windowed read goes through a sliding-window
     view of the front-padded K and V rows (`_band`), [kv, t, g, window]
     logits, at every t: fewer key slots would sum in another order, and the
-    backward reuses its probabilities; its row max, taken only where the
-    softmax needs a shift (`kernels.shift_free`), goes slot by slot.
+    backward reuses its probabilities.
     Otherwise the read is `_causal_blocks`, one product per block shape of
     the pack, with or without a gradient. On the tape each read keeps its
     probabilities (and tanh values); the backward goes read by read, in each
@@ -506,7 +500,7 @@ def attention(qk, v, positions, window: int | None, cap: float | None):
         blocks = [] if rg else None
         out = _causal_blocks(q, k, vv, positions, cap, blocks)
         if not rg:
-            return _finite(out)
+            return check_finite(out)
         qg, kx, vx = q.reshape(nkv, g, t, hs), k[:, None], vv[:, None]
 
         def bw(gr):
@@ -537,17 +531,16 @@ def attention(qk, v, positions, window: int | None, cap: float | None):
     qx = q.reshape(nkv, g, t, hs).transpose(0, 2, 1, 3)     # [kv, t, g, hs]
     z = kernels.capped_logits(qx @ kx, inv, cap)
     p = z.copy() if cap is not None and rg else z     # the cap's VJP reads z
-    # band slot j of row i holds row i - (window-1) + j
-    kernels.hide_keys(p, np.arange(window) < window - 1 - positions[:, None], 1)
-    peak = None
-    if not kernels.shift_free(p, cap):
-        peak = p[..., :1].copy()
-        for j in range(1, window):  # as `_unband`: a reduce over the short slot axis is slow
-            np.maximum(peak, p[..., j:j + 1], out=peak)
-    kernels.softmax(p, cap, peak)
+    # band slot j of row i holds row i - (window-1) + j, so in the rows r
+    # whose band starts before their sequence the first window - 1 - position
+    # slots are hidden
+    r = np.flatnonzero(positions < window - 1)
+    p[:, r] = np.where(np.arange(window) < window - 1 - positions[r, None, None],
+                       -np.inf, p[:, r])
+    kernels.softmax(p, cap)
     out = (p @ vx).swapaxes(0, 1).reshape(t, nh * hs)
     if not rg:
-        return _finite(out)
+        return check_finite(out)
 
     def bw(gr):
         gx = gr.reshape(t, nkv, g, hs).swapaxes(0, 1)

@@ -3,12 +3,12 @@ and the single-query grouped-KV attention read.
 
 These are the one implementation of each piece of math: the autodiff
 primitives, taped or not (the incremental step's layer), take their values
-from them, and the step's cache reads call `attend`. `capped_logits`,
-`hide_keys` and `softmax` (which takes no row-max shift where `shift_free`) work
-in place on the logits they are given; the rest are pure functions, and all are
+from them, and the step's cache reads call `attend`. `capped_logits` and
+`softmax` (which shifts a row by its max unless `shift_free`) work in place on
+the logits they are given; the rest are pure functions, and all are
 deterministic for a given input dtype (float32 or float64; outputs follow inputs).
 Setting the environment variable HATLM_DEBUG_FINITE=1 (or the module flag)
-makes every kernel assert that its output is finite.
+makes every kernel, and every autodiff value and gradient, pass `check_finite`.
 
 `matmul`, `swiglu_ffn`, `rms_norm`, `rotate` and `attend` are
 batch-invariant: a row's result has the same bits whatever other rows are
@@ -36,9 +36,11 @@ class InternalInvariantError(RuntimeError):
     no visible keys)."""
 
 
-def _check(x: np.ndarray) -> np.ndarray:
+def check_finite(x: np.ndarray, what: str = "value") -> np.ndarray:
+    """x, which must be finite under DEBUG_FINITE; `what` names it (a value
+    or a gradient) in the error."""
     if DEBUG_FINITE and not np.all(np.isfinite(x)):
-        raise FloatingPointError("non-finite value in kernel output")
+        raise FloatingPointError(f"non-finite {what} of shape {np.shape(x)}")
     return x
 
 
@@ -53,8 +55,8 @@ def matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     if x.ndim == 1:
         return matmul(x[None], w)[..., 0, :]
     if x.shape[-2] == 1:
-        return _check((x.repeat(2, -2) @ w)[..., :1, :])
-    return _check(x @ w)
+        return check_finite((x.repeat(2, -2) @ w)[..., :1, :])
+    return check_finite(x @ w)
 
 
 def rms(x: np.ndarray, eps: float) -> np.ndarray:
@@ -72,7 +74,7 @@ def rms_norm(x: np.ndarray, eps: float = 1e-5,
         if gain.shape != x.shape[-1:]:
             raise ShapeError(f"gain {gain.shape} does not match {x.shape}")
         y = y * gain
-    return _check(y)
+    return check_finite(y)
 
 
 def silu_denominator(x: np.ndarray) -> np.ndarray:
@@ -129,7 +131,7 @@ def rotate(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     y = np.concatenate([x[..., half:], x[..., :half]], axis=-1)
     y *= s
     y += x * c
-    return _check(y)
+    return check_finite(y)
 
 
 def softcap(logits: np.ndarray, cap: float) -> np.ndarray:
@@ -155,27 +157,14 @@ def shift_free(x: np.ndarray, cap: float | None) -> bool:
     return cap + math.log(x.shape[-1]) < math.log(f.max) and cap < -math.log(f.tiny)
 
 
-def softmax(x: np.ndarray, cap: float | None = None, peak: np.ndarray | None = None):
+def softmax(x: np.ndarray, cap: float | None = None):
     """Softmax over the last axis, in place: x becomes the probabilities.
     Logits within +-cap are exponentiated as they are where `shift_free`;
-    else x is first shifted by its row max, `peak` (last axis kept) if given."""
+    else x is first shifted by its row max. A hidden key is a -inf logit."""
     if not shift_free(x, cap):
-        x -= np.maximum.reduce(x, axis=-1, keepdims=True) if peak is None else peak
+        x -= np.maximum.reduce(x, axis=-1, keepdims=True)
     np.exp(x, out=x)
     x /= np.add.reduce(x, axis=-1, keepdims=True)
-    return x
-
-
-def hide_keys(x: np.ndarray, hidden: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Write -inf into the logits x, in place, only where `hidden` is True,
-    so `softmax` gives those keys exactly zero weight. hidden's leading axes
-    are x's query axes from `axis` on, its last axis the last hidden.shape[-1]
-    keys of x. Returns x; raises if a query row sees no key."""
-    n, at = hidden.shape[-1], np.flatnonzero(hidden)
-    if n == x.shape[-1] and np.any(np.bincount(at // n) == n):
-        raise InternalInvariantError("attention row with empty visible key set")
-    *rows, keys = np.unravel_index(at, hidden.shape)
-    x[(slice(None),) * axis + (*rows, ..., keys + (x.shape[-1] - n))] = -np.inf
     return x
 
 
@@ -187,7 +176,8 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, cap: float | None,
     n_kv_heads dividing n_heads; the leading axes (none, or a batch axis)
     are the same for all three. Query heads are grouped per KV head by
     reshaping, so the keys are never repeated. Logits are scaled by
-    1/sqrt(hs) and, when `cap` is set, softcapped and not shifted (`softmax`).
+    1/sqrt(hs) and, when `cap` is set, softcapped (`capped_logits`, as the
+    tape's reads), then go through `softmax`.
     `valid` ([..., n]) masks keys out with exactly zero weight. Returns
     [..., n_heads*hs].
 
@@ -198,13 +188,10 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, cap: float | None,
     *lead, n_heads, hs = q.shape
     n_kv = k.shape[-2]
     qg = q.reshape(*lead, n_kv, n_heads // n_kv, hs)
-    logits = qg @ k.swapaxes(-3, -2).swapaxes(-2, -1)    # [..., kv, g, n]
-    if cap is None:
-        logits /= math.sqrt(hs)     # a divide, as the uncapped read always took
-    else:
-        capped_logits(logits, 1.0 / math.sqrt(hs), cap)
-    if valid is not None:   # -inf where hidden, the bits of `hide_keys`, dense
+    logits = capped_logits(qg @ k.swapaxes(-3, -2).swapaxes(-2, -1),     # [..., kv, g, n]
+                           1.0 / math.sqrt(hs), cap)
+    if valid is not None:   # -inf where hidden
         if not valid.any(axis=-1).all():
             raise InternalInvariantError("attention row with empty visible key set")
         np.copyto(logits, -np.inf, where=~valid[..., None, None, :])
-    return _check((softmax(logits, cap) @ v.swapaxes(-3, -2)).reshape(*lead, n_heads * hs))
+    return check_finite((softmax(logits, cap) @ v.swapaxes(-3, -2)).reshape(*lead, n_heads * hs))

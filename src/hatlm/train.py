@@ -119,7 +119,8 @@ def loss(params, cfg: HatConfig, data: bytes) -> float:
 class Grads(dict):
     """`loss_and_grads`' gradients by name. `unreached` names the tensors that
     no gradient reached (a frozen group's, or one the loss does not read):
-    their gradients are zeros, and `adam_step` leaves them as they are."""
+    their gradients are zeros, `clip_global_norm` skips them, and
+    `adam_step` leaves them as they are."""
     unreached: frozenset = frozenset()
 
 
@@ -175,11 +176,12 @@ def corpus_loss(params, cfg: HatConfig, corpus: bytes, seq_len: int) -> float:
             / sum(len(d) - 1 for d in docs))
 
 
-def clip_global_norm(grads: dict, max_norm: float,
-                     names: tuple[str, ...] | None = None) -> float:
+def clip_global_norm(grads: dict, max_norm: float) -> float:
     """Scale grads in place so their joint L2 norm is at most max_norm, unless
-    it is not finite; return the norm before scaling."""
-    keys = grads.keys() if names is None else names
+    it is not finite; return the norm before scaling. A tensor in
+    `grads.unreached` (`Grads`) is neither counted nor scaled."""
+    skip = getattr(grads, "unreached", ())
+    keys = [k for k in grads if k not in skip]
     total = math.sqrt(sum(float(np.sum(np.square(g, out=g)))
                           for g in (grads[k].astype(np.float64) for k in keys)))
     if 0 < total < math.inf and total > max_norm:
@@ -209,8 +211,8 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr_of_name) -> None:
     """One decoupled-weight-decay Adam update of the dict `params`.
 
     `lr_of_name(name)` returns the effective step size (schedule x group
-    multiplier), or None to skip the tensor entirely (frozen); so is a
-    tensor in `grads.unreached` (`Grads`), which no gradient reached. The moments
+    multiplier). A tensor in `grads.unreached` (`Grads`), which no gradient
+    reached (a frozen group's among them), is skipped entirely. The moments
     in `state` are updated in place; each updated tensor is a new array
     bound into `params`, so the arrays a caller passed are never written.
     Each tensor's update is built in one buffer, with the operations (and
@@ -218,8 +220,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr_of_name) -> None:
     p' = p - lr (m' / c1 / (sqrt(v' / c2) + eps) + wd p), c_i = 1 - b_i^t."""
     skip = getattr(grads, "unreached", ())
     for name in sorted(params):
-        lr = lr_of_name(name)
-        if lr is None or name in skip:
+        if name in skip:
             continue
         g, p = grads[name], params[name]
         if name not in state.m:
@@ -243,7 +244,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr_of_name) -> None:
         upd /= tmp
         if state.weight_decay and _decayed(name):
             upd += np.multiply(state.weight_decay, p, out=tmp)
-        upd *= np.asarray(lr, dtype=p.dtype)
+        upd *= np.asarray(lr_of_name(name), dtype=p.dtype)
         params[name] = np.subtract(p, upd, out=upd)
 
 
@@ -290,19 +291,12 @@ def train_loop(cfg: HatConfig, corpus: bytes, schedule: LrSchedule,
         step_loss, grads = loss_and_grads(params, cfg, data, frozen, words[step % len(chunks)])
         if not math.isfinite(step_loss):
             raise FloatingPointError(f"loss diverged to {step_loss} at step {step}")
-        norm = clip_global_norm(grads, clip_norm,
-                                tuple(k for k in grads if group_of(k) not in frozen))
+        norm = clip_global_norm(grads, clip_norm)
         if not math.isfinite(norm):
             raise FloatingPointError(f"gradient norm diverged to {norm} at step {step}")
         base_lr = lr_at(schedule, step)
-
-        def lr_of_name(name: str, _frozen=frozen, _lr=base_lr):
-            g = group_of(name)
-            if g in _frozen:
-                return None
-            return _lr * policy.multiplier(g)
-
-        adam_step(params, grads, state, lr_of_name)
+        adam_step(params, grads, state,
+                  lambda name: base_lr * policy.multiplier(group_of(name)))
         curve.append(step_loss)
         norms.append(norm)
         if on_step is not None:

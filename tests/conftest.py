@@ -33,11 +33,10 @@ def micro_params64(micro_cfg):
 
 
 def where_softmax(logits: np.ndarray, mask: np.ndarray, cap=None) -> np.ndarray:
-    """Softmax over the last axis restricted to mask==True positions, as
-    `kernels` computed it before `hide_keys`: one `np.where` of the mask,
-    broadcast over all the logits, then the max (skipped for logits capped
-    at `cap` where `kernels.shift_free` holds), exp, sum and divide. Raises
-    if a query row has no visible key."""
+    """Softmax over the last axis restricted to mask==True positions: one
+    `np.where` of the mask, broadcast over all the logits, then the max
+    (skipped for logits capped at `cap` where `kernels.shift_free` holds),
+    exp, sum and divide. Raises if a query row has no visible key."""
     if not mask.any(axis=-1).all():
         raise kernels.InternalInvariantError("attention row with empty visible key set")
     e = np.where(mask, logits, np.array(-np.inf, dtype=logits.dtype))
@@ -71,8 +70,9 @@ def head_major_causal_attention(qk, v, positions, cap) -> ad.Var:
     """`ad.attention` with no window as it read when it returned
     [n_heads, t, hs] heads, put in rows on the graph (`head_rows`), as
     `model._self_attn` did: the blocks' output is kept head-major, and the
-    backward reads its gradient in that order. Logits are capped by
-    `kernels.capped_logits`, and the tape keeps their tanh as capped / cap."""
+    backward reads its gradient in that order. Logits are scaled and capped
+    by `kernels.capped_logits`, and the tape keeps their tanh as capped / cap;
+    each block's causal mask over all its keys goes through `where_softmax`."""
     qkv, vv = ad._v(qk), ad._v(v)
     nkv, t, hs = vv.shape
     nh = qkv.shape[0] - nkv
@@ -80,18 +80,13 @@ def head_major_causal_attention(qk, v, positions, cap) -> ad.Var:
     qg, k = qkv[:nh].reshape(nkv, g, t, hs), qkv[nh:]
     kt, kx, vx = k[:, None].swapaxes(-1, -2), k[:, None], vv[:, None]
     out, blocks, inv = np.empty_like(qg), [], 1.0 / math.sqrt(hs)
-    above = ~np.tri(ad.ATTENTION_BLOCK, dtype=bool)
     starts = np.flatnonzero(np.asarray(positions) == 0)
     for s, e in zip(starts, np.append(starts[1:], t)):
         for a in range(s, e, ad.ATTENTION_BLOCK):
             b = min(a + ad.ATTENTION_BLOCK, e)
-            z = qg[:, :, a:b] @ kt[..., s:b]
-            th = None
-            if cap is None:
-                z *= inv
-            else:
-                th = kernels.capped_logits(z, inv, cap) / cap
-            p = kernels.softmax(kernels.hide_keys(z, above[:b - a, :b - a], 2), cap)
+            z = kernels.capped_logits(qg[:, :, a:b] @ kt[..., s:b], inv, cap)
+            th = None if cap is None else z / cap
+            p = where_softmax(z, np.arange(s, b) <= np.arange(a, b)[:, None], cap)
             out[:, :, a:b] = p @ vx[:, :, s:b]
             blocks.append((a, b, s, p, th))
 
@@ -153,10 +148,9 @@ def dense_masked_attention(qk, v, positions, cap, window=None) -> ad.Var:
 
 
 def where_band_attention(qk, v, positions, window: int, cap) -> ad.Var:
-    """`ad.attention` with a window as it read before `kernels.hide_keys`:
-    the [t, 1, window] band mask broadcast over all the logits by
-    `where_softmax`, and the logits of `kernels.capped_logits` kept for the
-    softcap's VJP."""
+    """`ad.attention` with a window, its [t, 1, window] band mask broadcast
+    over all the logits by `where_softmax`, and the logits of
+    `kernels.capped_logits` kept for the softcap's VJP."""
     qkv, vv = ad._v(qk), ad._v(v)
     nkv, t, hs = vv.shape
     nh = qkv.shape[0] - nkv
@@ -171,7 +165,7 @@ def where_band_attention(qk, v, positions, window: int, cap) -> ad.Var:
     kx, vx = ad._band(qkv[nh:], window), ad._band(vv, window).swapaxes(-1, -2)
     mask = (np.arange(window) >= window - 1 - positions[:, None])[:, None, :]
     qx, inv = rows(qkv[:nh]), 1.0 / math.sqrt(hs)
-    z = (qx @ kx) * inv if cap is None else kernels.capped_logits(qx @ kx, inv, cap)
+    z = kernels.capped_logits(qx @ kx, inv, cap)
     p = where_softmax(z, mask, cap)
 
     def bw(gr):
@@ -188,10 +182,10 @@ def where_band_attention(qk, v, positions, window: int, cap) -> ad.Var:
 
 
 def where_causal_read(qk: np.ndarray, v: np.ndarray, positions, cap) -> np.ndarray:
-    """`ad.attention` with no window as `autodiff._causal_blocks` read it
-    before `kernels.hide_keys`: each block's causal mask over all its keys,
-    broadcast over the block's logits by `where_softmax`, the logits capped
-    by `kernels.capped_logits`."""
+    """`ad.attention` with no window, block by block as `autodiff._causal_blocks`
+    reads it: each block's causal mask over all its keys, broadcast over the
+    block's logits by `where_softmax`, the logits scaled and capped by
+    `kernels.capped_logits`."""
     nkv, t, hs = v.shape
     nh = qk.shape[0] - nkv
     qg = qk[:nh].reshape(nkv, nh // nkv, t, hs)
@@ -201,26 +195,21 @@ def where_causal_read(qk: np.ndarray, v: np.ndarray, positions, cap) -> np.ndarr
     for s, e in zip(starts, np.append(starts[1:], t)):
         for a in range(s, e, ad.ATTENTION_BLOCK):
             b = min(a + ad.ATTENTION_BLOCK, e)
-            z = qg[:, :, a:b] @ kt[..., s:b]
-            if cap is None:
-                z *= 1.0 / math.sqrt(hs)
-            else:
-                kernels.capped_logits(z, 1.0 / math.sqrt(hs), cap)
+            z = kernels.capped_logits(qg[:, :, a:b] @ kt[..., s:b], 1.0 / math.sqrt(hs), cap)
             p = where_softmax(z, np.arange(s, b) <= np.arange(a, b)[:, None], cap)
             out[:, :, a:b] = p @ vx[:, :, s:b]
     return out.reshape(nh, t, hs).transpose(1, 0, 2).reshape(t, nh * hs)
 
 
 def where_attend(q, k, v, cap, valid: np.ndarray) -> np.ndarray:
-    """`kernels.attend` with `valid` as it read before `kernels.hide_keys`:
-    the [..., 1, 1, n] mask broadcast over all the logits by `where_softmax`,
-    the logits capped by `kernels.capped_logits`."""
+    """`kernels.attend` with `valid`, the [..., 1, 1, n] mask broadcast over
+    all the logits by `where_softmax`, the logits scaled and capped by
+    `kernels.capped_logits`."""
     *lead, n_heads, hs = q.shape
     n_kv = k.shape[-2]
     qg = q.reshape(*lead, n_kv, n_heads // n_kv, hs)
-    logits = qg @ k.swapaxes(-3, -2).swapaxes(-2, -1)
-    logits = (logits / math.sqrt(hs) if cap is None
-              else kernels.capped_logits(logits, 1.0 / math.sqrt(hs), cap))
+    logits = kernels.capped_logits(qg @ k.swapaxes(-3, -2).swapaxes(-2, -1),
+                                   1.0 / math.sqrt(hs), cap)
     p = where_softmax(logits, valid[..., None, None, :], cap)
     return (p @ v.swapaxes(-3, -2)).reshape(*lead, n_heads * hs)
 

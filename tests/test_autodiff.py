@@ -307,9 +307,10 @@ def _qkv_m(seed, lens, n_kv, group, dtype):
 @settings(max_examples=80, deadline=None)
 def test_band_read_has_the_bits_of_the_where_mask(seed, window, lens, n_kv, group, cap, dtype):
     # the band read hides only the slots before each sequence's first row,
-    # in place, and takes its row max slot by slot: no bit moves, with or
-    # without a tape, gradients included (the softcap's VJP reads the
-    # capped logits, which the in-place mask must not touch)
+    # in the rows whose band reaches back before it, and shifts by the row
+    # max of all its slots: no bit moves, with or without a tape, gradients
+    # included (the softcap's VJP reads the capped logits, which the mask
+    # must not touch)
     positions = _pack_positions(lens)
     qk, v, m = _qkv_m(seed, lens, n_kv, group, dtype)
     plain = ad.attention(qk, v, positions, window, cap)
@@ -432,9 +433,9 @@ def test_a_cap_the_dtype_cannot_hold_takes_the_shifted_path(window, dtype):
 
 
 @pytest.mark.parametrize("rg", [False, True])
-def test_causal_blocks_hide_exactly_the_slots_of_hide_keys(monkeypatch, rg):
-    # each block writes -inf with one `np.copyto` over its last keys where
-    # `hide_keys` scatters it: the same slots, in grouped and single reads
+def test_causal_blocks_hide_exactly_the_triangle_above_their_last_keys(monkeypatch, rg):
+    # each block writes -inf with one `np.copyto` over its last keys: exactly
+    # the slots a plain causal mask hides, in grouped and single reads
     seen, softmax = [], kernels.softmax
 
     def spy(x, *args):
@@ -444,12 +445,11 @@ def test_causal_blocks_hide_exactly_the_slots_of_hide_keys(monkeypatch, rg):
     lens = (1, 31, 32, 33, 70, 33)
     qk, v, _ = _qkv_m(3, lens, 2, 2, np.float32)
     ad.attention(ad.wrap(qk, rg=rg), v, _pack_positions(lens), None, 30.0)
-    above = ~np.tri(ad.ATTENTION_BLOCK, dtype=bool)
     assert len(seen) == 7       # the block shapes of the pack, 33 in one product
     for hidden in seen:
-        n = hidden.shape[-2]
-        want = kernels.hide_keys(np.zeros(hidden.shape), above[:n, :n], hidden.ndim - 2)
-        assert np.array_equal(hidden, np.isneginf(want))
+        n, m = hidden.shape[-2:]    # a block's rows sit at its last n of m keys
+        want = np.arange(m) > np.arange(m - n, m)[:, None]
+        assert np.array_equal(hidden, np.broadcast_to(want, hidden.shape))
 
 
 @pytest.mark.parametrize("window", [None, 3])

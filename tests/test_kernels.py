@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hatlm import autodiff as ad
@@ -188,52 +188,16 @@ def test_all_true_mask_reads_as_no_mask(b, shape, n, cap, seed):
     assert np.array_equal(masked, K.attend(q, kv[:, 0], kv[:, 1], cap))
 
 
-@given(b=st.sampled_from([1, 2, 23]), shape=st.sampled_from(["ring", "backbone"]),
-       n=st.integers(1, 12), ring=st.booleans(), cap=st.sampled_from([None, 30.0]),
-       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2 ** 16))
-@settings(max_examples=80, deadline=None)
-def test_masked_attend_has_the_bits_of_the_where_mask(b, shape, n, ring, cap, dtype, seed):
-    # the step hides only the (row, slot) pairs `valid` leaves out; `ring`
-    # masks as an unfilled byte ring does (slots up to the row's position)
-    nh, n_kv = (2, 1) if shape == "ring" else (8, 4)
-    rng = np.random.default_rng(seed)
-    q = (3 * rng.standard_normal((b, nh, 8))).astype(dtype)
-    kv = rng.standard_normal((b, 2, n, n_kv, 8)).astype(dtype)
-    if ring:
-        valid = np.arange(n) <= rng.integers(0, n, b)[:, None]
-    else:
-        valid = rng.random((b, n)) < 0.5
-        valid[np.arange(b), rng.integers(0, n, b)] = True
-    got = K.attend(q, kv[:, 0], kv[:, 1], cap, valid)
-    assert got.dtype == dtype
-    assert np.array_equal(got, where_attend(q, kv[:, 0], kv[:, 1], cap, valid))
-    assert np.array_equal(K.attend(q[0], kv[0, 0], kv[0, 1], cap, valid[0]),
-                          where_attend(q[0], kv[0, 0], kv[0, 1], cap, valid[0]))
-
-
-def hide_keys_attend(q, k, v, cap, valid: np.ndarray) -> np.ndarray:
-    """`kernels.attend` with `valid` as it read before its dense mask:
-    `hide_keys` scatters -inf into the hidden (row, key) pairs only; the
-    logits are capped by `capped_logits`."""
-    *lead, n_heads, hs = q.shape
-    n_kv = k.shape[-2]
-    qg = q.reshape(*lead, n_kv, n_heads // n_kv, hs)
-    logits = qg @ k.swapaxes(-3, -2).swapaxes(-2, -1)
-    logits = (logits / math.sqrt(hs) if cap is None
-              else K.capped_logits(logits, 1.0 / math.sqrt(hs), cap))
-    p = K.softmax(K.hide_keys(logits, ~valid), cap)
-    return (p @ v.swapaxes(-3, -2)).reshape(*lead, n_heads * hs)
-
-
 @given(b=st.sampled_from([1, 2, 23, 64]), shape=st.sampled_from(["ring", "backbone"]),
        n=st.integers(1, 70), mask=st.sampled_from(["prefix", "random", "all"]),
        cap=st.sampled_from([None, 30.0]), dtype=st.sampled_from([np.float32, np.float64]),
        seed=st.integers(0, 2 ** 16))
 @settings(max_examples=80, deadline=None)
-def test_dense_mask_has_the_bits_of_hide_keys(b, shape, n, mask, cap, dtype, seed):
-    # `attend` writes -inf into every hidden slot with one `np.copyto`, where
-    # `hide_keys` scatters it into the same slots: the reads have the same
-    # bits, an all-true mask included, and a row that sees no key still raises
+def test_masked_attend_has_the_bits_of_the_where_mask(b, shape, n, mask, cap, dtype, seed):
+    # the step writes -inf with one `np.copyto` into exactly the (row, slot)
+    # pairs `valid` leaves out: the bits of the where mask, an all-true mask
+    # included; "prefix" masks as an unfilled byte ring does (slots up to the
+    # row's position), and a row that sees no key raises
     nh, n_kv = (2, 1) if shape == "ring" else (8, 4)
     rng = np.random.default_rng(seed)
     q = (3 * rng.standard_normal((b, nh, 8))).astype(dtype)
@@ -242,9 +206,10 @@ def test_dense_mask_has_the_bits_of_hide_keys(b, shape, n, mask, cap, dtype, see
              "random": rng.random((b, n)) < 0.5, "all": np.ones((b, n), dtype=bool)}[mask]
     valid[np.arange(b), rng.integers(0, n, b)] = True
     got = K.attend(q, kv[:, 0], kv[:, 1], cap, valid)
-    assert np.array_equal(got, hide_keys_attend(q, kv[:, 0], kv[:, 1], cap, valid))
+    assert got.dtype == dtype
+    assert np.array_equal(got, where_attend(q, kv[:, 0], kv[:, 1], cap, valid))
     assert np.array_equal(K.attend(q[0], kv[0, 0], kv[0, 1], cap, valid[0]),
-                          hide_keys_attend(q[0], kv[0, 0], kv[0, 1], cap, valid[0]))
+                          where_attend(q[0], kv[0, 0], kv[0, 1], cap, valid[0]))
     valid[rng.integers(0, b)] = False
     with pytest.raises(K.InternalInvariantError):
         K.attend(q, kv[:, 0], kv[:, 1], cap, valid)
@@ -282,23 +247,53 @@ def test_shift_free_holds_only_where_every_exp_is_normal_and_every_sum_finite(ca
             assert np.isfinite(np.exp(x).sum(axis=-1)).all() == free
 
 
+def attend_rounding_bound(dtype, a, pv, n):
+    """A bound on how far a capped read's output entry, in `dtype`, is off
+    its exact value. With u the unit roundoff, g(m) = m u / (1 - m u), and
+    exp and tanh within 4 ulp (8u relative, 4u absolute below 1):
+
+    * a logit is off by d = g(12) a + 8u cap, a = sum_i |q_i k_i| / sqrt(hs):
+      g(12) for the 8 products, the scale, the 1/cap and the roundings of
+      their factors (tanh passes on no more error than it meets); 8u cap for
+      tanh's own 4u, the cap's multiply and a shift by a max up to 2 cap away;
+    * a weight p_j of a row of n keys is then off by a relative
+      2 max(d) + g(n + 16): an exp in it and in the row's sum, the sum's
+      n - 1 adds, the divide; and the sum of n weighted values adds g(n).
+
+    So entry c is off by at most (2 max(d) + g(2n + 16)) sum_j p_j |v_jc|,
+    given max(d) per row as `a` (its largest a) and sum_j p_j |v_jc| as `pv`."""
+    u = np.finfo(dtype).eps / 2
+
+    def g(m):
+        return m * u / (1 - m * u)
+    return (2 * (g(12) * a + 8 * u * 30.0) + g(2 * n + 16)) * pv
+
+
+# the case drew an error of 1.02e-6 of max |want| against the float32 shifted read
 @given(b=st.sampled_from([1, 2, 23]), n=st.integers(1, 40), mask=st.booleans(),
        dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2 ** 16))
-@settings(max_examples=60, deadline=None)
+@example(b=23, n=38, mask=False, dtype=np.float32, seed=792)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_unshifted_attend_matches_the_shifted_math(b, n, mask, dtype, seed):
-    # the step's read at micro's cap, against the logits capped by
-    # `softcap` and shifted by their row max: within 1e-6 of the largest entry
+    # the step's read at micro's cap, which takes no row-max shift, against
+    # the shifted math in float64, within the rounding of both sides
     rng = np.random.default_rng(seed)
     q = (3 * rng.standard_normal((b, 8, 8))).astype(dtype)
     kv = (3 * rng.standard_normal((b, 2, n, 4, 8))).astype(dtype)
     valid = rng.random((b, n)) < 0.5 if mask else np.ones((b, n), dtype=bool)
     valid[np.arange(b), rng.integers(0, n, b)] = True
-    logits = (q.reshape(b, 4, 2, 8) @ kv[:, 0].swapaxes(-3, -2).swapaxes(-2, -1)) / math.sqrt(8)
+    qg = q.reshape(b, 4, 2, 8).astype(np.float64)
+    kt, vx = kv[:, 0].transpose(0, 2, 3, 1), kv[:, 1].swapaxes(1, 2).astype(np.float64)
+    logits = (qg @ kt) / math.sqrt(8)       # [b, kv, g, n]
     p = where_softmax(K.softcap(logits, 30.0), valid[:, None, None, :])
-    want = (p @ kv[:, 1].swapaxes(-3, -2)).reshape(b, 64)
+    want = (p @ vx).reshape(b, 64)
+    a = np.max((np.abs(qg) @ np.abs(kt)) / math.sqrt(8), axis=-1, keepdims=True,
+               where=valid[:, None, None, :], initial=0.0)
+    pv = p @ np.abs(vx)
+    bound = attend_rounding_bound(dtype, a, pv, n) + attend_rounding_bound(np.float64, a, pv, n)
     got = K.attend(q, kv[:, 0], kv[:, 1], 30.0, valid)
     assert got.dtype == dtype
-    assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+    assert np.all(np.abs(got - want) <= bound.reshape(b, 64))
 
 
 def test_gemm_rows_have_the_same_bits_from_two_rows_up(micro_cfg):
@@ -368,32 +363,16 @@ def test_attention_softmax_rows_sum_to_one():
     rng = np.random.default_rng(7)
     logits = rng.standard_normal((3, 6, 6))
     mask = np.tril(np.ones((6, 6), dtype=bool))
-    p = K.softmax(K.hide_keys(logits, ~mask, 1))
+    p = K.softmax(np.where(mask, logits, -np.inf))
     assert np.allclose(p.sum(-1), 1.0, atol=1e-6)
     assert np.array_equal(p[:, 0, 1:], np.zeros((3, 5)))
 
 
 def test_attention_empty_visible_set_raises():
-    with pytest.raises(K.InternalInvariantError):
-        K.hide_keys(np.zeros((1, 3)), np.ones((1, 3), dtype=bool))
-    # the step's form, a mask over the leading axis: one of its rows sees no key
-    with pytest.raises(K.InternalInvariantError):
-        K.hide_keys(np.zeros((2, 4, 3)), ~np.array([[True, False, False],
-                                                    [False, False, False]]))
+    # one row of the step's mask sees no key
     with pytest.raises(K.InternalInvariantError):
         K.attend(np.zeros((2, 2, 4)), np.zeros((2, 3, 1, 4)), np.zeros((2, 3, 1, 4)), None,
                  np.array([[True, False, False], [False, False, False]]))
-    # the band read's form, [t, window] over axis 1 of [kv, t, g, window]
-    band = np.arange(4) < 4 - np.array([0, 1, 2, 3, 4])[:, None]
-    with pytest.raises(K.InternalInvariantError):
-        K.hide_keys(np.zeros((1, 5, 2, 4)), band, 1)
-    # a causal block's form, a triangle over axis 2 of [kv, g, rows, keys]
-    # that hides its diagonal too: the block's first row sees no key
-    with pytest.raises(K.InternalInvariantError):
-        K.hide_keys(np.zeros((2, 2, 3, 3)), ~np.tri(3, k=-1, dtype=bool), 2)
-    # over the last keys only, a row hidden there still sees the keys before
-    x = K.hide_keys(np.zeros((2, 2, 3, 5)), ~np.tri(3, k=-1, dtype=bool), 2)
-    assert np.isneginf(x[..., 0, 2:]).all() and np.isfinite(x[..., :2]).all()
 
 
 def test_determinism_bit_identical():

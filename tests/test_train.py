@@ -300,9 +300,9 @@ def allocating_adam_step(params, grads, state, lr_of_name):
     """`train.adam_step` as it was before its in-place moments: every
     operation in a new array."""
     for name in sorted(params):
-        lr = lr_of_name(name)
-        if lr is None:
+        if name in grads.unreached:
             continue
+        lr = lr_of_name(name)
         g = grads[name]
         if name not in state.m:
             state.m[name] = np.zeros_like(params[name])
@@ -325,14 +325,14 @@ def test_adam_step_has_the_bits_of_the_allocating_update(micro_cfg, dtype):
     init = {k: v.astype(dtype) for k, v in model.init_params(micro_cfg, seed=9).items()}
     kept = {k: v.copy() for k, v in init.items()}
     rng = np.random.default_rng(4)
-    steps = [{k: rng.standard_normal(v.shape).astype(dtype) for k, v in init.items()}
-             for _ in range(3)]
+    steps = [train.Grads({k: rng.standard_normal(v.shape).astype(dtype)
+                          for k, v in init.items()}) for _ in range(3)]
+    steps[1].unreached = frozenset({"encoder.byte_embedding"})  # frozen at the second step
     runs = []
     for adam in (train.adam_step, allocating_adam_step):
         params, state = dict(init), train.AdamState()
-        for t, grads in enumerate(steps):   # the embedding frozen at the second step
-            adam(params, grads, state, lambda n, t=t: None if n == "encoder.byte_embedding"
-                 and t == 1 else 1e-3 * (t + 1))
+        for t, grads in enumerate(steps):
+            adam(params, grads, state, lambda n, t=t: 1e-3 * (t + 1))
         runs.append((params, state))
     (got, st_got), (ref, st_ref) = runs
     for k in init:
@@ -440,13 +440,17 @@ def test_one_train_step_on_any_utf8_corpus(micro_cfg, text, seq_len):
 @pytest.mark.parametrize("f64", [False, True])
 def test_clip_scales_the_gradients_in_place(micro_cfg, micro_params, micro_params64, f64):
     # the bits of the copying clip, grads[k] * scale, in the same arrays; a
-    # tensor outside `names` is neither counted nor scaled
+    # tensor in `unreached` (the frozen backbone's, given ones here so that
+    # counting or scaling them would show) is neither counted nor scaled
     params = micro_params64 if f64 else micro_params
-    _, grads = train.loss_and_grads(params, micro_cfg, CORPUS[:64])
-    names = tuple(k for k in grads if model.group_of(k) != "backbone")
+    _, grads = train.loss_and_grads(params, micro_cfg, CORPUS[:64], ("backbone",))
+    assert {k for k in grads if model.group_of(k) == "backbone"} <= grads.unreached
+    for k in grads.unreached:
+        grads[k][...] = 1.0
+    names = tuple(k for k in grads if k not in grads.unreached)
     arrays, before = dict(grads), {k: g.copy() for k, g in grads.items()}
     total = math.sqrt(sum(float(np.sum(before[k].astype(np.float64) ** 2)) for k in names))
-    assert train.clip_global_norm(grads, 1e-3, names) == total > 1e-3
+    assert train.clip_global_norm(grads, 1e-3) == total > 1e-3
     for k, g in grads.items():
         assert g is arrays[k]
         assert g.tobytes() == (before[k] * (1e-3 / total) if k in names else before[k]).tobytes()
