@@ -7,7 +7,9 @@ bits, so "no bit changed" is a `diff` of two outputs:
     PYTHONPATH=path/to/checkout/src python scripts/bit_digest.py > a.txt
 
 The script takes no options and imports `hatlm` from PYTHONPATH, so one
-copy digests any checkout; the texts come from this copy's `data/`. Each
+copy digests any checkout; the texts come from this copy's `data/`. It
+first prints `# field value` lines naming the environment the float
+digests hold for (`fingerprint`), then the digests. Each
 run uses params seed 1234, in float32 and in float64, and the micro config,
 then again under `nocap.` names micro with `softcap=None` (whose attention
 reads shift every softmax row by its max, where capped ones need not):
@@ -30,6 +32,7 @@ to the splitter shows in its own lines and not only through the caches.
 
 import dataclasses
 import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -70,8 +73,8 @@ def _caches(prefix: str, sessions: list) -> list[tuple[str, str]]:
     return [
         (f"{prefix}.enc_ring", _sha(*(s.enc_ring for s in sessions))),
         (f"{prefix}.dec_ring", _sha(*(s.dec_ring for s in sessions))),
-        (f"{prefix}.word_cache", _sha(*(s.word_cache.kv[:, :, :s.word_cache.rows]
-                                        for s in sessions))),
+        (f"{prefix}.words", _sha(*(s.word_cache.kv[:, :, :s.word_cache.rows]
+                                   for s in sessions))),
         (f"{prefix}.inject", _sha(*(s.inject for s in sessions))),
         (f"{prefix}.cur_logits", _sha(*(s.cur_logits for s in sessions))),
     ]
@@ -129,7 +132,28 @@ def digests() -> list[tuple[str, str]]:
     return out
 
 
+def fingerprint() -> list[tuple[str, str]]:
+    """The (field, value) pairs of the environment whose float digests are
+    comparable: numpy's version, its BLAS build, the SIMD features numpy
+    reports for this CPU (OpenBLAS picks its kernels by CPU) and the number
+    of threads OpenBLAS starts with (a product split over more threads can
+    sum in another order: at 1 and 2 threads the `*.loss_and_grads` lines of
+    the English text differ). The integer `splitter.*` digests hold anywhere."""
+    core = getattr(np, "_core", None) or np.core
+    features = core._multiarray_umath.__cpu_features__
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    threads = (os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+               or str(len(os.sched_getaffinity(0))))
+    return [("numpy", np.__version__),
+            ("blas", " ".join(str(blas.get(k)) for k in
+                              ("name", "version", "openblas configuration"))),
+            ("simd", " ".join(k for k, on in features.items() if on)),
+            ("blas_threads", threads)]
+
+
 def main() -> None:
+    for field, value in fingerprint():
+        print("#", field, value)
     for name, digest in digests():
         print(name, digest)
 
