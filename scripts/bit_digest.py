@@ -73,8 +73,7 @@ def _caches(prefix: str, sessions: list) -> list[tuple[str, str]]:
     return [
         (f"{prefix}.enc_ring", _sha(*(s.enc_ring for s in sessions))),
         (f"{prefix}.dec_ring", _sha(*(s.dec_ring for s in sessions))),
-        (f"{prefix}.words", _sha(*(s.word_cache.kv[:, :, :s.word_cache.rows]
-                                   for s in sessions))),
+        (f"{prefix}.words", _sha(*(s.words[:, :, :s.word_rows] for s in sessions))),
         (f"{prefix}.inject", _sha(*(s.inject for s in sessions))),
         (f"{prefix}.cur_logits", _sha(*(s.cur_logits for s in sessions))),
     ]

@@ -33,8 +33,9 @@ input is padded (:func:`hatlm.kernels.matmul`: BLAS runs one row as a gemv,
 which sums in another order). `attend` reduces along the key axis only, and
 a padded read sums in another order, so a session reads its word cache in
 whole blocks of WORD_BLOCK rows, masked past its last: one call per block
-count. Byte rings (read masked until full) and word caches are rows of arrays
-a `BatchRunner` owns. Words pool through the batch pass's
+count. A session's caches are row `row` of its `rows` (`_Rows`; byte rings
+read masked until full): a one-row store until a `BatchRunner` adopts it into
+the store its batch shares. Words pool through the batch pass's
 `model.pool_words_var`, whose softmax and sum run within each span.
 
 A session's prompt and output are one byte stream through one splitter,
@@ -49,7 +50,6 @@ from __future__ import annotations
 import copy
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -100,8 +100,8 @@ def sample_from_logits(logits: np.ndarray, allowed: np.ndarray,
 # ---------------------------------------------------------------------------
 # caches
 
-def _ring(stack: StackConfig, dtype) -> np.ndarray:
-    """K/V ring of a sliding-window stack: [n_layers, 2, window, n_kv, hs].
+def _ring(stack: StackConfig) -> tuple[int, ...]:
+    """The K/V ring shape of a sliding-window stack: [n_layers, 2, window, n_kv, hs].
 
     `ring[i, 0, p % window]` holds layer i's rotated key of byte position p
     and `ring[i, 1, p % window]` its value. Slots not yet written are masked
@@ -109,33 +109,41 @@ def _ring(stack: StackConfig, dtype) -> np.ndarray:
     never reordered."""
     if stack.window is None:
         raise ValueError("byte cache requires a sliding-window stack")
-    return np.zeros((stack.n_layers, 2, stack.window, stack.n_kv_heads,
-                     stack.head_size), dtype)
+    return stack.n_layers, 2, stack.window, stack.n_kv_heads, stack.head_size
 
 
 WORD_BLOCK = 16     # word-cache rows: a cache's first size and a backbone read's unit
 
 
-def _grown(kv: np.ndarray, rows: int) -> np.ndarray:
-    """kv, or a copy zero-padded on its row axis (-3) to hold `rows` and at
-    least half as many again, in whole WORD_BLOCKs."""
-    n = kv.shape[-3]
-    if n >= rows:
-        return kv
-    pad = -(-max(rows, n * 3 // 2) // WORD_BLOCK) * WORD_BLOCK - n
-    return np.pad(kv, [(0, 0)] * (kv.ndim - 3) + [(0, pad), (0, 0), (0, 0)])
+@dataclass
+class _Rows:
+    """The caches of N sessions, one row each: byte rings,
+    [N, n_layers, 2, window, n_kv, hs] per stack (`_ring`), decoder
+    injections, [N, n_dec_layers, h_dec], and word caches,
+    [N, n_bb_layers, 2, C, n_kv, hs]. A word cache `words[j, i, 0, :n]` holds
+    layer i's rotated keys of its n word positions and `words[j, i, 1, :n]`
+    their values, zeros after them; C, a multiple of WORD_BLOCK, is grown
+    for every row at once."""
+    enc: np.ndarray
+    dec: np.ndarray
+    inject: np.ndarray
+    words: np.ndarray
 
+    @classmethod
+    def zeros(cls, cfg: HatConfig, dtype, n: int, c: int) -> _Rows:
+        """n rows of zeros, with word caches of c positions."""
+        d, bb = cfg.decoder, cfg.backbone
+        return cls(np.zeros((n, *_ring(cfg.encoder)), dtype), np.zeros((n, *_ring(d)), dtype),
+                   np.zeros((n, d.n_layers, d.hidden), dtype),
+                   np.zeros((n, bb.n_layers, 2, c, bb.n_kv_heads, bb.head_size), dtype))
 
-class WordCache:
-    """Backbone K/V rows, one per consumed word position.
-
-    `kv[i, 0, :rows]` holds layer i's rotated keys and `kv[i, 1, :rows]` its
-    values, zeros after them; `_grown` grows the row axis when it fills."""
-
-    def __init__(self, stack: StackConfig, dtype):
-        self.kv = np.zeros((stack.n_layers, 2, WORD_BLOCK, stack.n_kv_heads,
-                            stack.head_size), dtype)
-        self.rows = 0
+    def grow(self, rows: int) -> None:
+        """Unless every word cache holds `rows` positions, zero-pad them all to
+        hold `rows` and at least half as many again, in whole WORD_BLOCKs."""
+        c = self.words.shape[3]
+        if c < rows:
+            pad = -(-max(rows, c * 3 // 2) // WORD_BLOCK) * WORD_BLOCK - c
+            self.words = np.pad(self.words, [(0, 0)] * 3 + [(0, pad), (0, 0), (0, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +154,10 @@ def _byte_stack(P, name: str, cfg: HatConfig, kv: np.ndarray, rows: slice | np.n
                 inject: np.ndarray | None = None) -> np.ndarray:
     """One byte per row through the encoder or the decoder.
 
-    Row j sits at byte position pos[j] of ring kv[rows][j], a runner's row or
-    a lone session's ring (`_Rows`). Each layer writes its new K/V slots
-    straight into `kv` and reads the window from `kv[rows, i]` (a view if
-    `rows` is a slice, else one gather of that layer), masked until every
-    ring read is full. `inject` ([B, n_layers, hidden]) is added before each
+    Row j sits at byte position pos[j] of ring kv[rows][j] (`_Rows.enc` or
+    `.dec`). Each layer writes its new K/V slots straight into `kv` and reads
+    the window from `kv[rows, i]` (a view if `rows` is a slice, else one
+    gather of that layer), masked until every ring read is full. `inject` ([B, n_layers, hidden]) is added before each
     decoder layer."""
     s = getattr(cfg, name)
     r, slot = np.arange(len(kv))[rows], pos % s.window
@@ -186,7 +193,7 @@ def _word_stack(sessions: list[GenSession], batch: _Rows, rows: list[int],
     per block count (a view of a run of rows, else a gather), never padded further."""
     P, cfg = sessions[0].params, sessions[0].cfg
     bb, words = cfg.backbone, batch.words
-    n = [s.word_cache.rows for s in sessions]
+    n = [s.word_rows for s in sessions]
     r, slot = np.array(rows), np.array(n)
     reads = []
     for g in _groups([k // WORD_BLOCK for k in n]):
@@ -206,7 +213,7 @@ def _word_stack(sessions: list[GenSession], batch: _Rows, rows: list[int],
             o[g] = attend(qk[g, :bb.n_heads], kv[:, 0], kv[:, 1], cfg.softcap, valid)
         x = model.layer_out(P, prefix, cfg, x, o)
     for s in sessions:
-        s.word_cache.rows += 1
+        s.word_rows += 1
         s.backbone_calls += 1
     return x
 
@@ -222,8 +229,13 @@ def _check_budget(max_new_bytes: int) -> int:
 
 @dataclass
 class GenSession:
-    """One generation stream. A `BatchRunner` that adopts it makes its byte
-    rings and `inject` (None until prefill) views of rows of its arrays."""
+    """One generation stream. Its caches are row `row` of `rows`: a one-row
+    `_Rows` from birth, or the store that a `BatchRunner` which adopted it
+    shares among its sessions. `enc_ring`, `dec_ring`, `inject` (zeros until
+    prefill; `cur_logits is None` marks a session not yet prefilled) and
+    `words`, whose first `word_rows` positions are written, are views of that
+    row. So deep-copying one session copies all of its batch's arrays;
+    deep-copying a whole runner gives its sessions one copy through the memo."""
     params: dict
     cfg: HatConfig
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
@@ -237,10 +249,9 @@ class GenSession:
         _check_budget(self.max_new_bytes)
         self.rng = np.random.default_rng(self.sampling.seed)
         self._forced = deque(self.sampling.forced)
-        dtype = P["encoder.byte_embedding"].dtype
-        self.enc_ring = _ring(cfg.encoder, dtype)
-        self.dec_ring = _ring(cfg.decoder, dtype)
-        self.word_cache = WordCache(cfg.backbone, dtype)
+        self.rows = _Rows.zeros(cfg, P["encoder.byte_embedding"].dtype, 1, WORD_BLOCK)
+        self.row = 0
+        self.word_rows = 0
         self.splitter = IncrementalSplitterState(max_word_bytes=cfg.max_word_bytes)
         self.prompt = b""
         self.generated = bytearray()
@@ -256,8 +267,12 @@ class GenSession:
         self.prefill_words = 0
         self.gen_closes = 0
         self.status = "prefilling"
-        self.inject: np.ndarray | None = None       # [decoder layers, hidden]
         self.cur_logits: np.ndarray | None = None
+
+    enc_ring = property(lambda self: self.rows.enc[self.row])
+    dec_ring = property(lambda self: self.rows.dec[self.row])
+    inject = property(lambda self: self.rows.inject[self.row])   # [decoder layers, hidden]
+    words = property(lambda self: self.rows.words[self.row])     # [bb layers, 2, C, n_kv, hs]
 
     def _take_span(self, ev: WordClosed) -> list[np.ndarray]:
         """Remove and return the buffered encoder states of a closed word,
@@ -315,7 +330,7 @@ def _check_room(s: GenSession, closes: int, index: int | None = None) -> None:
     limit = model.byte_limit(cfg)
     if s.next_pos >= limit:
         raise SessionError(f"byte positions exhausted ({limit})", index)
-    if s.word_cache.rows + closes > cfg.backbone.max_positions:
+    if s.word_rows + closes > cfg.backbone.max_positions:
         raise SessionError(
             f"backbone positions exhausted ({cfg.backbone.max_positions})", index)
 
@@ -328,7 +343,7 @@ def _check_byte_step(s: GenSession, index: int | None) -> None:
     the pick pushed into a copy of the splitter to count them."""
     _check_room(s, 1, index)
     s.check_sample(index)
-    if s.word_cache.rows + len(s.splitter.buf) > s.cfg.backbone.max_positions:
+    if s.word_rows + len(s.splitter.buf) > s.cfg.backbone.max_positions:
         b = s.peek(copy.deepcopy(s.rng))
         if b != BYTE_EOS:
             _check_room(s, len(copy.deepcopy(s.splitter).push_byte(b)), index)
@@ -336,20 +351,6 @@ def _check_byte_step(s: GenSession, index: int | None) -> None:
 
 # ---------------------------------------------------------------------------
 # batched steps: every public step below is one of these at batch size one
-
-class _Rows(NamedTuple):
-    """A batch's rings, [N, n_layers, 2, window, n_kv, hs] per stack,
-    injections, [N, n_dec_layers, h_dec], and word caches,
-    [N, n_bb_layers, 2, C, n_kv, hs]: sessions[j] owns row rows[j]."""
-    enc: np.ndarray
-    dec: np.ndarray
-    inject: np.ndarray
-    words: np.ndarray
-
-
-def _lone(s: GenSession) -> _Rows:      # views: in place
-    return _Rows(s.enc_ring[None], s.dec_ring[None], s.inject[None], s.word_cache.kv[None])
-
 
 def _finish(s: GenSession) -> None:
     """Finish `s`, copying its rows of step arrays, so that it keeps none alive."""
@@ -370,7 +371,7 @@ def _encode_decode(sessions: list[GenSession], byte_vals: list[int], batch: _Row
     y = _byte_stack(P, "decoder", cfg, batch.dec, sel, x, pos, batch.inject[sel])
     for s, state, row in zip(sessions, x, model.head(P, cfg, y)):
         s.pending_states.append(state)
-        s.inc_index.append(s.word_cache.rows - 1)
+        s.inc_index.append(s.word_rows - 1)
         s.cur_logits = row
         s.next_pos += 1
         s.status = "mid_word"
@@ -481,20 +482,23 @@ def _prefill(sessions: list[GenSession], prompts: list[bytes],
 
 
 def _fill(sessions: list[GenSession], prompts: list[bytes], streams: list[tuple]) -> None:
-    """Fill checked sessions from one `model.prompt_pass` over their prompts."""
+    """Fill checked sessions' rows from one `model.prompt_pass` over their
+    prompts, growing the word caches once for the pack."""
     P, cfg = sessions[0].params, sessions[0].cfg
     spans = [[(ev.start, ev.end) for ev in closes] for _, closes, _ in streams]
     passes = model.prompt_pass(P, cfg, [(p, sp, index, not p) for p, sp, (_, _, index)
                                         in zip(prompts, spans, streams)])
+    need = max(map(len, spans)) + 1
+    for s in sessions:          # a no-op after the first of sessions that share rows
+        s.rows.grow(need)
     for s, p, sp, (splitter, _, index), fw in zip(sessions, prompts, spans, streams, passes):
         n, m, rows = len(p), len(fw.byte_states), len(sp) + 1
         for ring, kv, w in ((s.enc_ring, fw.encoder_kv, cfg.encoder.window),
                             (s.dec_ring, fw.decoder_kv, cfg.decoder.window)):
             ring[:, :, np.arange(max(0, m - w), m) % w] = kv
-        s.word_cache.kv = _grown(s.word_cache.kv, rows)
-        s.word_cache.kv[:, :, :rows] = fw.backbone_kv
-        s.word_cache.rows = rows
-        s.inject = fw.inject.copy()
+        s.words[:, :, :rows] = fw.backbone_kv
+        s.word_rows = rows
+        s.inject[:] = fw.inject
         s.pending_base = sp[-1][1] if sp else 0
         s.pending_states = list(fw.byte_states[s.pending_base:n].copy())
         s.consumed_spans = sp
@@ -531,7 +535,7 @@ def byte_phase(session: GenSession) -> StepOutcome:
     if session.status == "at_boundary":
         raise SessionError("session is blocked on a backbone step")
     _check_byte_step(session, None)
-    (b,), (closes,) = _byte_steps([session], _lone(session), [0])
+    (b,), (closes,) = _byte_steps([session], session.rows, [session.row])
     return StepOutcome(byte=b, closes=tuple(closes), finished=session.finished)
 
 
@@ -543,9 +547,8 @@ def word_phase(session: GenSession) -> None:
     if session.status != "at_boundary":
         raise SessionError("no pending word boundary")
     _check_room(session, len(session.pending_closes))
-    words = session.word_cache
-    words.kv = _grown(words.kv, words.rows + len(session.pending_closes))
-    _word_steps([session], _lone(session), [0])
+    session.rows.grow(session.word_rows + len(session.pending_closes))
+    _word_steps([session], session.rows, [session.row])
 
 
 def step_byte(session: GenSession) -> StepOutcome:
@@ -586,7 +589,7 @@ def cache_report(session: GenSession) -> CacheReport:
     cfg = session.cfg
     itemsize = session.params["encoder.byte_embedding"].dtype.itemsize
     byte_rows = min(session.next_pos, cfg.encoder.window)
-    word_rows = session.word_cache.rows
+    word_rows = session.word_rows
 
     def kv_bytes(stack: StackConfig, rows: int) -> int:
         return stack.n_layers * rows * 2 * stack.n_kv_heads * stack.head_size * itemsize
@@ -652,11 +655,12 @@ class BatchRunner:
     batched byte step for its `byte_steps` sessions (see `run_tick`). All
     sessions must share one model: the same `params` and `cfg` objects.
 
-    The runner owns its sessions' byte rings, injections and word caches
-    (`_Rows`): session i's are views of row i. At the top of a tick it adopts
-    them (copies their arrays into a fresh `_Rows`, so a session that left
-    keeps its row, and points each at its row) if `sessions` changed or a
-    session's arrays are not its rows (a deep copy, a prefill, another's).
+    The runner owns its sessions' caches: session i's `rows` is the runner's
+    `_Rows` and its `row` is i. It adopts them (copies each session's row
+    into a fresh `_Rows` and points the session at its row there, so a
+    session that left keeps its old row) when it is built, and again at the
+    top of a tick if `sessions` changed (a deep copy, a session added,
+    removed or reordered).
 
     Trace format: one line per tick, `tick<TAB>s<i>=<action>[:<hex>]` per
     session, where the action is P (prefill), B (byte step, with the
@@ -669,36 +673,20 @@ class BatchRunner:
         self.trace: list[str] = []
         self._adopt()
 
-    def _adopted(self) -> bool:                # a plain loop: this runs every tick
-        enc, dec, inject, words = self._rows or (None,) * 4
-        for s, t in zip(self.sessions, self._members):
-            if s is not t or s.enc_ring.base is not enc or s.dec_ring.base is not dec or (
-                    s.word_cache.kv.base is not words) or (
-                    s.inject is not None and s.inject.base is not inject):
-                return False
-        return len(self.sessions) == len(self._members)
+    def _adopted(self) -> bool:
+        return all(s.rows is self._rows and s.row == i for i, s in enumerate(self.sessions))
 
     def _adopt(self) -> None:
         ss = self.sessions
         if any(s.params is not ss[0].params or s.cfg is not ss[0].cfg for s in ss):
             raise ValueError("a batch runs one model: every session needs the "
                              "same params and cfg objects")
-        self._members, self._rows = list(ss), None
-        if all(s.status == "prefilling" for s in ss):   # adopted at the first tick after
-            self._members = []                          # prefill, which fills their arrays
-            return
-        d, like, kv = ss[0].cfg.decoder, ss[0].enc_ring, ss[0].word_cache.kv
-        c = max(s.word_cache.kv.shape[2] for s in ss)       # a multiple of WORD_BLOCK
-        self._rows = _Rows(*(np.zeros((len(ss), *shape), like.dtype) for shape in
-                             (like.shape, ss[0].dec_ring.shape, (d.n_layers, d.hidden),
-                              (*kv.shape[:2], c, *kv.shape[3:]))))
+        self._rows = rows = _Rows.zeros(ss[0].cfg, ss[0].enc_ring.dtype, len(ss), max(
+            s.words.shape[2] for s in ss)) if ss else None
         for i, s in enumerate(ss):
-            for name, batch in zip(("enc_ring", "dec_ring", "inject"), self._rows):
-                if getattr(s, name) is not None:        # an inject before prefill stays None
-                    batch[i] = getattr(s, name)
-                    setattr(s, name, batch[i])
-            self._rows.words[i, :, :, :s.word_cache.kv.shape[2]] = s.word_cache.kv
-            s.word_cache.kv = self._rows.words[i]
+            rows.enc[i], rows.dec[i], rows.inject[i] = s.enc_ring, s.dec_ring, s.inject
+            rows.words[i, :, :, :s.words.shape[2]] = s.words
+            s.rows, s.row = rows, i
 
     def prefill_all(self, prompts: list[bytes]) -> None:
         """Prefill session i with prompts[i] from one forward (see `prefill`);
@@ -731,17 +719,12 @@ class BatchRunner:
             limit, room = model.byte_limit(cfg), cfg.backbone.max_positions
             for i, s in zip(plan.byte_steps, steps):
                 f = s._forced
-                if (s.next_pos >= limit or s.word_cache.rows + len(s.splitter.buf) >= room
+                if (s.next_pos >= limit or s.word_rows + len(s.splitter.buf) >= room
                         or s.cur_logits is None or f and not s.splitter.gate.admits(f[0])):
                     _check_byte_step(s, i)
         actions = [f"s{i}=W" for i in plan.word_steps]
-        if words:   # a word step that fills the word caches grows every row at once
-            need = max(s.word_cache.rows + len(s.pending_closes) for s in words)
-            grown = _grown(self._rows.words, need)
-            if grown is not self._rows.words:
-                self._rows = self._rows._replace(words=grown)
-                for s, kv in zip(self.sessions, grown):
-                    s.word_cache.kv = kv
+        if words:
+            self._rows.grow(max(s.word_rows + len(s.pending_closes) for s in words))
             _word_steps(words, self._rows, plan.word_steps)
         if steps:
             picks, _ = _byte_steps(steps, self._rows, plan.byte_steps)

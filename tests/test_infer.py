@@ -35,11 +35,11 @@ def loop_prefill(session, prompt):
     An empty prompt encodes and decodes the 0xFE sentinel, which is not
     text: it leaves no pending state and no `inc_index` entry."""
     P, cfg = session.params, session.cfg
-    bos = infer._word_stack([session], infer._Rows(None, None, None, session.word_cache.kv[None]),
-                            [0], P["backbone.bos"][None])
-    session.inject = np.stack([c[0] for c in model.word_context(P, cfg, bos)])
+    rows, row = session.rows, [session.row]
+    bos = infer._word_stack([session], rows, row, P["backbone.bos"][None])
+    session.inject[:] = np.stack([c[0] for c in model.word_context(P, cfg, bos)])
     if not prompt:
-        infer._encode_decode([session], [BYTE_BOS], infer._lone(session), [0])
+        infer._encode_decode([session], [BYTE_BOS], rows, row)
         session.pending_states, session.inc_index = [], []
         session.sentinel_used = True
     session.prompt = bytes(prompt)
@@ -49,10 +49,9 @@ def loop_prefill(session, prompt):
             infer._check_room(session, len(events))
             session.pending_closes = events
             session.prefill_words += len(events)
-            words = session.word_cache
-            words.kv = infer._grown(words.kv, words.rows + len(events))
-            infer._consume_closes([session], infer._lone(session), [0])
-        infer._encode_decode([session], [b], infer._lone(session), [0])
+            rows.grow(session.word_rows + len(events))
+            infer._consume_closes([session], rows, row)
+        infer._encode_decode([session], [b], rows, row)
     if session.splitter.gate.need:
         raise SessionError("prompt ends inside a multi-byte codepoint")
     session.status = "mid_word"
@@ -104,14 +103,16 @@ def test_prefill_twice_identical_state(micro_cfg, micro_params):
 
 def test_new_session_only_allocates(micro_cfg, micro_params):
     s = make_session(micro_params, micro_cfg)
-    assert (s.backbone_calls, s.word_cache.rows, s.next_pos) == (0, 0, 0)
-    assert s.inject is None and s.cur_logits is None
+    assert (s.backbone_calls, s.word_rows, s.next_pos) == (0, 0, 0)
+    assert s.cur_logits is None
+    assert s.rows.enc.shape[0] == 1 and s.row == 0
+    assert not any(a.any() for a in (s.enc_ring, s.dec_ring, s.inject, s.words))
 
 
 def test_prefill_empty_prompt_uses_sentinel(micro_cfg, micro_params):
     s = prefill(make_session(micro_params, micro_cfg), b"")
     assert s.sentinel_used
-    assert s.word_cache.rows == 1           # BOS only
+    assert s.word_rows == 1                 # BOS only
     assert s.backbone_calls == 1
     assert s.cur_logits.shape == (256,)
 
@@ -154,11 +155,11 @@ def test_prefill_matches_byte_loop(micro_cfg, micro_params, prompt, script, cap)
         return GenSession(micro_params, cfg, SamplingConfig("forced", forced=script.encode()),
                           max_new_bytes=len(script.encode()))
     ref, got = loop_prefill(make(), prompt.encode()), prefill(make(), prompt.encode())
-    rows = ref.word_cache.rows
-    assert got.word_cache.rows == rows
+    rows = ref.word_rows
+    assert got.word_rows == rows
     for a, b in ((ref.cur_logits, got.cur_logits), (ref.enc_ring, got.enc_ring),
                  (ref.dec_ring, got.dec_ring), (ref.inject, got.inject),
-                 (ref.word_cache.kv[:, :, :rows], got.word_cache.kv[:, :, :rows]),
+                 (ref.words[:, :, :rows], got.words[:, :, :rows]),
                  (np.array(ref.pending_states), np.array(got.pending_states))):
         assert_close(a, b)
     assert got.splitter == ref.splitter
@@ -267,10 +268,10 @@ def test_utf8_gate_admits_matches_allowed(prefix):
 def test_forced_generation_advances_backbone_at_word_closes(micro_cfg, micro_params):
     s = make_session(micro_params, micro_cfg, "forced", budget=16, forced=b"FooBar end")
     prefill(s, b"Say: ")        # "Say:" closes; " " stays open
-    rows = [s.word_cache.rows]
+    rows = [s.word_rows]
     for _ in range(10):
         step_byte(s)
-        rows.append(s.word_cache.rows)
+        rows.append(s.word_rows)
     # prompt: BOS + "Say:" consumed = 2 rows. " Foo" closes at 'B' (camel split),
     # " FooB..." no wait: pushing F,o,o -> no closes; B closes " Foo"; a,r no;
     # ' ' closes "Bar"; e,n,d no.
@@ -279,12 +280,12 @@ def test_forced_generation_advances_backbone_at_word_closes(micro_cfg, micro_par
     assert deltas == [0, 0, 0, 1, 0, 0, 1, 0, 0, 0]
 
 
-def test_mid_word_steps_keep_word_cache(micro_cfg, micro_params):
+def test_mid_word_steps_keep_word_rows(micro_cfg, micro_params):
     s = make_session(micro_params, micro_cfg, "forced", budget=8, forced=b"abc")
     prefill(s, b"x")
-    before = s.word_cache.rows
+    before = s.word_rows
     step_byte(s)  # 'a' extends the open word "x"
-    assert s.word_cache.rows == before
+    assert s.word_rows == before
 
 
 def test_eos_finishes_without_commit(micro_cfg, micro_params):
@@ -400,9 +401,9 @@ def assert_caches_match_prompt_pass(s: GenSession):
         slots = np.arange(max(0, m - w), m) % w
         for i in range(len(kv)):
             assert_close(ring[i][:, slots], kv[i])
-    rows = s.word_cache.rows
+    rows = s.word_rows
     for i in range(len(fw.backbone_kv)):
-        assert_close(s.word_cache.kv[i, :, :rows], fw.backbone_kv[i])
+        assert_close(s.words[i, :, :rows], fw.backbone_kv[i])
 
 
 POSITION_SCRIPTS = [("Hello there, ", "general kenobi, you are a bold one."),
@@ -518,7 +519,7 @@ def test_backbone_call_accounting(micro_cfg, micro_params):
     s = make_session(micro_params, micro_cfg, budget=25)
     infer.generate(s, b"count the calls ")
     assert s.backbone_calls == 1 + s.prefill_words + s.gen_closes
-    assert s.word_cache.rows == s.backbone_calls
+    assert s.word_rows == s.backbone_calls
 
 
 def test_word_position_limit_raises(micro_cfg, micro_params):
@@ -535,22 +536,22 @@ def test_word_position_limit_raises(micro_cfg, micro_params):
 # ---------------------------------------------------------------------------
 # blocked word-step reads
 
-def lone_word_stack(P, cfg, cache, x):
-    """The backbone step of one session alone, as a loop over its own
-    `WordCache`: per layer, put the new row n and read the cache's first
+def lone_word_stack(P, cfg, s, x):
+    """The backbone step of one lone session, as a loop over its own word
+    cache `s.words`: per layer, put the new row n and read the cache's first
     (n // WORD_BLOCK + 1) * WORD_BLOCK slots, masked past n, with no batch axis."""
-    bb, n = cfg.backbone, cache.rows
+    bb, n = cfg.backbone, s.word_rows
     m = (n // infer.WORD_BLOCK + 1) * infer.WORD_BLOCK
-    cache.kv = infer._grown(cache.kv, n + 1)
-    rot = model.rope_rows(bb, [[n]], x.dtype)
+    s.rows.grow(n + 1)
+    kv, rot = s.words, model.rope_rows(bb, [[n]], x.dtype)
     for i in range(bb.n_layers):
         prefix = f"backbone.layers.{i}"
         qk, v = model.layer_qkv(P, prefix, bb, cfg, x[None], rot)
-        cache.kv[i, 0, n], cache.kv[i, 1, n] = qk[0, bb.n_heads:], v[0]
-        o = infer.attend(qk[0, :bb.n_heads], cache.kv[i, 0, :m], cache.kv[i, 1, :m],
+        kv[i, 0, n], kv[i, 1, n] = qk[0, bb.n_heads:], v[0]
+        o = infer.attend(qk[0, :bb.n_heads], kv[i, 0, :m], kv[i, 1, :m],
                          cfg.softcap, np.arange(m) <= n)
         x = model.layer_out(P, prefix, cfg, x[None], o[None])[0]
-    cache.rows += 1
+    s.word_rows += 1
     return x
 
 
@@ -576,41 +577,40 @@ EDGES = st.sampled_from([15, 16, 17, 31, 32, 33])
 @settings(max_examples=60, deadline=None)
 def test_blocked_word_reads_match_each_cache_read_alone(micro_cfg, micro_params, micro_params64,
                                                         rows, pick, f64, cap, seed):
-    # a word step over rows of a runner's word-cache array, grouped by block
-    # count (a view of a run of rows, else a gather), against each session's
-    # step alone over its own cache: the same bits, and the same cache rows
+    # a word step over rows of a runner's word caches, grouped by block
+    # count (a view of a run of rows, else a gather), against each lone
+    # session's step over its own cache: the same bits, and the same cache rows
     P, cfg = micro_params64 if f64 else micro_params, replace(micro_cfg, softcap=cap)
     bb, rng, dtype = cfg.backbone, np.random.default_rng(seed), P["backbone.bos"].dtype
-    caches = []
+    lone = []
     for r in rows:
-        c = infer.WordCache(bb, dtype)
-        c.kv = infer._grown(c.kv, r)
-        c.kv[:, :, :r] = rng.standard_normal((bb.n_layers, 2, r, bb.n_kv_heads, bb.head_size))
-        c.rows = r
-        caches.append(c)
-    # the runner's rows hold every session's next row, as `run_tick` grows them
-    words = infer._grown(np.zeros((len(rows), *infer.WordCache(bb, dtype).kv.shape), dtype),
-                         max(rows) + 1)
-    sessions = []
-    for j, c in enumerate(caches):
-        words[j, :, :, :c.kv.shape[2]] = c.kv
         s = GenSession(P, cfg)
-        s.word_cache.kv, s.word_cache.rows = words[j], c.rows
+        s.rows.grow(r)
+        s.words[:, :, :r] = rng.standard_normal((bb.n_layers, 2, r, bb.n_kv_heads, bb.head_size))
+        s.word_rows = r
+        lone.append(s)
+    # the runner's rows hold every session's next row, as `run_tick` grows them
+    batch = infer._Rows.zeros(cfg, dtype, len(rows), infer.WORD_BLOCK)
+    batch.grow(max(rows) + 1)
+    sessions = []
+    for j, ref in enumerate(lone):
+        batch.words[j, :, :, :ref.words.shape[2]] = ref.words
+        s = GenSession(P, cfg)
+        s.rows, s.row, s.word_rows = batch, j, ref.word_rows
         sessions.append(s)
     n = len(rows)
     at = {"all": np.arange(n), "one": rng.integers(0, n, 1),
           "ordered": np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False)),
           "unordered": rng.permutation(n)[:rng.integers(1, n + 1)]}[pick].tolist()
     x = rng.standard_normal((len(at), bb.hidden)).astype(dtype)
-    got = infer._word_stack([sessions[j] for j in at], infer._Rows(None, None, None, words),
-                            at, x)
-    want = [lone_word_stack(P, cfg, caches[j], x[t]) for t, j in enumerate(at)]
+    got = infer._word_stack([sessions[j] for j in at], batch, at, x)
+    want = [lone_word_stack(P, cfg, lone[j], x[t]) for t, j in enumerate(at)]
     assert np.array_equal(got, np.stack(want))
-    for j, (s, c) in enumerate(zip(sessions, caches)):
-        m = min(c.kv.shape[2], words.shape[3])
-        assert (s.word_cache.rows, s.backbone_calls) == (c.rows, int(j in at))
-        assert np.array_equal(words[j, :, :, :m], c.kv[:, :, :m])
-        assert not words[j, :, :, m:].any() and not c.kv[:, :, m:].any()
+    for j, (s, ref) in enumerate(zip(sessions, lone)):
+        m = min(ref.words.shape[2], s.words.shape[2])
+        assert (s.word_rows, s.backbone_calls) == (ref.word_rows, int(j in at))
+        assert np.array_equal(s.words[:, :, :m], ref.words[:, :, :m])
+        assert not s.words[:, :, m:].any() and not ref.words[:, :, m:].any()
 
 
 @given(lens=counts(1, 16, 16), f64=st.booleans(), cap=st.sampled_from([None, 30.0]),
@@ -645,7 +645,7 @@ def test_batch_rings_match_stacked_rings(micro_cfg, micro_params, micro_params64
     # against the step that stacks per-session rings and copies slots back
     P, rng, cfg = micro_params64 if f64 else micro_params, np.random.default_rng(seed), micro_cfg
     dtype, w = P["encoder.byte_embedding"].dtype, cfg.encoder.window
-    enc, dec = (rng.standard_normal((n, *infer._ring(stack, dtype).shape)).astype(dtype)
+    enc, dec = (rng.standard_normal((n, *infer._ring(stack))).astype(dtype)
                 for stack in (cfg.encoder, cfg.decoder))
     inject = rng.standard_normal((n, cfg.decoder.n_layers, cfg.decoder.hidden)).astype(dtype)
     rows = {"all": np.arange(n), "one": rng.integers(0, n, 1),
@@ -679,9 +679,9 @@ def test_word_step_reads_once_per_cache_shape(micro_cfg, micro_params, monkeypat
     runner.prefill_all(prompts)
     runner.run_tick()
     assert all(len(s.pending_closes) == 1 for s in sessions)
-    k = len({s.word_cache.rows // infer.WORD_BLOCK for s in sessions})
+    k = len({s.word_rows // infer.WORD_BLOCK for s in sessions})
     m = len({c.end - c.start for s in sessions for c in s.pending_closes})
-    assert (len({s.word_cache.rows for s in sessions}), k, m) == (3, 2, 5)
+    assert (len({s.word_rows for s in sessions}), k, m) == (3, 2, 5)
     calls, pools = [], []
     attend, pool = infer.attend, model.pool_words_var
     monkeypatch.setattr(infer, "attend", lambda *a: calls.append(a) or attend(*a))

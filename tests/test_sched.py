@@ -263,12 +263,12 @@ def test_deepcopy_mid_generation_finishes_identically(micro_cfg, micro_params):
         assert bytes(a.generated) == bytes(b.generated)
         assert np.array_equal(a.cur_logits, b.cur_logits)
         for x, y in ((a.enc_ring, b.enc_ring), (a.dec_ring, b.dec_ring), (a.inject, b.inject),
-                     (a.word_cache.kv, b.word_cache.kv)):
+                     (a.words, b.words)):
             assert np.array_equal(x, y) and not np.shares_memory(x, y)
 
 
-def test_word_cache_crossing_a_block_as_the_runner_grows_matches_solo_twins(micro_cfg,
-                                                                           micro_params):
+def test_word_rows_crossing_a_block_as_the_runner_grows_match_solo_twins(micro_cfg,
+                                                                         micro_params):
     # session 0's cache passes 16 rows mid-wave: its reads go from one
     # 16-row block to two, and the runner grows its word-cache rows from 16
     # to 32 for every session; the others stay in one block. After every tick
@@ -298,17 +298,17 @@ def test_word_cache_crossing_a_block_as_the_runner_grows_matches_solo_twins(micr
         if sizes and sizes[-1] == 32:
             after += len(set(plan.word_steps) - {0})
         sizes.append(runner._rows.words.shape[3])
-        rows0.append(sessions[0].word_cache.rows)
+        rows0.append(sessions[0].word_rows)
         for i in plan.byte_steps + plan.word_steps:
             s = sessions[i]
             if s.status != "at_boundary":
                 assert np.array_equal(s.cur_logits, solos[i][1][len(s.committed)])
     assert sizes[0] == 16 and sizes[-1] == 32 and rows0[0] < 16 < rows0[-1] and after
     for s, (solo, _) in zip(sessions, solos):
-        rows = solo.word_cache.rows
-        assert s.word_cache.rows == rows and s.word_cache.kv.shape[2] == 32
-        assert np.array_equal(s.word_cache.kv[:, :, :rows], solo.word_cache.kv[:, :, :rows])
-        assert not s.word_cache.kv[:, :, rows:].any()
+        rows = solo.word_rows
+        assert s.word_rows == rows and s.words.shape[2] == 32
+        assert np.array_equal(s.words[:, :, :rows], solo.words[:, :, :rows])
+        assert not s.words[:, :, rows:].any()
 
 
 def test_finished_sessions_keep_no_step_arrays(micro_cfg, micro_params):
@@ -350,11 +350,11 @@ def test_session_deleted_mid_run_steps_alone_like_its_solo_twin(micro_cfg, micro
             (infer.word_phase if gone.status == "at_boundary" else step_byte)(gone)
     for s, prompt in zip(everyone, prompts):
         solo = solo_run(micro_params, micro_cfg, prompt, budget=16)
-        rows = solo.word_cache.rows
+        rows = solo.word_rows
         assert bytes(s.generated) == bytes(solo.generated)
         for x, y in ((s.cur_logits, solo.cur_logits), (s.enc_ring, solo.enc_ring),
                      (s.dec_ring, solo.dec_ring), (s.inject, solo.inject),
-                     (s.word_cache.kv[:, :, :rows], solo.word_cache.kv[:, :, :rows])):
+                     (s.words[:, :, :rows], solo.words[:, :, :rows])):
             assert np.array_equal(x, y)
 
 
@@ -379,6 +379,45 @@ def test_session_swapped_for_its_copy_mid_run_finishes_like_its_solo_twin(micro_
         assert np.array_equal(s.cur_logits, solo.cur_logits)
 
 
+def test_runner_adopts_once_and_a_lone_step_keeps_it_adopted(micro_cfg, micro_params,
+                                                              monkeypatch):
+    # a runner adopts its sessions when it is built; prefill_all fills their
+    # rows of its store and no tick adopts again. A lone step of one of them
+    # (a word step included) steps its row in place: the runner stays
+    # adopted and every session ends with its solo twin's bits
+    adopts, real = [], BatchRunner._adopt
+    monkeypatch.setattr(BatchRunner, "_adopt", lambda self: adopts.append(self) or real(self))
+    prompts = [b"alpha beta ", b"x", "naïve 日本".encode()]
+    scripts = [b"gamma delta", b"yz w", b" ab cd ef"]
+
+    def make(script):
+        return GenSession(micro_params, micro_cfg, SamplingConfig("forced", forced=script),
+                          max_new_bytes=len(script))
+    sessions = [make(script) for script in scripts]
+    runner = BatchRunner(sessions, BoundarySync())
+    runner.prefill_all(prompts)
+    for _ in range(2):
+        runner.run_tick()
+    assert len(adopts) == 1 and runner._adopted()
+    lone, calls = sessions[1], sessions[1].backbone_calls
+    while not lone.finished:
+        step_byte(lone)
+        assert runner._adopted()
+    assert lone.backbone_calls > calls
+    runner.run_to_completion()
+    assert len(adopts) == 1
+    for s, prompt, script in zip(sessions, prompts, scripts):
+        solo = prefill(make(script), prompt)
+        while not solo.finished:
+            step_byte(solo)
+        rows = solo.word_rows
+        assert bytes(s.generated) == script and s.word_rows == rows
+        for x, y in ((s.cur_logits, solo.cur_logits), (s.enc_ring, solo.enc_ring),
+                     (s.dec_ring, solo.dec_ring), (s.inject, solo.inject),
+                     (s.words[:, :, :rows], solo.words[:, :, :rows])):
+            assert np.array_equal(x, y)
+
+
 # -- running out of positions --------------------------------------------------
 
 def _tight(cfg, limit):
@@ -400,7 +439,7 @@ EXHAUST = {
 def _state(s):
     return (bytes(s.generated), s.status, s.next_pos, copy.deepcopy(s.splitter),
             infer.cache_report(s), s.enc_ring.tobytes(), s.dec_ring.tobytes(),
-            s.word_cache.rows, s.word_cache.kv.tobytes(), len(s.pending_states),
+            s.word_rows, s.words.tobytes(), len(s.pending_states),
             list(s.pending_closes), s.pending_byte, list(s._forced),
             None if s.cur_logits is None else s.cur_logits.tobytes(), s.backbone_calls)
 
@@ -425,8 +464,7 @@ def test_failed_prefill_leaves_session_fresh(micro_cfg, micro_params, case):
 
     def extra(s):
         return (s.prompt, s.sentinel_used, s.inc_index, s.consumed_spans, s.pending_base,
-                s.prefill_words, copy.copy(s.splitter.gate),
-                None if s.inject is None else s.inject.tobytes())
+                s.prefill_words, copy.copy(s.splitter.gate), s.inject.tobytes())
     s, fresh = make(), make()
     with pytest.raises(infer.SessionError):
         prefill(s, prompt)
@@ -473,10 +511,10 @@ def assert_solo_prefills(params, cfg, prompts, sessions):
     """sessions[i] holds the bits of a solo prefill of prompts[i]."""
     for p, got in zip(prompts, sessions):
         solo = prefill(GenSession(params, cfg), p)
-        rows = solo.word_cache.rows
-        assert got.word_cache.rows == rows
+        rows = solo.word_rows
+        assert got.word_rows == rows
         for a, b in ((solo.enc_ring, got.enc_ring), (solo.dec_ring, got.dec_ring),
-                     (solo.word_cache.kv[:, :, :rows], got.word_cache.kv[:, :, :rows]),
+                     (solo.words[:, :, :rows], got.words[:, :, :rows]),
                      (solo.inject, got.inject), (solo.cur_logits, got.cur_logits),
                      (np.array(solo.pending_states), np.array(got.pending_states))):
             assert np.array_equal(a, b)
@@ -717,7 +755,7 @@ class BatchMachine(RuleBasedStateMachine):
         self.runner = BatchRunner([], BoundarySync())
         self.shadows = []
         self.original = None        # a session the batch swapped for its copy, and its state
-        self.word_tick = False      # whether the last rule was a tick that ran a word step
+        self.ticked = False         # whether a tick ran since the sessions last changed
         self.oracle_checked = {}    # (id, finished) -> session, kept so that no id is reused
 
     def session(self, sampling):
@@ -730,7 +768,7 @@ class BatchMachine(RuleBasedStateMachine):
     @rule(new=st.lists(st.tuples(PROMPT, SAMPLING), min_size=1, max_size=2))
     def add_sessions(self, new):
         # the new sessions prefill from one packed forward, their shadows alone
-        self.word_tick = False
+        self.ticked = False
         sessions = [self.session(sampling) for _, sampling in new]
         shadows, bad = [], []
         for j, (prompt, sampling) in enumerate(new):
@@ -766,12 +804,11 @@ class BatchMachine(RuleBasedStateMachine):
             except infer.SessionError:
                 refused = i
                 break
-        self.word_tick = False
+        self.ticked = True          # even a refused tick adopts first
         if refused is None:
             runner.run_tick()
             for i, shadow in stepped.items():
                 self.shadows[i] = shadow
-            self.word_tick = bool(plan.word_steps)
             return
         before = [_state(s) for s in runner.sessions]
         with pytest.raises(infer.SessionError) as err:
@@ -785,6 +822,7 @@ class BatchMachine(RuleBasedStateMachine):
             shadow._forced.popleft()
         else:                       # out of positions for good
             del runner.sessions[refused], self.shadows[refused]
+            self.ticked = False
 
     @precondition(lambda self: any(s.sampling.mode == "forced" and not s.finished
                                    for s in self.runner.sessions))
@@ -830,7 +868,7 @@ class BatchMachine(RuleBasedStateMachine):
         i = data.draw(st.integers(0, len(self.runner.sessions) - 1))
         s = self.runner.sessions[i]
         self.runner.sessions[i] = self.twin(s)
-        self.word_tick = False
+        self.ticked = False
         self.original = (s, _state(s))
 
     @invariant()
@@ -838,11 +876,11 @@ class BatchMachine(RuleBasedStateMachine):
         for s, shadow in zip(self.runner.sessions, self.shadows):
             assert (bytes(s.generated), s.status, s.next_pos) == \
                 (bytes(shadow.generated), shadow.status, shadow.next_pos)
-            rows = s.word_cache.rows
-            assert rows == shadow.word_cache.rows
+            rows = s.word_rows
+            assert rows == shadow.word_rows
             for a, b in ((s.cur_logits, shadow.cur_logits), (s.enc_ring, shadow.enc_ring),
                          (s.dec_ring, shadow.dec_ring), (s.inject, shadow.inject),
-                         (s.word_cache.kv[:, :, :rows], shadow.word_cache.kv[:, :, :rows]),
+                         (s.words[:, :, :rows], shadow.words[:, :, :rows]),
                          (np.array(s.pending_states), np.array(shadow.pending_states))):
                 assert np.array_equal(a, b)
             closes = s.prefill_words + s.gen_closes - len(s.pending_closes)
@@ -854,20 +892,17 @@ class BatchMachine(RuleBasedStateMachine):
     @invariant()
     def sessions_share_no_arrays(self):
         arrays = [a for s in self.runner.sessions
-                  for a in (s.enc_ring, s.dec_ring, s.inject, s.word_cache.kv) if a is not None]
+                  for a in (s.enc_ring, s.dec_ring, s.inject, s.words)]
         assert not any(np.shares_memory(a, b)
                        for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
     @invariant()
-    def word_caches_are_runner_rows(self):
-        # a word step writes and reads the runner's array: after one, each
-        # session's word cache is its row of it
-        if self.word_tick:
-            words = self.runner._rows.words
-            for i, s in enumerate(self.runner.sessions):
-                kv = s.word_cache.kv
-                assert kv.base is words and kv.shape == words[i].shape
-                assert kv.ctypes.data == words[i].ctypes.data
+    def caches_are_runner_rows(self):
+        # a tick adopts the runner's sessions: after one, session i's caches
+        # are row i of the runner's store
+        if self.ticked:
+            assert all(s.rows is self.runner._rows and s.row == i
+                       for i, s in enumerate(self.runner.sessions))
 
     @invariant()
     def cache_report_matches_the_caches(self):
@@ -875,13 +910,13 @@ class BatchMachine(RuleBasedStateMachine):
         # normed), and rows never written are
         for s in self.runner.sessions:
             enc, dec, words = (int(kv.any(axis=(0, 1, 3, 4)).sum())
-                               for kv in (s.enc_ring, s.dec_ring, s.word_cache.kv))
+                               for kv in (s.enc_ring, s.dec_ring, s.words))
             assert (enc, dec) == (min(s.next_pos, self.cfg.encoder.window),
                                   min(s.next_pos, self.cfg.decoder.window))
             assert tuple(infer.cache_report(s)) == (
                 enc, words, s.enc_ring[:, :, :enc].nbytes + s.dec_ring[:, :, :dec].nbytes
-                + s.word_cache.kv[:, :, :words].nbytes)
-            assert words == s.word_cache.rows
+                + s.words[:, :, :words].nbytes)
+            assert words == s.word_rows
 
     @invariant()
     def logits_match_the_batch_oracle(self):
