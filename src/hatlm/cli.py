@@ -116,13 +116,16 @@ def cmd_generate(args) -> int:
         sampling = infer.SamplingConfig("temperature", temperature=args.temperature,
                                         seed=args.seed)
     session = infer.GenSession(params, cfg, sampling, max_new_bytes=args.max_bytes)
-    infer.generate(session, os.fsencode(args.prompt))
-    data = bytes(session.generated)
-    if args.hex:
-        print(data.hex())
-    else:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+    try:
+        infer.generate(session, os.fsencode(args.prompt))
+    finally:    # a step that fails (out of positions) keeps the bytes before it
+        if session.cur_logits is not None:
+            data = bytes(session.generated)
+            if args.hex:
+                print(data.hex())
+            else:
+                sys.stdout.buffer.write(data)
+                sys.stdout.buffer.flush()
     log.info("generated %d bytes, %d backbone calls", len(data), session.backbone_calls)
     return 0
 

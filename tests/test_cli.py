@@ -3,11 +3,12 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hatlm import checkpoint, config, metrics, model
+from hatlm import checkpoint, config, infer, metrics, model
 from hatlm.cli import main
 
 from conftest import DATA, REPO, write_hatckpt2
@@ -212,6 +213,24 @@ def test_zero_byte_budget_generates_nothing(tmp_path):
     assert code == 0 and (kv["generated_bytes"], kv["ticks"]) == ("0", "0")
     assert kv["gap_ms_p50"] == kv["gap_ms_p95"] == "nan" and kv["byte_batch_mean"] == "0.0000"
     assert (kv["word_ticks"], kv["word_tick_ms_p50"]) == ("0", "nan")
+
+
+def test_generate_out_of_byte_positions_writes_its_bytes_then_exits_1(tmp_path, capsys,
+                                                                       micro_cfg):
+    # the step that finds no byte position fails after the bytes before it
+    cfg = replace(micro_cfg, encoder=replace(micro_cfg.encoder, max_positions=24),
+                  decoder=replace(micro_cfg.decoder, max_positions=24))
+    path = tmp_path / "short.cfg"
+    path.write_text(config.to_text(cfg))
+    code, out = run_cli("generate", "--config", str(path), "--prompt", "hi", "--max-bytes", "64",
+                        "--greedy", "--hex")
+    s = infer.GenSession(model.init_params(cfg, seed=0), cfg, infer.SamplingConfig("greedy"),
+                         max_new_bytes=64)
+    with pytest.raises(infer.SessionError, match="byte positions exhausted"):
+        infer.generate(s, b"hi")
+    assert len(s.generated) == 22
+    assert (code, out) == (1, bytes(s.generated).hex() + "\n")
+    assert capsys.readouterr().err == "error: byte positions exhausted (24)\n"
 
 
 @pytest.mark.parametrize("command", ["generate", "bench-sched"])
