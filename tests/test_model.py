@@ -592,3 +592,9 @@ def test_config_text_roundtrip():
     for preset in config.PRESETS.values():
         cfg = preset()
         assert config.from_text(config.to_text(cfg)) == cfg
+
+
+@pytest.mark.parametrize("name", ["table1", "table2", "micro"])
+def test_presets_have_the_text_of_their_data_files(name):
+    # `--config micro` and `--config data/micro.cfg` name the same model
+    assert config.to_text(config.PRESETS[name]()) == (DATA / f"{name}.cfg").read_text()
