@@ -15,8 +15,9 @@ push and a few list appends, then one encoder+decoder pass for the bytes
 that closed no word, whose new pending states and `cur_logits` are views of
 that pass's fresh arrays until it finishes) and one word step for those at a
 boundary (pooling, backbone, decoder injections and the deferred byte;
-several closes run in rounds). `step_byte` is the same code at batch size
-one. A new `GenSession` only allocates;
+several closes run in rounds), both in `_run_plan`. `byte_phase`,
+`word_phase` and `step_byte` run it at batch size one on the session's own
+row. A new `GenSession` only allocates (an empty word cache);
 `BatchRunner.prefill_all` starts its sessions from no-grad forwards over the
 pack of their prompts (`model.prompt_pass`, one per chunk of at most
 `PACK_BYTES` bytes; an empty prompt is the 0xFE sentinel), once every prompt
@@ -112,7 +113,7 @@ def _ring(stack: StackConfig) -> tuple[int, ...]:
     return stack.n_layers, 2, stack.window, stack.n_kv_heads, stack.head_size
 
 
-WORD_BLOCK = 16     # word-cache rows: a cache's first size and a backbone read's unit
+WORD_BLOCK = 16     # word-cache rows: a cache's growth and a backbone read's unit
 
 
 @dataclass
@@ -221,12 +222,6 @@ def _word_stack(sessions: list[GenSession], batch: _Rows, rows: list[int],
 # ---------------------------------------------------------------------------
 # generation session
 
-def _check_budget(max_new_bytes: int) -> int:
-    if max_new_bytes < 0:
-        raise ValueError(f"max_new_bytes must be >= 0, got {max_new_bytes}")
-    return max_new_bytes
-
-
 @dataclass
 class GenSession:
     """One generation stream. Its caches are row `row` of `rows`: a one-row
@@ -246,10 +241,11 @@ class GenSession:
         if self.max_new_bytes is None:
             # default byte budget: 4 bytes-per-word headroom x 8
             self.max_new_bytes = 4 * cfg.backbone.max_positions * 8
-        _check_budget(self.max_new_bytes)
+        if self.max_new_bytes < 0:
+            raise ValueError(f"max_new_bytes must be >= 0, got {self.max_new_bytes}")
         self.rng = np.random.default_rng(self.sampling.seed)
         self._forced = deque(self.sampling.forced)
-        self.rows = _Rows.zeros(cfg, P["encoder.byte_embedding"].dtype, 1, WORD_BLOCK)
+        self.rows = _Rows.zeros(cfg, P["encoder.byte_embedding"].dtype, 1, 0)
         self.row = 0
         self.word_rows = 0
         self.splitter = IncrementalSplitterState(max_word_bytes=cfg.max_word_bytes)
@@ -307,8 +303,8 @@ class GenSession:
 
     def sample(self) -> int:
         """Pick and take the next byte. The caller has run `check_sample`
-        (every step does, in `_check_byte_step`, before any session
-        changes): the session has logits and a forced byte is legal."""
+        (every step does, in `_run_plan`, before any session changes): the
+        session has logits and a forced byte is legal."""
         if self.sampling.mode == "forced":
             return self._forced.popleft() if self._forced else BYTE_EOS
         return self.peek(self.rng)
@@ -350,7 +346,7 @@ def _check_byte_step(s: GenSession, index: int | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# batched steps: every public step below is one of these at batch size one
+# batched steps: every public step below is `_run_plan` at batch size one
 
 def _finish(s: GenSession) -> None:
     """Finish `s`, copying its rows of step arrays, so that it keeps none alive."""
@@ -403,29 +399,19 @@ def _consume_closes(sessions: list[GenSession], batch: _Rows, rows: list[int]) -
         s.pending_closes = []
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    byte: int | None              # emitted byte (None if only a word step ran)
-    closes: tuple[WordClosed, ...] = ()
-    finished: bool = False
-
-
-def _byte_steps(sessions: list[GenSession], batch: _Rows, rows: list[int]
-                ) -> tuple[list[int], list[list[WordClosed]]]:
+def _byte_steps(sessions: list[GenSession], batch: _Rows, rows: list[int]) -> list[int]:
     """Sample and commit one byte per session, then encode the bytes that
     closed no word in one step; the others wait for a word step. Returns
-    each session's byte and the words it closed."""
-    picks, closes, todo, vals, todo_rows = [], [], [], [], []
+    each session's byte."""
+    picks, todo, vals, todo_rows = [], [], [], []
     for s, r in zip(sessions, rows):
         b = s.sample()
         picks.append(b)
         if b == BYTE_EOS:
             _finish(s)
-            closes.append([])
             continue
         events = s.splitter.push_byte(b)
         s.generated.append(b)
-        closes.append(events)
         if events:
             s.gen_closes += len(events)
             s.pending_closes = events
@@ -436,7 +422,7 @@ def _byte_steps(sessions: list[GenSession], batch: _Rows, rows: list[int]
             vals.append(b)
             todo_rows.append(r)
     _encode_decode(todo, vals, batch, todo_rows)
-    return picks, closes
+    return picks
 
 
 def _word_steps(sessions: list[GenSession], batch: _Rows, rows: list[int]) -> None:
@@ -446,6 +432,35 @@ def _word_steps(sessions: list[GenSession], batch: _Rows, rows: list[int]) -> No
     for s in sessions:
         s.pending_byte = None
     _encode_decode(sessions, byte_vals, batch, rows)
+
+
+def _run_plan(sessions: list[GenSession], plan: StepPlan, batch: _Rows,
+              named: bool = True) -> list[int]:
+    """Run one tick of `plan` over `sessions`, each at its own `row` of
+    `batch`: the word step first, then the byte step. Returns the bytes that
+    the byte-stepping sessions emitted, in plan order.
+
+    Every planned session's positions, and whether each byte-stepping
+    session can sample and has room for the words its byte closes (see
+    `_check_byte_step`), are checked before any session changes: no script
+    byte is taken and no RNG is drawn from. So a SessionError (naming
+    session i if `named`) leaves every session as it was."""
+    words = [sessions[i] for i in plan.word_steps]
+    steps = [sessions[i] for i in plan.byte_steps]
+    for i, s in zip(plan.word_steps, words):
+        _check_room(s, len(s.pending_closes), i if named else None)
+    if steps:   # inline far from every limit; near one, or refused, the full check
+        cfg = steps[0].cfg
+        limit, room = model.byte_limit(cfg), cfg.backbone.max_positions
+        for i, s in zip(plan.byte_steps, steps):
+            f = s._forced
+            if (s.next_pos >= limit or s.word_rows + len(s.splitter.buf) >= room
+                    or s.cur_logits is None or f and not s.splitter.gate.admits(f[0])):
+                _check_byte_step(s, i if named else None)
+    if words:
+        batch.grow(max(s.word_rows + len(s.pending_closes) for s in words))
+        _word_steps(words, batch, [s.row for s in words])
+    return _byte_steps(steps, batch, [s.row for s in steps])
 
 
 # Prompt bytes per prefill forward, which holds all its activations at once
@@ -524,8 +539,9 @@ def prefill(session: GenSession, prompt_bytes: bytes) -> GenSession:
     return session
 
 
-def byte_phase(session: GenSession) -> StepOutcome:
-    """Sample, commit, and push one byte; defer its encode if a word closed.
+def byte_phase(session: GenSession) -> int:
+    """Sample, commit, and push one byte, and return it; defer its encode if
+    a word closed. The byte step of `_run_plan` on the session's own row.
 
     Needs a free byte position, a byte it can sample and a backbone position
     for each word that byte closes (at least one); without them it raises
@@ -534,37 +550,31 @@ def byte_phase(session: GenSession) -> StepOutcome:
         raise SessionError("session is finished")
     if session.status == "at_boundary":
         raise SessionError("session is blocked on a backbone step")
-    _check_byte_step(session, None)
-    (b,), (closes,) = _byte_steps([session], session.rows, [session.row])
-    return StepOutcome(byte=b, closes=tuple(closes), finished=session.finished)
+    return _run_plan([session], StepPlan((0,), ()), session.rows, named=False)[0]
 
 
 def word_phase(session: GenSession) -> None:
-    """Advance the backbone for pending closes and encode the deferred byte.
+    """Advance the backbone for pending closes and encode the deferred byte:
+    the word step of `_run_plan` on the session's own row.
 
     Without a byte position and a backbone position per pending close it
     raises SessionError and changes nothing."""
     if session.status != "at_boundary":
         raise SessionError("no pending word boundary")
-    _check_room(session, len(session.pending_closes))
-    session.rows.grow(session.word_rows + len(session.pending_closes))
-    _word_steps([session], session.rows, [session.row])
+    _run_plan([session], StepPlan((), (0,)), session.rows, named=False)
 
 
-def step_byte(session: GenSession) -> StepOutcome:
-    """One full generation step: byte phase plus any required word phase."""
-    out = byte_phase(session)
+def step_byte(session: GenSession) -> int:
+    """One full generation step, returning the emitted byte: `byte_phase`
+    plus any required `word_phase`."""
+    b = byte_phase(session)
     if session.status == "at_boundary":
         word_phase(session)
-        return StepOutcome(byte=out.byte, closes=out.closes,
-                           finished=session.finished)
-    return out
+    return b
 
 
-def generate(session: GenSession, prompt: bytes, max_new_bytes: int | None = None) -> bytes:
-    """Prefill then greedy-loop until EOS or the byte budget."""
-    if max_new_bytes is not None:
-        session.max_new_bytes = _check_budget(max_new_bytes)
+def generate(session: GenSession, prompt: bytes) -> bytes:
+    """Prefill then loop until EOS or the session's byte budget."""
     prefill(session, prompt)
     while not session.finished:
         step_byte(session)
@@ -699,36 +709,16 @@ class BatchRunner:
         self.tick = 1
 
     def run_tick(self) -> StepPlan:
-        """Plan one tick and run it: the word step first, then the byte step.
-
-        Every planned session's positions, and whether each byte-stepping
-        session can sample and has room for the words its byte closes (see
-        `_check_byte_step`), are checked before any session changes: no
-        script byte is taken and no RNG is drawn from. So a SessionError
-        (naming the session) leaves the whole batch as it was; so does the
-        ValueError of sessions that do not share one model."""
+        """Plan one tick and run it with `_run_plan`: the word step first,
+        then the byte step. A SessionError (naming the session) leaves the
+        whole batch as it was; so does the ValueError of sessions that do
+        not share one model."""
         if not self._adopted():
             self._adopt()
         plan = schedule(self.sessions, self.policy, self.tick)
-        words = [self.sessions[i] for i in plan.word_steps]
-        steps = [self.sessions[i] for i in plan.byte_steps]
-        for i, s in zip(plan.word_steps, words):
-            _check_room(s, len(s.pending_closes), i)
-        if steps:   # inline far from every limit; near one, or refused, the full check
-            cfg = steps[0].cfg
-            limit, room = model.byte_limit(cfg), cfg.backbone.max_positions
-            for i, s in zip(plan.byte_steps, steps):
-                f = s._forced
-                if (s.next_pos >= limit or s.word_rows + len(s.splitter.buf) >= room
-                        or s.cur_logits is None or f and not s.splitter.gate.admits(f[0])):
-                    _check_byte_step(s, i)
+        picks = _run_plan(self.sessions, plan, self._rows)
         actions = [f"s{i}=W" for i in plan.word_steps]
-        if words:
-            self._rows.grow(max(s.word_rows + len(s.pending_closes) for s in words))
-            _word_steps(words, self._rows, plan.word_steps)
-        if steps:
-            picks, _ = _byte_steps(steps, self._rows, plan.byte_steps)
-            actions += [f"s{i}=B:{b:02x}" for i, b in zip(plan.byte_steps, picks)]
+        actions += [f"s{i}=B:{b:02x}" for i, b in zip(plan.byte_steps, picks)]
         if actions:
             self.trace.append(f"{self.tick}\t" + " ".join(actions))
         self.tick += 1

@@ -100,7 +100,7 @@ def test_incremental_full_equivalence():
             expect = infer.sample_from_logits(oracle, s.splitter.gate.allowed(),
                                               SamplingConfig("greedy"), None)
             out = infer.step_byte(s)
-            assert out.byte == expect, "emitted byte diverged from recomputation"
+            assert out == expect, "emitted byte diverged from recomputation"
             checked_steps += 1
         # on pure-ASCII committed text the training forward agrees as well
         committed = s.committed

@@ -439,7 +439,7 @@ EXHAUST = {
 def _state(s):
     return (bytes(s.generated), s.status, s.next_pos, copy.deepcopy(s.splitter),
             infer.cache_report(s), s.enc_ring.tobytes(), s.dec_ring.tobytes(),
-            s.word_rows, s.words.tobytes(), len(s.pending_states),
+            s.word_rows, s.words.tobytes(), np.array(s.pending_states).tobytes(),
             list(s.pending_closes), s.pending_byte, list(s._forced),
             None if s.cur_logits is None else s.cur_logits.tobytes(), s.backbone_calls)
 
