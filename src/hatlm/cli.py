@@ -51,14 +51,12 @@ def cmd_split(args) -> int:
     else:
         with open(args.file, "rb") as fh:
             data = fh.read()
-    result = split(data, args.max_word_bytes)
     out = sys.stdout
-    if args.offsets:
-        for s in result.spans:
-            out.write(f"{s.start}:{s.end}\n")
-    else:
-        for chunk in result.chunks(data):
-            out.write(chunk.decode("utf-8") + "\n")
+    for a, e in split(data, args.max_word_bytes):
+        if args.offsets:
+            out.write(f"{a}:{e}\n")
+        else:
+            out.write(data[a:e].decode("utf-8") + "\n")
     return 0
 
 

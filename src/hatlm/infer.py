@@ -57,7 +57,7 @@ import numpy as np
 from . import model
 from .config import HatConfig, StackConfig
 from .kernels import attend, softmax
-from .splitter import BYTE_EOS, IncrementalSplitterState, SplitError, WordClosed, stream
+from .splitter import BYTE_EOS, IncrementalSplitterState, SplitError, stream
 
 
 class SessionError(RuntimeError):
@@ -256,7 +256,7 @@ class GenSession:
         self.pending_states: list[np.ndarray] = []  # encoder states, unpooled bytes
         self.pending_base = 0           # text offset of pending_states[0]
         self.pending_byte: int | None = None        # committed, not yet encoded
-        self.pending_closes: list[WordClosed] = []
+        self.pending_closes: list[tuple[int, int]] = []
         self.consumed_spans: list[tuple[int, int]] = []  # pooled word spans
         self.inc_index: list[int] = []  # backbone row used per encoded text byte
         self.backbone_calls = 0
@@ -270,16 +270,17 @@ class GenSession:
     inject = property(lambda self: self.rows.inject[self.row])   # [decoder layers, hidden]
     words = property(lambda self: self.rows.words[self.row])     # [bb layers, 2, C, n_kv, hs]
 
-    def _take_span(self, ev: WordClosed) -> list[np.ndarray]:
+    def _take_span(self, span: tuple[int, int]) -> list[np.ndarray]:
         """Remove and return the buffered encoder states of a closed word,
         one [hidden] row per byte."""
-        lo, hi = ev.start - self.pending_base, ev.end - self.pending_base
+        start, end = span
+        lo, hi = start - self.pending_base, end - self.pending_base
         if lo < 0 or hi > len(self.pending_states):
             raise SessionError("word close outside the buffered byte states")
         states = self.pending_states[lo:hi]
         del self.pending_states[:hi]
-        self.pending_base = ev.end
-        self.consumed_spans.append((ev.start, ev.end))
+        self.pending_base = end
+        self.consumed_spans.append(span)
         return states
 
     def check_sample(self, index: int | None = None) -> None:
@@ -500,13 +501,12 @@ def _fill(sessions: list[GenSession], prompts: list[bytes], streams: list[tuple]
     """Fill checked sessions' rows from one `model.prompt_pass` over their
     prompts, growing the word caches once for the pack."""
     P, cfg = sessions[0].params, sessions[0].cfg
-    spans = [[(ev.start, ev.end) for ev in closes] for _, closes, _ in streams]
-    passes = model.prompt_pass(P, cfg, [(p, sp, index, not p) for p, sp, (_, _, index)
-                                        in zip(prompts, spans, streams)])
-    need = max(map(len, spans)) + 1
+    passes = model.prompt_pass(P, cfg, [(p, sp, index, not p) for p, (_, sp, index)
+                                        in zip(prompts, streams)])
+    need = max(len(sp) for _, sp, _ in streams) + 1
     for s in sessions:          # a no-op after the first of sessions that share rows
         s.rows.grow(need)
-    for s, p, sp, (splitter, _, index), fw in zip(sessions, prompts, spans, streams, passes):
+    for s, p, (splitter, sp, index), fw in zip(sessions, prompts, streams, passes):
         n, m, rows = len(p), len(fw.byte_states), len(sp) + 1
         for ring, kv, w in ((s.enc_ring, fw.encoder_kv, cfg.encoder.window),
                             (s.dec_ring, fw.decoder_kv, cfg.decoder.window)):

@@ -58,11 +58,6 @@ class CompressionReport:
         return "\n".join(lines)
 
 
-def measure_bytes(data: bytes, max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> tuple[int, int]:
-    """(byte count, word count) of one document."""
-    return len(data), len(split(data, max_word_bytes))
-
-
 def compression_report(paths, max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> CompressionReport:
     """Stream the given files; unreadable or malformed files are reported
     per-file while the rest proceed."""
@@ -73,7 +68,7 @@ def compression_report(paths, max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> C
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
-            nb, nw = measure_bytes(data, max_word_bytes)
+            nb, nw = len(data), len(split(data, max_word_bytes))
         except (OSError, SplitError) as exc:
             errors.append((str(path), str(exc)))
             continue

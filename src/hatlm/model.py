@@ -453,7 +453,7 @@ def forward(params, cfg: HatConfig, data: bytes, words: tuple | None = None):
     given. `params` maps names to arrays or to `ad.Var` leaves: the result
     is a tape node when one of them is a Var, else a plain array."""
     _, closes, index = stream(data, cfg.max_word_bytes) if words is None else words
-    return _pack_pass(params, cfg, [(data, [(c.start, c.end) for c in closes], index, False)])[2]
+    return _pack_pass(params, cfg, [(data, closes, index, False)])[2]
 
 
 def next_byte_logits(params, cfg: HatConfig, committed: bytes,

@@ -1,8 +1,9 @@
 """Byte-level word splitting: UAX#29 boundaries plus merge rules.
 
 A splitting rule maps a UTF-8 byte sequence to contiguous, non-empty,
-non-overlapping byte spans whose concatenation reproduces the input. On top
-of default UAX#29 word segments this applies, in order:
+non-overlapping byte spans whose concatenation reproduces the input. A span
+is a `(start, end)` pair of byte offsets, the chunk `data[start:end]`. On
+top of default UAX#29 word segments this applies, in order:
 
   1. camel-case refinement: a lowercase->uppercase transition inside a
      segment opens a new chunk ("FooBar" -> "Foo", "Bar")
@@ -22,9 +23,11 @@ continuation of the text can change it, so its closes are always leading
 spans of the split of the whole text. It has two drivers: `push_byte`
 feeds it a byte at a time and `stream` a whole prefix, with the lowercase
 ASCII letters after one in one step (`_letters`); `split` is `stream`
-followed by the end of the text, which settles the last chunk. It is the
-one front end of a byte stream, prompt or generated: its `Utf8Gate`,
-which sampling masks with, refuses any byte that breaks UTF-8.
+followed by the end of the text, which settles the last chunk. All three
+return their spans as a list of `(start, end)` pairs in text order; `split`
+returns every span of the text. The engine is the one front end of a byte
+stream, prompt or generated: its `Utf8Gate`, which sampling masks with,
+refuses any byte that breaks UTF-8.
 """
 
 from __future__ import annotations
@@ -53,37 +56,6 @@ class SplitError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at byte offset {offset}")
         self.offset = offset
-
-
-@dataclass(frozen=True)
-class WordSpan:
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if not self.start < self.end:
-            raise ValueError(f"empty span [{self.start}, {self.end})")
-
-
-@dataclass(frozen=True)
-class SplitResult:
-    spans: tuple[WordSpan, ...]
-
-    def __len__(self) -> int:
-        return len(self.spans)
-
-    def __iter__(self):
-        return iter(self.spans)
-
-    def chunks(self, data: bytes) -> list[bytes]:
-        return [data[s.start:s.end] for s in self.spans]
-
-
-@dataclass(frozen=True)
-class WordClosed:
-    """Event: the chunk covering bytes [start, end) is final."""
-    start: int
-    end: int
 
 
 # bytes legal at a codepoint boundary (the end sentinel too), and the first-continuation
@@ -147,14 +119,13 @@ class IncrementalSplitterState:
 
     `buf` holds the text from `lo`, where the first unclosed span starts,
     the codepoint in flight included. Every closed span lies in `buf` before
-    the pushed byte, so a push closes at most `len(buf)` words. `WordClosed`
-    offsets count from the start of the text.
+    the pushed byte, so a push closes at most `len(buf)` words. A closed
+    span is a `(start, end)` pair of offsets from the start of the text.
     """
 
     max_word_bytes: int = DEFAULT_MAX_WORD_BYTES
-    buf: bytearray = field(default_factory=bytearray)  # the text from lo on
-    closed_words: int = 0
-    gate: Utf8Gate = field(default_factory=Utf8Gate)  # the codepoint in flight
+    buf: bytearray = field(default_factory=bytearray, init=False)  # the text from lo on
+    gate: Utf8Gate = field(default_factory=Utf8Gate, init=False)  # the codepoint in flight
     lo: int = field(default=0, init=False)   # where the first unclosed span starts
     end: int = field(default=0, init=False)  # text offset after the last complete codepoint
     breaker: WordBreaker = field(default_factory=WordBreaker, init=False)
@@ -169,12 +140,7 @@ class IncrementalSplitterState:
         if self.max_word_bytes < 4:
             raise ValueError("max_word_bytes must allow one UTF-8 codepoint (>= 4)")
 
-    @property
-    def pending(self) -> bytes:
-        """Bytes accumulated after the last closed word."""
-        return bytes(self.buf)
-
-    def push_byte(self, b: int) -> list[WordClosed]:
+    def push_byte(self, b: int) -> list[tuple[int, int]]:
         if not 0 <= b <= 0xFF:
             raise ValueError(f"not a byte: {b}")
         gate, buf, out = self.gate, self.buf, []
@@ -194,8 +160,7 @@ class IncrementalSplitterState:
             while buf[k] & 0xC0 == 0x80:
                 k -= 1
             self._feed(ord(buf[k:].decode()), len(buf) - k, out)
-        self.closed_words += len(out)
-        return [WordClosed(a, e) for a, e in out] if out else out
+        return out
 
     # -- the engine: `buf` already holds the codepoint fed ---------------------
 
@@ -295,9 +260,9 @@ def _cut(prev: int, p: int) -> bool:
     return bool((prev | p) & MATH or (prev & LOWER and p & UPPER))
 
 
-def split(data: bytes, max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> SplitResult:
-    """Split a UTF-8 byte sequence into word chunks: `stream`, then the end
-    of the text, which releases a held boundary and closes the last chunk.
+def split(data: bytes, max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> list[tuple[int, int]]:
+    """The spans of a UTF-8 byte sequence's word chunks: `stream`, then the
+    end of the text, which releases a held boundary and closes the last chunk.
 
     Sentinel bytes 0xFE/0xFF are rejected as invalid UTF-8 (they cannot
     appear in well-formed input). Raises SplitError on malformed input,
@@ -306,18 +271,17 @@ def split(data: bytes, max_word_bytes: int = DEFAULT_MAX_WORD_BYTES) -> SplitRes
     state, closes, _ = stream(data, max_word_bytes)
     if state.gate.need:
         raise SplitError("invalid UTF-8", state.end)
-    spans = [(w.start, w.end) for w in closes]
     if state.held:   # the end of the text joins nothing
-        state._release(True, spans)
-    state._close(state.end, spans)
-    return SplitResult(tuple(WordSpan(a, b) for a, b in spans))
+        state._release(True, closes)
+    state._close(state.end, closes)
+    return closes
 
 
 def stream(data: bytes, max_word_bytes: int
-           ) -> tuple[IncrementalSplitterState, list[WordClosed], list[int]]:
+           ) -> tuple[IncrementalSplitterState, list[tuple[int, int]], list[int]]:
     """The incremental splitter after `data`, as if pushed one byte at a time.
 
-    Returns the state, the words closed, and per byte the number of words
+    Returns the state, the spans closed, and per byte the number of words
     closed once its push has run, i.e. the index of the open chunk it lands
     in. Raises SplitError where `data` stops being a valid UTF-8 prefix."""
     state = IncrementalSplitterState(max_word_bytes=max_word_bytes)
@@ -347,10 +311,9 @@ def stream(data: bytes, max_word_bytes: int
     for b in tail:   # a codepoint in flight
         state.gate.push(b)
     state.buf += tail
-    state.closed_words = len(closes)
     # byte i lands in the chunk after every close decided by byte i or before
     index = []
     for k, end in enumerate(at):
         index += [k] * (end - 1 - len(index))
     index += [len(at)] * (len(data) - len(index))
-    return state, [WordClosed(a, b) for a, b in closes], index
+    return state, closes, index

@@ -170,8 +170,11 @@ def documents(corpus: bytes, seq_len: int) -> list[bytes]:
 
 def corpus_loss(params, cfg: HatConfig, corpus: bytes, seq_len: int) -> float:
     """Per-byte loss over the corpus's documents: each document's mean loss
-    weighted by the bytes it predicts."""
+    weighted by the bytes it predicts. Raises ValueError if no document
+    has a byte to predict."""
     docs = documents(corpus, seq_len)
+    if not docs:
+        raise ValueError("corpus too short for the sequence length")
     return (sum(loss(params, cfg, d) * (len(d) - 1) for d in docs)
             / sum(len(d) - 1 for d in docs))
 

@@ -316,8 +316,8 @@ def word_index_of_bytes(data: bytes, max_word_bytes: int = DEFAULT_MAX_WORD_BYTE
     lies in span j. Training and generation both read `stream`'s causal
     index; this is the reference it is checked against."""
     index = []
-    for j, span in enumerate(split(data, max_word_bytes).spans):
-        index.extend([j] * (span.end - span.start))
+    for j, (a, e) in enumerate(split(data, max_word_bytes)):
+        index.extend([j] * (e - a))
     return index
 
 
@@ -370,8 +370,7 @@ def forward_stages(params, cfg, data: bytes) -> SimpleNamespace:
     on the way: the byte states, the embeddings of the words `stream`
     closes (`spans`), every backbone row (BOS and one per close), each
     byte's row (`byte_row`, the stream's index) and the logits."""
-    _, closes, index = stream(data, cfg.max_word_bytes)
-    spans = [(c.start, c.end) for c in closes]
+    _, spans, index = stream(data, cfg.max_word_bytes)
     pos, byte_row = np.arange(len(data)), np.asarray(index)
     byte_states = model.encode_bytes_var(params, cfg, np.frombuffer(data, np.uint8), pos)
     word_embs = model.pool_words_var(params, cfg, byte_states, spans)

@@ -48,8 +48,7 @@ def test_splitter_suite():
     # losslessness + codepoint safety on 10,000 random mixed-script strings
     for s in random_utf8_strings(10_000, seed=20240831):
         data = s.encode("utf-8")
-        result = split(data)
-        parts = result.chunks(data)
+        parts = [data[a:e] for a, e in split(data)]
         assert b"".join(parts) == data
         for p in parts:
             p.decode("utf-8")
@@ -57,7 +56,7 @@ def test_splitter_suite():
     # rule unit anchors
     def chunks(s):
         d = s.encode()
-        return [c.decode() for c in split(d).chunks(d)]
+        return [d[a:e].decode() for a, e in split(d)]
 
     assert chunks("FooBar") == ["Foo", "Bar"]
     assert chunks("a+b") == ["a", "+", "b"]
@@ -157,7 +156,7 @@ def test_gradient_oracle_across_a_query_block():
     data = ("Oracle text: FooBar a+b 3.14, mixed! It runs past one query block of the "
             "backbone, so the gradient crosses the seam: x=1, y=2; ok? Yes -- 42 words "
             "or more, with café and naïve, then stop.").encode()
-    assert len(split(data, config.micro().max_word_bytes).spans) > 32
+    assert len(split(data, config.micro().max_word_bytes)) > 32
     worst = _gradient_oracle(data)
     assert worst < 1e-4
     _report("gradient oracle across a query block (200 coords, 189 B, float64)", t0,

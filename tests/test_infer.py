@@ -183,7 +183,7 @@ def test_word_after_ignorable_after_punctuation_is_pooled(micro_cfg, micro_param
     # "a:\u0301b" (WB6/7 read past the mark): a close of "a" taken early and
     # never taken back would leave bytes 1-4 out of every pooled span
     data = "a:\u0301b c d".encode()
-    expect = [(s.start, s.end) for s in split(data).spans[:-1]]
+    expect = split(data)[:-1]
     assert expect == [(0, 5), (5, 7)]
     assert prefill(make_session(micro_params, micro_cfg), data).consumed_spans == expect
     s = GenSession(micro_params, micro_cfg, SamplingConfig("forced", forced=data),
@@ -673,7 +673,7 @@ def test_word_step_reads_once_per_cache_shape(micro_cfg, micro_params, monkeypat
     runner.run_tick()
     assert all(len(s.pending_closes) == 1 for s in sessions)
     k = len({s.word_rows // infer.WORD_BLOCK for s in sessions})
-    m = len({c.end - c.start for s in sessions for c in s.pending_closes})
+    m = len({e - a for s in sessions for a, e in s.pending_closes})
     assert (len({s.word_rows for s in sessions}), k, m) == (3, 2, 5)
     calls, pools = [], []
     attend, pool = infer.attend, model.pool_words_var

@@ -1,6 +1,6 @@
 import pytest
 
-from hatlm.metrics import compression_report, measure_bytes
+from hatlm.metrics import compression_report
 
 from conftest import DATA
 
@@ -47,9 +47,10 @@ def test_all_unreadable_raises(tmp_path):
         compression_report([tmp_path / "nope.txt"])
 
 
-def test_measure_bytes_counts_spans():
-    nb, nw = measure_bytes("zwölf Wörter sind hier nicht".encode())
-    assert nw == 5
+def test_report_counts_spans(tmp_path):
+    data = "zwölf Wörter sind hier nicht".encode()
+    rep = compression_report([write(tmp_path, "a.txt", data)])
+    assert (rep.total_bytes, rep.total_words) == (len(data), 5)
 
 
 def test_bundled_english_in_range():

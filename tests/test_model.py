@@ -232,7 +232,7 @@ def _prompt_inputs(cfg, prompts: list[bytes]) -> list[tuple]:
     out = []
     for p in prompts:
         _, closes, index = stream(p, cfg.max_word_bytes)
-        out.append((p, [(c.start, c.end) for c in closes], index, not p))
+        out.append((p, closes, index, not p))
     return out
 
 

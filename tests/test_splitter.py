@@ -11,7 +11,6 @@ from hatlm.splitter import (
     DEFAULT_MAX_WORD_BYTES,
     IncrementalSplitterState,
     SplitError,
-    WordSpan,
     split,
     stream,
 )
@@ -25,7 +24,7 @@ RI = [chr(c) for c in range(0x1F1E6, 0x1F200)]  # regional indicators
 
 def chunks(s: str, **kw) -> list[str]:
     data = s.encode("utf-8")
-    return [c.decode("utf-8") for c in split(data, **kw).chunks(data)]
+    return [data[a:e].decode("utf-8") for a, e in split(data, **kw)]
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +116,11 @@ def test_word_index_examples():
 def test_word_index_monotone_and_aligned():
     data = "The 世界 is 42.5% bigger".encode()
     idx = word_index_of_bytes(data)
-    spans = split(data).spans
+    spans = split(data)
     assert idx[0] == 0
     assert all(a <= b for a, b in zip(idx, idx[1:]))
-    for j, s in enumerate(spans):
-        assert all(idx[i] == j for i in range(s.start, s.end))
+    for j, (a, e) in enumerate(spans):
+        assert all(idx[i] == j for i in range(a, e))
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +151,11 @@ def test_uax29_golden_file():
 @settings(max_examples=300, deadline=None)
 def test_losslessness_and_codepoint_safety(s):
     data = s.encode("utf-8")
-    result = split(data)
-    parts = result.chunks(data)
+    spans = split(data)
+    parts = [data[a:e] for a, e in spans]
     assert b"".join(parts) == data
-    for span, part in zip(result.spans, parts):
-        assert isinstance(span, WordSpan) and span.start < span.end
+    for (a, e), part in zip(spans, parts):
+        assert a < e
         part.decode("utf-8")  # boundary inside a codepoint would explode
         assert len(part) <= 128
 
@@ -164,20 +163,19 @@ def test_losslessness_and_codepoint_safety(s):
 def test_losslessness_mixed_corpus():
     for s in random_utf8_strings(500, seed=99):
         data = s.encode("utf-8")
-        assert b"".join(split(data).chunks(data)) == data
+        assert b"".join(data[a:e] for a, e in split(data)) == data
 
 
 def test_regional_indicator_run_splits_into_flag_pairs():
     run = "".join(RI[i % len(RI)] for i in range(2001))
     data = run.encode()
-    assert [(s.start, s.end) for s in split(data).spans] == \
-        [(i, min(i + 8, len(data))) for i in range(0, len(data), 8)]
+    assert split(data) == [(i, min(i + 8, len(data))) for i in range(0, len(data), 8)]
     assert word_boundaries(run) == list(range(0, 2001, 2)) + [2001]
 
 
 def test_split_deterministic():
     data = "Ein Satz, 中文 words and \U0001f680!".encode()
-    assert split(data).spans == split(data).spans
+    assert split(data) == split(data)
 
 
 # ---------------------------------------------------------------------------
@@ -188,22 +186,21 @@ def test_push_hello_space_closes_hello():
     events = []
     for b in b"Hello ":
         events.extend(st_.push_byte(b))
-    assert [(e.start, e.end) for e in events] == [(0, 5)]
-    assert st_.pending == b" "
+    assert events == [(0, 5)]
+    assert st_.buf == b" "
 
 
 def test_push_foo_b_closes_foo():
     st_ = IncrementalSplitterState()
     per_byte = [st_.push_byte(b) for b in b"FooB"]
     assert [len(e) for e in per_byte] == [0, 0, 0, 1]
-    assert (per_byte[3][0].start, per_byte[3][0].end) == (0, 3)
+    assert per_byte[3] == [(0, 3)]
 
 
 def test_push_single_byte_no_event():
     st_ = IncrementalSplitterState()
     assert st_.push_byte(ord("a")) == []
-    assert st_.pending == b"a"
-    assert st_.closed_words == 0
+    assert st_.buf == b"a"
 
 
 def test_push_invalid_continuation_rejected():
@@ -220,7 +217,7 @@ def test_push_rejects_lead_0xfe():
 
 def test_cap_closes_incrementally():
     _, events, _ = stream(b"a" * 20, 8)
-    assert [(e.start, e.end) for e in events] == [(0, 8), (8, 16)]
+    assert events == [(0, 8), (8, 16)]
 
 
 def push_error_offset(data: bytes) -> tuple[int | None, IncrementalSplitterState]:
@@ -360,14 +357,13 @@ def assert_matches_whole_buffer(data: bytes, max_word_bytes: int, exact: bool) -
     st_ = IncrementalSplitterState(max_word_bytes=max_word_bytes)
     closes, ruled = [], 0
     for i, b in enumerate(data):
-        events = [(e.start, e.end) for e in st_.push_byte(b)]
+        events = st_.push_byte(b)
         closes += events
-        assert st_.closed_words == len(closes), f"byte {i}"
-        assert st_.pending == data[closes[-1][1] if closes else 0:i + 1], f"byte {i}"
+        assert st_.buf == data[closes[-1][1] if closes else 0:i + 1], f"byte {i}"
         if i + 1 < len(data) and 0x80 <= data[i + 1] <= 0xBF:
             assert events == [], f"byte {i}"
             continue
-        spans = [(s.start, s.end) for s in split(data[:i + 1], max_word_bytes).spans]
+        spans = split(data[:i + 1], max_word_bytes)
         if exact:
             assert len(spans) - 1 >= ruled, f"byte {i}: the rule took a close back"
             assert events == spans[ruled:len(spans) - 1], f"byte {i}"
@@ -433,15 +429,15 @@ def test_streaming_matches_whole_buffer_without_ignorables(s, max_word_bytes):
 @settings(max_examples=200, deadline=None)
 def test_closes_are_the_leading_spans_of_the_split(s, max_word_bytes):
     # after every byte, whatever comes next: the closes so far are spans of
-    # the whole text, and `pending` is the rest of the text pushed
+    # the whole text, and `buf` is the rest of the text pushed
     data = s.encode()
-    spans = [(s.start, s.end) for s in split(data, max_word_bytes).spans]
+    spans = split(data, max_word_bytes)
     st_ = IncrementalSplitterState(max_word_bytes=max_word_bytes)
     closes = []
     for i, b in enumerate(data):
-        closes += [(e.start, e.end) for e in st_.push_byte(b)]
-        assert closes == spans[:st_.closed_words], f"byte {i}"
-        assert st_.pending == data[closes[-1][1] if closes else 0:i + 1], f"byte {i}"
+        closes += st_.push_byte(b)
+        assert closes == spans[:len(closes)], f"byte {i}"
+        assert st_.buf == data[closes[-1][1] if closes else 0:i + 1], f"byte {i}"
 
 
 @given(st.lists(st.one_of(pieces, MARKED_PUNCT), max_size=24).map("".join)
@@ -451,8 +447,7 @@ def test_closes_are_the_leading_spans_of_the_split(s, max_word_bytes):
 @settings(max_examples=300, deadline=None)
 def test_split_matches_reference(s, max_word_bytes):
     data = s.encode()
-    assert [(x.start, x.end) for x in split(data, max_word_bytes).spans] == \
-        reference_spans(data, max_word_bytes)
+    assert split(data, max_word_bytes) == reference_spans(data, max_word_bytes)
 
 
 def _representatives() -> list[str]:
@@ -510,11 +505,12 @@ def final_closes(prefix: bytes, max_word_bytes: int) -> int:
 def test_streaming_closes_exactly_what_is_final(s, max_word_bytes):
     data = s.encode()
     st_ = IncrementalSplitterState(max_word_bytes=max_word_bytes)
+    closes = []
     for i, b in enumerate(data):
-        st_.push_byte(b)
+        closes += st_.push_byte(b)
         if i + 1 == len(data) or not 0x80 <= data[i + 1] <= 0xBF:
-            assert st_.closed_words == final_closes(data[:i + 1], max_word_bytes), f"byte {i}"
-            assert stream(data[:i + 1], max_word_bytes)[0].closed_words == st_.closed_words
+            assert len(closes) == final_closes(data[:i + 1], max_word_bytes), f"byte {i}"
+            assert stream(data[:i + 1], max_word_bytes)[1] == closes
 
 
 @given(st.lists(st.one_of(pieces, MARKED_PUNCT), max_size=16).map("".join)
@@ -538,7 +534,7 @@ def test_stream_equals_pushing_byte_by_byte(data, cut, max_word_bytes):
     try:
         for b in prefix:
             closes += st_.push_byte(b)
-            index.append(st_.closed_words)
+            index.append(len(closes))
     except SplitError as exc:
         with pytest.raises(SplitError) as got:
             stream(prefix, max_word_bytes)
@@ -554,7 +550,7 @@ def test_stream_equals_pushing_byte_by_byte(data, cut, max_word_bytes):
 @settings(max_examples=200, deadline=None)
 def test_push_closes_at_most_len_buf_words(s, max_word_bytes):
     # the bound `infer._check_byte_step` counts on before it pushes into a copy,
-    # and `BatchRunner.run_tick`'s inline check before it takes a byte step
+    # and `infer._run_plan`'s inline check before it takes a byte step
     st_ = IncrementalSplitterState(max_word_bytes=max_word_bytes)
     for b in s.encode():
         bound = len(st_.buf)
@@ -574,10 +570,36 @@ def test_streaming_buffer_stays_bounded(max_word_bytes):
         events = []
         for b in data:
             events.extend(st_.push_byte(b))
-            # all the engine keeps of the text is `buf`; `held` names codepoints in it
+            # all the engine keeps of the text is `buf`. None of these streams
+            # holds a boundary before a run of marks, which `buf` keeps whole
+            # (test_held_boundary_keeps_its_marks)
             assert len(st_.buf) <= 4 * max_word_bytes
-        assert [(e.start, e.end) for e in events] == \
-            [(s.start, s.end) for s in split(data, max_word_bytes).spans[:-1]]
+        assert events == split(data, max_word_bytes)[:-1]
+
+
+def test_held_boundary_keeps_its_marks():
+    # "a." then U+FE0F holds a boundary (WB6 may join "." to a letter), and
+    # each U+0301 extends it: a join and a break give different cap cuts, so
+    # no span is final until the next non-ignorable codepoint decides
+    n = 3000
+    data = ("a.\ufe0f" + "\u0301" * n + "b").encode()
+    st_ = IncrementalSplitterState(max_word_bytes=4)
+    for i, b in enumerate(data[:-1]):   # `buf` keeps every byte: 2 more per mark
+        assert st_.push_byte(b) == [] and len(st_.buf) == i + 1, f"byte {i}"
+    assert len(st_.buf) == 2 * n + 5
+    closes = st_.push_byte(data[-1])
+    assert len(closes) == 1502 and closes == split(data, 4)[:-1]
+
+
+@given(st.lists(st.one_of(pieces, MARKED_PUNCT), max_size=24).map("".join), CAPS)
+@example("a.\ufe0f" + "\u0301" * 40 + "b", 4)
+@example("a:" + "\u0301" * 40 + "b", 4)
+@settings(max_examples=200, deadline=None)
+def test_buffer_outside_held_codepoints_stays_bounded(s, max_word_bytes):
+    st_ = IncrementalSplitterState(max_word_bytes=max_word_bytes)
+    for i, b in enumerate(s.encode()):
+        st_.push_byte(b)
+        assert len(st_.buf) - sum(n for _, n in st_.held) <= 4 * max_word_bytes, f"byte {i}"
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +616,8 @@ ASCII_CORPUS = (
 def test_prefix_consistency_ascii_is_exact():
     for end in range(len(ASCII_CORPUS) + 1):
         prefix = ASCII_CORPUS[:end]
-        closed = max(0, len(split(prefix).spans) - 1)
-        st_, _, _ = stream(prefix, DEFAULT_MAX_WORD_BYTES)
-        assert st_.closed_words == closed, f"prefix {prefix[-12:]!r}"
+        closed = max(0, len(split(prefix)) - 1)
+        assert len(stream(prefix, DEFAULT_MAX_WORD_BYTES)[1]) == closed, f"prefix {prefix[-12:]!r}"
     count, offsets = boundary_divergence(ASCII_CORPUS)
     assert count == 0 and offsets == []
 

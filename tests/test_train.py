@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hatlm import autodiff as ad
-from hatlm import kernels, model, train
+from hatlm import checkpoint, config, kernels, model, train
 from hatlm.splitter import SplitError, stream
 from hatlm.train import GroupPolicy, LrSchedule, lr_at
 
@@ -122,6 +124,13 @@ def test_train_loop_names_seq_len_when_a_codepoint_cannot_fit(micro_cfg):
     with pytest.raises(ValueError, match="seq_len 2 cannot hold the codepoint at byte offset 1"):
         train.train_loop(micro_cfg, "a€b€c".encode() * 3, SCHED, GroupPolicy(), steps=1,
                          seed=0, seq_len=2)
+
+
+@pytest.mark.parametrize("corpus,seq_len", [(b"a", 256), (b"abc", 1)])
+def test_corpus_loss_refuses_a_corpus_with_nothing_to_predict(micro_cfg, micro_params,
+                                                               corpus, seq_len):
+    with pytest.raises(ValueError, match="corpus too short for the sequence length"):
+        train.corpus_loss(micro_params, micro_cfg, corpus, seq_len)
 
 
 @pytest.mark.parametrize("seq_len", [0, -3])
@@ -573,3 +582,14 @@ def test_train_loop_splits_each_document_once(micro_cfg, micro_params, monkeypat
         a = real(micro_params, micro_cfg, doc, (), real_stream(doc, micro_cfg.max_word_bytes))
         b = real(micro_params, micro_cfg, doc)
         assert a[0] == b[0] and all(np.array_equal(a[1][k], b[1][k]) for k in a[1])
+
+
+def test_overfit_demo_runs(tmp_path):
+    # the demo script trains, saves a checkpoint, then generates from it
+    out = subprocess.run([sys.executable, str(REPO / "scripts" / "overfit_demo.py"),
+                          "--steps", "3", "--out-dir", str(tmp_path)],
+                         capture_output=True, text=True, cwd=REPO)
+    assert out.returncode == 0, out.stderr
+    assert len((tmp_path / "loss_curve.tsv").read_text().splitlines()) == 3
+    cfg, params = checkpoint.load(tmp_path / "micro_overfit.ckpt")
+    assert cfg == config.micro() and params
